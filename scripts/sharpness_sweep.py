@@ -13,15 +13,16 @@ import sys
 
 
 from matmean.linalg import random_pd
+from matmean.means import Pair
 from matmean.suite import check_sharpness_scalar, check_spectral_heron
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--instances", type=int, default=8)
     parser.add_argument("--dim", type=int, default=5)
     parser.add_argument("--out", default="-", help="CSV path, '-' for stdout")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     fractions = [0.0, 0.5, 0.9, 0.99, 0.999, 1.0]
     over = [1.0005, 1.005, 1.05, 1.5]
@@ -31,10 +32,9 @@ def main():
     writer = csv.writer(sink)
     writer.writerow(["instance", "c_over_2ab", "regime", "min_margin"])
     for i in range(args.instances):
-        A = random_pd(args.dim, 1e4, seed=2 * i)
-        B = random_pd(args.dim, 1e4, seed=2 * i + 1)
+        pair = Pair(random_pd(args.dim, 1e4, seed=2 * i), random_pd(args.dim, 1e4, seed=2 * i + 1))
         for frac in fractions:
-            report = check_spectral_heron(A, B, a, b, frac * 2 * a * b, 1e-8)
+            report = check_spectral_heron(pair, a, b, frac * 2 * a * b, 1e-8)
             writer.writerow([i, frac, "matrix", f"{report.min_margin_seen:.6e}"])
         for frac in over:
             report = check_sharpness_scalar(a, b, frac * 2 * a * b)

@@ -37,6 +37,7 @@ from .majorization import (
 )
 from .means import (
     MeanWeights,
+    Pair,
     bw_geodesic,
     geometric_mean,
     geometric_mean_weighted,

@@ -22,7 +22,7 @@ from .errors import (
     NumericalFailure,
 )
 from . import exact, means
-from .linalg import PDMatrix
+from .linalg import HermitianMatrix, PDMatrix
 from .majorization import log_majorization, majorization, spectrum, weak_majorization
 from .matio import hermitian_from_dict, matrix_to_dict
 from .suite import SuiteConfig, run_suite
@@ -76,8 +76,9 @@ def _cmd_compute(args) -> int:
     elif name == "spectral_t":
         result = means.spectral_mean_weighted(A, B, t)
     elif name == "wasserstein":
-        result = means.wasserstein_expression(A, B, a, b)
-        meta["dual_form_residual"] = means.wasserstein_residual(A, B, a, b)
+        pair = means.Pair(A, B)
+        result = HermitianMatrix(pair.wasserstein(a, b))
+        meta["dual_form_residual"] = pair.wasserstein_residual(a, b)
     elif name == "geodesic":
         result = means.bw_geodesic(A, B, t)
     elif name == "heron_spectral":
@@ -137,10 +138,7 @@ def _cmd_suite(args) -> int:
     report = run_suite(config)
     _write_output(report.to_dict(), args.out, args.pretty)
     if args.pretty:
-        for check in sorted(report.checks, key=lambda r: r.check_name):
-            status = "ok" if check.ok else f"{len(check.failures)} FAILURES"
-            print(f"{check.check_name:28s} {check.instances_run:6d} instances  "
-                  f"min margin {check.min_margin_seen: .3e}  {status}", file=sys.stderr)
+        report.print_summary(file=sys.stderr)
     return EXIT_OK if report.ok else EXIT_FAILED_CHECK
 
 

@@ -34,8 +34,6 @@ def _as_complex_square(entries) -> np.ndarray:
     mat = np.asarray(entries, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
         raise MatrixFormatError(f"expected a nonempty square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
-        raise MatrixFormatError("matrix contains non-finite entries")
     return mat
 
 
@@ -43,6 +41,106 @@ def hermitian_part(mat: np.ndarray) -> np.ndarray:
     """(M + M*)/2 for raw arrays whose Hermitianity is guaranteed
     algebraically but not bitwise."""
     return (mat + mat.conj().T) / 2
+
+
+# ---------------------------------------------------------------------------
+# the gate: each check written once over (..., n, n) stacks; the scalar
+# constructors below call it with a single matrix
+# ---------------------------------------------------------------------------
+
+def _adjoint(mats: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(mats, -1, -2))
+
+
+def _locate(bad: np.ndarray) -> tuple[tuple, str]:
+    """Index of the first offending matrix of a stack, and a note for the
+    message; a single matrix gives ((), "")."""
+    if bad.ndim == 0:
+        return (), ""
+    i = tuple(int(k) for k in np.argwhere(bad)[0])
+    return i, f" (stack index {i})"
+
+
+def hermitize(mats: np.ndarray) -> np.ndarray:
+    """Hermitian gate: entries must be finite and the asymmetry within
+    HERMITIAN_ASYMMETRY_RTOL of the largest entry.  Returns the Hermitian
+    parts."""
+    bad = ~np.isfinite(mats).all(axis=(-2, -1))
+    if bad.any():
+        raise MatrixFormatError("matrix contains non-finite entries" + _locate(bad)[1])
+    adj = _adjoint(mats)
+    limit = HERMITIAN_ASYMMETRY_RTOL * np.abs(mats).max(axis=(-2, -1))
+    asym = np.abs(mats - adj).max(axis=(-2, -1))
+    bad = asym > limit
+    if bad.any():
+        i, where = _locate(bad)
+        raise MatrixFormatError(
+            f"matrix is not Hermitian: asymmetry {asym[i]:.3e} exceeds "
+            f"{HERMITIAN_ASYMMETRY_RTOL:g} * max|entry| = {limit[i]:.3e}{where}"
+        )
+    return (mats + adj) / 2
+
+
+def _check_decomposition(vals: np.ndarray, vecs: np.ndarray, reference: np.ndarray | None) -> None:
+    """Unitarity of fresh eigenvectors and, given the decomposed matrices,
+    the reconstruction residual."""
+    n = vals.shape[-1]
+    ortho = np.linalg.norm(_adjoint(vecs) @ vecs - np.eye(n), axis=(-2, -1))
+    bad = ortho > UNITARITY_RTOL * n
+    if bad.any():
+        i, where = _locate(bad)
+        raise NumericalFailure(f"eigenvector matrix is not unitary: ||U*U - I|| = {ortho[i]:.3e}{where}")
+    if reference is not None:
+        recon = np.linalg.norm((vecs * vals[..., None, :]) @ _adjoint(vecs) - reference, axis=(-2, -1))
+        limit = RECONSTRUCTION_RTOL * (1.0 + np.linalg.norm(reference, axis=(-2, -1)))
+        bad = recon > limit
+        if bad.any():
+            i, where = _locate(bad)
+            raise NumericalFailure(
+                f"eigendecomposition residual {recon[i]:.3e} exceeds {limit[i]:.3e}{where}"
+            )
+
+
+def _check_pd(vals: np.ndarray, where=True) -> None:
+    """Positive definiteness of decreasing eigenvalues: finite, and the
+    smallest clears PD_EIGENVALUE_RTOL times the largest."""
+    lam_min, lam_max = vals[..., -1], vals[..., 0]
+    ok = np.isfinite(vals).all(axis=-1) & (lam_min > PD_EIGENVALUE_RTOL * lam_max) & (lam_min > 0.0)
+    bad = ~ok & where
+    if bad.any():
+        i, note = _locate(bad)
+        raise NotPositiveDefiniteError(
+            f"matrix is not positive definite: lambda_min = {lam_min[i]:.3e}, "
+            f"lambda_max = {lam_max[i]:.3e}{note}"
+        )
+
+
+def _eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK eigh with eigenvalues in decreasing order."""
+    try:
+        vals, vecs = np.linalg.eigh(mats)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
+    return vals[..., ::-1].copy(), vecs[..., ::-1].copy()
+
+
+def gate_stack(mats, pd=True) -> tuple[np.ndarray, np.ndarray]:
+    """The checks of HermitianMatrix, eig_hermitian and PDMatrix over a
+    (..., n, n) stack, with one batched eigh.
+
+    `pd` (a bool, or booleans over the stack) selects the matrices that
+    must be positive definite.  Returns the decreasing eigenvalues and
+    the matching eigenvectors; each matrix raises exactly what its scalar
+    constructor would.
+    """
+    mats = np.asarray(mats, dtype=np.complex128)
+    if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2] or mats.shape[-1] == 0:
+        raise MatrixFormatError(f"expected a stack of nonempty square matrices, got shape {mats.shape}")
+    herm = hermitize(mats)
+    vals, vecs = _eigh(herm)
+    _check_decomposition(vals, vecs, herm)
+    _check_pd(vals, np.asarray(pd, dtype=bool))
+    return vals, vecs
 
 
 class HermitianMatrix:
@@ -55,18 +153,20 @@ class HermitianMatrix:
     __slots__ = ("mat", "_eig")
 
     def __init__(self, entries):
-        mat = _as_complex_square(entries)
-        scale = float(np.abs(mat).max())
-        asym = float(np.abs(mat - mat.conj().T).max())
-        if asym > HERMITIAN_ASYMMETRY_RTOL * scale:
-            raise MatrixFormatError(
-                f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds "
-                f"{HERMITIAN_ASYMMETRY_RTOL:g} * max|entry| = {HERMITIAN_ASYMMETRY_RTOL * scale:.3e}"
-            )
-        mat = hermitian_part(mat)
+        mat = hermitize(_as_complex_square(entries))
         mat.flags.writeable = False
         self.mat = mat
         self._eig = None
+
+    @classmethod
+    def _trusted(cls, mat: np.ndarray, dec: "SpectralDecomposition") -> "HermitianMatrix":
+        """Wrap U diag(lambda) U* assembled from an already checked
+        decomposition; the gate would only re-check it."""
+        obj = cls.__new__(cls)
+        mat.flags.writeable = False
+        obj.mat = mat
+        obj._eig = dec
+        return obj
 
     @property
     def dim(self) -> int:
@@ -119,18 +219,22 @@ class SpectralDecomposition:
             raise MatrixFormatError("eigenvector matrix shape does not match eigenvalue count")
         if np.any(vals[:-1] < vals[1:]):
             raise MatrixFormatError("eigenvalues must be sorted in decreasing order")
-        ortho = float(np.linalg.norm(vecs.conj().T @ vecs - np.eye(n)))
-        if ortho > UNITARITY_RTOL * n:
-            raise NumericalFailure(f"eigenvector matrix is not unitary: ||U*U - I|| = {ortho:.3e}")
-        if reference is not None:
-            recon = float(np.linalg.norm((vecs * vals) @ vecs.conj().T - reference))
-            limit = RECONSTRUCTION_RTOL * (1.0 + float(np.linalg.norm(reference)))
-            if recon > limit:
-                raise NumericalFailure(f"eigendecomposition residual {recon:.3e} exceeds {limit:.3e}")
+        _check_decomposition(vals, vecs, reference)
+        self._set(vals, vecs)
+
+    def _set(self, vals: np.ndarray, vecs: np.ndarray) -> None:
         vals.flags.writeable = False
         vecs.flags.writeable = False
         self.eigenvalues = vals
         self.eigenvectors = vecs
+
+    @classmethod
+    def _trusted(cls, vals: np.ndarray, vecs: np.ndarray) -> "SpectralDecomposition":
+        """New eigenvalues on eigenvectors that already passed the
+        unitarity check; the caller checked the eigenvalues."""
+        obj = cls.__new__(cls)
+        obj._set(vals, vecs)
+        return obj
 
     @property
     def dim(self) -> int:
@@ -153,31 +257,36 @@ class PDMatrix:
             base = base.base
         if not isinstance(base, HermitianMatrix):
             base = HermitianMatrix(base)
-        dec = base.eig()
-        lam_min = float(dec.eigenvalues[-1])
-        lam_max = float(dec.eigenvalues[0])
-        if not lam_min > PD_EIGENVALUE_RTOL * lam_max or lam_min <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"matrix is not positive definite: lambda_min = {lam_min:.3e}, lambda_max = {lam_max:.3e}"
-            )
+        vals = base.eig().eigenvalues
+        _check_pd(vals)
         self.base = base
-        self.min_eigenvalue_witness = lam_min
+        self.min_eigenvalue_witness = float(vals[-1])
 
     @classmethod
     def _from_eig(cls, eigenvalues_desc: np.ndarray, eigenvectors: np.ndarray) -> "PDMatrix":
-        """Build from a known spectral factorization, skipping the fresh
-        eigendecomposition.  Caller guarantees decreasing order."""
+        """Build from fresh eigenvectors (a random sample, say), skipping
+        the eigendecomposition but not its checks.  Caller guarantees
+        decreasing order."""
         dec = SpectralDecomposition(eigenvalues_desc, eigenvectors)
-        lam_min, lam_max = float(dec.eigenvalues[-1]), float(dec.eigenvalues[0])
-        if not lam_min > PD_EIGENVALUE_RTOL * lam_max or lam_min <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"matrix is not positive definite: lambda_min = {lam_min:.3e}, lambda_max = {lam_max:.3e}"
-            )
+        _check_pd(dec.eigenvalues)
         base = HermitianMatrix(dec.assemble(dec.eigenvalues))
         base._eig = dec
+        return cls._wrap(base)
+
+    @classmethod
+    def _derived(cls, eigenvalues_desc: np.ndarray, eigenvectors: np.ndarray) -> "PDMatrix":
+        """f(P) for a gated P: its eigenvectors already passed the
+        unitarity check, so only the new eigenvalues are checked (finite,
+        positive definite).  Caller guarantees decreasing order."""
+        _check_pd(eigenvalues_desc)
+        dec = SpectralDecomposition._trusted(eigenvalues_desc, eigenvectors)
+        return cls._wrap(HermitianMatrix._trusted(dec.assemble(eigenvalues_desc), dec))
+
+    @classmethod
+    def _wrap(cls, base: HermitianMatrix) -> "PDMatrix":
         obj = cls.__new__(cls)
         obj.base = base
-        obj.min_eigenvalue_witness = lam_min
+        obj.min_eigenvalue_witness = float(base._eig.eigenvalues[-1])
         return obj
 
     @property
@@ -219,12 +328,8 @@ def eig_hermitian(H: HermitianMatrix, method: str = "lapack") -> SpectralDecompo
     """
     mat = H.mat if isinstance(H, (HermitianMatrix, PDMatrix)) else HermitianMatrix(H).mat
     if method == "lapack":
-        try:
-            vals, vecs = np.linalg.eigh(mat)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
-        order = slice(None, None, -1)
-        return SpectralDecomposition(vals[order].copy(), vecs[:, order].copy(), reference=mat)
+        vals, vecs = _eigh(mat)
+        return SpectralDecomposition(vals, vecs, reference=mat)
     if method == "jacobi":
         vals, vecs = _jacobi_eigh(mat)
         order = np.argsort(vals)[::-1]
@@ -290,7 +395,7 @@ def _jacobi_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def principal_sqrt(P: PDMatrix) -> PDMatrix:
     """Unique positive definite square root."""
     dec = P.eig()
-    return PDMatrix._from_eig(np.sqrt(dec.eigenvalues), dec.eigenvectors)
+    return PDMatrix._derived(np.sqrt(dec.eigenvalues), dec.eigenvectors)
 
 
 def pd_power(P: PDMatrix, t: float) -> PDMatrix:
@@ -298,8 +403,8 @@ def pd_power(P: PDMatrix, t: float) -> PDMatrix:
     dec = P.eig()
     vals = dec.eigenvalues ** t
     if t >= 0:
-        return PDMatrix._from_eig(vals, dec.eigenvectors)
-    return PDMatrix._from_eig(vals[::-1].copy(), dec.eigenvectors[:, ::-1].copy())
+        return PDMatrix._derived(vals, dec.eigenvectors)
+    return PDMatrix._derived(vals[::-1].copy(), dec.eigenvectors[:, ::-1].copy())
 
 
 def inverse(P: PDMatrix) -> PDMatrix:
@@ -307,7 +412,7 @@ def inverse(P: PDMatrix) -> PDMatrix:
     dec = P.eig()
     vals = (1.0 / dec.eigenvalues)[::-1].copy()
     vecs = dec.eigenvectors[:, ::-1].copy()
-    return PDMatrix._from_eig(vals, vecs)
+    return PDMatrix._derived(vals, vecs)
 
 
 def positive_part(H: HermitianMatrix) -> HermitianMatrix:

@@ -46,15 +46,6 @@ def pd_from_dict(data) -> PDMatrix:
     return PDMatrix(hermitian_from_dict(data))
 
 
-def load_hermitian(path) -> HermitianMatrix:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MatrixFormatError(f"{path}: invalid JSON: {exc}") from exc
-    return hermitian_from_dict(data)
-
-
 def load_pd(path) -> PDMatrix:
     with open(path) as fh:
         try:

@@ -26,7 +26,7 @@ from .errors import (
     NumericalFailure,
 )
 from .linalg import HermitianMatrix, PDMatrix, hermitian_part, inverse, principal_sqrt
-from .means import geometric_mean, riccati_mean, wasserstein_expression
+from .means import Pair, riccati_mean
 
 GAMMA_RECON_RTOL = 1e-12
 GAMMA_DIAG_TOL = 1e-12
@@ -154,11 +154,10 @@ def pinching_map(C: PDMatrix, R: PDMatrix) -> PDMatrix:
             f"spectrum of R must lie strictly inside (0, 1): [{vals[-1]:.3e}, {vals[0]:.3e}]"
         )
     dec = R.eig()
-    S = PDMatrix._from_eig((1.0 - dec.eigenvalues)[::-1].copy(), dec.eigenvectors[:, ::-1].copy())
+    S = PDMatrix._derived((1.0 - dec.eigenvalues)[::-1].copy(), dec.eigenvectors[:, ::-1].copy())
     P = PDMatrix(hermitian_part(R.mat @ C.mat @ R.mat))
     Q = PDMatrix(hermitian_part(S.mat @ C.mat @ S.mat))
-    G = geometric_mean(P, Q)
-    return PDMatrix(P.mat + Q.mat + 2.0 * G.mat)
+    return PDMatrix(P.mat + Q.mat + 2.0 * Pair(P, Q).geometric())
 
 
 def kubo_change_of_vars(A: PDMatrix, B: PDMatrix, a: float, b: float) -> tuple[PDMatrix, PDMatrix]:
@@ -169,7 +168,8 @@ def kubo_change_of_vars(A: PDMatrix, B: PDMatrix, a: float, b: float) -> tuple[P
     """
     if a <= 0.0 or b <= 0.0:
         raise InvalidWeightsError(f"need a, b > 0; got a={a}, b={b}")
-    X = riccati_mean(A, B)
+    pair = Pair(A, B)
+    X = pair.riccati()
     n = A.dim
     T = a * np.eye(n) + b * X.mat
     Tinv = inverse(PDMatrix(hermitian_part(T)))
@@ -177,7 +177,7 @@ def kubo_change_of_vars(A: PDMatrix, B: PDMatrix, a: float, b: float) -> tuple[P
     S_direct = b * X.mat @ Tinv.mat
     if float(np.linalg.norm(R.mat + S_direct - np.eye(n))) > 1e-10 * np.sqrt(n):
         raise NumericalFailure("R + S deviates from the identity")
-    C = PDMatrix(wasserstein_expression(A, B, a, b))
+    C = PDMatrix(pair.wasserstein(a, b))
     res_a = float(np.linalg.norm(R.mat @ C.mat @ R.mat - a * a * A.mat)) / float(np.linalg.norm(a * a * A.mat))
     res_b_mat = hermitian_part(S_direct @ C.mat @ S_direct.conj().T)
     res_b = float(np.linalg.norm(res_b_mat - b * b * B.mat)) / float(np.linalg.norm(b * b * B.mat))

@@ -19,6 +19,7 @@ from .exact import direction_one_data, direction_two_data
 from .linalg import (
     HermitianMatrix,
     PDMatrix,
+    gate_stack,
     haar_unitary,
     hermitian_part,
     principal_sqrt,
@@ -32,15 +33,7 @@ from .majorization import (
     weak_majorization,
 )
 from .matio import matrix_to_dict
-from .means import (
-    MeanWeights,
-    bw_geodesic,
-    geometric_mean,
-    heron_kubo,
-    heron_spectral,
-    spectral_mean,
-    wasserstein_expression,
-)
+from .means import Pair, geometric_mean, spectral_mean
 from .report import CheckReport
 from .schur import pinching_map
 
@@ -103,6 +96,13 @@ class RunReport:
             "ok": self.ok,
         }
 
+    def print_summary(self, file=None) -> None:
+        """The per-checker table: instances, min margin and status."""
+        for check in sorted(self.checks, key=lambda r: r.check_name):
+            status = "ok" if check.ok else f"{len(check.failures)} FAILURES"
+            print(f"{check.check_name:28s} {check.instances_run:6d} instances  "
+                  f"min margin {check.min_margin_seen: .3e}  {status}", file=file)
+
     def by_name(self, name: str) -> CheckReport:
         for report in self.checks:
             if report.check_name == name:
@@ -114,43 +114,96 @@ class RunReport:
 # margin helpers
 # ---------------------------------------------------------------------------
 
-def _wm_margin(lhs: SpectrumVector, rhs: SpectrumVector) -> float:
-    """Worst normalized Ky Fan margin of lhs prec_w rhs."""
-    margins = ky_fan_sums(rhs) - ky_fan_sums(lhs)
-    scale = 1.0 + float(np.abs(rhs.values).max())
-    return float(margins.min()) / scale
+def _wm_margin(lhs: np.ndarray, rhs: np.ndarray):
+    """Worst normalized Ky Fan margin of lhs prec_w rhs, over the last
+    axis of decreasing spectra."""
+    margins = np.cumsum(rhs, axis=-1) - np.cumsum(lhs, axis=-1)
+    scale = 1.0 + np.abs(rhs).max(axis=-1)
+    return margins.min(axis=-1) / scale
 
 
-def _eq_margin(gap: float, scale: float) -> float:
+def _eq_margin(gap, scale):
     """Margin form of an equality constraint |gap| <= tol * scale."""
-    return -abs(gap) / scale
+    return -np.abs(gap) / scale
 
 
-def _trace_eq_margin(lhs: SpectrumVector, rhs: SpectrumVector) -> float:
-    gap = float(rhs.values.sum() - lhs.values.sum())
-    return _eq_margin(gap, 1.0 + abs(float(rhs.values.sum())))
+def _trace_eq_margin(lhs: np.ndarray, rhs: np.ndarray):
+    gap = rhs.sum(axis=-1) - lhs.sum(axis=-1)
+    return _eq_margin(gap, 1.0 + np.abs(rhs.sum(axis=-1)))
+
+
+def _spectra(*mats: np.ndarray, pd=True) -> np.ndarray:
+    """Decreasing eigenvalues of the matrices a checker compares, gated
+    (as positive definite where `pd` says so) in one stacked call."""
+    return gate_stack(np.stack(mats), pd)[0]
 
 
 # ---------------------------------------------------------------------------
 # individual theorem checkers
 # ---------------------------------------------------------------------------
 
-def check_spectral_heron(A: PDMatrix, B: PDMatrix, a: float, b: float, c: float,
+# Checkers of the Heron grid, each with the cross term of its Heron
+# expression.  weighted_corollary is spectral_heron at (a, b) = (1-t, t).
+GRID_CROSS = {"spectral_heron": "spectral", "kubo_heron": "geometric", "weighted_corollary": "spectral"}
+
+
+def heron_grid(pair: Pair, items, tol: float, context: dict | None = None) -> list[CheckReport]:
+    """One report per (check, a, b, c) item of a checker in GRID_CROSS:
+    lambda(a^2 A + b^2 B + c M) prec_w lambda(W_{a,b}) for 0 <= c <= 2ab,
+    with the cross term M of the check.  With the spectral cross term the
+    endpoint c = 2ab is a true majorization, so trace equality is checked
+    there too.
+
+    The Heron sums (gated as positive definite) and the distinct W_{a,b}
+    (gated as Hermitian) are decomposed in one stacked call.
+    """
+    for check, a, b, c in items:
+        two_ab = 2.0 * a * b
+        if a < 0 or b < 0 or not 0.0 <= c <= two_ab * (1.0 + 1e-12):
+            raise InvalidWeightsError(f"{check}: need a, b >= 0 and 0 <= c <= 2ab = {two_ab}, "
+                                      f"got a = {a}, b = {b}, c = {c}")
+    w_index: dict[tuple[float, float], int] = {}
+    for _, a, b, _ in items:
+        w_index.setdefault((a, b), len(w_index))
+    n = len(items)
+    vals = _spectra(*[pair.heron(GRID_CROSS[check], a, b, c) for check, a, b, c in items],
+                    *[pair.wasserstein(a, b) for a, b in w_index],
+                    pd=[True] * n + [False] * len(w_index))
+    sH = vals[:n]
+    sW = vals[n:][[w_index[a, b] for _, a, b, _ in items]]
+    margins = _wm_margin(sH, sW)
+    trace_margins = _trace_eq_margin(sH, sW)
+    reports = []
+    for i, (check, a, b, c) in enumerate(items):
+        two_ab = 2.0 * a * b
+        margin = margins[i]
+        if GRID_CROSS[check] == "spectral" and two_ab > 0.0 and c >= two_ab * (1.0 - 1e-12):
+            margin = min(margin, trace_margins[i])
+        report = CheckReport(check, tol)
+        report.record(margin, context)
+        reports.append(report)
+    return reports
+
+
+def check_spectral_heron(pair: Pair, a: float, b: float, c: float,
                          tol: float, context: dict | None = None) -> CheckReport:
     """Spectral Heron expression is weakly majorized by the Wasserstein one
     for 0 <= c <= 2ab; at the endpoint c = 2ab it is a true majorization."""
-    two_ab = 2.0 * a * b
-    if not 0.0 <= c <= two_ab * (1.0 + 1e-12):
-        raise InvalidWeightsError(f"need 0 <= c <= 2ab = {two_ab}, got c = {c}")
-    report = CheckReport("spectral_heron", tol)
-    H = heron_spectral(A, B, MeanWeights(a, b, c))
-    W = wasserstein_expression(A, B, a, b)
-    sH, sW = spectrum(H), spectrum(W)
-    margin = _wm_margin(sH, sW)
-    if c >= two_ab * (1.0 - 1e-12) and two_ab > 0.0:
-        margin = min(margin, _trace_eq_margin(sH, sW))
-    report.record(margin, context)
-    return report
+    return heron_grid(pair, [("spectral_heron", a, b, c)], tol, context)[0]
+
+
+def check_kubo_heron(pair: Pair, a: float, b: float, c: float,
+                     tol: float, context: dict | None = None) -> CheckReport:
+    """Heron expression with geometric cross term, coefficient up to 2ab,
+    is weakly majorized by the Wasserstein expression."""
+    return heron_grid(pair, [("kubo_heron", a, b, c)], tol, context)[0]
+
+
+def check_weighted_corollary(pair: Pair, t: float, c: float,
+                             tol: float, context: dict | None = None) -> CheckReport:
+    """Weighted form: (1-t)^2 A + t^2 B + c (A natural B) against the
+    geodesic point W_{1-t,t}, for 0 <= c <= 2t(1-t)."""
+    return heron_grid(pair, [("weighted_corollary", 1.0 - t, t, c)], tol, context)[0]
 
 
 def check_sharpness_scalar(a: float, b: float, c_over: float) -> CheckReport:
@@ -174,25 +227,7 @@ def check_sharpness_scalar(a: float, b: float, c_over: float) -> CheckReport:
     return report
 
 
-def check_weighted_corollary(A: PDMatrix, B: PDMatrix, t: float, c: float,
-                             tol: float, context: dict | None = None) -> CheckReport:
-    """Weighted form: (1-t)^2 A + t^2 B + c (A natural B) against the
-    geodesic point, for 0 <= c <= 2t(1-t)."""
-    limit = 2.0 * t * (1.0 - t)
-    if not 0.0 <= c <= limit * (1.0 + 1e-12):
-        raise InvalidWeightsError(f"need 0 <= c <= 2t(1-t) = {limit}, got c = {c}")
-    report = CheckReport("weighted_corollary", tol)
-    H = heron_spectral(A, B, MeanWeights(1.0 - t, t, c))
-    W = bw_geodesic(A, B, t)
-    sH, sW = spectrum(H), spectrum(W)
-    margin = _wm_margin(sH, sW)
-    if limit > 0.0 and c >= limit * (1.0 - 1e-12):
-        margin = min(margin, _trace_eq_margin(sH, sW))
-    report.record(margin, context)
-    return report
-
-
-def check_spreading(A: PDMatrix, B: PDMatrix, a: float, b: float,
+def check_spreading(pair: Pair, a: float, b: float,
                     tol: float, context: dict | None = None) -> CheckReport:
     """At the endpoint coefficient the spectral Heron expression is
     spectrally less spread: top-k sums smaller, bottom-k sums larger,
@@ -200,25 +235,23 @@ def check_spreading(A: PDMatrix, B: PDMatrix, a: float, b: float,
     if a <= 0 or b <= 0:
         raise InvalidWeightsError(f"need a, b > 0, got a={a}, b={b}")
     report = CheckReport("spreading", tol)
-    H = heron_spectral(A, B, MeanWeights.sharp(a, b))
-    W = wasserstein_expression(A, B, a, b)
-    sH, sW = spectrum(H), spectrum(W)
+    sH, sW = _spectra(pair.heron("spectral", a, b, 2.0 * a * b), pair.wasserstein(a, b), pd=[True, False])
     margins = [_wm_margin(sH, sW)]
     # bottom-k sums: Heron side dominates
-    bottom_H = np.cumsum(sH.values[::-1])
-    bottom_W = np.cumsum(sW.values[::-1])
-    scale = 1.0 + float(np.abs(sW.values).max())
+    bottom_H = np.cumsum(sH[::-1])
+    bottom_W = np.cumsum(sW[::-1])
+    scale = 1.0 + float(np.abs(sW).max())
     margins.append(float((bottom_H - bottom_W).min()) / scale)
     margins.append(_trace_eq_margin(sH, sW))
     # determinants compared in the log domain
-    logdet_H = float(np.log(sH.values).sum())
-    logdet_W = float(np.log(sW.values).sum())
+    logdet_H = float(np.log(sH).sum())
+    logdet_W = float(np.log(sW).sum())
     margins.append((logdet_H - logdet_W) / (1.0 + abs(logdet_W)))
     report.record(min(margins), context)
     return report
 
 
-def check_equality_iff_commuting(A: PDMatrix, B: PDMatrix, a: float, b: float,
+def check_equality_iff_commuting(pair: Pair, a: float, b: float,
                                  tol: float, context: dict | None = None) -> CheckReport:
     """Both endpoint Heron expressions equal the Wasserstein expression
     exactly when A and B commute; otherwise they stay separated by a
@@ -226,12 +259,13 @@ def check_equality_iff_commuting(A: PDMatrix, B: PDMatrix, a: float, b: float,
     if a <= 0 or b <= 0:
         raise InvalidWeightsError(f"need a, b > 0, got a={a}, b={b}")
     report = CheckReport("equality_iff_commuting", tol)
-    comm = float(np.linalg.norm(A.mat @ B.mat - B.mat @ A.mat))
-    comm_scale = float(np.linalg.norm(A.mat)) * float(np.linalg.norm(B.mat))
-    W = wasserstein_expression(A, B, a, b)
-    w_norm = W.frobenius()
-    diff_nat = (heron_spectral(A, B, MeanWeights.sharp(a, b)) - W).frobenius()
-    diff_kubo = (heron_kubo(A, B, a, b) - W).frobenius()
+    A, B = pair.A.mat, pair.B.mat
+    comm = float(np.linalg.norm(A @ B - B @ A))
+    comm_scale = float(np.linalg.norm(A)) * float(np.linalg.norm(B))
+    W = pair.wasserstein(a, b)
+    w_norm = float(np.linalg.norm(W))
+    diff_nat = float(np.linalg.norm(pair.heron("spectral", a, b, 2.0 * a * b) - W))
+    diff_kubo = float(np.linalg.norm(pair.heron("geometric", a, b, 2.0 * a * b) - W))
     if comm <= tol * comm_scale:
         margin = _eq_margin(max(diff_nat, diff_kubo), w_norm)
     elif comm >= 1e-3 * comm_scale:
@@ -245,16 +279,15 @@ def check_equality_iff_commuting(A: PDMatrix, B: PDMatrix, a: float, b: float,
     return report
 
 
-def check_pinching(C: PDMatrix, R: PDMatrix, tol: float,
+def check_pinching(C: PDMatrix, R: PDMatrix, Phi: PDMatrix, tol: float,
                    context: dict | None = None,
                    rng: np.random.Generator | None = None) -> CheckReport:
-    """The nonlinear pinching map contracts in weak majorization; its four
-    structural hypotheses (monotone, homogeneous, unital,
-    trace-subpreserving) are spot-checked on the same instance."""
+    """The nonlinear pinching map Phi = Phi_R(C) contracts in weak
+    majorization; its four structural hypotheses (monotone, homogeneous,
+    unital, trace-subpreserving) are spot-checked on the same instance."""
     report = CheckReport("pinching", tol)
     n = C.dim
-    Phi = pinching_map(C, R)
-    margins = [_wm_margin(spectrum(Phi), spectrum(C))]
+    margins = [_wm_margin(spectrum(Phi).values, spectrum(C).values)]
 
     # unitality
     Phi_eye = pinching_map(PDMatrix(np.eye(n)), R)
@@ -277,7 +310,7 @@ def check_pinching(C: PDMatrix, R: PDMatrix, tol: float,
     S = PDMatrix(np.eye(n) - R.mat)
     P = PDMatrix(hermitian_part(R.mat @ C.mat @ R.mat))
     Q = PDMatrix(hermitian_part(S.mat @ C.mat @ S.mat))
-    lhs_tr = spectral_mean(P, Q).trace()
+    lhs_tr = float(np.trace(Pair(P, Q).spectral()).real)
     rhs_tr = float(np.trace(R.mat @ S.mat @ C.mat).real)
     margins.append(_eq_margin(lhs_tr - rhs_tr, 1.0 + abs(rhs_tr)))
 
@@ -285,51 +318,33 @@ def check_pinching(C: PDMatrix, R: PDMatrix, tol: float,
     return report
 
 
-def check_kubo_heron(A: PDMatrix, B: PDMatrix, a: float, b: float, c: float,
-                     tol: float, context: dict | None = None) -> CheckReport:
-    """Heron expression with geometric cross term, coefficient up to 2ab,
-    is weakly majorized by the Wasserstein expression."""
-    two_ab = 2.0 * a * b
-    if not 0.0 <= c <= two_ab * (1.0 + 1e-12):
-        raise InvalidWeightsError(f"need 0 <= c <= 2ab = {two_ab}, got c = {c}")
-    report = CheckReport("kubo_heron", tol)
-    H = heron_kubo(A, B, a, b, c)
-    W = wasserstein_expression(A, B, a, b)
-    report.record(_wm_margin(spectrum(H), spectrum(W)), context)
-    return report
-
-
-def check_endpoints(A: PDMatrix, B: PDMatrix, a: float, b: float,
+def check_endpoints(pair: Pair, a: float, b: float,
                     tol: float, context: dict | None = None) -> CheckReport:
     """Order of the extreme eigenvalues, the trace, and the (n-1)-sum
     between the sharp geometric Heron and Wasserstein expressions."""
     if a < 0 or b < 0:
         raise InvalidWeightsError(f"need a, b >= 0, got a={a}, b={b}")
     report = CheckReport("endpoints", tol)
-    H = heron_kubo(A, B, a, b)
-    W = wasserstein_expression(A, B, a, b)
-    sH, sW = spectrum(H), spectrum(W)
-    scale = 1.0 + float(np.abs(sW.values).max())
+    sH, sW = _spectra(pair.heron("geometric", a, b, 2.0 * a * b), pair.wasserstein(a, b), pd=[True, False])
+    scale = 1.0 + float(np.abs(sW).max())
     margins = [
-        (float(sH.values[-1]) - float(sW.values[-1])) / scale,   # smallest eigenvalue
-        (float(sW.values[0]) - float(sH.values[0])) / scale,     # largest eigenvalue
-        (float(sW.values.sum()) - float(sH.values.sum())) / scale,
+        (float(sH[-1]) - float(sW[-1])) / scale,   # smallest eigenvalue
+        (float(sW[0]) - float(sH[0])) / scale,     # largest eigenvalue
+        (float(sW.sum()) - float(sH.sum())) / scale,
     ]
     n = len(sH)
     if n > 1:
-        margins.append((float(sW.values[:-1].sum()) - float(sH.values[:-1].sum())) / scale)
+        margins.append((float(sW[:-1].sum()) - float(sH[:-1].sum())) / scale)
     report.record(min(margins), context)
     return report
 
 
-def check_log_majorization_means(P: PDMatrix, Q: PDMatrix, tol: float,
+def check_log_majorization_means(pair: Pair, tol: float,
                                  context: dict | None = None) -> CheckReport:
     """The geometric mean is log-majorized by the spectral mean; in
     particular its trace is no larger."""
     report = CheckReport("log_majorization_means", tol)
-    G = geometric_mean(P, Q)
-    N = spectral_mean(P, Q)
-    sG, sN = spectrum(G), spectrum(N)
+    sG, sN = map(SpectrumVector, _spectra(pair.geometric(), pair.spectral()))
     verdict = log_majorization(sG, sN, tol)
     log_scale = 1.0 + float(np.abs(np.log(sN.values)).max())
     prefix = min(verdict.per_k_margins[:-1]) / log_scale if len(sG) > 1 else 0.0
@@ -351,20 +366,22 @@ def check_quadratic_lifting(C: PDMatrix, D: PDMatrix, tol: float,
     Ch = principal_sqrt(C)
     lifted = PDMatrix(hermitian_part(Ch.mat @ D.mat @ Ch.mat))
     C2 = PDMatrix(hermitian_part(C.mat @ C.mat))
-    report.record(_wm_margin(spectrum(lifted), spectrum(C2)), context)
+    report.record(_wm_margin(spectrum(lifted).values, spectrum(C2).values), context)
     return report
 
 
-def _bly_margin(A: PDMatrix, B: PDMatrix, a: float, b: float) -> float:
-    """Worst normalized Ky Fan margin of the sharp geometric Heron
-    expression against (a A^{1/2} + b B^{1/2})^2."""
-    H = heron_kubo(A, B, a, b)
-    T = a * principal_sqrt(A).mat + b * principal_sqrt(B).mat
-    rhs = PDMatrix(hermitian_part(T @ T))
-    return _wm_margin(spectrum(H), spectrum(rhs))
+def _bly_sides(pair: Pair, a: float, b: float):
+    """Spectra of the sharp geometric Heron expression and of the
+    right-hand side (a A^{1/2} + b B^{1/2})^2, both gated as positive
+    definite, with the square roots and the right-hand side."""
+    Ah, Bh = principal_sqrt(pair.A), principal_sqrt(pair.B)
+    T = a * Ah.mat + b * Bh.mat
+    rhs = hermitian_part(T @ T)
+    sH, sR = _spectra(pair.heron("geometric", a, b, 2.0 * a * b), rhs)
+    return sH, sR, Ah, Bh, rhs
 
 
-def check_bly(A: PDMatrix, B: PDMatrix, a: float, b: float,
+def check_bly(pair: Pair, a: float, b: float,
               tol: float, context: dict | None = None) -> CheckReport:
     """Weak-majorization refinement of the two-variable Heron comparison
     against the squared sum of weighted square roots, plus the expansion
@@ -372,21 +389,17 @@ def check_bly(A: PDMatrix, B: PDMatrix, a: float, b: float,
     if a < 0 or b < 0:
         raise InvalidWeightsError(f"need a, b >= 0, got a={a}, b={b}")
     report = CheckReport("bly", tol)
-    H = heron_kubo(A, B, a, b)
-    Ah, Bh = principal_sqrt(A), principal_sqrt(B)
-    T = a * Ah.mat + b * Bh.mat
-    rhs = PDMatrix(hermitian_part(T @ T))
-    sH, sR = spectrum(H), spectrum(rhs)
+    sH, sR, Ah, Bh, rhs = _bly_sides(pair, a, b)
     margins = [_wm_margin(sH, sR)]
     # expansion of the square: a^2 A + b^2 B + ab(sqrtA sqrtB + sqrtB sqrtA)
     cross = Ah.mat @ Bh.mat
-    expanded = a * a * A.mat + b * b * B.mat + a * b * (cross + cross.conj().T)
-    margins.append(_eq_margin(float(np.linalg.norm(expanded - rhs.mat)), 1.0 + rhs.frobenius()))
+    expanded = a * a * pair.A.mat + b * b * pair.B.mat + a * b * (cross + cross.conj().T)
+    margins.append(_eq_margin(float(np.linalg.norm(expanded - rhs)), 1.0 + float(np.linalg.norm(rhs))))
     # Schatten norms follow from the eigenvalue comparison for PSD matrices
     for p_lhs, p_rhs in (
-        (float(sH.values.sum()), float(sR.values.sum())),
-        (float(np.sqrt((sH.values ** 2).sum())), float(np.sqrt((sR.values ** 2).sum()))),
-        (float(sH.values[0]), float(sR.values[0])),
+        (float(sH.sum()), float(sR.sum())),
+        (float(np.sqrt((sH ** 2).sum())), float(np.sqrt((sR ** 2).sum()))),
+        (float(sH[0]), float(sR[0])),
     ):
         margins.append((p_rhs - p_lhs) / (1.0 + p_rhs))
     report.record(min(margins), context)
@@ -417,9 +430,9 @@ def check_semidefinite_limit(A0: HermitianMatrix, B0: HermitianMatrix,
     eye = np.eye(n)
     margins = []
     for eps in eps_sequence:
-        A_eps = PDMatrix(A0.mat + eps * eye)
-        B_eps = PDMatrix(B0.mat + eps * eye)
-        margins.append(_bly_margin(A_eps, B_eps, 1.0, 1.0))
+        pair = Pair(PDMatrix(A0.mat + eps * eye), PDMatrix(B0.mat + eps * eye))
+        sH, sR, *_ = _bly_sides(pair, 1.0, 1.0)
+        margins.append(float(_wm_margin(sH, sR)))
     worst = min(margins)
     gap = 0.0
     if len(margins) >= 3:
@@ -517,6 +530,18 @@ def _merge_into(pool: dict[str, CheckReport], report: CheckReport) -> None:
         pool[report.check_name] = report
 
 
+def trial_grid(a: float, b: float, config: SuiteConfig) -> list[tuple[str, float, float, float]]:
+    """The Heron grid of one suite trial with weights (a, b)."""
+    items = []
+    for frac in config.c_fractions:
+        items.append(("spectral_heron", a, b, frac * 2.0 * a * b))
+        items.append(("kubo_heron", a, b, frac * 2.0 * a * b))
+    for t in config.t_grid:
+        for frac in config.c_fractions:
+            items.append(("weighted_corollary", 1.0 - t, t, frac * 2.0 * t * (1.0 - t)))
+    return items
+
+
 def iter_instances(config: SuiteConfig):
     """The deterministic randomized instance stream of the suite:
     yields (offset, rng, dim, a, b, A, B)."""
@@ -541,10 +566,11 @@ def run_suite(config: SuiteConfig) -> RunReport:
         A_fix = PDMatrix(np.array(data["A"].to_float()))
         B_fix = PDMatrix(np.array(data["B"].to_float()))
         ctx = {"seed_offset": None, "instance": "certified-3x3", "a": a, "b": b}
-        _merge_into(pool, check_spreading(A_fix, B_fix, a, b, config.tol, ctx))
-        _merge_into(pool, check_kubo_heron(A_fix, B_fix, a, b, 2.0 * a * b, config.tol, ctx))
-        _merge_into(pool, check_log_majorization_means(A_fix, B_fix, config.tol, ctx))
-        _merge_into(pool, check_bly(A_fix, B_fix, a, b, config.tol, ctx))
+        pair = Pair(A_fix, B_fix)
+        _merge_into(pool, check_spreading(pair, a, b, config.tol, ctx))
+        _merge_into(pool, check_kubo_heron(pair, a, b, 2.0 * a * b, config.tol, ctx))
+        _merge_into(pool, check_log_majorization_means(pair, config.tol, ctx))
+        _merge_into(pool, check_bly(pair, a, b, config.tol, ctx))
     for c_over in (2.001, 2.01, 2.1, 3.0):
         _merge_into(pool, check_sharpness_scalar(1.0, 1.0, c_over))
 
@@ -559,32 +585,29 @@ def run_suite(config: SuiteConfig) -> RunReport:
             "B": matrix_to_dict(B),
         }
 
-        for frac in config.c_fractions:
-            _merge_into(pool, check_spectral_heron(A, B, a, b, frac * 2.0 * a * b, config.tol, context))
-            _merge_into(pool, check_kubo_heron(A, B, a, b, frac * 2.0 * a * b, config.tol, context))
-        for t in config.t_grid:
-            for frac in config.c_fractions:
-                _merge_into(pool, check_weighted_corollary(A, B, t, frac * 2.0 * t * (1.0 - t),
-                                                           config.tol, context))
-        _merge_into(pool, check_spreading(A, B, a, b, config.tol, context))
-        _merge_into(pool, check_endpoints(A, B, a, b, config.tol, context))
-        _merge_into(pool, check_log_majorization_means(A, B, config.tol, context))
-        _merge_into(pool, check_bly(A, B, a, b, config.tol, context))
+        pair = Pair(A, B)
+        for report in heron_grid(pair, trial_grid(a, b, config), config.tol, context):
+            _merge_into(pool, report)
+        _merge_into(pool, check_spreading(pair, a, b, config.tol, context))
+        _merge_into(pool, check_endpoints(pair, a, b, config.tol, context))
+        _merge_into(pool, check_log_majorization_means(pair, config.tol, context))
+        _merge_into(pool, check_bly(pair, a, b, config.tol, context))
 
         # equality case: one pair commuting by construction, one generic
         A_c, B_c = _commuting_pair(dim, config.cond_max, rng)
         ctx_c = dict(context, A=matrix_to_dict(A_c), B=matrix_to_dict(B_c), variant="commuting")
-        _merge_into(pool, check_equality_iff_commuting(A_c, B_c, a, b, config.tol, ctx_c))
+        _merge_into(pool, check_equality_iff_commuting(Pair(A_c, B_c), a, b, config.tol, ctx_c))
         if dim > 1:
             A_n, B_n = _noncommuting_pair(dim, config.cond_max, rng)
             ctx_n = dict(context, A=matrix_to_dict(A_n), B=matrix_to_dict(B_n), variant="noncommuting")
-            _merge_into(pool, check_equality_iff_commuting(A_n, B_n, a, b, config.tol, ctx_n))
+            _merge_into(pool, check_equality_iff_commuting(Pair(A_n, B_n), a, b, config.tol, ctx_n))
 
         # pinching and its quadratic lift
         C, R = _pinching_operands(dim, config.cond_max, rng)
         ctx_p = dict(context, C=matrix_to_dict(C), R=matrix_to_dict(R))
-        _merge_into(pool, check_pinching(C, R, config.tol, ctx_p, rng))
-        _merge_into(pool, check_quadratic_lifting(C, pinching_map(C, R), config.tol, ctx_p))
+        Phi = pinching_map(C, R)
+        _merge_into(pool, check_pinching(C, R, Phi, config.tol, ctx_p, rng))
+        _merge_into(pool, check_quadratic_lifting(C, Phi, config.tol, ctx_p))
         _merge_into(pool, check_quadratic_lifting(C, _shrunk_dominated(C, rng), config.tol, ctx_p))
 
         # semidefinite boundary

@@ -200,3 +200,15 @@ class TestCertifyCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["verdict"] is True
+
+
+class TestSuiteNoAbort:
+    # Both seeds used to exit 3: the regularized semidefinite pair made
+    # A_eps # B_eps fail the strict gate, which now runs on the Heron sum.
+    @pytest.mark.parametrize("seed", ["201131797", "1627311806"])
+    def test_semidefinite_seed_runs_clean(self, seed, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code, _, _ = run_cli(capsys, "suite", "--trials", "8", "--seed", seed, "--out", str(out))
+        assert code == 0
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert checks["semidefinite_limit"]["instances"] == 8

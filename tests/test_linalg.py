@@ -9,8 +9,10 @@ from matmean.linalg import (
     PDMatrix,
     congruence,
     eig_hermitian,
+    gate_stack,
     haar_unitary,
     inverse,
+    pd_power,
     positive_part,
     principal_sqrt,
     random_pd,
@@ -224,3 +226,50 @@ class TestPDMatrix:
     def test_witness_is_min_eigenvalue(self):
         A = rand_pd(4, seed=8)
         np.testing.assert_allclose(A.min_eigenvalue_witness, A.eig().eigenvalues[-1])
+
+
+class TestStackedGate:
+    """gate_stack raises, for a stack with one bad matrix, what the scalar
+    constructors raise for that matrix."""
+
+    @staticmethod
+    def _stack_with(bad):
+        good = rand_pd(3, seed=21).mat
+        return np.stack([good, bad, 2.0 * good])
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), MatrixFormatError),
+        (np.diag([1.0, np.nan, 1.0]), MatrixFormatError),
+        (np.diag([1.0, -0.5, 1.0]), NotPositiveDefiniteError),
+    ], ids=["non-hermitian", "nan", "indefinite"])
+    def test_one_bad_matrix_raises_like_the_scalar_gate(self, bad, error):
+        with pytest.raises(error):
+            PDMatrix(bad)
+        with pytest.raises(error, match=r"stack index \(1,\)"):
+            gate_stack(self._stack_with(bad))
+
+    def test_pd_mask_exempts_selected_matrices(self):
+        stack = self._stack_with(np.diag([1.0, -0.5, 1.0]))
+        vals, _ = gate_stack(stack, pd=[True, False, True])
+        np.testing.assert_array_equal(vals[1], [1.0, 1.0, -0.5])
+
+    def test_matches_scalar_decompositions_bitwise(self):
+        mats = [rand_pd(5, seed=s, cond=1e6).mat for s in range(6)]
+        vals, vecs = gate_stack(np.stack(mats))
+        for i, M in enumerate(mats):
+            dec = PDMatrix(M).eig()
+            np.testing.assert_array_equal(vals[i], dec.eigenvalues)
+            np.testing.assert_array_equal(vecs[i], dec.eigenvectors)
+
+
+class TestDerivedValues:
+    def test_derived_eigenvalues_keep_the_pd_check(self):
+        # the eigenvectors of P are reused unchecked, but P**2 has
+        # condition number 1e14 and must still fail the PD ratio
+        P = PDMatrix(np.diag([1.0, 1e-7]))
+        with pytest.raises(NotPositiveDefiniteError):
+            pd_power(P, 2)
+
+    def test_derived_values_share_the_gated_eigenvectors(self):
+        P = rand_pd(4, seed=31)
+        assert principal_sqrt(P).eig().eigenvectors is P.eig().eigenvectors

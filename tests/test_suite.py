@@ -5,6 +5,8 @@ import pytest
 
 from matmean.errors import InvalidWeightsError
 from matmean.linalg import HermitianMatrix, PDMatrix
+from matmean.means import Pair
+from matmean.schur import pinching_map
 from matmean.suite import (
     SuiteConfig,
     check_bly,
@@ -20,7 +22,9 @@ from matmean.suite import (
     check_spectral_heron,
     check_spreading,
     check_weighted_corollary,
+    heron_grid,
     run_suite,
+    trial_grid,
     _commuting_pair,
     _noncommuting_pair,
 )
@@ -33,48 +37,48 @@ TOL = 1e-8
 class TestTrivialInstances:
     def test_spectral_heron_equal_operands(self):
         A = rand_pd(3, seed=61)
-        r = check_spectral_heron(A, A, 0.7, 1.2, 2 * 0.7 * 1.2, TOL)
+        r = check_spectral_heron(Pair(A, A), 0.7, 1.2, 2 * 0.7 * 1.2, TOL)
         assert r.ok and abs(r.min_margin_seen) <= 1e-10
 
     def test_weighted_corollary_t_zero(self):
         A, B = rand_pd(3, seed=62), rand_pd(3, seed=63)
-        r = check_weighted_corollary(A, B, 0.0, 0.0, TOL)
+        r = check_weighted_corollary(Pair(A, B), 0.0, 0.0, TOL)
         assert r.ok and abs(r.min_margin_seen) <= 1e-10
 
     def test_weighted_corollary_midpoint_matches_spectral_heron(self):
         A, B = rand_pd(4, seed=64), rand_pd(4, seed=65)
-        rw = check_weighted_corollary(A, B, 0.5, 0.5, TOL)
-        rs = check_spectral_heron(A, B, 0.5, 0.5, 0.5, TOL)
+        rw = check_weighted_corollary(Pair(A, B), 0.5, 0.5, TOL)
+        rs = check_spectral_heron(Pair(A, B), 0.5, 0.5, 0.5, TOL)
         assert rw.min_margin_seen == pytest.approx(rs.min_margin_seen, abs=1e-12)
 
     def test_spreading_equal_operands(self):
         A = rand_pd(3, seed=66)
-        r = check_spreading(A, A, 1.0, 1.0, TOL)
+        r = check_spreading(Pair(A, A), 1.0, 1.0, TOL)
         assert r.ok
 
     def test_pinching_identity_input(self):
-        R = PDMatrix(np.diag([0.2, 0.5, 0.8]))
-        r = check_pinching(PDMatrix(np.eye(3)), R, TOL)
+        C, R = PDMatrix(np.eye(3)), PDMatrix(np.diag([0.2, 0.5, 0.8]))
+        r = check_pinching(C, R, pinching_map(C, R), TOL)
         assert r.ok
 
     def test_pinching_scalar_r(self):
-        C = rand_pd(4, seed=67)
-        r = check_pinching(C, PDMatrix(0.5 * np.eye(4)), TOL)
+        C, R = rand_pd(4, seed=67), PDMatrix(0.5 * np.eye(4))
+        r = check_pinching(C, R, pinching_map(C, R), TOL)
         assert r.ok
 
     def test_kubo_equal_operands(self):
         A = rand_pd(2, seed=68)
-        r = check_kubo_heron(A, A, 1.0, 1.0, 2.0, TOL)
+        r = check_kubo_heron(Pair(A, A), 1.0, 1.0, 2.0, TOL)
         assert r.ok and abs(r.min_margin_seen) <= 1e-10
 
     def test_endpoints_a_zero(self):
         A, B = rand_pd(3, seed=69), rand_pd(3, seed=70)
-        r = check_endpoints(A, B, 0.0, 1.0, TOL)
+        r = check_endpoints(Pair(A, B), 0.0, 1.0, TOL)
         assert r.ok and abs(r.min_margin_seen) <= 1e-10
 
     def test_log_majorization_equal_operands(self):
         P = rand_pd(3, seed=71)
-        r = check_log_majorization_means(P, P, TOL)
+        r = check_log_majorization_means(Pair(P, P), TOL)
         assert r.ok
 
     def test_lifting_trivial_cases(self):
@@ -92,8 +96,8 @@ class TestTrivialInstances:
 
     def test_bly_trivial(self):
         A, B = rand_pd(3, seed=74), rand_pd(3, seed=75)
-        assert check_bly(A, A, 1.0, 1.0, TOL).ok
-        r = check_bly(A, B, 1.0, 0.0, TOL)
+        assert check_bly(Pair(A, A), 1.0, 1.0, TOL).ok
+        r = check_bly(Pair(A, B), 1.0, 0.0, TOL)
         assert r.ok and abs(r.min_margin_seen) <= 1e-10
 
 
@@ -120,13 +124,13 @@ class TestEqualityIffCommuting:
     def test_commuting_by_construction(self):
         rng = np.random.default_rng(5)
         A, B = _commuting_pair(4, 1e3, rng)
-        r = check_equality_iff_commuting(A, B, 1.0, 0.5, TOL)
+        r = check_equality_iff_commuting(Pair(A, B), 1.0, 0.5, TOL)
         assert r.ok
 
     def test_noncommuting_separation(self):
         rng = np.random.default_rng(6)
         A, B = _noncommuting_pair(4, 1e3, rng)
-        r = check_equality_iff_commuting(A, B, 1.0, 1.0, TOL)
+        r = check_equality_iff_commuting(Pair(A, B), 1.0, 1.0, TOL)
         assert r.ok and r.min_margin_seen > 0
 
 
@@ -210,7 +214,7 @@ class TestMarginMonotonicity:
         A, B = rand_pd(5, seed=81), rand_pd(5, seed=82)
         a, b = 1.0, 0.8
         margins = [
-            check_spectral_heron(A, B, a, b, frac * 2 * a * b, TOL).min_margin_seen
+            check_spectral_heron(Pair(A, B), a, b, frac * 2 * a * b, TOL).min_margin_seen
             for frac in (0.0, 0.25, 0.5, 0.75, 0.999)
         ]
         for lo, hi in zip(margins[1:], margins[:-1]):
@@ -254,7 +258,34 @@ class TestHeavyTailRegime:
         # computed means lose too many digits at this conditioning
         tol = 1e-6
         for i, (dim, A, B) in enumerate(rand_pd_pairs(30, dims=(2, 4, 6, 8), cond=1e8, seed=5)):
-            assert check_spectral_heron(A, B, 1.0, 1.0, 2.0, tol).ok
-            assert check_kubo_heron(A, B, 1.0, 1.0, 2.0, tol).ok
-            assert check_endpoints(A, B, 1.0, 1.0, tol).ok
-            assert check_bly(A, B, 1.0, 1.0, tol).ok
+            assert check_spectral_heron(Pair(A, B), 1.0, 1.0, 2.0, tol).ok
+            assert check_kubo_heron(Pair(A, B), 1.0, 1.0, 2.0, tol).ok
+            assert check_endpoints(Pair(A, B), 1.0, 1.0, tol).ok
+            assert check_bly(Pair(A, B), 1.0, 1.0, tol).ok
+
+
+class TestHeronGrid:
+    @pytest.mark.parametrize("cond", [1e4, 1e6])
+    def test_stacked_grid_equals_one_at_a_time_bitwise(self, cond):
+        config = SuiteConfig()
+        for i, (dim, A, B) in enumerate(rand_pd_pairs(8, cond=cond, seed=9)):
+            a, b = config.weight_grid[i % len(config.weight_grid)]
+            context = {"seed_offset": i}
+            items = trial_grid(a, b, config)
+            stacked = heron_grid(Pair(A, B), items, TOL, context)
+            single = []
+            for name, x, y, c in items:
+                if name == "spectral_heron":
+                    single.append(check_spectral_heron(Pair(A, B), x, y, c, TOL, context))
+                elif name == "kubo_heron":
+                    single.append(check_kubo_heron(Pair(A, B), x, y, c, TOL, context))
+                else:
+                    single.append(check_weighted_corollary(Pair(A, B), y, c, TOL, context))
+            assert [r.to_dict() for r in stacked] == [r.to_dict() for r in single], dim
+
+    def test_rejects_inadmissible_coefficients(self):
+        A, B = rand_pd(3, seed=71), rand_pd(3, seed=72)
+        with pytest.raises(InvalidWeightsError):
+            check_spectral_heron(Pair(A, B), 1.0, 1.0, 2.5, TOL)
+        with pytest.raises(InvalidWeightsError):
+            check_weighted_corollary(Pair(A, B), 1.5, 0.0, TOL)
