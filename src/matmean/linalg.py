@@ -38,9 +38,24 @@ def _as_complex_square(entries) -> np.ndarray:
 
 
 def hermitian_part(mat: np.ndarray) -> np.ndarray:
-    """(M + M*)/2 for raw arrays whose Hermitianity is guaranteed
-    algebraically but not bitwise."""
-    return (mat + mat.conj().T) / 2
+    """(M + M*)/2 for raw arrays, or (..., n, n) stacks of them, whose
+    Hermitianity is guaranteed algebraically but not bitwise."""
+    return (mat + adjoint(mat)) / 2
+
+
+def adjoint(mats: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a (..., n, n) stack."""
+    return np.conj(np.swapaxes(mats, -1, -2))
+
+
+def assemble(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """U diag(vals) U* over a stack, as a raw Hermitian array."""
+    return hermitian_part((vecs * vals[..., None, :]) @ adjoint(vecs))
+
+
+def frobenius(mats: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a (..., n, n) stack."""
+    return np.linalg.norm(mats, axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -48,11 +63,7 @@ def hermitian_part(mat: np.ndarray) -> np.ndarray:
 # constructors below call it with a single matrix
 # ---------------------------------------------------------------------------
 
-def _adjoint(mats: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(mats, -1, -2))
-
-
-def _locate(bad: np.ndarray) -> tuple[tuple, str]:
+def locate(bad: np.ndarray) -> tuple[tuple, str]:
     """Index of the first offending matrix of a stack, and a note for the
     message; a single matrix gives ((), "")."""
     if bad.ndim == 0:
@@ -67,13 +78,13 @@ def hermitize(mats: np.ndarray) -> np.ndarray:
     parts."""
     bad = ~np.isfinite(mats).all(axis=(-2, -1))
     if bad.any():
-        raise MatrixFormatError("matrix contains non-finite entries" + _locate(bad)[1])
-    adj = _adjoint(mats)
+        raise MatrixFormatError("matrix contains non-finite entries" + locate(bad)[1])
+    adj = adjoint(mats)
     limit = HERMITIAN_ASYMMETRY_RTOL * np.abs(mats).max(axis=(-2, -1))
     asym = np.abs(mats - adj).max(axis=(-2, -1))
     bad = asym > limit
     if bad.any():
-        i, where = _locate(bad)
+        i, where = locate(bad)
         raise MatrixFormatError(
             f"matrix is not Hermitian: asymmetry {asym[i]:.3e} exceeds "
             f"{HERMITIAN_ASYMMETRY_RTOL:g} * max|entry| = {limit[i]:.3e}{where}"
@@ -85,30 +96,30 @@ def _check_decomposition(vals: np.ndarray, vecs: np.ndarray, reference: np.ndarr
     """Unitarity of fresh eigenvectors and, given the decomposed matrices,
     the reconstruction residual."""
     n = vals.shape[-1]
-    ortho = np.linalg.norm(_adjoint(vecs) @ vecs - np.eye(n), axis=(-2, -1))
+    ortho = np.linalg.norm(adjoint(vecs) @ vecs - np.eye(n), axis=(-2, -1))
     bad = ortho > UNITARITY_RTOL * n
     if bad.any():
-        i, where = _locate(bad)
+        i, where = locate(bad)
         raise NumericalFailure(f"eigenvector matrix is not unitary: ||U*U - I|| = {ortho[i]:.3e}{where}")
     if reference is not None:
-        recon = np.linalg.norm((vecs * vals[..., None, :]) @ _adjoint(vecs) - reference, axis=(-2, -1))
+        recon = np.linalg.norm((vecs * vals[..., None, :]) @ adjoint(vecs) - reference, axis=(-2, -1))
         limit = RECONSTRUCTION_RTOL * (1.0 + np.linalg.norm(reference, axis=(-2, -1)))
         bad = recon > limit
         if bad.any():
-            i, where = _locate(bad)
+            i, where = locate(bad)
             raise NumericalFailure(
                 f"eigendecomposition residual {recon[i]:.3e} exceeds {limit[i]:.3e}{where}"
             )
 
 
-def _check_pd(vals: np.ndarray, where=True) -> None:
+def check_pd(vals: np.ndarray, where=True) -> None:
     """Positive definiteness of decreasing eigenvalues: finite, and the
     smallest clears PD_EIGENVALUE_RTOL times the largest."""
     lam_min, lam_max = vals[..., -1], vals[..., 0]
     ok = np.isfinite(vals).all(axis=-1) & (lam_min > PD_EIGENVALUE_RTOL * lam_max) & (lam_min > 0.0)
     bad = ~ok & where
     if bad.any():
-        i, note = _locate(bad)
+        i, note = locate(bad)
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite: lambda_min = {lam_min[i]:.3e}, "
             f"lambda_max = {lam_max[i]:.3e}{note}"
@@ -139,7 +150,7 @@ def gate_stack(mats, pd=True) -> tuple[np.ndarray, np.ndarray]:
     herm = hermitize(mats)
     vals, vecs = _eigh(herm)
     _check_decomposition(vals, vecs, herm)
-    _check_pd(vals, np.asarray(pd, dtype=bool))
+    check_pd(vals, np.asarray(pd, dtype=bool))
     return vals, vecs
 
 
@@ -242,8 +253,7 @@ class SpectralDecomposition:
 
     def assemble(self, transformed_eigenvalues) -> np.ndarray:
         """U diag(f(lambda)) U* as a raw Hermitian array."""
-        vecs = self.eigenvectors
-        return hermitian_part((vecs * np.asarray(transformed_eigenvalues)) @ vecs.conj().T)
+        return assemble(np.asarray(transformed_eigenvalues), self.eigenvectors)
 
 
 class PDMatrix:
@@ -258,7 +268,7 @@ class PDMatrix:
         if not isinstance(base, HermitianMatrix):
             base = HermitianMatrix(base)
         vals = base.eig().eigenvalues
-        _check_pd(vals)
+        check_pd(vals)
         self.base = base
         self.min_eigenvalue_witness = float(vals[-1])
 
@@ -268,7 +278,7 @@ class PDMatrix:
         the eigendecomposition but not its checks.  Caller guarantees
         decreasing order."""
         dec = SpectralDecomposition(eigenvalues_desc, eigenvectors)
-        _check_pd(dec.eigenvalues)
+        check_pd(dec.eigenvalues)
         base = HermitianMatrix(dec.assemble(dec.eigenvalues))
         base._eig = dec
         return cls._wrap(base)
@@ -278,9 +288,15 @@ class PDMatrix:
         """f(P) for a gated P: its eigenvectors already passed the
         unitarity check, so only the new eigenvalues are checked (finite,
         positive definite).  Caller guarantees decreasing order."""
-        _check_pd(eigenvalues_desc)
+        check_pd(eigenvalues_desc)
+        return cls._gated(assemble(eigenvalues_desc, eigenvectors), eigenvalues_desc, eigenvectors)
+
+    @classmethod
+    def _gated(cls, mat: np.ndarray, eigenvalues_desc: np.ndarray, eigenvectors: np.ndarray) -> "PDMatrix":
+        """Wrap one matrix of a stack that passed `gate_stack` as positive
+        definite, with its decomposition from that call."""
         dec = SpectralDecomposition._trusted(eigenvalues_desc, eigenvectors)
-        return cls._wrap(HermitianMatrix._trusted(dec.assemble(eigenvalues_desc), dec))
+        return cls._wrap(HermitianMatrix._trusted(mat, dec))
 
     @classmethod
     def _wrap(cls, base: HermitianMatrix) -> "PDMatrix":

@@ -11,11 +11,15 @@ cross terms:
 The dual Wasserstein formula is recomputed for every W_{a,b} and used as
 a built-in correctness oracle.
 
-A `Pair(A, B)` computes each derived quantity of one operand pair at most
-once: X, A natural B, A # B and each W_{a,b}.  Its kernels return raw
-Hermitian arrays.  The strict PDMatrix gate runs where a value leaves or
-is judged: on the operands (the caller's job), on what the public
-functions below return (each a thin wrapper over a Pair), and, through
+Everything here is written once over (..., n, n) stacks.  A `Pair`
+holds one operand pair (batch shape ()) or a stack of same-dimension
+pairs, and computes each derived quantity at most once: X, A natural B,
+A # B and each W_{a,b}.  Its kernels return raw Hermitian arrays and take
+the operands' decompositions from where they were gated: PDMatrix
+operands (`Pair(A, B)`, `Pair.stack`) or one `linalg.gate_stack` call
+(`Pair.gated`).  The strict gate runs where a value leaves or
+is judged: on the operands, on what the public functions below return
+(each a thin wrapper over a one-pair Pair), and, through
 `linalg.gate_stack`, on every matrix whose spectrum a checker compares.
 The one gated intermediate is X, whose eigenvectors build A natural B.
 """
@@ -35,10 +39,13 @@ from .errors import (
 from .linalg import (
     HermitianMatrix,
     PDMatrix,
+    adjoint,
+    assemble,
+    check_pd,
+    frobenius,
+    gate_stack,
     hermitian_part,
-    inverse,
-    pd_power,
-    principal_sqrt,
+    locate,
 )
 
 RICCATI_RESIDUAL_RTOL = 1e-8
@@ -46,7 +53,7 @@ WASSERSTEIN_FORM_RTOL = 1e-8
 
 
 def _psd_pow_raw(mat: np.ndarray, t: float) -> np.ndarray:
-    """mat**t for a raw PSD intermediate.
+    """mat**t for a raw PSD intermediate, or a stack of them.
 
     Conjugated intermediates like A^{-1/2} B A^{-1/2} can be far worse
     conditioned than either operand, so they bypass the strict PDMatrix
@@ -54,12 +61,15 @@ def _psd_pow_raw(mat: np.ndarray, t: float) -> np.ndarray:
     negative eigenvalues clamp to zero.
     """
     vals, vecs = np.linalg.eigh(mat)
-    lam_max = float(vals[-1])
-    if float(vals[0]) < -1e-12 * lam_max or lam_max <= 0.0:
+    lam_min, lam_max = vals[..., 0], vals[..., -1]
+    bad = (lam_min < -1e-12 * lam_max) | (lam_max <= 0.0)
+    if bad.any():
+        i, where = locate(bad)
         raise NotPositiveDefiniteError(
-            f"intermediate matrix is not PSD: lambda_min = {vals[0]:.3e}, lambda_max = {lam_max:.3e}"
+            f"intermediate matrix is not PSD: lambda_min = {lam_min[i]:.3e}, "
+            f"lambda_max = {lam_max[i]:.3e}{where}"
         )
-    return hermitian_part((vecs * np.maximum(vals, 0.0) ** t) @ vecs.conj().T)
+    return assemble(np.maximum(vals, 0.0) ** t, vecs)
 
 
 @dataclass(frozen=True)
@@ -93,43 +103,116 @@ def _check_t(t: float) -> None:
         raise InvalidWeightsError(f"t must lie in [0, 1], got {t}")
 
 
-def _geometric_raw(A: PDMatrix, B: PDMatrix, t: float) -> np.ndarray:
-    """A #_t B = A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2} as a raw array."""
-    Ah = principal_sqrt(A)
-    Aih = inverse(Ah)
-    inner = hermitian_part(Aih.mat @ B.mat @ Aih.mat)
-    mid = _psd_pow_raw(inner, t)
-    return hermitian_part(Ah.mat @ mid @ Ah.mat)
+Eig = tuple[np.ndarray, np.ndarray]
 
 
-def _spectral_raw(A: PDMatrix, X: PDMatrix, t: float) -> np.ndarray:
-    """X^t A X^t as a raw array."""
-    Xt = principal_sqrt(X) if t == 0.5 else pd_power(X, t)
-    return hermitian_part(Xt.mat @ A.mat @ Xt.mat)
+def _eig(P: PDMatrix) -> Eig:
+    dec = P.eig()
+    return dec.eigenvalues, dec.eigenvectors
+
+
+def _inverse(eig: Eig) -> Eig:
+    """Decomposition of P^{-1} from that of a gated P, decreasing."""
+    vals, vecs = eig
+    inv = (1.0 / vals)[..., ::-1]
+    check_pd(inv)
+    return inv, vecs[..., ::-1]
+
+
+def _root(eig: Eig) -> Eig:
+    """Decomposition of P^{1/2} from that of a gated P."""
+    root = np.sqrt(eig[0])
+    check_pd(root)
+    return root, eig[1]
+
+
+def _geometric_raw(eig_A: Eig, B: np.ndarray, t: float) -> np.ndarray:
+    """A #_t B = A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2} as a raw array,
+    with A given by its decomposition."""
+    root = _root(eig_A)
+    Ah, Aih = assemble(*root), assemble(*_inverse(root))
+    mid = _psd_pow_raw(hermitian_part(Aih @ B @ Aih), t)
+    return hermitian_part(Ah @ mid @ Ah)
+
+
+def _spectral_raw(A: np.ndarray, eig_X: Eig, t: float) -> np.ndarray:
+    """X^t A X^t as a raw array, with X given by its decomposition."""
+    vals = np.sqrt(eig_X[0]) if t == 0.5 else eig_X[0] ** t
+    check_pd(vals)
+    Xt = assemble(vals, eig_X[1])
+    return hermitian_part(Xt @ A @ Xt)
+
+
+def _stacked(mats: list[PDMatrix]) -> tuple[np.ndarray, Eig]:
+    eigs = [_eig(M) for M in mats]
+    return np.stack([M.mat for M in mats]), (np.stack([v for v, _ in eigs]), np.stack([U for _, U in eigs]))
 
 
 class Pair:
-    """One operand pair of positive definite matrices.
+    """One operand pair of positive definite matrices, or a stack of
+    same-dimension pairs: A and B are (..., n, n) arrays.
 
-    Each derived quantity is computed at most once, on first use, and
-    lives as long as the Pair: callers create one per instance and pass
-    it to every computation on that instance.
+    Each derived quantity is computed at most once, on first use, for the
+    whole stack, and lives as long as the Pair: callers create one per
+    instance (or per stack of instances) and pass it to every computation
+    on it.
     """
 
-    __slots__ = ("A", "B", "_riccati", "_spectral", "_geometric", "_wasserstein")
+    __slots__ = ("A", "B", "_eig_A", "_eig_B", "_riccati", "_spectral", "_geometric", "_wasserstein")
 
     def __init__(self, A: PDMatrix, B: PDMatrix):
         _check_dims(A, B)
-        self.A = A
-        self.B = B
+        self._set(A.mat, B.mat, _eig(A), _eig(B))
+
+    def _set(self, A: np.ndarray, B: np.ndarray, eig_A: Eig, eig_B: Eig) -> None:
+        self.A, self.B = A, B
+        self._eig_A, self._eig_B = eig_A, eig_B
         self._riccati = self._spectral = self._geometric = None
-        self._wasserstein: dict[tuple[float, float], tuple[np.ndarray, float]] = {}
+        self._wasserstein: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
+
+    @classmethod
+    def _of(cls, A, B, eig_A: Eig, eig_B: Eig) -> "Pair":
+        obj = cls.__new__(cls)
+        obj._set(A, B, eig_A, eig_B)
+        return obj
+
+    @classmethod
+    def stack(cls, pairs) -> "Pair":
+        """Stack of same-dimension (PDMatrix, PDMatrix) pairs, with the
+        decompositions their gates already made."""
+        dims = {M.dim for pair in pairs for M in pair}
+        if len(dims) != 1:
+            raise MatrixFormatError(f"cannot stack pairs of dimensions {sorted(dims)}")
+        (A, eig_A), (B, eig_B) = (_stacked([pair[k] for pair in pairs]) for k in (0, 1))
+        return cls._of(A, B, eig_A, eig_B)
+
+    @classmethod
+    def gated(cls, A, B) -> "Pair":
+        """Pair of raw (..., n, n) stacks, both gated as positive definite
+        in one `gate_stack` call; an error names its stack index as
+        (0 for A or 1 for B, *index within the stack)."""
+        A, B = np.asarray(A, dtype=np.complex128), np.asarray(B, dtype=np.complex128)
+        if A.shape != B.shape:
+            raise MatrixFormatError(f"shape mismatch: {A.shape} vs {B.shape}")
+        mats = np.stack([A, B])
+        vals, vecs = gate_stack(mats)
+        mats = hermitian_part(mats)
+        return cls._of(mats[0], mats[1], (vals[0], vecs[0]), (vals[1], vecs[1]))
+
+    def __getitem__(self, index) -> "Pair":
+        """The pairs at `index` of the stack, sharing the decompositions."""
+        return Pair._of(self.A[index], self.B[index],
+                        tuple(x[index] for x in self._eig_A), tuple(x[index] for x in self._eig_B))
 
     @property
     def dim(self) -> int:
-        return self.A.dim
+        return self.A.shape[-1]
 
-    def riccati(self) -> PDMatrix:
+    def sqrt(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A^{1/2}, B^{1/2}) from the operands' decompositions."""
+        return assemble(*_root(self._eig_A)), assemble(*_root(self._eig_B))
+
+    def _riccati_gated(self) -> tuple[np.ndarray, Eig]:
         """X = A^{-1} # B, the unique positive definite solution of
         X A X = B, gated because its eigenvectors build A natural B.
 
@@ -138,50 +221,59 @@ class Pair:
         """
         if self._riccati is None:
             A, B = self.A, self.B
-            X = PDMatrix(_geometric_raw(inverse(A), B, 0.5))
-            residual = float(np.linalg.norm(X.mat @ A.mat @ X.mat - B.mat))
-            limit = RICCATI_RESIDUAL_RTOL * float(np.linalg.norm(B.mat))
-            if residual > limit:
-                raise NumericalFailure(f"Riccati residual ||XAX - B|| = {residual:.3e} exceeds {limit:.3e}")
-            self._riccati = X
+            X = _geometric_raw(_inverse(self._eig_A), B, 0.5)
+            eig_X = gate_stack(X)
+            residual = frobenius(X @ A @ X - B)
+            limit = RICCATI_RESIDUAL_RTOL * frobenius(B)
+            bad = residual > limit
+            if bad.any():
+                i, where = locate(bad)
+                raise NumericalFailure(
+                    f"Riccati residual ||XAX - B|| = {residual[i]:.3e} exceeds {limit[i]:.3e}{where}")
+            self._riccati = X, eig_X
         return self._riccati
+
+    def riccati(self) -> np.ndarray:
+        """X = A^{-1} # B as a raw array (gated)."""
+        return self._riccati_gated()[0]
 
     def spectral(self) -> np.ndarray:
         """A natural B = X^{1/2} A X^{1/2}."""
         if self._spectral is None:
-            self._spectral = _spectral_raw(self.A, self.riccati(), 0.5)
+            self._spectral = _spectral_raw(self.A, self._riccati_gated()[1], 0.5)
         return self._spectral
 
     def geometric(self) -> np.ndarray:
         """A # B."""
         if self._geometric is None:
-            self._geometric = _geometric_raw(self.A, self.B, 0.5)
+            self._geometric = _geometric_raw(self._eig_A, self.B, 0.5)
         return self._geometric
 
-    def _wasserstein_entry(self, a: float, b: float) -> tuple[np.ndarray, float]:
+    def _wasserstein_entry(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
         key = (float(a), float(b))
         if key not in self._wasserstein:
             self._wasserstein[key] = self._compute_wasserstein(*key)
         return self._wasserstein[key]
 
-    def _compute_wasserstein(self, a: float, b: float) -> tuple[np.ndarray, float]:
+    def _compute_wasserstein(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
         if a < 0 or b < 0:
             raise InvalidWeightsError(f"weights must be nonnegative: a={a}, b={b}")
-        A, B = self.A.mat, self.B.mat
-        if b == 0.0:
-            return a * a * A, 0.0
-        if a == 0.0:
-            return b * b * B, 0.0
-        X = self.riccati().mat
+        A, B = self.A, self.B
+        if b == 0.0 or a == 0.0:
+            return (a * a * A if b == 0.0 else b * b * B), np.zeros(A.shape[:-2])[()]
+        X = self.riccati()
         T = a * np.eye(self.dim) + b * X
         by_congruence = hermitian_part(T @ A @ T)
         AX = A @ X
-        by_definition = a * a * A + b * b * B + a * b * (AX + AX.conj().T)
-        scale = float(np.linalg.norm(by_congruence))
-        residual = float(np.linalg.norm(by_definition - by_congruence))
-        if residual > WASSERSTEIN_FORM_RTOL * scale:
+        by_definition = a * a * A + b * b * B + a * b * (AX + adjoint(AX))
+        scale = frobenius(by_congruence)
+        residual = frobenius(by_definition - by_congruence)
+        bad = residual > WASSERSTEIN_FORM_RTOL * scale
+        if bad.any():
+            i, where = locate(bad)
             raise NumericalFailure(
-                f"Wasserstein dual formulas disagree: ||diff|| = {residual:.3e} vs scale {scale:.3e}"
+                f"Wasserstein dual formulas disagree: ||diff|| = {residual[i]:.3e} "
+                f"vs scale {scale[i]:.3e}{where}"
             )
         return by_congruence, residual
 
@@ -190,14 +282,15 @@ class Pair:
         cross-validated against the definitional form."""
         return self._wasserstein_entry(a, b)[0]
 
-    def wasserstein_residual(self, a: float, b: float) -> float:
-        """Frobenius distance between the two Wasserstein formulas."""
+    def wasserstein_residual(self, a: float, b: float):
+        """Frobenius distance between the two Wasserstein formulas, one
+        per pair of the stack."""
         return self._wasserstein_entry(a, b)[1]
 
     def heron(self, cross: str, a: float, b: float, c: float) -> np.ndarray:
         """a^2 A + b^2 B + c M with the cross term M = A natural B
         (cross="spectral") or A # B (cross="geometric")."""
-        A, B = self.A.mat, self.B.mat
+        A, B = self.A, self.B
         if c == 0.0:
             return a * a * A + b * b * B
         M = self.spectral() if cross == "spectral" else self.geometric()
@@ -217,12 +310,13 @@ def geometric_mean_weighted(A: PDMatrix, B: PDMatrix, t: float) -> PDMatrix:
         return A
     if t == 1.0:
         return B
-    return PDMatrix(_geometric_raw(A, B, t))
+    return PDMatrix(_geometric_raw(_eig(A), B.mat, t))
 
 
 def riccati_mean(A: PDMatrix, B: PDMatrix) -> PDMatrix:
     """X = A^{-1} # B, the unique positive definite solution of X A X = B."""
-    return Pair(A, B).riccati()
+    X, (vals, vecs) = Pair(A, B)._riccati_gated()
+    return PDMatrix._gated(X, vals, vecs)
 
 
 def spectral_mean_weighted(A: PDMatrix, B: PDMatrix, t: float) -> PDMatrix:
@@ -231,7 +325,7 @@ def spectral_mean_weighted(A: PDMatrix, B: PDMatrix, t: float) -> PDMatrix:
     _check_t(t)
     if t == 0.0:
         return A
-    return PDMatrix(_spectral_raw(A, pair.riccati(), t))
+    return PDMatrix(_spectral_raw(A.mat, pair._riccati_gated()[1], t))
 
 
 def spectral_mean(A: PDMatrix, B: PDMatrix) -> PDMatrix:

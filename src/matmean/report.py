@@ -2,7 +2,8 @@
 
 A failure is recorded exactly when an instance's worst normalized margin
 dips below -tol; margins are kept (not just booleans) so coefficient
-sweeps can watch the slack degenerate.
+sweeps can watch the slack degenerate.  Contexts may hold the instance's
+matrices themselves: only a failing record serializes them.
 """
 
 from __future__ import annotations
@@ -10,6 +11,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+
+from .linalg import HermitianMatrix, PDMatrix
+from .matio import matrix_to_dict
 
 
 @dataclass
@@ -28,10 +32,12 @@ class CheckReport:
         if margin < self.min_margin_seen:
             self.min_margin_seen = margin
         if margin < -self.tol:
+            context = context or {}
             self.failures.append({
-                "seed_offset": (context or {}).get("seed_offset"),
+                "seed_offset": context.get("seed_offset"),
                 "worst_margin": margin,
-                "instance": context or {},
+                "instance": {key: matrix_to_dict(value) if isinstance(value, (HermitianMatrix, PDMatrix)) else value
+                             for key, value in context.items()},
             })
 
     @property
@@ -39,8 +45,12 @@ class CheckReport:
         return not self.failures
 
     def merge(self, other: "CheckReport") -> None:
+        """Add another report of the same check.  A numeric diagnostic
+        keeps the maximum; any other keeps the value of the report with
+        the lower min margin, this one on a tie."""
         if other.check_name != self.check_name:
             raise ValueError(f"cannot merge {other.check_name!r} into {self.check_name!r}")
+        other_is_worse = other.min_margin_seen < self.min_margin_seen
         self.instances_run += other.instances_run
         self.min_margin_seen = min(self.min_margin_seen, other.min_margin_seen)
         self.failures.extend(other.failures)
@@ -49,6 +59,8 @@ class CheckReport:
                 self.diagnostics[key] = value
             elif isinstance(value, (int, float)) and isinstance(self.diagnostics[key], (int, float)):
                 self.diagnostics[key] = max(self.diagnostics[key], value)
+            elif other_is_worse:
+                self.diagnostics[key] = value
 
     def to_dict(self) -> dict:
         out = {

@@ -11,6 +11,9 @@ exactly 1 at c = 2ab; the direct one lands on the pinching map
     Phi_R(C) = R C R + S C S + 2 (R C R # S C S),   S = I - R,
 
 which is unital, homogeneous, order preserving, and trace-subpreserving.
+`pinching_map` evaluates Phi_R over a (..., n, n) stack of C's with one
+decomposition of R: one stacked gate for the compressions R C R and
+S C S, one stacked `#`, and one stacked gate for the maps.
 """
 
 from __future__ import annotations
@@ -25,7 +28,15 @@ from .errors import (
     NotPositiveDefiniteError,
     NumericalFailure,
 )
-from .linalg import HermitianMatrix, PDMatrix, hermitian_part, inverse, principal_sqrt
+from .linalg import (
+    HermitianMatrix,
+    PDMatrix,
+    gate_stack,
+    hermitian_part,
+    hermitize,
+    inverse,
+    principal_sqrt,
+)
 from .means import Pair, riccati_mean
 
 GAMMA_RECON_RTOL = 1e-12
@@ -140,24 +151,45 @@ def spectral_change_of_vars(A: PDMatrix, B: PDMatrix) -> tuple[PDMatrix, PDMatri
     return R, C
 
 
-def pinching_map(C: PDMatrix, R: PDMatrix) -> PDMatrix:
-    """Phi_R(C) = R C R + S C S + 2 (R C R # S C S) with S = I - R.
+@dataclass(frozen=True)
+class Pinching:
+    """Phi_R over a stack of C's, with the gated pieces it is built from."""
 
+    phi: np.ndarray            # Phi_R(C), gated positive definite
+    eigenvalues: np.ndarray    # of each Phi_R(C), decreasing
+    eigenvectors: np.ndarray
+    compressions: Pair         # Pair(R C R, S C S)
+    S: np.ndarray              # I - R, from the decomposition of R
+
+    def matrix(self, index=()) -> PDMatrix:
+        """Phi_R(C) at `index` of the stack (the whole map for one C)."""
+        return PDMatrix._gated(self.phi[index], self.eigenvalues[index], self.eigenvectors[index])
+
+
+def pinching_map(C, R: PDMatrix) -> Pinching:
+    """Phi_R(C) = R C R + S C S + 2 (R C R # S C S) with S = I - R, for a
+    PDMatrix C or a (..., n, n) stack of C's; every map shares the
+    decomposition of R.
+
+    A stack is checked Hermitian here, and its positive definiteness by
+    the gate on R C R (congruence by the invertible R keeps the inertia).
     Requires the spectrum of R to lie strictly inside (0, 1); the theorem
     hypotheses are open conditions, so the boundary is rejected.
     """
-    if C.dim != R.dim:
-        raise MatrixFormatError(f"dimension mismatch: C {C.dim}, R {R.dim}")
-    vals = R.eig().eigenvalues
+    Cs = C.mat if isinstance(C, PDMatrix) else hermitize(np.asarray(C, dtype=np.complex128))
+    if Cs.ndim < 2 or Cs.shape[-2:] != (R.dim, R.dim):
+        raise MatrixFormatError(f"dimension mismatch: C {Cs.shape}, R {R.dim}")
+    dec = R.eig()
+    vals = dec.eigenvalues
     if float(vals[-1]) < PINCH_SPECTRUM_MARGIN or float(vals[0]) > 1.0 - PINCH_SPECTRUM_MARGIN:
         raise NotPositiveDefiniteError(
             f"spectrum of R must lie strictly inside (0, 1): [{vals[-1]:.3e}, {vals[0]:.3e}]"
         )
-    dec = R.eig()
-    S = PDMatrix._derived((1.0 - dec.eigenvalues)[::-1].copy(), dec.eigenvectors[:, ::-1].copy())
-    P = PDMatrix(hermitian_part(R.mat @ C.mat @ R.mat))
-    Q = PDMatrix(hermitian_part(S.mat @ C.mat @ S.mat))
-    return PDMatrix(P.mat + Q.mat + 2.0 * Pair(P, Q).geometric())
+    S = PDMatrix._derived((1.0 - vals)[::-1].copy(), dec.eigenvectors[:, ::-1].copy()).mat
+    compressions = Pair.gated(hermitian_part(R.mat @ Cs @ R.mat), hermitian_part(S @ Cs @ S))
+    phi = compressions.A + compressions.B + 2.0 * compressions.geometric()
+    eigenvalues, eigenvectors = gate_stack(phi)
+    return Pinching(phi, eigenvalues, eigenvectors, compressions, S)
 
 
 def kubo_change_of_vars(A: PDMatrix, B: PDMatrix, a: float, b: float) -> tuple[PDMatrix, PDMatrix]:
@@ -171,10 +203,10 @@ def kubo_change_of_vars(A: PDMatrix, B: PDMatrix, a: float, b: float) -> tuple[P
     pair = Pair(A, B)
     X = pair.riccati()
     n = A.dim
-    T = a * np.eye(n) + b * X.mat
+    T = a * np.eye(n) + b * X
     Tinv = inverse(PDMatrix(hermitian_part(T)))
     R = PDMatrix(a * Tinv.mat)
-    S_direct = b * X.mat @ Tinv.mat
+    S_direct = b * X @ Tinv.mat
     if float(np.linalg.norm(R.mat + S_direct - np.eye(n))) > 1e-10 * np.sqrt(n):
         raise NumericalFailure("R + S deviates from the identity")
     C = PDMatrix(pair.wasserstein(a, b))

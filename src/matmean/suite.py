@@ -1,10 +1,12 @@
 """Randomized and fixed-instance checkers for every comparison theorem.
 
-Each checker evaluates one instance and returns a CheckReport whose worst
+Each checker evaluates one instance, or a stack of same-dimension
+instances with one record each, and returns a CheckReport whose worst
 normalized margin decides failure (margin < -tol).  Margins are normalized
 by 1 + max|dominating side| so one tolerance knob covers all scales.
 run_suite drives a deterministic instance stream over every checker and
-aggregates the reports.
+aggregates the reports; within a trial, same-dimension operands are
+evaluated as stacks (see `means.Pair` and `schur.pinching_map`).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .exact import direction_one_data, direction_two_data
 from .linalg import (
     HermitianMatrix,
     PDMatrix,
+    frobenius,
     gate_stack,
     haar_unitary,
     hermitian_part,
@@ -32,8 +35,7 @@ from .majorization import (
     spectrum,
     weak_majorization,
 )
-from .matio import matrix_to_dict
-from .means import Pair, geometric_mean, spectral_mean
+from .means import Pair
 from .report import CheckReport
 from .schur import pinching_map
 
@@ -251,71 +253,81 @@ def check_spreading(pair: Pair, a: float, b: float,
     return report
 
 
+def _record_each(report: CheckReport, margins, context) -> None:
+    """One record per pair of a stack; `context` is one dict for every
+    record or a list with one dict per pair."""
+    margins = np.atleast_1d(margins)
+    contexts = context if isinstance(context, list) else [context] * len(margins)
+    for margin, ctx in zip(margins, contexts):
+        report.record(margin, ctx)
+
+
 def check_equality_iff_commuting(pair: Pair, a: float, b: float,
-                                 tol: float, context: dict | None = None) -> CheckReport:
+                                 tol: float, context: dict | list[dict] | None = None) -> CheckReport:
     """Both endpoint Heron expressions equal the Wasserstein expression
     exactly when A and B commute; otherwise they stay separated by a
-    data-dependent positive amount."""
+    data-dependent positive amount.  One record per pair of a stacked
+    Pair."""
     if a <= 0 or b <= 0:
         raise InvalidWeightsError(f"need a, b > 0, got a={a}, b={b}")
     report = CheckReport("equality_iff_commuting", tol)
-    A, B = pair.A.mat, pair.B.mat
-    comm = float(np.linalg.norm(A @ B - B @ A))
-    comm_scale = float(np.linalg.norm(A)) * float(np.linalg.norm(B))
+    A, B = pair.A, pair.B
+    comm = frobenius(A @ B - B @ A)
+    comm_scale = frobenius(A) * frobenius(B)
     W = pair.wasserstein(a, b)
-    w_norm = float(np.linalg.norm(W))
-    diff_nat = float(np.linalg.norm(pair.heron("spectral", a, b, 2.0 * a * b) - W))
-    diff_kubo = float(np.linalg.norm(pair.heron("geometric", a, b, 2.0 * a * b) - W))
-    if comm <= tol * comm_scale:
-        margin = _eq_margin(max(diff_nat, diff_kubo), w_norm)
-    elif comm >= 1e-3 * comm_scale:
-        floor = 1e-6 * w_norm
-        margin = (min(diff_nat, diff_kubo) - floor) / w_norm
-    else:
-        # gray zone between clearly commuting and clearly noncommuting:
-        # nothing sharp to assert
-        margin = 0.0
-    report.record(margin, context)
+    w_norm = frobenius(W)
+    diff_nat = frobenius(pair.heron("spectral", a, b, 2.0 * a * b) - W)
+    diff_kubo = frobenius(pair.heron("geometric", a, b, 2.0 * a * b) - W)
+    # between clearly commuting and clearly noncommuting lies a gray zone
+    # with nothing sharp to assert (margin 0)
+    margins = np.where(
+        comm <= tol * comm_scale,
+        _eq_margin(np.maximum(diff_nat, diff_kubo), w_norm),
+        np.where(comm >= 1e-3 * comm_scale, (np.minimum(diff_nat, diff_kubo) - 1e-6 * w_norm) / w_norm, 0.0),
+    )
+    _record_each(report, margins, context)
     return report
 
 
-def check_pinching(C: PDMatrix, R: PDMatrix, Phi: PDMatrix, tol: float,
+def check_pinching(C: PDMatrix, R: PDMatrix, tol: float,
                    context: dict | None = None,
-                   rng: np.random.Generator | None = None) -> CheckReport:
+                   rng: np.random.Generator | None = None) -> tuple[CheckReport, PDMatrix]:
     """The nonlinear pinching map Phi = Phi_R(C) contracts in weak
     majorization; its four structural hypotheses (monotone, homogeneous,
-    unital, trace-subpreserving) are spot-checked on the same instance."""
+    unital, trace-subpreserving) are spot-checked on the same instance.
+
+    Phi_R is evaluated at C, I, 2C and a random C1 <= C in one stacked
+    `pinching_map` call.  Returns the report and Phi_R(C), gated.
+    """
     report = CheckReport("pinching", tol)
     n = C.dim
-    margins = [_wm_margin(spectrum(Phi).values, spectrum(C).values)]
-
-    # unitality
-    Phi_eye = pinching_map(PDMatrix(np.eye(n)), R)
-    margins.append(_eq_margin(float(np.linalg.norm(Phi_eye.mat - np.eye(n))), 1.0 + math.sqrt(n)))
-    # positive homogeneity at alpha = 2
-    Phi2 = pinching_map(PDMatrix(2.0 * C.mat), R)
-    margins.append(_eq_margin(float(np.linalg.norm(Phi2.mat - 2.0 * Phi.mat)),
-                              1.0 + 2.0 * Phi.frobenius()))
-    # trace-subpreservation
-    margins.append((C.trace() - Phi.trace()) / (1.0 + C.trace()))
-    # order preservation on a random dominated pair C1 <= C
     if rng is None:
         rng = np.random.default_rng(0)
     bump = random_pd_from_rng(n, 10.0, rng)
     C1 = PDMatrix(C.mat - (0.5 * C.min_eigenvalue_witness) * bump.mat / bump.eig().eigenvalues[0])
-    Phi1 = pinching_map(C1, R)
-    gap_vals = np.linalg.eigvalsh(Phi.mat - Phi1.mat)
+    # I and 2C are not gated: their decompositions are exactly those of
+    # the identity and of the gated C
+    eye = np.eye(n)
+    pinch = pinching_map(np.stack([C.mat, eye, 2.0 * C.mat, C1.mat]), R)
+    Phi, Phi_eye, Phi2, Phi1 = pinch.phi
+    margins = [_wm_margin(pinch.eigenvalues[0], spectrum(C).values)]
+    # unitality
+    margins.append(_eq_margin(float(np.linalg.norm(Phi_eye - eye)), 1.0 + math.sqrt(n)))
+    # positive homogeneity at alpha = 2
+    margins.append(_eq_margin(float(np.linalg.norm(Phi2 - 2.0 * Phi)),
+                              1.0 + 2.0 * float(np.linalg.norm(Phi))))
+    # trace-subpreservation
+    margins.append((C.trace() - float(np.trace(Phi).real)) / (1.0 + C.trace()))
+    # order preservation on the dominated pair C1 <= C
+    gap_vals = np.linalg.eigvalsh(Phi - Phi1)
     margins.append(float(gap_vals[0]) / (1.0 + float(np.abs(gap_vals).max())))
     # trace identity linking the spectral mean of the two compressions
-    S = PDMatrix(np.eye(n) - R.mat)
-    P = PDMatrix(hermitian_part(R.mat @ C.mat @ R.mat))
-    Q = PDMatrix(hermitian_part(S.mat @ C.mat @ S.mat))
-    lhs_tr = float(np.trace(Pair(P, Q).spectral()).real)
-    rhs_tr = float(np.trace(R.mat @ S.mat @ C.mat).real)
+    lhs_tr = float(np.trace(pinch.compressions[0].spectral()).real)
+    rhs_tr = float(np.trace(R.mat @ pinch.S @ C.mat).real)
     margins.append(_eq_margin(lhs_tr - rhs_tr, 1.0 + abs(rhs_tr)))
 
     report.record(min(margins), context)
-    return report
+    return report, pinch.matrix(0)
 
 
 def check_endpoints(pair: Pair, a: float, b: float,
@@ -354,19 +366,20 @@ def check_log_majorization_means(pair: Pair, tol: float,
     return report
 
 
-def check_quadratic_lifting(C: PDMatrix, D: PDMatrix, tol: float,
+def check_quadratic_lifting(C: PDMatrix, Ds: list[PDMatrix], tol: float,
                             context: dict | None = None) -> CheckReport:
     """If lambda(D) prec_w lambda(C), the congruence by C^{1/2} lifts the
-    comparison to lambda(C^{1/2} D C^{1/2}) prec_w lambda(C^2)."""
+    comparison to lambda(C^{1/2} D C^{1/2}) prec_w lambda(C^2).  One record
+    per D; lambda(C^2) = lambda(C)^2 comes from the gated decomposition of
+    C, and the lifted matrices are gated in one stacked call."""
     report = CheckReport("quadratic_lifting", tol)
-    sC, sD = spectrum(C), spectrum(D)
-    hypothesis = weak_majorization(sD, sC, tol)
-    if not hypothesis.holds:
-        raise InvalidWeightsError("instance violates the hypothesis lambda(D) prec_w lambda(C)")
-    Ch = principal_sqrt(C)
-    lifted = PDMatrix(hermitian_part(Ch.mat @ D.mat @ Ch.mat))
-    C2 = PDMatrix(hermitian_part(C.mat @ C.mat))
-    report.record(_wm_margin(spectrum(lifted).values, spectrum(C2).values), context)
+    sC = spectrum(C)
+    for D in Ds:
+        if not weak_majorization(spectrum(D), sC, tol).holds:
+            raise InvalidWeightsError("instance violates the hypothesis lambda(D) prec_w lambda(C)")
+    Ch = principal_sqrt(C).mat
+    lifted = _spectra(*[hermitian_part(Ch @ D.mat @ Ch) for D in Ds])
+    _record_each(report, _wm_margin(lifted, sC.values ** 2), context)
     return report
 
 
@@ -374,8 +387,8 @@ def _bly_sides(pair: Pair, a: float, b: float):
     """Spectra of the sharp geometric Heron expression and of the
     right-hand side (a A^{1/2} + b B^{1/2})^2, both gated as positive
     definite, with the square roots and the right-hand side."""
-    Ah, Bh = principal_sqrt(pair.A), principal_sqrt(pair.B)
-    T = a * Ah.mat + b * Bh.mat
+    Ah, Bh = pair.sqrt()
+    T = a * Ah + b * Bh
     rhs = hermitian_part(T @ T)
     sH, sR = _spectra(pair.heron("geometric", a, b, 2.0 * a * b), rhs)
     return sH, sR, Ah, Bh, rhs
@@ -392,8 +405,8 @@ def check_bly(pair: Pair, a: float, b: float,
     sH, sR, Ah, Bh, rhs = _bly_sides(pair, a, b)
     margins = [_wm_margin(sH, sR)]
     # expansion of the square: a^2 A + b^2 B + ab(sqrtA sqrtB + sqrtB sqrtA)
-    cross = Ah.mat @ Bh.mat
-    expanded = a * a * pair.A.mat + b * b * pair.B.mat + a * b * (cross + cross.conj().T)
+    cross = Ah @ Bh
+    expanded = a * a * pair.A + b * b * pair.B + a * b * (cross + cross.conj().T)
     margins.append(_eq_margin(float(np.linalg.norm(expanded - rhs)), 1.0 + float(np.linalg.norm(rhs))))
     # Schatten norms follow from the eigenvalue comparison for PSD matrices
     for p_lhs, p_rhs in (
@@ -421,18 +434,18 @@ def check_semidefinite_limit(A0: HermitianMatrix, B0: HermitianMatrix,
     """
     if A0.dim != B0.dim:
         raise MatrixFormatError(f"dimension mismatch: {A0.dim} vs {B0.dim}")
-    for M, name in ((A0, "A0"), (B0, "B0")):
-        lam = M.eig().eigenvalues
+    for lam, name in zip(_spectra(A0.mat, B0.mat, pd=False), ("A0", "B0")):
         if float(lam[-1]) < -tol * (1.0 + float(np.abs(lam).max())):
             raise MatrixFormatError(f"{name} must be positive semidefinite")
     report = CheckReport("semidefinite_limit", tol)
-    n = A0.dim
-    eye = np.eye(n)
-    margins = []
-    for eps in eps_sequence:
-        pair = Pair(PDMatrix(A0.mat + eps * eye), PDMatrix(B0.mat + eps * eye))
-        sH, sR, *_ = _bly_sides(pair, 1.0, 1.0)
-        margins.append(float(_wm_margin(sH, sR)))
+    # every level at once, each M0 + eps I decomposed afresh: at eps = 1e-8
+    # the margin amplifies a decomposition's rounding to about 1e-5, and the
+    # eigenvalues of M0 shifted by eps turned a true margin of 1.8e-6 into
+    # -1.1e-5 on one rank-one pair
+    shift = np.asarray(eps_sequence, dtype=np.float64)[:, None, None] * np.eye(A0.dim)
+    pair = Pair.gated(A0.mat + shift, B0.mat + shift)
+    sH, sR, *_ = _bly_sides(pair, 1.0, 1.0)
+    margins = [float(m) for m in _wm_margin(sH, sR)]
     worst = min(margins)
     gap = 0.0
     if len(margins) >= 3:
@@ -446,23 +459,27 @@ def check_semidefinite_limit(A0: HermitianMatrix, B0: HermitianMatrix,
     return report
 
 
-def check_incomparability_float(tol: float = 1e-8) -> CheckReport:
-    """Floating replay of the certified incomparability instances: the k=1
-    Ky Fan inequality fails one way on the 3x3 pair, and the trace
-    comparison fails the other way on the 2x2 pair."""
+def certified_pairs() -> tuple[Pair, Pair]:
+    """Float Pairs of the two certified incomparability instances: the 3x3
+    pair of direction one and the 2x2 pair of direction two."""
+    return tuple(Pair.gated(np.array(data["A"].to_float()), np.array(data["B"].to_float()))
+                 for data in (direction_one_data(), direction_two_data()))
+
+
+def check_incomparability_float(one: Pair, two: Pair, tol: float = 1e-8) -> CheckReport:
+    """Floating replay of the certified incomparability instances
+    (`certified_pairs()`): the k=1 Ky Fan inequality fails one way on the
+    3x3 pair, and the trace comparison fails the other way on the 2x2 pair."""
     report = CheckReport("incomparability_float", tol)
-    data1 = direction_one_data()
-    A = PDMatrix(np.array(data1["A"].to_float()))
-    B = PDMatrix(np.array(data1["B"].to_float()))
-    M_sharp = A + B + 2.0 * geometric_mean(A, B)
-    M_nat = A + B + 2.0 * spectral_mean(A, B)
-    k1_gap = float(spectrum(M_sharp).values[0]) - float(spectrum(M_nat).values[0])
+    # the means are gated as positive definite, the Heron sums as Hermitian
+    spectra = _spectra(one.geometric(), one.spectral(),
+                       one.heron("geometric", 1.0, 1.0, 2.0), one.heron("spectral", 1.0, 1.0, 2.0),
+                       pd=[True, True, False, False])
+    k1_gap = float(spectra[2][0]) - float(spectra[3][0])
     report.record(k1_gap - 1e-2, {"seed_offset": None, "item": "k=1 failure of direction one"})
 
-    data2 = direction_two_data()
-    A2 = PDMatrix(np.array(data2["A"].to_float()))
-    B2 = PDMatrix(np.array(data2["B"].to_float()))
-    trace_gap = 2.0 * (spectral_mean(A2, B2).trace() - geometric_mean(A2, B2).trace())
+    _spectra(two.geometric(), two.spectral())  # gated as the public means are
+    trace_gap = 2.0 * (float(np.trace(two.spectral()).real) - float(np.trace(two.geometric()).real))
     report.record(trace_gap - 0.6, {"seed_offset": None, "item": "trace failure of direction two"})
     report.diagnostics["k1_gap"] = k1_gap
     report.diagnostics["trace_gap"] = trace_gap
@@ -560,30 +577,21 @@ def run_suite(config: SuiteConfig) -> RunReport:
     pool: dict[str, CheckReport] = {}
 
     # fixed instances first
-    _merge_into(pool, check_incomparability_float(config.tol))
-    for a, b in ((1.0, 1.0),):
-        data = direction_one_data()
-        A_fix = PDMatrix(np.array(data["A"].to_float()))
-        B_fix = PDMatrix(np.array(data["B"].to_float()))
-        ctx = {"seed_offset": None, "instance": "certified-3x3", "a": a, "b": b}
-        pair = Pair(A_fix, B_fix)
-        _merge_into(pool, check_spreading(pair, a, b, config.tol, ctx))
-        _merge_into(pool, check_kubo_heron(pair, a, b, 2.0 * a * b, config.tol, ctx))
-        _merge_into(pool, check_log_majorization_means(pair, config.tol, ctx))
-        _merge_into(pool, check_bly(pair, a, b, config.tol, ctx))
+    one, two = certified_pairs()
+    _merge_into(pool, check_incomparability_float(one, two, config.tol))
+    a = b = 1.0
+    ctx = {"seed_offset": None, "instance": "certified-3x3", "a": a, "b": b}
+    _merge_into(pool, check_spreading(one, a, b, config.tol, ctx))
+    _merge_into(pool, check_kubo_heron(one, a, b, 2.0 * a * b, config.tol, ctx))
+    _merge_into(pool, check_log_majorization_means(one, config.tol, ctx))
+    _merge_into(pool, check_bly(one, a, b, config.tol, ctx))
     for c_over in (2.001, 2.01, 2.1, 3.0):
         _merge_into(pool, check_sharpness_scalar(1.0, 1.0, c_over))
 
-    # randomized stream
+    # randomized stream; contexts hold the matrices themselves, serialized
+    # only for a failing record
     for offset, rng, dim, a, b, A, B in iter_instances(config):
-        context = {
-            "seed_offset": offset,
-            "dim": dim,
-            "a": a,
-            "b": b,
-            "A": matrix_to_dict(A),
-            "B": matrix_to_dict(B),
-        }
+        context = {"seed_offset": offset, "dim": dim, "a": a, "b": b, "A": A, "B": B}
 
         pair = Pair(A, B)
         for report in heron_grid(pair, trial_grid(a, b, config), config.tol, context):
@@ -593,27 +601,29 @@ def run_suite(config: SuiteConfig) -> RunReport:
         _merge_into(pool, check_log_majorization_means(pair, config.tol, context))
         _merge_into(pool, check_bly(pair, a, b, config.tol, context))
 
-        # equality case: one pair commuting by construction, one generic
+        # equality case: one pair commuting by construction, one generic,
+        # checked as one stacked Pair
         A_c, B_c = _commuting_pair(dim, config.cond_max, rng)
-        ctx_c = dict(context, A=matrix_to_dict(A_c), B=matrix_to_dict(B_c), variant="commuting")
-        _merge_into(pool, check_equality_iff_commuting(Pair(A_c, B_c), a, b, config.tol, ctx_c))
+        pairs = [(A_c, B_c)]
+        contexts = [dict(context, A=A_c, B=B_c, variant="commuting")]
         if dim > 1:
             A_n, B_n = _noncommuting_pair(dim, config.cond_max, rng)
-            ctx_n = dict(context, A=matrix_to_dict(A_n), B=matrix_to_dict(B_n), variant="noncommuting")
-            _merge_into(pool, check_equality_iff_commuting(Pair(A_n, B_n), a, b, config.tol, ctx_n))
+            pairs.append((A_n, B_n))
+            contexts.append(dict(context, A=A_n, B=B_n, variant="noncommuting"))
+        _merge_into(pool, check_equality_iff_commuting(Pair.stack(pairs), a, b, config.tol, contexts))
 
         # pinching and its quadratic lift
         C, R = _pinching_operands(dim, config.cond_max, rng)
-        ctx_p = dict(context, C=matrix_to_dict(C), R=matrix_to_dict(R))
-        Phi = pinching_map(C, R)
-        _merge_into(pool, check_pinching(C, R, Phi, config.tol, ctx_p, rng))
-        _merge_into(pool, check_quadratic_lifting(C, Phi, config.tol, ctx_p))
-        _merge_into(pool, check_quadratic_lifting(C, _shrunk_dominated(C, rng), config.tol, ctx_p))
+        ctx_p = dict(context, C=C, R=R)
+        report, Phi = check_pinching(C, R, config.tol, ctx_p, rng)
+        _merge_into(pool, report)
+        D = _shrunk_dominated(C, rng)
+        _merge_into(pool, check_quadratic_lifting(C, [Phi, D], config.tol, ctx_p))
 
         # semidefinite boundary
         A0 = _rank_deficient_psd(dim, rng)
         B0 = _rank_deficient_psd(dim, rng)
-        ctx_s = dict(context, A=matrix_to_dict(A0), B=matrix_to_dict(B0), variant="rank-deficient")
+        ctx_s = dict(context, A=A0, B=B0, variant="rank-deficient")
         _merge_into(pool, check_semidefinite_limit(A0, B0, DEFAULT_EPS_SEQUENCE, config.tol, ctx_s))
 
     return RunReport(config=config, checks=list(pool.values()))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from matmean.errors import InvalidWeightsError
+from matmean.errors import InvalidWeightsError, MatrixFormatError, NotPositiveDefiniteError
 from matmean.linalg import PDMatrix, inverse
 from matmean.means import (
     MeanWeights,
+    Pair,
     bw_geodesic,
     geometric_mean,
     geometric_mean_weighted,
@@ -256,3 +257,56 @@ class TestStructuralInvariants:
             ref = f(A, B).mat
             scaled = f(As, Bs).mat
             np.testing.assert_allclose(scaled, alpha * ref, atol=1e-10 * np.linalg.norm(alpha * ref))
+
+
+def _rel(x, y):
+    return np.linalg.norm(x - y) / np.linalg.norm(y)
+
+
+class TestStackedPair:
+    """A Pair over a stack of operand pairs computes, slice by slice, what
+    one-pair Pairs compute."""
+
+    WEIGHTS = ((1.0, 1.0), (0.3, 0.9), (1.0, 0.0), (0.0, 0.5))
+
+    @pytest.mark.parametrize("cond", [1e4, 1e6])
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_stack_equals_per_slice_pairs(self, dim, cond):
+        pairs = [(rand_pd(dim, 100 * dim + 2 * i, cond), rand_pd(dim, 100 * dim + 2 * i + 1, cond))
+                 for i in range(3)]
+        # Pair.gated decomposes afresh, as the PDMatrix constructor does
+        regated = [(PDMatrix(A.mat), PDMatrix(B.mat)) for A, B in pairs]
+        for stacked, singles in ((Pair.stack(pairs), pairs),
+                                 (Pair.gated(np.stack([A.mat for A, _ in pairs]),
+                                             np.stack([B.mat for _, B in pairs])), regated)):
+            for i, (A, B) in enumerate(singles):
+                single = Pair(A, B)
+                assert _rel(stacked.riccati()[i], single.riccati()) <= 1e-12
+                assert _rel(stacked.geometric()[i], single.geometric()) <= 1e-12
+                assert _rel(stacked.spectral()[i], single.spectral()) <= 1e-12
+                for a, b in self.WEIGHTS:
+                    assert _rel(stacked.wasserstein(a, b)[i], single.wasserstein(a, b)) <= 1e-12
+                    assert stacked.wasserstein_residual(a, b).shape == (3,)
+
+    def test_slice_of_a_stack_is_a_pair(self):
+        pairs = [(rand_pd(4, 2 * i, 1e3), rand_pd(4, 2 * i + 1, 1e3)) for i in range(2)]
+        second = Pair.stack(pairs)[1]
+        np.testing.assert_allclose(second.spectral(), Pair(*pairs[1]).spectral(), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), MatrixFormatError),
+        (np.diag([1.0, -0.5, 1.0]), NotPositiveDefiniteError),
+    ], ids=["non-hermitian", "indefinite"])
+    def test_one_bad_slice_raises_like_the_scalar_gate(self, bad, error):
+        with pytest.raises(error):
+            PDMatrix(bad)
+        good = rand_pd(3, seed=5).mat
+        # the index names the operand (0 for A, 1 for B) and the slice
+        with pytest.raises(error, match=r"stack index \(1, 2\)"):
+            Pair.gated(np.stack([good, good, good]), np.stack([good, good, bad]))
+
+    def test_mismatched_dimensions_are_rejected(self):
+        with pytest.raises(MatrixFormatError):
+            Pair.stack([(rand_pd(2, seed=1), rand_pd(2, seed=2)), (rand_pd(3, seed=3), rand_pd(3, seed=4))])
+        with pytest.raises(MatrixFormatError):
+            Pair.gated(rand_pd(2, seed=1).mat, rand_pd(3, seed=2).mat)

@@ -168,12 +168,12 @@ class TestPinchingMap:
         R = rand_pd(3, seed=41)
         R = PDMatrix(0.2 * R.mat + 0.2 * np.eye(3))  # spectrum inside (0, 1)
         out = pinching_map(PDMatrix(np.eye(3)), R)
-        np.testing.assert_allclose(out.mat, np.eye(3), atol=1e-10)
+        np.testing.assert_allclose(out.phi, np.eye(3), atol=1e-10)
 
     def test_scalar_r_collapses(self):
         C = rand_pd(4, seed=42)
         out = pinching_map(C, PDMatrix(0.5 * np.eye(4)))
-        np.testing.assert_allclose(out.mat, C.mat, atol=1e-10 * np.linalg.norm(C.mat))
+        np.testing.assert_allclose(out.phi, C.mat, atol=1e-10 * np.linalg.norm(C.mat))
 
     def test_trace_identity_for_compressions(self):
         for dim, C, R0 in rand_pd_pairs(8, dims=(2, 3, 5, 7)):
@@ -188,10 +188,37 @@ class TestPinchingMap:
     def test_trace_subpreserving_and_unital(self):
         C = rand_pd(5, seed=44, cond=1e4)
         R = PDMatrix(np.diag(np.linspace(0.1, 0.9, 5)))
-        out = pinching_map(C, R)
+        out = pinching_map(C, R).matrix()
         assert out.trace() <= C.trace() * (1.0 + 1e-9)
         eye_out = pinching_map(PDMatrix(np.eye(5)), R)
-        assert np.linalg.norm(eye_out.mat - np.eye(5)) <= 1e-10
+        assert np.linalg.norm(eye_out.phi - np.eye(5)) <= 1e-10
+
+    @pytest.mark.parametrize("cond", [1e4, 1e6])
+    def test_stacked_maps_equal_per_c_maps(self, cond):
+        for dim in range(1, 9):
+            U = rand_pd(dim, seed=dim).eig().eigenvectors
+            R = PDMatrix((U * np.linspace(0.1, 0.9, dim)) @ U.conj().T)
+            Cs = [rand_pd(dim, 10 * dim + i, cond) for i in range(3)]
+            stacked = pinching_map(np.stack([C.mat for C in Cs]), R)
+            for i, C in enumerate(Cs):
+                single = pinching_map(C, R)
+                np.testing.assert_array_equal(stacked.phi[i], single.phi)
+                np.testing.assert_array_equal(stacked.eigenvalues[i], single.eigenvalues)
+                np.testing.assert_array_equal(stacked.compressions.A[i], single.compressions.A)
+                np.testing.assert_array_equal(stacked.S, single.S)
+                np.testing.assert_array_equal(stacked.matrix(i).mat, single.matrix().mat)
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.array([[1.0, 2.0], [0.0, 1.0]]), MatrixFormatError),
+        (np.diag([1.0, -0.5]), NotPositiveDefiniteError),
+    ], ids=["non-hermitian", "indefinite"])
+    def test_one_bad_c_raises_like_the_scalar_gate(self, bad, error):
+        with pytest.raises(error):
+            PDMatrix(bad)
+        R = PDMatrix(np.diag([0.3, 0.6]))
+        good = rand_pd(2, seed=46).mat
+        with pytest.raises(error, match=r"stack index \((1,|0, 1)\)"):
+            pinching_map(np.stack([good, bad]), R)
 
     def test_rejects_spectrum_outside_unit_interval(self):
         C = rand_pd(2, seed=45)
@@ -216,7 +243,7 @@ class TestKuboChangeOfVars:
         for dim, A, B in rand_pd_pairs(6, cond=1e3):
             for a, b in ((1.0, 1.0), (0.7, 1.3)):
                 R, C = kubo_change_of_vars(A, B, a, b)
-                lhs = pinching_map(C, R).mat
+                lhs = pinching_map(C, R).phi
                 rhs = heron_kubo(A, B, a, b).mat
                 assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
