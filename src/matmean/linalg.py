@@ -53,6 +53,11 @@ def assemble(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return hermitian_part((vecs * vals[..., None, :]) @ adjoint(vecs))
 
 
+def as_stack(mats: np.ndarray) -> np.ndarray:
+    """A (..., n, n) stack, or one matrix, as a (k, n, n) stack."""
+    return mats.reshape((-1,) + mats.shape[-2:])
+
+
 def frobenius(mats: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a (..., n, n) stack."""
     return np.linalg.norm(mats, axis=(-2, -1))
@@ -97,7 +102,7 @@ def _check_decomposition(vals: np.ndarray, vecs: np.ndarray, reference: np.ndarr
     the reconstruction residual."""
     n = vals.shape[-1]
     ortho = np.linalg.norm(adjoint(vecs) @ vecs - np.eye(n), axis=(-2, -1))
-    bad = ortho > UNITARITY_RTOL * n
+    bad = ~(ortho <= UNITARITY_RTOL * n)  # NaN eigenvectors fail too
     if bad.any():
         i, where = locate(bad)
         raise NumericalFailure(f"eigenvector matrix is not unitary: ||U*U - I|| = {ortho[i]:.3e}{where}")
@@ -275,13 +280,13 @@ class PDMatrix:
     @classmethod
     def _from_eig(cls, eigenvalues_desc: np.ndarray, eigenvectors: np.ndarray) -> "PDMatrix":
         """Build from fresh eigenvectors (a random sample, say), skipping
-        the eigendecomposition but not its checks.  Caller guarantees
-        decreasing order."""
+        the eigendecomposition but not its checks: unitarity (finite
+        eigenvectors included) and the PD ratio.  U diag(lambda) U* is
+        Hermitian by construction, so it is not gated again.  Caller
+        guarantees decreasing order."""
         dec = SpectralDecomposition(eigenvalues_desc, eigenvectors)
         check_pd(dec.eigenvalues)
-        base = HermitianMatrix(dec.assemble(dec.eigenvalues))
-        base._eig = dec
-        return cls._wrap(base)
+        return cls._wrap(HermitianMatrix._trusted(dec.assemble(dec.eigenvalues), dec))
 
     @classmethod
     def _derived(cls, eigenvalues_desc: np.ndarray, eigenvectors: np.ndarray) -> "PDMatrix":

@@ -14,11 +14,15 @@ a built-in correctness oracle.
 Everything here is written once over (..., n, n) stacks.  A `Pair`
 holds one operand pair (batch shape ()) or a stack of same-dimension
 pairs, and computes each derived quantity at most once: X, A natural B,
-A # B and each W_{a,b}.  Its kernels return raw Hermitian arrays and take
-the operands' decompositions from where they were gated: PDMatrix
-operands (`Pair(A, B)`, `Pair.stack`) or one `linalg.gate_stack` call
-(`Pair.gated`).  The strict gate runs where a value leaves or
-is judged: on the operands, on what the public functions below return
+A # B, the square roots and each W_{a,b}.  `Pair.herons` and
+`Pair.wassersteins` build many expressions over many pairs of the stack
+in one batched pass (the suite's whole Heron/Wasserstein grid, say).
+Its kernels return raw Hermitian arrays and take the operands'
+decompositions from where they were gated: PDMatrix operands
+(`Pair(A, B)`, `Pair.stack`), one `linalg.gate_stack` call
+(`Pair.gated`), or a gate the caller ran (`Pair.decomposed`, joined
+with `Pair.join`).  The strict gate runs where a value leaves or is
+judged: on the operands, on what the public functions below return
 (each a thin wrapper over a one-pair Pair), and, through
 `linalg.gate_stack`, on every matrix whose spectrum a checker compares.
 The one gated intermediate is X, whose eigenvectors build A natural B.
@@ -40,6 +44,7 @@ from .linalg import (
     HermitianMatrix,
     PDMatrix,
     adjoint,
+    as_stack,
     assemble,
     check_pd,
     frobenius,
@@ -155,10 +160,11 @@ class Pair:
     Each derived quantity is computed at most once, on first use, for the
     whole stack, and lives as long as the Pair: callers create one per
     instance (or per stack of instances) and pass it to every computation
-    on it.
+    on it.  `herons` and `wassersteins` take the index of a pair in the
+    flattened stack, so one call builds many expressions over many pairs.
     """
 
-    __slots__ = ("A", "B", "_eig_A", "_eig_B", "_riccati", "_spectral", "_geometric", "_wasserstein")
+    __slots__ = ("A", "B", "_eig_A", "_eig_B", "_riccati", "_spectral", "_geometric", "_sqrt", "_wasserstein")
 
     def __init__(self, A: PDMatrix, B: PDMatrix):
         _check_dims(A, B)
@@ -167,11 +173,13 @@ class Pair:
     def _set(self, A: np.ndarray, B: np.ndarray, eig_A: Eig, eig_B: Eig) -> None:
         self.A, self.B = A, B
         self._eig_A, self._eig_B = eig_A, eig_B
-        self._riccati = self._spectral = self._geometric = None
+        self._riccati = self._spectral = self._geometric = self._sqrt = None
         self._wasserstein: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
-    def _of(cls, A, B, eig_A: Eig, eig_B: Eig) -> "Pair":
+    def decomposed(cls, A, B, eig_A: Eig, eig_B: Eig) -> "Pair":
+        """Pair of raw Hermitian (..., n, n) stacks with the decompositions
+        (decreasing eigenvalues, eigenvectors) that a gate made of them."""
         obj = cls.__new__(cls)
         obj._set(A, B, eig_A, eig_B)
         return obj
@@ -184,7 +192,15 @@ class Pair:
         if len(dims) != 1:
             raise MatrixFormatError(f"cannot stack pairs of dimensions {sorted(dims)}")
         (A, eig_A), (B, eig_B) = (_stacked([pair[k] for pair in pairs]) for k in (0, 1))
-        return cls._of(A, B, eig_A, eig_B)
+        return cls.decomposed(A, B, eig_A, eig_B)
+
+    @classmethod
+    def join(cls, pairs) -> "Pair":
+        """The (k_i, n, n) stacks of several Pairs as one stack, in order."""
+        cat = np.concatenate
+        return cls.decomposed(cat([p.A for p in pairs]), cat([p.B for p in pairs]),
+                              tuple(cat([p._eig_A[k] for p in pairs]) for k in (0, 1)),
+                              tuple(cat([p._eig_B[k] for p in pairs]) for k in (0, 1)))
 
     @classmethod
     def gated(cls, A, B) -> "Pair":
@@ -197,20 +213,34 @@ class Pair:
         mats = np.stack([A, B])
         vals, vecs = gate_stack(mats)
         mats = hermitian_part(mats)
-        return cls._of(mats[0], mats[1], (vals[0], vecs[0]), (vals[1], vecs[1]))
+        return cls.decomposed(mats[0], mats[1], (vals[0], vecs[0]), (vals[1], vecs[1]))
 
     def __getitem__(self, index) -> "Pair":
-        """The pairs at `index` of the stack, sharing the decompositions."""
-        return Pair._of(self.A[index], self.B[index],
-                        tuple(x[index] for x in self._eig_A), tuple(x[index] for x in self._eig_B))
+        """The pairs at `index` of the stack, sharing the decompositions
+        and every mean already computed."""
+        def part(value):
+            return None if value is None else tuple(x[index] for x in value)
+
+        obj = Pair.decomposed(self.A[index], self.B[index], part(self._eig_A), part(self._eig_B))
+        obj._riccati = None if self._riccati is None else (self._riccati[0][index], part(self._riccati[1]))
+        obj._spectral = None if self._spectral is None else self._spectral[index]
+        obj._geometric = None if self._geometric is None else self._geometric[index]
+        obj._sqrt = part(self._sqrt)
+        return obj
 
     @property
     def dim(self) -> int:
         return self.A.shape[-1]
 
+    def __len__(self) -> int:
+        """Number of pairs in the flattened stack (1 for one pair)."""
+        return as_stack(self.A).shape[0]
+
     def sqrt(self) -> tuple[np.ndarray, np.ndarray]:
         """(A^{1/2}, B^{1/2}) from the operands' decompositions."""
-        return assemble(*_root(self._eig_A)), assemble(*_root(self._eig_B))
+        if self._sqrt is None:
+            self._sqrt = assemble(*_root(self._eig_A)), assemble(*_root(self._eig_B))
+        return self._sqrt
 
     def _riccati_gated(self) -> tuple[np.ndarray, Eig]:
         """X = A^{-1} # B, the unique positive definite solution of
@@ -249,37 +279,55 @@ class Pair:
             self._geometric = _geometric_raw(self._eig_A, self.B, 0.5)
         return self._geometric
 
+    def wassersteins(self, index, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """W_{a_i,b_i} of pair index[i] of the flattened stack, and the
+        Frobenius distance between its two formulas, in one batched pass.
+
+        W is computed through the congruence form (aI + bX) A (aI + bX)
+        and cross-validated against the definitional form
+        a^2 A + b^2 B + ab((AB)^{1/2} + (BA)^{1/2}); with a zero weight it
+        is exactly a^2 A or b^2 B.
+        """
+        index = np.asarray(index)
+        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        negative = (a < 0) | (b < 0)
+        if negative.any():
+            i = int(np.argmax(negative))
+            raise InvalidWeightsError(f"weights must be nonnegative: a={a[i]}, b={b[i]}")
+        A, B = as_stack(self.A)[index], as_stack(self.B)[index]
+        both = (a != 0.0) & (b != 0.0)
+        a, b = a[:, None, None], b[:, None, None]
+        W = np.where(b == 0.0, a * a * A, b * b * B)
+        residual = np.zeros(len(index))
+        if both.any():
+            X = as_stack(self.riccati())[index[both]]
+            a, b, A, B = a[both], b[both], A[both], B[both]
+            T = a * np.eye(self.dim) + b * X
+            by_congruence = hermitian_part(T @ A @ T)
+            AX = A @ X
+            by_definition = a * a * A + b * b * B + a * b * (AX + adjoint(AX))
+            scale = frobenius(by_congruence)
+            distance = frobenius(by_definition - by_congruence)
+            bad = distance > WASSERSTEIN_FORM_RTOL * scale
+            if bad.any():
+                i, where = locate(bad)
+                raise NumericalFailure(
+                    f"Wasserstein dual formulas disagree: ||diff|| = {distance[i]:.3e} "
+                    f"vs scale {scale[i]:.3e}{where}"
+                )
+            W[both], residual[both] = by_congruence, distance
+        return W, residual
+
     def _wasserstein_entry(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
         key = (float(a), float(b))
         if key not in self._wasserstein:
-            self._wasserstein[key] = self._compute_wasserstein(*key)
+            m = len(self)
+            W, residual = self.wassersteins(np.arange(m), np.full(m, key[0]), np.full(m, key[1]))
+            self._wasserstein[key] = W.reshape(self.A.shape), residual.reshape(self.A.shape[:-2])[()]
         return self._wasserstein[key]
 
-    def _compute_wasserstein(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-        if a < 0 or b < 0:
-            raise InvalidWeightsError(f"weights must be nonnegative: a={a}, b={b}")
-        A, B = self.A, self.B
-        if b == 0.0 or a == 0.0:
-            return (a * a * A if b == 0.0 else b * b * B), np.zeros(A.shape[:-2])[()]
-        X = self.riccati()
-        T = a * np.eye(self.dim) + b * X
-        by_congruence = hermitian_part(T @ A @ T)
-        AX = A @ X
-        by_definition = a * a * A + b * b * B + a * b * (AX + adjoint(AX))
-        scale = frobenius(by_congruence)
-        residual = frobenius(by_definition - by_congruence)
-        bad = residual > WASSERSTEIN_FORM_RTOL * scale
-        if bad.any():
-            i, where = locate(bad)
-            raise NumericalFailure(
-                f"Wasserstein dual formulas disagree: ||diff|| = {residual[i]:.3e} "
-                f"vs scale {scale[i]:.3e}{where}"
-            )
-        return by_congruence, residual
-
     def wasserstein(self, a: float, b: float) -> np.ndarray:
-        """W_{a,b}(A,B) through the congruence form (aI + bX) A (aI + bX),
-        cross-validated against the definitional form."""
+        """W_{a,b}(A,B) of every pair (see `wassersteins`)."""
         return self._wasserstein_entry(a, b)[0]
 
     def wasserstein_residual(self, a: float, b: float):
@@ -287,14 +335,26 @@ class Pair:
         per pair of the stack."""
         return self._wasserstein_entry(a, b)[1]
 
+    def herons(self, index, cross, a, b, c) -> np.ndarray:
+        """a_i^2 A + b_i^2 B + c_i M_i of pair index[i] of the flattened
+        stack, in one broadcast; the cross term M_i is A natural B where
+        cross[i] is "spectral" and A # B otherwise, and is left out where
+        c_i = 0 (so no mean is computed for it)."""
+        index = np.asarray(index)
+        a, b, c = (np.asarray(x, dtype=np.float64)[:, None, None] for x in (a, b, c))
+        H = a * a * as_stack(self.A)[index] + b * b * as_stack(self.B)[index]
+        spectral = np.asarray(cross) == "spectral"
+        for which, mean in ((spectral, self.spectral), (~spectral, self.geometric)):
+            add = which & (c[:, 0, 0] != 0.0)
+            if add.any():
+                H[add] += c[add] * as_stack(mean())[index[add]]
+        return H
+
     def heron(self, cross: str, a: float, b: float, c: float) -> np.ndarray:
-        """a^2 A + b^2 B + c M with the cross term M = A natural B
-        (cross="spectral") or A # B (cross="geometric")."""
-        A, B = self.A, self.B
-        if c == 0.0:
-            return a * a * A + b * b * B
-        M = self.spectral() if cross == "spectral" else self.geometric()
-        return a * a * A + b * b * B + c * M
+        """a^2 A + b^2 B + c M of every pair, with the cross term M = A
+        natural B (cross="spectral") or A # B (cross="geometric")."""
+        m = len(self)
+        return self.herons(np.arange(m), [cross] * m, [a] * m, [b] * m, [c] * m).reshape(self.A.shape)
 
 
 def geometric_mean(A: PDMatrix, B: PDMatrix) -> PDMatrix:

@@ -13,7 +13,10 @@ exactly 1 at c = 2ab; the direct one lands on the pinching map
 which is unital, homogeneous, order preserving, and trace-subpreserving.
 `pinching_map` evaluates Phi_R over a (..., n, n) stack of C's with one
 decomposition of R: one stacked gate for the compressions R C R and
-S C S, one stacked `#`, and one stacked gate for the maps.
+S C S, one stacked `#`, and one stacked gate for the maps.  Its two steps,
+`pinching_compressions` and `pinching_phi`, also serve the suite, which
+gates the compressions and the maps together with other checkers'
+matrices (see `suite._run_staged`).
 """
 
 from __future__ import annotations
@@ -166,17 +169,14 @@ class Pinching:
         return PDMatrix._gated(self.phi[index], self.eigenvalues[index], self.eigenvectors[index])
 
 
-def pinching_map(C, R: PDMatrix) -> Pinching:
-    """Phi_R(C) = R C R + S C S + 2 (R C R # S C S) with S = I - R, for a
-    PDMatrix C or a (..., n, n) stack of C's; every map shares the
-    decomposition of R.
+def pinching_compressions(Cs: np.ndarray, R: PDMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, R C R, S C S) with S = I - R, for a Hermitian (..., n, n) stack
+    of C's; the compressions are raw arrays, to be gated as positive
+    definite by the caller.
 
-    A stack is checked Hermitian here, and its positive definiteness by
-    the gate on R C R (congruence by the invertible R keeps the inertia).
     Requires the spectrum of R to lie strictly inside (0, 1); the theorem
     hypotheses are open conditions, so the boundary is rejected.
     """
-    Cs = C.mat if isinstance(C, PDMatrix) else hermitize(np.asarray(C, dtype=np.complex128))
     if Cs.ndim < 2 or Cs.shape[-2:] != (R.dim, R.dim):
         raise MatrixFormatError(f"dimension mismatch: C {Cs.shape}, R {R.dim}")
     dec = R.eig()
@@ -186,8 +186,27 @@ def pinching_map(C, R: PDMatrix) -> Pinching:
             f"spectrum of R must lie strictly inside (0, 1): [{vals[-1]:.3e}, {vals[0]:.3e}]"
         )
     S = PDMatrix._derived((1.0 - vals)[::-1].copy(), dec.eigenvectors[:, ::-1].copy()).mat
-    compressions = Pair.gated(hermitian_part(R.mat @ Cs @ R.mat), hermitian_part(S @ Cs @ S))
-    phi = compressions.A + compressions.B + 2.0 * compressions.geometric()
+    return S, hermitian_part(R.mat @ Cs @ R.mat), hermitian_part(S @ Cs @ S)
+
+
+def pinching_phi(compressions: Pair) -> np.ndarray:
+    """Phi_R(C) = R C R + S C S + 2 (R C R # S C S) from the gated Pair of
+    compressions, as a raw array."""
+    return compressions.A + compressions.B + 2.0 * compressions.geometric()
+
+
+def pinching_map(C, R: PDMatrix) -> Pinching:
+    """Phi_R(C) = R C R + S C S + 2 (R C R # S C S) with S = I - R, for a
+    PDMatrix C or a (..., n, n) stack of C's; every map shares the
+    decomposition of R.
+
+    A stack is checked Hermitian here, and its positive definiteness by
+    the gate on R C R (congruence by the invertible R keeps the inertia).
+    """
+    Cs = C.mat if isinstance(C, PDMatrix) else hermitize(np.asarray(C, dtype=np.complex128))
+    S, P, Q = pinching_compressions(Cs, R)
+    compressions = Pair.gated(P, Q)
+    phi = pinching_phi(compressions)
     eigenvalues, eigenvectors = gate_stack(phi)
     return Pinching(phi, eigenvalues, eigenvectors, compressions, S)
 

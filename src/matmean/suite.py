@@ -4,27 +4,54 @@ Each checker evaluates one instance, or a stack of same-dimension
 instances with one record each, and returns a CheckReport whose worst
 normalized margin decides failure (margin < -tol).  Margins are normalized
 by 1 + max|dominating side| so one tolerance knob covers all scales.
-run_suite drives a deterministic instance stream over every checker and
-aggregates the reports; within a trial, same-dimension operands are
-evaluated as stacks (see `means.Pair` and `schur.pinching_map`).
+
+Every checker is written in two parts, the matrices to gate and the
+margin from their spectra, so that a stage can gate the matrices of
+several checkers in one stacked call while each margin formula exists
+once.  There are two kinds of stage:
+
+* `_compare` runs checkers on one `Pair` stack: the Heron grid,
+  spreading, endpoints, log-majorization, BLY and the equality case.
+  They name the matrices they use by key (see `_build`), the stage builds
+  each kind in one batched pass (the Heron sums in one broadcast over
+  (a^2, b^2, c), the W_{a,b} in one pass over the weights), and a key
+  named twice is built and gated once: the sharp Heron sums and W_{a,b}
+  of spreading, endpoints and BLY are entries of the Heron grid.
+* `_run_staged` runs checker tasks in lockstep: pinching (with the
+  quadratic lift of its map) and the semidefinite limit.  It makes one
+  gate for their raw operands, one stacked `#` over their operand pairs
+  and one gate for the matrices they compare.
+
+The public checkers run one checker through the same stage (the
+quadratic lift alone is one gate call between its two parts).  run_suite
+makes every random draw of a trial first, in the order of the instance
+stream, then runs two stages: `_compare` on the main pair stacked with
+the two equality pairs, then `_run_staged` on pinching with its lift and
+the semidefinite limit.  A stage's arrays are released before the next
+one starts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidWeightsError, MatrixFormatError
 from .exact import direction_one_data, direction_two_data
+# check_* names in this module are the theorem checkers
+from .linalg import check_pd as _check_pd
 from .linalg import (
     HermitianMatrix,
     PDMatrix,
+    as_stack,
     frobenius,
     gate_stack,
     haar_unitary,
     hermitian_part,
+    hermitize,
     principal_sqrt,
     random_pd_from_rng,
 )
@@ -37,7 +64,7 @@ from .majorization import (
 )
 from .means import Pair
 from .report import CheckReport
-from .schur import pinching_map
+from .schur import pinching_compressions, pinching_phi
 
 DEFAULT_EPS_SEQUENCE = (1e-2, 1e-4, 1e-6, 1e-8)
 
@@ -56,14 +83,23 @@ class SuiteConfig:
     t_grid: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
     def __post_init__(self):
+        # comparisons are written so that NaN fails them
         if self.trials < 1:
             raise InvalidWeightsError(f"trials must be >= 1, got {self.trials}")
         if not self.dims:
             raise InvalidWeightsError("dims must be nonempty")
         if any(d < 1 for d in self.dims):
             raise InvalidWeightsError("every dimension must be at least 1")
-        if self.tol <= 0:
-            raise InvalidWeightsError(f"tol must be positive, got {self.tol}")
+        if not (math.isfinite(self.cond_max) and self.cond_max >= 1.0):
+            raise InvalidWeightsError(f"cond_max must be finite and >= 1, got {self.cond_max}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise InvalidWeightsError(f"tol must be finite and positive, got {self.tol}")
+        if not self.weight_grid or any(len(pair) != 2 or not all(math.isfinite(w) and w > 0.0 for w in pair)
+                                       for pair in self.weight_grid):
+            raise InvalidWeightsError(f"weight_grid must be nonempty pairs of finite positive weights, "
+                                      f"got {self.weight_grid}")
+        if not self.c_fractions:
+            raise InvalidWeightsError("c_fractions must be nonempty")
         if any(not 0.0 <= f <= 1.0 for f in self.c_fractions):
             raise InvalidWeightsError("c_fractions must lie in [0, 1]")
         if any(not 0.0 <= t <= 1.0 for t in self.t_grid):
@@ -140,51 +176,134 @@ def _spectra(*mats: np.ndarray, pd=True) -> np.ndarray:
     return gate_stack(np.stack(mats), pd)[0]
 
 
+def _report(name: str, tol: float, margins, context) -> CheckReport:
+    """A report with one record per margin (one per pair of a stack);
+    `context` is one dict for every record or a list with one per record."""
+    report = CheckReport(name, tol)
+    margins = np.atleast_1d(margins)
+    contexts = context if isinstance(context, list) else [context] * len(margins)
+    for margin, ctx in zip(margins, contexts):
+        report.record(margin, ctx)
+    return report
+
+
 # ---------------------------------------------------------------------------
-# individual theorem checkers
+# the stage of one Pair stack: keyed matrices, each built and gated once
 # ---------------------------------------------------------------------------
+
+# The matrices of pair p of a (flattened) Pair stack, by key.  Every kind
+# but "W" is gated as positive definite, "W" as Hermitian.
+#   ("heron", p, cross, a, b, c)     a^2 A + b^2 B + c M, M the `cross` mean
+#   ("W", p, a, b)                   W_{a,b}
+#   ("spectral", p), ("geometric", p)   A natural B, A # B
+#   ("bly", p, a, b)                 (a A^{1/2} + b B^{1/2})^2
+
+
+def _bly_rhs(pair: Pair, p, a, b) -> np.ndarray:
+    Ah, Bh = (as_stack(M)[np.asarray(p)] for M in pair.sqrt())
+    a, b = (np.asarray(x, dtype=np.float64)[:, None, None] for x in (a, b))
+    T = a * Ah + b * Bh
+    return hermitian_part(T @ T)
+
+
+_MAKERS = {
+    "heron": Pair.herons,
+    "W": lambda pair, p, a, b: pair.wassersteins(p, a, b)[0],
+    "spectral": lambda pair, p: as_stack(pair.spectral())[np.asarray(p)],
+    "geometric": lambda pair, p: as_stack(pair.geometric())[np.asarray(p)],
+    "bly": _bly_rhs,
+}
+
+
+def _build(pair: Pair, keys) -> np.ndarray:
+    """The matrices named by `keys`, stacked in their order; each kind is
+    built in one batched pass."""
+    out = np.empty((len(keys), pair.dim, pair.dim), dtype=np.complex128)
+    groups: dict[str, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key[0], []).append(i)
+    for kind, where in groups.items():
+        out[where] = _MAKERS[kind](pair, *zip(*(keys[i][1:] for i in where)))
+    return out
+
+
+class _Built:
+    """The matrices that the checkers of one stage named, built from
+    their keys, and the spectra of those gated."""
+
+    def __init__(self, pair: Pair, gated: list, plain: list):
+        self.pair = pair
+        self.index = {key: i for i, key in enumerate(gated + plain)}
+        self.mats = _build(pair, gated + plain)
+        self.vals = gate_stack(self.mats[:len(gated)], [key[0] != "W" for key in gated])[0] if gated else None
+
+    def spectra(self, keys) -> np.ndarray:
+        return self.vals[[self.index[key] for key in keys]]
+
+    def matrices(self, keys) -> np.ndarray:
+        return self.mats[[self.index[key] for key in keys]]
+
+
+class _Check(NamedTuple):
+    """One checker's part of a `_compare` stage: the keys of the matrices
+    whose spectra it compares (gated), of those it uses otherwise (not
+    gated), and its reports from them."""
+
+    gated: tuple
+    plain: tuple
+    reports: Callable[[_Built, float], list[CheckReport]]
+
+
+def _compare(pair: Pair, checks: list[_Check], tol: float) -> list[CheckReport]:
+    """Run checks on one Pair stack: every matrix they name is built once,
+    and those whose spectra they compare are gated in one stacked call."""
+    gated = list(dict.fromkeys(key for check in checks for key in check.gated))
+    seen = set(gated)
+    plain = [key for key in dict.fromkeys(key for check in checks for key in check.plain) if key not in seen]
+    built = _Built(pair, gated, plain)
+    return [report for check in checks for report in check.reports(built, tol)]
+
 
 # Checkers of the Heron grid, each with the cross term of its Heron
 # expression.  weighted_corollary is spectral_heron at (a, b) = (1-t, t).
 GRID_CROSS = {"spectral_heron": "spectral", "kubo_heron": "geometric", "weighted_corollary": "spectral"}
 
 
-def heron_grid(pair: Pair, items, tol: float, context: dict | None = None) -> list[CheckReport]:
+def _grid(items, context) -> _Check:
     """One report per (check, a, b, c) item of a checker in GRID_CROSS:
     lambda(a^2 A + b^2 B + c M) prec_w lambda(W_{a,b}) for 0 <= c <= 2ab,
     with the cross term M of the check.  With the spectral cross term the
     endpoint c = 2ab is a true majorization, so trace equality is checked
-    there too.
-
-    The Heron sums (gated as positive definite) and the distinct W_{a,b}
-    (gated as Hermitian) are decomposed in one stacked call.
-    """
+    there too."""
     for check, a, b, c in items:
         two_ab = 2.0 * a * b
         if a < 0 or b < 0 or not 0.0 <= c <= two_ab * (1.0 + 1e-12):
             raise InvalidWeightsError(f"{check}: need a, b >= 0 and 0 <= c <= 2ab = {two_ab}, "
                                       f"got a = {a}, b = {b}, c = {c}")
-    w_index: dict[tuple[float, float], int] = {}
-    for _, a, b, _ in items:
-        w_index.setdefault((a, b), len(w_index))
-    n = len(items)
-    vals = _spectra(*[pair.heron(GRID_CROSS[check], a, b, c) for check, a, b, c in items],
-                    *[pair.wasserstein(a, b) for a, b in w_index],
-                    pd=[True] * n + [False] * len(w_index))
-    sH = vals[:n]
-    sW = vals[n:][[w_index[a, b] for _, a, b, _ in items]]
-    margins = _wm_margin(sH, sW)
-    trace_margins = _trace_eq_margin(sH, sW)
-    reports = []
-    for i, (check, a, b, c) in enumerate(items):
-        two_ab = 2.0 * a * b
-        margin = margins[i]
-        if GRID_CROSS[check] == "spectral" and two_ab > 0.0 and c >= two_ab * (1.0 - 1e-12):
-            margin = min(margin, trace_margins[i])
-        report = CheckReport(check, tol)
-        report.record(margin, context)
-        reports.append(report)
-    return reports
+    H = tuple(("heron", 0, GRID_CROSS[check], a, b, c) for check, a, b, c in items)
+    W = tuple(("W", 0, a, b) for _, a, b, _ in items)
+
+    def reports(built: _Built, tol: float) -> list[CheckReport]:
+        sH, sW = built.spectra(H), built.spectra(W)
+        margins = _wm_margin(sH, sW)
+        trace_margins = _trace_eq_margin(sH, sW)
+        out = []
+        for i, (check, a, b, c) in enumerate(items):
+            two_ab = 2.0 * a * b
+            margin = margins[i]
+            if GRID_CROSS[check] == "spectral" and two_ab > 0.0 and c >= two_ab * (1.0 - 1e-12):
+                margin = min(margin, trace_margins[i])
+            out.append(_report(check, tol, margin, context))
+        return out
+
+    return _Check(H + W, (), reports)
+
+
+def heron_grid(pair: Pair, items, tol: float, context: dict | None = None) -> list[CheckReport]:
+    """The Heron grid (see `_grid`) of one pair: the Heron sums (gated as
+    positive definite) and the distinct W_{a,b} (gated as Hermitian) are
+    decomposed in one stacked call."""
+    return _compare(pair, [_grid(items, context)], tol)
 
 
 def check_spectral_heron(pair: Pair, a: float, b: float, c: float,
@@ -229,37 +348,62 @@ def check_sharpness_scalar(a: float, b: float, c_over: float) -> CheckReport:
     return report
 
 
+def _spreading(a: float, b: float, context) -> _Check:
+    if a <= 0 or b <= 0:
+        raise InvalidWeightsError(f"need a, b > 0, got a={a}, b={b}")
+    keys = (("heron", 0, "spectral", a, b, 2.0 * a * b), ("W", 0, a, b))
+
+    def reports(built: _Built, tol: float) -> list[CheckReport]:
+        sH, sW = built.spectra(keys)
+        margins = [_wm_margin(sH, sW)]
+        # bottom-k sums: Heron side dominates
+        bottom_H = np.cumsum(sH[::-1])
+        bottom_W = np.cumsum(sW[::-1])
+        scale = 1.0 + float(np.abs(sW).max())
+        margins.append(float((bottom_H - bottom_W).min()) / scale)
+        margins.append(_trace_eq_margin(sH, sW))
+        # determinants compared in the log domain
+        logdet_H = float(np.log(sH).sum())
+        logdet_W = float(np.log(sW).sum())
+        margins.append((logdet_H - logdet_W) / (1.0 + abs(logdet_W)))
+        return [_report("spreading", tol, min(margins), context)]
+
+    return _Check(keys, (), reports)
+
+
 def check_spreading(pair: Pair, a: float, b: float,
                     tol: float, context: dict | None = None) -> CheckReport:
     """At the endpoint coefficient the spectral Heron expression is
     spectrally less spread: top-k sums smaller, bottom-k sums larger,
     trace equal, determinant at least as large."""
+    return _compare(pair, [_spreading(a, b, context)], tol)[0]
+
+
+def _equality(pairs, a: float, b: float, context) -> _Check:
     if a <= 0 or b <= 0:
         raise InvalidWeightsError(f"need a, b > 0, got a={a}, b={b}")
-    report = CheckReport("spreading", tol)
-    sH, sW = _spectra(pair.heron("spectral", a, b, 2.0 * a * b), pair.wasserstein(a, b), pd=[True, False])
-    margins = [_wm_margin(sH, sW)]
-    # bottom-k sums: Heron side dominates
-    bottom_H = np.cumsum(sH[::-1])
-    bottom_W = np.cumsum(sW[::-1])
-    scale = 1.0 + float(np.abs(sW).max())
-    margins.append(float((bottom_H - bottom_W).min()) / scale)
-    margins.append(_trace_eq_margin(sH, sW))
-    # determinants compared in the log domain
-    logdet_H = float(np.log(sH).sum())
-    logdet_W = float(np.log(sW).sum())
-    margins.append((logdet_H - logdet_W) / (1.0 + abs(logdet_W)))
-    report.record(min(margins), context)
-    return report
+    pairs = list(pairs)
+    keys = [[(kind, p, *args) for p in pairs] for kind, *args in (
+        ("heron", "spectral", a, b, 2.0 * a * b), ("heron", "geometric", a, b, 2.0 * a * b), ("W", a, b))]
 
+    def reports(built: _Built, tol: float) -> list[CheckReport]:
+        H_nat, H_kubo, W = (built.matrices(k) for k in keys)
+        A, B = (as_stack(M)[pairs] for M in (built.pair.A, built.pair.B))
+        comm = frobenius(A @ B - B @ A)
+        comm_scale = frobenius(A) * frobenius(B)
+        w_norm = frobenius(W)
+        diff_nat = frobenius(H_nat - W)
+        diff_kubo = frobenius(H_kubo - W)
+        # between clearly commuting and clearly noncommuting lies a gray
+        # zone with nothing sharp to assert (margin 0)
+        margins = np.where(
+            comm <= tol * comm_scale,
+            _eq_margin(np.maximum(diff_nat, diff_kubo), w_norm),
+            np.where(comm >= 1e-3 * comm_scale, (np.minimum(diff_nat, diff_kubo) - 1e-6 * w_norm) / w_norm, 0.0),
+        )
+        return [_report("equality_iff_commuting", tol, margins, context)]
 
-def _record_each(report: CheckReport, margins, context) -> None:
-    """One record per pair of a stack; `context` is one dict for every
-    record or a list with one dict per pair."""
-    margins = np.atleast_1d(margins)
-    contexts = context if isinstance(context, list) else [context] * len(margins)
-    for margin, ctx in zip(margins, contexts):
-        report.record(margin, ctx)
+    return _Check((), tuple(key for k in keys for key in k), reports)
 
 
 def check_equality_iff_commuting(pair: Pair, a: float, b: float,
@@ -268,49 +412,185 @@ def check_equality_iff_commuting(pair: Pair, a: float, b: float,
     exactly when A and B commute; otherwise they stay separated by a
     data-dependent positive amount.  One record per pair of a stacked
     Pair."""
-    if a <= 0 or b <= 0:
-        raise InvalidWeightsError(f"need a, b > 0, got a={a}, b={b}")
-    report = CheckReport("equality_iff_commuting", tol)
-    A, B = pair.A, pair.B
-    comm = frobenius(A @ B - B @ A)
-    comm_scale = frobenius(A) * frobenius(B)
-    W = pair.wasserstein(a, b)
-    w_norm = frobenius(W)
-    diff_nat = frobenius(pair.heron("spectral", a, b, 2.0 * a * b) - W)
-    diff_kubo = frobenius(pair.heron("geometric", a, b, 2.0 * a * b) - W)
-    # between clearly commuting and clearly noncommuting lies a gray zone
-    # with nothing sharp to assert (margin 0)
-    margins = np.where(
-        comm <= tol * comm_scale,
-        _eq_margin(np.maximum(diff_nat, diff_kubo), w_norm),
-        np.where(comm >= 1e-3 * comm_scale, (np.minimum(diff_nat, diff_kubo) - 1e-6 * w_norm) / w_norm, 0.0),
-    )
-    _record_each(report, margins, context)
-    return report
+    return _compare(pair, [_equality(range(len(pair)), a, b, context)], tol)[0]
 
 
-def check_pinching(C: PDMatrix, R: PDMatrix, tol: float,
-                   context: dict | None = None,
-                   rng: np.random.Generator | None = None) -> tuple[CheckReport, PDMatrix]:
-    """The nonlinear pinching map Phi = Phi_R(C) contracts in weak
-    majorization; its four structural hypotheses (monotone, homogeneous,
-    unital, trace-subpreserving) are spot-checked on the same instance.
+def _endpoints(a: float, b: float, context) -> _Check:
+    if a < 0 or b < 0:
+        raise InvalidWeightsError(f"need a, b >= 0, got a={a}, b={b}")
+    keys = (("heron", 0, "geometric", a, b, 2.0 * a * b), ("W", 0, a, b))
 
-    Phi_R is evaluated at C, I, 2C and a random C1 <= C in one stacked
-    `pinching_map` call.  Returns the report and Phi_R(C), gated.
+    def reports(built: _Built, tol: float) -> list[CheckReport]:
+        sH, sW = built.spectra(keys)
+        scale = 1.0 + float(np.abs(sW).max())
+        margins = [
+            (float(sH[-1]) - float(sW[-1])) / scale,   # smallest eigenvalue
+            (float(sW[0]) - float(sH[0])) / scale,     # largest eigenvalue
+            (float(sW.sum()) - float(sH.sum())) / scale,
+        ]
+        if len(sH) > 1:
+            margins.append((float(sW[:-1].sum()) - float(sH[:-1].sum())) / scale)
+        return [_report("endpoints", tol, min(margins), context)]
+
+    return _Check(keys, (), reports)
+
+
+def check_endpoints(pair: Pair, a: float, b: float,
+                    tol: float, context: dict | None = None) -> CheckReport:
+    """Order of the extreme eigenvalues, the trace, and the (n-1)-sum
+    between the sharp geometric Heron and Wasserstein expressions."""
+    return _compare(pair, [_endpoints(a, b, context)], tol)[0]
+
+
+def _log_majorization(context) -> _Check:
+    keys = (("geometric", 0), ("spectral", 0))
+
+    def reports(built: _Built, tol: float) -> list[CheckReport]:
+        sG, sN = map(SpectrumVector, built.spectra(keys))
+        verdict = log_majorization(sG, sN, tol)
+        log_scale = 1.0 + float(np.abs(np.log(sN.values)).max())
+        prefix = min(verdict.per_k_margins[:-1]) / log_scale if len(sG) > 1 else 0.0
+        total = _eq_margin(verdict.trace_gap, log_scale)
+        trace_margin = (float(sN.values.sum()) - float(sG.values.sum())) / (1.0 + float(sN.values.sum()))
+        return [_report("log_majorization_means", tol, min(prefix, total, trace_margin), context)]
+
+    return _Check(keys, (), reports)
+
+
+def check_log_majorization_means(pair: Pair, tol: float,
+                                 context: dict | None = None) -> CheckReport:
+    """The geometric mean is log-majorized by the spectral mean; in
+    particular its trace is no larger."""
+    return _compare(pair, [_log_majorization(context)], tol)[0]
+
+
+def _bly(a: float, b: float, context) -> _Check:
+    if a < 0 or b < 0:
+        raise InvalidWeightsError(f"need a, b >= 0, got a={a}, b={b}")
+    keys = (("heron", 0, "geometric", a, b, 2.0 * a * b), ("bly", 0, a, b))
+
+    def reports(built: _Built, tol: float) -> list[CheckReport]:
+        sH, sR = built.spectra(keys)
+        rhs = built.matrices(keys[1:])[0]
+        A, B, Ah, Bh = (as_stack(M)[0] for M in (built.pair.A, built.pair.B, *built.pair.sqrt()))
+        margins = [_wm_margin(sH, sR)]
+        # expansion of the square: a^2 A + b^2 B + ab(sqrtA sqrtB + sqrtB sqrtA)
+        cross = Ah @ Bh
+        expanded = a * a * A + b * b * B + a * b * (cross + cross.conj().T)
+        margins.append(_eq_margin(float(np.linalg.norm(expanded - rhs)), 1.0 + float(np.linalg.norm(rhs))))
+        # Schatten norms follow from the eigenvalue comparison for PSD matrices
+        for p_lhs, p_rhs in (
+            (float(sH.sum()), float(sR.sum())),
+            (float(np.sqrt((sH ** 2).sum())), float(np.sqrt((sR ** 2).sum()))),
+            (float(sH[0]), float(sR[0])),
+        ):
+            margins.append((p_rhs - p_lhs) / (1.0 + p_rhs))
+        return [_report("bly", tol, min(margins), context)]
+
+    return _Check(keys, (), reports)
+
+
+def check_bly(pair: Pair, a: float, b: float,
+              tol: float, context: dict | None = None) -> CheckReport:
+    """Weak-majorization refinement of the two-variable Heron comparison
+    against the squared sum of weighted square roots, plus the expansion
+    identity and Schatten p = 1, 2, inf spot checks."""
+    return _compare(pair, [_bly(a, b, context)], tol)[0]
+
+
+# ---------------------------------------------------------------------------
+# staged checkers: one gate for the raw operands, one stacked '#', one gate
+# for the compared matrices, each over every task
+# ---------------------------------------------------------------------------
+
+def _gate_requests(requests) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Gate the [(stack, pd), ...] of every task in one stacked call;
+    returns, per task, (eigenvalues, eigenvectors) per entry."""
+    entries = [entry for request in requests for entry in request]
+    if not entries:
+        return [[] for _ in requests]
+    stacks = [as_stack(mats) for mats, _ in entries]
+    sizes = [len(stack) for stack in stacks]
+    vals, vecs = gate_stack(np.concatenate(stacks), np.repeat([pd for _, pd in entries], sizes))
+    cuts = np.cumsum(sizes)[:-1]
+    parts = iter([(v.reshape(mats.shape[:-1]), U.reshape(mats.shape))
+                  for (mats, _), v, U in zip(entries, np.split(vals, cuts), np.split(vecs, cuts))])
+    return [[next(parts) for _ in request] for request in requests]
+
+
+def _run_staged(tasks) -> list[CheckReport]:
+    """Run checker tasks in lockstep, each step one stacked call over all
+    of them.  A task is a generator that yields, in turn:
+
+    1. the raw matrices it gates, as [(stack, pd), ...], and receives one
+       (eigenvalues, eigenvectors) per entry;
+    2. a Pair of gated operands, or None, and receives it back with its
+       geometric mean computed (one stacked pass over every task's pairs);
+    3. the matrices it compares, as in 1;
+
+    and returns its reports.
     """
-    report = CheckReport("pinching", tol)
+    replies = _gate_requests([next(task) for task in tasks])
+    pairs = [task.send(reply) for task, reply in zip(tasks, replies)]
+    given = [pair for pair in pairs if pair is not None]
+    if given:
+        joined = Pair.join(given)
+        joined.geometric()
+        ends = np.cumsum([len(pair) for pair in given])
+        parts = iter([joined[start:end] for start, end in zip([0, *ends[:-1]], ends)])
+        pairs = [None if pair is None else next(parts) for pair in pairs]
+    replies = _gate_requests([task.send(pair) for task, pair in zip(tasks, pairs)])
+    reports = []
+    for task, reply in zip(tasks, replies):
+        try:
+            task.send(reply)
+        except StopIteration as done:
+            reports += done.value
+        else:
+            raise RuntimeError("a staged checker task did not finish after its third step")
+    return reports
+
+
+def _lift_matrices(C: PDMatrix, Ds) -> np.ndarray:
+    """C^{1/2} D C^{1/2} for each D, raw."""
+    Ch = principal_sqrt(C).mat
+    return hermitian_part(Ch @ np.stack(Ds) @ Ch)
+
+
+def _lift_report(C: PDMatrix, dominated, lifted, tol: float, context) -> CheckReport:
+    """lambda(C^{1/2} D C^{1/2}) prec_w lambda(C^2) = lambda(C)^2, one
+    record per D, from the spectra of the Ds and of their lifts; each D
+    must satisfy the hypothesis lambda(D) prec_w lambda(C)."""
+    sC = spectrum(C)
+    for vals in dominated:
+        if not weak_majorization(SpectrumVector(vals), sC, tol).holds:
+            raise InvalidWeightsError("instance violates the hypothesis lambda(D) prec_w lambda(C)")
+    return _report("quadratic_lifting", tol, _wm_margin(lifted, sC.values ** 2), context)
+
+
+def _pinching_task(C: PDMatrix, R: PDMatrix, C1: np.ndarray, tol: float, context,
+                   dominated: list[np.ndarray] | None = None):
+    """Task (see `_run_staged`) checking Phi = Phi_R(C), evaluated at C, I,
+    2C and the raw C1 <= C (gated here).  Given `dominated`, raw matrices
+    D with lambda(D) prec_w lambda(C) (gated here), it also checks the
+    quadratic lift of Phi and of each D, Phi's hypothesis read from its
+    gated spectrum."""
     n = C.dim
-    if rng is None:
-        rng = np.random.default_rng(0)
-    bump = random_pd_from_rng(n, 10.0, rng)
-    C1 = PDMatrix(C.mat - (0.5 * C.min_eigenvalue_witness) * bump.mat / bump.eig().eigenvalues[0])
+    eye = np.eye(n)
     # I and 2C are not gated: their decompositions are exactly those of
     # the identity and of the gated C
-    eye = np.eye(n)
-    pinch = pinching_map(np.stack([C.mat, eye, 2.0 * C.mat, C1.mat]), R)
-    Phi, Phi_eye, Phi2, Phi1 = pinch.phi
-    margins = [_wm_margin(pinch.eigenvalues[0], spectrum(C).values)]
+    S, P, Q = pinching_compressions(np.stack([C.mat, eye, 2.0 * C.mat, C1]), R)
+    Ds = list(dominated or ())
+    eig_P, eig_Q, _, *eig_Ds = yield [(P, True), (Q, True), (C1, True), *((D, True) for D in Ds)]
+    compressions = yield Pair.decomposed(P, Q, eig_P, eig_Q)
+    phi = pinching_phi(compressions)
+    Phi, Phi_eye, Phi2, Phi1 = phi
+    compared = [(phi, True)]
+    if dominated is not None:
+        compared.append((_lift_matrices(C, [Phi, *Ds]), True))
+    (s_phi, _), *lifted = yield compared
+
+    margins = [_wm_margin(s_phi[0], spectrum(C).values)]
     # unitality
     margins.append(_eq_margin(float(np.linalg.norm(Phi_eye - eye)), 1.0 + math.sqrt(n)))
     # positive homogeneity at alpha = 2
@@ -322,48 +602,33 @@ def check_pinching(C: PDMatrix, R: PDMatrix, tol: float,
     gap_vals = np.linalg.eigvalsh(Phi - Phi1)
     margins.append(float(gap_vals[0]) / (1.0 + float(np.abs(gap_vals).max())))
     # trace identity linking the spectral mean of the two compressions
-    lhs_tr = float(np.trace(pinch.compressions[0].spectral()).real)
-    rhs_tr = float(np.trace(R.mat @ pinch.S @ C.mat).real)
+    lhs_tr = float(np.trace(compressions[0].spectral()).real)
+    rhs_tr = float(np.trace(R.mat @ S @ C.mat).real)
     margins.append(_eq_margin(lhs_tr - rhs_tr, 1.0 + abs(rhs_tr)))
-
-    report.record(min(margins), context)
-    return report, pinch.matrix(0)
-
-
-def check_endpoints(pair: Pair, a: float, b: float,
-                    tol: float, context: dict | None = None) -> CheckReport:
-    """Order of the extreme eigenvalues, the trace, and the (n-1)-sum
-    between the sharp geometric Heron and Wasserstein expressions."""
-    if a < 0 or b < 0:
-        raise InvalidWeightsError(f"need a, b >= 0, got a={a}, b={b}")
-    report = CheckReport("endpoints", tol)
-    sH, sW = _spectra(pair.heron("geometric", a, b, 2.0 * a * b), pair.wasserstein(a, b), pd=[True, False])
-    scale = 1.0 + float(np.abs(sW).max())
-    margins = [
-        (float(sH[-1]) - float(sW[-1])) / scale,   # smallest eigenvalue
-        (float(sW[0]) - float(sH[0])) / scale,     # largest eigenvalue
-        (float(sW.sum()) - float(sH.sum())) / scale,
-    ]
-    n = len(sH)
-    if n > 1:
-        margins.append((float(sW[:-1].sum()) - float(sH[:-1].sum())) / scale)
-    report.record(min(margins), context)
-    return report
+    report = _report("pinching", tol, min(margins), context)
+    if dominated is None:
+        return [report]
+    ((s_lifted, _),) = lifted
+    return [report, _lift_report(C, [s_phi[0], *(vals for vals, _ in eig_Ds)], s_lifted, tol, context)]
 
 
-def check_log_majorization_means(pair: Pair, tol: float,
-                                 context: dict | None = None) -> CheckReport:
-    """The geometric mean is log-majorized by the spectral mean; in
-    particular its trace is no larger."""
-    report = CheckReport("log_majorization_means", tol)
-    sG, sN = map(SpectrumVector, _spectra(pair.geometric(), pair.spectral()))
-    verdict = log_majorization(sG, sN, tol)
-    log_scale = 1.0 + float(np.abs(np.log(sN.values)).max())
-    prefix = min(verdict.per_k_margins[:-1]) / log_scale if len(sG) > 1 else 0.0
-    total = _eq_margin(verdict.trace_gap, log_scale)
-    trace_margin = (float(sN.values.sum()) - float(sG.values.sum())) / (1.0 + float(sN.values.sum()))
-    report.record(min(prefix, total, trace_margin), context)
-    return report
+def _dominated_by(C: PDMatrix, bump: PDMatrix) -> np.ndarray:
+    """C1 = C - (lambda_min(C) / 2) bump / lambda_max(bump) <= C, raw."""
+    return hermitize(C.mat - (0.5 * C.min_eigenvalue_witness) * bump.mat / bump.eig().eigenvalues[0])
+
+
+def check_pinching(C: PDMatrix, R: PDMatrix, tol: float,
+                   context: dict | None = None,
+                   rng: np.random.Generator | None = None) -> CheckReport:
+    """The nonlinear pinching map Phi = Phi_R(C) contracts in weak
+    majorization; its four structural hypotheses (monotone, homogeneous,
+    unital, trace-subpreserving) are spot-checked on the same instance,
+    with Phi_R evaluated at C, I, 2C and a random C1 <= C drawn from
+    `rng`."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    C1 = _dominated_by(C, random_pd_from_rng(C.dim, 10.0, rng))
+    return _run_staged([_pinching_task(C, R, C1, tol, context)])[0]
 
 
 def check_quadratic_lifting(C: PDMatrix, Ds: list[PDMatrix], tol: float,
@@ -372,51 +637,42 @@ def check_quadratic_lifting(C: PDMatrix, Ds: list[PDMatrix], tol: float,
     comparison to lambda(C^{1/2} D C^{1/2}) prec_w lambda(C^2).  One record
     per D; lambda(C^2) = lambda(C)^2 comes from the gated decomposition of
     C, and the lifted matrices are gated in one stacked call."""
-    report = CheckReport("quadratic_lifting", tol)
-    sC = spectrum(C)
-    for D in Ds:
-        if not weak_majorization(spectrum(D), sC, tol).holds:
-            raise InvalidWeightsError("instance violates the hypothesis lambda(D) prec_w lambda(C)")
-    Ch = principal_sqrt(C).mat
-    lifted = _spectra(*[hermitian_part(Ch @ D.mat @ Ch) for D in Ds])
-    _record_each(report, _wm_margin(lifted, sC.values ** 2), context)
-    return report
+    lifted = gate_stack(_lift_matrices(C, [D.mat for D in Ds]))[0]
+    return _lift_report(C, [D.eig().eigenvalues for D in Ds], lifted, tol, context)
 
 
-def _bly_sides(pair: Pair, a: float, b: float):
-    """Spectra of the sharp geometric Heron expression and of the
-    right-hand side (a A^{1/2} + b B^{1/2})^2, both gated as positive
-    definite, with the square roots and the right-hand side."""
-    Ah, Bh = pair.sqrt()
-    T = a * Ah + b * Bh
-    rhs = hermitian_part(T @ T)
-    sH, sR = _spectra(pair.heron("geometric", a, b, 2.0 * a * b), rhs)
-    return sH, sR, Ah, Bh, rhs
-
-
-def check_bly(pair: Pair, a: float, b: float,
-              tol: float, context: dict | None = None) -> CheckReport:
-    """Weak-majorization refinement of the two-variable Heron comparison
-    against the squared sum of weighted square roots, plus the expansion
-    identity and Schatten p = 1, 2, inf spot checks."""
-    if a < 0 or b < 0:
-        raise InvalidWeightsError(f"need a, b >= 0, got a={a}, b={b}")
-    report = CheckReport("bly", tol)
-    sH, sR, Ah, Bh, rhs = _bly_sides(pair, a, b)
-    margins = [_wm_margin(sH, sR)]
-    # expansion of the square: a^2 A + b^2 B + ab(sqrtA sqrtB + sqrtB sqrtA)
-    cross = Ah @ Bh
-    expanded = a * a * pair.A + b * b * pair.B + a * b * (cross + cross.conj().T)
-    margins.append(_eq_margin(float(np.linalg.norm(expanded - rhs)), 1.0 + float(np.linalg.norm(rhs))))
-    # Schatten norms follow from the eigenvalue comparison for PSD matrices
-    for p_lhs, p_rhs in (
-        (float(sH.sum()), float(sR.sum())),
-        (float(np.sqrt((sH ** 2).sum())), float(np.sqrt((sR ** 2).sum()))),
-        (float(sH[0]), float(sR[0])),
-    ):
-        margins.append((p_rhs - p_lhs) / (1.0 + p_rhs))
-    report.record(min(margins), context)
-    return report
+def _limit_task(A0: HermitianMatrix, B0: HermitianMatrix, eps_sequence, tol: float, context):
+    """Task (see `_run_staged`) of `check_semidefinite_limit`."""
+    if A0.dim != B0.dim:
+        raise MatrixFormatError(f"dimension mismatch: {A0.dim} vs {B0.dim}")
+    k = len(eps_sequence)
+    # every level at once, each M0 + eps I decomposed afresh: at eps = 1e-8
+    # the margin amplifies a decomposition's rounding to about 1e-5, and the
+    # eigenvalues of M0 shifted by eps turned a true margin of 1.8e-6 into
+    # -1.1e-5 on one rank-one pair
+    shift = np.asarray(eps_sequence, dtype=np.float64)[:, None, None] * np.eye(A0.dim)
+    A, B = A0.mat + shift, B0.mat + shift
+    # the levels are checked positive definite only once A0 and B0 are
+    # known to be positive semidefinite
+    (lam, _), eig_A, eig_B = yield [(np.stack([A0.mat, B0.mat]), False), (A, False), (B, False)]
+    for vals, name in zip(lam, ("A0", "B0")):
+        if float(vals[-1]) < -tol * (1.0 + float(np.abs(vals).max())):
+            raise MatrixFormatError(f"{name} must be positive semidefinite")
+    _check_pd(np.stack([eig_A[0], eig_B[0]]))
+    pair = yield Pair.decomposed(A, B, eig_A, eig_B)
+    keys = [("heron", p, "geometric", 1.0, 1.0, 2.0) for p in range(k)] + [("bly", p, 1.0, 1.0) for p in range(k)]
+    ((vals, _),) = yield [(_build(pair, keys), True)]
+    margins = [float(m) for m in _wm_margin(vals[:k], vals[k:])]
+    gap = 0.0
+    if len(margins) >= 3:
+        m1, m2, m3 = margins[-3], margins[-2], margins[-1]
+        denom = (m3 - m2) - (m2 - m1)
+        extrapolated = m3 if denom == 0.0 else m3 - (m3 - m2) ** 2 / denom
+        gap = abs(m3 - extrapolated)
+    report = _report("semidefinite_limit", tol, min(margins), context)
+    report.diagnostics["margins_along_sequence"] = margins
+    report.diagnostics["convergence_gap"] = gap
+    return [report]
 
 
 def check_semidefinite_limit(A0: HermitianMatrix, B0: HermitianMatrix,
@@ -432,31 +688,7 @@ def check_semidefinite_limit(A0: HermitianMatrix, B0: HermitianMatrix,
     noncommuting pairs it decays like sqrt(eps), so it is reported, not
     gated at tol.
     """
-    if A0.dim != B0.dim:
-        raise MatrixFormatError(f"dimension mismatch: {A0.dim} vs {B0.dim}")
-    for lam, name in zip(_spectra(A0.mat, B0.mat, pd=False), ("A0", "B0")):
-        if float(lam[-1]) < -tol * (1.0 + float(np.abs(lam).max())):
-            raise MatrixFormatError(f"{name} must be positive semidefinite")
-    report = CheckReport("semidefinite_limit", tol)
-    # every level at once, each M0 + eps I decomposed afresh: at eps = 1e-8
-    # the margin amplifies a decomposition's rounding to about 1e-5, and the
-    # eigenvalues of M0 shifted by eps turned a true margin of 1.8e-6 into
-    # -1.1e-5 on one rank-one pair
-    shift = np.asarray(eps_sequence, dtype=np.float64)[:, None, None] * np.eye(A0.dim)
-    pair = Pair.gated(A0.mat + shift, B0.mat + shift)
-    sH, sR, *_ = _bly_sides(pair, 1.0, 1.0)
-    margins = [float(m) for m in _wm_margin(sH, sR)]
-    worst = min(margins)
-    gap = 0.0
-    if len(margins) >= 3:
-        m1, m2, m3 = margins[-3], margins[-2], margins[-1]
-        denom = (m3 - m2) - (m2 - m1)
-        extrapolated = m3 if denom == 0.0 else m3 - (m3 - m2) ** 2 / denom
-        gap = abs(m3 - extrapolated)
-    report.record(worst, context)
-    report.diagnostics["margins_along_sequence"] = margins
-    report.diagnostics["convergence_gap"] = gap
-    return report
+    return _run_staged([_limit_task(A0, B0, eps_sequence, tol, context)])[0]
 
 
 def certified_pairs() -> tuple[Pair, Pair]:
@@ -529,11 +761,12 @@ def _rank_deficient_psd(dim: int, rng: np.random.Generator) -> HermitianMatrix:
     return HermitianMatrix((U * vals) @ U.conj().T)
 
 
-def _shrunk_dominated(C: PDMatrix, rng: np.random.Generator) -> PDMatrix:
-    """Random D with lambda(D) prec_w lambda(C), enforced by scaling."""
+def _shrunk_dominated(C: PDMatrix, rng: np.random.Generator) -> np.ndarray:
+    """Random D with lambda(D) prec_w lambda(C), enforced by scaling; raw
+    (Hermitian by construction)."""
     D0 = random_pd_from_rng(C.dim, 100.0, rng)
     ratios = ky_fan_sums(spectrum(C)) / ky_fan_sums(spectrum(D0))
-    return PDMatrix((float(ratios.min()) * (1.0 - 1e-12)) * D0.mat)
+    return (float(ratios.min()) * (1.0 - 1e-12)) * D0.mat
 
 
 # ---------------------------------------------------------------------------
@@ -573,18 +806,22 @@ def iter_instances(config: SuiteConfig):
 
 def run_suite(config: SuiteConfig) -> RunReport:
     """Run every checker over the deterministic instance stream plus the
-    fixed certified instances; identical configs yield identical reports."""
+    fixed certified instances; identical configs yield identical reports.
+
+    Each trial draws all of its random instances first, in the stream's
+    order, then runs two stages (see the module docstring): the main pair
+    and the equality pairs as one stacked Pair, then pinching with its
+    quadratic lift and the semidefinite limit."""
     pool: dict[str, CheckReport] = {}
+    tol = config.tol
 
     # fixed instances first
     one, two = certified_pairs()
-    _merge_into(pool, check_incomparability_float(one, two, config.tol))
-    a = b = 1.0
-    ctx = {"seed_offset": None, "instance": "certified-3x3", "a": a, "b": b}
-    _merge_into(pool, check_spreading(one, a, b, config.tol, ctx))
-    _merge_into(pool, check_kubo_heron(one, a, b, 2.0 * a * b, config.tol, ctx))
-    _merge_into(pool, check_log_majorization_means(one, config.tol, ctx))
-    _merge_into(pool, check_bly(one, a, b, config.tol, ctx))
+    _merge_into(pool, check_incomparability_float(one, two, tol))
+    ctx = {"seed_offset": None, "instance": "certified-3x3", "a": 1.0, "b": 1.0}
+    for report in _compare(one, [_spreading(1.0, 1.0, ctx), _grid([("kubo_heron", 1.0, 1.0, 2.0)], ctx),
+                                 _log_majorization(ctx), _bly(1.0, 1.0, ctx)], tol):
+        _merge_into(pool, report)
     for c_over in (2.001, 2.01, 2.1, 3.0):
         _merge_into(pool, check_sharpness_scalar(1.0, 1.0, c_over))
 
@@ -593,37 +830,33 @@ def run_suite(config: SuiteConfig) -> RunReport:
     for offset, rng, dim, a, b, A, B in iter_instances(config):
         context = {"seed_offset": offset, "dim": dim, "a": a, "b": b, "A": A, "B": B}
 
-        pair = Pair(A, B)
-        for report in heron_grid(pair, trial_grid(a, b, config), config.tol, context):
-            _merge_into(pool, report)
-        _merge_into(pool, check_spreading(pair, a, b, config.tol, context))
-        _merge_into(pool, check_endpoints(pair, a, b, config.tol, context))
-        _merge_into(pool, check_log_majorization_means(pair, config.tol, context))
-        _merge_into(pool, check_bly(pair, a, b, config.tol, context))
-
-        # equality case: one pair commuting by construction, one generic,
-        # checked as one stacked Pair
-        A_c, B_c = _commuting_pair(dim, config.cond_max, rng)
-        pairs = [(A_c, B_c)]
-        contexts = [dict(context, A=A_c, B=B_c, variant="commuting")]
+        # the draws: equality pairs, one commuting by construction and one
+        # generic; the pinching operands and the C1 <= C of its order
+        # check; the D of the quadratic lift; the semidefinite pair
+        pairs = [(A, B), _commuting_pair(dim, config.cond_max, rng)]
+        contexts = [dict(context, A=pairs[1][0], B=pairs[1][1], variant="commuting")]
         if dim > 1:
-            A_n, B_n = _noncommuting_pair(dim, config.cond_max, rng)
-            pairs.append((A_n, B_n))
-            contexts.append(dict(context, A=A_n, B=B_n, variant="noncommuting"))
-        _merge_into(pool, check_equality_iff_commuting(Pair.stack(pairs), a, b, config.tol, contexts))
-
-        # pinching and its quadratic lift
+            pairs.append(_noncommuting_pair(dim, config.cond_max, rng))
+            contexts.append(dict(context, A=pairs[2][0], B=pairs[2][1], variant="noncommuting"))
         C, R = _pinching_operands(dim, config.cond_max, rng)
-        ctx_p = dict(context, C=C, R=R)
-        report, Phi = check_pinching(C, R, config.tol, ctx_p, rng)
-        _merge_into(pool, report)
+        C1 = _dominated_by(C, random_pd_from_rng(dim, 10.0, rng))
         D = _shrunk_dominated(C, rng)
-        _merge_into(pool, check_quadratic_lifting(C, [Phi, D], config.tol, ctx_p))
-
-        # semidefinite boundary
         A0 = _rank_deficient_psd(dim, rng)
         B0 = _rank_deficient_psd(dim, rng)
+
+        # stage 1: the main pair (index 0) and the equality pairs
+        checks = [_grid(trial_grid(a, b, config), context), _spreading(a, b, context),
+                  _endpoints(a, b, context), _log_majorization(context), _bly(a, b, context),
+                  _equality(range(1, len(pairs)), a, b, contexts)]
+        for report in _compare(Pair.stack(pairs), checks, tol):
+            _merge_into(pool, report)
+
+        # stage 2: pinching with the quadratic lift of Phi_R(C) and D, and
+        # the semidefinite boundary
+        ctx_p = dict(context, C=C, R=R)
         ctx_s = dict(context, A=A0, B=B0, variant="rank-deficient")
-        _merge_into(pool, check_semidefinite_limit(A0, B0, DEFAULT_EPS_SEQUENCE, config.tol, ctx_s))
+        for report in _run_staged([_pinching_task(C, R, C1, tol, ctx_p, [D]),
+                                   _limit_task(A0, B0, DEFAULT_EPS_SEQUENCE, tol, ctx_s)]):
+            _merge_into(pool, report)
 
     return RunReport(config=config, checks=list(pool.values()))

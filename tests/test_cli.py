@@ -167,6 +167,15 @@ class TestSuiteCommand:
         code, _, _ = run_cli(capsys, "suite", "--trials", "0")
         assert code == 2
 
+    # nan used to die with a RuntimeError traceback and inf with an
+    # OverflowError one
+    @pytest.mark.parametrize("flag, value", [("--cond", "nan"), ("--cond", "inf"), ("--cond", "0.5"),
+                                             ("--tol", "nan"), ("--tol", "inf")])
+    def test_invalid_config_exit_2(self, flag, value, capsys):
+        code, _, err = run_cli(capsys, "suite", "--trials", "1", flag, value)
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         monkeypatch.setenv("MATMEAN_SEED", "99")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matmean.errors import MatrixFormatError, NotPositiveDefiniteError
+from matmean.errors import MatrixFormatError, NotPositiveDefiniteError, NumericalFailure
 from matmean.linalg import (
     HermitianMatrix,
     PDMatrix,
@@ -212,6 +212,20 @@ class TestRandomPD:
     def test_rejects_dim_zero(self):
         with pytest.raises(MatrixFormatError):
             random_pd(0, 10.0, seed=0)
+
+    def test_from_eig_checks_without_a_second_gate(self):
+        # U diag(lambda) U* is not gated again, so the decomposition's own
+        # checks must reject what the Hermitian gate rejected before
+        U = np.eye(2, dtype=np.complex128)
+        with pytest.raises(NumericalFailure):
+            PDMatrix._from_eig(np.array([1.0, 0.5]), np.array([[1.0, 0.0], [0.0, np.nan]]))
+        with pytest.raises(NumericalFailure):
+            PDMatrix._from_eig(np.array([1.0, 0.5]), 2.0 * U)
+        with pytest.raises(NotPositiveDefiniteError):
+            PDMatrix._from_eig(np.array([1.0, np.nan]), U)
+        A = PDMatrix._from_eig(np.array([1.0, 0.5]), U)
+        np.testing.assert_array_equal(A.mat, np.diag([1.0, 0.5]))
+        assert A.eig().eigenvalues.tolist() == [1.0, 0.5]
 
 
 class TestPDMatrix:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from matmean.errors import InvalidWeightsError
 from matmean.linalg import HermitianMatrix, PDMatrix
 from matmean.means import Pair
+from matmean.schur import pinching_map
 from matmean.suite import (
+    RunReport,
     SuiteConfig,
     check_bly,
     check_endpoints,
@@ -24,9 +27,13 @@ from matmean.suite import (
     certified_pairs,
     heron_grid,
     run_suite,
+    iter_instances,
     trial_grid,
     _commuting_pair,
     _noncommuting_pair,
+    _pinching_operands,
+    _rank_deficient_psd,
+    _shrunk_dominated,
 )
 
 from conftest import rand_pd, rand_pd_pairs
@@ -58,12 +65,12 @@ class TestTrivialInstances:
 
     def test_pinching_identity_input(self):
         C, R = PDMatrix(np.eye(3)), PDMatrix(np.diag([0.2, 0.5, 0.8]))
-        r, _ = check_pinching(C, R, TOL)
+        r = check_pinching(C, R, TOL)
         assert r.ok
 
     def test_pinching_scalar_r(self):
         C, R = rand_pd(4, seed=67), PDMatrix(0.5 * np.eye(4))
-        r, _ = check_pinching(C, R, TOL)
+        r = check_pinching(C, R, TOL)
         assert r.ok
 
     def test_kubo_equal_operands(self):
@@ -230,6 +237,18 @@ class TestConfigAndDriver:
         with pytest.raises(InvalidWeightsError):
             SuiteConfig(c_fractions=(0.0, 1.5))
 
+    # each of these used to pass validation and then crash or abort mid-run
+    @pytest.mark.parametrize("field, value", [
+        ("cond_max", math.nan), ("cond_max", math.inf), ("cond_max", 0.5),
+        ("tol", math.nan), ("tol", math.inf),
+        ("c_fractions", ()),
+        ("weight_grid", ((1.0, 0.0),)), ("weight_grid", ((-0.5, 1.0),)), ("weight_grid", ((1.0, math.nan),)),
+        ("weight_grid", ((math.inf, 1.0),)), ("weight_grid", ()), ("weight_grid", ((1.0,),)),
+    ])
+    def test_invalid_config_rejected(self, field, value):
+        with pytest.raises(InvalidWeightsError):
+            SuiteConfig(**{field: value})
+
     def test_deterministic_reports(self):
         cfg = SuiteConfig(seed=7, trials=6, dims=(1, 2, 3))
         r1 = json.dumps(run_suite(cfg).to_dict(), sort_keys=True)
@@ -320,7 +339,10 @@ class TestInstanceStream:
 
 class TestStackedCheckers:
     def test_semidefinite_levels_equal_one_level_at_a_time(self):
-        from matmean.suite import _bly_sides, _rank_deficient_psd, _wm_margin
+        from matmean.linalg import hermitian_part, principal_sqrt
+        from matmean.majorization import spectrum
+        from matmean.means import heron_kubo
+        from matmean.suite import _rank_deficient_psd, _wm_margin
 
         for seed in range(16):
             rng = np.random.default_rng(seed)
@@ -329,7 +351,11 @@ class TestStackedCheckers:
             seq = check_semidefinite_limit(A0, B0, tol=TOL).diagnostics["margins_along_sequence"]
             single = []
             for eps in (1e-2, 1e-4, 1e-6, 1e-8):
-                sH, sR, *_ = _bly_sides(Pair(*[PDMatrix(M.mat + eps * np.eye(dim)) for M in (A0, B0)]), 1.0, 1.0)
+                # both BLY sides of one level through the public functions
+                A, B = (PDMatrix(M.mat + eps * np.eye(dim)) for M in (A0, B0))
+                T = principal_sqrt(A).mat + principal_sqrt(B).mat
+                sH = spectrum(heron_kubo(A, B, 1.0, 1.0)).values
+                sR = spectrum(PDMatrix(hermitian_part(T @ T))).values
                 single.append(float(_wm_margin(sH, sR)))
             assert seq == single
 
@@ -358,3 +384,79 @@ class TestStackedCheckers:
         singles = [check_quadratic_lifting(C, [D], TOL).min_margin_seen for D in halves]
         assert stacked.instances_run == 2
         assert stacked.min_margin_seen == min(singles)
+
+
+def _one_at_a_time(config: SuiteConfig) -> RunReport:
+    """Reference run: every public checker called on its own, one pair
+    and one comparison per call, in the per-trial order of the instance
+    stream (the order its random draws are made in)."""
+    pool = {}
+
+    def merge(report):
+        if report.check_name in pool:
+            pool[report.check_name].merge(report)
+        else:
+            pool[report.check_name] = report
+
+    tol = config.tol
+    one, two = certified_pairs()
+    merge(check_incomparability_float(one, two, tol))
+    ctx = {"seed_offset": None, "instance": "certified-3x3", "a": 1.0, "b": 1.0}
+    merge(check_spreading(one, 1.0, 1.0, tol, ctx))
+    merge(check_kubo_heron(one, 1.0, 1.0, 2.0, tol, ctx))
+    merge(check_log_majorization_means(one, tol, ctx))
+    merge(check_bly(one, 1.0, 1.0, tol, ctx))
+    for c_over in (2.001, 2.01, 2.1, 3.0):
+        merge(check_sharpness_scalar(1.0, 1.0, c_over))
+    for offset, rng, dim, a, b, A, B in iter_instances(config):
+        context = {"seed_offset": offset, "dim": dim, "a": a, "b": b, "A": A, "B": B}
+        for name, x, y, c in trial_grid(a, b, config):
+            if name == "spectral_heron":
+                merge(check_spectral_heron(Pair(A, B), x, y, c, tol, context))
+            elif name == "kubo_heron":
+                merge(check_kubo_heron(Pair(A, B), x, y, c, tol, context))
+            else:
+                merge(check_weighted_corollary(Pair(A, B), y, c, tol, context))
+        merge(check_spreading(Pair(A, B), a, b, tol, context))
+        merge(check_endpoints(Pair(A, B), a, b, tol, context))
+        merge(check_log_majorization_means(Pair(A, B), tol, context))
+        merge(check_bly(Pair(A, B), a, b, tol, context))
+        A_c, B_c = _commuting_pair(dim, config.cond_max, rng)
+        merge(check_equality_iff_commuting(Pair(A_c, B_c), a, b, tol,
+                                           dict(context, A=A_c, B=B_c, variant="commuting")))
+        if dim > 1:
+            A_n, B_n = _noncommuting_pair(dim, config.cond_max, rng)
+            merge(check_equality_iff_commuting(Pair(A_n, B_n), a, b, tol,
+                                               dict(context, A=A_n, B=B_n, variant="noncommuting")))
+        C, R = _pinching_operands(dim, config.cond_max, rng)
+        ctx_p = dict(context, C=C, R=R)
+        merge(check_pinching(C, R, tol, ctx_p, rng))
+        D = PDMatrix(_shrunk_dominated(C, rng))
+        merge(check_quadratic_lifting(C, [pinching_map(C, R).matrix(), D], tol, ctx_p))
+        A0, B0 = _rank_deficient_psd(dim, rng), _rank_deficient_psd(dim, rng)
+        merge(check_semidefinite_limit(A0, B0, tol=tol, context=dict(context, A=A0, B=B0, variant="rank-deficient")))
+    return RunReport(config=config, checks=list(pool.values()))
+
+
+class TestReferenceOracle:
+    @pytest.mark.parametrize("config", [
+        SuiteConfig(seed=seed, trials=16, cond_max=cond) for seed in (42, 7) for cond in (1e4, 1e6)
+    ] + [SuiteConfig(seed=42, trials=2, dims=(16,))], ids=lambda c: f"seed{c.seed}-cond{c.cond_max:g}-dims{c.dims[0]}..{c.dims[-1]}")
+    def test_staged_run_equals_one_checker_at_a_time(self, config):
+        staged = json.dumps(run_suite(config).to_dict())
+        assert staged == json.dumps(_one_at_a_time(config).to_dict())
+
+
+class TestWork:
+    def test_at_most_13_eigendecompositions_per_trial(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        run_suite(SuiteConfig(seed=42, trials=8))
+        # 24.75 per trial before the trial ran in two stacked stages
+        assert len(calls) <= 13 * 8
