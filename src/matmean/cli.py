@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .errors import (
+    InstanceDrawError,
     InvalidWeightsError,
     MatrixFormatError,
     NotPositiveDefiniteError,
@@ -135,7 +136,11 @@ def _cmd_suite(args) -> int:
     except InvalidWeightsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = run_suite(config)
+    try:
+        report = run_suite(config)
+    except InstanceDrawError as exc:  # a cond_max too close to 1 for a dimension
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     _write_output(report.to_dict(), args.out, args.pretty)
     if args.pretty:
         report.print_summary(file=sys.stderr)

@@ -21,3 +21,9 @@ class InvalidWeightsError(ValueError):
 class NumericalFailure(RuntimeError):
     """An internal residual or convergence check failed; results would be
     untrustworthy, so we stop instead of returning them."""
+
+
+class InstanceDrawError(InvalidWeightsError):
+    """The suite's cond_max leaves too little spectral spread to draw an
+    instance it needs (a clearly noncommuting pair at some dimension): a
+    bad configuration, like the cond_max values SuiteConfig rejects."""

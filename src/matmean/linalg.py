@@ -117,6 +117,27 @@ def _check_decomposition(vals: np.ndarray, vecs: np.ndarray, reference: np.ndarr
             )
 
 
+def _check_eigen_data(vals: np.ndarray, vecs: np.ndarray) -> None:
+    """Matching shapes and decreasing eigenvalues of given eigen-data."""
+    if vecs.shape != vals.shape + vals.shape[-1:]:
+        raise MatrixFormatError("eigenvector matrix shape does not match eigenvalue count")
+    bad = (vals[..., :-1] < vals[..., 1:]).any(axis=-1)
+    if bad.any():
+        raise MatrixFormatError("eigenvalues must be sorted in decreasing order" + locate(bad)[1])
+
+
+def gate_eig(vals: np.ndarray, vecs: np.ndarray, pd=True) -> None:
+    """The checks of `PDMatrix._from_eig` over a (..., n) stack of drawn
+    eigenvalues and the (..., n, n) stack of their eigenvectors: decreasing
+    order, unitarity (finite eigenvectors included) and, where `pd` says
+    so, the positive-definite ratio.  Each slice raises what `_from_eig`
+    raises for it.  U diag(lambda) U* is Hermitian by construction, so the
+    assembled matrices are not gated again."""
+    _check_eigen_data(vals, vecs)
+    _check_decomposition(vals, vecs, None)
+    check_pd(vals, np.asarray(pd, dtype=bool))
+
+
 def check_pd(vals: np.ndarray, where=True) -> None:
     """Positive definiteness of decreasing eigenvalues: finite, and the
     smallest clears PD_EIGENVALUE_RTOL times the largest."""
@@ -230,11 +251,7 @@ class SpectralDecomposition:
     def __init__(self, eigenvalues, eigenvectors, reference: np.ndarray | None = None):
         vals = np.asarray(eigenvalues, dtype=np.float64)
         vecs = np.asarray(eigenvectors, dtype=np.complex128)
-        n = vals.shape[0]
-        if vecs.shape != (n, n):
-            raise MatrixFormatError("eigenvector matrix shape does not match eigenvalue count")
-        if np.any(vals[:-1] < vals[1:]):
-            raise MatrixFormatError("eigenvalues must be sorted in decreasing order")
+        _check_eigen_data(vals, vecs)
         _check_decomposition(vals, vecs, reference)
         self._set(vals, vecs)
 
@@ -280,13 +297,12 @@ class PDMatrix:
     @classmethod
     def _from_eig(cls, eigenvalues_desc: np.ndarray, eigenvectors: np.ndarray) -> "PDMatrix":
         """Build from fresh eigenvectors (a random sample, say), skipping
-        the eigendecomposition but not its checks: unitarity (finite
-        eigenvectors included) and the PD ratio.  U diag(lambda) U* is
-        Hermitian by construction, so it is not gated again.  Caller
-        guarantees decreasing order."""
-        dec = SpectralDecomposition(eigenvalues_desc, eigenvectors)
-        check_pd(dec.eigenvalues)
-        return cls._wrap(HermitianMatrix._trusted(dec.assemble(dec.eigenvalues), dec))
+        the eigendecomposition but not its checks: `gate_eig` on one
+        matrix."""
+        vals = np.asarray(eigenvalues_desc, dtype=np.float64)
+        vecs = np.asarray(eigenvectors, dtype=np.complex128)
+        gate_eig(vals, vecs)
+        return cls._gated(assemble(vals, vecs), vals, vecs)
 
     @classmethod
     def _derived(cls, eigenvalues_desc: np.ndarray, eigenvectors: np.ndarray) -> "PDMatrix":
@@ -298,8 +314,9 @@ class PDMatrix:
 
     @classmethod
     def _gated(cls, mat: np.ndarray, eigenvalues_desc: np.ndarray, eigenvectors: np.ndarray) -> "PDMatrix":
-        """Wrap one matrix of a stack that passed `gate_stack` as positive
-        definite, with its decomposition from that call."""
+        """Wrap one matrix of a stack that passed `gate_stack` or
+        `gate_eig` as positive definite, with its decomposition from that
+        call."""
         dec = SpectralDecomposition._trusted(eigenvalues_desc, eigenvectors)
         return cls._wrap(HermitianMatrix._trusted(mat, dec))
 
@@ -452,32 +469,49 @@ def congruence(T, C: HermitianMatrix) -> HermitianMatrix:
     return HermitianMatrix(hermitian_part(T @ C_raw @ T.conj().T))
 
 
+def complex_gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A dim x dim matrix of independent standard complex Gaussians: the
+    real parts are drawn first, then the imaginary parts."""
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def haar_unitaries(gaussians: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries from a (..., n, n) stack of complex
+    Gaussian matrices: one stacked QR with the standard phase fix, Q times
+    the phases of diag(R) (Mezzadri 2007)."""
+    Q, R = np.linalg.qr(gaussians)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (d / np.abs(d))[..., None, :]
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix with the
-    standard phase fix."""
-    Z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    Q, R = np.linalg.qr(Z)
-    d = np.diag(R)
-    return Q * (d / np.abs(d))
+    """One Haar-distributed unitary drawn from rng."""
+    return haar_unitaries(complex_gaussian(dim, rng))
 
 
-def random_pd_from_rng(dim: int, cond_max: float, rng: np.random.Generator) -> PDMatrix:
+def random_pd_sample(dim: int, cond_max: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The rng draws of `random_pd_from_rng`, in its order: the decreasing
+    eigenvalues (no draw when cond_max is 1), then the complex Gaussian
+    whose Haar unitary holds the eigenvectors."""
     if dim < 1:
         raise MatrixFormatError("dimension must be at least 1")
     if cond_max < 1.0:
         raise InvalidWeightsError(f"cond_max must be >= 1, got {cond_max}")
     vals = 10.0 ** rng.uniform(-np.log10(cond_max), 0.0, size=dim) if cond_max > 1.0 else np.ones(dim)
     vals = vals / vals.max()
-    vals = np.sort(vals)[::-1].copy()
-    U = haar_unitary(dim, rng)
-    return PDMatrix._from_eig(vals, U)
+    return np.sort(vals)[::-1].copy(), complex_gaussian(dim, rng)
+
+
+def random_pd_from_rng(dim: int, cond_max: float, rng: np.random.Generator) -> PDMatrix:
+    vals, gaussian = random_pd_sample(dim, cond_max, rng)
+    return PDMatrix._from_eig(vals, haar_unitaries(gaussian))
 
 
 def random_pd(dim: int, cond_max: float, seed: int) -> PDMatrix:
     """Deterministic random positive definite matrix.
 
     Eigenvalues are drawn log-uniform in [1/cond_max, 1] and normalized so
-    the largest is exactly 1; eigenvectors come from a Haar-like unitary.
+    the largest is exactly 1; eigenvectors come from a Haar unitary.
     The same seed always yields the same matrix.
     """
     return random_pd_from_rng(dim, cond_max, np.random.default_rng(seed))
@@ -485,6 +519,5 @@ def random_pd(dim: int, cond_max: float, seed: int) -> PDMatrix:
 
 def random_hermitian(dim: int, seed: int, scale: float = 1.0) -> HermitianMatrix:
     """Deterministic random Hermitian matrix (Gaussian entries, symmetrized)."""
-    rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    Z = complex_gaussian(dim, np.random.default_rng(seed))
     return HermitianMatrix(scale * hermitian_part(Z))

@@ -24,11 +24,17 @@ once.  There are two kinds of stage:
 
 The public checkers run one checker through the same stage (the
 quadratic lift alone is one gate call between its two parts).  run_suite
-makes every random draw of a trial first, in the order of the instance
-stream, then runs two stages: `_compare` on the main pair stacked with
-the two equality pairs, then `_run_staged` on pinching with its lift and
-the semidefinite limit.  A stage's arrays are released before the next
-one starts.
+makes every random draw of a trial first (`_draw_trial`), in the rng
+order of the one-at-a-time instance stream, as two stacked segments: A,
+B, the commuting pair and the first noncommuting candidate; then the
+pinching operands C and R, the bump behind C1, the D0 behind D and the
+rank-deficient A0, B0.  Each segment makes all of its rng draws, then one
+stacked QR for its Haar unitaries and one `gate_eig` check of every drawn
+(lambda, U).  A rejected noncommuting candidate is redrawn one pair at a
+time before the second segment draws anything.  The trial then runs two
+stages: `_compare` on the main pair stacked with the two equality pairs,
+then `_run_staged` on pinching with its lift and the semidefinite limit.
+A stage's arrays are released before the next one starts.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidWeightsError, MatrixFormatError
+from .errors import InstanceDrawError, InvalidWeightsError, MatrixFormatError
 from .exact import direction_one_data, direction_two_data
 # check_* names in this module are the theorem checkers
 from .linalg import check_pd as _check_pd
@@ -47,13 +53,17 @@ from .linalg import (
     HermitianMatrix,
     PDMatrix,
     as_stack,
+    assemble,
+    complex_gaussian,
     frobenius,
+    gate_eig,
     gate_stack,
-    haar_unitary,
+    haar_unitaries,
     hermitian_part,
     hermitize,
     principal_sqrt,
     random_pd_from_rng,
+    random_pd_sample,
 )
 from .majorization import (
     SpectrumVector,
@@ -721,52 +731,189 @@ def check_incomparability_float(one: Pair, two: Pair, tol: float = 1e-8) -> Chec
 # ---------------------------------------------------------------------------
 # instance generation
 # ---------------------------------------------------------------------------
+#
+# Each kind of instance has a sampler that makes its rng draws (eigenvalues
+# and the complex Gaussian of a Haar unitary) and no linear algebra.  The
+# helpers below build one instance from one sample with the single-matrix
+# functions; they are the one-at-a-time reference of the instance stream.
+# A suite trial records the samples of a segment instead (`_Segment`) and
+# builds all of them at once.
 
-def _commuting_pair(dim: int, cond_max: float, rng: np.random.Generator) -> tuple[PDMatrix, PDMatrix]:
-    """A pair sharing a random eigenbasis commutes by construction."""
-    U = haar_unitary(dim, rng)
+# A candidate noncommuting pair must clear ||AB - BA|| >= floor ||A|| ||B||
+# within this many draws.
+NONCOMMUTING_FLOOR = 1e-3
+NONCOMMUTING_TRIES = 200
+
+
+def _commuting_sample(dim: int, cond_max: float, rng: np.random.Generator):
+    """The draws of a commuting pair: the Gaussian of their shared
+    eigenbasis, then two spectra, each decreasing and with the column
+    order of the basis it takes."""
+    gaussian = complex_gaussian(dim, rng)
     lo = -np.log10(cond_max) if cond_max > 1.0 else 0.0
-    pair = []
+    spectra = []
     for _ in range(2):
         vals = 10.0 ** rng.uniform(lo, 0.0, dim)
         vals /= vals.max()
         order = np.argsort(vals)[::-1]
-        pair.append(PDMatrix._from_eig(vals[order].copy(), U[:, order].copy()))
-    return pair[0], pair[1]
+        spectra.append((vals[order].copy(), order))
+    return gaussian, spectra
 
 
-def _noncommuting_pair(dim: int, cond_max: float, rng: np.random.Generator) -> tuple[PDMatrix, PDMatrix]:
-    """Resample until the commutator clears the noncommutativity floor."""
-    for _ in range(200):
-        A = random_pd_from_rng(dim, cond_max, rng)
-        B = random_pd_from_rng(dim, cond_max, rng)
-        comm = float(np.linalg.norm(A.mat @ B.mat - B.mat @ A.mat))
-        if comm >= 1e-3 * float(np.linalg.norm(A.mat)) * float(np.linalg.norm(B.mat)):
+def _pinching_weight_sample(dim: int, rng: np.random.Generator):
+    """The draws of the pinching weight R: eigenvalues in [0.05, 0.95]."""
+    vals = np.sort(rng.uniform(0.05, 0.95, dim))[::-1].copy()
+    return vals, complex_gaussian(dim, rng)
+
+
+def _rank_deficient_sample(dim: int, rng: np.random.Generator):
+    """The draws of a positive semidefinite matrix of rank below dim (rank
+    1 at dim 1)."""
+    rank = int(rng.integers(1, dim)) if dim > 1 else 1
+    vals = np.zeros(dim)
+    vals[:rank] = np.sort(10.0 ** rng.uniform(-2.0, 0.0, rank))[::-1]
+    return vals, complex_gaussian(dim, rng)
+
+
+def _commuting_pair(dim: int, cond_max: float, rng: np.random.Generator) -> tuple[PDMatrix, PDMatrix]:
+    """A pair sharing a random eigenbasis commutes by construction."""
+    gaussian, spectra = _commuting_sample(dim, cond_max, rng)
+    U = haar_unitaries(gaussian)
+    A, B = (PDMatrix._from_eig(vals, U[:, order].copy()) for vals, order in spectra)
+    return A, B
+
+
+def _clearly_noncommuting(A: PDMatrix, B: PDMatrix) -> bool:
+    comm = float(np.linalg.norm(A.mat @ B.mat - B.mat @ A.mat))
+    return comm >= NONCOMMUTING_FLOOR * float(np.linalg.norm(A.mat)) * float(np.linalg.norm(B.mat))
+
+
+def _noncommuting_pair(dim: int, cond_max: float, rng: np.random.Generator,
+                       first: tuple[PDMatrix, PDMatrix] | None = None) -> tuple[PDMatrix, PDMatrix]:
+    """Resample, one pair at a time, until the commutator clears the
+    noncommutativity floor.  `first`, a candidate already drawn from rng,
+    is the first of the NONCOMMUTING_TRIES candidates.  A cond_max close
+    to 1 leaves too little spectral spread for any candidate to clear the
+    floor; how close depends on dim."""
+    for _ in range(NONCOMMUTING_TRIES):
+        A, B = first or (random_pd_from_rng(dim, cond_max, rng), random_pd_from_rng(dim, cond_max, rng))
+        first = None
+        if _clearly_noncommuting(A, B):
             return A, B
-    raise RuntimeError("could not generate a clearly noncommuting pair")
+    raise InstanceDrawError(
+        f"cond_max = {cond_max!r} is too close to 1 at dim {dim}: none of {NONCOMMUTING_TRIES} candidate "
+        f"pairs cleared the commutator floor {NONCOMMUTING_FLOOR:g} ||A|| ||B||; use a larger cond_max"
+    )
 
 
 def _pinching_operands(dim: int, cond_max: float, rng: np.random.Generator) -> tuple[PDMatrix, PDMatrix]:
     C = random_pd_from_rng(dim, cond_max, rng)
-    vals = np.sort(rng.uniform(0.05, 0.95, dim))[::-1].copy()
-    R = PDMatrix._from_eig(vals, haar_unitary(dim, rng))
-    return C, R
+    vals, gaussian = _pinching_weight_sample(dim, rng)
+    return C, PDMatrix._from_eig(vals, haar_unitaries(gaussian))
 
 
 def _rank_deficient_psd(dim: int, rng: np.random.Generator) -> HermitianMatrix:
-    rank = int(rng.integers(1, dim)) if dim > 1 else 1
-    vals = np.zeros(dim)
-    vals[:rank] = np.sort(10.0 ** rng.uniform(-2.0, 0.0, rank))[::-1]
-    U = haar_unitary(dim, rng)
+    vals, gaussian = _rank_deficient_sample(dim, rng)
+    U = haar_unitaries(gaussian)
     return HermitianMatrix((U * vals) @ U.conj().T)
 
 
-def _shrunk_dominated(C: PDMatrix, rng: np.random.Generator) -> np.ndarray:
-    """Random D with lambda(D) prec_w lambda(C), enforced by scaling; raw
-    (Hermitian by construction)."""
-    D0 = random_pd_from_rng(C.dim, 100.0, rng)
+def _scaled_under(C: PDMatrix, D0: PDMatrix) -> np.ndarray:
+    """D0 scaled so that lambda(D) prec_w lambda(C); raw (Hermitian by
+    construction)."""
     ratios = ky_fan_sums(spectrum(C)) / ky_fan_sums(spectrum(D0))
     return (float(ratios.min()) * (1.0 - 1e-12)) * D0.mat
+
+
+def _shrunk_dominated(C: PDMatrix, rng: np.random.Generator) -> np.ndarray:
+    """Random D with lambda(D) prec_w lambda(C), enforced by scaling."""
+    return _scaled_under(C, random_pd_from_rng(C.dim, 100.0, rng))
+
+
+class _Segment:
+    """The samples of one segment of a trial, recorded as their rng draws
+    are made; `matrices` then builds every matrix at once: one stacked QR
+    for the Haar unitaries, one `gate_eig` check of every (lambda, U) and
+    one stacked U diag(lambda) U*."""
+
+    def __init__(self):
+        self.gaussians: list[np.ndarray] = []
+        # (eigenvalues, index of the Gaussian, columns of its unitary or
+        # None for all in order, positive definite)
+        self.entries: list[tuple] = []
+
+    def add(self, vals: np.ndarray, gaussian: np.ndarray, pd: bool = True) -> None:
+        self.share(gaussian, [(vals, None)], pd)
+
+    def share(self, gaussian: np.ndarray, spectra, pd: bool = True) -> None:
+        """Matrices on one unitary: one per (eigenvalues, column order)."""
+        self.gaussians.append(gaussian)
+        k = len(self.gaussians) - 1
+        self.entries += [(vals, k, order, pd) for vals, order in spectra]
+
+    def matrices(self) -> list:
+        """The matrices in the order added: PDMatrix, or HermitianMatrix
+        (gated as such) where pd is False."""
+        U = haar_unitaries(np.stack(self.gaussians))
+        vals = np.stack([entry[0] for entry in self.entries])
+        vecs = np.stack([U[k] if order is None else U[k][:, order] for _, k, order, _ in self.entries])
+        pd = [entry[3] for entry in self.entries]
+        gate_eig(vals, vecs, pd)
+        mats = assemble(vals, vecs)
+        return [PDMatrix._gated(M, v, W) if p else HermitianMatrix(M) for M, v, W, p in zip(mats, vals, vecs, pd)]
+
+
+class _Draw(NamedTuple):
+    """The random instances of one suite trial."""
+
+    dim: int
+    a: float
+    b: float
+    pairs: list          # the main pair, the commuting and the noncommuting one
+    C: PDMatrix          # the pinching operands
+    R: PDMatrix
+    C1: np.ndarray       # raw C1 <= C for the order check
+    D: np.ndarray        # raw D with lambda(D) prec_w lambda(C) for the lift
+    A0: HermitianMatrix  # the rank-deficient pair of the semidefinite limit
+    B0: HermitianMatrix
+
+
+def _trial_start(config: SuiteConfig, offset: int) -> tuple[np.random.Generator, int, tuple[float, float]]:
+    """The rng, dimension and weights (a, b) of trial `offset`."""
+    return (np.random.default_rng([config.seed, offset]), config.dims[offset % len(config.dims)],
+            config.weight_grid[offset % len(config.weight_grid)])
+
+
+def _draw_trial(config: SuiteConfig, offset: int) -> _Draw:
+    """The random instances of trial `offset`, with the draws of
+    `iter_instances` and the helpers above in the same rng order, made as
+    two segments: A, B, the commuting pair and the first noncommuting
+    candidate; then C, R, the bump behind C1, D0 and A0, B0.  A rejected
+    candidate is redrawn one pair at a time before the second segment
+    draws anything, so the stream is unchanged."""
+    rng, dim, (a, b) = _trial_start(config, offset)
+    cond = config.cond_max
+    first = _Segment()
+    for _ in range(2):
+        first.add(*random_pd_sample(dim, cond, rng))
+    first.share(*_commuting_sample(dim, cond, rng))
+    if dim > 1:
+        for _ in range(2):
+            first.add(*random_pd_sample(dim, cond, rng))
+    A, B, A_c, B_c, *candidate = first.matrices()
+    pairs = [(A, B), (A_c, B_c)]
+    if dim > 1:
+        pairs.append(_noncommuting_pair(dim, cond, rng, tuple(candidate)))
+
+    second = _Segment()
+    second.add(*random_pd_sample(dim, cond, rng))
+    second.add(*_pinching_weight_sample(dim, rng))
+    second.add(*random_pd_sample(dim, 10.0, rng))
+    second.add(*random_pd_sample(dim, 100.0, rng))
+    for _ in range(2):
+        second.add(*_rank_deficient_sample(dim, rng), pd=False)
+    C, R, bump, D0, A0, B0 = second.matrices()
+    return _Draw(dim, a, b, pairs, C, R, _dominated_by(C, bump), _scaled_under(C, D0), A0, B0)
 
 
 # ---------------------------------------------------------------------------
@@ -793,12 +940,10 @@ def trial_grid(a: float, b: float, config: SuiteConfig) -> list[tuple[str, float
 
 
 def iter_instances(config: SuiteConfig):
-    """The deterministic randomized instance stream of the suite:
-    yields (offset, rng, dim, a, b, A, B)."""
+    """The deterministic randomized instance stream of the suite, one draw
+    at a time: yields (offset, rng, dim, a, b, A, B)."""
     for offset in range(config.trials):
-        rng = np.random.default_rng([config.seed, offset])
-        dim = config.dims[offset % len(config.dims)]
-        a, b = config.weight_grid[offset % len(config.weight_grid)]
+        rng, dim, (a, b) = _trial_start(config, offset)
         A = random_pd_from_rng(dim, config.cond_max, rng)
         B = random_pd_from_rng(dim, config.cond_max, rng)
         yield offset, rng, dim, a, b, A, B
@@ -808,9 +953,9 @@ def run_suite(config: SuiteConfig) -> RunReport:
     """Run every checker over the deterministic instance stream plus the
     fixed certified instances; identical configs yield identical reports.
 
-    Each trial draws all of its random instances first, in the stream's
-    order, then runs two stages (see the module docstring): the main pair
-    and the equality pairs as one stacked Pair, then pinching with its
+    Each trial draws all of its random instances first (`_draw_trial`),
+    then runs two stages (see the module docstring): the main pair and
+    the equality pairs as one stacked Pair, then pinching with its
     quadratic lift and the semidefinite limit."""
     pool: dict[str, CheckReport] = {}
     tol = config.tol
@@ -827,22 +972,13 @@ def run_suite(config: SuiteConfig) -> RunReport:
 
     # randomized stream; contexts hold the matrices themselves, serialized
     # only for a failing record
-    for offset, rng, dim, a, b, A, B in iter_instances(config):
+    for offset in range(config.trials):
+        draw = _draw_trial(config, offset)
+        dim, a, b, pairs = draw.dim, draw.a, draw.b, draw.pairs
+        (A, B), *equality_pairs = pairs
         context = {"seed_offset": offset, "dim": dim, "a": a, "b": b, "A": A, "B": B}
-
-        # the draws: equality pairs, one commuting by construction and one
-        # generic; the pinching operands and the C1 <= C of its order
-        # check; the D of the quadratic lift; the semidefinite pair
-        pairs = [(A, B), _commuting_pair(dim, config.cond_max, rng)]
-        contexts = [dict(context, A=pairs[1][0], B=pairs[1][1], variant="commuting")]
-        if dim > 1:
-            pairs.append(_noncommuting_pair(dim, config.cond_max, rng))
-            contexts.append(dict(context, A=pairs[2][0], B=pairs[2][1], variant="noncommuting"))
-        C, R = _pinching_operands(dim, config.cond_max, rng)
-        C1 = _dominated_by(C, random_pd_from_rng(dim, 10.0, rng))
-        D = _shrunk_dominated(C, rng)
-        A0 = _rank_deficient_psd(dim, rng)
-        B0 = _rank_deficient_psd(dim, rng)
+        contexts = [dict(context, A=A_e, B=B_e, variant=variant)
+                    for (A_e, B_e), variant in zip(equality_pairs, ("commuting", "noncommuting"))]
 
         # stage 1: the main pair (index 0) and the equality pairs
         checks = [_grid(trial_grid(a, b, config), context), _spreading(a, b, context),
@@ -853,10 +989,10 @@ def run_suite(config: SuiteConfig) -> RunReport:
 
         # stage 2: pinching with the quadratic lift of Phi_R(C) and D, and
         # the semidefinite boundary
-        ctx_p = dict(context, C=C, R=R)
-        ctx_s = dict(context, A=A0, B=B0, variant="rank-deficient")
-        for report in _run_staged([_pinching_task(C, R, C1, tol, ctx_p, [D]),
-                                   _limit_task(A0, B0, DEFAULT_EPS_SEQUENCE, tol, ctx_s)]):
+        ctx_p = dict(context, C=draw.C, R=draw.R)
+        ctx_s = dict(context, A=draw.A0, B=draw.B0, variant="rank-deficient")
+        for report in _run_staged([_pinching_task(draw.C, draw.R, draw.C1, tol, ctx_p, [draw.D]),
+                                   _limit_task(draw.A0, draw.B0, DEFAULT_EPS_SEQUENCE, tol, ctx_s)]):
             _merge_into(pool, report)
 
     return RunReport(config=config, checks=list(pool.values()))

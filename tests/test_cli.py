@@ -176,6 +176,17 @@ class TestSuiteCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    # the noncommuting draw used to die with a RuntimeError traceback: a
+    # cond_max this close to 1 leaves no candidate pair clear of the
+    # commutator floor
+    @pytest.mark.parametrize("cond", ["1.0", "1.0001", "1.01"])
+    def test_cond_too_close_to_one_exit_2(self, cond, capsys):
+        code, out, err = run_cli(capsys, "suite", "--trials", "2", "--dims", "2", "--cond", cond)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert f"cond_max = {float(cond)!r}" in err and "dim 2" in err and "200" in err
+
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         monkeypatch.setenv("MATMEAN_SEED", "99")

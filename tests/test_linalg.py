@@ -7,9 +7,12 @@ from matmean.errors import MatrixFormatError, NotPositiveDefiniteError, Numerica
 from matmean.linalg import (
     HermitianMatrix,
     PDMatrix,
+    complex_gaussian,
     congruence,
     eig_hermitian,
+    gate_eig,
     gate_stack,
+    haar_unitaries,
     haar_unitary,
     inverse,
     pd_power,
@@ -213,19 +216,42 @@ class TestRandomPD:
         with pytest.raises(MatrixFormatError):
             random_pd(0, 10.0, seed=0)
 
-    def test_from_eig_checks_without_a_second_gate(self):
+    @pytest.mark.parametrize("vals, vecs, error", [
+        ([1.0, 0.5], [[1.0, 0.0], [0.0, np.nan]], NumericalFailure),
+        ([1.0, 0.5], [[2.0, 0.0], [0.0, 2.0]], NumericalFailure),
+        ([1.0, np.nan], np.eye(2), NotPositiveDefiniteError),
+        ([1.0, 1e-14], np.eye(2), NotPositiveDefiniteError),
+    ], ids=["nan-eigenvectors", "twice-unitary", "nan-eigenvalue", "not-pd-ratio"])
+    def test_from_eig_checks_without_a_second_gate(self, vals, vecs, error):
         # U diag(lambda) U* is not gated again, so the decomposition's own
-        # checks must reject what the Hermitian gate rejected before
-        U = np.eye(2, dtype=np.complex128)
-        with pytest.raises(NumericalFailure):
-            PDMatrix._from_eig(np.array([1.0, 0.5]), np.array([[1.0, 0.0], [0.0, np.nan]]))
-        with pytest.raises(NumericalFailure):
-            PDMatrix._from_eig(np.array([1.0, 0.5]), 2.0 * U)
-        with pytest.raises(NotPositiveDefiniteError):
-            PDMatrix._from_eig(np.array([1.0, np.nan]), U)
-        A = PDMatrix._from_eig(np.array([1.0, 0.5]), U)
-        np.testing.assert_array_equal(A.mat, np.diag([1.0, 0.5]))
-        assert A.eig().eigenvalues.tolist() == [1.0, 0.5]
+        # checks must reject what the Hermitian gate rejected before; the
+        # stacked check of drawn eigen-data raises the same for one bad
+        # slice, and names it
+        vals, vecs = np.array(vals), np.array(vecs, dtype=np.complex128)
+        with pytest.raises(error):
+            PDMatrix._from_eig(vals, vecs)
+        good_vals, good_vecs = np.array([1.0, 0.25]), haar_unitary(2, np.random.default_rng(1))
+        with pytest.raises(error, match=r"stack index \(1,\)"):
+            gate_eig(np.stack([good_vals, vals, good_vals]), np.stack([good_vecs, vecs, good_vecs]))
+        A = PDMatrix._from_eig(good_vals, np.eye(2, dtype=np.complex128))
+        np.testing.assert_array_equal(A.mat, np.diag(good_vals))
+        assert A.eig().eigenvalues.tolist() == good_vals.tolist()
+
+    def test_stacked_draw_check_exempts_semidefinite_slices(self):
+        vals = np.array([[1.0, 0.5], [1.0, 0.0]])
+        vecs = np.stack([np.eye(2, dtype=np.complex128)] * 2)
+        gate_eig(vals, vecs, [True, False])
+        with pytest.raises(NotPositiveDefiniteError, match=r"stack index \(1,\)"):
+            gate_eig(vals, vecs)
+
+    def test_haar_unitaries_match_one_at_a_time_bitwise(self):
+        rng = np.random.default_rng(3)
+        gaussians = [complex_gaussian(dim, rng) for dim in (1, 4, 4, 4)]
+        stacked = haar_unitaries(np.stack(gaussians[1:]))
+        for Z, U in zip(gaussians[1:], stacked):
+            np.testing.assert_array_equal(haar_unitaries(Z), U)
+        rng = np.random.default_rng(3)
+        assert all((haar_unitary(Z.shape[0], rng) == haar_unitaries(Z)).all() for Z in gaussians)
 
 
 class TestPDMatrix:

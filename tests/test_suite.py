@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from matmean import suite
 from matmean.errors import InvalidWeightsError
-from matmean.linalg import HermitianMatrix, PDMatrix
+from matmean.linalg import HermitianMatrix, PDMatrix, random_pd_from_rng
 from matmean.means import Pair
 from matmean.schur import pinching_map
 from matmean.suite import (
@@ -30,6 +31,8 @@ from matmean.suite import (
     iter_instances,
     trial_grid,
     _commuting_pair,
+    _dominated_by,
+    _draw_trial,
     _noncommuting_pair,
     _pinching_operands,
     _rank_deficient_psd,
@@ -441,22 +444,66 @@ def _one_at_a_time(config: SuiteConfig) -> RunReport:
 class TestReferenceOracle:
     @pytest.mark.parametrize("config", [
         SuiteConfig(seed=seed, trials=16, cond_max=cond) for seed in (42, 7) for cond in (1e4, 1e6)
-    ] + [SuiteConfig(seed=42, trials=2, dims=(16,))], ids=lambda c: f"seed{c.seed}-cond{c.cond_max:g}-dims{c.dims[0]}..{c.dims[-1]}")
+    ] + [SuiteConfig(seed=42, trials=2, dims=(16,)),
+         # the rejected-candidate path: 16 noncommuting pairs are redrawn
+         SuiteConfig(seed=42, trials=16, cond_max=1.2)], ids=lambda c: f"seed{c.seed}-cond{c.cond_max:g}-dims{c.dims[0]}..{c.dims[-1]}")
     def test_staged_run_equals_one_checker_at_a_time(self, config):
         staged = json.dumps(run_suite(config).to_dict())
         assert staged == json.dumps(_one_at_a_time(config).to_dict())
 
 
+def _count_calls(monkeypatch, owner, name: str) -> list:
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 class TestWork:
     def test_at_most_13_eigendecompositions_per_trial(self, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        calls = _count_calls(monkeypatch, np.linalg, "eigh")
         run_suite(SuiteConfig(seed=42, trials=8))
         # 24.75 per trial before the trial ran in two stacked stages
         assert len(calls) <= 13 * 8
+
+    def test_at_most_2_qr_factorizations_per_trial(self, monkeypatch):
+        calls = _count_calls(monkeypatch, np.linalg, "qr")
+        redraws = _count_calls(monkeypatch, suite, "random_pd_from_rng")
+        run_suite(SuiteConfig(seed=42, trials=8))
+        # one stacked QR per draw segment, plus one per matrix of a
+        # redrawn noncommuting pair; 10.75 per trial when every draw made
+        # its own
+        assert len(calls) <= 2 * 8 + len(redraws)
+
+
+class TestStackedDraws:
+    @pytest.mark.parametrize("config", [
+        SuiteConfig(seed=42, trials=24, cond_max=1e6),
+        SuiteConfig(seed=42, trials=24, cond_max=1.2),
+        SuiteConfig(seed=7, trials=3, dims=(16, 24, 32)),
+    ], ids=["cond1e6", "cond1.2", "dims16-32"])
+    def test_trial_draws_equal_one_at_a_time_bitwise(self, config):
+        """Every matrix of a trial's two draw segments equals the one the
+        reference helpers draw one at a time from the same stream."""
+        for offset, rng, dim, a, b, A, B in iter_instances(config):
+            reference = [A, B, *_commuting_pair(dim, config.cond_max, rng)]
+            if dim > 1:
+                reference += _noncommuting_pair(dim, config.cond_max, rng)
+            C, R = _pinching_operands(dim, config.cond_max, rng)
+            C1 = _dominated_by(C, random_pd_from_rng(dim, 10.0, rng))
+            reference += [C, R, C1, _shrunk_dominated(C, rng), _rank_deficient_psd(dim, rng),
+                          _rank_deficient_psd(dim, rng)]
+            draw = _draw_trial(config, offset)
+            stacked = [M for pair in draw.pairs for M in pair] + [draw.C, draw.R, draw.C1, draw.D, draw.A0, draw.B0]
+            assert len(stacked) == len(reference)
+            for X, Y in zip(stacked, reference):
+                assert type(X) is type(Y)
+                np.testing.assert_array_equal(getattr(X, "mat", X), getattr(Y, "mat", Y))
+                if isinstance(X, PDMatrix):
+                    np.testing.assert_array_equal(X.eig().eigenvalues, Y.eig().eigenvalues)
+                    np.testing.assert_array_equal(X.eig().eigenvectors, Y.eig().eigenvectors)
