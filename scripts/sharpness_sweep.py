@@ -8,6 +8,7 @@ scalar comparison margin is exactly c - 2ab.
 """
 
 import argparse
+import contextlib
 import csv
 import sys
 
@@ -28,19 +29,19 @@ def main(argv=None):
     over = [1.0005, 1.005, 1.05, 1.5]
     a = b = 1.0
 
-    sink = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
-    writer = csv.writer(sink)
-    writer.writerow(["instance", "c_over_2ab", "regime", "min_margin"])
-    for i in range(args.instances):
-        pair = Pair(random_pd(args.dim, 1e4, seed=2 * i), random_pd(args.dim, 1e4, seed=2 * i + 1))
-        for frac in fractions:
-            report = check_spectral_heron(pair, a, b, frac * 2 * a * b, 1e-8)
-            writer.writerow([i, frac, "matrix", f"{report.min_margin_seen:.6e}"])
-        for frac in over:
-            report = check_sharpness_scalar(a, b, frac * 2 * a * b)
-            writer.writerow([i, frac, "scalar-failure", f"{report.min_margin_seen:.6e}"])
-    if sink is not sys.stdout:
-        sink.close()
+    to_file = args.out != "-"
+    with open(args.out, "w", newline="") if to_file else contextlib.nullcontext(sys.stdout) as sink:
+        writer = csv.writer(sink)
+        writer.writerow(["instance", "c_over_2ab", "regime", "min_margin"])
+        for i in range(args.instances):
+            pair = Pair(random_pd(args.dim, 1e4, seed=2 * i), random_pd(args.dim, 1e4, seed=2 * i + 1))
+            for frac in fractions:
+                report = check_spectral_heron(pair, a, b, frac * 2 * a * b, 1e-8)
+                writer.writerow([i, frac, "matrix", f"{report.min_margin_seen:.6e}"])
+            for frac in over:
+                report = check_sharpness_scalar(a, b, frac * 2 * a * b)
+                writer.writerow([i, frac, "scalar-failure", f"{report.min_margin_seen:.6e}"])
+    if to_file:
         print(f"wrote {args.out}")
     return 0
 

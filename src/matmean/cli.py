@@ -25,7 +25,7 @@ from .errors import (
 from . import exact, means
 from .linalg import HermitianMatrix, PDMatrix
 from .majorization import log_majorization, majorization, spectrum, weak_majorization
-from .matio import hermitian_from_dict, matrix_to_dict
+from .matio import load_matrix, matrix_to_dict
 from .suite import SuiteConfig, run_suite
 
 EXIT_OK = 0
@@ -40,19 +40,6 @@ MEAN_NAMES = (
 )
 
 
-def _load_matrix_arg(path: str):
-    """Load a matrix file, accepting either the bare matrix JSON or the
-    envelope written by `compute` (its "result" field)."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MatrixFormatError(f"{path}: invalid JSON: {exc}") from exc
-    if isinstance(data, dict) and "result" in data and "dim" not in data:
-        data = data["result"]
-    return data
-
-
 def _write_output(payload: dict, path: str | None, pretty: bool) -> None:
     text = json.dumps(payload, indent=2 if pretty else None, sort_keys=False)
     if path:
@@ -63,8 +50,8 @@ def _write_output(payload: dict, path: str | None, pretty: bool) -> None:
 
 
 def _cmd_compute(args) -> int:
-    A = PDMatrix(hermitian_from_dict(_load_matrix_arg(args.A)))
-    B = PDMatrix(hermitian_from_dict(_load_matrix_arg(args.B)))
+    A = PDMatrix(load_matrix(args.A))
+    B = PDMatrix(load_matrix(args.B))
     a, b, c, t = args.a, args.b, args.c, args.t
     meta: dict = {"mean": args.mean, "a": a, "b": b, "c": c, "t": t}
     name = args.mean
@@ -77,9 +64,8 @@ def _cmd_compute(args) -> int:
     elif name == "spectral_t":
         result = means.spectral_mean_weighted(A, B, t)
     elif name == "wasserstein":
-        pair = means.Pair(A, B)
-        result = HermitianMatrix(pair.wasserstein(a, b))
-        meta["dual_form_residual"] = pair.wasserstein_residual(a, b)
+        W, meta["dual_form_residual"] = means.Pair(A, B).wasserstein(a, b)
+        result = HermitianMatrix(W)
     elif name == "geodesic":
         result = means.bw_geodesic(A, B, t)
     elif name == "heron_spectral":
@@ -109,8 +95,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    X = hermitian_from_dict(_load_matrix_arg(args.X))
-    Y = hermitian_from_dict(_load_matrix_arg(args.Y))
+    X = load_matrix(args.X)
+    Y = load_matrix(args.Y)
     sx, sy = spectrum(X), spectrum(Y)
     if args.relation == "weak":
         verdict = weak_majorization(sx, sy, args.tol)
@@ -224,7 +210,7 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     try:
         return args.func(args)
-    except (MatrixFormatError, FileNotFoundError, IsADirectoryError) as exc:
+    except (MatrixFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NotPositiveDefiniteError as exc:

@@ -18,6 +18,10 @@ Both counterexamples are certified here in exact rational arithmetic:
 Rationals are stdlib fractions (always reduced, positive denominator);
 determinants use fraction-free Bareiss elimination on integer-cleared
 matrices.
+
+`float_shadow` checks the certificates against the float replay that the
+suite also runs (`suite.certified_replay`); `suite.certified_pairs` is the
+one place where the certified instances become floats.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, sqrt
 
 from .errors import MatrixFormatError, NumericalFailure
 
@@ -383,34 +387,26 @@ def certify_all() -> CertificateReport:
 # ---------------------------------------------------------------------------
 
 def float_shadow(report: CertificateReport) -> "CheckReport":
-    """Replay the certified counterexamples through the floating pipeline
-    and check that both stacks agree.
+    """Replay the certified counterexamples in floating point
+    (`suite.certified_replay`, the replay the suite runs) and check that
+    both stacks agree.
 
     The margins recorded are the distances by which the floating replay
     clears the certified strict inequalities (top eigenvalues straddling
     41 by more than 1e-3, trace gap above 0.6, and the scalar failure of
     an over-sharp cross coefficient).
     """
-    import numpy as np
-
-    from .linalg import PDMatrix
-    from .majorization import spectrum, weak_majorization
-    from .means import geometric_mean, spectral_mean
     from .report import CheckReport
+    from .suite import certified_pairs, certified_replay
 
     if not report.verdict:
         raise NumericalFailure("float shadow requires a verified certificate")
 
     out = CheckReport(check_name=f"float_shadow:{report.name}", tol=0.0)
+    replay = certified_replay(*certified_pairs())
 
     if report.name in ("direction-one", "incomparability"):
-        data = direction_one_data()
-        A = PDMatrix(np.array(data["A"].to_float()))
-        B = PDMatrix(np.array(data["B"].to_float()))
-        M_sharp = A + B + 2.0 * geometric_mean(A, B)
-        M_nat = A + B + 2.0 * spectral_mean(A, B)
-        top_sharp = float(spectrum(M_sharp).values[0])
-        top_nat = float(spectrum(M_nat).values[0])
+        top_sharp, top_nat = replay["lambda1_sharp"], replay["lambda1_natural"]
         if not top_sharp > 41.0 > top_nat:
             raise NumericalFailure(
                 f"floating replay disagrees with the exact certificate: "
@@ -418,19 +414,13 @@ def float_shadow(report: CertificateReport) -> "CheckReport":
             )
         out.record(top_sharp - 41.0 - 1e-3, {"seed_offset": None, "item": "top eigenvalue above 41"})
         out.record(41.0 - top_nat - 1e-3, {"seed_offset": None, "item": "top eigenvalue below 41"})
-        verdict = weak_majorization(spectrum(M_sharp), spectrum(M_nat), tol=1e-12)
-        k1 = verdict.per_k_margins[0]
-        out.record(-k1 - 1e-2, {"seed_offset": None, "item": "k=1 Ky Fan failure margin"})
+        out.record((top_sharp - top_nat) - 1e-2, {"seed_offset": None, "item": "k=1 Ky Fan failure margin"})
         out.diagnostics["lambda1_sharp"] = top_sharp
         out.diagnostics["lambda1_natural"] = top_nat
 
     if report.name in ("direction-two", "incomparability"):
-        data = direction_two_data()
-        A = PDMatrix(np.array(data["A"].to_float()))
-        B = PDMatrix(np.array(data["B"].to_float()))
-        tr_sharp = geometric_mean(A, B).trace()
-        tr_nat = spectral_mean(A, B).trace()
-        expected = 40.0 / np.sqrt(73.0)
+        tr_sharp, tr_nat = replay["trace_sharp"], replay["trace_natural"]
+        expected = 40.0 / sqrt(73.0)
         if abs(tr_sharp - expected) > 1e-9 * expected:
             raise NumericalFailure(
                 f"floating trace {tr_sharp!r} deviates from the certified 40/sqrt(73)"

@@ -28,31 +28,27 @@ def matrix_from_dict(data) -> np.ndarray:
     try:
         dim = int(data["dim"])
         re = np.asarray(data["re"], dtype=np.float64)
-        im = np.asarray(data.get("im", np.zeros((dim, dim))), dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        im = np.asarray(data["im"], dtype=np.float64) if "im" in data else np.zeros_like(re)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MatrixFormatError(f"malformed matrix JSON: {exc}") from exc
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
+    if re.shape != (dim, dim) or im.shape != re.shape:
         raise MatrixFormatError(
             f'matrix JSON shape mismatch: dim={dim}, re {re.shape}, im {im.shape}'
         )
     return re + 1j * im
 
 
-def hermitian_from_dict(data) -> HermitianMatrix:
-    return HermitianMatrix(matrix_from_dict(data))
-
-
-def pd_from_dict(data) -> PDMatrix:
-    return PDMatrix(hermitian_from_dict(data))
-
-
-def load_pd(path) -> PDMatrix:
-    with open(path) as fh:
+def load_matrix(path) -> HermitianMatrix:
+    """Read a matrix file: the bare matrix JSON, or the envelope that
+    `matmean compute` writes (its "result" field)."""
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
             raise MatrixFormatError(f"{path}: invalid JSON: {exc}") from exc
-    return pd_from_dict(data)
+    if isinstance(data, dict) and "result" in data and "dim" not in data:
+        data = data["result"]
+    return HermitianMatrix(matrix_from_dict(data))
 
 
 def dump_matrix(M, path) -> None:

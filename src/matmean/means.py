@@ -14,9 +14,10 @@ a built-in correctness oracle.
 Everything here is written once over (..., n, n) stacks.  A `Pair`
 holds one operand pair (batch shape ()) or a stack of same-dimension
 pairs, and computes each derived quantity at most once: X, A natural B,
-A # B, the square roots and each W_{a,b}.  `Pair.herons` and
-`Pair.wassersteins` build many expressions over many pairs of the stack
-in one batched pass (the suite's whole Heron/Wasserstein grid, say).
+A # B and the square roots.  It keeps no Heron sum or W_{a,b}: those are
+built on request, and `Pair.herons` and `Pair.wassersteins` build many
+of them over many pairs of the stack in one batched pass (the suite's
+whole Heron/Wasserstein grid, say).
 Its kernels return raw Hermitian arrays and take the operands'
 decompositions from where they were gated: PDMatrix operands
 (`Pair(A, B)`, `Pair.stack`), one `linalg.gate_stack` call
@@ -79,23 +80,20 @@ def _psd_pow_raw(mat: np.ndarray, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeanWeights:
-    """Coefficient bundle (a, b, c, t) for the Heron-type expressions."""
+    """Coefficient bundle (a, b, c) for the Heron-type expressions."""
 
     a: float
     b: float
     c: float
-    t: float = 0.5
 
     def __post_init__(self):
         if self.a < 0 or self.b < 0 or self.c < 0:
             raise InvalidWeightsError(f"coefficients must be nonnegative: a={self.a}, b={self.b}, c={self.c}")
-        if not 0.0 <= self.t <= 1.0:
-            raise InvalidWeightsError(f"t must lie in [0, 1], got {self.t}")
 
     @classmethod
-    def sharp(cls, a: float, b: float, t: float = 0.5) -> "MeanWeights":
+    def sharp(cls, a: float, b: float) -> "MeanWeights":
         """Weights with the endpoint cross coefficient c = 2ab."""
-        return cls(a=a, b=b, c=2.0 * a * b, t=t)
+        return cls(a=a, b=b, c=2.0 * a * b)
 
 
 def _check_dims(A: PDMatrix, B: PDMatrix) -> None:
@@ -164,7 +162,7 @@ class Pair:
     flattened stack, so one call builds many expressions over many pairs.
     """
 
-    __slots__ = ("A", "B", "_eig_A", "_eig_B", "_riccati", "_spectral", "_geometric", "_sqrt", "_wasserstein")
+    __slots__ = ("A", "B", "_eig_A", "_eig_B", "_riccati", "_spectral", "_geometric", "_sqrt")
 
     def __init__(self, A: PDMatrix, B: PDMatrix):
         _check_dims(A, B)
@@ -174,7 +172,6 @@ class Pair:
         self.A, self.B = A, B
         self._eig_A, self._eig_B = eig_A, eig_B
         self._riccati = self._spectral = self._geometric = self._sqrt = None
-        self._wasserstein: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def decomposed(cls, A, B, eig_A: Eig, eig_B: Eig) -> "Pair":
@@ -318,22 +315,12 @@ class Pair:
             W[both], residual[both] = by_congruence, distance
         return W, residual
 
-    def _wasserstein_entry(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-        key = (float(a), float(b))
-        if key not in self._wasserstein:
-            m = len(self)
-            W, residual = self.wassersteins(np.arange(m), np.full(m, key[0]), np.full(m, key[1]))
-            self._wasserstein[key] = W.reshape(self.A.shape), residual.reshape(self.A.shape[:-2])[()]
-        return self._wasserstein[key]
-
-    def wasserstein(self, a: float, b: float) -> np.ndarray:
-        """W_{a,b}(A,B) of every pair (see `wassersteins`)."""
-        return self._wasserstein_entry(a, b)[0]
-
-    def wasserstein_residual(self, a: float, b: float):
-        """Frobenius distance between the two Wasserstein formulas, one
-        per pair of the stack."""
-        return self._wasserstein_entry(a, b)[1]
+    def wasserstein(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+        """W_{a,b}(A,B) of every pair and the Frobenius distance between
+        its two formulas, one per pair (see `wassersteins`)."""
+        m = len(self)
+        W, residual = self.wassersteins(np.arange(m), np.full(m, float(a)), np.full(m, float(b)))
+        return W.reshape(self.A.shape), residual.reshape(self.A.shape[:-2])[()]
 
     def herons(self, index, cross, a, b, c) -> np.ndarray:
         """a_i^2 A + b_i^2 B + c_i M_i of pair index[i] of the flattened
@@ -408,12 +395,12 @@ def wasserstein_expression(A: PDMatrix, B: PDMatrix, a: float, b: float) -> Herm
     Computed through the congruence form (aI + bX) A (aI + bX) and
     cross-validated against the definitional form on every call.
     """
-    return HermitianMatrix(Pair(A, B).wasserstein(a, b))
+    return HermitianMatrix(Pair(A, B).wasserstein(a, b)[0])
 
 
 def wasserstein_residual(A: PDMatrix, B: PDMatrix, a: float, b: float) -> float:
     """Frobenius distance between the two Wasserstein formulas."""
-    return Pair(A, B).wasserstein_residual(a, b)
+    return Pair(A, B).wasserstein(a, b)[1]
 
 
 def bw_geodesic(A: PDMatrix, B: PDMatrix, t: float) -> HermitianMatrix:

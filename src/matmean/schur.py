@@ -228,7 +228,7 @@ def kubo_change_of_vars(A: PDMatrix, B: PDMatrix, a: float, b: float) -> tuple[P
     S_direct = b * X @ Tinv.mat
     if float(np.linalg.norm(R.mat + S_direct - np.eye(n))) > 1e-10 * np.sqrt(n):
         raise NumericalFailure("R + S deviates from the identity")
-    C = PDMatrix(pair.wasserstein(a, b))
+    C = PDMatrix(pair.wasserstein(a, b)[0])
     res_a = float(np.linalg.norm(R.mat @ C.mat @ R.mat - a * a * A.mat)) / float(np.linalg.norm(a * a * A.mat))
     res_b_mat = hermitian_part(S_direct @ C.mat @ S_direct.conj().T)
     res_b = float(np.linalg.norm(res_b_mat - b * b * B.mat)) / float(np.linalg.norm(b * b * B.mat))

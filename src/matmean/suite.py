@@ -180,12 +180,6 @@ def _trace_eq_margin(lhs: np.ndarray, rhs: np.ndarray):
     return _eq_margin(gap, 1.0 + np.abs(rhs.sum(axis=-1)))
 
 
-def _spectra(*mats: np.ndarray, pd=True) -> np.ndarray:
-    """Decreasing eigenvalues of the matrices a checker compares, gated
-    (as positive definite where `pd` says so) in one stacked call."""
-    return gate_stack(np.stack(mats), pd)[0]
-
-
 def _report(name: str, tol: float, margins, context) -> CheckReport:
     """A report with one record per margin (one per pair of a stack);
     `context` is one dict for every record or a list with one per record."""
@@ -708,20 +702,30 @@ def certified_pairs() -> tuple[Pair, Pair]:
                  for data in (direction_one_data(), direction_two_data()))
 
 
+def certified_replay(one: Pair, two: Pair) -> dict[str, float]:
+    """The float replay of the certified incomparability instances
+    (`certified_pairs()`): lambda_1 of the sharp Heron sums A + B + 2(A # B)
+    and A + B + 2(A natural B) of the 3x3 pair, and the traces of A # B
+    and A natural B of the 2x2 pair.  One gate call per pair: the means
+    are gated as positive definite, the Heron sums as Hermitian."""
+    tops = gate_stack(np.stack([one.geometric(), one.spectral(),
+                                one.heron("geometric", 1.0, 1.0, 2.0), one.heron("spectral", 1.0, 1.0, 2.0)]),
+                      [True, True, False, False])[0][2:, 0]
+    gate_stack(np.stack([two.geometric(), two.spectral()]))
+    return {"lambda1_sharp": float(tops[0]), "lambda1_natural": float(tops[1]),
+            "trace_sharp": float(np.trace(two.geometric()).real),
+            "trace_natural": float(np.trace(two.spectral()).real)}
+
+
 def check_incomparability_float(one: Pair, two: Pair, tol: float = 1e-8) -> CheckReport:
     """Floating replay of the certified incomparability instances
-    (`certified_pairs()`): the k=1 Ky Fan inequality fails one way on the
+    (`certified_replay`): the k=1 Ky Fan inequality fails one way on the
     3x3 pair, and the trace comparison fails the other way on the 2x2 pair."""
     report = CheckReport("incomparability_float", tol)
-    # the means are gated as positive definite, the Heron sums as Hermitian
-    spectra = _spectra(one.geometric(), one.spectral(),
-                       one.heron("geometric", 1.0, 1.0, 2.0), one.heron("spectral", 1.0, 1.0, 2.0),
-                       pd=[True, True, False, False])
-    k1_gap = float(spectra[2][0]) - float(spectra[3][0])
+    replay = certified_replay(one, two)
+    k1_gap = replay["lambda1_sharp"] - replay["lambda1_natural"]
     report.record(k1_gap - 1e-2, {"seed_offset": None, "item": "k=1 failure of direction one"})
-
-    _spectra(two.geometric(), two.spectral())  # gated as the public means are
-    trace_gap = 2.0 * (float(np.trace(two.spectral()).real) - float(np.trace(two.geometric()).real))
+    trace_gap = 2.0 * (replay["trace_natural"] - replay["trace_sharp"])
     report.record(trace_gap - 0.6, {"seed_offset": None, "item": "trace failure of direction two"})
     report.diagnostics["k1_gap"] = k1_gap
     report.diagnostics["trace_gap"] = trace_gap

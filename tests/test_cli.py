@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from matmean import cli, matio
 from matmean.cli import main
 from matmean.linalg import PDMatrix
-from matmean.matio import dump_matrix
+from matmean.matio import dump_matrix, load_matrix
 
 from conftest import rand_pd
 
@@ -88,13 +89,13 @@ class TestCompute:
         assert payload["meta"]["trace"] == pytest.approx(40.0 / np.sqrt(73.0), rel=1e-9)
 
     def test_result_is_bit_identical_to_library_call(self, certified_pair, capsys):
-        from matmean.matio import load_pd
         from matmean.means import geometric_mean
 
         code, out, _ = run_cli(capsys, "compute", "geo", *certified_pair)
         assert code == 0
         emitted = np.array(json.loads(out)["result"]["re"])
-        expected = geometric_mean(load_pd(certified_pair[0]), load_pd(certified_pair[1])).mat.real
+        A, B = (PDMatrix(load_matrix(path)) for path in certified_pair)
+        expected = geometric_mean(A, B).mat.real
         assert np.array_equal(emitted, expected)
 
 
@@ -151,6 +152,48 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", "weak", str(heron), str(wasser))
         assert code == 0
         assert json.loads(out)["holds"] is True
+
+
+def assert_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def permission_denied(path, *args, **kwargs):
+    raise PermissionError(13, "Permission denied", str(path))
+
+
+class TestMalformedInput:
+    # Each used to escape `main` with a traceback and exit 1, the code of a
+    # failed relation: a UnicodeDecodeError; a MemoryError from the
+    # dim x dim default for "im", built before "re" was checked; an
+    # OverflowError from a dim or an entry beyond the float range; a
+    # RecursionError from deeply nested JSON.
+    @pytest.mark.parametrize("content", [
+        b'{"dim": 1, "re": [[1.0]], "note": "caf\xe9"}',
+        b'{"dim": 1000000, "re": [[1]], "im": [[0]]}',
+        b'{"dim": 1000000, "re": [[1]]}',
+        b'{"dim": 1e400, "re": [[1]]}',
+        b'{"dim": 1, "re": [[1' + b'0' * 400 + b']]}',
+        b'[' * 100000 + b']' * 100000,
+    ], ids=["not-utf8", "huge-dim", "huge-dim-real", "dim-overflow", "entry-overflow", "deep-nesting"])
+    @pytest.mark.parametrize("command", ["compute", "check"])
+    def test_bad_file_exit_2(self, command, content, tmp_path, capsys, certified_pair):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        argv = ["compute", "geo", str(bad), certified_pair[1]] if command == "compute" \
+            else ["check", "weak", certified_pair[0], str(bad)]
+        assert_usage_error(*run_cli(capsys, *argv))
+
+    # root reads files of mode 000, so the denials are simulated
+    def test_unreadable_input_exit_2(self, monkeypatch, capsys, certified_pair):
+        monkeypatch.setattr(matio, "open", permission_denied, raising=False)
+        assert_usage_error(*run_cli(capsys, "compute", "geo", *certified_pair))
+
+    def test_unwritable_output_exit_2(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "open", permission_denied, raising=False)
+        assert_usage_error(*run_cli(capsys, "certify", "--which", "dir2", "--out", str(tmp_path / "c.json")))
 
 
 class TestSuiteCommand:

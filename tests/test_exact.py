@@ -26,6 +26,8 @@ from matmean.exact import (
     rat_sub,
     sylvester_pd,
 )
+from matmean.report import CheckReport
+from matmean.suite import certified_pairs, check_incomparability_float
 
 small_fractions = st.fractions(
     min_value=-3, max_value=3, max_denominator=4
@@ -221,3 +223,38 @@ class TestFloatShadow:
         )
         with pytest.raises(NumericalFailure):
             float_shadow(bad)
+
+    DIR_ONE = ["top eigenvalue above 41", "top eigenvalue below 41", "k=1 Ky Fan failure margin"]
+    DIR_TWO = ["Heron trace gap above 0.6"]
+    SCALAR = ["dim-1 over-coefficient failure"]
+
+    @pytest.mark.parametrize("certify, items, keys", [
+        (certify_direction_one, DIR_ONE + SCALAR, ["lambda1_sharp", "lambda1_natural"]),
+        (certify_direction_two, DIR_TWO + SCALAR, ["trace_sharp", "trace_natural"]),
+        (certify_all, DIR_ONE + DIR_TWO + SCALAR,
+         ["lambda1_sharp", "lambda1_natural", "trace_sharp", "trace_natural"]),
+    ], ids=["dir1", "dir2", "all"])
+    def test_records_and_diagnostics(self, certify, items, keys, monkeypatch):
+        # records keep only their margins, so the contexts are read as recorded
+        recorded = []
+        record = CheckReport.record
+
+        def spy(report, margin, context=None):
+            recorded.append((float(margin), context))
+            record(report, margin, context)
+
+        monkeypatch.setattr(CheckReport, "record", spy)
+        shadow = float_shadow(certify())
+        assert shadow.instances_run == len(items)
+        assert [context for _, context in recorded] == [{"seed_offset": None, "item": item} for item in items]
+        assert list(shadow.diagnostics) == keys
+        if "lambda1_sharp" in keys:
+            d = shadow.diagnostics
+            assert recorded[2][0] == (d["lambda1_sharp"] - d["lambda1_natural"]) - 1e-2
+        assert recorded[-1][0] == 0.1  # exact Fraction(21, 10) - 2, not float(2.1) - 2
+
+    def test_suite_replays_the_same_numbers(self):
+        d = float_shadow(certify_all()).diagnostics
+        suite = check_incomparability_float(*certified_pairs()).diagnostics
+        assert suite["k1_gap"] == d["lambda1_sharp"] - d["lambda1_natural"]
+        assert suite["trace_gap"] == 2.0 * (d["trace_natural"] - d["trace_sharp"])

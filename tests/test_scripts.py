@@ -20,7 +20,8 @@ def load_script(name: str):
 def test_sharpness_sweep_one_instance(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert load_script("sharpness_sweep").main(["--instances", "1", "--dim", "3", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     matrix = [float(r["min_margin"]) for r in rows if r["regime"] == "matrix"]
     scalar = [(float(r["c_over_2ab"]), float(r["min_margin"])) for r in rows if r["regime"] == "scalar-failure"]
     assert len(matrix) == 6 and len(scalar) == 4
