@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -95,6 +96,9 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        print(f"error: --tol must be finite and non-negative, got {args.tol}", file=sys.stderr)
+        return EXIT_USAGE
     X = load_matrix(args.X)
     Y = load_matrix(args.Y)
     sx, sy = spectrum(X), spectrum(Y)

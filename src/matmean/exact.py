@@ -15,9 +15,15 @@ Both counterexamples are certified here in exact rational arithmetic:
   certified by comparing squares of rationals, so no quadratic-field
   arithmetic is needed.
 
-Rationals are stdlib fractions (always reduced, positive denominator);
-determinants use fraction-free Bareiss elimination on integer-cleared
-matrices.
+Rationals are stdlib fractions (always reduced, positive denominator).
+Each matrix is cleared to integers once (scaled by the lcm d of its
+denominators, `_cleared`), and the kernels work on those integers:
+products are integer sums divided by dM * dN once per entry, and
+determinants use fraction-free Bareiss elimination.  All n leading
+principal minors come from one Bareiss pass without row swaps, whose k-th
+pivot is d^k times the k-th minor (Bareiss 1968); only after a zero pivot
+are the later minors taken one by one with row swaps.  Sylvester's test
+stops at the first non-positive pivot.
 
 `float_shadow` checks the certificates against the float replay that the
 suite also runs (`suite.certified_replay`); `suite.certified_pairs` is the
@@ -30,6 +36,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, sqrt
+from operator import mul
 
 from .errors import MatrixFormatError, NumericalFailure
 
@@ -70,10 +77,6 @@ class RationalMatrix:
     def dim(self) -> int:
         return len(self.entries)
 
-    def is_symmetric(self) -> bool:
-        n = self.dim
-        return all(self.entries[i][j] == self.entries[j][i] for i in range(n) for j in range(i + 1, n))
-
     def to_float(self):
         return [[float(x) for x in row] for row in self.entries]
 
@@ -101,11 +104,14 @@ def rat_scale(s, M: RationalMatrix) -> RationalMatrix:
 
 
 def rat_matmul(M: RationalMatrix, N: RationalMatrix) -> RationalMatrix:
+    """Exact product, summed over the integer-cleared factors."""
     _same_dim(M, N)
-    n = M.dim
+    dM, left = _cleared(M.entries)
+    dN, right = _cleared(N.entries)
+    d = dM * dN
+    cols = list(zip(*right))
     return RationalMatrix(tuple(
-        tuple(sum((M.entries[i][k] * N.entries[k][j] for k in range(n)), Fraction(0)) for j in range(n))
-        for i in range(n)
+        tuple(Fraction(sum(map(mul, row, col)), d) for col in cols) for row in left
     ))
 
 
@@ -132,6 +138,13 @@ def _same_dim(M: RationalMatrix, N: RationalMatrix):
         raise MatrixFormatError(f"rational matrix dimension mismatch: {M.dim} vs {N.dim}")
 
 
+def _cleared(entries) -> tuple[int, list[list[int]]]:
+    """(d, rows): d is the lcm of the denominators and rows = d * entries,
+    exact integers made without Fraction products."""
+    d = lcm(*(x.denominator for row in entries for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in entries]
+
+
 def _bareiss_det_int(rows: list[list[int]]) -> int:
     """Fraction-free Bareiss determinant of an integer matrix."""
     n = len(rows)
@@ -153,29 +166,58 @@ def _bareiss_det_int(rows: list[list[int]]) -> int:
     return sign * M[n - 1][n - 1]
 
 
+def _leading_pivots(rows: list[list[int]]):
+    """Yield the pivots of Bareiss elimination without row swaps on an
+    integer matrix: pivot k is its k-th leading principal minor.  Lazy, so
+    a caller that stops early saves the rest of the pass; it ends after a
+    zero pivot, the point where a swap would be needed."""
+    M = [row[:] for row in rows]
+    n = len(M)
+    prev = 1
+    for k in range(n):
+        pivot = M[k][k]
+        yield pivot
+        if pivot == 0:
+            return
+        tail = M[k][k + 1:]
+        for row in M[k + 1:]:
+            factor = row[k]
+            row[k + 1:] = [(x * pivot - factor * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = pivot
+
+
+def _symmetric_cleared(M: RationalMatrix) -> tuple[int, list[list[int]]]:
+    """`_cleared` of a symmetric matrix; the integers are d times the
+    entries, so they are symmetric exactly when the entries are."""
+    d, rows = _cleared(M.entries)
+    if [list(col) for col in zip(*rows)] != rows:
+        raise MatrixFormatError("leading principal minors are only taken of symmetric matrices")
+    return d, rows
+
+
 def det_rational(M: RationalMatrix) -> Fraction:
     """Exact determinant via Bareiss on the integer-cleared matrix."""
-    n = M.dim
-    denom = lcm(*(x.denominator for row in M.entries for x in row)) if n else 1
-    int_rows = [[int(x * denom) for x in row] for row in M.entries]
-    return Fraction(_bareiss_det_int(int_rows), denom ** n)
+    d, rows = _cleared(M.entries)
+    return Fraction(_bareiss_det_int(rows), d ** M.dim)
 
 
 def leading_principal_minors(M: RationalMatrix) -> tuple[Fraction, ...]:
-    """Exact determinants of the k x k leading blocks, k = 1..n."""
-    if not M.is_symmetric():
-        raise MatrixFormatError("leading principal minors are only taken of symmetric matrices")
-    out = []
-    for k in range(1, M.dim + 1):
-        block = RationalMatrix(tuple(tuple(row[:k]) for row in M.entries[:k]))
-        out.append(det_rational(block))
-    return tuple(out)
+    """Exact determinants of the k x k leading blocks, k = 1..n.
+
+    One Bareiss pass gives them all; after a zero pivot each later block
+    gets its own determinant with row swaps."""
+    d, rows = _symmetric_cleared(M)
+    pivots = list(_leading_pivots(rows))
+    pivots += [_bareiss_det_int([row[:k] for row in rows[:k]]) for k in range(len(pivots) + 1, M.dim + 1)]
+    return tuple(Fraction(p, d ** k) for k, p in enumerate(pivots, start=1))
 
 
 def sylvester_pd(M: RationalMatrix) -> bool:
     """Positive definiteness of a symmetric rational matrix: all leading
-    principal minors strictly positive."""
-    return all(minor > 0 for minor in leading_principal_minors(M))
+    principal minors strictly positive.  d^k > 0, so the pivots of the
+    cleared matrix carry the minors' signs, and the pass stops at the first
+    non-positive one."""
+    return all(pivot > 0 for pivot in _leading_pivots(_symmetric_cleared(M)[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,10 @@ def matrix_to_dict(M) -> dict:
 def matrix_from_dict(data) -> np.ndarray:
     if not isinstance(data, dict) or "dim" not in data or "re" not in data:
         raise MatrixFormatError('matrix JSON must contain "dim" and "re"')
+    dim = data["dim"]
+    if type(dim) is not int or dim < 1:  # bool is a subclass of int
+        raise MatrixFormatError(f'matrix JSON "dim" must be a positive integer, got {dim!r}')
     try:
-        dim = int(data["dim"])
         re = np.asarray(data["re"], dtype=np.float64)
         im = np.asarray(data["im"], dtype=np.float64) if "im" in data else np.zeros_like(re)
     except (TypeError, ValueError, OverflowError) as exc:

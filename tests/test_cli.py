@@ -141,6 +141,12 @@ class TestCheck:
         code, _, _ = run_cli(capsys, "check", "weak", certified_pair[0], str(p3))
         assert code == 2
 
+    # nan used to exit 1 with the non-JSON token NaN in the output, and a
+    # negative tolerance was accepted
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_invalid_tol_exit_2(self, tol, certified_pair, capsys):
+        assert_usage_error(*run_cli(capsys, "check", "weak", *certified_pair, "--tol", tol))
+
     def test_compute_output_feeds_check(self, certified_pair, tmp_path, capsys):
         # the envelope written by `compute --out` is accepted by `check`
         heron = tmp_path / "heron.json"
@@ -185,6 +191,16 @@ class TestMalformedInput:
         argv = ["compute", "geo", str(bad), certified_pair[1]] if command == "compute" \
             else ["check", "weak", certified_pair[0], str(bad)]
         assert_usage_error(*run_cli(capsys, *argv))
+
+    # int() used to turn each "dim" into the matrix's size, and both
+    # commands then exited 0
+    @pytest.mark.parametrize("dim, re", [("2.7", "[[2, 0], [0, 3]]"), ("true", "[[2]]"),
+                                         ('"2"', "[[2, 0], [0, 3]]")], ids=["float", "bool", "string"])
+    @pytest.mark.parametrize("command", ["compute geo", "check weak"])
+    def test_non_integer_dim_exit_2(self, command, dim, re, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"dim": %s, "re": %s}' % (dim, re))
+        assert_usage_error(*run_cli(capsys, *command.split(), str(bad), str(bad)))
 
     # root reads files of mode 000, so the denials are simulated
     def test_unreadable_input_exit_2(self, monkeypatch, capsys, certified_pair):

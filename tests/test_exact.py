@@ -45,6 +45,31 @@ def cofactor_det(rows):
     return total
 
 
+def square_rationals(n):
+    row = st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30), min_size=n, max_size=n)
+    return st.lists(row, min_size=n, max_size=n)
+
+
+def naive_matmul(M, N):
+    n = len(M)
+    return tuple(tuple(sum((M[i][k] * N[k][j] for k in range(n)), Fraction(0)) for j in range(n))
+                 for i in range(n))
+
+
+def cofactor_minors(rows):
+    return tuple(cofactor_det([row[:k] for row in rows[:k]]) for k in range(1, len(rows) + 1))
+
+
+H = Fraction(1, 2)
+T = Fraction(1, 3)
+# matrices on which the swap-free pass meets a zero pivot
+ZERO_PIVOT = {
+    "zero-corner": [[0, H, 2], [H, 3, T], [2, T, 5]],
+    "zero-second-pivot": [[H, H, T], [H, H, 1], [T, 1, 2]],
+    "zero-matrix": [[0] * 4 for _ in range(4)],
+}
+
+
 class TestRationalOps:
     def test_identity_product(self):
         M = RationalMatrix.from_rows([[1, 2], [2, 5]])
@@ -68,6 +93,11 @@ class TestRationalOps:
         else:
             assert rat_matmul(M, rat_inverse(M)).entries == RationalMatrix.identity(3).entries
 
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(square_rationals(n), square_rationals(n))))
+    def test_matmul_equals_naive_fraction_sum(self, pair):
+        M, N = (RationalMatrix.from_rows(rows) for rows in pair)
+        assert rat_matmul(M, N).entries == naive_matmul(M.entries, N.entries)
+
     def test_add_sub_scale(self):
         M = RationalMatrix.from_rows([[1, 0], [0, 1]])
         N = rat_scale(Fraction(1, 2), M)
@@ -80,6 +110,17 @@ class TestRationalOps:
 
 
 class TestLeadingMinors:
+    @pytest.mark.parametrize("rows", ZERO_PIVOT.values(), ids=ZERO_PIVOT.keys())
+    def test_zero_pivot_fallback(self, rows):
+        rows = [[Fraction(x) for x in row] for row in rows]
+        minors = leading_principal_minors(RationalMatrix.from_rows(rows))
+        assert minors == cofactor_minors(rows)
+        assert 0 in minors
+
+    def test_zero_second_pivot_has_nonzero_third_minor(self):
+        minors = leading_principal_minors(RationalMatrix.from_rows(ZERO_PIVOT["zero-second-pivot"]))
+        assert minors[1] == 0 and minors[2] != 0
+
     def test_certified_square_root_factor(self):
         R = direction_one_data()["R"]
         assert leading_principal_minors(R) == (
@@ -133,6 +174,59 @@ class TestLeadingMinors:
                 continue
             checked += 1
             assert sylvester_pd(M) == bool(vals[0] > 0)
+
+
+class TestWork:
+    """Sylvester's test makes one swap-free pass and stops at the first
+    non-positive pivot; the minors take a determinant with row swaps only
+    for the blocks after a zero pivot."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {"det": 0, "pivots": 0}
+        det, pivots = exact._bareiss_det_int, exact._leading_pivots
+
+        def counting_det(rows):
+            calls["det"] += 1
+            return det(rows)
+
+        def counting_pivots(rows):
+            for pivot in pivots(rows):
+                calls["pivots"] += 1
+                yield pivot
+
+        monkeypatch.setattr(exact, "_bareiss_det_int", counting_det)
+        monkeypatch.setattr(exact, "_leading_pivots", counting_pivots)
+        return calls
+
+    @pytest.mark.parametrize("values, verdict, pivots", [
+        ([1, 2, 3, 4], True, 4),
+        ([1, -1, 2, 3], False, 2),
+        ([0, 1, 2, 3], False, 1),
+        ([2, 3, 0, -1], False, 3),
+    ])
+    def test_sylvester_stops_at_first_non_positive_pivot(self, counted, values, verdict, pivots):
+        assert sylvester_pd(RationalMatrix.diagonal(values)) is verdict
+        assert counted == {"det": 0, "pivots": pivots}
+
+    @pytest.mark.parametrize("rows", ZERO_PIVOT.values(), ids=ZERO_PIVOT.keys())
+    def test_sylvester_never_takes_a_determinant(self, counted, rows):
+        assert not sylvester_pd(RationalMatrix.from_rows(rows))
+        assert counted["det"] == 0
+
+    def test_minors_without_zero_pivot_take_no_determinant(self, counted):
+        for M in (direction_one_data()["R"], RationalMatrix.diagonal([1, -2, 3, -4])):
+            leading_principal_minors(M)
+        assert counted == {"det": 0, "pivots": 7}
+
+    @pytest.mark.parametrize("rows, restarts", [
+        (ZERO_PIVOT["zero-corner"], 2),
+        (ZERO_PIVOT["zero-second-pivot"], 1),
+        (ZERO_PIVOT["zero-matrix"], 3),
+    ], ids=ZERO_PIVOT.keys())
+    def test_minors_restart_only_after_a_zero_pivot(self, counted, rows, restarts):
+        leading_principal_minors(RationalMatrix.from_rows(rows))
+        assert counted["det"] == restarts
 
 
 class TestDirectionOne:
