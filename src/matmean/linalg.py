@@ -1,5 +1,12 @@
 """Dense complex Hermitian linear algebra on small matrices.
 
+One value type, `HermitianMatrix`, holds a gated Hermitian array and
+caches its `SpectralDecomposition`, the (eigenvalues, eigenvectors)
+tuple.  `PDMatrix` is the same type with a positivity certificate: a
+subclass whose gated eigenvalues passed the positive-definite check.  A
+value built from eigen-data a gate has already checked (`_gated`) keeps
+that decomposition instead of computing a new one.
+
 All matrix functions (square root, inverse, powers, positive part) are
 computed through one eigendecomposition path, never by iteration, so a
 single accuracy model covers everything.  Values are immutable after
@@ -7,6 +14,8 @@ construction and every operation is a pure function.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +73,8 @@ def frobenius(mats: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the gate: each check written once over (..., n, n) stacks; the scalar
-# constructors below call it with a single matrix
+# the gate: each check written once over (..., n, n) stacks; the
+# constructors below run the same checks on a single matrix
 # ---------------------------------------------------------------------------
 
 def locate(bad: np.ndarray) -> tuple[tuple, str]:
@@ -180,6 +189,27 @@ def gate_stack(mats, pd=True) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
+class SpectralDecomposition(NamedTuple):
+    """Eigenvalues sorted in decreasing order with matching unitary
+    columns, over one matrix or a (..., n) / (..., n, n) stack."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.eigenvalues.shape[-1]
+
+    def assemble(self, transformed_eigenvalues) -> np.ndarray:
+        """U diag(f(lambda)) U* as a raw Hermitian array."""
+        return assemble(np.asarray(transformed_eigenvalues), self.eigenvectors)
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
+
+
 class HermitianMatrix:
     """Immutable dense complex Hermitian matrix.
 
@@ -191,25 +221,26 @@ class HermitianMatrix:
 
     def __init__(self, entries):
         mat = hermitize(_as_complex_square(entries))
-        mat.flags.writeable = False
+        _read_only(mat)
         self.mat = mat
         self._eig = None
 
     @classmethod
-    def _trusted(cls, mat: np.ndarray, dec: "SpectralDecomposition") -> "HermitianMatrix":
-        """Wrap U diag(lambda) U* assembled from an already checked
-        decomposition; the gate would only re-check it."""
+    def _gated(cls, mat: np.ndarray, eigenvalues_desc: np.ndarray, eigenvectors: np.ndarray):
+        """Wrap one matrix of a stack that passed `gate_stack` or
+        `gate_eig` (as positive definite, for a PDMatrix), with its
+        decomposition from that call; the gate would only re-check it."""
+        _read_only(mat, eigenvalues_desc, eigenvectors)
         obj = cls.__new__(cls)
-        mat.flags.writeable = False
         obj.mat = mat
-        obj._eig = dec
+        obj._eig = SpectralDecomposition(eigenvalues_desc, eigenvectors)
         return obj
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def eig(self) -> "SpectralDecomposition":
+    def eig(self) -> SpectralDecomposition:
         if self._eig is None:
             self._eig = eig_hermitian(self)
         return self._eig
@@ -221,13 +252,13 @@ class HermitianMatrix:
         return float(np.linalg.norm(self.mat))
 
     def __add__(self, other):
-        if isinstance(other, (HermitianMatrix, PDMatrix)):
-            return HermitianMatrix(self.mat + _raw(other))
+        if isinstance(other, HermitianMatrix):
+            return HermitianMatrix(self.mat + other.mat)
         return NotImplemented
 
     def __sub__(self, other):
-        if isinstance(other, (HermitianMatrix, PDMatrix)):
-            return HermitianMatrix(self.mat - _raw(other))
+        if isinstance(other, HermitianMatrix):
+            return HermitianMatrix(self.mat - other.mat)
         return NotImplemented
 
     def __rmul__(self, scalar):
@@ -239,60 +270,24 @@ class HermitianMatrix:
         return f"HermitianMatrix(dim={self.dim})"
 
 
-def _raw(M) -> np.ndarray:
-    return M.mat if isinstance(M, (HermitianMatrix, PDMatrix)) else np.asarray(M, dtype=np.complex128)
+class PDMatrix(HermitianMatrix):
+    """Positive definite matrix: a HermitianMatrix whose eigenvalues,
+    gated at construction, certify strict positivity.  Sums, differences
+    and multiples are HermitianMatrix values."""
 
+    __slots__ = ()
 
-class SpectralDecomposition:
-    """Eigenvalues sorted in decreasing order with matching unitary columns."""
-
-    __slots__ = ("eigenvalues", "eigenvectors")
-
-    def __init__(self, eigenvalues, eigenvectors, reference: np.ndarray | None = None):
-        vals = np.asarray(eigenvalues, dtype=np.float64)
-        vecs = np.asarray(eigenvectors, dtype=np.complex128)
-        _check_eigen_data(vals, vecs)
-        _check_decomposition(vals, vecs, reference)
-        self._set(vals, vecs)
-
-    def _set(self, vals: np.ndarray, vecs: np.ndarray) -> None:
-        vals.flags.writeable = False
-        vecs.flags.writeable = False
-        self.eigenvalues = vals
-        self.eigenvectors = vecs
-
-    @classmethod
-    def _trusted(cls, vals: np.ndarray, vecs: np.ndarray) -> "SpectralDecomposition":
-        """New eigenvalues on eigenvectors that already passed the
-        unitarity check; the caller checked the eigenvalues."""
-        obj = cls.__new__(cls)
-        obj._set(vals, vecs)
-        return obj
+    def __init__(self, entries):
+        if isinstance(entries, HermitianMatrix):
+            self.mat, self._eig = entries.mat, entries.eig()
+        else:
+            super().__init__(entries)
+        check_pd(self.eig().eigenvalues)
 
     @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def assemble(self, transformed_eigenvalues) -> np.ndarray:
-        """U diag(f(lambda)) U* as a raw Hermitian array."""
-        return assemble(np.asarray(transformed_eigenvalues), self.eigenvectors)
-
-
-class PDMatrix:
-    """Positive definite matrix: a HermitianMatrix plus the eigenvalue
-    witness that certified strict positivity at construction."""
-
-    __slots__ = ("base", "min_eigenvalue_witness")
-
-    def __init__(self, base):
-        if isinstance(base, PDMatrix):
-            base = base.base
-        if not isinstance(base, HermitianMatrix):
-            base = HermitianMatrix(base)
-        vals = base.eig().eigenvalues
-        check_pd(vals)
-        self.base = base
-        self.min_eigenvalue_witness = float(vals[-1])
+    def min_eigenvalue_witness(self) -> float:
+        """The smallest gated eigenvalue."""
+        return float(self._eig.eigenvalues[-1])
 
     @classmethod
     def _from_eig(cls, eigenvalues_desc: np.ndarray, eigenvectors: np.ndarray) -> "PDMatrix":
@@ -312,47 +307,6 @@ class PDMatrix:
         check_pd(eigenvalues_desc)
         return cls._gated(assemble(eigenvalues_desc, eigenvectors), eigenvalues_desc, eigenvectors)
 
-    @classmethod
-    def _gated(cls, mat: np.ndarray, eigenvalues_desc: np.ndarray, eigenvectors: np.ndarray) -> "PDMatrix":
-        """Wrap one matrix of a stack that passed `gate_stack` or
-        `gate_eig` as positive definite, with its decomposition from that
-        call."""
-        dec = SpectralDecomposition._trusted(eigenvalues_desc, eigenvectors)
-        return cls._wrap(HermitianMatrix._trusted(mat, dec))
-
-    @classmethod
-    def _wrap(cls, base: HermitianMatrix) -> "PDMatrix":
-        obj = cls.__new__(cls)
-        obj.base = base
-        obj.min_eigenvalue_witness = float(base._eig.eigenvalues[-1])
-        return obj
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.base.mat
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    def eig(self) -> SpectralDecomposition:
-        return self.base.eig()
-
-    def trace(self) -> float:
-        return self.base.trace()
-
-    def frobenius(self) -> float:
-        return self.base.frobenius()
-
-    def __add__(self, other):
-        return self.base + other
-
-    def __sub__(self, other):
-        return self.base - other
-
-    def __rmul__(self, scalar):
-        return scalar * self.base
-
     def __repr__(self):
         return f"PDMatrix(dim={self.dim}, lambda_min={self.min_eigenvalue_witness:.3e})"
 
@@ -363,16 +317,21 @@ def eig_hermitian(H: HermitianMatrix, method: str = "lapack") -> SpectralDecompo
     method="lapack" uses numpy's eigh.  method="jacobi" runs the cyclic
     Jacobi sweep solver with a deterministic budget of 100*dim**2
     rotations; it is slower and kept as an independent cross-check.
+    Either result is checked for order, unitarity and reconstruction.
     """
-    mat = H.mat if isinstance(H, (HermitianMatrix, PDMatrix)) else HermitianMatrix(H).mat
+    mat = (H if isinstance(H, HermitianMatrix) else HermitianMatrix(H)).mat
     if method == "lapack":
         vals, vecs = _eigh(mat)
-        return SpectralDecomposition(vals, vecs, reference=mat)
-    if method == "jacobi":
+    elif method == "jacobi":
         vals, vecs = _jacobi_eigh(mat)
         order = np.argsort(vals)[::-1]
-        return SpectralDecomposition(vals[order], vecs[:, order], reference=mat)
-    raise ValueError(f"unknown eigensolver method {method!r}")
+        vals, vecs = vals[order], vecs[:, order]
+    else:
+        raise ValueError(f"unknown eigensolver method {method!r}")
+    _check_eigen_data(vals, vecs)
+    _check_decomposition(vals, vecs, mat)
+    _read_only(vals, vecs)
+    return SpectralDecomposition(vals, vecs)
 
 
 def _jacobi_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -463,10 +422,9 @@ def positive_part(H: HermitianMatrix) -> HermitianMatrix:
 def congruence(T, C: HermitianMatrix) -> HermitianMatrix:
     """T C T* for an arbitrary square complex matrix T."""
     T = np.asarray(T, dtype=np.complex128)
-    C_raw = _raw(C)
-    if T.ndim != 2 or T.shape[0] != T.shape[1] or T.shape[0] != C_raw.shape[0]:
-        raise MatrixFormatError(f"congruence dimension mismatch: T {T.shape}, C {C_raw.shape}")
-    return HermitianMatrix(hermitian_part(T @ C_raw @ T.conj().T))
+    if T.ndim != 2 or T.shape[0] != T.shape[1] or T.shape[0] != C.dim:
+        raise MatrixFormatError(f"congruence dimension mismatch: T {T.shape}, C {C.mat.shape}")
+    return HermitianMatrix(hermitian_part(T @ C.mat @ T.conj().T))
 
 
 def complex_gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MatrixFormatError, NotPositiveDefiniteError
-from .linalg import HermitianMatrix, PDMatrix
+from .linalg import HermitianMatrix
 
 DEFAULT_TOL = 1e-8
 
@@ -52,7 +52,7 @@ class MajorizationVerdict:
         }
 
 
-def spectrum(H: HermitianMatrix | PDMatrix) -> SpectrumVector:
+def spectrum(H: HermitianMatrix) -> SpectrumVector:
     """Eigenvalues of a Hermitian matrix, sorted decreasing."""
     return SpectrumVector(H.eig().eigenvalues)
 

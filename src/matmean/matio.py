@@ -11,11 +11,11 @@ import json
 import numpy as np
 
 from .errors import MatrixFormatError
-from .linalg import HermitianMatrix, PDMatrix
+from .linalg import HermitianMatrix
 
 
 def matrix_to_dict(M) -> dict:
-    raw = M.mat if isinstance(M, (HermitianMatrix, PDMatrix)) else np.asarray(M, dtype=np.complex128)
+    raw = M.mat if isinstance(M, HermitianMatrix) else np.asarray(M, dtype=np.complex128)
     out = {"dim": int(raw.shape[0]), "re": raw.real.tolist()}
     if np.abs(raw.imag).max() > 0.0:
         out["im"] = raw.imag.tolist()

@@ -78,6 +78,12 @@ def _psd_pow_raw(mat: np.ndarray, t: float) -> np.ndarray:
     return assemble(np.maximum(vals, 0.0) ** t, vecs)
 
 
+def _check_coefficients(a: float, b: float, c: float) -> None:
+    # written so that NaN and +-inf fail
+    if not all(0.0 <= x < np.inf for x in (a, b, c)):
+        raise InvalidWeightsError(f"coefficients must be finite and nonnegative: a={a}, b={b}, c={c}")
+
+
 @dataclass(frozen=True)
 class MeanWeights:
     """Coefficient bundle (a, b, c) for the Heron-type expressions."""
@@ -87,8 +93,7 @@ class MeanWeights:
     c: float
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0 or self.c < 0:
-            raise InvalidWeightsError(f"coefficients must be nonnegative: a={self.a}, b={self.b}, c={self.c}")
+        _check_coefficients(self.a, self.b, self.c)
 
     @classmethod
     def sharp(cls, a: float, b: float) -> "MeanWeights":
@@ -106,12 +111,9 @@ def _check_t(t: float) -> None:
         raise InvalidWeightsError(f"t must lie in [0, 1], got {t}")
 
 
+# (decreasing eigenvalues, eigenvectors): a SpectralDecomposition, or the
+# pair that a stacked gate returns
 Eig = tuple[np.ndarray, np.ndarray]
-
-
-def _eig(P: PDMatrix) -> Eig:
-    dec = P.eig()
-    return dec.eigenvalues, dec.eigenvectors
 
 
 def _inverse(eig: Eig) -> Eig:
@@ -147,7 +149,7 @@ def _spectral_raw(A: np.ndarray, eig_X: Eig, t: float) -> np.ndarray:
 
 
 def _stacked(mats: list[PDMatrix]) -> tuple[np.ndarray, Eig]:
-    eigs = [_eig(M) for M in mats]
+    eigs = [M.eig() for M in mats]
     return np.stack([M.mat for M in mats]), (np.stack([v for v, _ in eigs]), np.stack([U for _, U in eigs]))
 
 
@@ -166,7 +168,7 @@ class Pair:
 
     def __init__(self, A: PDMatrix, B: PDMatrix):
         _check_dims(A, B)
-        self._set(A.mat, B.mat, _eig(A), _eig(B))
+        self._set(A.mat, B.mat, A.eig(), B.eig())
 
     def _set(self, A: np.ndarray, B: np.ndarray, eig_A: Eig, eig_B: Eig) -> None:
         self.A, self.B = A, B
@@ -287,10 +289,10 @@ class Pair:
         """
         index = np.asarray(index)
         a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-        negative = (a < 0) | (b < 0)
-        if negative.any():
-            i = int(np.argmax(negative))
-            raise InvalidWeightsError(f"weights must be nonnegative: a={a[i]}, b={b[i]}")
+        bad = ~(np.isfinite(a) & np.isfinite(b) & (a >= 0) & (b >= 0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InvalidWeightsError(f"weights must be finite and nonnegative: a={a[i]}, b={b[i]}")
         A, B = as_stack(self.A)[index], as_stack(self.B)[index]
         both = (a != 0.0) & (b != 0.0)
         a, b = a[:, None, None], b[:, None, None]
@@ -357,7 +359,7 @@ def geometric_mean_weighted(A: PDMatrix, B: PDMatrix, t: float) -> PDMatrix:
         return A
     if t == 1.0:
         return B
-    return PDMatrix(_geometric_raw(_eig(A), B.mat, t))
+    return PDMatrix(_geometric_raw(A.eig(), B.mat, t))
 
 
 def riccati_mean(A: PDMatrix, B: PDMatrix) -> PDMatrix:
@@ -419,6 +421,5 @@ def heron_kubo(A: PDMatrix, B: PDMatrix, a: float, b: float, c: float | None = N
     a^2 A + b^2 B + c (A # B); c defaults to the endpoint 2ab."""
     if c is None:
         c = 2.0 * a * b
-    if a < 0 or b < 0 or c < 0:
-        raise InvalidWeightsError(f"coefficients must be nonnegative: a={a}, b={b}, c={c}")
+    _check_coefficients(a, b, c)
     return PDMatrix(Pair(A, B).heron("geometric", a, b, c))

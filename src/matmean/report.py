@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .linalg import HermitianMatrix, PDMatrix
+from .linalg import HermitianMatrix
 from .matio import matrix_to_dict
 
 
@@ -36,7 +36,7 @@ class CheckReport:
             self.failures.append({
                 "seed_offset": context.get("seed_offset"),
                 "worst_margin": margin,
-                "instance": {key: matrix_to_dict(value) if isinstance(value, (HermitianMatrix, PDMatrix)) else value
+                "instance": {key: matrix_to_dict(value) if isinstance(value, HermitianMatrix) else value
                              for key, value in context.items()},
             })
 

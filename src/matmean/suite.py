@@ -94,6 +94,8 @@ class SuiteConfig:
 
     def __post_init__(self):
         # comparisons are written so that NaN fails them
+        if type(self.seed) is not int or self.seed < 0:  # bool is a subclass of int
+            raise InvalidWeightsError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.trials < 1:
             raise InvalidWeightsError(f"trials must be >= 1, got {self.trials}")
         if not self.dims:

@@ -228,7 +228,7 @@ def test_criterion_9_oracle_cross_checks():
     for i in range(500):
         rng = np.random.default_rng([901, i])
         dim = 1 + i % 8
-        Y = random_pd(dim, 100.0, seed=9000 + i).base
+        Y = random_pd(dim, 100.0, seed=9000 + i)
         sums = ky_fan_sums(spectrum(Y))
         budget = 1e-9 * (1.0 + float(np.trace(Y.mat).real))
         for k in range(1, dim + 1):

@@ -78,8 +78,14 @@ class TestCompute:
         assert code == 3
 
     def test_invalid_weights_exit_4(self, certified_pair, capsys):
-        code, _, _ = run_cli(capsys, "compute", "geo_t", *certified_pair, "-t", "1.5")
-        assert code == 4
+        # a non-finite weight fails the weight check, not the matrix gate
+        for mean, flag, value in [("geo_t", "-t", "1.5"), ("wasserstein", "-a", "nan"),
+                                  ("heron_spectral", "-c", "nan"), ("heron_kubo", "-a", "inf"),
+                                  ("wasserstein", "-b", "-1"), ("heron_kubo", "-c", "-inf")]:
+            code, out, err = run_cli(capsys, "compute", mean, *certified_pair, f"{flag}={value}")
+            assert code == 4, (mean, flag, value)
+            assert out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error:")
 
     def test_output_file(self, certified_pair, tmp_path, capsys):
         out_path = tmp_path / "result.json"
@@ -229,7 +235,7 @@ class TestSuiteCommand:
     # nan used to die with a RuntimeError traceback and inf with an
     # OverflowError one
     @pytest.mark.parametrize("flag, value", [("--cond", "nan"), ("--cond", "inf"), ("--cond", "0.5"),
-                                             ("--tol", "nan"), ("--tol", "inf")])
+                                             ("--tol", "nan"), ("--tol", "inf"), ("--seed", "-1")])
     def test_invalid_config_exit_2(self, flag, value, capsys):
         code, _, err = run_cli(capsys, "suite", "--trials", "1", flag, value)
         assert code == 2
@@ -245,6 +251,13 @@ class TestSuiteCommand:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert f"cond_max = {float(cond)!r}" in err and "dim 2" in err and "200" in err
+
+    def test_negative_env_seed_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("MATMEAN_SEED", "-3")
+        code, out, err = run_cli(capsys, "suite", "--trials", "1")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

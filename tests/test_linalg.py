@@ -76,7 +76,7 @@ class TestEig:
 
     def test_spectrum_invariant_under_conjugation(self, rng):
         for dim in (2, 4, 7):
-            H = rand_pd(dim, seed=dim).base
+            H = rand_pd(dim, seed=dim)
             U = haar_unitary(dim, rng)
             H2 = HermitianMatrix(U.conj().T @ H.mat @ U)
             tol = 1e-9 * float(np.linalg.norm(H.mat))
@@ -86,7 +86,7 @@ class TestEig:
 
     def test_jacobi_matches_lapack(self):
         for dim in range(1, 9):
-            H = rand_pd(dim, seed=100 + dim, cond=1e4).base
+            H = rand_pd(dim, seed=100 + dim, cond=1e4)
             lapack = eig_hermitian(H, method="lapack")
             jacobi = eig_hermitian(H, method="jacobi")
             np.testing.assert_allclose(
@@ -102,7 +102,7 @@ class TestEig:
         import matmean.linalg as linalg
 
         monkeypatch.setattr(linalg, "JACOBI_BUDGET_PER_DIM2", 0)
-        H = rand_pd(3, seed=55).base
+        H = rand_pd(3, seed=55)
         with pytest.raises(linalg.NumericalFailure):
             eig_hermitian(H, method="jacobi")
 
@@ -154,7 +154,7 @@ class TestPositivePart:
 
     def test_psd_fixed_point(self):
         A = rand_pd(4, seed=3)
-        np.testing.assert_allclose(positive_part(A.base).mat, A.mat, atol=1e-14)
+        np.testing.assert_allclose(positive_part(A).mat, A.mat, atol=1e-14)
 
     def test_clamps_eigenvalues(self, rng):
         Z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
@@ -170,7 +170,7 @@ class TestPositivePart:
 
 class TestCongruence:
     def test_identity_transform(self):
-        C = rand_pd(3, seed=5).base
+        C = rand_pd(3, seed=5)
         np.testing.assert_allclose(congruence(np.eye(3), C).mat, C.mat, atol=1e-15)
 
     def test_diagonal_scaling(self):
@@ -179,14 +179,14 @@ class TestCongruence:
 
     def test_against_naive_product(self, rng):
         T = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        C = rand_pd(4, seed=6).base
+        C = rand_pd(4, seed=6)
         naive = T @ C.mat @ T.conj().T
         np.testing.assert_allclose(congruence(T, C).mat, naive, atol=1e-12 * np.linalg.norm(naive))
 
     def test_preserves_psd(self, rng):
         T = rng.standard_normal((4, 4))
         C = rand_pd(4, seed=7)
-        out = congruence(T, C.base)
+        out = congruence(T, C)
         scale = float(np.abs(out.eig().eigenvalues).max())
         assert out.eig().eigenvalues[-1] >= -1e-10 * scale
 

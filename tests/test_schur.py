@@ -26,7 +26,7 @@ weights = st.floats(min_value=0.05, max_value=10.0, allow_nan=False)
 
 class TestSchurProduct:
     def test_all_ones_is_identity_map(self):
-        M = rand_pd(3, seed=21).base
+        M = rand_pd(3, seed=21)
         J = HermitianMatrix(np.ones((3, 3)))
         np.testing.assert_allclose(schur_product(M, J).mat, M.mat, atol=1e-15)
 
@@ -37,7 +37,7 @@ class TestSchurProduct:
 
     def test_psd_of_psd_pair(self):
         for dim, A, B in rand_pd_pairs(8):
-            out = schur_product(A.base, B.base)
+            out = schur_product(A, B)
             vals = out.eig().eigenvalues
             assert vals[-1] >= -1e-10 * max(vals[0], 1.0)
 
@@ -115,7 +115,7 @@ class TestSchurMajorizationProperties:
             shrink = np.diag(rng.uniform(0.2, 1.0, dim))
             Gamma = HermitianMatrix(shrink @ Gamma.mat @ shrink)
             M = rand_pd(dim, seed=int(rng.integers(0, 2**31)))
-            v = weak_majorization(spectrum(schur_product(Gamma, M.base)), spectrum(M.base), 1e-8)
+            v = weak_majorization(spectrum(schur_product(Gamma, M)), spectrum(M), 1e-8)
             assert v.holds
 
     def test_entrywise_reduction_identity(self, rng):

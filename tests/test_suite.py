@@ -8,6 +8,7 @@ from matmean import suite
 from matmean.errors import InvalidWeightsError
 from matmean.linalg import HermitianMatrix, PDMatrix, random_pd_from_rng
 from matmean.means import Pair
+from matmean.report import CheckReport
 from matmean.schur import pinching_map
 from matmean.suite import (
     RunReport,
@@ -247,6 +248,7 @@ class TestConfigAndDriver:
         ("c_fractions", ()),
         ("weight_grid", ((1.0, 0.0),)), ("weight_grid", ((-0.5, 1.0),)), ("weight_grid", ((1.0, math.nan),)),
         ("weight_grid", ((math.inf, 1.0),)), ("weight_grid", ()), ("weight_grid", ((1.0,),)),
+        ("seed", -1),
     ])
     def test_invalid_config_rejected(self, field, value):
         with pytest.raises(InvalidWeightsError):
@@ -447,9 +449,28 @@ class TestReferenceOracle:
     ] + [SuiteConfig(seed=42, trials=2, dims=(16,)),
          # the rejected-candidate path: 16 noncommuting pairs are redrawn
          SuiteConfig(seed=42, trials=16, cond_max=1.2)], ids=lambda c: f"seed{c.seed}-cond{c.cond_max:g}-dims{c.dims[0]}..{c.dims[-1]}")
-    def test_staged_run_equals_one_checker_at_a_time(self, config):
-        staged = json.dumps(run_suite(config).to_dict())
-        assert staged == json.dumps(_one_at_a_time(config).to_dict())
+    def test_staged_run_equals_one_checker_at_a_time(self, config, monkeypatch):
+        # the JSON keeps only min margins and failures, so every record's
+        # margin is compared too, in order, per checker
+        staged, staged_margins = _recorded(monkeypatch, run_suite, config)
+        reference, reference_margins = _recorded(monkeypatch, _one_at_a_time, config)
+        assert staged_margins == reference_margins
+        assert staged == reference
+
+
+def _recorded(monkeypatch, run, config: SuiteConfig) -> tuple[str, dict[str, list[float]]]:
+    """The JSON report of `run(config)` and the margin of every
+    `CheckReport.record` call it made, in order, per checker."""
+    margins: dict[str, list[float]] = {}
+    record = CheckReport.record
+
+    def capture(report, margin, context=None):
+        margins.setdefault(report.check_name, []).append(float(margin))
+        record(report, margin, context)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CheckReport, "record", capture)
+        return json.dumps(run(config).to_dict()), margins
 
 
 def _count_calls(monkeypatch, owner, name: str) -> list:
