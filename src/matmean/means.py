@@ -21,10 +21,11 @@ whole Heron/Wasserstein grid, say).
 Its kernels return raw Hermitian arrays and take the operands'
 decompositions from where they were gated: PDMatrix operands
 (`Pair(A, B)`, `Pair.stack`), one `linalg.gate_stack` call
-(`Pair.gated`), or a gate the caller ran (`Pair.decomposed`, joined
-with `Pair.join`).  The strict gate runs where a value leaves or is
-judged: on the operands, on what the public functions below return
-(each a thin wrapper over a one-pair Pair), and, through
+(`Pair.gated`; the suite's second stage makes one over the operand
+pairs of pinching and of the semidefinite limit together), or a gate
+the caller ran (`Pair.decomposed`).  The strict gate runs where a value
+leaves or is judged: on the operands, on what the public functions
+below return (each a thin wrapper over a one-pair Pair), and, through
 `linalg.gate_stack`, on every matrix whose spectrum a checker compares.
 The one gated intermediate is X, whose eigenvectors build A natural B.
 """
@@ -192,14 +193,6 @@ class Pair:
             raise MatrixFormatError(f"cannot stack pairs of dimensions {sorted(dims)}")
         (A, eig_A), (B, eig_B) = (_stacked([pair[k] for pair in pairs]) for k in (0, 1))
         return cls.decomposed(A, B, eig_A, eig_B)
-
-    @classmethod
-    def join(cls, pairs) -> "Pair":
-        """The (k_i, n, n) stacks of several Pairs as one stack, in order."""
-        cat = np.concatenate
-        return cls.decomposed(cat([p.A for p in pairs]), cat([p.B for p in pairs]),
-                              tuple(cat([p._eig_A[k] for p in pairs]) for k in (0, 1)),
-                              tuple(cat([p._eig_B[k] for p in pairs]) for k in (0, 1)))
 
     @classmethod
     def gated(cls, A, B) -> "Pair":

@@ -13,10 +13,12 @@ exactly 1 at c = 2ab; the direct one lands on the pinching map
 which is unital, homogeneous, order preserving, and trace-subpreserving.
 `pinching_map` evaluates Phi_R over a (..., n, n) stack of C's with one
 decomposition of R: one stacked gate for the compressions R C R and
-S C S, one stacked `#`, and one stacked gate for the maps.  Its two steps,
-`pinching_compressions` and `pinching_phi`, also serve the suite, which
-gates the compressions and the maps together with other checkers'
-matrices (see `suite._run_staged`).
+S C S, one stacked `#`, and one stacked gate for the maps.  Phi_R(C) is
+the sharp unit-weight geometric Heron sum of the compression pair,
+`Pair.heron("geometric", 1, 1, 2)`, so the suite takes only
+`pinching_compressions` from here: it gates the compression pairs with
+its other operand pairs and keys the maps like any other Heron sum (see
+`suite._pinching`).
 """
 
 from __future__ import annotations
@@ -189,12 +191,6 @@ def pinching_compressions(Cs: np.ndarray, R: PDMatrix) -> tuple[np.ndarray, np.n
     return S, hermitian_part(R.mat @ Cs @ R.mat), hermitian_part(S @ Cs @ S)
 
 
-def pinching_phi(compressions: Pair) -> np.ndarray:
-    """Phi_R(C) = R C R + S C S + 2 (R C R # S C S) from the gated Pair of
-    compressions, as a raw array."""
-    return compressions.A + compressions.B + 2.0 * compressions.geometric()
-
-
 def pinching_map(C, R: PDMatrix) -> Pinching:
     """Phi_R(C) = R C R + S C S + 2 (R C R # S C S) with S = I - R, for a
     PDMatrix C or a (..., n, n) stack of C's; every map shares the
@@ -206,7 +202,7 @@ def pinching_map(C, R: PDMatrix) -> Pinching:
     Cs = C.mat if isinstance(C, PDMatrix) else hermitize(np.asarray(C, dtype=np.complex128))
     S, P, Q = pinching_compressions(Cs, R)
     compressions = Pair.gated(P, Q)
-    phi = pinching_phi(compressions)
+    phi = compressions.heron("geometric", 1.0, 1.0, 2.0)
     eigenvalues, eigenvectors = gate_stack(phi)
     return Pinching(phi, eigenvalues, eigenvectors, compressions, S)
 

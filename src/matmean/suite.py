@@ -8,19 +8,17 @@ by 1 + max|dominating side| so one tolerance knob covers all scales.
 Every checker is written in two parts, the matrices to gate and the
 margin from their spectra, so that a stage can gate the matrices of
 several checkers in one stacked call while each margin formula exists
-once.  There are two kinds of stage:
-
-* `_compare` runs checkers on one `Pair` stack: the Heron grid,
-  spreading, endpoints, log-majorization, BLY and the equality case.
-  They name the matrices they use by key (see `_build`), the stage builds
-  each kind in one batched pass (the Heron sums in one broadcast over
-  (a^2, b^2, c), the W_{a,b} in one pass over the weights), and a key
-  named twice is built and gated once: the sharp Heron sums and W_{a,b}
-  of spreading, endpoints and BLY are entries of the Heron grid.
-* `_run_staged` runs checker tasks in lockstep: pinching (with the
-  quadratic lift of its map) and the semidefinite limit.  It makes one
-  gate for their raw operands, one stacked `#` over their operand pairs
-  and one gate for the matrices they compare.
+once.  A stage is `_compare` on one `Pair` stack.  Its checkers name the
+matrices they use by key (see `_build`); the stage builds each kind in
+one batched pass (the Heron sums in one broadcast over (a^2, b^2, c), the
+W_{a,b} in one pass over the weights), and a key named twice is built and
+gated once: the sharp Heron sums and W_{a,b} of spreading, endpoints and
+BLY are entries of the Heron grid.  Pinching and the semidefinite limit
+first make the operand pairs of their stage: the compression pairs
+(R X R, S X S) at X = C, I, 2C and C1, and the eps-levels
+(A0 + eps I, B0 + eps I).  On those pairs the maps Phi_R(X) and the Heron
+side of the limit are the same keyed sum, A + B + 2 (A # B); the
+quadratic lift keys its matrices by makers over C and D.
 
 The public checkers run one checker through the same stage (the
 quadratic lift alone is one gate call between its two parts).  run_suite
@@ -32,9 +30,10 @@ rank-deficient A0, B0.  Each segment makes all of its rng draws, then one
 stacked QR for its Haar unitaries and one `gate_eig` check of every drawn
 (lambda, U).  A rejected noncommuting candidate is redrawn one pair at a
 time before the second segment draws anything.  The trial then runs two
-stages: `_compare` on the main pair stacked with the two equality pairs,
-then `_run_staged` on pinching with its lift and the semidefinite limit.
-A stage's arrays are released before the next one starts.
+stages: the main pair stacked with the two equality pairs, then the four
+compression pairs and the four eps-levels as one gated Pair, for pinching
+with its lift and the semidefinite limit.  A stage's arrays are released
+before the next one starts.
 """
 
 from __future__ import annotations
@@ -47,8 +46,6 @@ import numpy as np
 
 from .errors import InstanceDrawError, InvalidWeightsError, MatrixFormatError
 from .exact import direction_one_data, direction_two_data
-# check_* names in this module are the theorem checkers
-from .linalg import check_pd as _check_pd
 from .linalg import (
     HermitianMatrix,
     PDMatrix,
@@ -74,7 +71,7 @@ from .majorization import (
 )
 from .means import Pair
 from .report import CheckReport
-from .schur import pinching_compressions, pinching_phi
+from .schur import pinching_compressions
 
 DEFAULT_EPS_SEQUENCE = (1e-2, 1e-4, 1e-6, 1e-8)
 
@@ -203,6 +200,8 @@ def _report(name: str, tol: float, margins, context) -> CheckReport:
 #   ("W", p, a, b)                   W_{a,b}
 #   ("spectral", p), ("geometric", p)   A natural B, A # B
 #   ("bly", p, a, b)                 (a A^{1/2} + b B^{1/2})^2
+# A kind may also be a maker, called as the makers below are: the
+# quadratic lift's matrices are keyed so (see `_lift`).
 
 
 def _bly_rhs(pair: Pair, p, a, b) -> np.ndarray:
@@ -225,11 +224,11 @@ def _build(pair: Pair, keys) -> np.ndarray:
     """The matrices named by `keys`, stacked in their order; each kind is
     built in one batched pass."""
     out = np.empty((len(keys), pair.dim, pair.dim), dtype=np.complex128)
-    groups: dict[str, list[int]] = {}
+    groups: dict = {}
     for i, key in enumerate(keys):
         groups.setdefault(key[0], []).append(i)
     for kind, where in groups.items():
-        out[where] = _MAKERS[kind](pair, *zip(*(keys[i][1:] for i in where)))
+        out[where] = _MAKERS.get(kind, kind)(pair, *zip(*(keys[i][1:] for i in where)))
     return out
 
 
@@ -270,6 +269,16 @@ def _compare(pair: Pair, checks: list[_Check], tol: float) -> list[CheckReport]:
     return [report for check in checks for report in check.reports(built, tol)]
 
 
+def _check_weights(name: str, positive: bool = False, **weights: float) -> None:
+    """A checker's weights must be finite and nonnegative, or positive
+    where `positive`; written so that NaN and +-inf fail."""
+    for w in weights.values():
+        if not ((w > 0.0 if positive else w >= 0.0) and w < math.inf):
+            bound = "positive" if positive else "nonnegative"
+            given = ", ".join(f"{key} = {w}" for key, w in weights.items())
+            raise InvalidWeightsError(f"{name}: weights must be finite and {bound}, got {given}")
+
+
 # Checkers of the Heron grid, each with the cross term of its Heron
 # expression.  weighted_corollary is spectral_heron at (a, b) = (1-t, t).
 GRID_CROSS = {"spectral_heron": "spectral", "kubo_heron": "geometric", "weighted_corollary": "spectral"}
@@ -282,10 +291,9 @@ def _grid(items, context) -> _Check:
     endpoint c = 2ab is a true majorization, so trace equality is checked
     there too."""
     for check, a, b, c in items:
-        two_ab = 2.0 * a * b
-        if a < 0 or b < 0 or not 0.0 <= c <= two_ab * (1.0 + 1e-12):
-            raise InvalidWeightsError(f"{check}: need a, b >= 0 and 0 <= c <= 2ab = {two_ab}, "
-                                      f"got a = {a}, b = {b}, c = {c}")
+        _check_weights(check, a=a, b=b, c=c)
+        if not c <= 2.0 * a * b * (1.0 + 1e-12):
+            raise InvalidWeightsError(f"{check}: need c <= 2ab = {2.0 * a * b}, got a = {a}, b = {b}, c = {c}")
     H = tuple(("heron", 0, GRID_CROSS[check], a, b, c) for check, a, b, c in items)
     W = tuple(("W", 0, a, b) for _, a, b, _ in items)
 
@@ -339,6 +347,7 @@ def check_sharpness_scalar(a: float, b: float, c_over: float) -> CheckReport:
     arithmetic so 'exact' is meaningful for float inputs)."""
     from fractions import Fraction
 
+    _check_weights("sharpness_scalar", a=a, b=b, c_over=c_over)
     fa, fb, fc = Fraction(a), Fraction(b), Fraction(c_over)
     if not fc > 2 * fa * fb:
         raise InvalidWeightsError(f"need c > 2ab, got c = {c_over}, 2ab = {2 * a * b}")
@@ -355,8 +364,7 @@ def check_sharpness_scalar(a: float, b: float, c_over: float) -> CheckReport:
 
 
 def _spreading(a: float, b: float, context) -> _Check:
-    if a <= 0 or b <= 0:
-        raise InvalidWeightsError(f"need a, b > 0, got a={a}, b={b}")
+    _check_weights("spreading", positive=True, a=a, b=b)
     keys = (("heron", 0, "spectral", a, b, 2.0 * a * b), ("W", 0, a, b))
 
     def reports(built: _Built, tol: float) -> list[CheckReport]:
@@ -386,8 +394,7 @@ def check_spreading(pair: Pair, a: float, b: float,
 
 
 def _equality(pairs, a: float, b: float, context) -> _Check:
-    if a <= 0 or b <= 0:
-        raise InvalidWeightsError(f"need a, b > 0, got a={a}, b={b}")
+    _check_weights("equality_iff_commuting", positive=True, a=a, b=b)
     pairs = list(pairs)
     keys = [[(kind, p, *args) for p in pairs] for kind, *args in (
         ("heron", "spectral", a, b, 2.0 * a * b), ("heron", "geometric", a, b, 2.0 * a * b), ("W", a, b))]
@@ -422,8 +429,7 @@ def check_equality_iff_commuting(pair: Pair, a: float, b: float,
 
 
 def _endpoints(a: float, b: float, context) -> _Check:
-    if a < 0 or b < 0:
-        raise InvalidWeightsError(f"need a, b >= 0, got a={a}, b={b}")
+    _check_weights("endpoints", a=a, b=b)
     keys = (("heron", 0, "geometric", a, b, 2.0 * a * b), ("W", 0, a, b))
 
     def reports(built: _Built, tol: float) -> list[CheckReport]:
@@ -471,8 +477,7 @@ def check_log_majorization_means(pair: Pair, tol: float,
 
 
 def _bly(a: float, b: float, context) -> _Check:
-    if a < 0 or b < 0:
-        raise InvalidWeightsError(f"need a, b >= 0, got a={a}, b={b}")
+    _check_weights("bly", a=a, b=b)
     keys = (("heron", 0, "geometric", a, b, 2.0 * a * b), ("bly", 0, a, b))
 
     def reports(built: _Built, tol: float) -> list[CheckReport]:
@@ -505,56 +510,72 @@ def check_bly(pair: Pair, a: float, b: float,
 
 
 # ---------------------------------------------------------------------------
-# staged checkers: one gate for the raw operands, one stacked '#', one gate
-# for the compared matrices, each over every task
+# pinching, its quadratic lift and the semidefinite limit: pinching and
+# the limit make the operand pairs of their stage, which run_suite joins
+# into one gated Pair, and all three key the matrices they compare like
+# the checkers above
 # ---------------------------------------------------------------------------
 
-def _gate_requests(requests) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    """Gate the [(stack, pd), ...] of every task in one stacked call;
-    returns, per task, (eigenvalues, eigenvectors) per entry."""
-    entries = [entry for request in requests for entry in request]
-    if not entries:
-        return [[] for _ in requests]
-    stacks = [as_stack(mats) for mats, _ in entries]
-    sizes = [len(stack) for stack in stacks]
-    vals, vecs = gate_stack(np.concatenate(stacks), np.repeat([pd for _, pd in entries], sizes))
-    cuts = np.cumsum(sizes)[:-1]
-    parts = iter([(v.reshape(mats.shape[:-1]), U.reshape(mats.shape))
-                  for (mats, _), v, U in zip(entries, np.split(vals, cuts), np.split(vecs, cuts))])
-    return [[next(parts) for _ in request] for request in requests]
+def _sharp_geometric(p) -> tuple:
+    """Key of A + B + 2 (A # B) of pair p: Phi_R(C) when the pair is the
+    compression pair (R C R, S C S), and the Heron side of the
+    semidefinite limit."""
+    return ("heron", p, "geometric", 1.0, 1.0, 2.0)
 
 
-def _run_staged(tasks) -> list[CheckReport]:
-    """Run checker tasks in lockstep, each step one stacked call over all
-    of them.  A task is a generator that yields, in turn:
+def _pinching(C: PDMatrix, R: PDMatrix, C1: np.ndarray, context):
+    """The compression pairs (R X R, S X S) at X = C, I, 2C and the raw
+    C1 <= C, to be pairs 0-3 of the stage's Pair, and the check of
+    Phi = Phi_R(C) on them.  C1 needs no gate of its own: R C1 R is gated
+    positive definite with the operands, and congruence by the invertible
+    R keeps the inertia."""
+    n = C.dim
+    eye = np.eye(n)
+    # I and 2C are not gated: their decompositions are exactly those of
+    # the identity and of the gated C
+    S, P, Q = pinching_compressions(np.stack([C.mat, eye, 2.0 * C.mat, C1]), R)
+    keys = tuple(_sharp_geometric(i) for i in range(4))
 
-    1. the raw matrices it gates, as [(stack, pd), ...], and receives one
-       (eigenvalues, eigenvectors) per entry;
-    2. a Pair of gated operands, or None, and receives it back with its
-       geometric mean computed (one stacked pass over every task's pairs);
-    3. the matrices it compares, as in 1;
+    def reports(built: _Built, tol: float) -> list[CheckReport]:
+        Phi, Phi_eye, Phi2, Phi1 = built.matrices(keys)
+        margins = [_wm_margin(built.spectra(keys[:1])[0], spectrum(C).values)]
+        # unitality
+        margins.append(_eq_margin(float(np.linalg.norm(Phi_eye - eye)), 1.0 + math.sqrt(n)))
+        # positive homogeneity at alpha = 2
+        margins.append(_eq_margin(float(np.linalg.norm(Phi2 - 2.0 * Phi)),
+                                  1.0 + 2.0 * float(np.linalg.norm(Phi))))
+        # trace-subpreservation
+        margins.append((C.trace() - float(np.trace(Phi).real)) / (1.0 + C.trace()))
+        # order preservation on the dominated pair C1 <= C
+        gap_vals = np.linalg.eigvalsh(Phi - Phi1)
+        margins.append(float(gap_vals[0]) / (1.0 + float(np.abs(gap_vals).max())))
+        # trace identity linking the spectral mean of the two compressions
+        lhs_tr = float(np.trace(built.pair[0].spectral()).real)
+        rhs_tr = float(np.trace(R.mat @ S @ C.mat).real)
+        margins.append(_eq_margin(lhs_tr - rhs_tr, 1.0 + abs(rhs_tr)))
+        return [_report("pinching", tol, min(margins), context)]
 
-    and returns its reports.
-    """
-    replies = _gate_requests([next(task) for task in tasks])
-    pairs = [task.send(reply) for task, reply in zip(tasks, replies)]
-    given = [pair for pair in pairs if pair is not None]
-    if given:
-        joined = Pair.join(given)
-        joined.geometric()
-        ends = np.cumsum([len(pair) for pair in given])
-        parts = iter([joined[start:end] for start, end in zip([0, *ends[:-1]], ends)])
-        pairs = [None if pair is None else next(parts) for pair in pairs]
-    replies = _gate_requests([task.send(pair) for task, pair in zip(tasks, pairs)])
-    reports = []
-    for task, reply in zip(tasks, replies):
-        try:
-            task.send(reply)
-        except StopIteration as done:
-            reports += done.value
-        else:
-            raise RuntimeError("a staged checker task did not finish after its third step")
-    return reports
+    return (P, Q), _Check(keys, (), reports)
+
+
+def _dominated_by(C: PDMatrix, bump: PDMatrix) -> np.ndarray:
+    """C1 = C - (lambda_min(C) / 2) bump / lambda_max(bump) <= C, raw."""
+    return hermitize(C.mat - (0.5 * C.min_eigenvalue_witness) * bump.mat / bump.eig().eigenvalues[0])
+
+
+def check_pinching(C: PDMatrix, R: PDMatrix, tol: float,
+                   context: dict | None = None,
+                   rng: np.random.Generator | None = None) -> CheckReport:
+    """The nonlinear pinching map Phi = Phi_R(C) contracts in weak
+    majorization; its four structural hypotheses (monotone, homogeneous,
+    unital, trace-subpreserving) are spot-checked on the same instance,
+    with Phi_R evaluated at C, I, 2C and a random C1 <= C drawn from
+    `rng`."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    C1 = _dominated_by(C, random_pd_from_rng(C.dim, 10.0, rng))
+    operands, check = _pinching(C, R, C1, context)
+    return _compare(Pair.gated(*operands), [check], tol)[0]
 
 
 def _lift_matrices(C: PDMatrix, Ds) -> np.ndarray:
@@ -574,67 +595,23 @@ def _lift_report(C: PDMatrix, dominated, lifted, tol: float, context) -> CheckRe
     return _report("quadratic_lifting", tol, _wm_margin(lifted, sC.values ** 2), context)
 
 
-def _pinching_task(C: PDMatrix, R: PDMatrix, C1: np.ndarray, tol: float, context,
-                   dominated: list[np.ndarray] | None = None):
-    """Task (see `_run_staged`) checking Phi = Phi_R(C), evaluated at C, I,
-    2C and the raw C1 <= C (gated here).  Given `dominated`, raw matrices
-    D with lambda(D) prec_w lambda(C) (gated here), it also checks the
-    quadratic lift of Phi and of each D, Phi's hypothesis read from its
-    gated spectrum."""
-    n = C.dim
-    eye = np.eye(n)
-    # I and 2C are not gated: their decompositions are exactly those of
-    # the identity and of the gated C
-    S, P, Q = pinching_compressions(np.stack([C.mat, eye, 2.0 * C.mat, C1]), R)
-    Ds = list(dominated or ())
-    eig_P, eig_Q, _, *eig_Ds = yield [(P, True), (Q, True), (C1, True), *((D, True) for D in Ds)]
-    compressions = yield Pair.decomposed(P, Q, eig_P, eig_Q)
-    phi = pinching_phi(compressions)
-    Phi, Phi_eye, Phi2, Phi1 = phi
-    compared = [(phi, True)]
-    if dominated is not None:
-        compared.append((_lift_matrices(C, [Phi, *Ds]), True))
-    (s_phi, _), *lifted = yield compared
+def _lift(C: PDMatrix, D: np.ndarray, context) -> _Check:
+    """The quadratic lift of Phi_R(C), the sharp geometric Heron sum of
+    pair 0 (see `_pinching`), and of the raw D with lambda(D) prec_w
+    lambda(C).  Their kinds are makers over C and D (see `_build`); D is
+    gated with its lift, and Phi's hypothesis is read from its gated
+    spectrum."""
+    def lifts(pair: Pair, which) -> np.ndarray:
+        Phi = pair.herons([0], ["geometric"], [1.0], [1.0], [2.0])[0]
+        return _lift_matrices(C, [Phi if w == "phi" else D for w in which])
 
-    margins = [_wm_margin(s_phi[0], spectrum(C).values)]
-    # unitality
-    margins.append(_eq_margin(float(np.linalg.norm(Phi_eye - eye)), 1.0 + math.sqrt(n)))
-    # positive homogeneity at alpha = 2
-    margins.append(_eq_margin(float(np.linalg.norm(Phi2 - 2.0 * Phi)),
-                              1.0 + 2.0 * float(np.linalg.norm(Phi))))
-    # trace-subpreservation
-    margins.append((C.trace() - float(np.trace(Phi).real)) / (1.0 + C.trace()))
-    # order preservation on the dominated pair C1 <= C
-    gap_vals = np.linalg.eigvalsh(Phi - Phi1)
-    margins.append(float(gap_vals[0]) / (1.0 + float(np.abs(gap_vals).max())))
-    # trace identity linking the spectral mean of the two compressions
-    lhs_tr = float(np.trace(compressions[0].spectral()).real)
-    rhs_tr = float(np.trace(R.mat @ S @ C.mat).real)
-    margins.append(_eq_margin(lhs_tr - rhs_tr, 1.0 + abs(rhs_tr)))
-    report = _report("pinching", tol, min(margins), context)
-    if dominated is None:
-        return [report]
-    ((s_lifted, _),) = lifted
-    return [report, _lift_report(C, [s_phi[0], *(vals for vals, _ in eig_Ds)], s_lifted, tol, context)]
+    lifted = ((lifts, "phi"), (lifts, "D"))
+    dominated = (_sharp_geometric(0), (lambda pair, _: D, "D"))
 
+    def reports(built: _Built, tol: float) -> list[CheckReport]:
+        return [_lift_report(C, built.spectra(dominated), built.spectra(lifted), tol, context)]
 
-def _dominated_by(C: PDMatrix, bump: PDMatrix) -> np.ndarray:
-    """C1 = C - (lambda_min(C) / 2) bump / lambda_max(bump) <= C, raw."""
-    return hermitize(C.mat - (0.5 * C.min_eigenvalue_witness) * bump.mat / bump.eig().eigenvalues[0])
-
-
-def check_pinching(C: PDMatrix, R: PDMatrix, tol: float,
-                   context: dict | None = None,
-                   rng: np.random.Generator | None = None) -> CheckReport:
-    """The nonlinear pinching map Phi = Phi_R(C) contracts in weak
-    majorization; its four structural hypotheses (monotone, homogeneous,
-    unital, trace-subpreserving) are spot-checked on the same instance,
-    with Phi_R evaluated at C, I, 2C and a random C1 <= C drawn from
-    `rng`."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    C1 = _dominated_by(C, random_pd_from_rng(C.dim, 10.0, rng))
-    return _run_staged([_pinching_task(C, R, C1, tol, context)])[0]
+    return _Check(lifted + dominated, (), reports)
 
 
 def check_quadratic_lifting(C: PDMatrix, Ds: list[PDMatrix], tol: float,
@@ -647,38 +624,42 @@ def check_quadratic_lifting(C: PDMatrix, Ds: list[PDMatrix], tol: float,
     return _lift_report(C, [D.eig().eigenvalues for D in Ds], lifted, tol, context)
 
 
-def _limit_task(A0: HermitianMatrix, B0: HermitianMatrix, eps_sequence, tol: float, context):
-    """Task (see `_run_staged`) of `check_semidefinite_limit`."""
+def _limit(A0: HermitianMatrix, B0: HermitianMatrix, eps_sequence, tol: float, context, p: int = 0):
+    """The regularized pairs (A0 + eps I, B0 + eps I), one per eps, to be
+    pairs p, p+1, ... of the stage's Pair, and the check of
+    `check_semidefinite_limit` on them.  A0 and B0 are checked positive
+    semidefinite from their decompositions (for the suite's, the drawn
+    eigen-data that `gate_eig` checked); the gate on the pairs then checks
+    every level positive definite."""
     if A0.dim != B0.dim:
         raise MatrixFormatError(f"dimension mismatch: {A0.dim} vs {B0.dim}")
+    for M, name in ((A0, "A0"), (B0, "B0")):
+        vals = M.eig().eigenvalues
+        if float(vals[-1]) < -tol * (1.0 + float(np.abs(vals).max())):
+            raise MatrixFormatError(f"{name} must be positive semidefinite")
     k = len(eps_sequence)
     # every level at once, each M0 + eps I decomposed afresh: at eps = 1e-8
     # the margin amplifies a decomposition's rounding to about 1e-5, and the
     # eigenvalues of M0 shifted by eps turned a true margin of 1.8e-6 into
     # -1.1e-5 on one rank-one pair
     shift = np.asarray(eps_sequence, dtype=np.float64)[:, None, None] * np.eye(A0.dim)
-    A, B = A0.mat + shift, B0.mat + shift
-    # the levels are checked positive definite only once A0 and B0 are
-    # known to be positive semidefinite
-    (lam, _), eig_A, eig_B = yield [(np.stack([A0.mat, B0.mat]), False), (A, False), (B, False)]
-    for vals, name in zip(lam, ("A0", "B0")):
-        if float(vals[-1]) < -tol * (1.0 + float(np.abs(vals).max())):
-            raise MatrixFormatError(f"{name} must be positive semidefinite")
-    _check_pd(np.stack([eig_A[0], eig_B[0]]))
-    pair = yield Pair.decomposed(A, B, eig_A, eig_B)
-    keys = [("heron", p, "geometric", 1.0, 1.0, 2.0) for p in range(k)] + [("bly", p, 1.0, 1.0) for p in range(k)]
-    ((vals, _),) = yield [(_build(pair, keys), True)]
-    margins = [float(m) for m in _wm_margin(vals[:k], vals[k:])]
-    gap = 0.0
-    if len(margins) >= 3:
-        m1, m2, m3 = margins[-3], margins[-2], margins[-1]
-        denom = (m3 - m2) - (m2 - m1)
-        extrapolated = m3 if denom == 0.0 else m3 - (m3 - m2) ** 2 / denom
-        gap = abs(m3 - extrapolated)
-    report = _report("semidefinite_limit", tol, min(margins), context)
-    report.diagnostics["margins_along_sequence"] = margins
-    report.diagnostics["convergence_gap"] = gap
-    return [report]
+    heron = tuple(_sharp_geometric(p + i) for i in range(k))
+    bly = tuple(("bly", p + i, 1.0, 1.0) for i in range(k))
+
+    def reports(built: _Built, tol: float) -> list[CheckReport]:
+        margins = [float(m) for m in _wm_margin(built.spectra(heron), built.spectra(bly))]
+        gap = 0.0
+        if len(margins) >= 3:
+            m1, m2, m3 = margins[-3], margins[-2], margins[-1]
+            denom = (m3 - m2) - (m2 - m1)
+            extrapolated = m3 if denom == 0.0 else m3 - (m3 - m2) ** 2 / denom
+            gap = abs(m3 - extrapolated)
+        report = _report("semidefinite_limit", tol, min(margins), context)
+        report.diagnostics["margins_along_sequence"] = margins
+        report.diagnostics["convergence_gap"] = gap
+        return [report]
+
+    return (A0.mat + shift, B0.mat + shift), _Check(heron + bly, (), reports)
 
 
 def check_semidefinite_limit(A0: HermitianMatrix, B0: HermitianMatrix,
@@ -694,7 +675,8 @@ def check_semidefinite_limit(A0: HermitianMatrix, B0: HermitianMatrix,
     noncommuting pairs it decays like sqrt(eps), so it is reported, not
     gated at tol.
     """
-    return _run_staged([_limit_task(A0, B0, eps_sequence, tol, context)])[0]
+    operands, check = _limit(A0, B0, eps_sequence, tol, context)
+    return _compare(Pair.gated(*operands), [check], tol)[0]
 
 
 def certified_pairs() -> tuple[Pair, Pair]:
@@ -859,14 +841,14 @@ class _Segment:
 
     def matrices(self) -> list:
         """The matrices in the order added: PDMatrix, or HermitianMatrix
-        (gated as such) where pd is False."""
+        where pd is False, each with its drawn decomposition."""
         U = haar_unitaries(np.stack(self.gaussians))
         vals = np.stack([entry[0] for entry in self.entries])
         vecs = np.stack([U[k] if order is None else U[k][:, order] for _, k, order, _ in self.entries])
         pd = [entry[3] for entry in self.entries]
         gate_eig(vals, vecs, pd)
         mats = assemble(vals, vecs)
-        return [PDMatrix._gated(M, v, W) if p else HermitianMatrix(M) for M, v, W, p in zip(mats, vals, vecs, pd)]
+        return [(PDMatrix if p else HermitianMatrix)._gated(M, v, W) for M, v, W, p in zip(mats, vals, vecs, pd)]
 
 
 class _Draw(NamedTuple):
@@ -880,8 +862,8 @@ class _Draw(NamedTuple):
     R: PDMatrix
     C1: np.ndarray       # raw C1 <= C for the order check
     D: np.ndarray        # raw D with lambda(D) prec_w lambda(C) for the lift
-    A0: HermitianMatrix  # the rank-deficient pair of the semidefinite limit
-    B0: HermitianMatrix
+    A0: HermitianMatrix  # the rank-deficient pair of the semidefinite limit,
+    B0: HermitianMatrix  # with their drawn decompositions
 
 
 def _trial_start(config: SuiteConfig, offset: int) -> tuple[np.random.Generator, int, tuple[float, float]]:
@@ -961,8 +943,9 @@ def run_suite(config: SuiteConfig) -> RunReport:
 
     Each trial draws all of its random instances first (`_draw_trial`),
     then runs two stages (see the module docstring): the main pair and
-    the equality pairs as one stacked Pair, then pinching with its
-    quadratic lift and the semidefinite limit."""
+    the equality pairs as one stacked Pair, then the operand pairs of
+    pinching (with its quadratic lift) and of the semidefinite limit as
+    one gated Pair."""
     pool: dict[str, CheckReport] = {}
     tol = config.tol
 
@@ -993,12 +976,15 @@ def run_suite(config: SuiteConfig) -> RunReport:
         for report in _compare(Pair.stack(pairs), checks, tol):
             _merge_into(pool, report)
 
-        # stage 2: pinching with the quadratic lift of Phi_R(C) and D, and
-        # the semidefinite boundary
+        # stage 2: pinching with the quadratic lift of Phi_R(C) and D on
+        # the compression pairs (index 0-3), and the semidefinite limit on
+        # the eps-levels after them
         ctx_p = dict(context, C=draw.C, R=draw.R)
         ctx_s = dict(context, A=draw.A0, B=draw.B0, variant="rank-deficient")
-        for report in _run_staged([_pinching_task(draw.C, draw.R, draw.C1, tol, ctx_p, [draw.D]),
-                                   _limit_task(draw.A0, draw.B0, DEFAULT_EPS_SEQUENCE, tol, ctx_s)]):
+        (P, Q), pinching = _pinching(draw.C, draw.R, draw.C1, ctx_p)
+        (A_eps, B_eps), limit = _limit(draw.A0, draw.B0, DEFAULT_EPS_SEQUENCE, tol, ctx_s, len(P))
+        checks = [pinching, _lift(draw.C, draw.D, ctx_p), limit]
+        for report in _compare(Pair.gated(np.concatenate([P, A_eps]), np.concatenate([Q, B_eps])), checks, tol):
             _merge_into(pool, report)
 
     return RunReport(config=config, checks=list(pool.values()))

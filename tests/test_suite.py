@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from matmean import suite
-from matmean.errors import InvalidWeightsError
+from matmean.errors import InvalidWeightsError, MatrixFormatError, NotPositiveDefiniteError
 from matmean.linalg import HermitianMatrix, PDMatrix, random_pd_from_rng
 from matmean.means import Pair
 from matmean.report import CheckReport
@@ -77,6 +77,16 @@ class TestTrivialInstances:
         r = check_pinching(C, R, TOL)
         assert r.ok
 
+    def test_pinching_rejects_r_with_spectrum_outside_open_unit_interval(self):
+        C, R = rand_pd(2, seed=79), PDMatrix(np.diag([1.0, 0.5]))
+        with pytest.raises(NotPositiveDefiniteError, match="spectrum of R"):
+            check_pinching(C, R, TOL)
+
+    def test_pinching_rejects_dimension_mismatch(self):
+        C, R = rand_pd(3, seed=80), PDMatrix(np.diag([0.3, 0.6]))
+        with pytest.raises(MatrixFormatError, match="dimension mismatch"):
+            check_pinching(C, R, TOL)
+
     def test_kubo_equal_operands(self):
         A = rand_pd(2, seed=68)
         r = check_kubo_heron(Pair(A, A), 1.0, 1.0, 2.0, TOL)
@@ -131,6 +141,37 @@ class TestSharpnessScalar:
             check_sharpness_scalar(1.0, 1.0, 1.9)
 
 
+class TestNonFiniteWeights:
+    # each public checker that takes weights, with admissible weights; the
+    # test puts the bad value in each weight slot in turn
+    CHECKERS = {
+        "spectral_heron": (lambda pair, a, b, c: check_spectral_heron(pair, a, b, c, TOL), (1.0, 1.0, 1.0)),
+        "kubo_heron": (lambda pair, a, b, c: check_kubo_heron(pair, a, b, c, TOL), (1.0, 1.0, 1.0)),
+        "weighted_corollary": (lambda pair, t, c: check_weighted_corollary(pair, t, c, TOL), (0.5, 0.25)),
+        "spreading": (lambda pair, a, b: check_spreading(pair, a, b, TOL), (1.0, 1.0)),
+        "endpoints": (lambda pair, a, b: check_endpoints(pair, a, b, TOL), (1.0, 1.0)),
+        "bly": (lambda pair, a, b: check_bly(pair, a, b, TOL), (1.0, 1.0)),
+        "equality_iff_commuting": (lambda pair, a, b: check_equality_iff_commuting(pair, a, b, TOL), (1.0, 1.0)),
+        "sharpness_scalar": (lambda pair, a, b, c: check_sharpness_scalar(a, b, c), (1.0, 1.0, 3.0)),
+    }
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", sorted(CHECKERS))
+    def test_rejected_before_any_matrix_is_built(self, name, value, monkeypatch):
+        checker, weights = self.CHECKERS[name]
+        pair = Pair(rand_pd(3, seed=77), rand_pd(3, seed=78))
+
+        def no_build(*args):
+            raise AssertionError("a matrix was built before the weight check")
+
+        monkeypatch.setattr(suite, "_build", no_build)
+        for slot in range(len(weights)):
+            bad = list(weights)
+            bad[slot] = value
+            with pytest.raises(InvalidWeightsError):
+                checker(pair, *bad)
+
+
 class TestEqualityIffCommuting:
     def test_commuting_by_construction(self):
         rng = np.random.default_rng(5)
@@ -161,6 +202,15 @@ class TestSemidefiniteLimit:
         # margins are identically zero along the sequence for this pair,
         # so the extrapolated limit agrees to the strict budget
         assert r.diagnostics["convergence_gap"] <= 10 * TOL
+
+    def test_rejects_indefinite_operand(self):
+        A0 = HermitianMatrix(np.diag([1.0, -0.5]))
+        with pytest.raises(MatrixFormatError, match="A0 must be positive semidefinite"):
+            check_semidefinite_limit(A0, HermitianMatrix(np.eye(2)), tol=TOL)
+
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(MatrixFormatError, match="dimension mismatch"):
+            check_semidefinite_limit(HermitianMatrix(np.eye(2)), HermitianMatrix(np.eye(3)), tol=TOL)
 
     def test_random_rank_deficient_margins_stable(self, rng):
         for _ in range(5):
@@ -489,8 +539,15 @@ class TestWork:
     def test_at_most_13_eigendecompositions_per_trial(self, monkeypatch):
         calls = _count_calls(monkeypatch, np.linalg, "eigh")
         run_suite(SuiteConfig(seed=42, trials=8))
-        # 24.75 per trial before the trial ran in two stacked stages
-        assert len(calls) <= 13 * 8
+        # 24.75 per trial before the trial ran in two stacked stages; the
+        # bound is the count once the second stage gated one Pair, so a
+        # stage that adds a gate fails it
+        assert len(calls) <= 83
+
+    def test_eigendecompositions_at_dims_16_to_32(self, monkeypatch):
+        calls = _count_calls(monkeypatch, np.linalg, "eigh")
+        run_suite(SuiteConfig(seed=42, trials=3, dims=(16, 24, 32)))
+        assert len(calls) <= 38
 
     def test_at_most_2_qr_factorizations_per_trial(self, monkeypatch):
         calls = _count_calls(monkeypatch, np.linalg, "qr")
