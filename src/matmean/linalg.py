@@ -9,13 +9,15 @@ that decomposition instead of computing a new one.
 
 All matrix functions (square root, inverse, powers, positive part) are
 computed through one eigendecomposition path, never by iteration, so a
-single accuracy model covers everything.  Values are immutable after
-construction and every operation is a pure function.
+single accuracy model covers everything: f(P) of a gated P is `derived`
+from its decomposition.  Every stacked check fails through `require`,
+and every weight is checked by `require_weights`.  Values are immutable
+after construction and every operation is a pure function.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -77,32 +79,40 @@ def frobenius(mats: np.ndarray) -> np.ndarray:
 # constructors below run the same checks on a single matrix
 # ---------------------------------------------------------------------------
 
-def locate(bad: np.ndarray) -> tuple[tuple, str]:
-    """Index of the first offending matrix of a stack, and a note for the
-    message; a single matrix gives ((), "")."""
-    if bad.ndim == 0:
-        return (), ""
-    i = tuple(int(k) for k in np.argwhere(bad)[0])
-    return i, f" (stack index {i})"
+def require(ok, error: type[Exception], describe: Callable[[tuple], str]) -> None:
+    """The one failure path of every stacked check: raise
+    `error(describe(i) + " (stack index i)")` for the first slice i of a
+    stack where `ok` is False; a single check (0-d `ok`) adds no index.
+    Callers write `ok` so that NaN fails it."""
+    ok = np.asarray(ok)
+    if ok.all():
+        return
+    if ok.ndim == 0:
+        raise error(describe(()))
+    i = tuple(int(k) for k in np.argwhere(~ok)[0])
+    raise error(f"{describe(i)} (stack index {i})")
+
+
+def require_weights(name: str, positive: bool = False, **weights: float) -> None:
+    """The one weight check: each weight must be finite and nonnegative,
+    or positive where `positive`; written so that NaN and +-inf fail."""
+    bound = "positive" if positive else "nonnegative"
+    ok = all((w > 0.0 if positive else w >= 0.0) and w < np.inf for w in weights.values())
+    require(ok, InvalidWeightsError, lambda _: f"{name}: weights must be finite and {bound}, got "
+            + ", ".join(f"{key} = {w}" for key, w in weights.items()))
 
 
 def hermitize(mats: np.ndarray) -> np.ndarray:
     """Hermitian gate: entries must be finite and the asymmetry within
     HERMITIAN_ASYMMETRY_RTOL of the largest entry.  Returns the Hermitian
     parts."""
-    bad = ~np.isfinite(mats).all(axis=(-2, -1))
-    if bad.any():
-        raise MatrixFormatError("matrix contains non-finite entries" + locate(bad)[1])
+    require(np.isfinite(mats).all(axis=(-2, -1)), MatrixFormatError, lambda i: "matrix contains non-finite entries")
     adj = adjoint(mats)
     limit = HERMITIAN_ASYMMETRY_RTOL * np.abs(mats).max(axis=(-2, -1))
     asym = np.abs(mats - adj).max(axis=(-2, -1))
-    bad = asym > limit
-    if bad.any():
-        i, where = locate(bad)
-        raise MatrixFormatError(
-            f"matrix is not Hermitian: asymmetry {asym[i]:.3e} exceeds "
-            f"{HERMITIAN_ASYMMETRY_RTOL:g} * max|entry| = {limit[i]:.3e}{where}"
-        )
+    require(asym <= limit, MatrixFormatError,
+            lambda i: f"matrix is not Hermitian: asymmetry {asym[i]:.3e} exceeds "
+                      f"{HERMITIAN_ASYMMETRY_RTOL:g} * max|entry| = {limit[i]:.3e}")
     return (mats + adj) / 2
 
 
@@ -111,28 +121,22 @@ def _check_decomposition(vals: np.ndarray, vecs: np.ndarray, reference: np.ndarr
     the reconstruction residual."""
     n = vals.shape[-1]
     ortho = np.linalg.norm(adjoint(vecs) @ vecs - np.eye(n), axis=(-2, -1))
-    bad = ~(ortho <= UNITARITY_RTOL * n)  # NaN eigenvectors fail too
-    if bad.any():
-        i, where = locate(bad)
-        raise NumericalFailure(f"eigenvector matrix is not unitary: ||U*U - I|| = {ortho[i]:.3e}{where}")
+    require(ortho <= UNITARITY_RTOL * n, NumericalFailure,
+            lambda i: f"eigenvector matrix is not unitary: ||U*U - I|| = {ortho[i]:.3e}")
     if reference is not None:
         recon = np.linalg.norm((vecs * vals[..., None, :]) @ adjoint(vecs) - reference, axis=(-2, -1))
         limit = RECONSTRUCTION_RTOL * (1.0 + np.linalg.norm(reference, axis=(-2, -1)))
-        bad = recon > limit
-        if bad.any():
-            i, where = locate(bad)
-            raise NumericalFailure(
-                f"eigendecomposition residual {recon[i]:.3e} exceeds {limit[i]:.3e}{where}"
-            )
+        require(recon <= limit, NumericalFailure,
+                lambda i: f"eigendecomposition residual {recon[i]:.3e} exceeds {limit[i]:.3e}")
 
 
 def _check_eigen_data(vals: np.ndarray, vecs: np.ndarray) -> None:
     """Matching shapes and decreasing eigenvalues of given eigen-data."""
     if vecs.shape != vals.shape + vals.shape[-1:]:
         raise MatrixFormatError("eigenvector matrix shape does not match eigenvalue count")
-    bad = (vals[..., :-1] < vals[..., 1:]).any(axis=-1)
-    if bad.any():
-        raise MatrixFormatError("eigenvalues must be sorted in decreasing order" + locate(bad)[1])
+    # NaN is not out of order: the positive-definite check rejects it
+    require(~(vals[..., :-1] < vals[..., 1:]).any(axis=-1), MatrixFormatError,
+            lambda i: "eigenvalues must be sorted in decreasing order")
 
 
 def gate_eig(vals: np.ndarray, vecs: np.ndarray, pd=True) -> None:
@@ -144,21 +148,18 @@ def gate_eig(vals: np.ndarray, vecs: np.ndarray, pd=True) -> None:
     assembled matrices are not gated again."""
     _check_eigen_data(vals, vecs)
     _check_decomposition(vals, vecs, None)
-    check_pd(vals, np.asarray(pd, dtype=bool))
+    check_pd(vals, pd)
 
 
 def check_pd(vals: np.ndarray, where=True) -> None:
-    """Positive definiteness of decreasing eigenvalues: finite, and the
+    """Positive definiteness of decreasing eigenvalues, where `where` (a
+    bool, or booleans over the stack) asks for it: finite, and the
     smallest clears PD_EIGENVALUE_RTOL times the largest."""
     lam_min, lam_max = vals[..., -1], vals[..., 0]
     ok = np.isfinite(vals).all(axis=-1) & (lam_min > PD_EIGENVALUE_RTOL * lam_max) & (lam_min > 0.0)
-    bad = ~ok & where
-    if bad.any():
-        i, note = locate(bad)
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite: lambda_min = {lam_min[i]:.3e}, "
-            f"lambda_max = {lam_max[i]:.3e}{note}"
-        )
+    require(ok | np.logical_not(where), NotPositiveDefiniteError,
+            lambda i: f"matrix is not positive definite: lambda_min = {lam_min[i]:.3e}, "
+                      f"lambda_max = {lam_max[i]:.3e}")
 
 
 def _eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,8 +186,8 @@ def gate_stack(mats, pd=True) -> tuple[np.ndarray, np.ndarray]:
     herm = hermitize(mats)
     vals, vecs = _eigh(herm)
     _check_decomposition(vals, vecs, herm)
-    check_pd(vals, np.asarray(pd, dtype=bool))
-    return vals, vecs
+    check_pd(vals, pd)
+    return SpectralDecomposition(vals, vecs)
 
 
 class SpectralDecomposition(NamedTuple):
@@ -203,6 +204,23 @@ class SpectralDecomposition(NamedTuple):
     def assemble(self, transformed_eigenvalues) -> np.ndarray:
         """U diag(f(lambda)) U* as a raw Hermitian array."""
         return assemble(np.asarray(transformed_eigenvalues), self.eigenvectors)
+
+    def at(self, index) -> "SpectralDecomposition":
+        """The decomposition of the matrices at `index` of the stack."""
+        return SpectralDecomposition(self.eigenvalues[index], self.eigenvectors[index])
+
+
+def derived(dec: SpectralDecomposition, f: Callable, reverse: bool = False) -> SpectralDecomposition:
+    """The decomposition of f(P) = U f(Lambda) U* from the gated one of P
+    (or of a stack): the eigenvectors, which already passed the unitarity
+    check, are reused, and only the new eigenvalues f(Lambda) are
+    checked, by `check_pd`.  A decreasing f gives `reverse`, which
+    restores decreasing order."""
+    vals, vecs = f(dec[0]), dec[1]
+    if reverse:
+        vals, vecs = vals[..., ::-1].copy(), vecs[..., ::-1].copy()
+    check_pd(vals)
+    return SpectralDecomposition(vals, vecs)
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -299,13 +317,10 @@ class PDMatrix(HermitianMatrix):
         gate_eig(vals, vecs)
         return cls._gated(assemble(vals, vecs), vals, vecs)
 
-    @classmethod
-    def _derived(cls, eigenvalues_desc: np.ndarray, eigenvectors: np.ndarray) -> "PDMatrix":
-        """f(P) for a gated P: its eigenvectors already passed the
-        unitarity check, so only the new eigenvalues are checked (finite,
-        positive definite).  Caller guarantees decreasing order."""
-        check_pd(eigenvalues_desc)
-        return cls._gated(assemble(eigenvalues_desc, eigenvectors), eigenvalues_desc, eigenvectors)
+    def _derived(self, f: Callable, reverse: bool = False) -> "PDMatrix":
+        """f(P), through `derived`."""
+        dec = derived(self.eig(), f, reverse)
+        return PDMatrix._gated(assemble(*dec), *dec)
 
     def __repr__(self):
         return f"PDMatrix(dim={self.dim}, lambda_min={self.min_eigenvalue_witness:.3e})"
@@ -391,25 +406,17 @@ def _jacobi_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def principal_sqrt(P: PDMatrix) -> PDMatrix:
     """Unique positive definite square root."""
-    dec = P.eig()
-    return PDMatrix._derived(np.sqrt(dec.eigenvalues), dec.eigenvectors)
+    return P._derived(np.sqrt)
 
 
 def pd_power(P: PDMatrix, t: float) -> PDMatrix:
     """P**t for real t via the eigendecomposition."""
-    dec = P.eig()
-    vals = dec.eigenvalues ** t
-    if t >= 0:
-        return PDMatrix._derived(vals, dec.eigenvectors)
-    return PDMatrix._derived(vals[::-1].copy(), dec.eigenvectors[:, ::-1].copy())
+    return P._derived(lambda vals: vals ** t, reverse=t < 0)
 
 
 def inverse(P: PDMatrix) -> PDMatrix:
     """Inverse of a positive definite matrix."""
-    dec = P.eig()
-    vals = (1.0 / dec.eigenvalues)[::-1].copy()
-    vecs = dec.eigenvectors[:, ::-1].copy()
-    return PDMatrix._derived(vals, vecs)
+    return P._derived(np.reciprocal, reverse=True)
 
 
 def positive_part(H: HermitianMatrix) -> HermitianMatrix:

@@ -20,14 +20,16 @@ of them over many pairs of the stack in one batched pass (the suite's
 whole Heron/Wasserstein grid, say).
 Its kernels return raw Hermitian arrays and take the operands'
 decompositions from where they were gated: PDMatrix operands
-(`Pair(A, B)`, `Pair.stack`), one `linalg.gate_stack` call
+(`Pair(A, B)`, `Pair.stack`) or one `linalg.gate_stack` call
 (`Pair.gated`; the suite's second stage makes one over the operand
-pairs of pinching and of the semidefinite limit together), or a gate
-the caller ran (`Pair.decomposed`).  The strict gate runs where a value
-leaves or is judged: on the operands, on what the public functions
-below return (each a thin wrapper over a one-pair Pair), and, through
-`linalg.gate_stack`, on every matrix whose spectrum a checker compares.
-The one gated intermediate is X, whose eigenvectors build A natural B.
+pairs of pinching and of the semidefinite limit together).  The strict
+gate runs where a value leaves or is judged: on the operands, on what
+the public functions below return (each a thin wrapper over a one-pair
+Pair), and, through `linalg.gate_stack`, on every matrix whose spectrum
+a checker compares.  The one gated intermediate is X, whose
+eigenvectors build A natural B.  A^{+-1/2} and X^t are `linalg.derived`
+from the gated decompositions, the stacked checks fail through
+`linalg.require`, and the coefficients go through `linalg.require_weights`.
 """
 
 from __future__ import annotations
@@ -45,14 +47,16 @@ from .errors import (
 from .linalg import (
     HermitianMatrix,
     PDMatrix,
+    SpectralDecomposition,
     adjoint,
     as_stack,
     assemble,
-    check_pd,
+    derived,
     frobenius,
     gate_stack,
     hermitian_part,
-    locate,
+    require,
+    require_weights,
 )
 
 RICCATI_RESIDUAL_RTOL = 1e-8
@@ -69,20 +73,10 @@ def _psd_pow_raw(mat: np.ndarray, t: float) -> np.ndarray:
     """
     vals, vecs = np.linalg.eigh(mat)
     lam_min, lam_max = vals[..., 0], vals[..., -1]
-    bad = (lam_min < -1e-12 * lam_max) | (lam_max <= 0.0)
-    if bad.any():
-        i, where = locate(bad)
-        raise NotPositiveDefiniteError(
-            f"intermediate matrix is not PSD: lambda_min = {lam_min[i]:.3e}, "
-            f"lambda_max = {lam_max[i]:.3e}{where}"
-        )
+    require((lam_min >= -1e-12 * lam_max) & (lam_max > 0.0), NotPositiveDefiniteError,
+            lambda i: f"intermediate matrix is not PSD: lambda_min = {lam_min[i]:.3e}, "
+                      f"lambda_max = {lam_max[i]:.3e}")
     return assemble(np.maximum(vals, 0.0) ** t, vecs)
-
-
-def _check_coefficients(a: float, b: float, c: float) -> None:
-    # written so that NaN and +-inf fail
-    if not all(0.0 <= x < np.inf for x in (a, b, c)):
-        raise InvalidWeightsError(f"coefficients must be finite and nonnegative: a={a}, b={b}, c={c}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +88,7 @@ class MeanWeights:
     c: float
 
     def __post_init__(self):
-        _check_coefficients(self.a, self.b, self.c)
+        require_weights("MeanWeights", a=self.a, b=self.b, c=self.c)
 
     @classmethod
     def sharp(cls, a: float, b: float) -> "MeanWeights":
@@ -112,46 +106,24 @@ def _check_t(t: float) -> None:
         raise InvalidWeightsError(f"t must lie in [0, 1], got {t}")
 
 
-# (decreasing eigenvalues, eigenvectors): a SpectralDecomposition, or the
-# pair that a stacked gate returns
-Eig = tuple[np.ndarray, np.ndarray]
-
-
-def _inverse(eig: Eig) -> Eig:
-    """Decomposition of P^{-1} from that of a gated P, decreasing."""
-    vals, vecs = eig
-    inv = (1.0 / vals)[..., ::-1]
-    check_pd(inv)
-    return inv, vecs[..., ::-1]
-
-
-def _root(eig: Eig) -> Eig:
-    """Decomposition of P^{1/2} from that of a gated P."""
-    root = np.sqrt(eig[0])
-    check_pd(root)
-    return root, eig[1]
-
-
-def _geometric_raw(eig_A: Eig, B: np.ndarray, t: float) -> np.ndarray:
+def _geometric_raw(eig_A: SpectralDecomposition, B: np.ndarray, t: float) -> np.ndarray:
     """A #_t B = A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2} as a raw array,
     with A given by its decomposition."""
-    root = _root(eig_A)
-    Ah, Aih = assemble(*root), assemble(*_inverse(root))
+    root = derived(eig_A, np.sqrt)
+    Ah, Aih = assemble(*root), assemble(*derived(root, np.reciprocal, reverse=True))
     mid = _psd_pow_raw(hermitian_part(Aih @ B @ Aih), t)
     return hermitian_part(Ah @ mid @ Ah)
 
 
-def _spectral_raw(A: np.ndarray, eig_X: Eig, t: float) -> np.ndarray:
+def _spectral_raw(A: np.ndarray, eig_X: SpectralDecomposition, t: float) -> np.ndarray:
     """X^t A X^t as a raw array, with X given by its decomposition."""
-    vals = np.sqrt(eig_X[0]) if t == 0.5 else eig_X[0] ** t
-    check_pd(vals)
-    Xt = assemble(vals, eig_X[1])
+    Xt = assemble(*derived(eig_X, np.sqrt if t == 0.5 else lambda vals: vals ** t))
     return hermitian_part(Xt @ A @ Xt)
 
 
-def _stacked(mats: list[PDMatrix]) -> tuple[np.ndarray, Eig]:
+def _stacked(mats: list[PDMatrix]) -> tuple[np.ndarray, SpectralDecomposition]:
     eigs = [M.eig() for M in mats]
-    return np.stack([M.mat for M in mats]), (np.stack([v for v, _ in eigs]), np.stack([U for _, U in eigs]))
+    return np.stack([M.mat for M in mats]), SpectralDecomposition(*map(np.stack, zip(*eigs)))
 
 
 class Pair:
@@ -169,20 +141,15 @@ class Pair:
 
     def __init__(self, A: PDMatrix, B: PDMatrix):
         _check_dims(A, B)
-        self._set(A.mat, B.mat, A.eig(), B.eig())
+        self._init(A.mat, B.mat, A.eig(), B.eig())
 
-    def _set(self, A: np.ndarray, B: np.ndarray, eig_A: Eig, eig_B: Eig) -> None:
+    def _init(self, A, B, eig_A: SpectralDecomposition, eig_B: SpectralDecomposition) -> "Pair":
+        """The one constructor, for a new Pair: raw Hermitian (..., n, n)
+        stacks with the decompositions their gate made."""
         self.A, self.B = A, B
         self._eig_A, self._eig_B = eig_A, eig_B
         self._riccati = self._spectral = self._geometric = self._sqrt = None
-
-    @classmethod
-    def decomposed(cls, A, B, eig_A: Eig, eig_B: Eig) -> "Pair":
-        """Pair of raw Hermitian (..., n, n) stacks with the decompositions
-        (decreasing eigenvalues, eigenvectors) that a gate made of them."""
-        obj = cls.__new__(cls)
-        obj._set(A, B, eig_A, eig_B)
-        return obj
+        return self
 
     @classmethod
     def stack(cls, pairs) -> "Pair":
@@ -192,7 +159,7 @@ class Pair:
         if len(dims) != 1:
             raise MatrixFormatError(f"cannot stack pairs of dimensions {sorted(dims)}")
         (A, eig_A), (B, eig_B) = (_stacked([pair[k] for pair in pairs]) for k in (0, 1))
-        return cls.decomposed(A, B, eig_A, eig_B)
+        return cls.__new__(cls)._init(A, B, eig_A, eig_B)
 
     @classmethod
     def gated(cls, A, B) -> "Pair":
@@ -203,21 +170,18 @@ class Pair:
         if A.shape != B.shape:
             raise MatrixFormatError(f"shape mismatch: {A.shape} vs {B.shape}")
         mats = np.stack([A, B])
-        vals, vecs = gate_stack(mats)
+        dec = gate_stack(mats)
         mats = hermitian_part(mats)
-        return cls.decomposed(mats[0], mats[1], (vals[0], vecs[0]), (vals[1], vecs[1]))
+        return cls.__new__(cls)._init(mats[0], mats[1], dec.at(0), dec.at(1))
 
     def __getitem__(self, index) -> "Pair":
         """The pairs at `index` of the stack, sharing the decompositions
         and every mean already computed."""
-        def part(value):
-            return None if value is None else tuple(x[index] for x in value)
-
-        obj = Pair.decomposed(self.A[index], self.B[index], part(self._eig_A), part(self._eig_B))
-        obj._riccati = None if self._riccati is None else (self._riccati[0][index], part(self._riccati[1]))
+        obj = Pair.__new__(Pair)._init(self.A[index], self.B[index], self._eig_A.at(index), self._eig_B.at(index))
+        obj._riccati = None if self._riccati is None else (self._riccati[0][index], self._riccati[1].at(index))
         obj._spectral = None if self._spectral is None else self._spectral[index]
         obj._geometric = None if self._geometric is None else self._geometric[index]
-        obj._sqrt = part(self._sqrt)
+        obj._sqrt = None if self._sqrt is None else tuple(M[index] for M in self._sqrt)
         return obj
 
     @property
@@ -231,10 +195,10 @@ class Pair:
     def sqrt(self) -> tuple[np.ndarray, np.ndarray]:
         """(A^{1/2}, B^{1/2}) from the operands' decompositions."""
         if self._sqrt is None:
-            self._sqrt = assemble(*_root(self._eig_A)), assemble(*_root(self._eig_B))
+            self._sqrt = assemble(*derived(self._eig_A, np.sqrt)), assemble(*derived(self._eig_B, np.sqrt))
         return self._sqrt
 
-    def _riccati_gated(self) -> tuple[np.ndarray, Eig]:
+    def _riccati_gated(self) -> tuple[np.ndarray, SpectralDecomposition]:
         """X = A^{-1} # B, the unique positive definite solution of
         X A X = B, gated because its eigenvectors build A natural B.
 
@@ -243,15 +207,12 @@ class Pair:
         """
         if self._riccati is None:
             A, B = self.A, self.B
-            X = _geometric_raw(_inverse(self._eig_A), B, 0.5)
+            X = _geometric_raw(derived(self._eig_A, np.reciprocal, reverse=True), B, 0.5)
             eig_X = gate_stack(X)
             residual = frobenius(X @ A @ X - B)
             limit = RICCATI_RESIDUAL_RTOL * frobenius(B)
-            bad = residual > limit
-            if bad.any():
-                i, where = locate(bad)
-                raise NumericalFailure(
-                    f"Riccati residual ||XAX - B|| = {residual[i]:.3e} exceeds {limit[i]:.3e}{where}")
+            require(residual <= limit, NumericalFailure,
+                    lambda i: f"Riccati residual ||XAX - B|| = {residual[i]:.3e} exceeds {limit[i]:.3e}")
             self._riccati = X, eig_X
         return self._riccati
 
@@ -282,10 +243,8 @@ class Pair:
         """
         index = np.asarray(index)
         a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-        bad = ~(np.isfinite(a) & np.isfinite(b) & (a >= 0) & (b >= 0))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise InvalidWeightsError(f"weights must be finite and nonnegative: a={a[i]}, b={b[i]}")
+        require((a >= 0) & (a < np.inf) & (b >= 0) & (b < np.inf), InvalidWeightsError,
+                lambda i: f"weights must be finite and nonnegative: a={a[i]}, b={b[i]}")
         A, B = as_stack(self.A)[index], as_stack(self.B)[index]
         both = (a != 0.0) & (b != 0.0)
         a, b = a[:, None, None], b[:, None, None]
@@ -300,13 +259,9 @@ class Pair:
             by_definition = a * a * A + b * b * B + a * b * (AX + adjoint(AX))
             scale = frobenius(by_congruence)
             distance = frobenius(by_definition - by_congruence)
-            bad = distance > WASSERSTEIN_FORM_RTOL * scale
-            if bad.any():
-                i, where = locate(bad)
-                raise NumericalFailure(
-                    f"Wasserstein dual formulas disagree: ||diff|| = {distance[i]:.3e} "
-                    f"vs scale {scale[i]:.3e}{where}"
-                )
+            require(distance <= WASSERSTEIN_FORM_RTOL * scale, NumericalFailure,
+                    lambda i: f"Wasserstein dual formulas disagree: ||diff|| = {distance[i]:.3e} "
+                              f"vs scale {scale[i]:.3e}")
             W[both], residual[both] = by_congruence, distance
         return W, residual
 
@@ -414,5 +369,5 @@ def heron_kubo(A: PDMatrix, B: PDMatrix, a: float, b: float, c: float | None = N
     a^2 A + b^2 B + c (A # B); c defaults to the endpoint 2ab."""
     if c is None:
         c = 2.0 * a * b
-    _check_coefficients(a, b, c)
+    require_weights("heron_kubo", a=a, b=b, c=c)
     return PDMatrix(Pair(A, B).heron("geometric", a, b, c))

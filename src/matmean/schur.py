@@ -19,6 +19,9 @@ the sharp unit-weight geometric Heron sum of the compression pair,
 `pinching_compressions` from here: it gates the compression pairs with
 its other operand pairs and keys the maps like any other Heron sum (see
 `suite._pinching`).
+
+S = I - R is `linalg.derived` from the decomposition of R.  Weights and
+the entries of r are checked finite before any matrix is built.
 """
 
 from __future__ import annotations
@@ -36,11 +39,15 @@ from .errors import (
 from .linalg import (
     HermitianMatrix,
     PDMatrix,
+    assemble,
+    derived,
     gate_stack,
     hermitian_part,
     hermitize,
     inverse,
     principal_sqrt,
+    require,
+    require_weights,
 )
 from .means import Pair, riccati_mean
 
@@ -95,19 +102,25 @@ class MultiplierBundle:
                 raise NumericalFailure("endpoint multiplier must have unit diagonal")
 
 
+def _multiplier_data(name: str, r, a: float, b: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alpha, beta, d) with alpha_i = a / r_i, beta_i = b r_i and
+    d_i = alpha_i + beta_i, from finite positive r_i, a and b."""
+    r = np.asarray(r, dtype=np.float64)
+    require(np.all((r > 0.0) & (r < np.inf)), InvalidWeightsError,
+            lambda _: f"{name}: r must be entrywise finite and strictly positive, got {r}")
+    require_weights(name, positive=True, a=a, b=b)
+    alpha = a / r
+    beta = b * r
+    return alpha, beta, alpha + beta
+
+
 def gamma_multiplier(r: np.ndarray, a: float, b: float, c: float) -> MultiplierBundle:
     """Multiplier with entries (alpha_i alpha_j + beta_i beta_j + c) / (d_i d_j)
     where alpha_i = a / r_i, beta_i = b r_i, d_i = alpha_i + beta_i."""
-    r = np.asarray(r, dtype=np.float64)
-    if r.ndim != 1 or r.size == 0:
+    if np.ndim(r) != 1 or np.size(r) == 0:
         raise MatrixFormatError("r must be a nonempty vector")
-    if np.any(r <= 0.0):
-        raise InvalidWeightsError("r must be entrywise strictly positive")
-    if a <= 0.0 or b <= 0.0 or c < 0.0:
-        raise InvalidWeightsError(f"need a, b > 0 and c >= 0; got a={a}, b={b}, c={c}")
-    alpha = a / r
-    beta = b * r
-    d = alpha + beta
+    alpha, beta, d = _multiplier_data("gamma_multiplier", r, a, b)
+    require_weights("gamma_multiplier", c=c)
     gamma = (np.outer(alpha, alpha) + np.outer(beta, beta) + c) / np.outer(d, d)
     factors = [alpha / d, beta / d]
     if c > 0.0:
@@ -127,14 +140,7 @@ def gamma_multiplier(r: np.ndarray, a: float, b: float, c: float) -> MultiplierB
 def correlation_decomposition(r: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Unit vectors (s, t) with Gamma_{2ab} = (11^T + s s^T + t t^T) / 2:
     s_i = (alpha_i - beta_i)/d_i and t_i = 2 sqrt(ab)/d_i, so s_i^2 + t_i^2 = 1."""
-    r = np.asarray(r, dtype=np.float64)
-    if np.any(r <= 0.0):
-        raise InvalidWeightsError("r must be entrywise strictly positive")
-    if a <= 0.0 or b <= 0.0:
-        raise InvalidWeightsError(f"need a, b > 0; got a={a}, b={b}")
-    alpha = a / r
-    beta = b * r
-    d = alpha + beta
+    alpha, beta, d = _multiplier_data("correlation_decomposition", r, a, b)
     s = (alpha - beta) / d
     t = 2.0 * np.sqrt(a * b) / d
     return s, t
@@ -187,7 +193,7 @@ def pinching_compressions(Cs: np.ndarray, R: PDMatrix) -> tuple[np.ndarray, np.n
         raise NotPositiveDefiniteError(
             f"spectrum of R must lie strictly inside (0, 1): [{vals[-1]:.3e}, {vals[0]:.3e}]"
         )
-    S = PDMatrix._derived((1.0 - vals)[::-1].copy(), dec.eigenvectors[:, ::-1].copy()).mat
+    S = assemble(*derived(dec, lambda vals: 1.0 - vals, reverse=True))
     return S, hermitian_part(R.mat @ Cs @ R.mat), hermitian_part(S @ Cs @ S)
 
 
@@ -213,8 +219,7 @@ def kubo_change_of_vars(A: PDMatrix, B: PDMatrix, a: float, b: float) -> tuple[P
     Then S = I - R = b X T^{-1}, R C R = a^2 A, S C S = b^2 B, and the
     Heron expression with the geometric cross term equals Phi_R(C).
     """
-    if a <= 0.0 or b <= 0.0:
-        raise InvalidWeightsError(f"need a, b > 0; got a={a}, b={b}")
+    require_weights("kubo_change_of_vars", positive=True, a=a, b=b)
     pair = Pair(A, B)
     X = pair.riccati()
     n = A.dim

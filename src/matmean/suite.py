@@ -61,6 +61,7 @@ from .linalg import (
     principal_sqrt,
     random_pd_from_rng,
     random_pd_sample,
+    require_weights,
 )
 from .majorization import (
     SpectrumVector,
@@ -194,14 +195,17 @@ def _report(name: str, tol: float, margins, context) -> CheckReport:
 # the stage of one Pair stack: keyed matrices, each built and gated once
 # ---------------------------------------------------------------------------
 
-# The matrices of pair p of a (flattened) Pair stack, by key.  Every kind
-# but "W" is gated as positive definite, "W" as Hermitian.
+# The matrices of pair p of a (flattened) Pair stack, by key.  The kinds
+# in HERMITIAN_KINDS are gated as Hermitian, every other kind as positive
+# definite.
 #   ("heron", p, cross, a, b, c)     a^2 A + b^2 B + c M, M the `cross` mean
 #   ("W", p, a, b)                   W_{a,b}
 #   ("spectral", p), ("geometric", p)   A natural B, A # B
 #   ("bly", p, a, b)                 (a A^{1/2} + b B^{1/2})^2
+#   ("difference", key1, key2)       the matrix of key1 minus that of key2
 # A kind may also be a maker, called as the makers below are: the
 # quadratic lift's matrices are keyed so (see `_lift`).
+HERMITIAN_KINDS = ("W", "difference")
 
 
 def _bly_rhs(pair: Pair, p, a, b) -> np.ndarray:
@@ -217,6 +221,7 @@ _MAKERS = {
     "spectral": lambda pair, p: as_stack(pair.spectral())[np.asarray(p)],
     "geometric": lambda pair, p: as_stack(pair.geometric())[np.asarray(p)],
     "bly": _bly_rhs,
+    "difference": lambda pair, first, second: _build(pair, first) - _build(pair, second),
 }
 
 
@@ -234,13 +239,17 @@ def _build(pair: Pair, keys) -> np.ndarray:
 
 class _Built:
     """The matrices that the checkers of one stage named, built from
-    their keys, and the spectra of those gated."""
+    their keys, and the spectra of those gated.  The gate's stack holds
+    the matrices gated as positive definite first, so a failure names the
+    same stack index whatever Hermitian ones the stage adds."""
 
     def __init__(self, pair: Pair, gated: list, plain: list):
         self.pair = pair
+        gated = sorted(gated, key=lambda key: key[0] in HERMITIAN_KINDS)
         self.index = {key: i for i, key in enumerate(gated + plain)}
         self.mats = _build(pair, gated + plain)
-        self.vals = gate_stack(self.mats[:len(gated)], [key[0] != "W" for key in gated])[0] if gated else None
+        pd = [key[0] not in HERMITIAN_KINDS for key in gated]
+        self.vals = gate_stack(self.mats[:len(gated)], pd)[0] if gated else None
 
     def spectra(self, keys) -> np.ndarray:
         return self.vals[[self.index[key] for key in keys]]
@@ -269,16 +278,6 @@ def _compare(pair: Pair, checks: list[_Check], tol: float) -> list[CheckReport]:
     return [report for check in checks for report in check.reports(built, tol)]
 
 
-def _check_weights(name: str, positive: bool = False, **weights: float) -> None:
-    """A checker's weights must be finite and nonnegative, or positive
-    where `positive`; written so that NaN and +-inf fail."""
-    for w in weights.values():
-        if not ((w > 0.0 if positive else w >= 0.0) and w < math.inf):
-            bound = "positive" if positive else "nonnegative"
-            given = ", ".join(f"{key} = {w}" for key, w in weights.items())
-            raise InvalidWeightsError(f"{name}: weights must be finite and {bound}, got {given}")
-
-
 # Checkers of the Heron grid, each with the cross term of its Heron
 # expression.  weighted_corollary is spectral_heron at (a, b) = (1-t, t).
 GRID_CROSS = {"spectral_heron": "spectral", "kubo_heron": "geometric", "weighted_corollary": "spectral"}
@@ -291,7 +290,7 @@ def _grid(items, context) -> _Check:
     endpoint c = 2ab is a true majorization, so trace equality is checked
     there too."""
     for check, a, b, c in items:
-        _check_weights(check, a=a, b=b, c=c)
+        require_weights(check, a=a, b=b, c=c)
         if not c <= 2.0 * a * b * (1.0 + 1e-12):
             raise InvalidWeightsError(f"{check}: need c <= 2ab = {2.0 * a * b}, got a = {a}, b = {b}, c = {c}")
     H = tuple(("heron", 0, GRID_CROSS[check], a, b, c) for check, a, b, c in items)
@@ -347,7 +346,7 @@ def check_sharpness_scalar(a: float, b: float, c_over: float) -> CheckReport:
     arithmetic so 'exact' is meaningful for float inputs)."""
     from fractions import Fraction
 
-    _check_weights("sharpness_scalar", a=a, b=b, c_over=c_over)
+    require_weights("sharpness_scalar", a=a, b=b, c_over=c_over)
     fa, fb, fc = Fraction(a), Fraction(b), Fraction(c_over)
     if not fc > 2 * fa * fb:
         raise InvalidWeightsError(f"need c > 2ab, got c = {c_over}, 2ab = {2 * a * b}")
@@ -364,7 +363,7 @@ def check_sharpness_scalar(a: float, b: float, c_over: float) -> CheckReport:
 
 
 def _spreading(a: float, b: float, context) -> _Check:
-    _check_weights("spreading", positive=True, a=a, b=b)
+    require_weights("spreading", positive=True, a=a, b=b)
     keys = (("heron", 0, "spectral", a, b, 2.0 * a * b), ("W", 0, a, b))
 
     def reports(built: _Built, tol: float) -> list[CheckReport]:
@@ -394,7 +393,7 @@ def check_spreading(pair: Pair, a: float, b: float,
 
 
 def _equality(pairs, a: float, b: float, context) -> _Check:
-    _check_weights("equality_iff_commuting", positive=True, a=a, b=b)
+    require_weights("equality_iff_commuting", positive=True, a=a, b=b)
     pairs = list(pairs)
     keys = [[(kind, p, *args) for p in pairs] for kind, *args in (
         ("heron", "spectral", a, b, 2.0 * a * b), ("heron", "geometric", a, b, 2.0 * a * b), ("W", a, b))]
@@ -429,7 +428,7 @@ def check_equality_iff_commuting(pair: Pair, a: float, b: float,
 
 
 def _endpoints(a: float, b: float, context) -> _Check:
-    _check_weights("endpoints", a=a, b=b)
+    require_weights("endpoints", a=a, b=b)
     keys = (("heron", 0, "geometric", a, b, 2.0 * a * b), ("W", 0, a, b))
 
     def reports(built: _Built, tol: float) -> list[CheckReport]:
@@ -477,7 +476,7 @@ def check_log_majorization_means(pair: Pair, tol: float,
 
 
 def _bly(a: float, b: float, context) -> _Check:
-    _check_weights("bly", a=a, b=b)
+    require_weights("bly", a=a, b=b)
     keys = (("heron", 0, "geometric", a, b, 2.0 * a * b), ("bly", 0, a, b))
 
     def reports(built: _Built, tol: float) -> list[CheckReport]:
@@ -528,16 +527,18 @@ def _pinching(C: PDMatrix, R: PDMatrix, C1: np.ndarray, context):
     C1 <= C, to be pairs 0-3 of the stage's Pair, and the check of
     Phi = Phi_R(C) on them.  C1 needs no gate of its own: R C1 R is gated
     positive definite with the operands, and congruence by the invertible
-    R keeps the inertia."""
+    R keeps the inertia.  The order check reads the spectrum of
+    Phi_R(C) - Phi_R(C1), gated as Hermitian."""
     n = C.dim
     eye = np.eye(n)
     # I and 2C are not gated: their decompositions are exactly those of
     # the identity and of the gated C
     S, P, Q = pinching_compressions(np.stack([C.mat, eye, 2.0 * C.mat, C1]), R)
     keys = tuple(_sharp_geometric(i) for i in range(4))
+    gap = ("difference", keys[0], keys[3])
 
     def reports(built: _Built, tol: float) -> list[CheckReport]:
-        Phi, Phi_eye, Phi2, Phi1 = built.matrices(keys)
+        Phi, Phi_eye, Phi2 = built.matrices(keys[:3])
         margins = [_wm_margin(built.spectra(keys[:1])[0], spectrum(C).values)]
         # unitality
         margins.append(_eq_margin(float(np.linalg.norm(Phi_eye - eye)), 1.0 + math.sqrt(n)))
@@ -547,15 +548,15 @@ def _pinching(C: PDMatrix, R: PDMatrix, C1: np.ndarray, context):
         # trace-subpreservation
         margins.append((C.trace() - float(np.trace(Phi).real)) / (1.0 + C.trace()))
         # order preservation on the dominated pair C1 <= C
-        gap_vals = np.linalg.eigvalsh(Phi - Phi1)
-        margins.append(float(gap_vals[0]) / (1.0 + float(np.abs(gap_vals).max())))
+        gap_vals = built.spectra([gap])[0]
+        margins.append(float(gap_vals[-1]) / (1.0 + float(np.abs(gap_vals).max())))
         # trace identity linking the spectral mean of the two compressions
         lhs_tr = float(np.trace(built.pair[0].spectral()).real)
         rhs_tr = float(np.trace(R.mat @ S @ C.mat).real)
         margins.append(_eq_margin(lhs_tr - rhs_tr, 1.0 + abs(rhs_tr)))
         return [_report("pinching", tol, min(margins), context)]
 
-    return (P, Q), _Check(keys, (), reports)
+    return (P, Q), _Check(keys + (gap,), (), reports)
 
 
 def _dominated_by(C: PDMatrix, bump: PDMatrix) -> np.ndarray:

@@ -271,6 +271,14 @@ class TestSuiteCommand:
         assert json.loads(out1.read_text())["config"]["seed"] == 99
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_seed_flag_wins_over_env_seed(self, tmp_path, capsys, monkeypatch):
+        # MATMEAN_SEED is read only when --seed is absent
+        out = tmp_path / "r.json"
+        monkeypatch.setenv("MATMEAN_SEED", "99")
+        code, _, _ = run_cli(capsys, "suite", "--trials", "1", "--dims", "2", "--seed", "5", "--out", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["config"]["seed"] == 5
+
 
 class TestCertifyCommand:
     def test_direction_one(self, capsys):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from matmean.errors import InvalidWeightsError, MatrixFormatError, NotPositiveDefiniteError
+from matmean import means
+from matmean.errors import InvalidWeightsError, MatrixFormatError, NotPositiveDefiniteError, NumericalFailure
 from matmean.linalg import PDMatrix, inverse
 from matmean.means import (
     MeanWeights,
@@ -53,6 +54,27 @@ class TestRiccati:
             X = riccati_mean(A, B)
             Y = geometric_mean(inverse(A), B)
             np.testing.assert_allclose(X.mat, Y.mat, atol=1e-10 * np.linalg.norm(Y.mat))
+
+
+class TestNaNFailsItsCheck:
+    """A NaN or inf reaching a check fails it: a comparison that NaN
+    makes False once let NaN matrices through."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_psd_power_of_a_non_finite_intermediate(self, bad):
+        with pytest.raises(NotPositiveDefiniteError):
+            means._psd_pow_raw(np.array([[bad, 0.0], [0.0, 1.0]]), 0.5)
+
+    @pytest.mark.parametrize("warm, compute, message", [
+        (lambda pair: None, lambda pair: pair.riccati(), "Riccati residual"),
+        (lambda pair: pair.riccati(), lambda pair: pair.wasserstein(1.0, 1.0), "Wasserstein dual formulas"),
+    ], ids=["riccati", "dual-form"])
+    def test_nan_residual(self, monkeypatch, warm, compute, message):
+        pair = Pair(rand_pd(3, seed=61), rand_pd(3, seed=62))
+        warm(pair)  # X is computed before the patch, so only `compute` reads NaN norms
+        monkeypatch.setattr(means, "frobenius", lambda mats: np.full(np.shape(mats)[:-2], np.nan))
+        with pytest.raises(NumericalFailure, match=message):
+            compute(pair)
 
 
 class TestGeometricMean:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from matmean.errors import InvalidWeightsError, MatrixFormatError, NotPositiveDefiniteError
 from matmean.linalg import HermitianMatrix, PDMatrix, random_hermitian
 from matmean.majorization import majorization, spectrum, weak_majorization
+from matmean import schur
 from matmean.means import heron_kubo, spectral_mean
 from matmean.schur import (
     correlation_decomposition,
@@ -251,6 +252,36 @@ class TestKuboChangeOfVars:
         A = rand_pd(2, seed=52)
         with pytest.raises(InvalidWeightsError):
             kubo_change_of_vars(A, A, 0.0, 1.0)
+
+
+class TestNonFiniteWeights:
+    """Every weight slot and every entry of r is checked finite (and
+    positive where the formulas divide by it) before any matrix is
+    built; NaN and +-inf once gave NaN vectors or a later gate's
+    MatrixFormatError."""
+
+    CALLS = {
+        "gamma_multiplier": (gamma_multiplier, dict(r=[0.5, 2.0], a=1.0, b=1.0, c=0.5)),
+        "correlation_decomposition": (correlation_decomposition, dict(r=[0.5, 2.0], a=0.5, b=2.0)),
+        "kubo_change_of_vars": (kubo_change_of_vars, dict(A=PDMatrix(np.eye(2)), B=PDMatrix(np.eye(2)),
+                                                          a=1.0, b=1.0)),
+    }
+
+    @pytest.mark.parametrize("name, slot, bad", [
+        pytest.param(name, slot, value if slot != "r" else [value, 1.0], id=f"{name}-{slot}-{value}")
+        for name, slots in (("gamma_multiplier", "abcr"), ("correlation_decomposition", "abr"),
+                            ("kubo_change_of_vars", "ab"))
+        for slot in slots for value in (np.nan, np.inf)
+    ])
+    def test_rejected_before_any_matrix(self, monkeypatch, name, slot, bad):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(schur, "HermitianMatrix", unreachable)
+        monkeypatch.setattr(schur, "Pair", unreachable)
+        fn, args = self.CALLS[name]
+        with pytest.raises(InvalidWeightsError):
+            fn(**dict(args, **{slot: bad}))
 
 
 def test_non_loewner_witness():

@@ -549,6 +549,13 @@ class TestWork:
         run_suite(SuiteConfig(seed=42, trials=3, dims=(16, 24, 32)))
         assert len(calls) <= 38
 
+    def test_no_decomposition_outside_the_gates(self, monkeypatch):
+        # the pinching order check once read eigvalsh(Phi - Phi1), a
+        # spectrum no gate checked and the eigh counts above left out
+        calls = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+        run_suite(SuiteConfig(seed=42, trials=8))
+        assert calls == []
+
     def test_at_most_2_qr_factorizations_per_trial(self, monkeypatch):
         calls = _count_calls(monkeypatch, np.linalg, "qr")
         redraws = _count_calls(monkeypatch, suite, "random_pd_from_rng")
