@@ -4,17 +4,23 @@ run the theorem suite, and emit the exact certificates.
 Matrices travel only through JSON files (never inline flags).  Exit codes:
 0 success / relation holds, 1 relation fails or certificate mismatch,
 2 usage or parse error, 3 non-positive-definite input, 4 invalid weights.
+
+Each command imports only the modules it runs, inside its handler:
+`certify` loads `exact` (and, for the float shadow, numpy, `linalg`,
+`means` and `report`), `compute` loads `linalg`, `means` and `matio`,
+`check` loads `linalg`, `majorization` and `matio`, and `suite` loads
+everything.  Only `errors` is imported up front, for the handlers in
+`main`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-
-import numpy as np
 
 from .errors import (
     InstanceDrawError,
@@ -23,11 +29,6 @@ from .errors import (
     NotPositiveDefiniteError,
     NumericalFailure,
 )
-from . import exact, means
-from .linalg import HermitianMatrix, PDMatrix
-from .majorization import log_majorization, majorization, spectrum, weak_majorization
-from .matio import load_matrix, matrix_to_dict
-from .suite import SuiteConfig, run_suite
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -51,6 +52,12 @@ def _write_output(payload: dict, path: str | None, pretty: bool) -> None:
 
 
 def _cmd_compute(args) -> int:
+    import numpy as np
+
+    from . import means
+    from .linalg import HermitianMatrix, PDMatrix
+    from .matio import load_matrix, matrix_to_dict
+
     A = PDMatrix(load_matrix(args.A))
     B = PDMatrix(load_matrix(args.B))
     a, b, c, t = args.a, args.b, args.c, args.t
@@ -96,6 +103,9 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .majorization import log_majorization, majorization, spectrum, weak_majorization
+    from .matio import load_matrix
+
     if not (math.isfinite(args.tol) and args.tol >= 0):
         print(f"error: --tol must be finite and non-negative, got {args.tol}", file=sys.stderr)
         return EXIT_USAGE
@@ -115,6 +125,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from .suite import SuiteConfig, run_suite
+
     try:
         dims = tuple(int(d) for d in args.dims.split(",")) if args.dims else (1, 2, 3, 4, 5, 6, 7, 8)
     except ValueError:
@@ -138,6 +150,8 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from . import exact
+
     if args.which == "dir1":
         report = exact.certify_direction_one()
     elif args.which == "dir2":
@@ -156,7 +170,10 @@ def _cmd_certify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="matmean",
         description="Matrix-mean majorization checks and exact incomparability certificates.",

@@ -25,9 +25,11 @@ pivot is d^k times the k-th minor (Bareiss 1968); only after a zero pivot
 are the later minors taken one by one with row swaps.  Sylvester's test
 stops at the first non-positive pivot.
 
-`float_shadow` checks the certificates against the float replay that the
-suite also runs (`suite.certified_replay`); `suite.certified_pairs` is the
-one place where the certified instances become floats.
+`certified_pairs` is the one place where the certified instances become
+floats, and `certified_replay` is their one float replay: `float_shadow`
+checks the certificates against it, and the suite runs it too.  The float
+section imports numpy, `linalg` and `means` inside its functions, so the
+exact kernels and the certificates load no numpy.
 """
 
 from __future__ import annotations
@@ -428,10 +430,38 @@ def certify_all() -> CertificateReport:
 # floating shadow of the exact certificates
 # ---------------------------------------------------------------------------
 
+def certified_pairs() -> tuple["Pair", "Pair"]:
+    """Float Pairs of the two certified incomparability instances: the 3x3
+    pair of direction one and the 2x2 pair of direction two."""
+    from .means import Pair
+
+    return tuple(Pair.gated(data["A"].to_float(), data["B"].to_float())
+                 for data in (direction_one_data(), direction_two_data()))
+
+
+def certified_replay(one: "Pair", two: "Pair") -> dict[str, float]:
+    """The float replay of the certified incomparability instances
+    (`certified_pairs()`): lambda_1 of the sharp Heron sums A + B + 2(A # B)
+    and A + B + 2(A natural B) of the 3x3 pair, and the traces of A # B
+    and A natural B of the 2x2 pair.  One gate call per pair: the means
+    are gated as positive definite, the Heron sums as Hermitian."""
+    import numpy as np
+
+    from .linalg import gate_stack
+
+    tops = gate_stack(np.stack([one.geometric(), one.spectral(),
+                                one.heron("geometric", 1.0, 1.0, 2.0), one.heron("spectral", 1.0, 1.0, 2.0)]),
+                      [True, True, False, False])[0][2:, 0]
+    gate_stack(np.stack([two.geometric(), two.spectral()]))
+    return {"lambda1_sharp": float(tops[0]), "lambda1_natural": float(tops[1]),
+            "trace_sharp": float(np.trace(two.geometric()).real),
+            "trace_natural": float(np.trace(two.spectral()).real)}
+
+
 def float_shadow(report: CertificateReport) -> "CheckReport":
     """Replay the certified counterexamples in floating point
-    (`suite.certified_replay`, the replay the suite runs) and check that
-    both stacks agree.
+    (`certified_replay`, the replay the suite runs) and check that both
+    stacks agree.
 
     The margins recorded are the distances by which the floating replay
     clears the certified strict inequalities (top eigenvalues straddling
@@ -439,7 +469,6 @@ def float_shadow(report: CertificateReport) -> "CheckReport":
     an over-sharp cross coefficient).
     """
     from .report import CheckReport
-    from .suite import certified_pairs, certified_replay
 
     if not report.verdict:
         raise NumericalFailure("float shadow requires a verified certificate")

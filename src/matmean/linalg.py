@@ -134,7 +134,7 @@ def _check_eigen_data(vals: np.ndarray, vecs: np.ndarray) -> None:
     """Matching shapes and decreasing eigenvalues of given eigen-data."""
     if vecs.shape != vals.shape + vals.shape[-1:]:
         raise MatrixFormatError("eigenvector matrix shape does not match eigenvalue count")
-    # NaN is not out of order: the positive-definite check rejects it
+    # NaN is not out of order: a finite or positive-definite check rejects it
     require(~(vals[..., :-1] < vals[..., 1:]).any(axis=-1), MatrixFormatError,
             lambda i: "eigenvalues must be sorted in decreasing order")
 
@@ -143,11 +143,15 @@ def gate_eig(vals: np.ndarray, vecs: np.ndarray, pd=True) -> None:
     """The checks of `PDMatrix._from_eig` over a (..., n) stack of drawn
     eigenvalues and the (..., n, n) stack of their eigenvectors: decreasing
     order, unitarity (finite eigenvectors included) and, where `pd` says
-    so, the positive-definite ratio.  Each slice raises what `_from_eig`
-    raises for it.  U diag(lambda) U* is Hermitian by construction, so the
-    assembled matrices are not gated again."""
+    so, the positive-definite ratio, or else finite eigenvalues.  Each
+    slice raises what `_from_eig` raises for it.  U diag(lambda) U* is
+    Hermitian by construction, so the assembled matrices are not gated
+    again."""
     _check_eigen_data(vals, vecs)
     _check_decomposition(vals, vecs, None)
+    # the positive-definite check rejects a non-finite eigenvalue itself
+    require(np.isfinite(vals).all(axis=-1) | np.asarray(pd), MatrixFormatError,
+            lambda i: "eigenvalues must be finite")
     check_pd(vals, pd)
 
 

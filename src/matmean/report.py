@@ -1,9 +1,9 @@
 """Check reports: margins, failures, and their aggregation.
 
 A failure is recorded exactly when an instance's worst normalized margin
-dips below -tol; margins are kept (not just booleans) so coefficient
-sweeps can watch the slack degenerate.  Contexts may hold the instance's
-matrices themselves: only a failing record serializes them.
+dips below -tol or is NaN; margins are kept (not just booleans) so
+coefficient sweeps can watch the slack degenerate.  Contexts may hold the
+instance's matrices themselves: only a failing record serializes them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ class CheckReport:
         margin = float(margin)
         if margin < self.min_margin_seen:
             self.min_margin_seen = margin
-        if margin < -self.tol:
+        if not margin >= -self.tol:  # written so that NaN fails
             context = context or {}
             self.failures.append({
                 "seed_offset": context.get("seed_offset"),

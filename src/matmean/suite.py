@@ -13,9 +13,10 @@ matrices they use by key (see `_build`); the stage builds each kind in
 one batched pass (the Heron sums in one broadcast over (a^2, b^2, c), the
 W_{a,b} in one pass over the weights), and a key named twice is built and
 gated once: the sharp Heron sums and W_{a,b} of spreading, endpoints and
-BLY are entries of the Heron grid.  Pinching and the semidefinite limit
-first make the operand pairs of their stage: the compression pairs
-(R X R, S X S) at X = C, I, 2C and C1, and the eps-levels
+BLY are entries of the Heron grid, and a Heron sum at c = 0, which has no
+cross term, has one key whatever its checker's cross term.  Pinching and
+the semidefinite limit first make the operand pairs of their stage: the
+compression pairs (R X R, S X S) at X = C, I, 2C and C1, and the eps-levels
 (A0 + eps I, B0 + eps I).  On those pairs the maps Phi_R(X) and the Heron
 side of the limit are the same keyed sum, A + B + 2 (A # B); the
 quadratic lift keys its matrices by makers over C and D.
@@ -34,6 +35,10 @@ stages: the main pair stacked with the two equality pairs, then the four
 compression pairs and the four eps-levels as one gated Pair, for pinching
 with its lift and the semidefinite limit.  A stage's arrays are released
 before the next one starts.
+
+The certified instances and their float replay come from `exact`
+(`certified_pairs`, `certified_replay`); the dependency runs one way, so
+`exact` and the `certify` command never load this module.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InstanceDrawError, InvalidWeightsError, MatrixFormatError
-from .exact import direction_one_data, direction_two_data
+from .exact import certified_pairs, certified_replay
 from .linalg import (
     HermitianMatrix,
     PDMatrix,
@@ -293,7 +298,8 @@ def _grid(items, context) -> _Check:
         require_weights(check, a=a, b=b, c=c)
         if not c <= 2.0 * a * b * (1.0 + 1e-12):
             raise InvalidWeightsError(f"{check}: need c <= 2ab = {2.0 * a * b}, got a = {a}, b = {b}, c = {c}")
-    H = tuple(("heron", 0, GRID_CROSS[check], a, b, c) for check, a, b, c in items)
+    # at c = 0 the sum has no cross term, so every check shares one key
+    H = tuple(("heron", 0, GRID_CROSS[check] if c else "spectral", a, b, c) for check, a, b, c in items)
     W = tuple(("W", 0, a, b) for _, a, b, _ in items)
 
     def reports(built: _Built, tol: float) -> list[CheckReport]:
@@ -678,28 +684,6 @@ def check_semidefinite_limit(A0: HermitianMatrix, B0: HermitianMatrix,
     """
     operands, check = _limit(A0, B0, eps_sequence, tol, context)
     return _compare(Pair.gated(*operands), [check], tol)[0]
-
-
-def certified_pairs() -> tuple[Pair, Pair]:
-    """Float Pairs of the two certified incomparability instances: the 3x3
-    pair of direction one and the 2x2 pair of direction two."""
-    return tuple(Pair.gated(np.array(data["A"].to_float()), np.array(data["B"].to_float()))
-                 for data in (direction_one_data(), direction_two_data()))
-
-
-def certified_replay(one: Pair, two: Pair) -> dict[str, float]:
-    """The float replay of the certified incomparability instances
-    (`certified_pairs()`): lambda_1 of the sharp Heron sums A + B + 2(A # B)
-    and A + B + 2(A natural B) of the 3x3 pair, and the traces of A # B
-    and A natural B of the 2x2 pair.  One gate call per pair: the means
-    are gated as positive definite, the Heron sums as Hermitian."""
-    tops = gate_stack(np.stack([one.geometric(), one.spectral(),
-                                one.heron("geometric", 1.0, 1.0, 2.0), one.heron("spectral", 1.0, 1.0, 2.0)]),
-                      [True, True, False, False])[0][2:, 0]
-    gate_stack(np.stack([two.geometric(), two.spectral()]))
-    return {"lambda1_sharp": float(tops[0]), "lambda1_natural": float(tops[1]),
-            "trace_sharp": float(np.trace(two.geometric()).real),
-            "trace_natural": float(np.trace(two.spectral()).real)}
 
 
 def check_incomparability_float(one: Pair, two: Pair, tol: float = 1e-8) -> CheckReport:

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import matmean
 import numpy as np
 import pytest
 
@@ -312,3 +317,50 @@ class TestSuiteNoAbort:
         assert code == 0
         checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
         assert checks["semidefinite_limit"]["instances"] == 8
+
+
+# Run in a fresh interpreter, which prints the matmean modules and
+# whether numpy was loaded: this one has imported everything already.
+_LOADED = """
+import json, sys
+if sys.argv[1] == "import":
+    import matmean.exact
+    rc = 0
+else:
+    from matmean import cli
+    rc = cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "numpy": "numpy" in sys.modules,
+                  "modules": [m for m in sys.modules if m.startswith("matmean.")]}))
+"""
+
+
+def _loaded_by(*argv) -> dict:
+    src = str(Path(matmean.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], capture_output=True, text=True, env=env,
+                          check=True)
+    return json.loads(proc.stdout)
+
+
+class TestPerCommandImports:
+    @pytest.mark.parametrize("command, operands, absent", [
+        ("certify --which all", False, {"suite", "schur", "majorization"}),
+        ("compute geo", True, {"suite", "schur", "majorization", "exact", "report"}),
+        ("check weak", True, {"means", "suite", "exact", "schur", "report"}),
+    ], ids=["certify", "compute", "check"])
+    def test_command_loads_only_the_modules_it_runs(self, command, operands, absent, certified_pair, tmp_path):
+        argv = command.split() + (list(certified_pair) if operands else [])
+        loaded = _loaded_by(*argv, "--out", str(tmp_path / "out.json"))
+        assert loaded["rc"] == 0
+        assert not {f"matmean.{name}" for name in absent} & set(loaded["modules"])
+
+    def test_suite_loads_every_module(self, tmp_path):
+        loaded = _loaded_by("suite", "--trials", "1", "--out", str(tmp_path / "out.json"))
+        assert loaded["rc"] == 0
+        assert {f"matmean.{name}" for name in ("suite", "schur", "majorization", "exact", "report", "means")} \
+            <= set(loaded["modules"])
+
+    def test_exact_alone_loads_no_numpy(self):
+        loaded = _loaded_by("import")
+        assert loaded["numpy"] is False
+        assert sorted(loaded["modules"]) == ["matmean.errors", "matmean.exact"]

@@ -244,6 +244,16 @@ class TestRandomPD:
         with pytest.raises(NotPositiveDefiniteError, match=r"stack index \(1,\)"):
             gate_eig(vals, vecs)
 
+    @pytest.mark.parametrize("bad", [[1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf]], ids=["nan", "inf", "-inf"])
+    def test_stacked_draw_check_rejects_non_finite_semidefinite_slices(self, bad):
+        # a slice exempt from the positive-definite check still needs
+        # finite eigenvalues; NaN passes the order check
+        vecs = np.stack([np.eye(2, dtype=np.complex128)] * 2)
+        with pytest.raises(MatrixFormatError, match=r"finite \(stack index \(0,\)\)"):
+            gate_eig(np.array([bad]), vecs[:1], pd=[False])
+        with pytest.raises(MatrixFormatError, match=r"finite \(stack index \(1,\)\)"):
+            gate_eig(np.array([[1.0, 0.5], bad]), vecs, [True, False])
+
     def test_haar_unitaries_match_one_at_a_time_bitwise(self):
         rng = np.random.default_rng(3)
         gaussians = [complex_gaussian(dim, rng) for dim in (1, 4, 4, 4)]

@@ -1,9 +1,10 @@
 import hashlib
 import json
+import math
 
 from matmean.matio import matrix_to_dict
 from matmean.report import CheckReport
-from matmean.suite import SuiteConfig, iter_instances, run_suite
+from matmean.suite import RunReport, SuiteConfig, iter_instances, run_suite
 
 from conftest import rand_pd
 
@@ -57,3 +58,16 @@ class TestFailureSerialization:
         assert list(entry["instance"]) == ["seed_offset", "dim", "a", "b", "A", "B", "C", "R"]
         assert entry["instance"]["A"] == matrix_to_dict(A)
         assert entry["instance"]["B"] == matrix_to_dict(B)
+
+    def test_nan_margin_fails_and_the_run_json_still_loads(self):
+        report = CheckReport("x", 1e-8)
+        report.record(0.5, {"seed_offset": 0})
+        report.record(float("nan"), {"seed_offset": 1})
+        assert not report.ok
+        assert [f["seed_offset"] for f in report.failures] == [1]
+        # a NaN margin does not displace the smallest real one
+        assert report.min_margin_seen == 0.5
+        run = RunReport(SuiteConfig(trials=1), [report])
+        data = json.loads(json.dumps(run.to_dict()))
+        assert data["ok"] is False
+        assert math.isnan(data["checks"][0]["failures"][0]["worst_margin"])

@@ -524,11 +524,12 @@ def _recorded(monkeypatch, run, config: SuiteConfig) -> tuple[str, dict[str, lis
 
 
 def _count_calls(monkeypatch, owner, name: str) -> list:
+    """The positional arguments of each call of owner.name."""
     calls = []
     fn = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -543,6 +544,13 @@ class TestWork:
         # bound is the count once the second stage gated one Pair, so a
         # stage that adds a gate fails it
         assert len(calls) <= 83
+
+    def test_at_most_779_eigh_slices_in_8_trials(self, monkeypatch):
+        calls = _count_calls(monkeypatch, np.linalg, "eigh")
+        run_suite(SuiteConfig(seed=42, trials=8))
+        # each matrix of a stacked call counts; 787 while the c = 0 Heron
+        # sums of spectral_heron and kubo_heron, one matrix, had two keys
+        assert sum(int(np.prod(np.shape(mats)[:-2])) for mats, *_ in calls) <= 779
 
     def test_eigendecompositions_at_dims_16_to_32(self, monkeypatch):
         calls = _count_calls(monkeypatch, np.linalg, "eigh")
