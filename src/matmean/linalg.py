@@ -37,6 +37,9 @@ PD_EIGENVALUE_RTOL = 1e-12
 # Eigendecomposition quality gates.
 RECONSTRUCTION_RTOL = 1e-10
 UNITARITY_RTOL = 1e-10
+# Bytes of the eigenvector stack that one slice of the decomposition
+# checks covers: 256 n x n complex matrices at n = 8, 16 at n = 32.
+CHECK_SLICE_BYTES = 1 << 18
 # Rotation budget for the cyclic Jacobi solver, per dim**2.
 JACOBI_BUDGET_PER_DIM2 = 100
 
@@ -116,16 +119,36 @@ def hermitize(mats: np.ndarray) -> np.ndarray:
     return (mats + adj) / 2
 
 
+def _decomposition_norms(vals: np.ndarray, vecs: np.ndarray, reference: np.ndarray | None):
+    """||U*U - I|| of each matrix of a stack and, given the decomposed
+    matrices, the reconstruction residual with its limit (else None)."""
+    Uh = adjoint(vecs)
+    ortho = np.linalg.norm(Uh @ vecs - np.eye(vals.shape[-1]), axis=(-2, -1))
+    if reference is None:
+        return ortho, None, None
+    recon = np.linalg.norm((vecs * vals[..., None, :]) @ Uh - reference, axis=(-2, -1))
+    return ortho, recon, RECONSTRUCTION_RTOL * (1.0 + np.linalg.norm(reference, axis=(-2, -1)))
+
+
 def _check_decomposition(vals: np.ndarray, vecs: np.ndarray, reference: np.ndarray | None) -> None:
     """Unitarity of fresh eigenvectors and, given the decomposed matrices,
-    the reconstruction residual."""
+    the reconstruction residual.  A stack of more than CHECK_SLICE_BYTES
+    of eigenvectors is checked in slices of that size, so the (k, n, n)
+    temporaries stay that small however long the stack is."""
     n = vals.shape[-1]
-    ortho = np.linalg.norm(adjoint(vecs) @ vecs - np.eye(n), axis=(-2, -1))
+    step = max(1, CHECK_SLICE_BYTES // (vecs.itemsize * n * n))
+    if vals[..., 0].size <= step:
+        ortho, recon, limit = _decomposition_norms(vals, vecs, reference)
+    else:
+        lam, U = vals.reshape(-1, n), vecs.reshape(-1, n, n)
+        ref = None if reference is None else reference.reshape(-1, n, n)
+        parts = [_decomposition_norms(lam[i:i + step], U[i:i + step], None if ref is None else ref[i:i + step])
+                 for i in range(0, len(U), step)]
+        ortho, recon, limit = (None if part[0] is None else np.concatenate(part).reshape(vals.shape[:-1])
+                               for part in zip(*parts))
     require(ortho <= UNITARITY_RTOL * n, NumericalFailure,
             lambda i: f"eigenvector matrix is not unitary: ||U*U - I|| = {ortho[i]:.3e}")
     if reference is not None:
-        recon = np.linalg.norm((vecs * vals[..., None, :]) @ adjoint(vecs) - reference, axis=(-2, -1))
-        limit = RECONSTRUCTION_RTOL * (1.0 + np.linalg.norm(reference, axis=(-2, -1)))
         require(recon <= limit, NumericalFailure,
                 lambda i: f"eigendecomposition residual {recon[i]:.3e} exceeds {limit[i]:.3e}")
 

@@ -14,15 +14,17 @@ a built-in correctness oracle.
 Everything here is written once over (..., n, n) stacks.  A `Pair`
 holds one operand pair (batch shape ()) or a stack of same-dimension
 pairs, and computes each derived quantity at most once: X, A natural B,
-A # B and the square roots.  It keeps no Heron sum or W_{a,b}: those are
-built on request, and `Pair.herons` and `Pair.wassersteins` build many
-of them over many pairs of the stack in one batched pass (the suite's
-whole Heron/Wasserstein grid, say).
+A # B and the square roots, each in one stacked call over every pair or
+over the pairs `Pair.plan` names.  It keeps no Heron sum or W_{a,b}:
+those are built on request, and `Pair.herons` and `Pair.wassersteins`
+build many of them over many pairs of the stack in one batched pass (the
+suite's whole Heron/Wasserstein grid, say).
 Its kernels return raw Hermitian arrays and take the operands'
 decompositions from where they were gated: PDMatrix operands
 (`Pair(A, B)`, `Pair.stack`) or one `linalg.gate_stack` call
-(`Pair.gated`; the suite's second stage makes one over the operand
-pairs of pinching and of the semidefinite limit together).  The strict
+(`Pair.gated`; a suite trial makes one over the operand pairs of
+pinching and of the semidefinite limit together, and `Pair.concat` joins
+them to the trial's drawn pairs).  The strict
 gate runs where a value leaves or is judged: on the operands, on what
 the public functions below return (each a thin wrapper over a one-pair
 Pair), and, through `linalg.gate_stack`, on every matrix whose spectrum
@@ -126,18 +128,38 @@ def _stacked(mats: list[PDMatrix]) -> tuple[np.ndarray, SpectralDecomposition]:
     return np.stack([M.mat for M in mats]), SpectralDecomposition(*map(np.stack, zip(*eigs)))
 
 
+def _union(*indices) -> np.ndarray:
+    """The sorted union of pair indices.  (np.union1d would import
+    numpy.ma on first use, which costs a cold start about 10 ms.)"""
+    return np.array(sorted({int(i) for index in indices for i in index}), dtype=np.intp)
+
+
+def _flat(dec: SpectralDecomposition) -> SpectralDecomposition:
+    """A decomposition of one matrix or of a stack as a (k, n) / (k, n, n) stack."""
+    n = dec.dim
+    return SpectralDecomposition(dec.eigenvalues.reshape(-1, n), dec.eigenvectors.reshape(-1, n, n))
+
+
+# The means a `Pair` computes, by the name `Pair.plan` takes, with the
+# fields that hold them: X (with its decomposition) and A natural B, which
+# is built from X; A # B; the square roots of A and B.
+_MEANS = {"riccati": ("_riccati", "_spectral"), "geometric": ("_geometric",), "sqrt": ("_sqrt",)}
+
+
 class Pair:
     """One operand pair of positive definite matrices, or a stack of
     same-dimension pairs: A and B are (..., n, n) arrays.
 
-    Each derived quantity is computed at most once, on first use, for the
-    whole stack, and lives as long as the Pair: callers create one per
+    Each derived quantity is computed at most once, on first use, in one
+    stacked call, and lives as long as the Pair: callers create one per
     instance (or per stack of instances) and pass it to every computation
-    on it.  `herons` and `wassersteins` take the index of a pair in the
-    flattened stack, so one call builds many expressions over many pairs.
+    on it.  A mean is computed on every pair of the stack unless `plan`
+    names fewer.  `herons` and `wassersteins` take the index of a pair in
+    the flattened stack, so one call builds many expressions over many
+    pairs.
     """
 
-    __slots__ = ("A", "B", "_eig_A", "_eig_B", "_riccati", "_spectral", "_geometric", "_sqrt")
+    __slots__ = ("A", "B", "_eig_A", "_eig_B", "_where", "_riccati", "_spectral", "_geometric", "_sqrt")
 
     def __init__(self, A: PDMatrix, B: PDMatrix):
         _check_dims(A, B)
@@ -148,6 +170,7 @@ class Pair:
         stacks with the decompositions their gate made."""
         self.A, self.B = A, B
         self._eig_A, self._eig_B = eig_A, eig_B
+        self._where = {}
         self._riccati = self._spectral = self._geometric = self._sqrt = None
         return self
 
@@ -174,15 +197,22 @@ class Pair:
         mats = hermitian_part(mats)
         return cls.__new__(cls)._init(mats[0], mats[1], dec.at(0), dec.at(1))
 
+    @classmethod
+    def concat(cls, pairs) -> "Pair":
+        """The pairs of several same-dimension Pairs as one flattened
+        stack, in order, with their decompositions; no mean is carried
+        over."""
+        dims = {pair.dim for pair in pairs}
+        if len(dims) != 1:
+            raise MatrixFormatError(f"cannot stack pairs of dimensions {sorted(dims)}")
+        A, B = (np.concatenate([as_stack(getattr(pair, name)) for pair in pairs]) for name in ("A", "B"))
+        eig_A, eig_B = (SpectralDecomposition(*map(np.concatenate, zip(*(_flat(getattr(pair, name)) for pair in pairs))))
+                        for name in ("_eig_A", "_eig_B"))
+        return cls.__new__(cls)._init(A, B, eig_A, eig_B)
+
     def __getitem__(self, index) -> "Pair":
-        """The pairs at `index` of the stack, sharing the decompositions
-        and every mean already computed."""
-        obj = Pair.__new__(Pair)._init(self.A[index], self.B[index], self._eig_A.at(index), self._eig_B.at(index))
-        obj._riccati = None if self._riccati is None else (self._riccati[0][index], self._riccati[1].at(index))
-        obj._spectral = None if self._spectral is None else self._spectral[index]
-        obj._geometric = None if self._geometric is None else self._geometric[index]
-        obj._sqrt = None if self._sqrt is None else tuple(M[index] for M in self._sqrt)
-        return obj
+        """The pairs at `index` of the stack, sharing the decompositions."""
+        return Pair.__new__(Pair)._init(self.A[index], self.B[index], self._eig_A.at(index), self._eig_B.at(index))
 
     @property
     def dim(self) -> int:
@@ -192,22 +222,76 @@ class Pair:
         """Number of pairs in the flattened stack (1 for one pair)."""
         return as_stack(self.A).shape[0]
 
-    def sqrt(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A^{1/2}, B^{1/2}) from the operands' decompositions."""
+    def plan(self, **where) -> None:
+        """Compute each named mean ("riccati", "geometric" or "sqrt", see
+        _MEANS) on the pairs where[name] of the flattened stack only, in
+        one stacked call when it is first needed.  Plans made before that
+        add up; a mean never planned is computed on every pair.  A later
+        request for a pair outside the plan computes the mean again, over
+        both."""
+        for name, index in where.items():
+            if getattr(self, _MEANS[name][0]) is None:
+                self._where[name] = _union(self._where.get(name, ()), index)
+            else:
+                self._cover(name, index)
+
+    def _cover(self, name: str, index) -> None:
+        """Widen the plan of a mean to the pairs at `index` (None: every
+        pair), dropping what was computed on the narrower plan."""
+        where = self._where.get(name)
+        if where is None:
+            return
+        index = range(len(self)) if index is None else np.ravel(index).tolist()
+        if set(index) <= set(where.tolist()):
+            return
+        self._where[name] = _union(where, index)
+        for field in _MEANS[name]:
+            setattr(self, field, None)
+
+    def _partial(self, name: str):
+        """The planned pairs of a mean, or None when it covers the stack."""
+        where = self._where.get(name)
+        return None if where is None or len(where) == len(self) else where
+
+    def _operands(self, name: str):
+        """A, B and their decompositions on the pairs a mean is computed on:
+        the stack in its batch shape, or the planned pairs of the
+        flattened one."""
+        where = self._partial(name)
+        if where is None:
+            return self.A, self.B, self._eig_A, self._eig_B
+        return (as_stack(self.A)[where], as_stack(self.B)[where],
+                *(SpectralDecomposition(*(part[where] for part in _flat(dec))) for dec in (self._eig_A, self._eig_B)))
+
+    def _at(self, name: str, values: np.ndarray, index) -> np.ndarray:
+        """A mean's `values` at pairs `index` of the flattened stack, or
+        all of them in the batch shape for index None."""
+        if index is None:
+            return values
+        index = np.asarray(index, dtype=np.intp)
+        where = self._partial(name)
+        return as_stack(values)[index if where is None else np.searchsorted(where, index)]
+
+    def sqrt(self, index=None) -> tuple[np.ndarray, np.ndarray]:
+        """(A^{1/2}, B^{1/2}) from the operands' decompositions, at pairs
+        `index` of the flattened stack (None: every pair)."""
+        self._cover("sqrt", index)
         if self._sqrt is None:
-            self._sqrt = assemble(*derived(self._eig_A, np.sqrt)), assemble(*derived(self._eig_B, np.sqrt))
-        return self._sqrt
+            _, _, eig_A, eig_B = self._operands("sqrt")
+            self._sqrt = assemble(*derived(eig_A, np.sqrt)), assemble(*derived(eig_B, np.sqrt))
+        return tuple(self._at("sqrt", M, index) for M in self._sqrt)
 
     def _riccati_gated(self) -> tuple[np.ndarray, SpectralDecomposition]:
         """X = A^{-1} # B, the unique positive definite solution of
-        X A X = B, gated because its eigenvectors build A natural B.
+        X A X = B, on the pairs planned for it, gated because its
+        eigenvectors build A natural B.
 
         The defining residual is verified once; a violation means the
         floating pipeline lost too much accuracy to be trusted.
         """
         if self._riccati is None:
-            A, B = self.A, self.B
-            X = _geometric_raw(derived(self._eig_A, np.reciprocal, reverse=True), B, 0.5)
+            A, B, eig_A, _ = self._operands("riccati")
+            X = _geometric_raw(derived(eig_A, np.reciprocal, reverse=True), B, 0.5)
             eig_X = gate_stack(X)
             residual = frobenius(X @ A @ X - B)
             limit = RICCATI_RESIDUAL_RTOL * frobenius(B)
@@ -216,21 +300,28 @@ class Pair:
             self._riccati = X, eig_X
         return self._riccati
 
-    def riccati(self) -> np.ndarray:
-        """X = A^{-1} # B as a raw array (gated)."""
-        return self._riccati_gated()[0]
+    def riccati(self, index=None) -> np.ndarray:
+        """X = A^{-1} # B as a raw array (gated), at pairs `index` of the
+        flattened stack (None: every pair)."""
+        self._cover("riccati", index)
+        return self._at("riccati", self._riccati_gated()[0], index)
 
-    def spectral(self) -> np.ndarray:
-        """A natural B = X^{1/2} A X^{1/2}."""
+    def spectral(self, index=None) -> np.ndarray:
+        """A natural B = X^{1/2} A X^{1/2}, at pairs `index` of the
+        flattened stack (None: every pair)."""
+        self._cover("riccati", index)
         if self._spectral is None:
-            self._spectral = _spectral_raw(self.A, self._riccati_gated()[1], 0.5)
-        return self._spectral
+            self._spectral = _spectral_raw(self._operands("riccati")[0], self._riccati_gated()[1], 0.5)
+        return self._at("riccati", self._spectral, index)
 
-    def geometric(self) -> np.ndarray:
-        """A # B."""
+    def geometric(self, index=None) -> np.ndarray:
+        """A # B, at pairs `index` of the flattened stack (None: every
+        pair)."""
+        self._cover("geometric", index)
         if self._geometric is None:
-            self._geometric = _geometric_raw(self._eig_A, self.B, 0.5)
-        return self._geometric
+            _, B, eig_A, _ = self._operands("geometric")
+            self._geometric = _geometric_raw(eig_A, B, 0.5)
+        return self._at("geometric", self._geometric, index)
 
     def wassersteins(self, index, a, b) -> tuple[np.ndarray, np.ndarray]:
         """W_{a_i,b_i} of pair index[i] of the flattened stack, and the
@@ -251,7 +342,7 @@ class Pair:
         W = np.where(b == 0.0, a * a * A, b * b * B)
         residual = np.zeros(len(index))
         if both.any():
-            X = as_stack(self.riccati())[index[both]]
+            X = self.riccati(index[both])
             a, b, A, B = a[both], b[both], A[both], B[both]
             T = a * np.eye(self.dim) + b * X
             by_congruence = hermitian_part(T @ A @ T)
@@ -284,7 +375,7 @@ class Pair:
         for which, mean in ((spectral, self.spectral), (~spectral, self.geometric)):
             add = which & (c[:, 0, 0] != 0.0)
             if add.any():
-                H[add] += c[add] * as_stack(mean())[index[add]]
+                H[add] += c[add] * mean(index[add])
         return H
 
     def heron(self, cross: str, a: float, b: float, c: float) -> np.ndarray:

@@ -14,12 +14,16 @@ one batched pass (the Heron sums in one broadcast over (a^2, b^2, c), the
 W_{a,b} in one pass over the weights), and a key named twice is built and
 gated once: the sharp Heron sums and W_{a,b} of spreading, endpoints and
 BLY are entries of the Heron grid, and a Heron sum at c = 0, which has no
-cross term, has one key whatever its checker's cross term.  Pinching and
-the semidefinite limit first make the operand pairs of their stage: the
-compression pairs (R X R, S X S) at X = C, I, 2C and C1, and the eps-levels
-(A0 + eps I, B0 + eps I).  On those pairs the maps Phi_R(X) and the Heron
-side of the limit are the same keyed sum, A + B + 2 (A # B); the
-quadratic lift keys its matrices by makers over C and D.
+cross term, has one key whatever its checker's cross term.  A key that
+is made from others (a difference, a quadratic lift of Phi_R(C)) reads
+them as built.  The Pair computes each mean (X with A natural B, A # B,
+the square roots) once, over the pairs whose keys read it
+(`Pair.plan`).  Pinching and the semidefinite limit first make operand
+pairs: the compression pairs (R X R, S X S) at X = C, I, 2C and C1, and
+the eps-levels (A0 + eps I, B0 + eps I).  On those pairs the maps
+Phi_R(X) and the Heron side of the limit are the same keyed sum,
+A + B + 2 (A # B); the quadratic lift keys its matrices by makers over C
+and D.  A checker's records go to one report per stage, in item order.
 
 The public checkers run one checker through the same stage (the
 quadratic lift alone is one gate call between its two parts).  run_suite
@@ -30,11 +34,13 @@ pinching operands C and R, the bump behind C1, the D0 behind D and the
 rank-deficient A0, B0.  Each segment makes all of its rng draws, then one
 stacked QR for its Haar unitaries and one `gate_eig` check of every drawn
 (lambda, U).  A rejected noncommuting candidate is redrawn one pair at a
-time before the second segment draws anything.  The trial then runs two
-stages: the main pair stacked with the two equality pairs, then the four
-compression pairs and the four eps-levels as one gated Pair, for pinching
-with its lift and the semidefinite limit.  A stage's arrays are released
-before the next one starts.
+time before the second segment draws anything.  The trial then runs one
+stage on one Pair: the main pair, the two equality pairs, then the four
+compression pairs and the four eps-levels, whose raw operands are gated
+in one call of their own first.  So X, and with it A natural B and
+W_{a,b}, is computed on the first three pairs and the compression pair of
+C only, and one gate holds every compared matrix of the trial, those of
+pinching, its lift and the limit first.
 
 The certified instances and their float replay come from `exact`
 (`certified_pairs`, `certified_replay`); the dependency runs one way, so
@@ -66,6 +72,7 @@ from .linalg import (
     principal_sqrt,
     random_pd_from_rng,
     random_pd_sample,
+    require,
     require_weights,
 )
 from .majorization import (
@@ -213,46 +220,67 @@ def _report(name: str, tol: float, margins, context) -> CheckReport:
 HERMITIAN_KINDS = ("W", "difference")
 
 
-def _bly_rhs(pair: Pair, p, a, b) -> np.ndarray:
-    Ah, Bh = (as_stack(M)[np.asarray(p)] for M in pair.sqrt())
+def _bly_rhs(built: _Built, p, a, b) -> np.ndarray:
+    Ah, Bh = built.pair.sqrt(p)
     a, b = (np.asarray(x, dtype=np.float64)[:, None, None] for x in (a, b))
     T = a * Ah + b * Bh
     return hermitian_part(T @ T)
 
 
 _MAKERS = {
-    "heron": Pair.herons,
-    "W": lambda pair, p, a, b: pair.wassersteins(p, a, b)[0],
-    "spectral": lambda pair, p: as_stack(pair.spectral())[np.asarray(p)],
-    "geometric": lambda pair, p: as_stack(pair.geometric())[np.asarray(p)],
+    "heron": lambda built, *args: built.pair.herons(*args),
+    "W": lambda built, p, a, b: built.pair.wassersteins(p, a, b)[0],
+    "spectral": lambda built, p: built.pair.spectral(p),
+    "geometric": lambda built, p: built.pair.geometric(p),
     "bly": _bly_rhs,
-    "difference": lambda pair, first, second: _build(pair, first) - _build(pair, second),
+    "difference": lambda built, first, second: built.matrices(first) - built.matrices(second),
+}
+
+# The mean of `Pair` (a name of `Pair.plan`) that a key of each kind may
+# read on its pair p: a Heron sum reads the mean of its cross term.
+_READS = {
+    "heron": lambda p, cross, *_: ("riccati" if cross == "spectral" else "geometric", p),
+    "W": lambda p, *_: ("riccati", p),
+    "spectral": lambda p: ("riccati", p),
+    "geometric": lambda p: ("geometric", p),
+    "bly": lambda p, *_: ("sqrt", p),
 }
 
 
-def _build(pair: Pair, keys) -> np.ndarray:
-    """The matrices named by `keys`, stacked in their order; each kind is
-    built in one batched pass."""
-    out = np.empty((len(keys), pair.dim, pair.dim), dtype=np.complex128)
+def _build(built: _Built, keys) -> None:
+    """Build the matrices named by `keys` into built.mats, in their order,
+    each kind in one batched pass.  The kinds made from the Pair come
+    first: "difference" and the makers read their matrices (through
+    `_Built.matrices`) instead of building them again."""
     groups: dict = {}
     for i, key in enumerate(keys):
         groups.setdefault(key[0], []).append(i)
-    for kind, where in groups.items():
-        out[where] = _MAKERS.get(kind, kind)(pair, *zip(*(keys[i][1:] for i in where)))
-    return out
+    for kind in sorted(groups, key=lambda kind: kind not in _READS):
+        where = groups[kind]
+        built.mats[where] = _MAKERS.get(kind, kind)(built, *zip(*(keys[i][1:] for i in where)))
 
 
 class _Built:
     """The matrices that the checkers of one stage named, built from
-    their keys, and the spectra of those gated.  The gate's stack holds
-    the matrices gated as positive definite first, so a failure names the
-    same stack index whatever Hermitian ones the stage adds."""
+    their keys, and the spectra of those gated.  The Pair computes each
+    mean once, on the pairs whose keys read it (`Pair.plan`).  The gate's
+    stack holds the matrices gated as positive definite first, so a
+    failure names the same stack index whatever Hermitian ones the stage
+    adds."""
 
     def __init__(self, pair: Pair, gated: list, plain: list):
         self.pair = pair
         gated = sorted(gated, key=lambda key: key[0] in HERMITIAN_KINDS)
-        self.index = {key: i for i, key in enumerate(gated + plain)}
-        self.mats = _build(pair, gated + plain)
+        keys = gated + plain
+        self.index = {key: i for i, key in enumerate(keys)}
+        where: dict = {}
+        for kind, *args in keys:
+            if kind in _READS:
+                mean, p = _READS[kind](*args)
+                where.setdefault(mean, []).append(p)
+        pair.plan(**where)
+        self.mats = np.empty((len(keys), pair.dim, pair.dim), dtype=np.complex128)
+        _build(self, keys)
         pd = [key[0] not in HERMITIAN_KINDS for key in gated]
         self.vals = gate_stack(self.mats[:len(gated)], pd)[0] if gated else None
 
@@ -289,39 +317,44 @@ GRID_CROSS = {"spectral_heron": "spectral", "kubo_heron": "geometric", "weighted
 
 
 def _grid(items, context) -> _Check:
-    """One report per (check, a, b, c) item of a checker in GRID_CROSS:
-    lambda(a^2 A + b^2 B + c M) prec_w lambda(W_{a,b}) for 0 <= c <= 2ab,
-    with the cross term M of the check.  With the spectral cross term the
-    endpoint c = 2ab is a true majorization, so trace equality is checked
-    there too."""
-    for check, a, b, c in items:
-        require_weights(check, a=a, b=b, c=c)
-        if not c <= 2.0 * a * b * (1.0 + 1e-12):
-            raise InvalidWeightsError(f"{check}: need c <= 2ab = {2.0 * a * b}, got a = {a}, b = {b}, c = {c}")
+    """One report per checker in GRID_CROSS, with one record per (check,
+    a, b, c) item of it, in item order: lambda(a^2 A + b^2 B + c M) prec_w
+    lambda(W_{a,b}) for 0 <= c <= 2ab, with the cross term M of the check.
+    With the spectral cross term the endpoint c = 2ab is a true
+    majorization, so trace equality is checked there too."""
+    checks = [item[0] for item in items]
+    a, b, c = (np.array(x, dtype=np.float64) for x in list(zip(*items))[1:])
+    two_ab = 2.0 * a * b
+    ok = (a >= 0.0) & (a < np.inf) & (b >= 0.0) & (b < np.inf) & (c >= 0.0) & (c < np.inf) \
+        & (c <= two_ab * (1.0 + 1e-12))
+
+    def first_bad(_) -> str:
+        check, a, b, c = items[int(np.argmin(ok))]
+        require_weights(check, a=a, b=b, c=c)  # raises for a bad weight
+        return f"{check}: need c <= 2ab = {2.0 * a * b}, got a = {a}, b = {b}, c = {c}"
+
+    require(ok.all(), InvalidWeightsError, first_bad)
     # at c = 0 the sum has no cross term, so every check shares one key
     H = tuple(("heron", 0, GRID_CROSS[check] if c else "spectral", a, b, c) for check, a, b, c in items)
     W = tuple(("W", 0, a, b) for _, a, b, _ in items)
+    endpoint = np.array([GRID_CROSS[check] == "spectral" for check in checks]) & (two_ab > 0.0) \
+        & (c >= two_ab * (1.0 - 1e-12))
 
     def reports(built: _Built, tol: float) -> list[CheckReport]:
         sH, sW = built.spectra(H), built.spectra(W)
         margins = _wm_margin(sH, sW)
         trace_margins = _trace_eq_margin(sH, sW)
-        out = []
-        for i, (check, a, b, c) in enumerate(items):
-            two_ab = 2.0 * a * b
-            margin = margins[i]
-            if GRID_CROSS[check] == "spectral" and two_ab > 0.0 and c >= two_ab * (1.0 - 1e-12):
-                margin = min(margin, trace_margins[i])
-            out.append(_report(check, tol, margin, context))
-        return out
+        margins = np.where(endpoint & (trace_margins < margins), trace_margins, margins)
+        return [_report(check, tol, margins[[i for i, name in enumerate(checks) if name == check]], context)
+                for check in dict.fromkeys(checks)]
 
     return _Check(H + W, (), reports)
 
 
 def heron_grid(pair: Pair, items, tol: float, context: dict | None = None) -> list[CheckReport]:
-    """The Heron grid (see `_grid`) of one pair: the Heron sums (gated as
-    positive definite) and the distinct W_{a,b} (gated as Hermitian) are
-    decomposed in one stacked call."""
+    """The Heron grid (see `_grid`) of one pair, one report per checker:
+    the Heron sums (gated as positive definite) and the distinct W_{a,b}
+    (gated as Hermitian) are decomposed in one stacked call."""
     return _compare(pair, [_grid(items, context)], tol)
 
 
@@ -488,7 +521,7 @@ def _bly(a: float, b: float, context) -> _Check:
     def reports(built: _Built, tol: float) -> list[CheckReport]:
         sH, sR = built.spectra(keys)
         rhs = built.matrices(keys[1:])[0]
-        A, B, Ah, Bh = (as_stack(M)[0] for M in (built.pair.A, built.pair.B, *built.pair.sqrt()))
+        A, B, Ah, Bh = (as_stack(M)[0] for M in (built.pair.A, built.pair.B, *built.pair.sqrt([0])))
         margins = [_wm_margin(sH, sR)]
         # expansion of the square: a^2 A + b^2 B + ab(sqrtA sqrtB + sqrtB sqrtA)
         cross = Ah @ Bh
@@ -528,20 +561,22 @@ def _sharp_geometric(p) -> tuple:
     return ("heron", p, "geometric", 1.0, 1.0, 2.0)
 
 
-def _pinching(C: PDMatrix, R: PDMatrix, C1: np.ndarray, context):
+def _pinching(C: PDMatrix, R: PDMatrix, C1: np.ndarray, context, p: int = 0):
     """The compression pairs (R X R, S X S) at X = C, I, 2C and the raw
-    C1 <= C, to be pairs 0-3 of the stage's Pair, and the check of
+    C1 <= C, to be pairs p, ..., p+3 of the stage's Pair, and the check of
     Phi = Phi_R(C) on them.  C1 needs no gate of its own: R C1 R is gated
     positive definite with the operands, and congruence by the invertible
     R keeps the inertia.  The order check reads the spectrum of
-    Phi_R(C) - Phi_R(C1), gated as Hermitian."""
+    Phi_R(C) - Phi_R(C1), gated as Hermitian, and the trace identity the
+    spectral mean of pair p, a plain key."""
     n = C.dim
     eye = np.eye(n)
     # I and 2C are not gated: their decompositions are exactly those of
     # the identity and of the gated C
     S, P, Q = pinching_compressions(np.stack([C.mat, eye, 2.0 * C.mat, C1]), R)
-    keys = tuple(_sharp_geometric(i) for i in range(4))
+    keys = tuple(_sharp_geometric(p + i) for i in range(4))
     gap = ("difference", keys[0], keys[3])
+    natural = ("spectral", p)
 
     def reports(built: _Built, tol: float) -> list[CheckReport]:
         Phi, Phi_eye, Phi2 = built.matrices(keys[:3])
@@ -557,12 +592,12 @@ def _pinching(C: PDMatrix, R: PDMatrix, C1: np.ndarray, context):
         gap_vals = built.spectra([gap])[0]
         margins.append(float(gap_vals[-1]) / (1.0 + float(np.abs(gap_vals).max())))
         # trace identity linking the spectral mean of the two compressions
-        lhs_tr = float(np.trace(built.pair[0].spectral()).real)
+        lhs_tr = float(np.trace(built.matrices([natural])[0]).real)
         rhs_tr = float(np.trace(R.mat @ S @ C.mat).real)
         margins.append(_eq_margin(lhs_tr - rhs_tr, 1.0 + abs(rhs_tr)))
         return [_report("pinching", tol, min(margins), context)]
 
-    return (P, Q), _Check(keys + (gap,), (), reports)
+    return (P, Q), _Check(keys + (gap,), (natural,), reports)
 
 
 def _dominated_by(C: PDMatrix, bump: PDMatrix) -> np.ndarray:
@@ -602,18 +637,19 @@ def _lift_report(C: PDMatrix, dominated, lifted, tol: float, context) -> CheckRe
     return _report("quadratic_lifting", tol, _wm_margin(lifted, sC.values ** 2), context)
 
 
-def _lift(C: PDMatrix, D: np.ndarray, context) -> _Check:
+def _lift(C: PDMatrix, D: np.ndarray, context, p: int = 0) -> _Check:
     """The quadratic lift of Phi_R(C), the sharp geometric Heron sum of
-    pair 0 (see `_pinching`), and of the raw D with lambda(D) prec_w
-    lambda(C).  Their kinds are makers over C and D (see `_build`); D is
-    gated with its lift, and Phi's hypothesis is read from its gated
-    spectrum."""
-    def lifts(pair: Pair, which) -> np.ndarray:
-        Phi = pair.herons([0], ["geometric"], [1.0], [1.0], [2.0])[0]
-        return _lift_matrices(C, [Phi if w == "phi" else D for w in which])
+    pair p (see `_pinching`), and of the raw D with lambda(D) prec_w
+    lambda(C).  Their kinds are makers over C and D (see `_build`), which
+    read Phi as the stage built it; D is gated with its lift, and Phi's
+    hypothesis is read from its gated spectrum."""
+    Phi = _sharp_geometric(p)
+
+    def lifts(built: _Built, which) -> np.ndarray:
+        return _lift_matrices(C, [built.matrices([Phi])[0] if w == "phi" else D for w in which])
 
     lifted = ((lifts, "phi"), (lifts, "D"))
-    dominated = (_sharp_geometric(0), (lambda pair, _: D, "D"))
+    dominated = (Phi, (lambda built, _: D, "D"))
 
     def reports(built: _Built, tol: float) -> list[CheckReport]:
         return [_lift_report(C, built.spectra(dominated), built.spectra(lifted), tol, context)]
@@ -927,10 +963,10 @@ def run_suite(config: SuiteConfig) -> RunReport:
     fixed certified instances; identical configs yield identical reports.
 
     Each trial draws all of its random instances first (`_draw_trial`),
-    then runs two stages (see the module docstring): the main pair and
-    the equality pairs as one stacked Pair, then the operand pairs of
-    pinching (with its quadratic lift) and of the semidefinite limit as
-    one gated Pair."""
+    then runs one stage (see the module docstring) on one Pair: the main
+    pair and the equality pairs, then the compression pairs of pinching
+    (with its quadratic lift) and the eps-levels of the semidefinite
+    limit, which are gated as operands first."""
     pool: dict[str, CheckReport] = {}
     tol = config.tol
 
@@ -950,26 +986,28 @@ def run_suite(config: SuiteConfig) -> RunReport:
         draw = _draw_trial(config, offset)
         dim, a, b, pairs = draw.dim, draw.a, draw.b, draw.pairs
         (A, B), *equality_pairs = pairs
+        k = len(pairs)
         context = {"seed_offset": offset, "dim": dim, "a": a, "b": b, "A": A, "B": B}
         contexts = [dict(context, A=A_e, B=B_e, variant=variant)
                     for (A_e, B_e), variant in zip(equality_pairs, ("commuting", "noncommuting"))]
-
-        # stage 1: the main pair (index 0) and the equality pairs
-        checks = [_grid(trial_grid(a, b, config), context), _spreading(a, b, context),
-                  _endpoints(a, b, context), _log_majorization(context), _bly(a, b, context),
-                  _equality(range(1, len(pairs)), a, b, contexts)]
-        for report in _compare(Pair.stack(pairs), checks, tol):
-            _merge_into(pool, report)
-
-        # stage 2: pinching with the quadratic lift of Phi_R(C) and D on
-        # the compression pairs (index 0-3), and the semidefinite limit on
-        # the eps-levels after them
         ctx_p = dict(context, C=draw.C, R=draw.R)
         ctx_s = dict(context, A=draw.A0, B=draw.B0, variant="rank-deficient")
-        (P, Q), pinching = _pinching(draw.C, draw.R, draw.C1, ctx_p)
-        (A_eps, B_eps), limit = _limit(draw.A0, draw.B0, DEFAULT_EPS_SEQUENCE, tol, ctx_s, len(P))
-        checks = [pinching, _lift(draw.C, draw.D, ctx_p), limit]
-        for report in _compare(Pair.gated(np.concatenate([P, A_eps]), np.concatenate([Q, B_eps])), checks, tol):
+
+        # the main pair (index 0) and the equality pairs, then the
+        # compression pairs (k, ..., k+3) and the eps-levels after them,
+        # whose raw operands are gated in one call of their own; neither
+        # they nor the Pairs joined here are kept through the stage's gate
+        compressions, pinching = _pinching(draw.C, draw.R, draw.C1, ctx_p, k)
+        levels, limit = _limit(draw.A0, draw.B0, DEFAULT_EPS_SEQUENCE, tol, ctx_s, k + len(compressions[0]))
+        pair = Pair.concat([Pair.stack(pairs), Pair.gated(*map(np.concatenate, zip(compressions, levels)))])
+        del compressions, levels
+        # the checks of the compression pairs and levels come first, so
+        # their matrices keep their stack indices in the gate
+        checks = [pinching, _lift(draw.C, draw.D, ctx_p, k), limit,
+                  _grid(trial_grid(a, b, config), context), _spreading(a, b, context),
+                  _endpoints(a, b, context), _log_majorization(context), _bly(a, b, context),
+                  _equality(range(1, k), a, b, contexts)]
+        for report in _compare(pair, checks, tol):
             _merge_into(pool, report)
 
     return RunReport(config=config, checks=list(pool.values()))

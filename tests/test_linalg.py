@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from matmean import linalg
 from matmean.errors import MatrixFormatError, NotPositiveDefiniteError, NumericalFailure
 from matmean.linalg import (
     HermitianMatrix,
     PDMatrix,
+    assemble,
     complex_gaussian,
     congruence,
     eig_hermitian,
@@ -297,6 +299,28 @@ class TestStackedGate:
             PDMatrix(bad)
         with pytest.raises(error, match=r"stack index \(1,\)"):
             gate_stack(self._stack_with(bad))
+
+    def test_checks_over_several_slices_name_the_bad_matrix(self, monkeypatch):
+        # at n = 32 the decomposition checks run over slices of 16
+        # matrices; a bad matrix in the third slice of a 2 x 20 stack keeps
+        # its index
+        n = 32
+        vals = np.tile(np.linspace(1.0, 0.5, n), (2, 20, 1))
+        vecs = np.tile(np.eye(n, dtype=np.complex128), (2, 20, 1, 1))
+        bad = vecs.copy()
+        bad[1, 13] *= 2.0
+        with pytest.raises(NumericalFailure, match=r"not unitary: .* \(stack index \(1, 13\)\)"):
+            gate_eig(vals, bad)
+        eigh = linalg._eigh
+
+        def off_by_one(mats):
+            vals, vecs = eigh(mats)
+            vals[1, 13] += 1.0
+            return vals, vecs
+
+        monkeypatch.setattr(linalg, "_eigh", off_by_one)
+        with pytest.raises(NumericalFailure, match=r"residual .* \(stack index \(1, 13\)\)"):
+            gate_stack(assemble(vals, vecs))
 
     def test_pd_mask_exempts_selected_matrices(self):
         stack = self._stack_with(np.diag([1.0, -0.5, 1.0]))

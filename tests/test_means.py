@@ -309,6 +309,18 @@ class TestStackedPair:
                     assert _rel(W[i], single.wasserstein(a, b)[0]) <= 1e-12
                     assert residual.shape == (3,)
 
+    def test_planned_means_are_computed_on_the_planned_pairs_only(self):
+        pairs = [(rand_pd(4, 2 * i, 1e3), rand_pd(4, 2 * i + 1, 1e3)) for i in range(3)]
+        planned, full = Pair.stack(pairs), Pair.stack(pairs)
+        planned.plan(riccati=[2, 0], sqrt=[1])
+        np.testing.assert_array_equal(planned.spectral([2, 0]), full.spectral()[[2, 0]])
+        np.testing.assert_array_equal(planned.sqrt([1])[1], full.sqrt()[1][[1]])
+        assert planned._riccati[0].shape == (2, 4, 4) and planned._sqrt[0].shape == (1, 4, 4)
+        # a pair outside the plan computes the mean again, over both
+        np.testing.assert_array_equal(planned.riccati([1]), full.riccati()[[1]])
+        assert planned._riccati[0].shape == (3, 4, 4)
+        np.testing.assert_array_equal(planned.geometric(), full.geometric())
+
     def test_slice_of_a_stack_is_a_pair(self):
         pairs = [(rand_pd(4, 2 * i, 1e3), rand_pd(4, 2 * i + 1, 1e3)) for i in range(2)]
         second = Pair.stack(pairs)[1]
