@@ -76,12 +76,8 @@ def _cmd_compute(args) -> int:
         result = HermitianMatrix(W)
     elif name == "geodesic":
         result = means.bw_geodesic(A, B, t)
-    elif name == "heron_spectral":
-        c_eff = 2.0 * a * b if c is None else c
-        result = means.heron_spectral(A, B, means.MeanWeights(a, b, c_eff))
-        meta["c"] = c_eff
-    elif name == "heron_kubo":
-        result = means.heron_kubo(A, B, a, b, c)
+    elif name in ("heron_spectral", "heron_kubo"):
+        result = getattr(means, name)(A, B, a, b, c)
         meta["c"] = 2.0 * a * b if c is None else c
     elif name == "riccati":
         result = means.riccati_mean(A, B)

@@ -34,7 +34,6 @@ exact kernels and the certificates load no numpy.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, sqrt
@@ -267,9 +266,6 @@ class CertificateReport:
             "items": [item.to_dict() for item in self.items],
             "verdict": self.verdict,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _F(num, den=1) -> Fraction:

@@ -7,9 +7,9 @@ subclass whose gated eigenvalues passed the positive-definite check.  A
 value built from eigen-data a gate has already checked (`_gated`) keeps
 that decomposition instead of computing a new one.
 
-All matrix functions (square root, inverse, powers, positive part) are
-computed through one eigendecomposition path, never by iteration, so a
-single accuracy model covers everything: f(P) of a gated P is `derived`
+All matrix functions (square root, inverse, the powers inside the means'
+kernels) are computed through one eigendecomposition path, never by
+iteration, so a single accuracy model covers everything: f(P) of a gated P is `derived`
 from its decomposition.  Every stacked check fails through `require`,
 and every weight is checked by `require_weights`.  Values are immutable
 after construction and every operation is a pure function.
@@ -40,8 +40,6 @@ UNITARITY_RTOL = 1e-10
 # Bytes of the eigenvector stack that one slice of the decomposition
 # checks covers: 256 n x n complex matrices at n = 8, 16 at n = 32.
 CHECK_SLICE_BYTES = 1 << 18
-# Rotation budget for the cyclic Jacobi solver, per dim**2.
-JACOBI_BUDGET_PER_DIM2 = 100
 
 
 def _as_complex_square(entries) -> np.ndarray:
@@ -353,82 +351,14 @@ class PDMatrix(HermitianMatrix):
         return f"PDMatrix(dim={self.dim}, lambda_min={self.min_eigenvalue_witness:.3e})"
 
 
-def eig_hermitian(H: HermitianMatrix, method: str = "lapack") -> SpectralDecomposition:
-    """Eigendecomposition with eigenvalues in decreasing order.
-
-    method="lapack" uses numpy's eigh.  method="jacobi" runs the cyclic
-    Jacobi sweep solver with a deterministic budget of 100*dim**2
-    rotations; it is slower and kept as an independent cross-check.
-    Either result is checked for order, unitarity and reconstruction.
-    """
+def eig_hermitian(H: HermitianMatrix) -> SpectralDecomposition:
+    """Eigendecomposition with eigenvalues in decreasing order, by LAPACK
+    eigh, checked for unitarity and reconstruction."""
     mat = (H if isinstance(H, HermitianMatrix) else HermitianMatrix(H)).mat
-    if method == "lapack":
-        vals, vecs = _eigh(mat)
-    elif method == "jacobi":
-        vals, vecs = _jacobi_eigh(mat)
-        order = np.argsort(vals)[::-1]
-        vals, vecs = vals[order], vecs[:, order]
-    else:
-        raise ValueError(f"unknown eigensolver method {method!r}")
-    _check_eigen_data(vals, vecs)
+    vals, vecs = _eigh(mat)
     _check_decomposition(vals, vecs, mat)
     _read_only(vals, vecs)
     return SpectralDecomposition(vals, vecs)
-
-
-def _jacobi_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi for complex Hermitian matrices.
-
-    Each rotation zeroes one off-diagonal pair (p, q) with a unitary
-    2x2 rotation; sweeps repeat until the off-diagonal mass is at noise
-    level or the rotation budget runs out.
-    """
-    n = mat.shape[0]
-    A = mat.astype(np.complex128).copy()
-    V = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return A.real.diagonal().copy(), V
-    budget = JACOBI_BUDGET_PER_DIM2 * n * n
-    scale = max(float(np.linalg.norm(A)), 1.0)
-    tol = 1e-14 * scale
-    rotations = 0
-    while True:
-        off = float(np.linalg.norm(A - np.diag(np.diag(A))))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = A[p, q]
-                if abs(g) <= 1e-16 * scale:
-                    continue
-                if rotations >= budget:
-                    raise NumericalFailure(
-                        f"cyclic Jacobi did not converge within {budget} rotations"
-                    )
-                rotations += 1
-                # plane rotation U with U[p,p]=U[q,q]=c, U[p,q]=-s*w,
-                # U[q,p]=s*conj(w), where w is the phase of A[p,q]
-                w = g / abs(g)
-                app, aqq = A[p, p].real, A[q, q].real
-                tau = (aqq - app) / (2.0 * abs(g))
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = (-1.0 if tau > 0 else 1.0) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                col_p = c * A[:, p] + s * np.conj(w) * A[:, q]
-                col_q = -s * w * A[:, p] + c * A[:, q]
-                A[:, p], A[:, q] = col_p, col_q
-                row_p = c * A[p, :] + s * w * A[q, :]
-                row_q = -s * np.conj(w) * A[p, :] + c * A[q, :]
-                A[p, :], A[q, :] = row_p, row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vcol_p = c * V[:, p] + s * np.conj(w) * V[:, q]
-                vcol_q = -s * w * V[:, p] + c * V[:, q]
-                V[:, p], V[:, q] = vcol_p, vcol_q
-    return np.real(np.diag(A)).copy(), V
 
 
 def principal_sqrt(P: PDMatrix) -> PDMatrix:
@@ -436,29 +366,9 @@ def principal_sqrt(P: PDMatrix) -> PDMatrix:
     return P._derived(np.sqrt)
 
 
-def pd_power(P: PDMatrix, t: float) -> PDMatrix:
-    """P**t for real t via the eigendecomposition."""
-    return P._derived(lambda vals: vals ** t, reverse=t < 0)
-
-
 def inverse(P: PDMatrix) -> PDMatrix:
     """Inverse of a positive definite matrix."""
     return P._derived(np.reciprocal, reverse=True)
-
-
-def positive_part(H: HermitianMatrix) -> HermitianMatrix:
-    """(|H| + H)/2: eigenvalues clamp to max(lambda, 0)."""
-    dec = H.eig()
-    out = HermitianMatrix(dec.assemble(np.maximum(dec.eigenvalues, 0.0)))
-    return out
-
-
-def congruence(T, C: HermitianMatrix) -> HermitianMatrix:
-    """T C T* for an arbitrary square complex matrix T."""
-    T = np.asarray(T, dtype=np.complex128)
-    if T.ndim != 2 or T.shape[0] != T.shape[1] or T.shape[0] != C.dim:
-        raise MatrixFormatError(f"congruence dimension mismatch: T {T.shape}, C {C.mat.shape}")
-    return HermitianMatrix(hermitian_part(T @ C.mat @ T.conj().T))
 
 
 def complex_gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:

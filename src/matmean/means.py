@@ -36,8 +36,6 @@ from the gated decompositions, the stacked checks fail through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -79,23 +77,6 @@ def _psd_pow_raw(mat: np.ndarray, t: float) -> np.ndarray:
             lambda i: f"intermediate matrix is not PSD: lambda_min = {lam_min[i]:.3e}, "
                       f"lambda_max = {lam_max[i]:.3e}")
     return assemble(np.maximum(vals, 0.0) ** t, vecs)
-
-
-@dataclass(frozen=True)
-class MeanWeights:
-    """Coefficient bundle (a, b, c) for the Heron-type expressions."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        require_weights("MeanWeights", a=self.a, b=self.b, c=self.c)
-
-    @classmethod
-    def sharp(cls, a: float, b: float) -> "MeanWeights":
-        """Weights with the endpoint cross coefficient c = 2ab."""
-        return cls(a=a, b=b, c=2.0 * a * b)
 
 
 def _check_dims(A: PDMatrix, B: PDMatrix) -> None:
@@ -439,26 +420,26 @@ def wasserstein_expression(A: PDMatrix, B: PDMatrix, a: float, b: float) -> Herm
     return HermitianMatrix(Pair(A, B).wasserstein(a, b)[0])
 
 
-def wasserstein_residual(A: PDMatrix, B: PDMatrix, a: float, b: float) -> float:
-    """Frobenius distance between the two Wasserstein formulas."""
-    return Pair(A, B).wasserstein(a, b)[1]
-
-
 def bw_geodesic(A: PDMatrix, B: PDMatrix, t: float) -> HermitianMatrix:
     """Bures-Wasserstein geodesic point W_{1-t,t}(A, B)."""
     _check_t(t)
     return wasserstein_expression(A, B, 1.0 - t, t)
 
 
-def heron_spectral(A: PDMatrix, B: PDMatrix, w: MeanWeights) -> PDMatrix:
-    """Spectral Heron expression a^2 A + b^2 B + c (A natural B)."""
-    return PDMatrix(Pair(A, B).heron("spectral", w.a, w.b, w.c))
+def _heron(name: str, cross: str, A: PDMatrix, B: PDMatrix, a: float, b: float, c: float | None) -> PDMatrix:
+    if c is None:
+        c = 2.0 * a * b
+    require_weights(name, a=a, b=b, c=c)
+    return PDMatrix(Pair(A, B).heron(cross, a, b, c))
+
+
+def heron_spectral(A: PDMatrix, B: PDMatrix, a: float, b: float, c: float | None = None) -> PDMatrix:
+    """Spectral Heron expression a^2 A + b^2 B + c (A natural B); c
+    defaults to the endpoint 2ab."""
+    return _heron("heron_spectral", "spectral", A, B, a, b, c)
 
 
 def heron_kubo(A: PDMatrix, B: PDMatrix, a: float, b: float, c: float | None = None) -> PDMatrix:
     """Heron expression with the geometric-mean cross term,
     a^2 A + b^2 B + c (A # B); c defaults to the endpoint 2ab."""
-    if c is None:
-        c = 2.0 * a * b
-    require_weights("heron_kubo", a=a, b=b, c=c)
-    return PDMatrix(Pair(A, B).heron("geometric", a, b, c))
+    return _heron("heron_kubo", "geometric", A, B, a, b, c)

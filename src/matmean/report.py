@@ -8,7 +8,6 @@ instance's matrices themselves: only a failing record serializes them.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -75,6 +74,3 @@ class CheckReport:
         if self.diagnostics:
             out["diagnostics"] = self.diagnostics
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)

@@ -106,12 +106,12 @@ class SuiteConfig:
         # comparisons are written so that NaN fails them
         if type(self.seed) is not int or self.seed < 0:  # bool is a subclass of int
             raise InvalidWeightsError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.trials < 1:
-            raise InvalidWeightsError(f"trials must be >= 1, got {self.trials}")
+        if type(self.trials) is not int or self.trials < 1:
+            raise InvalidWeightsError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not self.dims:
             raise InvalidWeightsError("dims must be nonempty")
-        if any(d < 1 for d in self.dims):
-            raise InvalidWeightsError("every dimension must be at least 1")
+        if any(type(d) is not int or d < 1 for d in self.dims):
+            raise InvalidWeightsError(f"every dimension must be an integer >= 1, got {self.dims!r}")
         if not (math.isfinite(self.cond_max) and self.cond_max >= 1.0):
             raise InvalidWeightsError(f"cond_max must be finite and >= 1, got {self.cond_max}")
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -355,6 +355,7 @@ def heron_grid(pair: Pair, items, tol: float, context: dict | None = None) -> li
     """The Heron grid (see `_grid`) of one pair, one report per checker:
     the Heron sums (gated as positive definite) and the distinct W_{a,b}
     (gated as Hermitian) are decomposed in one stacked call."""
+    require(len(items) > 0, InvalidWeightsError, lambda _: "items must be nonempty")
     return _compare(pair, [_grid(items, context)], tol)
 
 
@@ -663,6 +664,7 @@ def check_quadratic_lifting(C: PDMatrix, Ds: list[PDMatrix], tol: float,
     comparison to lambda(C^{1/2} D C^{1/2}) prec_w lambda(C^2).  One record
     per D; lambda(C^2) = lambda(C)^2 comes from the gated decomposition of
     C, and the lifted matrices are gated in one stacked call."""
+    require(len(Ds) > 0, InvalidWeightsError, lambda _: "Ds must be nonempty")
     lifted = gate_stack(_lift_matrices(C, [D.mat for D in Ds]))[0]
     return _lift_report(C, [D.eig().eigenvalues for D in Ds], lifted, tol, context)
 
@@ -718,6 +720,7 @@ def check_semidefinite_limit(A0: HermitianMatrix, B0: HermitianMatrix,
     noncommuting pairs it decays like sqrt(eps), so it is reported, not
     gated at tol.
     """
+    require(len(eps_sequence) > 0, InvalidWeightsError, lambda _: "eps_sequence must be nonempty")
     operands, check = _limit(A0, B0, eps_sequence, tol, context)
     return _compare(Pair.gated(*operands), [check], tol)[0]
 

@@ -19,13 +19,12 @@ from matmean.exact import (
 from matmean.linalg import PDMatrix, haar_unitary, random_pd
 from matmean.majorization import ky_fan_sums, ky_fan_threshold, spectrum
 from matmean.means import (
-    MeanWeights,
+    Pair,
     geometric_mean,
     heron_kubo,
     heron_spectral,
     spectral_mean,
     wasserstein_expression,
-    wasserstein_residual,
 )
 from matmean.schur import correlation_decomposition, gamma_multiplier
 from matmean.suite import (
@@ -139,7 +138,7 @@ def test_criterion_4_theorem_suite_zero_failures():
 def test_criterion_5_endpoint_trace_equality_on_every_suite_instance():
     worst = 0.0
     for offset, rng, dim, a, b, A, B in iter_instances(ACCEPTANCE_CONFIG):
-        H = heron_spectral(A, B, MeanWeights.sharp(a, b))
+        H = heron_spectral(A, B, a, b)
         W = wasserstein_expression(A, B, a, b)
         gap = abs(H.trace() - W.trace())
         budget = 1e-8 * (1.0 + W.trace())
@@ -158,7 +157,7 @@ def test_criterion_6_equality_iff_commuting_floors():
         A, B = _commuting_pair(dim, 1e4, rng)
         W = wasserstein_expression(A, B, 1.0, 1.0)
         w_norm = W.frobenius()
-        d_nat = (heron_spectral(A, B, MeanWeights.sharp(1.0, 1.0)) - W).frobenius()
+        d_nat = (heron_spectral(A, B, 1.0, 1.0) - W).frobenius()
         d_kubo = (heron_kubo(A, B, 1.0, 1.0) - W).frobenius()
         assert max(d_nat, d_kubo) <= 1e-8 * w_norm
         worst_comm = max(worst_comm, max(d_nat, d_kubo) / w_norm)
@@ -170,7 +169,7 @@ def test_criterion_6_equality_iff_commuting_floors():
         assert comm >= 1e-3 * np.linalg.norm(A.mat) * np.linalg.norm(B.mat)
         W = wasserstein_expression(A, B, 1.0, 1.0)
         w_norm = W.frobenius()
-        d_nat = (heron_spectral(A, B, MeanWeights.sharp(1.0, 1.0)) - W).frobenius()
+        d_nat = (heron_spectral(A, B, 1.0, 1.0) - W).frobenius()
         d_kubo = (heron_kubo(A, B, 1.0, 1.0) - W).frobenius()
         assert min(d_nat, d_kubo) >= 1e-6 * w_norm
         worst_floor = min(worst_floor, min(d_nat, d_kubo) / w_norm)
@@ -237,7 +236,7 @@ def test_criterion_9_oracle_cross_checks():
     # dual Wasserstein formulas on every suite instance
     worst_w = 0.0
     for offset, rng, dim, a, b, A, B in iter_instances(ACCEPTANCE_CONFIG):
-        res = wasserstein_residual(A, B, a, b)
+        res = Pair(A, B).wasserstein(a, b)[1]
         W = wasserstein_expression(A, B, a, b)
         scale = np.linalg.norm(W.mat)
         assert res <= 1e-8 * scale

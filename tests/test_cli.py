@@ -86,7 +86,8 @@ class TestCompute:
         # a non-finite weight fails the weight check, not the matrix gate
         for mean, flag, value in [("geo_t", "-t", "1.5"), ("wasserstein", "-a", "nan"),
                                   ("heron_spectral", "-c", "nan"), ("heron_kubo", "-a", "inf"),
-                                  ("wasserstein", "-b", "-1"), ("heron_kubo", "-c", "-inf")]:
+                                  ("wasserstein", "-b", "-1"), ("heron_kubo", "-c", "-inf"),
+                                  ("heron_spectral", "-a", "nan")]:
             code, out, err = run_cli(capsys, "compute", mean, *certified_pair, f"{flag}={value}")
             assert code == 4, (mean, flag, value)
             assert out == ""
@@ -232,6 +233,21 @@ class TestSuiteCommand:
                               "--dims", "1,2,3", "--out", str(out2))
         assert code1 == code2 == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_pretty_writes_the_report_and_prints_the_summary(self, tmp_path, capsys):
+        from matmean.suite import SuiteConfig, run_suite
+
+        out = tmp_path / "report.json"
+        code, stdout, stderr = run_cli(capsys, "suite", "--trials", "2", "--pretty", "--out", str(out))
+        assert code == 0
+        report = run_suite(SuiteConfig(seed=42, trials=2))
+        assert out.read_text() == json.dumps(report.to_dict(), indent=2) + "\n"
+        assert stdout == ""
+        rows = stderr.splitlines()
+        assert len(rows) == len(report.checks)
+        for row, check in zip(rows, sorted(report.checks, key=lambda r: r.check_name)):
+            assert row.split()[:2] == [check.check_name, str(check.instances_run)]
+            assert row.endswith("ok")
 
     def test_trials_zero_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "suite", "--trials", "0")

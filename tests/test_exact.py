@@ -282,7 +282,7 @@ class TestDirectionTwo:
 class TestReports:
     def test_json_round_trip(self):
         report = certify_direction_one()
-        data = json.loads(report.to_json())
+        data = json.loads(json.dumps(report.to_dict()))
         assert data["verdict"] is True
         assert data["items"][0]["computed"] == "21/10"
         assert data["items"][1]["computed"] == "59/100"

@@ -9,16 +9,14 @@ from matmean.linalg import (
     HermitianMatrix,
     PDMatrix,
     assemble,
+    derived,
     complex_gaussian,
-    congruence,
     eig_hermitian,
     gate_eig,
     gate_stack,
     haar_unitaries,
     haar_unitary,
     inverse,
-    pd_power,
-    positive_part,
     principal_sqrt,
     random_pd,
 )
@@ -26,6 +24,66 @@ from matmean.linalg import (
 from conftest import rand_pd, rand_pd_pairs
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
+
+# The cyclic Jacobi solver below is a reference independent of LAPACK:
+# TestEig compares eig_hermitian against it.  Its rotation budget, per
+# dim**2:
+JACOBI_BUDGET_PER_DIM2 = 100
+
+
+def _jacobi_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi for complex Hermitian matrices.
+
+    Each rotation zeroes one off-diagonal pair (p, q) with a unitary
+    2x2 rotation; sweeps repeat until the off-diagonal mass is at noise
+    level or the rotation budget runs out.
+    """
+    n = mat.shape[0]
+    A = mat.astype(np.complex128).copy()
+    V = np.eye(n, dtype=np.complex128)
+    if n == 1:
+        return A.real.diagonal().copy(), V
+    budget = JACOBI_BUDGET_PER_DIM2 * n * n
+    scale = max(float(np.linalg.norm(A)), 1.0)
+    tol = 1e-14 * scale
+    rotations = 0
+    while True:
+        off = float(np.linalg.norm(A - np.diag(np.diag(A))))
+        if off <= tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                g = A[p, q]
+                if abs(g) <= 1e-16 * scale:
+                    continue
+                if rotations >= budget:
+                    raise NumericalFailure(
+                        f"cyclic Jacobi did not converge within {budget} rotations"
+                    )
+                rotations += 1
+                # plane rotation U with U[p,p]=U[q,q]=c, U[p,q]=-s*w,
+                # U[q,p]=s*conj(w), where w is the phase of A[p,q]
+                w = g / abs(g)
+                app, aqq = A[p, p].real, A[q, q].real
+                tau = (aqq - app) / (2.0 * abs(g))
+                if tau == 0.0:
+                    t = 1.0
+                else:
+                    t = (-1.0 if tau > 0 else 1.0) / (abs(tau) + np.hypot(1.0, tau))
+                c = 1.0 / np.hypot(1.0, t)
+                s = t * c
+                col_p = c * A[:, p] + s * np.conj(w) * A[:, q]
+                col_q = -s * w * A[:, p] + c * A[:, q]
+                A[:, p], A[:, q] = col_p, col_q
+                row_p = c * A[p, :] + s * w * A[q, :]
+                row_q = -s * np.conj(w) * A[p, :] + c * A[q, :]
+                A[p, :], A[q, :] = row_p, row_q
+                A[p, q] = 0.0
+                A[q, p] = 0.0
+                vcol_p = c * V[:, p] + s * np.conj(w) * V[:, q]
+                vcol_q = -s * w * V[:, p] + c * V[:, q]
+                V[:, p], V[:, q] = vcol_p, vcol_q
+    return np.real(np.diag(A)).copy(), V
 
 
 class TestHermitianConstruction:
@@ -89,24 +147,22 @@ class TestEig:
     def test_jacobi_matches_lapack(self):
         for dim in range(1, 9):
             H = rand_pd(dim, seed=100 + dim, cond=1e4)
-            lapack = eig_hermitian(H, method="lapack")
-            jacobi = eig_hermitian(H, method="jacobi")
+            lapack = eig_hermitian(H)
+            vals, vecs = _jacobi_eigh(H.mat)
+            order = np.argsort(vals)[::-1]
+            vals, vecs = vals[order], vecs[:, order]
+            # the checks eig_hermitian runs on its own result
+            linalg._check_decomposition(vals, vecs, H.mat)
             np.testing.assert_allclose(
-                jacobi.eigenvalues, lapack.eigenvalues,
+                vals, lapack.eigenvalues,
                 atol=1e-12 * (1.0 + float(np.abs(lapack.eigenvalues).max())),
             )
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            eig_hermitian(HermitianMatrix(np.eye(2)), method="qr")
-
     def test_jacobi_budget_exhaustion_is_diagnosed(self, monkeypatch):
-        import matmean.linalg as linalg
-
-        monkeypatch.setattr(linalg, "JACOBI_BUDGET_PER_DIM2", 0)
+        monkeypatch.setitem(globals(), "JACOBI_BUDGET_PER_DIM2", 0)
         H = rand_pd(3, seed=55)
-        with pytest.raises(linalg.NumericalFailure):
-            eig_hermitian(H, method="jacobi")
+        with pytest.raises(NumericalFailure):
+            _jacobi_eigh(H.mat)
 
 
 class TestPrincipalSqrt:
@@ -147,54 +203,6 @@ class TestInverse:
             cond = A.eig().eigenvalues[0] / A.eig().eigenvalues[-1]
             err = np.linalg.norm(A.mat @ inverse(A).mat - np.eye(dim))
             assert err <= 1e-9 * cond
-
-
-class TestPositivePart:
-    def test_diagonal(self):
-        H = positive_part(HermitianMatrix(np.diag([1.0, -2.0])))
-        np.testing.assert_allclose(H.mat, np.diag([1.0, 0.0]), atol=1e-15)
-
-    def test_psd_fixed_point(self):
-        A = rand_pd(4, seed=3)
-        np.testing.assert_allclose(positive_part(A).mat, A.mat, atol=1e-14)
-
-    def test_clamps_eigenvalues(self, rng):
-        Z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        H = HermitianMatrix((Z + Z.conj().T) / 2)
-        P = positive_part(H)
-        expected = np.maximum(H.eig().eigenvalues, 0.0)
-        np.testing.assert_allclose(P.eig().eigenvalues, expected, atol=1e-12)
-        # H_+ - H is PSD and the trace can only grow
-        diff_min = np.linalg.eigvalsh(P.mat - H.mat)[0]
-        assert diff_min >= -1e-12 * np.linalg.norm(H.mat)
-        assert P.trace() >= H.trace() - 1e-12
-
-
-class TestCongruence:
-    def test_identity_transform(self):
-        C = rand_pd(3, seed=5)
-        np.testing.assert_allclose(congruence(np.eye(3), C).mat, C.mat, atol=1e-15)
-
-    def test_diagonal_scaling(self):
-        out = congruence(np.diag([2.0, 3.0]), HermitianMatrix(np.eye(2)))
-        np.testing.assert_allclose(out.mat, np.diag([4.0, 9.0]), atol=1e-15)
-
-    def test_against_naive_product(self, rng):
-        T = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        C = rand_pd(4, seed=6)
-        naive = T @ C.mat @ T.conj().T
-        np.testing.assert_allclose(congruence(T, C).mat, naive, atol=1e-12 * np.linalg.norm(naive))
-
-    def test_preserves_psd(self, rng):
-        T = rng.standard_normal((4, 4))
-        C = rand_pd(4, seed=7)
-        out = congruence(T, C)
-        scale = float(np.abs(out.eig().eigenvalues).max())
-        assert out.eig().eigenvalues[-1] >= -1e-10 * scale
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(MatrixFormatError):
-            congruence(np.eye(2), HermitianMatrix(np.eye(3)))
 
 
 class TestRandomPD:
@@ -342,7 +350,7 @@ class TestDerivedValues:
         # condition number 1e14 and must still fail the PD ratio
         P = PDMatrix(np.diag([1.0, 1e-7]))
         with pytest.raises(NotPositiveDefiniteError):
-            pd_power(P, 2)
+            derived(P.eig(), np.square)
 
     def test_derived_values_share_the_gated_eigenvectors(self):
         P = rand_pd(4, seed=31)

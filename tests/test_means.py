@@ -5,7 +5,6 @@ from matmean import means
 from matmean.errors import InvalidWeightsError, MatrixFormatError, NotPositiveDefiniteError, NumericalFailure
 from matmean.linalg import PDMatrix, inverse
 from matmean.means import (
-    MeanWeights,
     Pair,
     bw_geodesic,
     geometric_mean,
@@ -17,7 +16,6 @@ from matmean.means import (
     spectral_mean,
     spectral_mean_weighted,
     wasserstein_expression,
-    wasserstein_residual,
 )
 
 from conftest import rand_pd, rand_pd_pairs
@@ -156,7 +154,7 @@ class TestWasserstein:
 
     def test_dual_formulas_agree(self):
         for dim, A, B in rand_pd_pairs(10, cond=1e4):
-            res = wasserstein_residual(A, B, 1.0, 0.7)
+            res = Pair(A, B).wasserstein(1.0, 0.7)[1]
             W = wasserstein_expression(A, B, 1.0, 0.7)
             assert res <= 1e-8 * np.linalg.norm(W.mat)
 
@@ -188,18 +186,18 @@ class TestGeodesic:
 class TestHeron:
     def test_spectral_no_cross_term(self):
         A, _, B = certified_pair_2x2()
-        H = heron_spectral(A, B, MeanWeights(2.0, 3.0, 0.0))
+        H = heron_spectral(A, B, 2.0, 3.0, 0.0)
         np.testing.assert_allclose(H.mat, 4.0 * A.mat + 9.0 * B.mat, atol=1e-13)
 
     def test_scalar_case(self):
         one = PDMatrix(np.array([[1.0]]))
         for a, b, c in ((1.0, 1.0, 2.0), (0.5, 2.0, 1.0)):
-            H = heron_spectral(one, one, MeanWeights(a, b, c))
+            H = heron_spectral(one, one, a, b, c)
             assert H.mat[0, 0].real == pytest.approx(a * a + b * b + c, rel=1e-15)
 
     def test_commuting_endpoint_equals_wasserstein(self):
         A, B = commuting_diag_pair()
-        H = heron_spectral(A, B, MeanWeights.sharp(0.8, 1.1))
+        H = heron_spectral(A, B, 0.8, 1.1)
         W = wasserstein_expression(A, B, 0.8, 1.1)
         np.testing.assert_allclose(H.mat, W.mat, atol=1e-12 * np.linalg.norm(W.mat))
 
@@ -218,9 +216,25 @@ class TestHeron:
         assert heron_kubo(A, B, 1.0, 1.0).trace() == pytest.approx(expected, rel=1e-12)
 
     def test_weights_validation(self):
+        A, _, B = certified_pair_2x2()
         with pytest.raises(InvalidWeightsError):
-            MeanWeights(-1.0, 1.0, 0.0)
-        assert MeanWeights.sharp(2.0, 3.0).c == 12.0
+            heron_spectral(A, B, -1.0, 1.0, 0.0)
+        np.testing.assert_array_equal(heron_spectral(A, B, 2.0, 3.0).mat, heron_spectral(A, B, 2.0, 3.0, 12.0).mat)
+
+    # both Heron functions take (a, b, c=None) and check their weights alike
+    @pytest.mark.parametrize("heron", [heron_spectral, heron_kubo])
+    def test_default_c_is_the_endpoint_bitwise(self, heron):
+        for dim, A, B in rand_pd_pairs(4, cond=1e4):
+            for a, b in ((1.0, 1.0), (0.3, 0.9), (2.0, 0.5)):
+                np.testing.assert_array_equal(heron(A, B, a, b).mat, heron(A, B, a, b, 2.0 * a * b).mat)
+
+    @pytest.mark.parametrize("heron", [heron_spectral, heron_kubo])
+    @pytest.mark.parametrize("a, b, c", [(np.nan, 1.0, None), (1.0, 1.0, np.nan), (1.0, -0.5, None),
+                                         (np.inf, 1.0, 0.0)])
+    def test_bad_weights_rejected_by_name(self, heron, a, b, c):
+        A, _, B = certified_pair_2x2()
+        with pytest.raises(InvalidWeightsError, match=f"^{heron.__name__}: weights must be finite"):
+            heron(A, B, a, b, c)
 
 
 class TestProductSqrt:
@@ -272,7 +286,7 @@ class TestStructuralInvariants:
             spectral_mean,
             lambda P, Q: wasserstein_expression(P, Q, 0.6, 0.9),
             lambda P, Q: heron_kubo(P, Q, 0.6, 0.9),
-            lambda P, Q: heron_spectral(P, Q, MeanWeights.sharp(0.6, 0.9)),
+            lambda P, Q: heron_spectral(P, Q, 0.6, 0.9),
         ):
             ref = f(A, B).mat
             scaled = f(As, Bs).mat

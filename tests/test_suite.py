@@ -115,6 +115,10 @@ class TestTrivialInstances:
         with pytest.raises(InvalidWeightsError):
             check_quadratic_lifting(C, [double], TOL)
 
+    def test_lifting_rejects_empty_Ds(self):
+        with pytest.raises(InvalidWeightsError, match="^Ds must be nonempty$"):
+            check_quadratic_lifting(rand_pd(2, seed=73), [], TOL)
+
     def test_bly_trivial(self):
         A, B = rand_pd(3, seed=74), rand_pd(3, seed=75)
         assert check_bly(Pair(A, A), 1.0, 1.0, TOL).ok
@@ -212,6 +216,12 @@ class TestSemidefiniteLimit:
         with pytest.raises(MatrixFormatError, match="dimension mismatch"):
             check_semidefinite_limit(HermitianMatrix(np.eye(2)), HermitianMatrix(np.eye(3)), tol=TOL)
 
+    def test_rejects_empty_eps_sequence(self):
+        # checked before the operands: this A0 would fail its own check
+        A0 = HermitianMatrix(np.diag([1.0, -0.5]))
+        with pytest.raises(InvalidWeightsError, match="^eps_sequence must be nonempty$"):
+            check_semidefinite_limit(A0, HermitianMatrix(np.eye(2)), eps_sequence=(), tol=TOL)
+
     def test_random_rank_deficient_margins_stable(self, rng):
         for _ in range(5):
             n = 4
@@ -239,14 +249,14 @@ class TestStrictInstances:
     def test_certified_pair_spreading_and_kubo_are_strict(self):
         from matmean.exact import direction_one_data
         from matmean.majorization import ky_fan_sums, spectrum
-        from matmean.means import MeanWeights, heron_kubo, heron_spectral, wasserstein_expression
+        from matmean.means import heron_kubo, heron_spectral, wasserstein_expression
 
         data = direction_one_data()
         A = PDMatrix(np.array(data["A"].to_float()))
         B = PDMatrix(np.array(data["B"].to_float()))
         W = wasserstein_expression(A, B, 1.0, 1.0)
         # determinant ordering is strict for this noncommuting pair
-        H_nat = heron_spectral(A, B, MeanWeights.sharp(1.0, 1.0))
+        H_nat = heron_spectral(A, B, 1.0, 1.0)
         logdet_gap = float(np.log(spectrum(H_nat).values).sum() - np.log(spectrum(W).values).sum())
         assert logdet_gap > 1e-3
         # and the geometric-Heron comparison has a strict Ky Fan margin
@@ -258,11 +268,11 @@ class TestStrictInstances:
         # at c = 2ab the trace gap vanishes while the comparison stays
         # strict somewhere in the upper Ky Fan sums
         from matmean.majorization import ky_fan_sums, spectrum
-        from matmean.means import MeanWeights, heron_spectral, wasserstein_expression
+        from matmean.means import heron_spectral, wasserstein_expression
 
         rng = np.random.default_rng(17)
         A, B = _noncommuting_pair(5, 1e3, rng)
-        H = heron_spectral(A, B, MeanWeights.sharp(1.0, 1.0))
+        H = heron_spectral(A, B, 1.0, 1.0)
         W = wasserstein_expression(A, B, 1.0, 1.0)
         margins = ky_fan_sums(spectrum(W)) - ky_fan_sums(spectrum(H))
         scale = 1.0 + abs(float(ky_fan_sums(spectrum(W))[-1]))
@@ -299,6 +309,7 @@ class TestConfigAndDriver:
         ("weight_grid", ((1.0, 0.0),)), ("weight_grid", ((-0.5, 1.0),)), ("weight_grid", ((1.0, math.nan),)),
         ("weight_grid", ((math.inf, 1.0),)), ("weight_grid", ()), ("weight_grid", ((1.0,),)),
         ("seed", -1),
+        ("trials", True), ("trials", 2.5), ("dims", (2.5,)), ("dims", (True, 2)),
     ])
     def test_invalid_config_rejected(self, field, value):
         with pytest.raises(InvalidWeightsError):
@@ -349,6 +360,10 @@ class TestHeavyTailRegime:
 
 
 class TestHeronGrid:
+    def test_rejects_empty_items(self):
+        with pytest.raises(InvalidWeightsError, match="^items must be nonempty$"):
+            heron_grid(Pair(rand_pd(2, seed=1), rand_pd(2, seed=2)), [], TOL)
+
     @pytest.mark.parametrize("cond", [1e4, 1e6])
     def test_stacked_grid_equals_one_at_a_time_bitwise(self, cond, monkeypatch):
         config = SuiteConfig()
