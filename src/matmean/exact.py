@@ -41,8 +41,6 @@ from operator import mul
 
 from .errors import MatrixFormatError, NumericalFailure
 
-Rational = Fraction
-
 
 # ---------------------------------------------------------------------------
 # rational matrices

@@ -89,6 +89,11 @@ from .schur import pinching_compressions
 DEFAULT_EPS_SEQUENCE = (1e-2, 1e-4, 1e-6, 1e-8)
 
 
+def _finite(x) -> bool:
+    """x is a finite number and not a bool (bool is a subclass of int)."""
+    return not isinstance(x, bool) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     seed: int = 42
@@ -112,19 +117,21 @@ class SuiteConfig:
             raise InvalidWeightsError("dims must be nonempty")
         if any(type(d) is not int or d < 1 for d in self.dims):
             raise InvalidWeightsError(f"every dimension must be an integer >= 1, got {self.dims!r}")
-        if not (math.isfinite(self.cond_max) and self.cond_max >= 1.0):
+        if not (_finite(self.cond_max) and self.cond_max >= 1.0):
             raise InvalidWeightsError(f"cond_max must be finite and >= 1, got {self.cond_max}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
+        if not (_finite(self.tol) and self.tol > 0):
             raise InvalidWeightsError(f"tol must be finite and positive, got {self.tol}")
-        if not self.weight_grid or any(len(pair) != 2 or not all(math.isfinite(w) and w > 0.0 for w in pair)
+        if not self.weight_grid or any(len(pair) != 2 or not all(_finite(w) and w > 0.0 for w in pair)
                                        for pair in self.weight_grid):
             raise InvalidWeightsError(f"weight_grid must be nonempty pairs of finite positive weights, "
                                       f"got {self.weight_grid}")
         if not self.c_fractions:
             raise InvalidWeightsError("c_fractions must be nonempty")
-        if any(not 0.0 <= f <= 1.0 for f in self.c_fractions):
+        if any(not (_finite(f) and 0.0 <= f <= 1.0) for f in self.c_fractions):
             raise InvalidWeightsError("c_fractions must lie in [0, 1]")
-        if any(not 0.0 <= t <= 1.0 for t in self.t_grid):
+        if not self.t_grid:
+            raise InvalidWeightsError("t_grid must be nonempty")
+        if any(not (_finite(t) and 0.0 <= t <= 1.0) for t in self.t_grid):
             raise InvalidWeightsError("t_grid must lie in [0, 1]")
 
     def to_dict(self) -> dict:

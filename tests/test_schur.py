@@ -3,19 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matmean.errors import InvalidWeightsError, MatrixFormatError, NotPositiveDefiniteError
-from matmean.linalg import HermitianMatrix, PDMatrix, random_hermitian
+from matmean.errors import MatrixFormatError, NotPositiveDefiniteError
+from matmean.linalg import HermitianMatrix, PDMatrix, inverse, principal_sqrt, random_hermitian
 from matmean.majorization import majorization, spectrum, weak_majorization
-from matmean import schur
-from matmean.means import heron_kubo, spectral_mean
-from matmean.schur import (
-    correlation_decomposition,
-    gamma_multiplier,
-    kubo_change_of_vars,
-    pinching_map,
-    schur_product,
-    spectral_change_of_vars,
-)
+from matmean.means import heron_kubo, riccati_mean, spectral_mean, wasserstein_expression
+from matmean.schur import pinching_map
 
 from conftest import rand_pd, rand_pd_pairs
 
@@ -25,70 +17,73 @@ positive_vectors = st.lists(
 weights = st.floats(min_value=0.05, max_value=10.0, allow_nan=False)
 
 
+def gamma_multiplier(r, a, b, c) -> np.ndarray:
+    """The spectral theorem's Schur multiplier Gamma_c, entries
+    (alpha_i alpha_j + beta_i beta_j + c) / (d_i d_j) with alpha = a / r,
+    beta = b r and d = alpha + beta."""
+    r = np.asarray(r, dtype=np.float64)
+    alpha, beta = a / r, b * r
+    d = alpha + beta
+    return (np.outer(alpha, alpha) + np.outer(beta, beta) + c) / np.outer(d, d)
+
+
 class TestSchurProduct:
     def test_all_ones_is_identity_map(self):
         M = rand_pd(3, seed=21)
-        J = HermitianMatrix(np.ones((3, 3)))
-        np.testing.assert_allclose(schur_product(M, J).mat, M.mat, atol=1e-15)
+        np.testing.assert_allclose(M.mat * np.ones((3, 3)), M.mat, atol=1e-15)
 
     def test_diagonal_times_diagonal(self):
-        D1 = HermitianMatrix(np.diag([1.0, 2.0]))
-        D2 = HermitianMatrix(np.diag([3.0, 4.0]))
-        np.testing.assert_allclose(schur_product(D1, D2).mat, np.diag([3.0, 8.0]), atol=1e-15)
+        np.testing.assert_allclose(np.diag([1.0, 2.0]) * np.diag([3.0, 4.0]), np.diag([3.0, 8.0]), atol=1e-15)
 
     def test_psd_of_psd_pair(self):
         for dim, A, B in rand_pd_pairs(8):
-            out = schur_product(A, B)
-            vals = out.eig().eigenvalues
+            vals = HermitianMatrix(A.mat * B.mat).eig().eigenvalues
             assert vals[-1] >= -1e-10 * max(vals[0], 1.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(MatrixFormatError):
-            schur_product(HermitianMatrix(np.eye(2)), HermitianMatrix(np.eye(3)))
 
 
 class TestGammaMultiplier:
     def test_constant_r_collapses_to_all_ones(self):
-        bundle = gamma_multiplier(np.ones(4), 0.5, 0.5, 0.5)
-        np.testing.assert_allclose(bundle.gamma.mat.real, np.ones((4, 4)), atol=1e-14)
+        np.testing.assert_allclose(gamma_multiplier(np.ones(4), 0.5, 0.5, 0.5), np.ones((4, 4)), atol=1e-14)
 
     def test_dim_one_endpoint(self):
-        bundle = gamma_multiplier(np.array([3.7]), 1.2, 0.4, 2 * 1.2 * 0.4)
-        np.testing.assert_allclose(bundle.gamma.mat.real, [[1.0]], atol=1e-14)
+        np.testing.assert_allclose(gamma_multiplier([3.7], 1.2, 0.4, 2 * 1.2 * 0.4), [[1.0]], atol=1e-14)
 
     @given(positive_vectors, weights, weights)
     def test_endpoint_invariants(self, r, a, b):
-        bundle = gamma_multiplier(np.asarray(r), a, b, 2.0 * a * b)
-        g = bundle.gamma.mat.real
+        g = gamma_multiplier(r, a, b, 2.0 * a * b)
         np.testing.assert_allclose(np.diag(g), np.ones(len(r)), atol=1e-12)
-        vals = bundle.gamma.eig().eigenvalues
+        vals = HermitianMatrix(g).eig().eigenvalues
         assert vals[-1] >= -1e-10 * vals[0]
         if len(r) > 3:
             assert vals[3] <= 1e-10 * vals[0]
 
     @given(positive_vectors, weights, weights, st.floats(min_value=0.0, max_value=1.0))
     def test_subcorrelation_diagonal(self, r, a, b, frac):
-        bundle = gamma_multiplier(np.asarray(r), a, b, frac * 2.0 * a * b)
-        assert np.diag(bundle.gamma.mat.real).max() <= 1.0 + 1e-12
-
-    def test_rejects_nonpositive_r(self):
-        with pytest.raises(InvalidWeightsError):
-            gamma_multiplier(np.array([1.0, 0.0]), 1.0, 1.0, 0.0)
+        assert np.diag(gamma_multiplier(r, a, b, frac * 2.0 * a * b)).max() <= 1.0 + 1e-12
 
 
 class TestCorrelationDecomposition:
+    """Gamma_{2ab} = (11^T + s s^T + t t^T) / 2 with the unit vectors
+    s_i = (alpha_i - beta_i) / d_i and t_i = 2 sqrt(ab) / d_i."""
+
+    @staticmethod
+    def decomposition(r, a, b):
+        alpha, beta = a / r, b * r
+        d = alpha + beta
+        return (alpha - beta) / d, 2.0 * np.sqrt(a * b) / d
+
     def test_balanced_weights_constant_r(self):
-        s, t = correlation_decomposition(np.ones(3), 1.0, 1.0)
+        s, t = self.decomposition(np.ones(3), 1.0, 1.0)
         np.testing.assert_allclose(s, np.zeros(3), atol=1e-15)
         np.testing.assert_allclose(t, np.ones(3), atol=1e-15)
 
     @given(positive_vectors, weights, weights)
     def test_unit_circle_and_reconstruction(self, r, a, b):
         r = np.asarray(r)
-        s, t = correlation_decomposition(r, a, b)
+        s, t = self.decomposition(r, a, b)
         np.testing.assert_allclose(s * s + t * t, np.ones(len(r)), atol=1e-12)
         recon = 0.5 * (np.ones((len(r), len(r))) + np.outer(s, s) + np.outer(t, t))
-        gamma = gamma_multiplier(r, a, b, 2.0 * a * b).gamma.mat.real
+        gamma = gamma_multiplier(r, a, b, 2.0 * a * b)
         np.testing.assert_allclose(recon, gamma, atol=1e-12 * max(1.0, np.abs(gamma).max()))
 
 
@@ -105,7 +100,7 @@ class TestSchurMajorizationProperties:
             dim = int(rng.integers(2, 7))
             Gamma = random_correlation(dim, rng)
             M = random_hermitian(dim, seed=int(rng.integers(0, 2**31)))
-            v = majorization(spectrum(schur_product(Gamma, M)), spectrum(M), 1e-8)
+            v = majorization(spectrum(HermitianMatrix(Gamma.mat * M.mat)), spectrum(M), 1e-8)
             assert v.holds
 
     def test_subcorrelation_weakly_majorizes(self, rng):
@@ -116,7 +111,7 @@ class TestSchurMajorizationProperties:
             shrink = np.diag(rng.uniform(0.2, 1.0, dim))
             Gamma = HermitianMatrix(shrink @ Gamma.mat @ shrink)
             M = rand_pd(dim, seed=int(rng.integers(0, 2**31)))
-            v = weak_majorization(spectrum(schur_product(Gamma, M)), spectrum(M), 1e-8)
+            v = weak_majorization(spectrum(HermitianMatrix(Gamma.mat * M.mat)), spectrum(M), 1e-8)
             assert v.holds
 
     def test_entrywise_reduction_identity(self, rng):
@@ -132,18 +127,26 @@ class TestSchurMajorizationProperties:
             Rinv = np.diag(1.0 / r)
             S_expr = (a * Rinv + b * R) @ C.mat @ (a * Rinv + b * R)
             T_expr = a * a * Rinv @ C.mat @ Rinv + b * b * R @ C.mat @ R + c * C.mat
-            gamma = gamma_multiplier(r, a, b, c).gamma.mat
+            gamma = gamma_multiplier(r, a, b, c)
             recon = gamma * S_expr
             np.testing.assert_allclose(
                 T_expr, recon, atol=1e-12 * np.abs(S_expr).max(), rtol=1e-12
             )
 
 
+def spectral_change_of_vars(A: PDMatrix, B: PDMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(R, C) with R = (A^{-1} # B)^{1/2} and C = R A R."""
+    R = principal_sqrt(riccati_mean(A, B)).mat
+    return R, R @ A.mat @ R
+
+
 class TestSpectralChangeOfVars:
+    """C = R A R is the spectral mean A natural B, and R C R = B."""
+
     def test_equal_operands(self):
         A = rand_pd(3, seed=31)
         R, C = spectral_change_of_vars(A, A)
-        np.testing.assert_allclose(C.mat, A.mat, atol=1e-10 * np.linalg.norm(A.mat))
+        np.testing.assert_allclose(C, A.mat, atol=1e-10 * np.linalg.norm(A.mat))
 
     def test_certified_instance_recovers_b(self):
         A = PDMatrix(np.diag([1.0, 20.0, 40.0]))
@@ -151,17 +154,17 @@ class TestSpectralChangeOfVars:
         X = R_fixed @ R_fixed
         B = PDMatrix(X @ np.diag([1.0, 20.0, 40.0]) @ X)
         R, C = spectral_change_of_vars(A, B)
-        np.testing.assert_allclose(R.mat.real, R_fixed, atol=1e-8)
-        np.testing.assert_allclose(R.mat @ C.mat @ R.mat, B.mat, atol=1e-8 * np.linalg.norm(B.mat))
+        np.testing.assert_allclose(R.real, R_fixed, atol=1e-8)
+        np.testing.assert_allclose(R @ C @ R, B.mat, atol=1e-8 * np.linalg.norm(B.mat))
 
     def test_residuals_and_spectral_mean_identity(self):
         for dim, A, B in rand_pd_pairs(6, cond=1e3):
             R, C = spectral_change_of_vars(A, B)
-            Rinv = np.linalg.inv(R.mat)
-            assert np.linalg.norm(Rinv @ C.mat @ Rinv - A.mat) <= 1e-8 * np.linalg.norm(A.mat)
-            assert np.linalg.norm(R.mat @ C.mat @ R.mat - B.mat) <= 1e-8 * np.linalg.norm(B.mat)
+            Rinv = np.linalg.inv(R)
+            assert np.linalg.norm(Rinv @ C @ Rinv - A.mat) <= 1e-8 * np.linalg.norm(A.mat)
+            assert np.linalg.norm(R @ C @ R - B.mat) <= 1e-8 * np.linalg.norm(B.mat)
             nat = spectral_mean(A, B)
-            assert np.linalg.norm(nat.mat - C.mat) <= 1e-8 * np.linalg.norm(C.mat)
+            assert np.linalg.norm(nat.mat - C) <= 1e-8 * np.linalg.norm(C)
 
 
 class TestPinchingMap:
@@ -227,7 +230,16 @@ class TestPinchingMap:
             pinching_map(C, PDMatrix(np.diag([0.5, 1.5])))
 
 
+def kubo_change_of_vars(A: PDMatrix, B: PDMatrix, a: float, b: float) -> tuple[PDMatrix, PDMatrix]:
+    """(R, W) with T = aI + bX, R = a T^{-1} and W = W_{a,b}(A, B) = T A T."""
+    T = PDMatrix(a * np.eye(A.dim) + b * riccati_mean(A, B).mat)
+    return PDMatrix(a * inverse(T).mat), PDMatrix(wasserstein_expression(A, B, a, b).mat)
+
+
 class TestKuboChangeOfVars:
+    """With S = I - R: R W R = a^2 A, S W S = b^2 B, and the Kubo Heron
+    sum a^2 A + b^2 B + 2ab (A # B) is Phi_R(W)."""
+
     def test_identity_balanced(self):
         I = PDMatrix(np.eye(3))
         R, C = kubo_change_of_vars(I, I, 0.5, 0.5)
@@ -244,44 +256,12 @@ class TestKuboChangeOfVars:
         for dim, A, B in rand_pd_pairs(6, cond=1e3):
             for a, b in ((1.0, 1.0), (0.7, 1.3)):
                 R, C = kubo_change_of_vars(A, B, a, b)
+                S = np.eye(dim) - R.mat
+                for M, target in ((R.mat, a * a * A.mat), (S, b * b * B.mat)):
+                    assert np.linalg.norm(M @ C.mat @ M - target) <= 1e-8 * np.linalg.norm(target)
                 lhs = pinching_map(C, R).phi
                 rhs = heron_kubo(A, B, a, b).mat
                 assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
-
-    def test_rejects_zero_weight(self):
-        A = rand_pd(2, seed=52)
-        with pytest.raises(InvalidWeightsError):
-            kubo_change_of_vars(A, A, 0.0, 1.0)
-
-
-class TestNonFiniteWeights:
-    """Every weight slot and every entry of r is checked finite (and
-    positive where the formulas divide by it) before any matrix is
-    built; NaN and +-inf once gave NaN vectors or a later gate's
-    MatrixFormatError."""
-
-    CALLS = {
-        "gamma_multiplier": (gamma_multiplier, dict(r=[0.5, 2.0], a=1.0, b=1.0, c=0.5)),
-        "correlation_decomposition": (correlation_decomposition, dict(r=[0.5, 2.0], a=0.5, b=2.0)),
-        "kubo_change_of_vars": (kubo_change_of_vars, dict(A=PDMatrix(np.eye(2)), B=PDMatrix(np.eye(2)),
-                                                          a=1.0, b=1.0)),
-    }
-
-    @pytest.mark.parametrize("name, slot, bad", [
-        pytest.param(name, slot, value if slot != "r" else [value, 1.0], id=f"{name}-{slot}-{value}")
-        for name, slots in (("gamma_multiplier", "abcr"), ("correlation_decomposition", "abr"),
-                            ("kubo_change_of_vars", "ab"))
-        for slot in slots for value in (np.nan, np.inf)
-    ])
-    def test_rejected_before_any_matrix(self, monkeypatch, name, slot, bad):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("a matrix was built")
-
-        monkeypatch.setattr(schur, "HermitianMatrix", unreachable)
-        monkeypatch.setattr(schur, "Pair", unreachable)
-        fn, args = self.CALLS[name]
-        with pytest.raises(InvalidWeightsError):
-            fn(**dict(args, **{slot: bad}))
 
 
 def test_non_loewner_witness():

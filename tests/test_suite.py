@@ -310,6 +310,8 @@ class TestConfigAndDriver:
         ("weight_grid", ((math.inf, 1.0),)), ("weight_grid", ()), ("weight_grid", ((1.0,),)),
         ("seed", -1),
         ("trials", True), ("trials", 2.5), ("dims", (2.5,)), ("dims", (True, 2)),
+        ("cond_max", True), ("tol", True), ("c_fractions", (True,)), ("weight_grid", ((True, 1.0),)),
+        ("t_grid", (True,)), ("t_grid", ()),
     ])
     def test_invalid_config_rejected(self, field, value):
         with pytest.raises(InvalidWeightsError):
