@@ -226,10 +226,6 @@ class SpectralDecomposition(NamedTuple):
     def dim(self) -> int:
         return self.eigenvalues.shape[-1]
 
-    def assemble(self, transformed_eigenvalues) -> np.ndarray:
-        """U diag(f(lambda)) U* as a raw Hermitian array."""
-        return assemble(np.asarray(transformed_eigenvalues), self.eigenvectors)
-
     def at(self, index) -> "SpectralDecomposition":
         """The decomposition of the matrices at `index` of the stack."""
         return SpectralDecomposition(self.eigenvalues[index], self.eigenvectors[index])

@@ -86,7 +86,13 @@ from .means import Pair
 from .report import CheckReport
 from .schur import pinching_compressions
 
-DEFAULT_EPS_SEQUENCE = (1e-2, 1e-4, 1e-6, 1e-8)
+# The test design: the weights (a, b) of each trial, in turn, the
+# coefficients c of the Heron grid as fractions of 2ab, the geodesic points
+# t of the weighted corollary, and the eps-levels of the semidefinite limit.
+WEIGHT_GRID = ((1.0, 1.0), (0.5, 0.5), (1.0, 0.25), (0.3, 0.9), (2.0, 0.5))
+C_FRACTIONS = (0.0, 0.5, 1.0)
+T_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+EPS_SEQUENCE = (1e-2, 1e-4, 1e-6, 1e-8)
 
 
 def _finite(x) -> bool:
@@ -101,11 +107,6 @@ class SuiteConfig:
     dims: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
     cond_max: float = 1e4
     tol: float = 1e-8
-    weight_grid: tuple[tuple[float, float], ...] = (
-        (1.0, 1.0), (0.5, 0.5), (1.0, 0.25), (0.3, 0.9), (2.0, 0.5),
-    )
-    c_fractions: tuple[float, ...] = (0.0, 0.5, 1.0)
-    t_grid: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
     def __post_init__(self):
         # comparisons are written so that NaN fails them
@@ -121,18 +122,6 @@ class SuiteConfig:
             raise InvalidWeightsError(f"cond_max must be finite and >= 1, got {self.cond_max}")
         if not (_finite(self.tol) and self.tol > 0):
             raise InvalidWeightsError(f"tol must be finite and positive, got {self.tol}")
-        if not self.weight_grid or any(len(pair) != 2 or not all(_finite(w) and w > 0.0 for w in pair)
-                                       for pair in self.weight_grid):
-            raise InvalidWeightsError(f"weight_grid must be nonempty pairs of finite positive weights, "
-                                      f"got {self.weight_grid}")
-        if not self.c_fractions:
-            raise InvalidWeightsError("c_fractions must be nonempty")
-        if any(not (_finite(f) and 0.0 <= f <= 1.0) for f in self.c_fractions):
-            raise InvalidWeightsError("c_fractions must lie in [0, 1]")
-        if not self.t_grid:
-            raise InvalidWeightsError("t_grid must be nonempty")
-        if any(not (_finite(t) and 0.0 <= t <= 1.0) for t in self.t_grid):
-            raise InvalidWeightsError("t_grid must lie in [0, 1]")
 
     def to_dict(self) -> dict:
         return {
@@ -141,9 +130,9 @@ class SuiteConfig:
             "dims": list(self.dims),
             "cond_max": self.cond_max,
             "tol": self.tol,
-            "weight_grid": [list(w) for w in self.weight_grid],
-            "c_fractions": list(self.c_fractions),
-            "t_grid": list(self.t_grid),
+            "weight_grid": [list(w) for w in WEIGHT_GRID],
+            "c_fractions": list(C_FRACTIONS),
+            "t_grid": list(T_GRID),
         }
 
 
@@ -574,9 +563,10 @@ def _pinching(C: PDMatrix, R: PDMatrix, C1: np.ndarray, context, p: int = 0):
     C1 <= C, to be pairs p, ..., p+3 of the stage's Pair, and the check of
     Phi = Phi_R(C) on them.  C1 needs no gate of its own: R C1 R is gated
     positive definite with the operands, and congruence by the invertible
-    R keeps the inertia.  The order check reads the spectrum of
-    Phi_R(C) - Phi_R(C1), gated as Hermitian, and the trace identity the
-    spectral mean of pair p, a plain key."""
+    R keeps the inertia.  Only Phi_R(C) and the order check's
+    Phi_R(C) - Phi_R(C1), gated as Hermitian, are gated: unitality and
+    homogeneity read Frobenius norms of Phi_R(I) and Phi_R(2C), and the
+    trace identity the spectral mean of pair p, all plain keys."""
     n = C.dim
     eye = np.eye(n)
     # I and 2C are not gated: their decompositions are exactly those of
@@ -605,7 +595,7 @@ def _pinching(C: PDMatrix, R: PDMatrix, C1: np.ndarray, context, p: int = 0):
         margins.append(_eq_margin(lhs_tr - rhs_tr, 1.0 + abs(rhs_tr)))
         return [_report("pinching", tol, min(margins), context)]
 
-    return (P, Q), _Check(keys + (gap,), (natural,), reports)
+    return (P, Q), _Check((keys[0], gap), keys[1:] + (natural,), reports)
 
 
 def _dominated_by(C: PDMatrix, bump: PDMatrix) -> np.ndarray:
@@ -676,25 +666,25 @@ def check_quadratic_lifting(C: PDMatrix, Ds: list[PDMatrix], tol: float,
     return _lift_report(C, [D.eig().eigenvalues for D in Ds], lifted, tol, context)
 
 
-def _limit(A0: HermitianMatrix, B0: HermitianMatrix, eps_sequence, tol: float, context, p: int = 0):
-    """The regularized pairs (A0 + eps I, B0 + eps I), one per eps, to be
-    pairs p, p+1, ... of the stage's Pair, and the check of
-    `check_semidefinite_limit` on them.  A0 and B0 are checked positive
-    semidefinite from their decompositions (for the suite's, the drawn
-    eigen-data that `gate_eig` checked); the gate on the pairs then checks
-    every level positive definite."""
+def _limit(A0: HermitianMatrix, B0: HermitianMatrix, tol: float, context, p: int = 0):
+    """The regularized pairs (A0 + eps I, B0 + eps I), one per eps of
+    EPS_SEQUENCE, to be pairs p, p+1, ... of the stage's Pair, and the
+    check of `check_semidefinite_limit` on them.  A0 and B0 are checked
+    positive semidefinite from their decompositions (for the suite's, the
+    drawn eigen-data that `gate_eig` checked); the gate on the pairs then
+    checks every level positive definite."""
     if A0.dim != B0.dim:
         raise MatrixFormatError(f"dimension mismatch: {A0.dim} vs {B0.dim}")
     for M, name in ((A0, "A0"), (B0, "B0")):
         vals = M.eig().eigenvalues
         if float(vals[-1]) < -tol * (1.0 + float(np.abs(vals).max())):
             raise MatrixFormatError(f"{name} must be positive semidefinite")
-    k = len(eps_sequence)
+    k = len(EPS_SEQUENCE)
     # every level at once, each M0 + eps I decomposed afresh: at eps = 1e-8
     # the margin amplifies a decomposition's rounding to about 1e-5, and the
     # eigenvalues of M0 shifted by eps turned a true margin of 1.8e-6 into
     # -1.1e-5 on one rank-one pair
-    shift = np.asarray(eps_sequence, dtype=np.float64)[:, None, None] * np.eye(A0.dim)
+    shift = np.asarray(EPS_SEQUENCE, dtype=np.float64)[:, None, None] * np.eye(A0.dim)
     heron = tuple(_sharp_geometric(p + i) for i in range(k))
     bly = tuple(("bly", p + i, 1.0, 1.0) for i in range(k))
 
@@ -714,12 +704,11 @@ def _limit(A0: HermitianMatrix, B0: HermitianMatrix, eps_sequence, tol: float, c
     return (A0.mat + shift, B0.mat + shift), _Check(heron + bly, (), reports)
 
 
-def check_semidefinite_limit(A0: HermitianMatrix, B0: HermitianMatrix,
-                             eps_sequence: tuple[float, ...] = DEFAULT_EPS_SEQUENCE,
-                             tol: float = 1e-8,
+def check_semidefinite_limit(A0: HermitianMatrix, B0: HermitianMatrix, tol: float = 1e-8,
                              context: dict | None = None) -> CheckReport:
     """Stability of the square-root Heron comparison as a positive
-    semidefinite pair is regularized by eps I and eps decreases.
+    semidefinite pair is regularized by eps I and eps decreases along
+    EPS_SEQUENCE.
 
     Margins must stay above -tol along the whole sequence.  The distance
     between the final margin and the Aitken-extrapolated limit of the
@@ -727,8 +716,7 @@ def check_semidefinite_limit(A0: HermitianMatrix, B0: HermitianMatrix,
     noncommuting pairs it decays like sqrt(eps), so it is reported, not
     gated at tol.
     """
-    require(len(eps_sequence) > 0, InvalidWeightsError, lambda _: "eps_sequence must be nonempty")
-    operands, check = _limit(A0, B0, eps_sequence, tol, context)
+    operands, check = _limit(A0, B0, tol, context)
     return _compare(Pair.gated(*operands), [check], tol)[0]
 
 
@@ -900,7 +888,7 @@ class _Draw(NamedTuple):
 def _trial_start(config: SuiteConfig, offset: int) -> tuple[np.random.Generator, int, tuple[float, float]]:
     """The rng, dimension and weights (a, b) of trial `offset`."""
     return (np.random.default_rng([config.seed, offset]), config.dims[offset % len(config.dims)],
-            config.weight_grid[offset % len(config.weight_grid)])
+            WEIGHT_GRID[offset % len(WEIGHT_GRID)])
 
 
 def _draw_trial(config: SuiteConfig, offset: int) -> _Draw:
@@ -946,14 +934,14 @@ def _merge_into(pool: dict[str, CheckReport], report: CheckReport) -> None:
         pool[report.check_name] = report
 
 
-def trial_grid(a: float, b: float, config: SuiteConfig) -> list[tuple[str, float, float, float]]:
+def trial_grid(a: float, b: float) -> list[tuple[str, float, float, float]]:
     """The Heron grid of one suite trial with weights (a, b)."""
     items = []
-    for frac in config.c_fractions:
+    for frac in C_FRACTIONS:
         items.append(("spectral_heron", a, b, frac * 2.0 * a * b))
         items.append(("kubo_heron", a, b, frac * 2.0 * a * b))
-    for t in config.t_grid:
-        for frac in config.c_fractions:
+    for t in T_GRID:
+        for frac in C_FRACTIONS:
             items.append(("weighted_corollary", 1.0 - t, t, frac * 2.0 * t * (1.0 - t)))
     return items
 
@@ -1008,13 +996,13 @@ def run_suite(config: SuiteConfig) -> RunReport:
         # whose raw operands are gated in one call of their own; neither
         # they nor the Pairs joined here are kept through the stage's gate
         compressions, pinching = _pinching(draw.C, draw.R, draw.C1, ctx_p, k)
-        levels, limit = _limit(draw.A0, draw.B0, DEFAULT_EPS_SEQUENCE, tol, ctx_s, k + len(compressions[0]))
+        levels, limit = _limit(draw.A0, draw.B0, tol, ctx_s, k + len(compressions[0]))
         pair = Pair.concat([Pair.stack(pairs), Pair.gated(*map(np.concatenate, zip(compressions, levels)))])
         del compressions, levels
         # the checks of the compression pairs and levels come first, so
         # their matrices keep their stack indices in the gate
         checks = [pinching, _lift(draw.C, draw.D, ctx_p, k), limit,
-                  _grid(trial_grid(a, b, config), context), _spreading(a, b, context),
+                  _grid(trial_grid(a, b), context), _spreading(a, b, context),
                   _endpoints(a, b, context), _log_majorization(context), _bly(a, b, context),
                   _equality(range(1, k), a, b, contexts)]
         for report in _compare(pair, checks, tol):

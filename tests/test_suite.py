@@ -216,12 +216,6 @@ class TestSemidefiniteLimit:
         with pytest.raises(MatrixFormatError, match="dimension mismatch"):
             check_semidefinite_limit(HermitianMatrix(np.eye(2)), HermitianMatrix(np.eye(3)), tol=TOL)
 
-    def test_rejects_empty_eps_sequence(self):
-        # checked before the operands: this A0 would fail its own check
-        A0 = HermitianMatrix(np.diag([1.0, -0.5]))
-        with pytest.raises(InvalidWeightsError, match="^eps_sequence must be nonempty$"):
-            check_semidefinite_limit(A0, HermitianMatrix(np.eye(2)), eps_sequence=(), tol=TOL)
-
     def test_random_rank_deficient_margins_stable(self, rng):
         for _ in range(5):
             n = 4
@@ -297,25 +291,30 @@ class TestConfigAndDriver:
         with pytest.raises(InvalidWeightsError):
             SuiteConfig(trials=0)
 
-    def test_bad_fraction_rejected(self):
-        with pytest.raises(InvalidWeightsError):
-            SuiteConfig(c_fractions=(0.0, 1.5))
-
     # each of these used to pass validation and then crash or abort mid-run
     @pytest.mark.parametrize("field, value", [
         ("cond_max", math.nan), ("cond_max", math.inf), ("cond_max", 0.5),
         ("tol", math.nan), ("tol", math.inf),
-        ("c_fractions", ()),
-        ("weight_grid", ((1.0, 0.0),)), ("weight_grid", ((-0.5, 1.0),)), ("weight_grid", ((1.0, math.nan),)),
-        ("weight_grid", ((math.inf, 1.0),)), ("weight_grid", ()), ("weight_grid", ((1.0,),)),
         ("seed", -1),
         ("trials", True), ("trials", 2.5), ("dims", (2.5,)), ("dims", (True, 2)),
-        ("cond_max", True), ("tol", True), ("c_fractions", (True,)), ("weight_grid", ((True, 1.0),)),
-        ("t_grid", (True,)), ("t_grid", ()),
+        ("cond_max", True), ("tol", True),
     ])
     def test_invalid_config_rejected(self, field, value):
         with pytest.raises(InvalidWeightsError):
             SuiteConfig(**{field: value})
+
+    def test_report_config_block_is_pinned(self):
+        # the test design is module constants, written into every report
+        assert run_suite(SuiteConfig(seed=1, trials=1)).to_dict()["config"] == {
+            "seed": 1,
+            "trials": 1,
+            "dims": [1, 2, 3, 4, 5, 6, 7, 8],
+            "cond_max": 1e4,
+            "tol": 1e-8,
+            "weight_grid": [[1.0, 1.0], [0.5, 0.5], [1.0, 0.25], [0.3, 0.9], [2.0, 0.5]],
+            "c_fractions": [0.0, 0.5, 1.0],
+            "t_grid": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
+        }
 
     def test_deterministic_reports(self):
         cfg = SuiteConfig(seed=7, trials=6, dims=(1, 2, 3))
@@ -368,8 +367,6 @@ class TestHeronGrid:
 
     @pytest.mark.parametrize("cond", [1e4, 1e6])
     def test_stacked_grid_equals_one_at_a_time_bitwise(self, cond, monkeypatch):
-        config = SuiteConfig()
-
         def one_at_a_time(A, B, items, context):
             single = []
             for name, x, y, c in items:
@@ -382,9 +379,9 @@ class TestHeronGrid:
             return single
 
         for i, (dim, A, B) in enumerate(rand_pd_pairs(8, cond=cond, seed=9)):
-            a, b = config.weight_grid[i % len(config.weight_grid)]
+            a, b = suite.WEIGHT_GRID[i % len(suite.WEIGHT_GRID)]
             context = {"seed_offset": i}
-            items = trial_grid(a, b, config)
+            items = trial_grid(a, b)
             stacked, stacked_margins = _recorded(monkeypatch, lambda: heron_grid(Pair(A, B), items, TOL, context))
             single, single_margins = _recorded(monkeypatch, lambda: one_at_a_time(A, B, items, context))
             # one report per checker, recording its items in item order
@@ -502,7 +499,7 @@ def _one_at_a_time(config: SuiteConfig) -> RunReport:
         merge(check_sharpness_scalar(1.0, 1.0, c_over))
     for offset, rng, dim, a, b, A, B in iter_instances(config):
         context = {"seed_offset": offset, "dim": dim, "a": a, "b": b, "A": A, "B": B}
-        for name, x, y, c in trial_grid(a, b, config):
+        for name, x, y, c in trial_grid(a, b):
             if name == "spectral_heron":
                 merge(check_spectral_heron(Pair(A, B), x, y, c, tol, context))
             elif name == "kubo_heron":
@@ -586,8 +583,10 @@ class TestWork:
         calls = _count_calls(monkeypatch, np.linalg, "eigh")
         run_suite(SuiteConfig(seed=42, trials=8))
         # each matrix of a stacked call counts; 787 while the c = 0 Heron
-        # sums of spectral_heron and kubo_heron, one matrix, had two keys
-        assert sum(int(np.prod(np.shape(mats)[:-2])) for mats, *_ in calls) <= 779
+        # sums of spectral_heron and kubo_heron, one matrix, had two keys,
+        # and 779 while pinching gated Phi_R(I), Phi_R(2C) and Phi_R(C1),
+        # whose spectra no check reads
+        assert sum(int(np.prod(np.shape(mats)[:-2])) for mats, *_ in calls) <= 755
 
     def test_eigendecompositions_at_dims_16_to_32(self, monkeypatch):
         calls = _count_calls(monkeypatch, np.linalg, "eigh")
