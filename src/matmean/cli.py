@@ -124,7 +124,7 @@ def _cmd_suite(args) -> int:
     from .suite import SuiteConfig, run_suite
 
     try:
-        dims = tuple(int(d) for d in args.dims.split(",")) if args.dims else (1, 2, 3, 4, 5, 6, 7, 8)
+        dims = (1, 2, 3, 4, 5, 6, 7, 8) if args.dims is None else tuple(int(d) for d in args.dims.split(","))
     except ValueError:
         print("error: --dims must be a comma-separated list of integers", file=sys.stderr)
         return EXIT_USAGE

@@ -57,7 +57,7 @@ def hermitian_part(mat: np.ndarray) -> np.ndarray:
 
 def adjoint(mats: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix of a (..., n, n) stack."""
-    return np.conj(np.swapaxes(mats, -1, -2))
+    return np.conjugate(mats.swapaxes(-1, -2))
 
 
 def assemble(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -71,8 +71,9 @@ def as_stack(mats: np.ndarray) -> np.ndarray:
 
 
 def frobenius(mats: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a (..., n, n) stack."""
-    return np.linalg.norm(mats, axis=(-2, -1))
+    """Frobenius norm of each matrix of a (..., n, n) stack, by the
+    formula of np.linalg.norm(mats, axis=(-2, -1))."""
+    return np.sqrt(np.add.reduce((mats.conj() * mats).real, axis=(-2, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +86,9 @@ def require(ok, error: type[Exception], describe: Callable[[tuple], str]) -> Non
     `error(describe(i) + " (stack index i)")` for the first slice i of a
     stack where `ok` is False; a single check (0-d `ok`) adds no index.
     Callers write `ok` so that NaN fails it."""
-    ok = np.asarray(ok)
-    if ok.all():
+    if np.logical_and.reduce(ok, axis=None):
         return
+    ok = np.asarray(ok)
     if ok.ndim == 0:
         raise error(describe(()))
     i = tuple(int(k) for k in np.argwhere(~ok)[0])
@@ -121,11 +122,11 @@ def _decomposition_norms(vals: np.ndarray, vecs: np.ndarray, reference: np.ndarr
     """||U*U - I|| of each matrix of a stack and, given the decomposed
     matrices, the reconstruction residual with its limit (else None)."""
     Uh = adjoint(vecs)
-    ortho = np.linalg.norm(Uh @ vecs - np.eye(vals.shape[-1]), axis=(-2, -1))
+    ortho = frobenius(Uh @ vecs - np.eye(vals.shape[-1]))
     if reference is None:
         return ortho, None, None
-    recon = np.linalg.norm((vecs * vals[..., None, :]) @ Uh - reference, axis=(-2, -1))
-    return ortho, recon, RECONSTRUCTION_RTOL * (1.0 + np.linalg.norm(reference, axis=(-2, -1)))
+    recon = frobenius((vecs * vals[..., None, :]) @ Uh - reference)
+    return ortho, recon, RECONSTRUCTION_RTOL * (1.0 + frobenius(reference))
 
 
 def _check_decomposition(vals: np.ndarray, vecs: np.ndarray, reference: np.ndarray | None) -> None:

@@ -18,7 +18,8 @@ A # B and the square roots, each in one stacked call over every pair or
 over the pairs `Pair.plan` names.  It keeps no Heron sum or W_{a,b}:
 those are built on request, and `Pair.herons` and `Pair.wassersteins`
 build many of them over many pairs of the stack in one batched pass (the
-suite's whole Heron/Wasserstein grid, say).
+suite's whole Heron/Wasserstein grid, say) from a batch of arrays
+(`heron_batch`, `wasserstein_batch`).
 Its kernels return raw Hermitian arrays and take the operands'
 decompositions from where they were gated: PDMatrix operands
 (`Pair(A, B)`, `Pair.stack`) or one `linalg.gate_stack` call
@@ -135,8 +136,8 @@ class Pair:
     stacked call, and lives as long as the Pair: callers create one per
     instance (or per stack of instances) and pass it to every computation
     on it.  A mean is computed on every pair of the stack unless `plan`
-    names fewer.  `herons` and `wassersteins` take the index of a pair in
-    the flattened stack, so one call builds many expressions over many
+    names fewer.  The batches of `herons` and `wassersteins` index pairs
+    of the flattened stack, so one call builds many expressions over many
     pairs.
     """
 
@@ -304,25 +305,21 @@ class Pair:
             self._geometric = _geometric_raw(eig_A, B, 0.5)
         return self._at("geometric", self._geometric, index)
 
-    def wassersteins(self, index, a, b) -> tuple[np.ndarray, np.ndarray]:
-        """W_{a_i,b_i} of pair index[i] of the flattened stack, and the
-        Frobenius distance between its two formulas, in one batched pass.
+    def wassersteins(self, batch) -> tuple[np.ndarray, np.ndarray]:
+        """W_{a_i,b_i} of pair index[i] of the flattened stack (a
+        `wasserstein_batch`), and the Frobenius distance between its two
+        formulas, in one batched pass.
 
         W is computed through the congruence form (aI + bX) A (aI + bX)
         and cross-validated against the definitional form
         a^2 A + b^2 B + ab((AB)^{1/2} + (BA)^{1/2}); with a zero weight it
         is exactly a^2 A or b^2 B.
         """
-        index = np.asarray(index)
-        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-        require((a >= 0) & (a < np.inf) & (b >= 0) & (b < np.inf), InvalidWeightsError,
-                lambda i: f"weights must be finite and nonnegative: a={a[i]}, b={b[i]}")
+        index, a, b, both = batch
         A, B = as_stack(self.A)[index], as_stack(self.B)[index]
-        both = (a != 0.0) & (b != 0.0)
-        a, b = a[:, None, None], b[:, None, None]
         W = np.where(b == 0.0, a * a * A, b * b * B)
         residual = np.zeros(len(index))
-        if both.any():
+        if len(both):
             X = self.riccati(index[both])
             a, b, A, B = a[both], b[both], A[both], B[both]
             T = a * np.eye(self.dim) + b * X
@@ -341,29 +338,45 @@ class Pair:
         """W_{a,b}(A,B) of every pair and the Frobenius distance between
         its two formulas, one per pair (see `wassersteins`)."""
         m = len(self)
-        W, residual = self.wassersteins(np.arange(m), np.full(m, float(a)), np.full(m, float(b)))
+        W, residual = self.wassersteins(wasserstein_batch(np.arange(m), np.full(m, float(a)), np.full(m, float(b))))
         return W.reshape(self.A.shape), residual.reshape(self.A.shape[:-2])[()]
 
-    def herons(self, index, cross, a, b, c) -> np.ndarray:
-        """a_i^2 A + b_i^2 B + c_i M_i of pair index[i] of the flattened
-        stack, in one broadcast; the cross term M_i is A natural B where
-        cross[i] is "spectral" and A # B otherwise, and is left out where
-        c_i = 0 (so no mean is computed for it)."""
-        index = np.asarray(index)
-        a, b, c = (np.asarray(x, dtype=np.float64)[:, None, None] for x in (a, b, c))
-        H = a * a * as_stack(self.A)[index] + b * b * as_stack(self.B)[index]
-        spectral = np.asarray(cross) == "spectral"
-        for which, mean in ((spectral, self.spectral), (~spectral, self.geometric)):
-            add = which & (c[:, 0, 0] != 0.0)
-            if add.any():
-                H[add] += c[add] * mean(index[add])
+    def herons(self, batch) -> np.ndarray:
+        """The Heron sums of a `heron_batch` in one broadcast."""
+        index, a2, b2, terms = batch
+        H = a2 * as_stack(self.A)[index] + b2 * as_stack(self.B)[index]
+        for mean, (rows, c, pairs) in zip((self.spectral, self.geometric), terms):
+            if len(rows):
+                H[rows] += c * mean(pairs)
         return H
 
     def heron(self, cross: str, a: float, b: float, c: float) -> np.ndarray:
         """a^2 A + b^2 B + c M of every pair, with the cross term M = A
         natural B (cross="spectral") or A # B (cross="geometric")."""
         m = len(self)
-        return self.herons(np.arange(m), [cross] * m, [a] * m, [b] * m, [c] * m).reshape(self.A.shape)
+        return self.herons(heron_batch(np.arange(m), [cross] * m, [a] * m, [b] * m, [c] * m)).reshape(self.A.shape)
+
+
+def heron_batch(index, cross, a, b, c) -> tuple:
+    """The arrays of `Pair.herons` for a_i^2 A + b_i^2 B + c_i M_i of
+    pair index[i], to build on many Pairs: M_i is A natural B where
+    cross[i] is "spectral" and A # B otherwise, and is left out where
+    c_i = 0 (so no mean is computed for it)."""
+    index = np.asarray(index, dtype=np.intp)
+    a, b, c = (np.asarray(x, dtype=np.float64)[:, None, None] for x in (a, b, c))
+    spectral = np.asarray(cross) == "spectral"
+    rows = (np.flatnonzero(which & (c[:, 0, 0] != 0.0)) for which in (spectral, ~spectral))
+    return index, a * a, b * b, tuple((r, c[r], index[r]) for r in rows)
+
+
+def wasserstein_batch(index, a, b) -> tuple:
+    """The arrays of `Pair.wassersteins` for W_{a_i,b_i} of pair
+    index[i], to build on many Pairs; the weights are checked here."""
+    index = np.asarray(index, dtype=np.intp)
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    require((a >= 0) & (a < np.inf) & (b >= 0) & (b < np.inf), InvalidWeightsError,
+            lambda i: f"weights must be finite and nonnegative: a={a[i]}, b={b[i]}")
+    return index, a[:, None, None], b[:, None, None], np.flatnonzero((a != 0.0) & (b != 0.0))
 
 
 def geometric_mean(A: PDMatrix, B: PDMatrix) -> PDMatrix:

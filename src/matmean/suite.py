@@ -8,11 +8,11 @@ by 1 + max|dominating side| so one tolerance knob covers all scales.
 Every checker is written in two parts, the matrices to gate and the
 margin from their spectra, so that a stage can gate the matrices of
 several checkers in one stacked call while each margin formula exists
-once.  A stage is `_compare` on one `Pair` stack.  Its checkers name the
-matrices they use by key (see `_build`); the stage builds each kind in
-one batched pass (the Heron sums in one broadcast over (a^2, b^2, c), the
-W_{a,b} in one pass over the weights), and a key named twice is built and
-gated once: the sharp Heron sums and W_{a,b} of spreading, endpoints and
+once.  A stage is a `_Plan` of checkers run on one `Pair` stack.  The
+checkers name the matrices they use by key; the plan lays out each kind
+as one batch of arrays (the Heron sums one broadcast over (a^2, b^2, c),
+the W_{a,b} one pass over the weights), and a key named twice is built
+and gated once: the sharp Heron sums and W_{a,b} of spreading, endpoints and
 BLY are entries of the Heron grid, and a Heron sum at c = 0, which has no
 cross term, has one key whatever its checker's cross term.  A key that
 is made from others (a difference, a quadratic lift of Phi_R(C)) reads
@@ -22,10 +22,13 @@ the square roots) once, over the pairs whose keys read it
 pairs: the compression pairs (R X R, S X S) at X = C, I, 2C and C1, and
 the eps-levels (A0 + eps I, B0 + eps I).  On those pairs the maps
 Phi_R(X) and the Heron side of the limit are the same keyed sum,
-A + B + 2 (A # B); the quadratic lift keys its matrices by makers over C
-and D.  A checker's records go to one report per stage, in item order.
+A + B + 2 (A # B); the quadratic lift's keys read C and D from the
+trial.  A checker's records go to one report per stage, in item order.
+Weights are checked when a checker is made, so once per plan: a plan
+depends only on the trial's weights and pair count, and run_suite keeps
+one per shape for the process (`_trial_plan`).
 
-The public checkers run one checker through the same stage (the
+The public checkers run one checker through a plan of its own (the
 quadratic lift alone is one gate call between its two parts).  run_suite
 makes every random draw of a trial first (`_draw_trial`), in the rng
 order of the one-at-a-time instance stream, as two stacked segments: A,
@@ -49,6 +52,7 @@ The certified instances and their float replay come from `exact`
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -82,7 +86,7 @@ from .majorization import (
     spectrum,
     weak_majorization,
 )
-from .means import Pair
+from .means import Pair, heron_batch, wasserstein_batch
 from .report import CheckReport
 from .schur import pinching_compressions
 
@@ -211,25 +215,50 @@ def _report(name: str, tol: float, margins, context) -> CheckReport:
 #   ("spectral", p), ("geometric", p)   A natural B, A # B
 #   ("bly", p, a, b)                 (a A^{1/2} + b B^{1/2})^2
 #   ("difference", key1, key2)       the matrix of key1 minus that of key2
-# A kind may also be a maker, called as the makers below are: the
-# quadratic lift's matrices are keyed so (see `_lift`).
+#   ("lift", key), ("lift", "D")     C^{1/2} M C^{1/2}, M that of key or D
+#   ("D",)                           D, with C the trial's `_Operands`
 HERMITIAN_KINDS = ("W", "difference")
 
 
-def _bly_rhs(built: _Built, p, a, b) -> np.ndarray:
+class _Operands(NamedTuple):
+    """What pinching and the lift read beyond the Pair: C, R, S = I - R
+    and the raw D."""
+
+    C: PDMatrix
+    R: PDMatrix | None = None
+    S: np.ndarray | None = None
+    D: np.ndarray | None = None
+
+
+def _bly_rhs(built: _Built, batch) -> np.ndarray:
+    p, a, b = batch
     Ah, Bh = built.pair.sqrt(p)
-    a, b = (np.asarray(x, dtype=np.float64)[:, None, None] for x in (a, b))
     T = a * Ah + b * Bh
     return hermitian_part(T @ T)
 
 
+def _lifts(built: _Built, sources) -> np.ndarray:
+    C, _, _, D = built.operands
+    return _lift_matrices(C, [D if row == "D" else built.mats[row] for row in sources])
+
+
+def _indices(p) -> np.ndarray:
+    return np.array(p, dtype=np.intp)
+
+
+# Each kind's (prepare, make): prepare(*columns) turns the columns of its
+# keys into a batch of arrays once per plan, a key in a column standing
+# for its row; make(built, batch) builds the matrices.
 _MAKERS = {
-    "heron": lambda built, *args: built.pair.herons(*args),
-    "W": lambda built, p, a, b: built.pair.wassersteins(p, a, b)[0],
-    "spectral": lambda built, p: built.pair.spectral(p),
-    "geometric": lambda built, p: built.pair.geometric(p),
-    "bly": _bly_rhs,
-    "difference": lambda built, first, second: built.matrices(first) - built.matrices(second),
+    "heron": (heron_batch, lambda built, batch: built.pair.herons(batch)),
+    "W": (wasserstein_batch, lambda built, batch: built.pair.wassersteins(batch)[0]),
+    "spectral": (_indices, lambda built, p: built.pair.spectral(p)),
+    "geometric": (_indices, lambda built, p: built.pair.geometric(p)),
+    "bly": (lambda p, *ab: (_indices(p), *(np.array(x, dtype=np.float64)[:, None, None] for x in ab)), _bly_rhs),
+    "difference": (lambda *keys: [_indices(rows) for rows in keys],
+                   lambda built, rows: built.mats[rows[0]] - built.mats[rows[1]]),
+    "lift": (tuple, _lifts),
+    "D": (tuple, lambda built, _: built.operands.D),
 }
 
 # The mean of `Pair` (a name of `Pair.plan`) that a key of each kind may
@@ -243,68 +272,76 @@ _READS = {
 }
 
 
-def _build(built: _Built, keys) -> None:
-    """Build the matrices named by `keys` into built.mats, in their order,
-    each kind in one batched pass.  The kinds made from the Pair come
-    first: "difference" and the makers read their matrices (through
-    `_Built.matrices`) instead of building them again."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key[0], []).append(i)
-    for kind in sorted(groups, key=lambda kind: kind not in _READS):
-        where = groups[kind]
-        built.mats[where] = _MAKERS.get(kind, kind)(built, *zip(*(keys[i][1:] for i in where)))
-
-
-class _Built:
-    """The matrices that the checkers of one stage named, built from
-    their keys, and the spectra of those gated.  The Pair computes each
-    mean once, on the pairs whose keys read it (`Pair.plan`).  The gate's
-    stack holds the matrices gated as positive definite first, so a
-    failure names the same stack index whatever Hermitian ones the stage
-    adds."""
-
-    def __init__(self, pair: Pair, gated: list, plain: list):
-        self.pair = pair
-        gated = sorted(gated, key=lambda key: key[0] in HERMITIAN_KINDS)
-        keys = gated + plain
-        self.index = {key: i for i, key in enumerate(keys)}
-        where: dict = {}
-        for kind, *args in keys:
-            if kind in _READS:
-                mean, p = _READS[kind](*args)
-                where.setdefault(mean, []).append(p)
-        pair.plan(**where)
-        self.mats = np.empty((len(keys), pair.dim, pair.dim), dtype=np.complex128)
-        _build(self, keys)
-        pd = [key[0] not in HERMITIAN_KINDS for key in gated]
-        self.vals = gate_stack(self.mats[:len(gated)], pd)[0] if gated else None
-
-    def spectra(self, keys) -> np.ndarray:
-        return self.vals[[self.index[key] for key in keys]]
-
-    def matrices(self, keys) -> np.ndarray:
-        return self.mats[[self.index[key] for key in keys]]
-
-
 class _Check(NamedTuple):
-    """One checker's part of a `_compare` stage: the keys of the matrices
-    whose spectra it compares (gated), of those it uses otherwise (not
-    gated), and its reports from them."""
+    """One checker's part of a stage: groups of the keys of the matrices
+    whose spectra it compares (gated) and of those it uses otherwise, and
+    its reports(built, rows, tol, context) from the rows of each group."""
 
     gated: tuple
     plain: tuple
-    reports: Callable[[_Built, float], list[CheckReport]]
+    reports: Callable[..., list[CheckReport]]
 
 
-def _compare(pair: Pair, checks: list[_Check], tol: float) -> list[CheckReport]:
-    """Run checks on one Pair stack: every matrix they name is built once,
-    and those whose spectra they compare are gated in one stacked call."""
-    gated = list(dict.fromkeys(key for check in checks for key in check.gated))
-    seen = set(gated)
-    plain = [key for key in dict.fromkeys(key for check in checks for key in check.plain) if key not in seen]
-    built = _Built(pair, gated, plain)
-    return [report for check in checks for report in check.reports(built, tol)]
+class _Plan:
+    """A stage's layout: each key once, those gated as positive definite
+    first (so a failure names the same stack index whatever Hermitian
+    ones a stage adds), the plain ones last; the pairs of each mean
+    (`Pair.plan`); each kind's batch, those that others read first; the
+    rows each check reads.  It is only read once made."""
+
+    def __init__(self, checks: list[_Check]):
+        def flat(part: str) -> dict:
+            return dict.fromkeys(key for check in checks for group in getattr(check, part) for key in group)
+
+        gated = sorted(flat("gated"), key=lambda key: key[0] in HERMITIAN_KINDS)
+        seen = set(gated)
+        keys = gated + [key for key in flat("plain") if key not in seen]
+        index = {key: i for i, key in enumerate(keys)}
+        self.size = len(keys)
+        self.pd = np.array([key[0] not in HERMITIAN_KINDS for key in gated])
+        self.where: dict = {}
+        kinds: dict = {}
+        for i, (kind, *args) in enumerate(keys):
+            kinds.setdefault(kind, []).append(i)
+            if kind in _READS:
+                mean, p = _READS[kind](*args)
+                self.where.setdefault(mean, []).append(p)
+        self.batches = []
+        for kind in sorted(kinds, key=lambda kind: kind not in _READS):
+            prepare, make = _MAKERS[kind]
+            columns = zip(*([index.get(arg, arg) for arg in keys[i][1:]] for i in kinds[kind]))
+            self.batches.append((_indices(kinds[kind]), make, prepare(*columns)))
+        self.checks = [(check.reports, [_indices([index[key] for key in group]) for group in check.gated + check.plain])
+                       for check in checks]
+
+    def run(self, pair: Pair, tol: float, contexts, operands: _Operands | None = None) -> list[CheckReport]:
+        """The checks' reports on one Pair stack, with one context each."""
+        built = _Built(self, pair, operands)
+        return [report for (reports, rows), context in zip(self.checks, contexts)
+                for report in reports(built, rows, tol, context)]
+
+
+def _build(built: _Built, batches) -> None:
+    """Build the batches of a plan into built.mats, each in one pass."""
+    for rows, make, batch in batches:
+        built.mats[rows] = make(built, batch)
+
+
+class _Built:
+    """The matrices that a plan builds on one Pair (and operands), and the
+    spectra of those gated."""
+
+    def __init__(self, plan: _Plan, pair: Pair, operands: _Operands | None):
+        self.pair, self.operands = pair, operands
+        pair.plan(**plan.where)
+        self.mats = np.empty((plan.size, pair.dim, pair.dim), dtype=np.complex128)
+        _build(self, plan.batches)
+        self.vals = gate_stack(self.mats[:len(plan.pd)], plan.pd)[0] if len(plan.pd) else None
+
+
+def _stage(pair: Pair, check: _Check, tol: float, context, operands: _Operands | None = None) -> CheckReport:
+    """One checker's report on a Pair, through a plan of its own."""
+    return _Plan([check]).run(pair, tol, [context], operands)[0]
 
 
 # Checkers of the Heron grid, each with the cross term of its Heron
@@ -312,7 +349,7 @@ def _compare(pair: Pair, checks: list[_Check], tol: float) -> list[CheckReport]:
 GRID_CROSS = {"spectral_heron": "spectral", "kubo_heron": "geometric", "weighted_corollary": "spectral"}
 
 
-def _grid(items, context) -> _Check:
+def _grid(items) -> _Check:
     """One report per checker in GRID_CROSS, with one record per (check,
     a, b, c) item of it, in item order: lambda(a^2 A + b^2 B + c M) prec_w
     lambda(W_{a,b}) for 0 <= c <= 2ab, with the cross term M of the check.
@@ -335,16 +372,17 @@ def _grid(items, context) -> _Check:
     W = tuple(("W", 0, a, b) for _, a, b, _ in items)
     endpoint = np.array([GRID_CROSS[check] == "spectral" for check in checks]) & (two_ab > 0.0) \
         & (c >= two_ab * (1.0 - 1e-12))
+    names = list(dict.fromkeys(checks))
+    picks = [_indices([i for i, check in enumerate(checks) if check == name]) for name in names]
 
-    def reports(built: _Built, tol: float) -> list[CheckReport]:
-        sH, sW = built.spectra(H), built.spectra(W)
+    def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
+        sH, sW = built.vals[rows[0]], built.vals[rows[1]]
         margins = _wm_margin(sH, sW)
         trace_margins = _trace_eq_margin(sH, sW)
         margins = np.where(endpoint & (trace_margins < margins), trace_margins, margins)
-        return [_report(check, tol, margins[[i for i, name in enumerate(checks) if name == check]], context)
-                for check in dict.fromkeys(checks)]
+        return [_report(name, tol, margins[pick], context) for name, pick in zip(names, picks)]
 
-    return _Check(H + W, (), reports)
+    return _Check((H, W), (), reports)
 
 
 def heron_grid(pair: Pair, items, tol: float, context: dict | None = None) -> list[CheckReport]:
@@ -352,7 +390,7 @@ def heron_grid(pair: Pair, items, tol: float, context: dict | None = None) -> li
     the Heron sums (gated as positive definite) and the distinct W_{a,b}
     (gated as Hermitian) are decomposed in one stacked call."""
     require(len(items) > 0, InvalidWeightsError, lambda _: "items must be nonempty")
-    return _compare(pair, [_grid(items, context)], tol)
+    return _Plan([_grid(items)]).run(pair, tol, [context])
 
 
 def check_spectral_heron(pair: Pair, a: float, b: float, c: float,
@@ -398,12 +436,12 @@ def check_sharpness_scalar(a: float, b: float, c_over: float) -> CheckReport:
     return report
 
 
-def _spreading(a: float, b: float, context) -> _Check:
+def _spreading(a: float, b: float) -> _Check:
     require_weights("spreading", positive=True, a=a, b=b)
     keys = (("heron", 0, "spectral", a, b, 2.0 * a * b), ("W", 0, a, b))
 
-    def reports(built: _Built, tol: float) -> list[CheckReport]:
-        sH, sW = built.spectra(keys)
+    def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
+        sH, sW = built.vals[rows[0]]
         margins = [_wm_margin(sH, sW)]
         # bottom-k sums: Heron side dominates
         bottom_H = np.cumsum(sH[::-1])
@@ -417,7 +455,7 @@ def _spreading(a: float, b: float, context) -> _Check:
         margins.append((logdet_H - logdet_W) / (1.0 + abs(logdet_W)))
         return [_report("spreading", tol, min(margins), context)]
 
-    return _Check(keys, (), reports)
+    return _Check((keys,), (), reports)
 
 
 def check_spreading(pair: Pair, a: float, b: float,
@@ -425,17 +463,17 @@ def check_spreading(pair: Pair, a: float, b: float,
     """At the endpoint coefficient the spectral Heron expression is
     spectrally less spread: top-k sums smaller, bottom-k sums larger,
     trace equal, determinant at least as large."""
-    return _compare(pair, [_spreading(a, b, context)], tol)[0]
+    return _stage(pair, _spreading(a, b), tol, context)
 
 
-def _equality(pairs, a: float, b: float, context) -> _Check:
+def _equality(pairs, a: float, b: float) -> _Check:
     require_weights("equality_iff_commuting", positive=True, a=a, b=b)
-    pairs = list(pairs)
-    keys = [[(kind, p, *args) for p in pairs] for kind, *args in (
-        ("heron", "spectral", a, b, 2.0 * a * b), ("heron", "geometric", a, b, 2.0 * a * b), ("W", a, b))]
+    pairs = _indices(pairs)
+    keys = tuple(tuple((kind, p, *args) for p in pairs.tolist()) for kind, *args in (
+        ("heron", "spectral", a, b, 2.0 * a * b), ("heron", "geometric", a, b, 2.0 * a * b), ("W", a, b)))
 
-    def reports(built: _Built, tol: float) -> list[CheckReport]:
-        H_nat, H_kubo, W = (built.matrices(k) for k in keys)
+    def reports(built: _Built, rows, tol: float, contexts) -> list[CheckReport]:
+        H_nat, H_kubo, W = (built.mats[r] for r in rows)
         A, B = (as_stack(M)[pairs] for M in (built.pair.A, built.pair.B))
         comm = frobenius(A @ B - B @ A)
         comm_scale = frobenius(A) * frobenius(B)
@@ -449,9 +487,9 @@ def _equality(pairs, a: float, b: float, context) -> _Check:
             _eq_margin(np.maximum(diff_nat, diff_kubo), w_norm),
             np.where(comm >= 1e-3 * comm_scale, (np.minimum(diff_nat, diff_kubo) - 1e-6 * w_norm) / w_norm, 0.0),
         )
-        return [_report("equality_iff_commuting", tol, margins, context)]
+        return [_report("equality_iff_commuting", tol, margins, contexts)]
 
-    return _Check((), tuple(key for k in keys for key in k), reports)
+    return _Check((), keys, reports)
 
 
 def check_equality_iff_commuting(pair: Pair, a: float, b: float,
@@ -460,15 +498,15 @@ def check_equality_iff_commuting(pair: Pair, a: float, b: float,
     exactly when A and B commute; otherwise they stay separated by a
     data-dependent positive amount.  One record per pair of a stacked
     Pair."""
-    return _compare(pair, [_equality(range(len(pair)), a, b, context)], tol)[0]
+    return _stage(pair, _equality(range(len(pair)), a, b), tol, context)
 
 
-def _endpoints(a: float, b: float, context) -> _Check:
+def _endpoints(a: float, b: float) -> _Check:
     require_weights("endpoints", a=a, b=b)
     keys = (("heron", 0, "geometric", a, b, 2.0 * a * b), ("W", 0, a, b))
 
-    def reports(built: _Built, tol: float) -> list[CheckReport]:
-        sH, sW = built.spectra(keys)
+    def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
+        sH, sW = built.vals[rows[0]]
         scale = 1.0 + float(np.abs(sW).max())
         margins = [
             (float(sH[-1]) - float(sW[-1])) / scale,   # smallest eigenvalue
@@ -479,21 +517,21 @@ def _endpoints(a: float, b: float, context) -> _Check:
             margins.append((float(sW[:-1].sum()) - float(sH[:-1].sum())) / scale)
         return [_report("endpoints", tol, min(margins), context)]
 
-    return _Check(keys, (), reports)
+    return _Check((keys,), (), reports)
 
 
 def check_endpoints(pair: Pair, a: float, b: float,
                     tol: float, context: dict | None = None) -> CheckReport:
     """Order of the extreme eigenvalues, the trace, and the (n-1)-sum
     between the sharp geometric Heron and Wasserstein expressions."""
-    return _compare(pair, [_endpoints(a, b, context)], tol)[0]
+    return _stage(pair, _endpoints(a, b), tol, context)
 
 
-def _log_majorization(context) -> _Check:
+def _log_majorization() -> _Check:
     keys = (("geometric", 0), ("spectral", 0))
 
-    def reports(built: _Built, tol: float) -> list[CheckReport]:
-        sG, sN = map(SpectrumVector, built.spectra(keys))
+    def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
+        sG, sN = map(SpectrumVector, built.vals[rows[0]])
         verdict = log_majorization(sG, sN, tol)
         log_scale = 1.0 + float(np.abs(np.log(sN.values)).max())
         prefix = min(verdict.per_k_margins[:-1]) / log_scale if len(sG) > 1 else 0.0
@@ -501,23 +539,23 @@ def _log_majorization(context) -> _Check:
         trace_margin = (float(sN.values.sum()) - float(sG.values.sum())) / (1.0 + float(sN.values.sum()))
         return [_report("log_majorization_means", tol, min(prefix, total, trace_margin), context)]
 
-    return _Check(keys, (), reports)
+    return _Check((keys,), (), reports)
 
 
 def check_log_majorization_means(pair: Pair, tol: float,
                                  context: dict | None = None) -> CheckReport:
     """The geometric mean is log-majorized by the spectral mean; in
     particular its trace is no larger."""
-    return _compare(pair, [_log_majorization(context)], tol)[0]
+    return _stage(pair, _log_majorization(), tol, context)
 
 
-def _bly(a: float, b: float, context) -> _Check:
+def _bly(a: float, b: float) -> _Check:
     require_weights("bly", a=a, b=b)
     keys = (("heron", 0, "geometric", a, b, 2.0 * a * b), ("bly", 0, a, b))
 
-    def reports(built: _Built, tol: float) -> list[CheckReport]:
-        sH, sR = built.spectra(keys)
-        rhs = built.matrices(keys[1:])[0]
+    def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
+        sH, sR = built.vals[rows[0]]
+        rhs = built.mats[rows[0][1]]
         A, B, Ah, Bh = (as_stack(M)[0] for M in (built.pair.A, built.pair.B, *built.pair.sqrt([0])))
         margins = [_wm_margin(sH, sR)]
         # expansion of the square: a^2 A + b^2 B + ab(sqrtA sqrtB + sqrtB sqrtA)
@@ -533,7 +571,7 @@ def _bly(a: float, b: float, context) -> _Check:
             margins.append((p_rhs - p_lhs) / (1.0 + p_rhs))
         return [_report("bly", tol, min(margins), context)]
 
-    return _Check(keys, (), reports)
+    return _Check((keys,), (), reports)
 
 
 def check_bly(pair: Pair, a: float, b: float,
@@ -541,14 +579,14 @@ def check_bly(pair: Pair, a: float, b: float,
     """Weak-majorization refinement of the two-variable Heron comparison
     against the squared sum of weighted square roots, plus the expansion
     identity and Schatten p = 1, 2, inf spot checks."""
-    return _compare(pair, [_bly(a, b, context)], tol)[0]
+    return _stage(pair, _bly(a, b), tol, context)
 
 
 # ---------------------------------------------------------------------------
-# pinching, its quadratic lift and the semidefinite limit: pinching and
-# the limit make the operand pairs of their stage, which run_suite joins
-# into one gated Pair, and all three key the matrices they compare like
-# the checkers above
+# pinching, its quadratic lift and the semidefinite limit: their operand
+# pairs are made per trial (`_compressions`, `_levels`), and run_suite
+# joins them into one gated Pair; all three key the matrices they compare
+# like the checkers above
 # ---------------------------------------------------------------------------
 
 def _sharp_geometric(p) -> tuple:
@@ -558,27 +596,30 @@ def _sharp_geometric(p) -> tuple:
     return ("heron", p, "geometric", 1.0, 1.0, 2.0)
 
 
-def _pinching(C: PDMatrix, R: PDMatrix, C1: np.ndarray, context, p: int = 0):
-    """The compression pairs (R X R, S X S) at X = C, I, 2C and the raw
-    C1 <= C, to be pairs p, ..., p+3 of the stage's Pair, and the check of
-    Phi = Phi_R(C) on them.  C1 needs no gate of its own: R C1 R is gated
-    positive definite with the operands, and congruence by the invertible
-    R keeps the inertia.  Only Phi_R(C) and the order check's
+def _compressions(C: PDMatrix, R: PDMatrix, C1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S = I - R and the raw pairs (R X R, S X S) at X = C, I, 2C and C1 <=
+    C of `_pinching`.  Only C is gated: the spectra of I and 2C are exact,
+    and R C1 R is gated with the operands (congruence by the invertible R
+    keeps the inertia)."""
+    return pinching_compressions(np.stack([C.mat, np.eye(C.dim), 2.0 * C.mat, C1]), R)
+
+
+def _pinching(p: int = 0) -> _Check:
+    """The check of Phi = Phi_R(C) on the compression pairs as pairs p,
+    ..., p+3 of the stage's Pair.  Only Phi_R(C) and the order check's
     Phi_R(C) - Phi_R(C1), gated as Hermitian, are gated: unitality and
     homogeneity read Frobenius norms of Phi_R(I) and Phi_R(2C), and the
     trace identity the spectral mean of pair p, all plain keys."""
-    n = C.dim
-    eye = np.eye(n)
-    # I and 2C are not gated: their decompositions are exactly those of
-    # the identity and of the gated C
-    S, P, Q = pinching_compressions(np.stack([C.mat, eye, 2.0 * C.mat, C1]), R)
     keys = tuple(_sharp_geometric(p + i) for i in range(4))
     gap = ("difference", keys[0], keys[3])
-    natural = ("spectral", p)
 
-    def reports(built: _Built, tol: float) -> list[CheckReport]:
-        Phi, Phi_eye, Phi2 = built.matrices(keys[:3])
-        margins = [_wm_margin(built.spectra(keys[:1])[0], spectrum(C).values)]
+    def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
+        C, R, S, _ = built.operands
+        n = C.dim
+        eye = np.eye(n)
+        (Phi,), (sPhi,), (gap_vals,) = built.mats[rows[0]], built.vals[rows[0]], built.vals[rows[1]]
+        Phi_eye, Phi2, _, natural = built.mats[rows[2]]
+        margins = [_wm_margin(sPhi, spectrum(C).values)]
         # unitality
         margins.append(_eq_margin(float(np.linalg.norm(Phi_eye - eye)), 1.0 + math.sqrt(n)))
         # positive homogeneity at alpha = 2
@@ -587,15 +628,14 @@ def _pinching(C: PDMatrix, R: PDMatrix, C1: np.ndarray, context, p: int = 0):
         # trace-subpreservation
         margins.append((C.trace() - float(np.trace(Phi).real)) / (1.0 + C.trace()))
         # order preservation on the dominated pair C1 <= C
-        gap_vals = built.spectra([gap])[0]
         margins.append(float(gap_vals[-1]) / (1.0 + float(np.abs(gap_vals).max())))
         # trace identity linking the spectral mean of the two compressions
-        lhs_tr = float(np.trace(built.matrices([natural])[0]).real)
+        lhs_tr = float(np.trace(natural).real)
         rhs_tr = float(np.trace(R.mat @ S @ C.mat).real)
         margins.append(_eq_margin(lhs_tr - rhs_tr, 1.0 + abs(rhs_tr)))
         return [_report("pinching", tol, min(margins), context)]
 
-    return (P, Q), _Check((keys[0], gap), keys[1:] + (natural,), reports)
+    return _Check(((keys[0],), (gap,)), (keys[1:] + (("spectral", p),),), reports)
 
 
 def _dominated_by(C: PDMatrix, bump: PDMatrix) -> np.ndarray:
@@ -614,8 +654,8 @@ def check_pinching(C: PDMatrix, R: PDMatrix, tol: float,
     if rng is None:
         rng = np.random.default_rng(0)
     C1 = _dominated_by(C, random_pd_from_rng(C.dim, 10.0, rng))
-    operands, check = _pinching(C, R, C1, context)
-    return _compare(Pair.gated(*operands), [check], tol)[0]
+    S, *compressions = _compressions(C, R, C1)
+    return _stage(Pair.gated(*compressions), _pinching(), tol, context, _Operands(C, R, S))
 
 
 def _lift_matrices(C: PDMatrix, Ds) -> np.ndarray:
@@ -635,24 +675,17 @@ def _lift_report(C: PDMatrix, dominated, lifted, tol: float, context) -> CheckRe
     return _report("quadratic_lifting", tol, _wm_margin(lifted, sC.values ** 2), context)
 
 
-def _lift(C: PDMatrix, D: np.ndarray, context, p: int = 0) -> _Check:
+def _lift(p: int = 0) -> _Check:
     """The quadratic lift of Phi_R(C), the sharp geometric Heron sum of
     pair p (see `_pinching`), and of the raw D with lambda(D) prec_w
-    lambda(C).  Their kinds are makers over C and D (see `_build`), which
-    read Phi as the stage built it; D is gated with its lift, and Phi's
-    hypothesis is read from its gated spectrum."""
+    lambda(C), as the stage built Phi; D is gated with its lift, and
+    Phi's hypothesis is read from its gated spectrum."""
     Phi = _sharp_geometric(p)
 
-    def lifts(built: _Built, which) -> np.ndarray:
-        return _lift_matrices(C, [built.matrices([Phi])[0] if w == "phi" else D for w in which])
+    def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
+        return [_lift_report(built.operands.C, built.vals[rows[1]], built.vals[rows[0]], tol, context)]
 
-    lifted = ((lifts, "phi"), (lifts, "D"))
-    dominated = (Phi, (lambda built, _: D, "D"))
-
-    def reports(built: _Built, tol: float) -> list[CheckReport]:
-        return [_lift_report(C, built.spectra(dominated), built.spectra(lifted), tol, context)]
-
-    return _Check(lifted + dominated, (), reports)
+    return _Check(((("lift", Phi), ("lift", "D")), (Phi, ("D",))), (), reports)
 
 
 def check_quadratic_lifting(C: PDMatrix, Ds: list[PDMatrix], tol: float,
@@ -666,30 +699,33 @@ def check_quadratic_lifting(C: PDMatrix, Ds: list[PDMatrix], tol: float,
     return _lift_report(C, [D.eig().eigenvalues for D in Ds], lifted, tol, context)
 
 
-def _limit(A0: HermitianMatrix, B0: HermitianMatrix, tol: float, context, p: int = 0):
-    """The regularized pairs (A0 + eps I, B0 + eps I), one per eps of
-    EPS_SEQUENCE, to be pairs p, p+1, ... of the stage's Pair, and the
-    check of `check_semidefinite_limit` on them.  A0 and B0 are checked
-    positive semidefinite from their decompositions (for the suite's, the
-    drawn eigen-data that `gate_eig` checked); the gate on the pairs then
-    checks every level positive definite."""
+def _levels(A0: HermitianMatrix, B0: HermitianMatrix, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The raw pairs (A0 + eps I, B0 + eps I) of `_limit`, one per eps of
+    EPS_SEQUENCE.  A0 and B0 are checked positive semidefinite from their
+    decompositions (for the suite's, the drawn eigen-data that `gate_eig`
+    checked); the gate on the pairs then checks each level definite."""
     if A0.dim != B0.dim:
         raise MatrixFormatError(f"dimension mismatch: {A0.dim} vs {B0.dim}")
     for M, name in ((A0, "A0"), (B0, "B0")):
         vals = M.eig().eigenvalues
         if float(vals[-1]) < -tol * (1.0 + float(np.abs(vals).max())):
             raise MatrixFormatError(f"{name} must be positive semidefinite")
-    k = len(EPS_SEQUENCE)
     # every level at once, each M0 + eps I decomposed afresh: at eps = 1e-8
     # the margin amplifies a decomposition's rounding to about 1e-5, and the
     # eigenvalues of M0 shifted by eps turned a true margin of 1.8e-6 into
     # -1.1e-5 on one rank-one pair
     shift = np.asarray(EPS_SEQUENCE, dtype=np.float64)[:, None, None] * np.eye(A0.dim)
+    return A0.mat + shift, B0.mat + shift
+
+
+def _limit(p: int = 0) -> _Check:
+    """`check_semidefinite_limit` on the levels as pairs p, p+1, ..."""
+    k = len(EPS_SEQUENCE)
     heron = tuple(_sharp_geometric(p + i) for i in range(k))
     bly = tuple(("bly", p + i, 1.0, 1.0) for i in range(k))
 
-    def reports(built: _Built, tol: float) -> list[CheckReport]:
-        margins = [float(m) for m in _wm_margin(built.spectra(heron), built.spectra(bly))]
+    def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
+        margins = [float(m) for m in _wm_margin(built.vals[rows[0]], built.vals[rows[1]])]
         gap = 0.0
         if len(margins) >= 3:
             m1, m2, m3 = margins[-3], margins[-2], margins[-1]
@@ -701,7 +737,7 @@ def _limit(A0: HermitianMatrix, B0: HermitianMatrix, tol: float, context, p: int
         report.diagnostics["convergence_gap"] = gap
         return [report]
 
-    return (A0.mat + shift, B0.mat + shift), _Check(heron + bly, (), reports)
+    return _Check((heron, bly), (), reports)
 
 
 def check_semidefinite_limit(A0: HermitianMatrix, B0: HermitianMatrix, tol: float = 1e-8,
@@ -716,8 +752,7 @@ def check_semidefinite_limit(A0: HermitianMatrix, B0: HermitianMatrix, tol: floa
     noncommuting pairs it decays like sqrt(eps), so it is reported, not
     gated at tol.
     """
-    operands, check = _limit(A0, B0, tol, context)
-    return _compare(Pair.gated(*operands), [check], tol)[0]
+    return _stage(Pair.gated(*_levels(A0, B0, tol)), _limit(), tol, context)
 
 
 def check_incomparability_float(one: Pair, two: Pair, tol: float = 1e-8) -> CheckReport:
@@ -956,6 +991,23 @@ def iter_instances(config: SuiteConfig):
         yield offset, rng, dim, a, b, A, B
 
 
+@functools.cache
+def _certified_plan() -> _Plan:
+    """The stage of the certified 3x3 pair, made once per process."""
+    return _Plan([_spreading(1.0, 1.0), _grid([("kubo_heron", 1.0, 1.0, 2.0)]), _log_majorization(), _bly(1.0, 1.0)])
+
+
+@functools.cache
+def _trial_plan(a: float, b: float, k: int) -> _Plan:
+    """The stage of a trial with weights (a, b) and k drawn pairs, then the
+    four compression pairs and the levels, made once per process.  The
+    checks of the compression pairs and levels come first, so their
+    matrices keep their stack indices in the gate; run_suite passes the
+    contexts in this order."""
+    return _Plan([_pinching(k), _lift(k), _limit(k + 4), _grid(trial_grid(a, b)), _spreading(a, b),
+                  _endpoints(a, b), _log_majorization(), _bly(a, b), _equality(range(1, k), a, b)])
+
+
 def run_suite(config: SuiteConfig) -> RunReport:
     """Run every checker over the deterministic instance stream plus the
     fixed certified instances; identical configs yield identical reports.
@@ -972,8 +1024,7 @@ def run_suite(config: SuiteConfig) -> RunReport:
     one, two = certified_pairs()
     _merge_into(pool, check_incomparability_float(one, two, tol))
     ctx = {"seed_offset": None, "instance": "certified-3x3", "a": 1.0, "b": 1.0}
-    for report in _compare(one, [_spreading(1.0, 1.0, ctx), _grid([("kubo_heron", 1.0, 1.0, 2.0)], ctx),
-                                 _log_majorization(ctx), _bly(1.0, 1.0, ctx)], tol):
+    for report in _certified_plan().run(one, tol, [ctx] * 4):
         _merge_into(pool, report)
     for c_over in (2.001, 2.01, 2.1, 3.0):
         _merge_into(pool, check_sharpness_scalar(1.0, 1.0, c_over))
@@ -984,7 +1035,6 @@ def run_suite(config: SuiteConfig) -> RunReport:
         draw = _draw_trial(config, offset)
         dim, a, b, pairs = draw.dim, draw.a, draw.b, draw.pairs
         (A, B), *equality_pairs = pairs
-        k = len(pairs)
         context = {"seed_offset": offset, "dim": dim, "a": a, "b": b, "A": A, "B": B}
         contexts = [dict(context, A=A_e, B=B_e, variant=variant)
                     for (A_e, B_e), variant in zip(equality_pairs, ("commuting", "noncommuting"))]
@@ -992,20 +1042,16 @@ def run_suite(config: SuiteConfig) -> RunReport:
         ctx_s = dict(context, A=draw.A0, B=draw.B0, variant="rank-deficient")
 
         # the main pair (index 0) and the equality pairs, then the
-        # compression pairs (k, ..., k+3) and the eps-levels after them,
-        # whose raw operands are gated in one call of their own; neither
-        # they nor the Pairs joined here are kept through the stage's gate
-        compressions, pinching = _pinching(draw.C, draw.R, draw.C1, ctx_p, k)
-        levels, limit = _limit(draw.A0, draw.B0, tol, ctx_s, k + len(compressions[0]))
+        # compression pairs and the eps-levels after them, whose raw
+        # operands are gated in one call of their own; neither they nor
+        # the Pairs joined here are kept through the stage's gate
+        S, *compressions = _compressions(draw.C, draw.R, draw.C1)
+        levels = _levels(draw.A0, draw.B0, tol)
         pair = Pair.concat([Pair.stack(pairs), Pair.gated(*map(np.concatenate, zip(compressions, levels)))])
         del compressions, levels
-        # the checks of the compression pairs and levels come first, so
-        # their matrices keep their stack indices in the gate
-        checks = [pinching, _lift(draw.C, draw.D, ctx_p, k), limit,
-                  _grid(trial_grid(a, b), context), _spreading(a, b, context),
-                  _endpoints(a, b, context), _log_majorization(context), _bly(a, b, context),
-                  _equality(range(1, k), a, b, contexts)]
-        for report in _compare(pair, checks, tol):
+        plan = _trial_plan(a, b, len(pairs))
+        for report in plan.run(pair, tol, [ctx_p, ctx_p, ctx_s] + [context] * 5 + [contexts],
+                               _Operands(draw.C, draw.R, S, draw.D)):
             _merge_into(pool, report)
 
     return RunReport(config=config, checks=list(pool.values()))

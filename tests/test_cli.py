@@ -256,7 +256,8 @@ class TestSuiteCommand:
     # nan used to die with a RuntimeError traceback and inf with an
     # OverflowError one
     @pytest.mark.parametrize("flag, value", [("--cond", "nan"), ("--cond", "inf"), ("--cond", "0.5"),
-                                             ("--tol", "nan"), ("--tol", "inf"), ("--seed", "-1")])
+                                             ("--tol", "nan"), ("--tol", "inf"), ("--seed", "-1"),
+                                             ("--dims", "")])
     def test_invalid_config_exit_2(self, flag, value, capsys):
         code, _, err = run_cli(capsys, "suite", "--trials", "1", flag, value)
         assert code == 2

@@ -135,15 +135,20 @@ class TestLeadingMinors:
             leading_principal_minors(RationalMatrix.from_rows([[1, 2], [3, 4]]))
 
     def test_exhaustive_small_lattice_against_cofactor(self):
-        # every symmetric 3x3 matrix with entries p/q, p in -2..2, q in {1,2}
+        # every symmetric 3x3 matrix with entries p/q, p in -2..2, q in {1,2};
+        # the reference determinant is the cofactor expansion of the integer
+        # matrix 2M, in closed form, over 2^3
         values = sorted({Fraction(p, q) for p in range(-2, 3) for q in (1, 2)})
+        doubled = {v: int(2 * v) for v in values}
         count = 0
         for d0, d1, d2, o01, o02, o12 in itertools.product(values, repeat=6):
             rows = [[d0, o01, o02], [o01, d1, o12], [o02, o12, d2]]
             minors = leading_principal_minors(RationalMatrix.from_rows(rows))
             assert minors[0] == d0
             assert minors[1] == d0 * d1 - o01 * o01
-            assert minors[2] == cofactor_det(rows)
+            e0, e1, e2, f01, f02, f12 = (doubled[v] for v in (d0, d1, d2, o01, o02, o12))
+            det8 = e0 * (e1 * e2 - f12 * f12) - f01 * (f01 * e2 - f12 * f02) + f02 * (f01 * f12 - e1 * f02)
+            assert minors[2] == Fraction(det8, 8)
             count += 1
         assert count == len(values) ** 6
 

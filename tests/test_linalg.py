@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from matmean import linalg
 from matmean.errors import MatrixFormatError, NotPositiveDefiniteError, NumericalFailure
@@ -355,3 +356,68 @@ class TestDerivedValues:
     def test_derived_values_share_the_gated_eigenvectors(self):
         P = rand_pd(4, seed=31)
         assert principal_sqrt(P).eig().eigenvectors is P.eig().eigenvectors
+
+
+def _require_reference(ok, error, describe):
+    """linalg.require as it was written over np.asarray(ok).all()."""
+    ok = np.asarray(ok)
+    if ok.all():
+        return
+    if ok.ndim == 0:
+        raise error(describe(()))
+    i = tuple(int(k) for k in np.argwhere(~ok)[0])
+    raise error(f"{describe(i)} (stack index {i})")
+
+
+def _raised(check, ok):
+    """The (type, message) that check(ok, ...) raises, or None."""
+    try:
+        check(ok, NumericalFailure, lambda i: f"slice {i}")
+    except NumericalFailure as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def complex_stacks(draw):
+    """Complex (..., n, n) stacks, n in 1..8, of batch shape (), (k,) or
+    (2, k), with NaN and +-inf among the entries."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 4))
+    batch = draw(st.sampled_from([(), (k,), (2, k)]))
+    part = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300]))
+    x = np.empty(batch + (n, n), dtype=np.complex128)
+    x.real, x.imag = (draw(hnp.arrays(np.float64, x.shape, elements=part)) for _ in range(2))
+    return x
+
+
+class TestDirectHelpers:
+    """The helpers that call numpy's ufuncs directly compute what the numpy
+    wrappers they replaced compute, bit for bit."""
+
+    @given(complex_stacks())
+    def test_frobenius_equals_the_axis_norm(self, x):
+        with np.errstate(all="ignore"):  # inf and 1e300 entries overflow alike
+            expected = np.linalg.norm(x, axis=(-2, -1))
+            got = linalg.frobenius(x)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    @given(complex_stacks())
+    def test_adjoint_equals_conj_swapaxes(self, x):
+        expected = np.conj(np.swapaxes(x, -1, -2))
+        got = linalg.adjoint(x)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    @given(complex_stacks(), st.floats(0.0, 1e4))
+    def test_require_names_the_same_slice(self, x, bound):
+        # NaN and inf norms fail the comparison, as every check is written
+        with np.errstate(all="ignore"):
+            ok = linalg.frobenius(x) <= bound
+        assert _raised(linalg.require, ok) == _raised(_require_reference, ok)
+
+    @pytest.mark.parametrize("ok", [True, False, np.True_, np.False_, np.array(True), np.array(False),
+                                    np.array(np.nan), np.array([np.nan, 1.0])],
+                             ids=["true", "false", "np-true", "np-false", "0d-true", "0d-false",
+                                  "0d-nan", "nan-stack"])
+    def test_require_on_scalars_and_nan(self, ok):
+        assert _raised(linalg.require, ok) == _raised(_require_reference, ok)

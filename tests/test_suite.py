@@ -607,6 +607,16 @@ class TestWork:
         run_suite(SuiteConfig(seed=42, trials=8))
         assert calls == []
 
+    def test_plans_are_made_once_per_trial_shape(self, monkeypatch):
+        _clear_plans()
+        plans = _count_calls(monkeypatch, suite, "_Plan")
+        run_suite(SuiteConfig(seed=42, trials=40))
+        # one per (weights, pair count) shape, and one for the certified pair
+        made = len(plans)
+        assert made <= 2 * len(suite.WEIGHT_GRID) + 1
+        run_suite(SuiteConfig(seed=7, trials=40))
+        assert len(plans) == made
+
     def test_at_most_2_qr_factorizations_per_trial(self, monkeypatch):
         calls = _count_calls(monkeypatch, np.linalg, "qr")
         redraws = _count_calls(monkeypatch, suite, "random_pd_from_rng")
@@ -615,6 +625,23 @@ class TestWork:
         # redrawn noncommuting pair; 10.75 per trial when every draw made
         # its own
         assert len(calls) <= 2 * 8 + len(redraws)
+
+
+def _clear_plans() -> None:
+    suite._trial_plan.cache_clear()
+    suite._certified_plan.cache_clear()
+
+
+class TestPlanCache:
+    def test_reports_with_cached_plans_equal_fresh_ones(self):
+        configs = [SuiteConfig(seed=seed, trials=24, cond_max=1e6) for seed in (42, 7, 42)]
+        warm = [json.dumps(run_suite(config).to_dict()) for config in configs]
+        fresh = []
+        for config in configs:
+            _clear_plans()
+            fresh.append(json.dumps(run_suite(config).to_dict()))
+        assert warm == fresh
+        assert warm[0] == warm[2]
 
 
 class TestStackedDraws:
