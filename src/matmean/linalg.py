@@ -206,6 +206,12 @@ def gate_stack(mats, pd=True) -> tuple[np.ndarray, np.ndarray]:
     the matching eigenvectors; each matrix raises exactly what its scalar
     constructor would.
     """
+    return gate_stack_parts(mats, pd)[1]
+
+
+def gate_stack_parts(mats, pd=True) -> tuple[np.ndarray, SpectralDecomposition]:
+    """`gate_stack`, returning also the Hermitian parts that its Hermitian
+    check made and decomposed, for a caller that keeps the matrices."""
     mats = np.asarray(mats, dtype=np.complex128)
     if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2] or mats.shape[-1] == 0:
         raise MatrixFormatError(f"expected a stack of nonempty square matrices, got shape {mats.shape}")
@@ -213,7 +219,7 @@ def gate_stack(mats, pd=True) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = _eigh(herm)
     _check_decomposition(vals, vecs, herm)
     check_pd(vals, pd)
-    return SpectralDecomposition(vals, vecs)
+    return herm, SpectralDecomposition(vals, vecs)
 
 
 class SpectralDecomposition(NamedTuple):

@@ -23,9 +23,9 @@ suite's whole Heron/Wasserstein grid, say) from a batch of arrays
 Its kernels return raw Hermitian arrays and take the operands'
 decompositions from where they were gated: PDMatrix operands
 (`Pair(A, B)`, `Pair.stack`) or one `linalg.gate_stack` call
-(`Pair.gated`; a suite trial makes one over the operand pairs of
-pinching and of the semidefinite limit together, and `Pair.concat` joins
-them to the trial's drawn pairs).  The strict
+(`Pair.gated`, which keeps the Hermitian parts that gate decomposed; a
+suite trial gates the operand pairs of pinching and of the semidefinite
+limit the same way and puts its drawn pairs before them).  The strict
 gate runs where a value leaves or is judged: on the operands, on what
 the public functions below return (each a thin wrapper over a one-pair
 Pair), and, through `linalg.gate_stack`, on every matrix whose spectrum
@@ -55,6 +55,7 @@ from .linalg import (
     derived,
     frobenius,
     gate_stack,
+    gate_stack_parts,
     hermitian_part,
     require,
     require_weights,
@@ -174,23 +175,8 @@ class Pair:
         A, B = np.asarray(A, dtype=np.complex128), np.asarray(B, dtype=np.complex128)
         if A.shape != B.shape:
             raise MatrixFormatError(f"shape mismatch: {A.shape} vs {B.shape}")
-        mats = np.stack([A, B])
-        dec = gate_stack(mats)
-        mats = hermitian_part(mats)
+        mats, dec = gate_stack_parts(np.stack([A, B]))
         return cls.__new__(cls)._init(mats[0], mats[1], dec.at(0), dec.at(1))
-
-    @classmethod
-    def concat(cls, pairs) -> "Pair":
-        """The pairs of several same-dimension Pairs as one flattened
-        stack, in order, with their decompositions; no mean is carried
-        over."""
-        dims = {pair.dim for pair in pairs}
-        if len(dims) != 1:
-            raise MatrixFormatError(f"cannot stack pairs of dimensions {sorted(dims)}")
-        A, B = (np.concatenate([as_stack(getattr(pair, name)) for pair in pairs]) for name in ("A", "B"))
-        eig_A, eig_B = (SpectralDecomposition(*map(np.concatenate, zip(*(_flat(getattr(pair, name)) for pair in pairs))))
-                        for name in ("_eig_A", "_eig_B"))
-        return cls.__new__(cls)._init(A, B, eig_A, eig_B)
 
     def __getitem__(self, index) -> "Pair":
         """The pairs at `index` of the stack, sharing the decompositions."""

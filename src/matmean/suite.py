@@ -31,19 +31,24 @@ one per shape for the process (`_trial_plan`).
 The public checkers run one checker through a plan of its own (the
 quadratic lift alone is one gate call between its two parts).  run_suite
 makes every random draw of a trial first (`_draw_trial`), in the rng
-order of the one-at-a-time instance stream, as two stacked segments: A,
-B, the commuting pair and the first noncommuting candidate; then the
-pinching operands C and R, the bump behind C1, the D0 behind D and the
-rank-deficient A0, B0.  Each segment makes all of its rng draws, then one
-stacked QR for its Haar unitaries and one `gate_eig` check of every drawn
-(lambda, U).  A rejected noncommuting candidate is redrawn one pair at a
-time before the second segment draws anything.  The trial then runs one
-stage on one Pair: the main pair, the two equality pairs, then the four
-compression pairs and the four eps-levels, whose raw operands are gated
-in one call of their own first.  So X, and with it A natural B and
-W_{a,b}, is computed on the first three pairs and the compression pair of
-C only, and one gate holds every compared matrix of the trial, those of
-pinching, its lift and the limit first.
+order of the one-at-a-time instance stream, as one stacked segment of two
+parts: A, B, the commuting pair and the first noncommuting candidate;
+then the pinching operands C and R, the bump behind C1, the D0 behind D
+and the rank-deficient A0, B0.  The segment makes all of its rng draws,
+then one stacked QR for its Haar unitaries and one stacked U diag(lambda)
+U*; `gate_eig` checks the drawn (lambda, U) of the first part, the
+candidate is tested, and `gate_eig` checks the second part.  A rejected
+candidate restores the rng to its state after the first part and is
+redrawn one pair at a time, and the second part is drawn again.  The
+trial then runs one stage on one Pair, cut from the segment's stacks and
+the output of one more gate call: the main pair, the two equality pairs,
+then the four compression pairs and the four eps-levels, whose raw
+operands that call gates.  So X, and with it A natural B and W_{a,b}, is
+computed on the first three pairs and the compression pair of C only,
+and one gate holds every compared matrix of the trial, those of
+pinching, its lift and the limit first.  The reports of the fixed
+instances depend only on tol, and run_suite keeps them for the process
+(`_fixed_reports`).
 
 The certified instances and their float replay come from `exact`
 (`certified_pairs`, `certified_replay`); the dependency runs one way, so
@@ -64,12 +69,14 @@ from .exact import certified_pairs, certified_replay
 from .linalg import (
     HermitianMatrix,
     PDMatrix,
+    SpectralDecomposition,
     as_stack,
     assemble,
     complex_gaussian,
     frobenius,
     gate_eig,
     gate_stack,
+    gate_stack_parts,
     haar_unitaries,
     hermitian_part,
     hermitize,
@@ -778,7 +785,7 @@ def check_incomparability_float(one: Pair, two: Pair, tol: float = 1e-8) -> Chec
 # and the complex Gaussian of a Haar unitary) and no linear algebra.  The
 # helpers below build one instance from one sample with the single-matrix
 # functions; they are the one-at-a-time reference of the instance stream.
-# A suite trial records the samples of a segment instead (`_Segment`) and
+# A suite trial records its samples in a segment instead (`_Segment`) and
 # builds all of them at once.
 
 # A candidate noncommuting pair must clear ||AB - BA|| >= floor ||A|| ||B||
@@ -873,10 +880,10 @@ def _shrunk_dominated(C: PDMatrix, rng: np.random.Generator) -> np.ndarray:
 
 
 class _Segment:
-    """The samples of one segment of a trial, recorded as their rng draws
-    are made; `matrices` then builds every matrix at once: one stacked QR
-    for the Haar unitaries, one `gate_eig` check of every (lambda, U) and
-    one stacked U diag(lambda) U*."""
+    """The samples of a trial, recorded as their rng draws are made;
+    `build` then makes every matrix at once (one stacked QR for the Haar
+    unitaries and one stacked U diag(lambda) U*), and `gated` runs one
+    `gate_eig` check of the (lambda, U) of a part before wrapping them."""
 
     def __init__(self):
         self.gaussians: list[np.ndarray] = []
@@ -893,16 +900,25 @@ class _Segment:
         k = len(self.gaussians) - 1
         self.entries += [(vals, k, order, pd) for vals, order in spectra]
 
-    def matrices(self) -> list:
-        """The matrices in the order added: PDMatrix, or HermitianMatrix
-        where pd is False, each with its drawn decomposition."""
+    def build(self) -> "_Segment":
+        """The matrices in the order added, as stacks: `mats`, with the
+        drawn decompositions `vals` and `vecs`, none of them checked yet."""
         U = haar_unitaries(np.stack(self.gaussians))
-        vals = np.stack([entry[0] for entry in self.entries])
-        vecs = np.stack([U[k] if order is None else U[k][:, order] for _, k, order, _ in self.entries])
-        pd = [entry[3] for entry in self.entries]
+        self.vals = np.stack([entry[0] for entry in self.entries])
+        self.vecs = np.stack([U[k] if order is None else U[k][:, order] for _, k, order, _ in self.entries])
+        self.pd = [entry[3] for entry in self.entries]
+        self.mats = assemble(self.vals, self.vecs)
+        return self
+
+    def gated(self, part: slice) -> list:
+        """The matrices of a part of the built stacks after one `gate_eig`
+        check, whose stack indices count from the part's start: PDMatrix,
+        or HermitianMatrix where pd is False, each with its drawn
+        decomposition."""
+        vals, vecs, pd = self.vals[part], self.vecs[part], self.pd[part]
         gate_eig(vals, vecs, pd)
-        mats = assemble(vals, vecs)
-        return [(PDMatrix if p else HermitianMatrix)._gated(M, v, W) for M, v, W, p in zip(mats, vals, vecs, pd)]
+        return [(PDMatrix if p else HermitianMatrix)._gated(M, v, W)
+                for M, v, W, p in zip(self.mats[part], vals, vecs, pd)]
 
 
 class _Draw(NamedTuple):
@@ -912,6 +928,8 @@ class _Draw(NamedTuple):
     a: float
     b: float
     pairs: list          # the main pair, the commuting and the noncommuting one
+    stacks: tuple        # (mats, vals, vecs): the matrices of pairs, A, B, A, B,
+                         # ..., as one stack, with their drawn decompositions
     C: PDMatrix          # the pinching operands
     R: PDMatrix
     C1: np.ndarray       # raw C1 <= C for the order check
@@ -926,36 +944,66 @@ def _trial_start(config: SuiteConfig, offset: int) -> tuple[np.random.Generator,
             WEIGHT_GRID[offset % len(WEIGHT_GRID)])
 
 
+def _second_part(segment: _Segment, dim: int, cond: float, rng: np.random.Generator) -> _Segment:
+    """Add the draws of C, R, the bump behind C1, D0 and A0, B0."""
+    segment.add(*random_pd_sample(dim, cond, rng))
+    segment.add(*_pinching_weight_sample(dim, rng))
+    segment.add(*random_pd_sample(dim, 10.0, rng))
+    segment.add(*random_pd_sample(dim, 100.0, rng))
+    for _ in range(2):
+        segment.add(*_rank_deficient_sample(dim, rng), pd=False)
+    return segment
+
+
 def _draw_trial(config: SuiteConfig, offset: int) -> _Draw:
     """The random instances of trial `offset`, with the draws of
     `iter_instances` and the helpers above in the same rng order, made as
-    two segments: A, B, the commuting pair and the first noncommuting
-    candidate; then C, R, the bump behind C1, D0 and A0, B0.  A rejected
-    candidate is redrawn one pair at a time before the second segment
-    draws anything, so the stream is unchanged."""
+    one segment of two parts: A, B, the commuting pair and the first
+    noncommuting candidate; then C, R, the bump behind C1, D0 and A0, B0.
+    The first part is gated, then the candidate tested, then the second
+    part gated, so a failure is raised where the one-at-a-time stream
+    raises it.  A rejected candidate restores the rng to its state after
+    the first part, is redrawn one pair at a time, and the second part is
+    drawn again, so the stream is unchanged."""
     rng, dim, (a, b) = _trial_start(config, offset)
     cond = config.cond_max
-    first = _Segment()
+    segment = _Segment()
     for _ in range(2):
-        first.add(*random_pd_sample(dim, cond, rng))
-    first.share(*_commuting_sample(dim, cond, rng))
+        segment.add(*random_pd_sample(dim, cond, rng))
+    segment.share(*_commuting_sample(dim, cond, rng))
     if dim > 1:
         for _ in range(2):
-            first.add(*random_pd_sample(dim, cond, rng))
-    A, B, A_c, B_c, *candidate = first.matrices()
+            segment.add(*random_pd_sample(dim, cond, rng))
+        state = rng.bit_generator.state
+    first = slice(0, len(segment.entries))
+    rest = slice(first.stop, None)
+    _second_part(segment, dim, cond, rng).build()
+    A, B, A_c, B_c, *candidate = segment.gated(first)
     pairs = [(A, B), (A_c, B_c)]
+    stacks = (segment.mats[first], segment.vals[first], segment.vecs[first])
     if dim > 1:
-        pairs.append(_noncommuting_pair(dim, cond, rng, tuple(candidate)))
+        if not _clearly_noncommuting(*candidate):
+            rng.bit_generator.state = state
+            candidate = _noncommuting_pair(dim, cond, rng, tuple(candidate))
+            # the four matrices of the first two pairs, then the redrawn pair
+            stacks = tuple(np.concatenate([drawn[:4], np.stack(redrawn)])
+                           for drawn, redrawn in zip(stacks, zip(*((M.mat, *M.eig()) for M in candidate))))
+            segment, rest = _second_part(_Segment(), dim, cond, rng).build(), slice(None)
+        pairs.append(tuple(candidate))
+    C, R, bump, D0, A0, B0 = segment.gated(rest)
+    return _Draw(dim, a, b, pairs, stacks, C, R, _dominated_by(C, bump), _scaled_under(C, D0), A0, B0)
 
-    second = _Segment()
-    second.add(*random_pd_sample(dim, cond, rng))
-    second.add(*_pinching_weight_sample(dim, rng))
-    second.add(*random_pd_sample(dim, 10.0, rng))
-    second.add(*random_pd_sample(dim, 100.0, rng))
-    for _ in range(2):
-        second.add(*_rank_deficient_sample(dim, rng), pd=False)
-    C, R, bump, D0, A0, B0 = second.matrices()
-    return _Draw(dim, a, b, pairs, C, R, _dominated_by(C, bump), _scaled_under(C, D0), A0, B0)
+
+def _trial_pair(stacks: tuple, operands: list) -> Pair:
+    """The Pair of a trial: its drawn pairs, cut from their stacks with
+    the decompositions `gate_eig` checked, then the raw operand pairs
+    [A stack, B stack], gated in one call as `Pair.gated` gates them."""
+    gated, (vals, vecs) = gate_stack_parts(np.stack(operands))
+    k = len(stacks[0]) // 2
+    mats, vals, vecs = (np.concatenate([drawn.reshape(k, 2, *drawn.shape[1:]).swapaxes(0, 1), part], axis=1)
+                        for drawn, part in zip(stacks, (gated, vals, vecs)))
+    return Pair.__new__(Pair)._init(mats[0], mats[1], SpectralDecomposition(vals[0], vecs[0]),
+                                    SpectralDecomposition(vals[1], vecs[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -963,10 +1011,12 @@ def _draw_trial(config: SuiteConfig, offset: int) -> _Draw:
 # ---------------------------------------------------------------------------
 
 def _merge_into(pool: dict[str, CheckReport], report: CheckReport) -> None:
-    if report.check_name in pool:
-        pool[report.check_name].merge(report)
-    else:
-        pool[report.check_name] = report
+    """Merge a report into the pool's report of its check, which starts
+    empty, so no report merged in (a kept one of `_fixed_reports`, say)
+    is ever changed."""
+    if report.check_name not in pool:
+        pool[report.check_name] = CheckReport(report.check_name, report.tol)
+    pool[report.check_name].merge(report)
 
 
 def trial_grid(a: float, b: float) -> list[tuple[str, float, float, float]]:
@@ -992,9 +1042,16 @@ def iter_instances(config: SuiteConfig):
 
 
 @functools.cache
-def _certified_plan() -> _Plan:
-    """The stage of the certified 3x3 pair, made once per process."""
-    return _Plan([_spreading(1.0, 1.0), _grid([("kubo_heron", 1.0, 1.0, 2.0)]), _log_majorization(), _bly(1.0, 1.0)])
+def _fixed_reports(tol: float) -> tuple[CheckReport, ...]:
+    """The reports of the fixed instances at `tol`, which is all they read,
+    made once per process for each tol: the float replay of the certified
+    pairs, the stage of the certified 3x3 pair and the scalar sharpness
+    cases.  run_suite merges them into reports of its own."""
+    one, two = certified_pairs()
+    ctx = {"seed_offset": None, "instance": "certified-3x3", "a": 1.0, "b": 1.0}
+    plan = _Plan([_spreading(1.0, 1.0), _grid([("kubo_heron", 1.0, 1.0, 2.0)]), _log_majorization(), _bly(1.0, 1.0)])
+    return (check_incomparability_float(one, two, tol), *plan.run(one, tol, [ctx] * 4),
+            *(check_sharpness_scalar(1.0, 1.0, c_over) for c_over in (2.001, 2.01, 2.1, 3.0)))
 
 
 @functools.cache
@@ -1016,18 +1073,15 @@ def run_suite(config: SuiteConfig) -> RunReport:
     then runs one stage (see the module docstring) on one Pair: the main
     pair and the equality pairs, then the compression pairs of pinching
     (with its quadratic lift) and the eps-levels of the semidefinite
-    limit, which are gated as operands first."""
+    limit, which are gated as operands first.  Two things are kept for
+    the life of the process, since nothing else they read can change:
+    the plan of each trial shape (`_trial_plan`) and the reports of the
+    fixed instances for each tol (`_fixed_reports`), so a run after the
+    first at the same tol computes only its trials."""
     pool: dict[str, CheckReport] = {}
     tol = config.tol
-
-    # fixed instances first
-    one, two = certified_pairs()
-    _merge_into(pool, check_incomparability_float(one, two, tol))
-    ctx = {"seed_offset": None, "instance": "certified-3x3", "a": 1.0, "b": 1.0}
-    for report in _certified_plan().run(one, tol, [ctx] * 4):
+    for report in _fixed_reports(tol):
         _merge_into(pool, report)
-    for c_over in (2.001, 2.01, 2.1, 3.0):
-        _merge_into(pool, check_sharpness_scalar(1.0, 1.0, c_over))
 
     # randomized stream; contexts hold the matrices themselves, serialized
     # only for a failing record
@@ -1043,11 +1097,11 @@ def run_suite(config: SuiteConfig) -> RunReport:
 
         # the main pair (index 0) and the equality pairs, then the
         # compression pairs and the eps-levels after them, whose raw
-        # operands are gated in one call of their own; neither they nor
-        # the Pairs joined here are kept through the stage's gate
+        # operands are gated in one call of their own; they are not kept
+        # through the stage's gate
         S, *compressions = _compressions(draw.C, draw.R, draw.C1)
         levels = _levels(draw.A0, draw.B0, tol)
-        pair = Pair.concat([Pair.stack(pairs), Pair.gated(*map(np.concatenate, zip(compressions, levels)))])
+        pair = _trial_pair(draw.stacks, [np.concatenate(side) for side in zip(compressions, levels)])
         del compressions, levels
         plan = _trial_plan(a, b, len(pairs))
         for report in plan.run(pair, tol, [ctx_p, ctx_p, ctx_s] + [context] * 5 + [contexts],
