@@ -23,9 +23,10 @@ suite's whole Heron/Wasserstein grid, say) from a batch of arrays
 Its kernels return raw Hermitian arrays and take the operands'
 decompositions from where they were gated: PDMatrix operands
 (`Pair(A, B)`, `Pair.stack`) or one `linalg.gate_stack` call
-(`Pair.gated`, which keeps the Hermitian parts that gate decomposed; a
-suite trial gates the operand pairs of pinching and of the semidefinite
-limit the same way and puts its drawn pairs before them).  The strict
+(`Pair.gated`, which keeps the Hermitian parts that gate decomposed);
+`Pair.stack` also joins Pairs, so a suite trial puts its drawn pairs
+before the gated operand pairs of pinching and of the semidefinite
+limit.  The strict
 gate runs where a value leaves or is judged: on the operands, on what
 the public functions below return (each a thin wrapper over a one-pair
 Pair), and, through `linalg.gate_stack`, on every matrix whose spectrum
@@ -106,9 +107,14 @@ def _spectral_raw(A: np.ndarray, eig_X: SpectralDecomposition, t: float) -> np.n
     return hermitian_part(Xt @ A @ Xt)
 
 
-def _stacked(mats: list[PDMatrix]) -> tuple[np.ndarray, SpectralDecomposition]:
-    eigs = [M.eig() for M in mats]
-    return np.stack([M.mat for M in mats]), SpectralDecomposition(*map(np.stack, zip(*eigs)))
+def _stack_rows(item) -> tuple:
+    """A, B and the eigenvalues and eigenvectors of each, as (k, ...)
+    stacks, of one item of `Pair.stack`: a Pair or a (PDMatrix, PDMatrix)
+    pair."""
+    if isinstance(item, Pair):
+        return (as_stack(item.A), as_stack(item.B), *_flat(item._eig_A), *_flat(item._eig_B))
+    A, B = item
+    return tuple(part[None] for part in (A.mat, B.mat, *A.eig(), *B.eig()))
 
 
 def _union(*indices) -> np.ndarray:
@@ -159,12 +165,16 @@ class Pair:
 
     @classmethod
     def stack(cls, pairs) -> "Pair":
-        """Stack of same-dimension (PDMatrix, PDMatrix) pairs, with the
-        decompositions their gates already made."""
-        dims = {M.dim for pair in pairs for M in pair}
+        """Stack of same-dimension operand pairs, in order, with the
+        decompositions their gates already made: each item is a
+        (PDMatrix, PDMatrix) pair, or a Pair whose flattened pairs it
+        adds.  No mean is carried over."""
+        rows = [_stack_rows(item) for item in pairs]
+        dims = {row[k].shape[-1] for row in rows for k in (0, 1)}
         if len(dims) != 1:
             raise MatrixFormatError(f"cannot stack pairs of dimensions {sorted(dims)}")
-        (A, eig_A), (B, eig_B) = (_stacked([pair[k] for pair in pairs]) for k in (0, 1))
+        A, B, vals_A, vecs_A, vals_B, vecs_B = (np.concatenate(column) for column in zip(*rows))
+        eig_A, eig_B = SpectralDecomposition(vals_A, vecs_A), SpectralDecomposition(vals_B, vecs_B)
         return cls.__new__(cls)._init(A, B, eig_A, eig_B)
 
     @classmethod

@@ -40,15 +40,13 @@ U*; `gate_eig` checks the drawn (lambda, U) of the first part, the
 candidate is tested, and `gate_eig` checks the second part.  A rejected
 candidate restores the rng to its state after the first part and is
 redrawn one pair at a time, and the second part is drawn again.  The
-trial then runs one stage on one Pair, cut from the segment's stacks and
-the output of one more gate call: the main pair, the two equality pairs,
-then the four compression pairs and the four eps-levels, whose raw
-operands that call gates.  So X, and with it A natural B and W_{a,b}, is
-computed on the first three pairs and the compression pair of C only,
-and one gate holds every compared matrix of the trial, those of
-pinching, its lift and the limit first.  The reports of the fixed
-instances depend only on tol, and run_suite keeps them for the process
-(`_fixed_reports`).
+trial then runs one stage on one Pair (`Pair.stack`): the main pair, the
+two equality pairs, then the four compression pairs and the four
+eps-levels, whose raw operands are gated in one call of their own first.
+So X, and with it A natural B and W_{a,b}, is computed on the first three
+pairs and the compression pair of C only, and one gate holds every
+compared matrix of the trial, those of pinching, its lift and the limit
+first.
 
 The certified instances and their float replay come from `exact`
 (`certified_pairs`, `certified_replay`); the dependency runs one way, so
@@ -69,14 +67,12 @@ from .exact import certified_pairs, certified_replay
 from .linalg import (
     HermitianMatrix,
     PDMatrix,
-    SpectralDecomposition,
     as_stack,
     assemble,
     complex_gaussian,
     frobenius,
     gate_eig,
     gate_stack,
-    gate_stack_parts,
     haar_unitaries,
     hermitian_part,
     hermitize,
@@ -928,8 +924,6 @@ class _Draw(NamedTuple):
     a: float
     b: float
     pairs: list          # the main pair, the commuting and the noncommuting one
-    stacks: tuple        # (mats, vals, vecs): the matrices of pairs, A, B, A, B,
-                         # ..., as one stack, with their drawn decompositions
     C: PDMatrix          # the pinching operands
     R: PDMatrix
     C1: np.ndarray       # raw C1 <= C for the order check
@@ -980,30 +974,14 @@ def _draw_trial(config: SuiteConfig, offset: int) -> _Draw:
     _second_part(segment, dim, cond, rng).build()
     A, B, A_c, B_c, *candidate = segment.gated(first)
     pairs = [(A, B), (A_c, B_c)]
-    stacks = (segment.mats[first], segment.vals[first], segment.vecs[first])
     if dim > 1:
         if not _clearly_noncommuting(*candidate):
             rng.bit_generator.state = state
             candidate = _noncommuting_pair(dim, cond, rng, tuple(candidate))
-            # the four matrices of the first two pairs, then the redrawn pair
-            stacks = tuple(np.concatenate([drawn[:4], np.stack(redrawn)])
-                           for drawn, redrawn in zip(stacks, zip(*((M.mat, *M.eig()) for M in candidate))))
             segment, rest = _second_part(_Segment(), dim, cond, rng).build(), slice(None)
         pairs.append(tuple(candidate))
     C, R, bump, D0, A0, B0 = segment.gated(rest)
-    return _Draw(dim, a, b, pairs, stacks, C, R, _dominated_by(C, bump), _scaled_under(C, D0), A0, B0)
-
-
-def _trial_pair(stacks: tuple, operands: list) -> Pair:
-    """The Pair of a trial: its drawn pairs, cut from their stacks with
-    the decompositions `gate_eig` checked, then the raw operand pairs
-    [A stack, B stack], gated in one call as `Pair.gated` gates them."""
-    gated, (vals, vecs) = gate_stack_parts(np.stack(operands))
-    k = len(stacks[0]) // 2
-    mats, vals, vecs = (np.concatenate([drawn.reshape(k, 2, *drawn.shape[1:]).swapaxes(0, 1), part], axis=1)
-                        for drawn, part in zip(stacks, (gated, vals, vecs)))
-    return Pair.__new__(Pair)._init(mats[0], mats[1], SpectralDecomposition(vals[0], vecs[0]),
-                                    SpectralDecomposition(vals[1], vecs[1]))
+    return _Draw(dim, a, b, pairs, C, R, _dominated_by(C, bump), _scaled_under(C, D0), A0, B0)
 
 
 # ---------------------------------------------------------------------------
@@ -1011,12 +989,10 @@ def _trial_pair(stacks: tuple, operands: list) -> Pair:
 # ---------------------------------------------------------------------------
 
 def _merge_into(pool: dict[str, CheckReport], report: CheckReport) -> None:
-    """Merge a report into the pool's report of its check, which starts
-    empty, so no report merged in (a kept one of `_fixed_reports`, say)
-    is ever changed."""
-    if report.check_name not in pool:
-        pool[report.check_name] = CheckReport(report.check_name, report.tol)
-    pool[report.check_name].merge(report)
+    if report.check_name in pool:
+        pool[report.check_name].merge(report)
+    else:
+        pool[report.check_name] = report
 
 
 def trial_grid(a: float, b: float) -> list[tuple[str, float, float, float]]:
@@ -1042,16 +1018,9 @@ def iter_instances(config: SuiteConfig):
 
 
 @functools.cache
-def _fixed_reports(tol: float) -> tuple[CheckReport, ...]:
-    """The reports of the fixed instances at `tol`, which is all they read,
-    made once per process for each tol: the float replay of the certified
-    pairs, the stage of the certified 3x3 pair and the scalar sharpness
-    cases.  run_suite merges them into reports of its own."""
-    one, two = certified_pairs()
-    ctx = {"seed_offset": None, "instance": "certified-3x3", "a": 1.0, "b": 1.0}
-    plan = _Plan([_spreading(1.0, 1.0), _grid([("kubo_heron", 1.0, 1.0, 2.0)]), _log_majorization(), _bly(1.0, 1.0)])
-    return (check_incomparability_float(one, two, tol), *plan.run(one, tol, [ctx] * 4),
-            *(check_sharpness_scalar(1.0, 1.0, c_over) for c_over in (2.001, 2.01, 2.1, 3.0)))
+def _certified_plan() -> _Plan:
+    """The stage of the certified 3x3 pair, made once per process."""
+    return _Plan([_spreading(1.0, 1.0), _grid([("kubo_heron", 1.0, 1.0, 2.0)]), _log_majorization(), _bly(1.0, 1.0)])
 
 
 @functools.cache
@@ -1073,15 +1042,18 @@ def run_suite(config: SuiteConfig) -> RunReport:
     then runs one stage (see the module docstring) on one Pair: the main
     pair and the equality pairs, then the compression pairs of pinching
     (with its quadratic lift) and the eps-levels of the semidefinite
-    limit, which are gated as operands first.  Two things are kept for
-    the life of the process, since nothing else they read can change:
-    the plan of each trial shape (`_trial_plan`) and the reports of the
-    fixed instances for each tol (`_fixed_reports`), so a run after the
-    first at the same tol computes only its trials."""
+    limit, which are gated as operands first."""
     pool: dict[str, CheckReport] = {}
     tol = config.tol
-    for report in _fixed_reports(tol):
+
+    # fixed instances first
+    one, two = certified_pairs()
+    _merge_into(pool, check_incomparability_float(one, two, tol))
+    ctx = {"seed_offset": None, "instance": "certified-3x3", "a": 1.0, "b": 1.0}
+    for report in _certified_plan().run(one, tol, [ctx] * 4):
         _merge_into(pool, report)
+    for c_over in (2.001, 2.01, 2.1, 3.0):
+        _merge_into(pool, check_sharpness_scalar(1.0, 1.0, c_over))
 
     # randomized stream; contexts hold the matrices themselves, serialized
     # only for a failing record
@@ -1097,11 +1069,11 @@ def run_suite(config: SuiteConfig) -> RunReport:
 
         # the main pair (index 0) and the equality pairs, then the
         # compression pairs and the eps-levels after them, whose raw
-        # operands are gated in one call of their own; they are not kept
-        # through the stage's gate
+        # operands are gated in one call of their own; neither they nor
+        # the Pair joined here are kept through the stage's gate
         S, *compressions = _compressions(draw.C, draw.R, draw.C1)
         levels = _levels(draw.A0, draw.B0, tol)
-        pair = _trial_pair(draw.stacks, [np.concatenate(side) for side in zip(compressions, levels)])
+        pair = Pair.stack([*pairs, Pair.gated(*map(np.concatenate, zip(compressions, levels)))])
         del compressions, levels
         plan = _trial_plan(a, b, len(pairs))
         for report in plan.run(pair, tol, [ctx_p, ctx_p, ctx_s] + [context] * 5 + [contexts],

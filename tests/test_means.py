@@ -323,6 +323,20 @@ class TestStackedPair:
                     assert _rel(W[i], single.wasserstein(a, b)[0]) <= 1e-12
                     assert residual.shape == (3,)
 
+    def test_stack_joins_pairs_in_order_bitwise(self):
+        pairs = [(rand_pd(4, 2 * i, 1e3), rand_pd(4, 2 * i + 1, 1e3)) for i in range(3)]
+        gated = Pair.gated(np.stack([A.mat for A, _ in pairs[1:]]), np.stack([B.mat for _, B in pairs[1:]]))
+        joined = Pair.stack([pairs[0], gated])
+        # the first pair's decompositions, then those the gate made
+        for name in ("A", "B"):
+            np.testing.assert_array_equal(getattr(joined, name), [getattr(Pair.stack(pairs[:1]), name)[0],
+                                                                   *getattr(gated, name)])
+        for name in ("_eig_A", "_eig_B"):
+            for part, first, rest in zip(getattr(joined, name), getattr(Pair.stack(pairs[:1]), name), getattr(gated, name)):
+                np.testing.assert_array_equal(part, np.concatenate([first, rest]))
+        assert len(joined) == 3
+        np.testing.assert_array_equal(joined.spectral()[1:], gated.spectral())
+
     def test_planned_means_are_computed_on_the_planned_pairs_only(self):
         pairs = [(rand_pd(4, 2 * i, 1e3), rand_pd(4, 2 * i + 1, 1e3)) for i in range(3)]
         planned, full = Pair.stack(pairs), Pair.stack(pairs)
@@ -357,3 +371,5 @@ class TestStackedPair:
             Pair.stack([(rand_pd(2, seed=1), rand_pd(2, seed=2)), (rand_pd(3, seed=3), rand_pd(3, seed=4))])
         with pytest.raises(MatrixFormatError):
             Pair.gated(rand_pd(2, seed=1).mat, rand_pd(3, seed=2).mat)
+        with pytest.raises(MatrixFormatError):
+            Pair.stack([(rand_pd(2, seed=1), rand_pd(2, seed=2)), Pair.gated(rand_pd(3, seed=3).mat, rand_pd(3, seed=4).mat)])

@@ -535,9 +535,7 @@ class TestReferenceOracle:
          SuiteConfig(seed=42, trials=16, cond_max=1.2)], ids=lambda c: f"seed{c.seed}-cond{c.cond_max:g}-dims{c.dims[0]}..{c.dims[-1]}")
     def test_staged_run_equals_one_checker_at_a_time(self, config, monkeypatch):
         # the JSON keeps only min margins and failures, so every record's
-        # margin is compared too, in order, per checker; kept fixed reports
-        # would record nothing, so the run computes them afresh
-        suite._fixed_reports.cache_clear()
+        # margin is compared too, in order, per checker
         staged, staged_margins = _recorded(monkeypatch, lambda: json.dumps(run_suite(config).to_dict()))
         reference, reference_margins = _recorded(monkeypatch, lambda: json.dumps(_one_at_a_time(config).to_dict()))
         assert staged_margins == reference_margins
@@ -635,36 +633,10 @@ class TestWork:
             assert len(calls) <= config.trials + len(redraws) + len(rejections)
         assert rejections
 
-    def test_a_second_run_decomposes_only_its_trials(self, monkeypatch):
-        run_suite(SuiteConfig(seed=42, trials=8))
-        calls = _count_calls(monkeypatch, np.linalg, "eigh")
-        run_suite(SuiteConfig(seed=42, trials=8))
-        # 5 per trial and none for the fixed instances, whose reports the
-        # first run kept
-        assert len(calls) == 5 * 8
-
 
 def _clear_plans() -> None:
     suite._trial_plan.cache_clear()
-
-
-class TestFixedMemo:
-    @pytest.mark.parametrize("seed", [42, 7])
-    @pytest.mark.parametrize("cond", [1e4, 1e6])
-    @pytest.mark.parametrize("tol", [1e-8, 1e-6])
-    def test_warm_run_equals_cold_run(self, seed, cond, tol):
-        config = SuiteConfig(seed=seed, trials=8, cond_max=cond, tol=tol)
-        suite._fixed_reports.cache_clear()
-        cold = json.dumps(run_suite(config).to_dict())
-        assert json.dumps(run_suite(config).to_dict()) == cold
-
-    def test_failures_merged_into_a_fixed_check_leave_the_kept_reports_alone(self):
-        kept = [report.to_dict() for report in suite._fixed_reports(1e-8)]
-        # trial 39 records a (float rounding) failure of log-majorization,
-        # a check the certified 3x3 pair has a kept report of
-        report = run_suite(SuiteConfig(seed=42, trials=40, cond_max=1e6))
-        assert not report.by_name("log_majorization_means").ok
-        assert [report.to_dict() for report in suite._fixed_reports(1e-8)] == kept
+    suite._certified_plan.cache_clear()
 
 
 class TestPlanCache:
@@ -697,11 +669,7 @@ class TestStackedDraws:
             reference += [C, R, C1, _shrunk_dominated(C, rng), _rank_deficient_psd(dim, rng),
                           _rank_deficient_psd(dim, rng)]
             draw = _draw_trial(config, offset)
-            drawn = [M for pair in draw.pairs for M in pair]
-            # the stacks that the trial's Pair is cut from
-            for part, values in zip(draw.stacks, ([M.mat for M in drawn], *zip(*(M.eig() for M in drawn)))):
-                np.testing.assert_array_equal(part, values)
-            stacked = drawn + [draw.C, draw.R, draw.C1, draw.D, draw.A0, draw.B0]
+            stacked = [M for pair in draw.pairs for M in pair] + [draw.C, draw.R, draw.C1, draw.D, draw.A0, draw.B0]
             assert len(stacked) == len(reference)
             for X, Y in zip(stacked, reference):
                 assert type(X) is type(Y)
