@@ -1042,7 +1042,9 @@ def run_suite(config: SuiteConfig) -> RunReport:
     then runs one stage (see the module docstring) on one Pair: the main
     pair and the equality pairs, then the compression pairs of pinching
     (with its quadratic lift) and the eps-levels of the semidefinite
-    limit, which are gated as operands first."""
+    limit, which are gated as operands first.  Only the stage plans are
+    kept for the process (`_trial_plan`, `_certified_plan`); the fixed
+    instances and every trial are computed afresh on each call."""
     pool: dict[str, CheckReport] = {}
     tol = config.tol
 
