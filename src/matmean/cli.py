@@ -99,7 +99,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .majorization import log_majorization, majorization, spectrum, weak_majorization
+    from .majorization import verdict
     from .matio import load_matrix
 
     if not (math.isfinite(args.tol) and args.tol >= 0):
@@ -107,17 +107,14 @@ def _cmd_check(args) -> int:
         return EXIT_USAGE
     X = load_matrix(args.X)
     Y = load_matrix(args.Y)
-    sx, sy = spectrum(X), spectrum(Y)
-    if args.relation == "weak":
-        verdict = weak_majorization(sx, sy, args.tol)
-    elif args.relation == "major":
-        verdict = majorization(sx, sy, args.tol)
-    else:
-        verdict = log_majorization(sx, sy, args.tol)
-    payload = verdict.to_dict()
+    result = verdict(args.relation, X.eig().eigenvalues, Y.eig().eigenvalues, args.tol)
+    if not math.isfinite(result.tolerance_used):
+        print(f"error: --tol {args.tol} times the scale of Y overflows", file=sys.stderr)
+        return EXIT_USAGE
+    payload = result.to_dict()
     payload["relation"] = args.relation
     _write_output(payload, args.out, args.pretty)
-    return EXIT_OK if verdict.holds else EXIT_FAILED_CHECK
+    return EXIT_OK if result.holds else EXIT_FAILED_CHECK
 
 
 def _cmd_suite(args) -> int:

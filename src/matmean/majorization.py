@@ -1,8 +1,19 @@
-"""Spectra, Ky Fan sums, and majorization predicates with explicit margins.
+"""The three majorization relations, written once over stacks of spectra.
 
-Every predicate takes an explicit tolerance and returns a verdict carrying
-the per-k margins, never a bare boolean, so sharpness experiments can see
-how slack degenerates as coefficients approach their critical values.
+Each function takes spectra as arrays of shape (..., n), sorted in
+decreasing order along the last axis, as `eig_hermitian` and `gate_stack`
+return them, and compares x (dominated) with y (dominating) slice by
+slice.  The Ky Fan margin at k is sum_{j<=k} y_j - sum_{j<=k} x_j; it is
+normalized by 1 + max|y|, so that one tolerance covers all scales.
+
+- x prec_w y (weak): every Ky Fan margin is nonnegative (`weak_margin`).
+- x prec y: weak majorization and equal totals (`trace_margin`).
+- x prec_log y: the Ky Fan margins of log x and log y, the last one an
+  equality.
+
+The suite reads the margins of whole stacks; `verdict` decides one pair
+for the `check` command.  `ky_fan_threshold` is the independent threshold
+form of a Ky Fan sum, the oracle the tests compare the direct sums with.
 """
 
 from __future__ import annotations
@@ -13,27 +24,6 @@ import numpy as np
 
 from .errors import MatrixFormatError, NotPositiveDefiniteError
 from .linalg import HermitianMatrix
-
-DEFAULT_TOL = 1e-8
-
-
-class SpectrumVector:
-    """Real vector sorted in decreasing order."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        vals = np.sort(np.asarray(values, dtype=np.float64))[::-1].copy()
-        if vals.ndim != 1 or vals.size == 0:
-            raise MatrixFormatError("spectrum must be a nonempty 1-d vector")
-        vals.flags.writeable = False
-        self.values = vals
-
-    def __len__(self):
-        return self.values.shape[0]
-
-    def __repr__(self):
-        return f"SpectrumVector({self.values.tolist()})"
 
 
 @dataclass(frozen=True)
@@ -52,61 +42,45 @@ class MajorizationVerdict:
         }
 
 
-def spectrum(H: HermitianMatrix) -> SpectrumVector:
-    """Eigenvalues of a Hermitian matrix, sorted decreasing."""
-    return SpectrumVector(H.eig().eigenvalues)
+def ky_fan_margins(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-k Ky Fan margins of x against y and their scale 1 + max|y|."""
+    return np.cumsum(y, axis=-1) - np.cumsum(x, axis=-1), 1.0 + np.abs(y).max(axis=-1)
 
 
-def ky_fan_sums(x: SpectrumVector) -> np.ndarray:
-    """k-th entry is the sum of the k largest values."""
-    return np.cumsum(x.values)
+def weak_margin(x: np.ndarray, y: np.ndarray):
+    """Worst normalized Ky Fan margin of x prec_w y."""
+    margins, scale = ky_fan_margins(x, y)
+    return margins.min(axis=-1) / scale
 
 
-def _check_lengths(x: SpectrumVector, y: SpectrumVector):
-    if len(x) != len(y):
+def trace_margin(x: np.ndarray, y: np.ndarray):
+    """Margin form of the trace equality |sum y - sum x| <= tol (1 + |sum y|)."""
+    total = y.sum(axis=-1)
+    return -np.abs(total - x.sum(axis=-1)) / (1.0 + np.abs(total))
+
+
+def verdict(relation: str, x: np.ndarray, y: np.ndarray, tol: float) -> MajorizationVerdict:
+    """Whether x prec_w y ("weak"), x prec y ("major") or x prec_log y
+    ("log") holds for one pair of spectra.  Each Ky Fan margin may fall
+    below zero by tol times its scale (the reported tolerance); the gap
+    between the totals may reach tol (1 + |sum y|) for "major", and the
+    same tolerance as the margins for "log"."""
+    if x.shape != y.shape:
         raise MatrixFormatError(f"spectra have different lengths: {len(x)} vs {len(y)}")
-
-
-def weak_majorization(x: SpectrumVector, y: SpectrumVector, tol: float = DEFAULT_TOL) -> MajorizationVerdict:
-    """x prec_w y: every prefix sum of y dominates the one of x.
-
-    The margin at k is sum_{j<=k} y_j - sum_{j<=k} x_j; the verdict allows
-    an additive slack of tol * (1 + max|y|).
-    """
-    _check_lengths(x, y)
-    margins = ky_fan_sums(y) - ky_fan_sums(x)
-    slack = tol * (1.0 + float(np.abs(y.values).max()))
-    holds = bool(np.all(margins >= -slack))
-    return MajorizationVerdict(holds, tuple(float(m) for m in margins), float(margins[-1]), slack)
-
-
-def majorization(x: SpectrumVector, y: SpectrumVector, tol: float = DEFAULT_TOL) -> MajorizationVerdict:
-    """x prec y: weak majorization plus equality of the total sums."""
-    _check_lengths(x, y)
-    margins = ky_fan_sums(y) - ky_fan_sums(x)
-    slack = tol * (1.0 + float(np.abs(y.values).max()))
-    trace_gap = float(margins[-1])
-    trace_slack = tol * (1.0 + abs(float(ky_fan_sums(y)[-1])))
-    holds = bool(np.all(margins >= -slack)) and abs(trace_gap) <= trace_slack
-    return MajorizationVerdict(holds, tuple(float(m) for m in margins), trace_gap, slack)
-
-
-def log_majorization(x: SpectrumVector, y: SpectrumVector, tol: float = DEFAULT_TOL) -> MajorizationVerdict:
-    """x prec_log y: prefix products of y dominate, total products equal.
-
-    Evaluated in the log domain; margins are differences of prefix log
-    sums, and the slack is tol * (1 + max|log y|).
-    """
-    _check_lengths(x, y)
-    if float(x.values[-1]) <= 0.0 or float(y.values[-1]) <= 0.0:
-        raise MatrixFormatError("log-majorization requires strictly positive entries")
-    lx = np.cumsum(np.log(x.values))
-    ly = np.cumsum(np.log(y.values))
-    margins = ly - lx
-    slack = tol * (1.0 + float(np.abs(np.log(y.values)).max()))
-    total_gap = float(margins[-1])
-    holds = bool(np.all(margins[:-1] >= -slack)) and abs(total_gap) <= slack
-    return MajorizationVerdict(holds, tuple(float(m) for m in margins), total_gap, slack)
+    if relation == "log":
+        if float(x[-1]) <= 0.0 or float(y[-1]) <= 0.0:
+            raise MatrixFormatError("log-majorization requires strictly positive entries")
+        x, y = np.log(x), np.log(y)
+    margins, scale = ky_fan_margins(x, y)
+    slack = tol * float(scale)
+    gap = float(margins[-1])
+    if relation == "weak":
+        holds = bool(np.all(margins >= -slack))
+    elif relation == "major":
+        holds = bool(np.all(margins >= -slack)) and abs(gap) <= tol * (1.0 + abs(float(y.sum())))
+    else:
+        holds = bool(np.all(margins[:-1] >= -slack)) and abs(gap) <= slack
+    return MajorizationVerdict(holds, tuple(float(m) for m in margins), gap, slack)
 
 
 def ky_fan_threshold(Y: HermitianMatrix, k: int, tol: float = 1e-10) -> float:

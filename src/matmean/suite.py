@@ -3,7 +3,8 @@
 Each checker evaluates one instance, or a stack of same-dimension
 instances with one record each, and returns a CheckReport whose worst
 normalized margin decides failure (margin < -tol).  Margins are normalized
-by 1 + max|dominating side| so one tolerance knob covers all scales.
+by 1 + max|dominating side| so one tolerance knob covers all scales; the
+majorization margins are those of the `majorization` kernel.
 
 Every checker is written in two parts, the matrices to gate and the
 margin from their spectra, so that a stage can gate the matrices of
@@ -82,13 +83,7 @@ from .linalg import (
     require,
     require_weights,
 )
-from .majorization import (
-    SpectrumVector,
-    ky_fan_sums,
-    log_majorization,
-    spectrum,
-    weak_majorization,
-)
+from .majorization import ky_fan_margins, trace_margin, weak_margin
 from .means import Pair, heron_batch, wasserstein_batch
 from .report import CheckReport
 from .schur import pinching_compressions
@@ -177,22 +172,9 @@ class RunReport:
 # margin helpers
 # ---------------------------------------------------------------------------
 
-def _wm_margin(lhs: np.ndarray, rhs: np.ndarray):
-    """Worst normalized Ky Fan margin of lhs prec_w rhs, over the last
-    axis of decreasing spectra."""
-    margins = np.cumsum(rhs, axis=-1) - np.cumsum(lhs, axis=-1)
-    scale = 1.0 + np.abs(rhs).max(axis=-1)
-    return margins.min(axis=-1) / scale
-
-
 def _eq_margin(gap, scale):
     """Margin form of an equality constraint |gap| <= tol * scale."""
     return -np.abs(gap) / scale
-
-
-def _trace_eq_margin(lhs: np.ndarray, rhs: np.ndarray):
-    gap = rhs.sum(axis=-1) - lhs.sum(axis=-1)
-    return _eq_margin(gap, 1.0 + np.abs(rhs.sum(axis=-1)))
 
 
 def _report(name: str, tol: float, margins, context) -> CheckReport:
@@ -380,8 +362,8 @@ def _grid(items) -> _Check:
 
     def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
         sH, sW = built.vals[rows[0]], built.vals[rows[1]]
-        margins = _wm_margin(sH, sW)
-        trace_margins = _trace_eq_margin(sH, sW)
+        margins = weak_margin(sH, sW)
+        trace_margins = trace_margin(sH, sW)
         margins = np.where(endpoint & (trace_margins < margins), trace_margins, margins)
         return [_report(name, tol, margins[pick], context) for name, pick in zip(names, picks)]
 
@@ -445,13 +427,13 @@ def _spreading(a: float, b: float) -> _Check:
 
     def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
         sH, sW = built.vals[rows[0]]
-        margins = [_wm_margin(sH, sW)]
+        margins = [weak_margin(sH, sW)]
         # bottom-k sums: Heron side dominates
         bottom_H = np.cumsum(sH[::-1])
         bottom_W = np.cumsum(sW[::-1])
         scale = 1.0 + float(np.abs(sW).max())
         margins.append(float((bottom_H - bottom_W).min()) / scale)
-        margins.append(_trace_eq_margin(sH, sW))
+        margins.append(trace_margin(sH, sW))
         # determinants compared in the log domain
         logdet_H = float(np.log(sH).sum())
         logdet_W = float(np.log(sW).sum())
@@ -530,17 +512,16 @@ def check_endpoints(pair: Pair, a: float, b: float,
     return _stage(pair, _endpoints(a, b), tol, context)
 
 
-def _log_majorization() -> _Check:
+def _log_majorization_means() -> _Check:
     keys = (("geometric", 0), ("spectral", 0))
 
     def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
-        sG, sN = map(SpectrumVector, built.vals[rows[0]])
-        verdict = log_majorization(sG, sN, tol)
-        log_scale = 1.0 + float(np.abs(np.log(sN.values)).max())
-        prefix = min(verdict.per_k_margins[:-1]) / log_scale if len(sG) > 1 else 0.0
-        total = _eq_margin(verdict.trace_gap, log_scale)
-        trace_margin = (float(sN.values.sum()) - float(sG.values.sum())) / (1.0 + float(sN.values.sum()))
-        return [_report("log_majorization_means", tol, min(prefix, total, trace_margin), context)]
+        sG, sN = built.vals[rows[0]]  # positive: both are gated as positive definite
+        margins, scale = ky_fan_margins(np.log(sG), np.log(sN))
+        prefix = margins[:-1].min() / scale if len(sG) > 1 else 0.0
+        total = _eq_margin(margins[-1], scale)
+        trace = (sN.sum() - sG.sum()) / (1.0 + sN.sum())
+        return [_report("log_majorization_means", tol, min(prefix, total, trace), context)]
 
     return _Check((keys,), (), reports)
 
@@ -549,7 +530,7 @@ def check_log_majorization_means(pair: Pair, tol: float,
                                  context: dict | None = None) -> CheckReport:
     """The geometric mean is log-majorized by the spectral mean; in
     particular its trace is no larger."""
-    return _stage(pair, _log_majorization(), tol, context)
+    return _stage(pair, _log_majorization_means(), tol, context)
 
 
 def _bly(a: float, b: float) -> _Check:
@@ -560,7 +541,7 @@ def _bly(a: float, b: float) -> _Check:
         sH, sR = built.vals[rows[0]]
         rhs = built.mats[rows[0][1]]
         A, B, Ah, Bh = (as_stack(M)[0] for M in (built.pair.A, built.pair.B, *built.pair.sqrt([0])))
-        margins = [_wm_margin(sH, sR)]
+        margins = [weak_margin(sH, sR)]
         # expansion of the square: a^2 A + b^2 B + ab(sqrtA sqrtB + sqrtB sqrtA)
         cross = Ah @ Bh
         expanded = a * a * A + b * b * B + a * b * (cross + cross.conj().T)
@@ -622,7 +603,7 @@ def _pinching(p: int = 0) -> _Check:
         eye = np.eye(n)
         (Phi,), (sPhi,), (gap_vals,) = built.mats[rows[0]], built.vals[rows[0]], built.vals[rows[1]]
         Phi_eye, Phi2, _, natural = built.mats[rows[2]]
-        margins = [_wm_margin(sPhi, spectrum(C).values)]
+        margins = [weak_margin(sPhi, C.eig().eigenvalues)]
         # unitality
         margins.append(_eq_margin(float(np.linalg.norm(Phi_eye - eye)), 1.0 + math.sqrt(n)))
         # positive homogeneity at alpha = 2
@@ -667,15 +648,14 @@ def _lift_matrices(C: PDMatrix, Ds) -> np.ndarray:
     return hermitian_part(Ch @ np.stack(Ds) @ Ch)
 
 
-def _lift_report(C: PDMatrix, dominated, lifted, tol: float, context) -> CheckReport:
+def _lift_report(C: PDMatrix, dominated: np.ndarray, lifted: np.ndarray, tol: float, context) -> CheckReport:
     """lambda(C^{1/2} D C^{1/2}) prec_w lambda(C^2) = lambda(C)^2, one
-    record per D, from the spectra of the Ds and of their lifts; each D
-    must satisfy the hypothesis lambda(D) prec_w lambda(C)."""
-    sC = spectrum(C)
-    for vals in dominated:
-        if not weak_majorization(SpectrumVector(vals), sC, tol).holds:
-            raise InvalidWeightsError("instance violates the hypothesis lambda(D) prec_w lambda(C)")
-    return _report("quadratic_lifting", tol, _wm_margin(lifted, sC.values ** 2), context)
+    record per D, from the stacked spectra of the Ds and of their lifts;
+    each D must satisfy the hypothesis lambda(D) prec_w lambda(C)."""
+    sC = C.eig().eigenvalues
+    require(weak_margin(dominated, sC) >= -tol, InvalidWeightsError,
+            lambda _: "instance violates the hypothesis lambda(D) prec_w lambda(C)")
+    return _report("quadratic_lifting", tol, weak_margin(lifted, sC ** 2), context)
 
 
 def _lift(p: int = 0) -> _Check:
@@ -699,7 +679,7 @@ def check_quadratic_lifting(C: PDMatrix, Ds: list[PDMatrix], tol: float,
     C, and the lifted matrices are gated in one stacked call."""
     require(len(Ds) > 0, InvalidWeightsError, lambda _: "Ds must be nonempty")
     lifted = gate_stack(_lift_matrices(C, [D.mat for D in Ds]))[0]
-    return _lift_report(C, [D.eig().eigenvalues for D in Ds], lifted, tol, context)
+    return _lift_report(C, np.stack([D.eig().eigenvalues for D in Ds]), lifted, tol, context)
 
 
 def _levels(A0: HermitianMatrix, B0: HermitianMatrix, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -728,7 +708,7 @@ def _limit(p: int = 0) -> _Check:
     bly = tuple(("bly", p + i, 1.0, 1.0) for i in range(k))
 
     def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
-        margins = [float(m) for m in _wm_margin(built.vals[rows[0]], built.vals[rows[1]])]
+        margins = [float(m) for m in weak_margin(built.vals[rows[0]], built.vals[rows[1]])]
         gap = 0.0
         if len(margins) >= 3:
             m1, m2, m3 = margins[-3], margins[-2], margins[-1]
@@ -866,7 +846,7 @@ def _rank_deficient_psd(dim: int, rng: np.random.Generator) -> HermitianMatrix:
 def _scaled_under(C: PDMatrix, D0: PDMatrix) -> np.ndarray:
     """D0 scaled so that lambda(D) prec_w lambda(C); raw (Hermitian by
     construction)."""
-    ratios = ky_fan_sums(spectrum(C)) / ky_fan_sums(spectrum(D0))
+    ratios = np.cumsum(C.eig().eigenvalues) / np.cumsum(D0.eig().eigenvalues)
     return (float(ratios.min()) * (1.0 - 1e-12)) * D0.mat
 
 
@@ -1020,7 +1000,8 @@ def iter_instances(config: SuiteConfig):
 @functools.cache
 def _certified_plan() -> _Plan:
     """The stage of the certified 3x3 pair, made once per process."""
-    return _Plan([_spreading(1.0, 1.0), _grid([("kubo_heron", 1.0, 1.0, 2.0)]), _log_majorization(), _bly(1.0, 1.0)])
+    return _Plan([_spreading(1.0, 1.0), _grid([("kubo_heron", 1.0, 1.0, 2.0)]), _log_majorization_means(),
+                  _bly(1.0, 1.0)])
 
 
 @functools.cache
@@ -1031,7 +1012,7 @@ def _trial_plan(a: float, b: float, k: int) -> _Plan:
     matrices keep their stack indices in the gate; run_suite passes the
     contexts in this order."""
     return _Plan([_pinching(k), _lift(k), _limit(k + 4), _grid(trial_grid(a, b)), _spreading(a, b),
-                  _endpoints(a, b), _log_majorization(), _bly(a, b), _equality(range(1, k), a, b)])
+                  _endpoints(a, b), _log_majorization_means(), _bly(a, b), _equality(range(1, k), a, b)])
 
 
 def run_suite(config: SuiteConfig) -> RunReport:

@@ -27,6 +27,15 @@ def certified_pair(tmp_path):
     return str(pa), str(pb)
 
 
+@pytest.fixture
+def readme_pair(tmp_path):
+    """The A and B of the README's compute -> check example."""
+    pa, pb = tmp_path / "A.json", tmp_path / "B.json"
+    pa.write_text('{"dim": 3, "re": [[2.0, 0.5, 0.0], [0.5, 1.5, 0.2], [0.0, 0.2, 1.0]]}')
+    pb.write_text('{"dim": 3, "re": [[1.0, 0.3, 0.1], [0.3, 2.0, 0.0], [0.1, 0.0, 1.2]]}')
+    return str(pa), str(pb)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -158,6 +167,39 @@ class TestCheck:
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_invalid_tol_exit_2(self, tol, certified_pair, capsys):
         assert_usage_error(*run_cli(capsys, "check", "weak", *certified_pair, "--tol", tol))
+
+    # tol times the scale of Y overflowed to the non-JSON token Infinity,
+    # printed with exit 0
+    @pytest.mark.parametrize("relation, diagonal", [("weak", 1.0), ("major", 1.0), ("log", 10.0)])
+    def test_overflowing_tol_exit_2(self, relation, diagonal, tmp_path, capsys):
+        E = tmp_path / "E.json"
+        dump_matrix(diagonal * np.eye(2), E)
+        assert_usage_error(*run_cli(capsys, "check", relation, str(E), str(E), "--tol", "1e308"))
+
+    # the spectral endpoint c = 2ab is a true majorization, and the
+    # geometric mean is log-majorized by the spectral mean but not the other
+    # way round
+    @pytest.mark.parametrize("relation, x, y, code", [
+        ("major", "heron_spectral", "wasserstein", 0),
+        ("log", "geo", "spectral", 0),
+        ("log", "spectral", "geo", 1),
+    ])
+    def test_relations_between_readme_means(self, relation, x, y, code, readme_pair, tmp_path, capsys):
+        paths = {mean: str(tmp_path / f"{mean}.json") for mean in (x, y)}
+        for mean, path in paths.items():
+            assert run_cli(capsys, "compute", mean, *readme_pair, "--out", path)[0] == 0
+        got, out, _ = run_cli(capsys, "check", relation, paths[x], paths[y])
+        assert got == code
+        assert json.loads(out)["holds"] is (code == 0)
+
+    def test_geometric_endpoint_fails_major_on_the_trace(self, readme_pair, tmp_path, capsys):
+        paths = [str(tmp_path / f"{mean}.json") for mean in ("heron_kubo", "wasserstein")]
+        for mean, path in zip(("heron_kubo", "wasserstein"), paths):
+            assert run_cli(capsys, "compute", mean, *readme_pair, "--out", path)[0] == 0
+        code, out, _ = run_cli(capsys, "check", "major", *paths)
+        payload = json.loads(out)
+        assert code == 1
+        assert min(payload["per_k_margins"]) > 0.0 and payload["trace_gap"] > 1e-3
 
     def test_compute_output_feeds_check(self, certified_pair, tmp_path, capsys):
         # the envelope written by `compute --out` is accepted by `check`

@@ -242,7 +242,7 @@ class TestIncomparability:
 class TestStrictInstances:
     def test_certified_pair_spreading_and_kubo_are_strict(self):
         from matmean.exact import direction_one_data
-        from matmean.majorization import ky_fan_sums, spectrum
+        from matmean.majorization import ky_fan_margins
         from matmean.means import heron_kubo, heron_spectral, wasserstein_expression
 
         data = direction_one_data()
@@ -251,25 +251,26 @@ class TestStrictInstances:
         W = wasserstein_expression(A, B, 1.0, 1.0)
         # determinant ordering is strict for this noncommuting pair
         H_nat = heron_spectral(A, B, 1.0, 1.0)
-        logdet_gap = float(np.log(spectrum(H_nat).values).sum() - np.log(spectrum(W).values).sum())
+        logdet_gap = float(np.log(H_nat.eig().eigenvalues).sum() - np.log(W.eig().eigenvalues).sum())
         assert logdet_gap > 1e-3
         # and the geometric-Heron comparison has a strict Ky Fan margin
         H_kubo = heron_kubo(A, B, 1.0, 1.0)
-        margins = ky_fan_sums(spectrum(W)) - ky_fan_sums(spectrum(H_kubo))
+        margins = ky_fan_margins(H_kubo.eig().eigenvalues, W.eig().eigenvalues)[0]
         assert margins.max() > 1e-2
 
     def test_noncommuting_endpoint_has_trace_equality_but_positive_top_margin(self):
         # at c = 2ab the trace gap vanishes while the comparison stays
         # strict somewhere in the upper Ky Fan sums
-        from matmean.majorization import ky_fan_sums, spectrum
+        from matmean.majorization import ky_fan_margins
         from matmean.means import heron_spectral, wasserstein_expression
 
         rng = np.random.default_rng(17)
         A, B = _noncommuting_pair(5, 1e3, rng)
         H = heron_spectral(A, B, 1.0, 1.0)
         W = wasserstein_expression(A, B, 1.0, 1.0)
-        margins = ky_fan_sums(spectrum(W)) - ky_fan_sums(spectrum(H))
-        scale = 1.0 + abs(float(ky_fan_sums(spectrum(W))[-1]))
+        sW = W.eig().eigenvalues
+        margins = ky_fan_margins(H.eig().eigenvalues, sW)[0]
+        scale = 1.0 + abs(float(sW.sum()))
         assert abs(margins[-1]) <= 1e-8 * scale
         assert margins.max() > 1e-4 * scale
 
@@ -429,9 +430,9 @@ class TestInstanceStream:
 class TestStackedCheckers:
     def test_semidefinite_levels_equal_one_level_at_a_time(self):
         from matmean.linalg import hermitian_part, principal_sqrt
-        from matmean.majorization import spectrum
+        from matmean.majorization import weak_margin
         from matmean.means import heron_kubo
-        from matmean.suite import _rank_deficient_psd, _wm_margin
+        from matmean.suite import _rank_deficient_psd
 
         for seed in range(16):
             rng = np.random.default_rng(seed)
@@ -443,9 +444,9 @@ class TestStackedCheckers:
                 # both BLY sides of one level through the public functions
                 A, B = (PDMatrix(M.mat + eps * np.eye(dim)) for M in (A0, B0))
                 T = principal_sqrt(A).mat + principal_sqrt(B).mat
-                sH = spectrum(heron_kubo(A, B, 1.0, 1.0)).values
-                sR = spectrum(PDMatrix(hermitian_part(T @ T))).values
-                single.append(float(_wm_margin(sH, sR)))
+                sH = heron_kubo(A, B, 1.0, 1.0).eig().eigenvalues
+                sR = PDMatrix(hermitian_part(T @ T)).eig().eigenvalues
+                single.append(float(weak_margin(sH, sR)))
             assert seq == single
 
     def test_semidefinite_rank_one_pair_has_no_false_failure(self):
@@ -473,6 +474,15 @@ class TestStackedCheckers:
         singles = [check_quadratic_lifting(C, [D], TOL).min_margin_seen for D in halves]
         assert stacked.instances_run == 2
         assert stacked.min_margin_seen == min(singles)
+
+    @pytest.mark.parametrize("good", [0, 1], ids=["one-bad-d", "second-of-two-bad"])
+    def test_quadratic_lifting_rejects_a_d_outside_the_hypothesis(self, good):
+        # lambda(2C) is not weakly majorized by lambda(C); the one stacked
+        # hypothesis check names the D that violates it
+        C = rand_pd(4, seed=76)
+        Ds = [PDMatrix(0.5 * C.mat)] * good + [PDMatrix(2.0 * C.mat)]
+        with pytest.raises(InvalidWeightsError, match=rf"prec_w lambda\(C\) \(stack index \({good},\)\)$"):
+            check_quadratic_lifting(C, Ds, TOL)
 
 
 def _one_at_a_time(config: SuiteConfig) -> RunReport:
