@@ -31,6 +31,9 @@ from .errors import (
 # Construction-time Hermitization: asymmetry within this relative threshold
 # is averaged away, anything larger is rejected rather than silently fixed.
 HERMITIAN_ASYMMETRY_RTOL = 1e-13
+# Entries must keep n max|entry| below this, the square root of the
+# largest float, so that the gate's Frobenius norms cannot overflow.
+ENTRY_LIMIT = float(np.sqrt(np.finfo(np.float64).max))
 # Positive definiteness: smallest eigenvalue must clear this fraction of the
 # largest one.
 PD_EIGENVALUE_RTOL = 1e-12
@@ -105,12 +108,17 @@ def require_weights(name: str, positive: bool = False, **weights: float) -> None
 
 
 def hermitize(mats: np.ndarray) -> np.ndarray:
-    """Hermitian gate: entries must be finite and the asymmetry within
-    HERMITIAN_ASYMMETRY_RTOL of the largest entry.  Returns the Hermitian
-    parts."""
+    """Hermitian gate: entries must be finite, with n max|entry| below
+    ENTRY_LIMIT, and the asymmetry within HERMITIAN_ASYMMETRY_RTOL of the
+    largest entry.  Returns the Hermitian parts."""
     require(np.isfinite(mats).all(axis=(-2, -1)), MatrixFormatError, lambda i: "matrix contains non-finite entries")
+    largest = np.abs(mats).max(axis=(-2, -1))
+    bound = ENTRY_LIMIT / mats.shape[-1]
+    require(largest < bound, MatrixFormatError,
+            lambda i: f"matrix entries too large: max|entry| = {largest[i]:.3e} must stay below "
+                      f"sqrt(largest float) / dim = {bound:.3e}")
     adj = adjoint(mats)
-    limit = HERMITIAN_ASYMMETRY_RTOL * np.abs(mats).max(axis=(-2, -1))
+    limit = HERMITIAN_ASYMMETRY_RTOL * largest
     asym = np.abs(mats - adj).max(axis=(-2, -1))
     require(asym <= limit, MatrixFormatError,
             lambda i: f"matrix is not Hermitian: asymmetry {asym[i]:.3e} exceeds "

@@ -14,12 +14,13 @@ a built-in correctness oracle.
 Everything here is written once over (..., n, n) stacks.  A `Pair`
 holds one operand pair (batch shape ()) or a stack of same-dimension
 pairs, and computes each derived quantity at most once: X, A natural B,
-A # B and the square roots, each in one stacked call over every pair or
-over the pairs `Pair.plan` names.  It keeps no Heron sum or W_{a,b}:
-those are built on request, and `Pair.herons` and `Pair.wassersteins`
-build many of them over many pairs of the stack in one batched pass (the
-suite's whole Heron/Wasserstein grid, say) from a batch of arrays
-(`heron_batch`, `wasserstein_batch`).
+A # B and the square roots, each in one stacked call over every pair;
+`Pair.take` makes the Pair of some of them.  It keeps no Heron sum or
+W_{a,b}: those are built on request, and `Pair.herons` and
+`Pair.wassersteins` build many of them over many pairs of the stack in
+one batched pass (the suite's whole Heron/Wasserstein grid, say) from a
+batch of arrays (`heron_batch`, `wasserstein_batch`) that also says
+where in the Pairs holding the means to read them.
 Its kernels return raw Hermitian arrays and take the operands'
 decompositions from where they were gated: PDMatrix operands
 (`Pair(A, B)`, `Pair.stack`) or one `linalg.gate_stack` call
@@ -117,22 +118,10 @@ def _stack_rows(item) -> tuple:
     return tuple(part[None] for part in (A.mat, B.mat, *A.eig(), *B.eig()))
 
 
-def _union(*indices) -> np.ndarray:
-    """The sorted union of pair indices.  (np.union1d would import
-    numpy.ma on first use, which costs a cold start about 10 ms.)"""
-    return np.array(sorted({int(i) for index in indices for i in index}), dtype=np.intp)
-
-
 def _flat(dec: SpectralDecomposition) -> SpectralDecomposition:
     """A decomposition of one matrix or of a stack as a (k, n) / (k, n, n) stack."""
     n = dec.dim
     return SpectralDecomposition(dec.eigenvalues.reshape(-1, n), dec.eigenvectors.reshape(-1, n, n))
-
-
-# The means a `Pair` computes, by the name `Pair.plan` takes, with the
-# fields that hold them: X (with its decomposition) and A natural B, which
-# is built from X; A # B; the square roots of A and B.
-_MEANS = {"riccati": ("_riccati", "_spectral"), "geometric": ("_geometric",), "sqrt": ("_sqrt",)}
 
 
 class Pair:
@@ -142,13 +131,14 @@ class Pair:
     Each derived quantity is computed at most once, on first use, in one
     stacked call, and lives as long as the Pair: callers create one per
     instance (or per stack of instances) and pass it to every computation
-    on it.  A mean is computed on every pair of the stack unless `plan`
-    names fewer.  The batches of `herons` and `wassersteins` index pairs
-    of the flattened stack, so one call builds many expressions over many
-    pairs.
+    on it.  A mean is computed on every pair of the stack; `take` makes
+    the Pair of fewer pairs to compute one on.  The batches of `herons`
+    and `wassersteins` index pairs of the flattened stack, and read their
+    means from Pairs they are given at the batch's positions, so one call
+    builds many expressions over many pairs.
     """
 
-    __slots__ = ("A", "B", "_eig_A", "_eig_B", "_where", "_riccati", "_spectral", "_geometric", "_sqrt")
+    __slots__ = ("A", "B", "_eig_A", "_eig_B", "_riccati", "_spectral", "_geometric", "_sqrt")
 
     def __init__(self, A: PDMatrix, B: PDMatrix):
         _check_dims(A, B)
@@ -159,7 +149,6 @@ class Pair:
         stacks with the decompositions their gate made."""
         self.A, self.B = A, B
         self._eig_A, self._eig_B = eig_A, eig_B
-        self._where = {}
         self._riccati = self._spectral = self._geometric = self._sqrt = None
         return self
 
@@ -200,123 +189,73 @@ class Pair:
         """Number of pairs in the flattened stack (1 for one pair)."""
         return as_stack(self.A).shape[0]
 
-    def plan(self, **where) -> None:
-        """Compute each named mean ("riccati", "geometric" or "sqrt", see
-        _MEANS) on the pairs where[name] of the flattened stack only, in
-        one stacked call when it is first needed.  Plans made before that
-        add up; a mean never planned is computed on every pair.  A later
-        request for a pair outside the plan computes the mean again, over
-        both."""
-        for name, index in where.items():
-            if getattr(self, _MEANS[name][0]) is None:
-                self._where[name] = _union(self._where.get(name, ()), index)
-            else:
-                self._cover(name, index)
+    def take(self, where) -> "Pair":
+        """A new Pair of the pairs at positions `where` of the flattened
+        stack, in that order, with their decompositions and no mean; the
+        Pair itself, with the means it already computed, when `where`
+        names every pair in order."""
+        if np.array_equal(where, range(len(self))):
+            return self
+        A, B, vals_A, vecs_A, vals_B, vecs_B = (part[where] for part in _stack_rows(self))
+        eig_A, eig_B = SpectralDecomposition(vals_A, vecs_A), SpectralDecomposition(vals_B, vecs_B)
+        return Pair.__new__(Pair)._init(A, B, eig_A, eig_B)
 
-    def _cover(self, name: str, index) -> None:
-        """Widen the plan of a mean to the pairs at `index` (None: every
-        pair), dropping what was computed on the narrower plan."""
-        where = self._where.get(name)
-        if where is None:
-            return
-        index = range(len(self)) if index is None else np.ravel(index).tolist()
-        if set(index) <= set(where.tolist()):
-            return
-        self._where[name] = _union(where, index)
-        for field in _MEANS[name]:
-            setattr(self, field, None)
-
-    def _partial(self, name: str):
-        """The planned pairs of a mean, or None when it covers the stack."""
-        where = self._where.get(name)
-        return None if where is None or len(where) == len(self) else where
-
-    def _operands(self, name: str):
-        """A, B and their decompositions on the pairs a mean is computed on:
-        the stack in its batch shape, or the planned pairs of the
-        flattened one."""
-        where = self._partial(name)
-        if where is None:
-            return self.A, self.B, self._eig_A, self._eig_B
-        return (as_stack(self.A)[where], as_stack(self.B)[where],
-                *(SpectralDecomposition(*(part[where] for part in _flat(dec))) for dec in (self._eig_A, self._eig_B)))
-
-    def _at(self, name: str, values: np.ndarray, index) -> np.ndarray:
-        """A mean's `values` at pairs `index` of the flattened stack, or
-        all of them in the batch shape for index None."""
-        if index is None:
-            return values
-        index = np.asarray(index, dtype=np.intp)
-        where = self._partial(name)
-        return as_stack(values)[index if where is None else np.searchsorted(where, index)]
-
-    def sqrt(self, index=None) -> tuple[np.ndarray, np.ndarray]:
-        """(A^{1/2}, B^{1/2}) from the operands' decompositions, at pairs
-        `index` of the flattened stack (None: every pair)."""
-        self._cover("sqrt", index)
+    def sqrt(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A^{1/2}, B^{1/2}) from the operands' decompositions."""
         if self._sqrt is None:
-            _, _, eig_A, eig_B = self._operands("sqrt")
-            self._sqrt = assemble(*derived(eig_A, np.sqrt)), assemble(*derived(eig_B, np.sqrt))
-        return tuple(self._at("sqrt", M, index) for M in self._sqrt)
+            self._sqrt = assemble(*derived(self._eig_A, np.sqrt)), assemble(*derived(self._eig_B, np.sqrt))
+        return self._sqrt
 
     def _riccati_gated(self) -> tuple[np.ndarray, SpectralDecomposition]:
         """X = A^{-1} # B, the unique positive definite solution of
-        X A X = B, on the pairs planned for it, gated because its
-        eigenvectors build A natural B.
+        X A X = B, gated because its eigenvectors build A natural B.
 
         The defining residual is verified once; a violation means the
         floating pipeline lost too much accuracy to be trusted.
         """
         if self._riccati is None:
-            A, B, eig_A, _ = self._operands("riccati")
-            X = _geometric_raw(derived(eig_A, np.reciprocal, reverse=True), B, 0.5)
+            X = _geometric_raw(derived(self._eig_A, np.reciprocal, reverse=True), self.B, 0.5)
             eig_X = gate_stack(X)
-            residual = frobenius(X @ A @ X - B)
-            limit = RICCATI_RESIDUAL_RTOL * frobenius(B)
+            residual = frobenius(X @ self.A @ X - self.B)
+            limit = RICCATI_RESIDUAL_RTOL * frobenius(self.B)
             require(residual <= limit, NumericalFailure,
                     lambda i: f"Riccati residual ||XAX - B|| = {residual[i]:.3e} exceeds {limit[i]:.3e}")
             self._riccati = X, eig_X
         return self._riccati
 
-    def riccati(self, index=None) -> np.ndarray:
-        """X = A^{-1} # B as a raw array (gated), at pairs `index` of the
-        flattened stack (None: every pair)."""
-        self._cover("riccati", index)
-        return self._at("riccati", self._riccati_gated()[0], index)
+    def riccati(self) -> np.ndarray:
+        """X = A^{-1} # B as a raw array (gated)."""
+        return self._riccati_gated()[0]
 
-    def spectral(self, index=None) -> np.ndarray:
-        """A natural B = X^{1/2} A X^{1/2}, at pairs `index` of the
-        flattened stack (None: every pair)."""
-        self._cover("riccati", index)
+    def spectral(self) -> np.ndarray:
+        """A natural B = X^{1/2} A X^{1/2}."""
         if self._spectral is None:
-            self._spectral = _spectral_raw(self._operands("riccati")[0], self._riccati_gated()[1], 0.5)
-        return self._at("riccati", self._spectral, index)
+            self._spectral = _spectral_raw(self.A, self._riccati_gated()[1], 0.5)
+        return self._spectral
 
-    def geometric(self, index=None) -> np.ndarray:
-        """A # B, at pairs `index` of the flattened stack (None: every
-        pair)."""
-        self._cover("geometric", index)
+    def geometric(self) -> np.ndarray:
+        """A # B."""
         if self._geometric is None:
-            _, B, eig_A, _ = self._operands("geometric")
-            self._geometric = _geometric_raw(eig_A, B, 0.5)
-        return self._at("geometric", self._geometric, index)
+            self._geometric = _geometric_raw(self._eig_A, self.B, 0.5)
+        return self._geometric
 
-    def wassersteins(self, batch) -> tuple[np.ndarray, np.ndarray]:
+    def wassersteins(self, batch, riccati: Pair | None = None) -> tuple[np.ndarray, np.ndarray]:
         """W_{a_i,b_i} of pair index[i] of the flattened stack (a
         `wasserstein_batch`), and the Frobenius distance between its two
-        formulas, in one batched pass.
+        formulas, in one batched pass; X is read from the Pair `riccati`
+        (by default this one) at the batch's positions.
 
         W is computed through the congruence form (aI + bX) A (aI + bX)
         and cross-validated against the definitional form
         a^2 A + b^2 B + ab((AB)^{1/2} + (BA)^{1/2}); with a zero weight it
         is exactly a^2 A or b^2 B.
         """
-        index, a, b, both = batch
+        index, a, b, both, at = batch
         A, B = as_stack(self.A)[index], as_stack(self.B)[index]
         W = np.where(b == 0.0, a * a * A, b * b * B)
         residual = np.zeros(len(index))
         if len(both):
-            X = self.riccati(index[both])
+            X = as_stack((self if riccati is None else riccati).riccati())[at]
             a, b, A, B = a[both], b[both], A[both], B[both]
             T = a * np.eye(self.dim) + b * X
             by_congruence = hermitian_part(T @ A @ T)
@@ -337,13 +276,15 @@ class Pair:
         W, residual = self.wassersteins(wasserstein_batch(np.arange(m), np.full(m, float(a)), np.full(m, float(b))))
         return W.reshape(self.A.shape), residual.reshape(self.A.shape[:-2])[()]
 
-    def herons(self, batch) -> np.ndarray:
-        """The Heron sums of a `heron_batch` in one broadcast."""
+    def herons(self, batch, spectral: Pair | None = None, geometric: Pair | None = None) -> np.ndarray:
+        """The Heron sums of a `heron_batch` in one broadcast, with the
+        cross terms read from the Pairs `spectral` and `geometric` (by
+        default this one) at the batch's positions."""
         index, a2, b2, terms = batch
         H = a2 * as_stack(self.A)[index] + b2 * as_stack(self.B)[index]
-        for mean, (rows, c, pairs) in zip((self.spectral, self.geometric), terms):
+        for mean, pair, (rows, c, at) in zip((Pair.spectral, Pair.geometric), (spectral, geometric), terms):
             if len(rows):
-                H[rows] += c * mean(pairs)
+                H[rows] += c * as_stack(mean(self if pair is None else pair))[at]
         return H
 
     def heron(self, cross: str, a: float, b: float, c: float) -> np.ndarray:
@@ -353,26 +294,32 @@ class Pair:
         return self.herons(heron_batch(np.arange(m), [cross] * m, [a] * m, [b] * m, [c] * m)).reshape(self.A.shape)
 
 
-def heron_batch(index, cross, a, b, c) -> tuple:
+def heron_batch(index, cross, a, b, c, at=None) -> tuple:
     """The arrays of `Pair.herons` for a_i^2 A + b_i^2 B + c_i M_i of
     pair index[i], to build on many Pairs: M_i is A natural B where
-    cross[i] is "spectral" and A # B otherwise, and is left out where
-    c_i = 0 (so no mean is computed for it)."""
+    cross[i] is "spectral" and A # B otherwise, read at position at[i]
+    (by default index[i]) of the Pair that holds it, and is left out
+    where c_i = 0 (so no mean is computed for it)."""
     index = np.asarray(index, dtype=np.intp)
+    at = index if at is None else np.asarray(at, dtype=np.intp)
     a, b, c = (np.asarray(x, dtype=np.float64)[:, None, None] for x in (a, b, c))
     spectral = np.asarray(cross) == "spectral"
     rows = (np.flatnonzero(which & (c[:, 0, 0] != 0.0)) for which in (spectral, ~spectral))
-    return index, a * a, b * b, tuple((r, c[r], index[r]) for r in rows)
+    return index, a * a, b * b, tuple((r, c[r], at[r]) for r in rows)
 
 
-def wasserstein_batch(index, a, b) -> tuple:
+def wasserstein_batch(index, a, b, at=None) -> tuple:
     """The arrays of `Pair.wassersteins` for W_{a_i,b_i} of pair
-    index[i], to build on many Pairs; the weights are checked here."""
+    index[i], with X read at position at[i] (by default index[i]) of the
+    Pair that holds it, to build on many Pairs; the weights are checked
+    here."""
     index = np.asarray(index, dtype=np.intp)
+    at = index if at is None else np.asarray(at, dtype=np.intp)
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     require((a >= 0) & (a < np.inf) & (b >= 0) & (b < np.inf), InvalidWeightsError,
             lambda i: f"weights must be finite and nonnegative: a={a[i]}, b={b[i]}")
-    return index, a[:, None, None], b[:, None, None], np.flatnonzero((a != 0.0) & (b != 0.0))
+    both = np.flatnonzero((a != 0.0) & (b != 0.0))
+    return index, a[:, None, None], b[:, None, None], both, at[both]
 
 
 def geometric_mean(A: PDMatrix, B: PDMatrix) -> PDMatrix:

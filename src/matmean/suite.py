@@ -17,11 +17,13 @@ and gated once: the sharp Heron sums and W_{a,b} of spreading, endpoints and
 BLY are entries of the Heron grid, and a Heron sum at c = 0, which has no
 cross term, has one key whatever its checker's cross term.  A key that
 is made from others (a difference, a quadratic lift of Phi_R(C)) reads
-them as built.  The Pair computes each mean (X with A natural B, A # B,
-the square roots) once, over the pairs whose keys read it
-(`Pair.plan`).  Pinching and the semidefinite limit first make operand
-pairs: the compression pairs (R X R, S X S) at X = C, I, 2C and C1, and
-the eps-levels (A0 + eps I, B0 + eps I).  On those pairs the maps
+them as built.  Each mean (X with A natural B, A # B, the square roots)
+is computed once, over the pairs whose keys read it: the plan lists
+them (`where`) and gives each such key its position in the list, and
+the stage takes the Pair of those pairs (`Pair.take`).  Pinching and
+the semidefinite limit first make operand pairs: the compression pairs
+(R X R, S X S) at X = C, I, 2C and C1, and the eps-levels
+(A0 + eps I, B0 + eps I).  On those pairs the maps
 Phi_R(X) and the Heron side of the limit are the same keyed sum,
 A + B + 2 (A # B); the quadratic lift's keys read C and D from the
 trial.  A checker's records go to one report per stage, in item order.
@@ -216,8 +218,8 @@ class _Operands(NamedTuple):
 
 
 def _bly_rhs(built: _Built, batch) -> np.ndarray:
-    p, a, b = batch
-    Ah, Bh = built.pair.sqrt(p)
+    at, a, b = batch
+    Ah, Bh = (as_stack(M)[at] for M in built.means["sqrt"].sqrt())
     T = a * Ah + b * Bh
     return hermitian_part(T @ T)
 
@@ -233,21 +235,25 @@ def _indices(p) -> np.ndarray:
 
 # Each kind's (prepare, make): prepare(*columns) turns the columns of its
 # keys into a batch of arrays once per plan, a key in a column standing
-# for its row; make(built, batch) builds the matrices.
+# for its row and a key that reads a mean ending in its position in that
+# mean's pairs; make(built, batch) builds the matrices.
 _MAKERS = {
-    "heron": (heron_batch, lambda built, batch: built.pair.herons(batch)),
-    "W": (wasserstein_batch, lambda built, batch: built.pair.wassersteins(batch)[0]),
-    "spectral": (_indices, lambda built, p: built.pair.spectral(p)),
-    "geometric": (_indices, lambda built, p: built.pair.geometric(p)),
-    "bly": (lambda p, *ab: (_indices(p), *(np.array(x, dtype=np.float64)[:, None, None] for x in ab)), _bly_rhs),
+    "heron": (heron_batch,
+              lambda built, batch: built.pair.herons(batch, *map(built.means.get, ("riccati", "geometric")))),
+    "W": (wasserstein_batch, lambda built, batch: built.pair.wassersteins(batch, built.means["riccati"])[0]),
+    "spectral": (lambda p, at: _indices(at), lambda built, at: as_stack(built.means["riccati"].spectral())[at]),
+    "geometric": (lambda p, at: _indices(at), lambda built, at: as_stack(built.means["geometric"].geometric())[at]),
+    "bly": (lambda p, a, b, at: (_indices(at), *(np.array(x, dtype=np.float64)[:, None, None] for x in (a, b))),
+            _bly_rhs),
     "difference": (lambda *keys: [_indices(rows) for rows in keys],
                    lambda built, rows: built.mats[rows[0]] - built.mats[rows[1]]),
     "lift": (tuple, _lifts),
     "D": (tuple, lambda built, _: built.operands.D),
 }
 
-# The mean of `Pair` (a name of `Pair.plan`) that a key of each kind may
-# read on its pair p: a Heron sum reads the mean of its cross term.
+# The mean that a key of each kind may read on its pair p, by the Pair
+# method that computes it: "riccati" (X, with A natural B built from it),
+# "geometric" or "sqrt".  A Heron sum reads the mean of its cross term.
 _READS = {
     "heron": lambda p, cross, *_: ("riccati" if cross == "spectral" else "geometric", p),
     "W": lambda p, *_: ("riccati", p),
@@ -270,9 +276,10 @@ class _Check(NamedTuple):
 class _Plan:
     """A stage's layout: each key once, those gated as positive definite
     first (so a failure names the same stack index whatever Hermitian
-    ones a stage adds), the plain ones last; the pairs of each mean
-    (`Pair.plan`); each kind's batch, those that others read first; the
-    rows each check reads.  It is only read once made."""
+    ones a stage adds), the plain ones last; the pairs each mean is
+    computed on (`where`, sorted, each once); each kind's batch, those
+    that others read first; the rows each check reads.  It is only read
+    once made."""
 
     def __init__(self, checks: list[_Check]):
         def flat(part: str) -> dict:
@@ -284,17 +291,20 @@ class _Plan:
         index = {key: i for i, key in enumerate(keys)}
         self.size = len(keys)
         self.pd = np.array([key[0] not in HERMITIAN_KINDS for key in gated])
-        self.where: dict = {}
         kinds: dict = {}
+        reads: dict = {}
+        pairs: dict = {}
         for i, (kind, *args) in enumerate(keys):
             kinds.setdefault(kind, []).append(i)
             if kind in _READS:
-                mean, p = _READS[kind](*args)
-                self.where.setdefault(mean, []).append(p)
+                mean, p = reads[i] = _READS[kind](*args)
+                pairs.setdefault(mean, set()).add(p)
+        self.where = {mean: sorted(ps) for mean, ps in pairs.items()}
+        at = {i: [self.where[mean].index(p)] for i, (mean, p) in reads.items()}
         self.batches = []
         for kind in sorted(kinds, key=lambda kind: kind not in _READS):
             prepare, make = _MAKERS[kind]
-            columns = zip(*([index.get(arg, arg) for arg in keys[i][1:]] for i in kinds[kind]))
+            columns = zip(*([index.get(arg, arg) for arg in keys[i][1:]] + at.get(i, []) for i in kinds[kind]))
             self.batches.append((_indices(kinds[kind]), make, prepare(*columns)))
         self.checks = [(check.reports, [_indices([index[key] for key in group]) for group in check.gated + check.plain])
                        for check in checks]
@@ -313,12 +323,13 @@ def _build(built: _Built, batches) -> None:
 
 
 class _Built:
-    """The matrices that a plan builds on one Pair (and operands), and the
-    spectra of those gated."""
+    """The matrices that a plan builds on one Pair (and operands), the
+    Pair of each mean's pairs that computes it (`means`), and the spectra
+    of those gated."""
 
     def __init__(self, plan: _Plan, pair: Pair, operands: _Operands | None):
         self.pair, self.operands = pair, operands
-        pair.plan(**plan.where)
+        self.means = {mean: pair.take(where) for mean, where in plan.where.items()}
         self.mats = np.empty((plan.size, pair.dim, pair.dim), dtype=np.complex128)
         _build(self, plan.batches)
         self.vals = gate_stack(self.mats[:len(plan.pd)], plan.pd)[0] if len(plan.pd) else None
@@ -540,7 +551,9 @@ def _bly(a: float, b: float) -> _Check:
     def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
         sH, sR = built.vals[rows[0]]
         rhs = built.mats[rows[0][1]]
-        A, B, Ah, Bh = (as_stack(M)[0] for M in (built.pair.A, built.pair.B, *built.pair.sqrt([0])))
+        # pair 0 comes first in the sorted pairs of the square roots
+        roots = built.means["sqrt"]
+        A, B, Ah, Bh = (as_stack(M)[0] for M in (roots.A, roots.B, *roots.sqrt()))
         margins = [weak_margin(sH, sR)]
         # expansion of the square: a^2 A + b^2 B + ab(sqrtA sqrtB + sqrtB sqrtA)
         cross = Ah @ Bh

@@ -246,6 +246,16 @@ class TestMalformedInput:
             else ["check", "weak", certified_pair[0], str(bad)]
         assert_usage_error(*run_cli(capsys, *argv))
 
+    # entries this large overflowed the gate's own norms: at 1e308 `check`
+    # exited 1 on a nan residual, at 1e300 an inf residual passed its inf
+    # limit, each after a RuntimeWarning
+    @pytest.mark.parametrize("diagonal", [(1e308, 1e308), (1e300, 2e300)], ids=["1e308", "1e300"])
+    @pytest.mark.parametrize("command", ["check weak", "check major", "compute geo"])
+    def test_oversized_entries_exit_2(self, command, diagonal, tmp_path, capsys):
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"dim": 2, "re": [[diagonal[0], 0.0], [0.0, diagonal[1]]]}))
+        assert_usage_error(*run_cli(capsys, *command.split(), str(big), str(big)))
+
     # int() used to turn each "dim" into the matrix's size, and both
     # commands then exited 0
     @pytest.mark.parametrize("dim, re", [("2.7", "[[2, 0], [0, 3]]"), ("true", "[[2]]"),

@@ -105,6 +105,14 @@ class TestHermitianConstruction:
         with pytest.raises(MatrixFormatError):
             HermitianMatrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
+    def test_entries_stop_below_the_norm_overflow(self):
+        # n max|entry| must stay below sqrt(largest float): just below, the
+        # gate's norms are finite; at the limit the input is rejected
+        bound = linalg.ENTRY_LIMIT / 2
+        HermitianMatrix(np.diag([np.nextafter(bound, 0.0), 1.0])).eig()
+        with pytest.raises(MatrixFormatError, match="entries too large"):
+            HermitianMatrix(np.diag([bound, 1.0]))
+
     def test_zero_matrix_allowed(self):
         H = HermitianMatrix(np.zeros((3, 3)))
         assert H.dim == 3

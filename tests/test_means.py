@@ -337,17 +337,20 @@ class TestStackedPair:
         assert len(joined) == 3
         np.testing.assert_array_equal(joined.spectral()[1:], gated.spectral())
 
-    def test_planned_means_are_computed_on_the_planned_pairs_only(self):
+    def test_taken_pairs_compute_the_means_of_their_rows_bitwise(self):
         pairs = [(rand_pd(4, 2 * i, 1e3), rand_pd(4, 2 * i + 1, 1e3)) for i in range(3)]
-        planned, full = Pair.stack(pairs), Pair.stack(pairs)
-        planned.plan(riccati=[2, 0], sqrt=[1])
-        np.testing.assert_array_equal(planned.spectral([2, 0]), full.spectral()[[2, 0]])
-        np.testing.assert_array_equal(planned.sqrt([1])[1], full.sqrt()[1][[1]])
-        assert planned._riccati[0].shape == (2, 4, 4) and planned._sqrt[0].shape == (1, 4, 4)
-        # a pair outside the plan computes the mean again, over both
-        np.testing.assert_array_equal(planned.riccati([1]), full.riccati()[[1]])
-        assert planned._riccati[0].shape == (3, 4, 4)
-        np.testing.assert_array_equal(planned.geometric(), full.geometric())
+        parent, full = Pair.stack(pairs), Pair.stack(pairs)
+        taken = parent.take([0, 2])
+        for name in ("spectral", "riccati", "geometric"):
+            mean = getattr(taken, name)()
+            assert mean.shape == (2, 4, 4)
+            np.testing.assert_array_equal(mean, getattr(full, name)()[[0, 2]])
+        for root, full_root in zip(parent.take([1]).sqrt(), full.sqrt()):
+            assert root.shape == (1, 4, 4)
+            np.testing.assert_array_equal(root, full_root[[1]])
+        # the sub-Pairs' means leave the parent's uncomputed
+        assert parent._riccati is parent._spectral is parent._geometric is parent._sqrt is None
+        assert parent.take(range(len(parent))) is parent
 
     def test_slice_of_a_stack_is_a_pair(self):
         pairs = [(rand_pd(4, 2 * i, 1e3), rand_pd(4, 2 * i + 1, 1e3)) for i in range(2)]

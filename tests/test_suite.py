@@ -660,6 +660,14 @@ class TestPlanCache:
         assert warm == fresh
         assert warm[0] == warm[2]
 
+    def test_each_mean_is_laid_out_once_per_pair(self):
+        # pairs 0-2 are drawn, 3-6 the compression pairs of C, I, 2C and
+        # C1, 7-10 the eps-levels: X only where a key reads it, never on
+        # an eps-level, and each pair listed once
+        assert suite._trial_plan(1.0, 1.0, 3).where == {
+            "riccati": [0, 1, 2, 3], "geometric": list(range(11)), "sqrt": [0, 7, 8, 9, 10]}
+        assert suite._certified_plan().where == {"riccati": [0], "geometric": [0], "sqrt": [0]}
+
 
 class TestStackedDraws:
     @pytest.mark.parametrize("config", [
