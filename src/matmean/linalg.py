@@ -107,16 +107,26 @@ def require_weights(name: str, positive: bool = False, **weights: float) -> None
             + ", ".join(f"{key} = {w}" for key, w in weights.items()))
 
 
-def hermitize(mats: np.ndarray) -> np.ndarray:
-    """Hermitian gate: entries must be finite, with n max|entry| below
-    ENTRY_LIMIT, and the asymmetry within HERMITIAN_ASYMMETRY_RTOL of the
-    largest entry.  Returns the Hermitian parts."""
-    require(np.isfinite(mats).all(axis=(-2, -1)), MatrixFormatError, lambda i: "matrix contains non-finite entries")
+def require_entry_limit(mats: np.ndarray, error: type[Exception]) -> np.ndarray:
+    """n max|entry| of each matrix of a stack must stay below ENTRY_LIMIT,
+    else `error` is raised: MatrixFormatError for a loaded matrix,
+    NumericalFailure for a computed one, which the gate cannot check.  A
+    non-finite entry is left to the Hermitian gate.  Returns max|entry|."""
     largest = np.abs(mats).max(axis=(-2, -1))
     bound = ENTRY_LIMIT / mats.shape[-1]
-    require(largest < bound, MatrixFormatError,
+    require(~np.isfinite(largest) | (largest < bound), error,
             lambda i: f"matrix entries too large: max|entry| = {largest[i]:.3e} must stay below "
                       f"sqrt(largest float) / dim = {bound:.3e}")
+    return largest
+
+
+def hermitize(mats: np.ndarray) -> np.ndarray:
+    """Hermitian gate: entries must be finite, with n max|entry| below
+    ENTRY_LIMIT (`require_entry_limit`, a NumericalFailure here), and the
+    asymmetry within HERMITIAN_ASYMMETRY_RTOL of the largest entry.
+    Returns the Hermitian parts."""
+    require(np.isfinite(mats).all(axis=(-2, -1)), MatrixFormatError, lambda i: "matrix contains non-finite entries")
+    largest = require_entry_limit(mats, NumericalFailure)
     adj = adjoint(mats)
     limit = HERMITIAN_ASYMMETRY_RTOL * largest
     asym = np.abs(mats - adj).max(axis=(-2, -1))

@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .errors import MatrixFormatError
-from .linalg import HermitianMatrix
+from .linalg import HermitianMatrix, require_entry_limit
 
 
 def matrix_to_dict(M) -> dict:
@@ -37,7 +37,9 @@ def matrix_from_dict(data) -> np.ndarray:
         raise MatrixFormatError(
             f'matrix JSON shape mismatch: dim={dim}, re {re.shape}, im {im.shape}'
         )
-    return re + 1j * im
+    mat = re + 1j * im
+    require_entry_limit(mat, MatrixFormatError)
+    return mat
 
 
 def load_matrix(path) -> HermitianMatrix:

@@ -60,6 +60,7 @@ from .linalg import (
     gate_stack_parts,
     hermitian_part,
     require,
+    require_entry_limit,
     require_weights,
 )
 
@@ -177,10 +178,6 @@ class Pair:
         mats, dec = gate_stack_parts(np.stack([A, B]))
         return cls.__new__(cls)._init(mats[0], mats[1], dec.at(0), dec.at(1))
 
-    def __getitem__(self, index) -> "Pair":
-        """The pairs at `index` of the stack, sharing the decompositions."""
-        return Pair.__new__(Pair)._init(self.A[index], self.B[index], self._eig_A.at(index), self._eig_B.at(index))
-
     @property
     def dim(self) -> int:
         return self.A.shape[-1]
@@ -239,11 +236,11 @@ class Pair:
             self._geometric = _geometric_raw(self._eig_A, self.B, 0.5)
         return self._geometric
 
-    def wassersteins(self, batch, riccati: Pair | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def wassersteins(self, batch, means: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
         """W_{a_i,b_i} of pair index[i] of the flattened stack (a
         `wasserstein_batch`), and the Frobenius distance between its two
-        formulas, in one batched pass; X is read from the Pair `riccati`
-        (by default this one) at the batch's positions.
+        formulas, in one batched pass; X is read from the Pair
+        means["riccati"] (by default this one) at the batch's positions.
 
         W is computed through the congruence form (aI + bX) A (aI + bX)
         and cross-validated against the definitional form
@@ -255,10 +252,11 @@ class Pair:
         W = np.where(b == 0.0, a * a * A, b * b * B)
         residual = np.zeros(len(index))
         if len(both):
-            X = as_stack((self if riccati is None else riccati).riccati())[at]
+            X = as_stack((self if means is None else means["riccati"]).riccati())[at]
             a, b, A, B = a[both], b[both], A[both], B[both]
             T = a * np.eye(self.dim) + b * X
             by_congruence = hermitian_part(T @ A @ T)
+            require_entry_limit(by_congruence, NumericalFailure)  # so that its norms below stay finite
             AX = A @ X
             by_definition = a * a * A + b * b * B + a * b * (AX + adjoint(AX))
             scale = frobenius(by_congruence)
@@ -276,15 +274,16 @@ class Pair:
         W, residual = self.wassersteins(wasserstein_batch(np.arange(m), np.full(m, float(a)), np.full(m, float(b))))
         return W.reshape(self.A.shape), residual.reshape(self.A.shape[:-2])[()]
 
-    def herons(self, batch, spectral: Pair | None = None, geometric: Pair | None = None) -> np.ndarray:
+    def herons(self, batch, means: dict | None = None) -> np.ndarray:
         """The Heron sums of a `heron_batch` in one broadcast, with the
-        cross terms read from the Pairs `spectral` and `geometric` (by
-        default this one) at the batch's positions."""
+        cross terms A natural B and A # B read from the Pairs
+        means["riccati"] and means["geometric"] (by default this one) at
+        the batch's positions; a mean no sum reads is not looked up."""
         index, a2, b2, terms = batch
         H = a2 * as_stack(self.A)[index] + b2 * as_stack(self.B)[index]
-        for mean, pair, (rows, c, at) in zip((Pair.spectral, Pair.geometric), (spectral, geometric), terms):
+        for name, mean, (rows, c, at) in zip(("riccati", "geometric"), (Pair.spectral, Pair.geometric), terms):
             if len(rows):
-                H[rows] += c * as_stack(mean(self if pair is None else pair))[at]
+                H[rows] += c * as_stack(mean(self if means is None else means[name]))[at]
         return H
 
     def heron(self, cross: str, a: float, b: float, c: float) -> np.ndarray:

@@ -238,9 +238,8 @@ def _indices(p) -> np.ndarray:
 # for its row and a key that reads a mean ending in its position in that
 # mean's pairs; make(built, batch) builds the matrices.
 _MAKERS = {
-    "heron": (heron_batch,
-              lambda built, batch: built.pair.herons(batch, *map(built.means.get, ("riccati", "geometric")))),
-    "W": (wasserstein_batch, lambda built, batch: built.pair.wassersteins(batch, built.means["riccati"])[0]),
+    "heron": (heron_batch, lambda built, batch: built.pair.herons(batch, built.means)),
+    "W": (wasserstein_batch, lambda built, batch: built.pair.wassersteins(batch, built.means)[0]),
     "spectral": (lambda p, at: _indices(at), lambda built, at: as_stack(built.means["riccati"].spectral())[at]),
     "geometric": (lambda p, at: _indices(at), lambda built, at: as_stack(built.means["geometric"].geometric())[at]),
     "bly": (lambda p, a, b, at: (_indices(at), *(np.array(x, dtype=np.float64)[:, None, None] for x in (a, b))),
@@ -277,7 +276,8 @@ class _Plan:
     """A stage's layout: each key once, those gated as positive definite
     first (so a failure names the same stack index whatever Hermitian
     ones a stage adds), the plain ones last; the pairs each mean is
-    computed on (`where`, sorted, each once); each kind's batch, those
+    computed on (`where`, sorted, each once) and, by row, the position
+    in them of the pair a key reads (`at`); each kind's batch, those
     that others read first; the rows each check reads.  It is only read
     once made."""
 
@@ -300,11 +300,12 @@ class _Plan:
                 mean, p = reads[i] = _READS[kind](*args)
                 pairs.setdefault(mean, set()).add(p)
         self.where = {mean: sorted(ps) for mean, ps in pairs.items()}
-        at = {i: [self.where[mean].index(p)] for i, (mean, p) in reads.items()}
+        self.at = {i: self.where[mean].index(p) for i, (mean, p) in reads.items()}
         self.batches = []
         for kind in sorted(kinds, key=lambda kind: kind not in _READS):
             prepare, make = _MAKERS[kind]
-            columns = zip(*([index.get(arg, arg) for arg in keys[i][1:]] + at.get(i, []) for i in kinds[kind]))
+            columns = zip(*([index.get(arg, arg) for arg in keys[i][1:]] + ([self.at[i]] if kind in _READS else [])
+                            for i in kinds[kind]))
             self.batches.append((_indices(kinds[kind]), make, prepare(*columns)))
         self.checks = [(check.reports, [_indices([index[key] for key in group]) for group in check.gated + check.plain])
                        for check in checks]
@@ -324,11 +325,11 @@ def _build(built: _Built, batches) -> None:
 
 class _Built:
     """The matrices that a plan builds on one Pair (and operands), the
-    Pair of each mean's pairs that computes it (`means`), and the spectra
-    of those gated."""
+    Pair of each mean's pairs that computes it (`means`, read at the
+    plan's `at`), and the spectra of those gated."""
 
     def __init__(self, plan: _Plan, pair: Pair, operands: _Operands | None):
-        self.pair, self.operands = pair, operands
+        self.pair, self.operands, self.at = pair, operands, plan.at
         self.means = {mean: pair.take(where) for mean, where in plan.where.items()}
         self.mats = np.empty((plan.size, pair.dim, pair.dim), dtype=np.complex128)
         _build(self, plan.batches)
@@ -551,9 +552,8 @@ def _bly(a: float, b: float) -> _Check:
     def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
         sH, sR = built.vals[rows[0]]
         rhs = built.mats[rows[0][1]]
-        # pair 0 comes first in the sorted pairs of the square roots
-        roots = built.means["sqrt"]
-        A, B, Ah, Bh = (as_stack(M)[0] for M in (roots.A, roots.B, *roots.sqrt()))
+        roots, at = built.means["sqrt"], built.at[rows[0][1]]
+        A, B, Ah, Bh = (as_stack(M)[at] for M in (roots.A, roots.B, *roots.sqrt()))
         margins = [weak_margin(sH, sR)]
         # expansion of the square: a^2 A + b^2 B + ab(sqrtA sqrtB + sqrtB sqrtA)
         cross = Ah @ Bh

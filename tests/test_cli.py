@@ -256,6 +256,18 @@ class TestMalformedInput:
         big.write_text(json.dumps({"dim": 2, "re": [[diagonal[0], 0.0], [0.0, diagonal[1]]]}))
         assert_usage_error(*run_cli(capsys, *command.split(), str(big), str(big)))
 
+    # inputs just inside the limit pass; a mean over it is a result the
+    # gate's norms cannot check, which used to pass an inf residual against
+    # an inf limit, after a RuntimeWarning, and exit 0
+    def test_result_over_the_entry_limit_is_a_numerical_failure(self, tmp_path, capsys):
+        edge = tmp_path / "edge.json"
+        edge.write_text(json.dumps({"dim": 2, "re": [[6.7e153, 6e153], [6e153, 6.7e153]]}))
+        assert run_cli(capsys, "compute", "geo", str(edge), str(edge))[0] == 0
+        for mean in ("heron_kubo", "heron_spectral", "wasserstein"):
+            code, out, err = run_cli(capsys, "compute", mean, str(edge), str(edge))
+            assert code == 1 and out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("numerical failure: matrix entries too large")
+
     # int() used to turn each "dim" into the matrix's size, and both
     # commands then exited 0
     @pytest.mark.parametrize("dim, re", [("2.7", "[[2, 0], [0, 3]]"), ("true", "[[2]]"),

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from matmean import linalg
+from matmean import linalg, matio
 from matmean.errors import MatrixFormatError, NotPositiveDefiniteError, NumericalFailure
 from matmean.linalg import (
     HermitianMatrix,
@@ -107,11 +107,14 @@ class TestHermitianConstruction:
 
     def test_entries_stop_below_the_norm_overflow(self):
         # n max|entry| must stay below sqrt(largest float): just below, the
-        # gate's norms are finite; at the limit the input is rejected
+        # gate's norms are finite; at the limit the gate cannot check the
+        # matrix, a numerical failure (a loaded one is a format error)
         bound = linalg.ENTRY_LIMIT / 2
         HermitianMatrix(np.diag([np.nextafter(bound, 0.0), 1.0])).eig()
-        with pytest.raises(MatrixFormatError, match="entries too large"):
+        with pytest.raises(NumericalFailure, match="entries too large"):
             HermitianMatrix(np.diag([bound, 1.0]))
+        with pytest.raises(MatrixFormatError, match="entries too large"):
+            matio.matrix_from_dict({"dim": 2, "re": [[bound, 0.0], [0.0, 1.0]]})
 
     def test_zero_matrix_allowed(self):
         H = HermitianMatrix(np.zeros((3, 3)))
