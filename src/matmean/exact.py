@@ -23,7 +23,8 @@ determinants use fraction-free Bareiss elimination.  All n leading
 principal minors come from one Bareiss pass without row swaps, whose k-th
 pivot is d^k times the k-th minor (Bareiss 1968); only after a zero pivot
 are the later minors taken one by one with row swaps.  Sylvester's test
-stops at the first non-positive pivot.
+stops at the first non-positive pivot.  `scalar_heron_gap` is the exact
+dimension-1 failure margin past c = 2ab, shared with the suite.
 
 `certified_pairs` is the one place where the certified instances become
 floats, and `certified_replay` is their one float replay: `float_shadow`
@@ -217,6 +218,13 @@ def sylvester_pd(M: RationalMatrix) -> bool:
     cleared matrix carry the minors' signs, and the pass stops at the first
     non-positive one."""
     return all(pivot > 0 for pivot in _leading_pivots(_symmetric_cleared(M)[1]))
+
+
+def scalar_heron_gap(a, b, c) -> Fraction:
+    """a^2 + b^2 + c - (a + b)^2 in exact rational arithmetic: by how much
+    the dimension-1 Heron sum exceeds W_{a,b}, which is c - 2ab."""
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    return (a * a + b * b + c) - (a + b) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +506,7 @@ def float_shadow(report: CertificateReport) -> "CheckReport":
         out.diagnostics["trace_natural"] = tr_nat
 
     # scalar sharpness: an over-sharp coefficient already fails in dimension 1
-    a = b = Fraction(1)
-    c_over = Fraction(21, 10)
-    scalar_margin = (a * a + b * b + c_over) - (a + b) ** 2
+    scalar_margin = scalar_heron_gap(1, 1, Fraction(21, 10))
     if not scalar_margin > 0:
         raise NumericalFailure("scalar sharpness comparison unexpectedly holds")
     out.record(float(scalar_margin), {"seed_offset": None, "item": "dim-1 over-coefficient failure"})

@@ -98,13 +98,15 @@ def require(ok, error: type[Exception], describe: Callable[[tuple], str]) -> Non
     raise error(f"{describe(i)} (stack index {i})")
 
 
-def require_weights(name: str, positive: bool = False, **weights: float) -> None:
-    """The one weight check: each weight must be finite and nonnegative,
-    or positive where `positive`; written so that NaN and +-inf fail."""
+def require_weights(name: str, positive: bool = False, **weights) -> None:
+    """The one weight check: each weight, a number or an array of them
+    (all of one shape), must be finite and nonnegative, or positive where
+    `positive`; written so that NaN and +-inf fail."""
     bound = "positive" if positive else "nonnegative"
-    ok = all((w > 0.0 if positive else w >= 0.0) and w < np.inf for w in weights.values())
-    require(ok, InvalidWeightsError, lambda _: f"{name}: weights must be finite and {bound}, got "
-            + ", ".join(f"{key} = {w}" for key, w in weights.items()))
+    weights = {key: np.asarray(w) for key, w in weights.items()}
+    ok = np.logical_and.reduce([(w > 0.0 if positive else w >= 0.0) & (w < np.inf) for w in weights.values()])
+    require(ok, InvalidWeightsError, lambda i: f"{name}: weights must be finite and {bound}, got "
+            + ", ".join(f"{key} = {w[i]}" for key, w in weights.items()))
 
 
 def require_entry_limit(mats: np.ndarray, error: type[Exception]) -> np.ndarray:
@@ -207,7 +209,8 @@ def check_pd(vals: np.ndarray, where=True) -> None:
 
 
 def _eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK eigh with eigenvalues in decreasing order."""
+    """LAPACK eigh with eigenvalues in decreasing order: the one call of
+    the eigensolver, whose non-convergence is a NumericalFailure."""
     try:
         vals, vecs = np.linalg.eigh(mats)
     except np.linalg.LinAlgError as exc:
@@ -312,32 +315,14 @@ class HermitianMatrix:
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
 
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.mat))
-
-    def __add__(self, other):
-        if isinstance(other, HermitianMatrix):
-            return HermitianMatrix(self.mat + other.mat)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, HermitianMatrix):
-            return HermitianMatrix(self.mat - other.mat)
-        return NotImplemented
-
-    def __rmul__(self, scalar):
-        if isinstance(scalar, (int, float)):
-            return HermitianMatrix(scalar * self.mat)
-        return NotImplemented
-
     def __repr__(self):
         return f"HermitianMatrix(dim={self.dim})"
 
 
 class PDMatrix(HermitianMatrix):
     """Positive definite matrix: a HermitianMatrix whose eigenvalues,
-    gated at construction, certify strict positivity.  Sums, differences
-    and multiples are HermitianMatrix values."""
+    gated at construction, certify strict positivity.  Arithmetic is
+    done on the `.mat` arrays, whose results the constructors gate."""
 
     __slots__ = ()
 
@@ -405,11 +390,6 @@ def haar_unitaries(gaussians: np.ndarray) -> np.ndarray:
     Q, R = np.linalg.qr(gaussians)
     d = np.diagonal(R, axis1=-2, axis2=-1)
     return Q * (d / np.abs(d))[..., None, :]
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed unitary drawn from rng."""
-    return haar_unitaries(complex_gaussian(dim, rng))
 
 
 def random_pd_sample(dim: int, cond_max: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

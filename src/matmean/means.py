@@ -51,6 +51,7 @@ from .linalg import (
     HermitianMatrix,
     PDMatrix,
     SpectralDecomposition,
+    _eigh,
     adjoint,
     as_stack,
     assemble,
@@ -74,9 +75,11 @@ def _psd_pow_raw(mat: np.ndarray, t: float) -> np.ndarray:
     Conjugated intermediates like A^{-1/2} B A^{-1/2} can be far worse
     conditioned than either operand, so they bypass the strict PDMatrix
     gate; genuine indefiniteness is still rejected, and rounding-level
-    negative eigenvalues clamp to zero.
+    negative eigenvalues clamp to zero.  It reads the eigen-data of
+    `linalg._eigh` in increasing order, so U f(Lambda) U* sums its terms
+    in the order LAPACK returns them.
     """
-    vals, vecs = np.linalg.eigh(mat)
+    vals, vecs = (part[..., ::-1] for part in _eigh(mat))
     lam_min, lam_max = vals[..., 0], vals[..., -1]
     require((lam_min >= -1e-12 * lam_max) & (lam_max > 0.0), NotPositiveDefiniteError,
             lambda i: f"intermediate matrix is not PSD: lambda_min = {lam_min[i]:.3e}, "
@@ -315,8 +318,7 @@ def wasserstein_batch(index, a, b, at=None) -> tuple:
     index = np.asarray(index, dtype=np.intp)
     at = index if at is None else np.asarray(at, dtype=np.intp)
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    require((a >= 0) & (a < np.inf) & (b >= 0) & (b < np.inf), InvalidWeightsError,
-            lambda i: f"weights must be finite and nonnegative: a={a[i]}, b={b[i]}")
+    require_weights("wasserstein", a=a, b=b)
     both = np.flatnonzero((a != 0.0) & (b != 0.0))
     return index, a[:, None, None], b[:, None, None], both, at[both]
 

@@ -66,7 +66,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InstanceDrawError, InvalidWeightsError, MatrixFormatError
-from .exact import certified_pairs, certified_replay
+from .exact import certified_pairs, certified_replay, scalar_heron_gap
 from .linalg import (
     HermitianMatrix,
     PDMatrix,
@@ -86,7 +86,7 @@ from .linalg import (
     require_weights,
 )
 from .majorization import ky_fan_margins, trace_margin, weak_margin
-from .means import Pair, heron_batch, wasserstein_batch
+from .means import Pair, _check_dims, heron_batch, wasserstein_batch
 from .report import CheckReport
 from .schur import pinching_compressions
 
@@ -354,13 +354,15 @@ def _grid(items) -> _Check:
     majorization, so trace equality is checked there too."""
     checks = [item[0] for item in items]
     a, b, c = (np.array(x, dtype=np.float64) for x in list(zip(*items))[1:])
+    names = list(dict.fromkeys(checks))
+    picks = [_indices([i for i, check in enumerate(checks) if check == name]) for name in names]
+    for name, pick in zip(names, picks):  # one array per checker, so an error names it
+        require_weights(name, a=a[pick], b=b[pick], c=c[pick])
     two_ab = 2.0 * a * b
-    ok = (a >= 0.0) & (a < np.inf) & (b >= 0.0) & (b < np.inf) & (c >= 0.0) & (c < np.inf) \
-        & (c <= two_ab * (1.0 + 1e-12))
+    ok = c <= two_ab * (1.0 + 1e-12)
 
     def first_bad(_) -> str:
         check, a, b, c = items[int(np.argmin(ok))]
-        require_weights(check, a=a, b=b, c=c)  # raises for a bad weight
         return f"{check}: need c <= 2ab = {2.0 * a * b}, got a = {a}, b = {b}, c = {c}"
 
     require(ok.all(), InvalidWeightsError, first_bad)
@@ -369,8 +371,6 @@ def _grid(items) -> _Check:
     W = tuple(("W", 0, a, b) for _, a, b, _ in items)
     endpoint = np.array([GRID_CROSS[check] == "spectral" for check in checks]) & (two_ab > 0.0) \
         & (c >= two_ab * (1.0 - 1e-12))
-    names = list(dict.fromkeys(checks))
-    picks = [_indices([i for i, check in enumerate(checks) if check == name]) for name in names]
 
     def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
         sH, sW = built.vals[rows[0]], built.vals[rows[1]]
@@ -422,12 +422,9 @@ def check_sharpness_scalar(a: float, b: float, c_over: float) -> CheckReport:
     if not fc > 2 * fa * fb:
         raise InvalidWeightsError(f"need c > 2ab, got c = {c_over}, 2ab = {2 * a * b}")
     report = CheckReport("sharpness_scalar", 0.0)
-    heron_scalar = fa * fa + fb * fb + fc
-    wasserstein_scalar = (fa + fb) ** 2
-    exact_margin = heron_scalar - wasserstein_scalar
+    exact_margin = scalar_heron_gap(fa, fb, fc)
     identity_holds = exact_margin == fc - 2 * fa * fb
-    failure_confirmed = heron_scalar > wasserstein_scalar
-    report.record(float(exact_margin) if (identity_holds and failure_confirmed) else -1.0,
+    report.record(float(exact_margin) if (identity_holds and exact_margin > 0) else -1.0,
                   {"seed_offset": None, "a": a, "b": b, "c_over": c_over})
     report.diagnostics["exact_margin"] = str(exact_margin)
     return report
@@ -440,11 +437,8 @@ def _spreading(a: float, b: float) -> _Check:
     def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
         sH, sW = built.vals[rows[0]]
         margins = [weak_margin(sH, sW)]
-        # bottom-k sums: Heron side dominates
-        bottom_H = np.cumsum(sH[::-1])
-        bottom_W = np.cumsum(sW[::-1])
-        scale = 1.0 + float(np.abs(sW).max())
-        margins.append(float((bottom_H - bottom_W).min()) / scale)
+        # bottom-k sums, Heron side dominating: -lambda(H) prec_w -lambda(W)
+        margins.append(weak_margin(-sH[::-1], -sW[::-1]))
         margins.append(trace_margin(sH, sW))
         # determinants compared in the log domain
         logdet_H = float(np.log(sH).sum())
@@ -482,7 +476,8 @@ def _equality(pairs, a: float, b: float) -> _Check:
         margins = np.where(
             comm <= tol * comm_scale,
             _eq_margin(np.maximum(diff_nat, diff_kubo), w_norm),
-            np.where(comm >= 1e-3 * comm_scale, (np.minimum(diff_nat, diff_kubo) - 1e-6 * w_norm) / w_norm, 0.0),
+            np.where(comm >= NONCOMMUTING_FLOOR * comm_scale,
+                     (np.minimum(diff_nat, diff_kubo) - 1e-6 * w_norm) / w_norm, 0.0),
         )
         return [_report("equality_iff_commuting", tol, margins, contexts)]
 
@@ -700,8 +695,7 @@ def _levels(A0: HermitianMatrix, B0: HermitianMatrix, tol: float) -> tuple[np.nd
     EPS_SEQUENCE.  A0 and B0 are checked positive semidefinite from their
     decompositions (for the suite's, the drawn eigen-data that `gate_eig`
     checked); the gate on the pairs then checks each level definite."""
-    if A0.dim != B0.dim:
-        raise MatrixFormatError(f"dimension mismatch: {A0.dim} vs {B0.dim}")
+    _check_dims(A0, B0)
     for M, name in ((A0, "A0"), (B0, "B0")):
         vals = M.eig().eigenvalues
         if float(vals[-1]) < -tol * (1.0 + float(np.abs(vals).max())):

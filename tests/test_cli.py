@@ -119,6 +119,34 @@ class TestCompute:
         expected = geometric_mean(A, B).mat.real
         assert np.array_equal(emitted, expected)
 
+    @pytest.mark.parametrize("mean, function", [("spectral_t", "spectral_mean_weighted"), ("geodesic", "bw_geodesic")])
+    def test_weighted_mean_at_t_equals_library_call(self, mean, function, readme_pair, capsys):
+        from matmean import means
+
+        code, out, _ = run_cli(capsys, "compute", mean, *readme_pair, "-t", "0.3")
+        assert code == 0
+        payload = json.loads(out)
+        A, B = (PDMatrix(load_matrix(path)) for path in readme_pair)
+        expected = getattr(means, function)(A, B, 0.3).mat
+        assert np.array_equal(matio.matrix_from_dict(payload["result"]), expected)
+        assert payload["meta"]["t"] == 0.3
+
+    def test_eigensolver_failure_is_a_numerical_failure(self, readme_pair, capsys, monkeypatch):
+        # eigh runs on A and B at their gates, then on the PSD power inside
+        # A # B; a LinAlgError there once escaped main as a traceback
+        eigh, calls = np.linalg.eigh, []
+
+        def third_does_not_converge(mats):
+            calls.append(mats)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(mats)
+
+        monkeypatch.setattr(np.linalg, "eigh", third_does_not_converge)
+        code, out, err = run_cli(capsys, "compute", "geo", *readme_pair)
+        assert (code, out, len(calls)) == (1, "", 3)
+        assert len(err.splitlines()) == 1 and err.startswith("numerical failure: eigensolver did not converge")
+
 
 class TestCheck:
     def test_equal_matrices_hold(self, certified_pair, capsys):
@@ -136,8 +164,8 @@ class TestCheck:
         data = direction_one_data()
         A = PDMatrix(np.array(data["A"].to_float()))
         B = PDMatrix(np.array(data["B"].to_float()))
-        M_sharp = A + B + 2.0 * geometric_mean(A, B)
-        M_nat = A + B + 2.0 * spectral_mean(A, B)
+        M_sharp = A.mat + B.mat + 2.0 * geometric_mean(A, B).mat
+        M_nat = A.mat + B.mat + 2.0 * spectral_mean(A, B).mat
         px, py = tmp_path / "x.json", tmp_path / "y.json"
         dump_matrix(M_sharp, px)
         dump_matrix(M_nat, py)
@@ -345,6 +373,21 @@ class TestSuiteCommand:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    def test_non_integer_env_seed_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("MATMEAN_SEED", "abc")
+        code, out, err = run_cli(capsys, "suite", "--trials", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: MATMEAN_SEED must be an integer, got 'abc'\n"
+
+    def test_not_positive_definite_gate_aborts_exit_3(self, capsys):
+        # at cond 1e7 the quadratic lift of one seed-42 trial, gated as
+        # positive definite, has lambda_min about 2e-13: the run stops with
+        # one line naming the slice, not a traceback
+        code, out, err = run_cli(capsys, "suite", "--trials", "120", "--cond", "1e7")
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: matrix is not positive definite")
+        assert err.endswith("(stack index (1,))\n")
+
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         monkeypatch.setenv("MATMEAN_SEED", "99")
@@ -386,6 +429,16 @@ class TestCertifyCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["verdict"] is True
+
+    def test_mismatch_exit_1_without_float_shadow(self, capsys, monkeypatch):
+        from matmean import exact
+
+        monkeypatch.setattr(exact, "_EXPECTED_DET_41_MG", exact._EXPECTED_DET_41_MG + 1)
+        code, out, err = run_cli(capsys, "certify", "--which", "dir1")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["verdict"] is False and "float_shadow" not in payload
+        assert err == "certificate mismatch at: det(41 I - (A + B + 2G))\n"
 
 
 class TestSuiteNoAbort:

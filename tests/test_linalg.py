@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from matmean import linalg, matio
-from matmean.errors import MatrixFormatError, NotPositiveDefiniteError, NumericalFailure
+from matmean.errors import InvalidWeightsError, MatrixFormatError, NotPositiveDefiniteError, NumericalFailure
 from matmean.linalg import (
     HermitianMatrix,
     PDMatrix,
@@ -16,7 +16,6 @@ from matmean.linalg import (
     gate_eig,
     gate_stack,
     haar_unitaries,
-    haar_unitary,
     inverse,
     principal_sqrt,
     random_pd,
@@ -149,7 +148,7 @@ class TestEig:
     def test_spectrum_invariant_under_conjugation(self, rng):
         for dim in (2, 4, 7):
             H = rand_pd(dim, seed=dim)
-            U = haar_unitary(dim, rng)
+            U = haar_unitaries(complex_gaussian(dim, rng))
             H2 = HermitianMatrix(U.conj().T @ H.mat @ U)
             tol = 1e-9 * float(np.linalg.norm(H.mat))
             np.testing.assert_allclose(
@@ -252,7 +251,7 @@ class TestRandomPD:
         vals, vecs = np.array(vals), np.array(vecs, dtype=np.complex128)
         with pytest.raises(error):
             PDMatrix._from_eig(vals, vecs)
-        good_vals, good_vecs = np.array([1.0, 0.25]), haar_unitary(2, np.random.default_rng(1))
+        good_vals, good_vecs = np.array([1.0, 0.25]), haar_unitaries(complex_gaussian(2, np.random.default_rng(1)))
         with pytest.raises(error, match=r"stack index \(1,\)"):
             gate_eig(np.stack([good_vals, vals, good_vals]), np.stack([good_vecs, vecs, good_vecs]))
         A = PDMatrix._from_eig(good_vals, np.eye(2, dtype=np.complex128))
@@ -283,7 +282,7 @@ class TestRandomPD:
         for Z, U in zip(gaussians[1:], stacked):
             np.testing.assert_array_equal(haar_unitaries(Z), U)
         rng = np.random.default_rng(3)
-        assert all((haar_unitary(Z.shape[0], rng) == haar_unitaries(Z)).all() for Z in gaussians)
+        assert all((haar_unitaries(complex_gaussian(Z.shape[0], rng)) == haar_unitaries(Z)).all() for Z in gaussians)
 
 
 class TestPDMatrix:
@@ -367,6 +366,22 @@ class TestDerivedValues:
     def test_derived_values_share_the_gated_eigenvectors(self):
         P = rand_pd(4, seed=31)
         assert principal_sqrt(P).eig().eigenvectors is P.eig().eigenvectors
+
+
+class TestRequireWeights:
+    def test_numbers_fail_without_an_index(self):
+        linalg.require_weights("w", a=0.0, b=2)
+        with pytest.raises(InvalidWeightsError, match=r"^w: weights must be finite and nonnegative, "
+                                                      r"got a = 1\.0, b = -0\.5$"):
+            linalg.require_weights("w", a=1.0, b=-0.5)
+        with pytest.raises(InvalidWeightsError, match=r"^w: weights must be finite and positive, got a = 0\.0$"):
+            linalg.require_weights("w", positive=True, a=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_arrays_name_the_first_bad_index(self, bad):
+        a, b = np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.0, 1.0, bad, bad])
+        with pytest.raises(InvalidWeightsError, match=rf"^w: .*, got a = 3\.0, b = {bad} \(stack index \(2,\)\)$"):
+            linalg.require_weights("w", a=a, b=b)
 
 
 def _require_reference(ok, error, describe):

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from matmean.errors import MatrixFormatError, NotPositiveDefiniteError
-from matmean.linalg import HermitianMatrix, haar_unitary, random_hermitian
+from matmean.linalg import HermitianMatrix, complex_gaussian, haar_unitaries, random_hermitian
 from matmean.majorization import ky_fan_margins, ky_fan_threshold, trace_margin, verdict, weak_margin
 from matmean.means import geometric_mean, spectral_mean
 
@@ -28,7 +28,7 @@ class TestSpectrum:
 
     def test_conjugation_invariance(self, rng):
         H = random_hermitian(5, seed=13)
-        U = haar_unitary(5, rng)
+        U = haar_unitaries(complex_gaussian(5, rng))
         H2 = HermitianMatrix(U.conj().T @ H.mat @ U)
         tol = 1e-9 * np.linalg.norm(H.mat)
         np.testing.assert_allclose(H.eig().eigenvalues, H2.eig().eigenvalues, atol=tol)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -304,6 +305,10 @@ class TestConfigAndDriver:
         with pytest.raises(InvalidWeightsError):
             SuiteConfig(**{field: value})
 
+    def test_empty_dims_rejected(self):
+        with pytest.raises(InvalidWeightsError, match="^dims must be nonempty$"):
+            SuiteConfig(dims=())
+
     def test_report_config_block_is_pinned(self):
         # the test design is module constants, written into every report
         assert run_suite(SuiteConfig(seed=1, trials=1)).to_dict()["config"] == {
@@ -391,6 +396,14 @@ class TestHeronGrid:
             for report in single:
                 suite._merge_into(merged, report)
             assert [r.to_dict() for r in stacked] == [r.to_dict() for r in merged.values()], dim
+
+    def test_bad_weight_names_its_checker(self):
+        # the grid checks each checker's weights as one array
+        pair = Pair(rand_pd(2, seed=1), rand_pd(2, seed=2))
+        items = [("spectral_heron", 1.0, 1.0, 1.0), ("kubo_heron", 1.0, 1.0, 1.0), ("kubo_heron", 1.0, math.nan, 0.0)]
+        with pytest.raises(InvalidWeightsError, match=r"^kubo_heron: weights must be finite and nonnegative, "
+                                                      r"got a = 1\.0, b = nan, c = 0\.0 \(stack index \(1,\)\)$"):
+            heron_grid(pair, items, TOL)
 
     def test_rejects_inadmissible_coefficients(self):
         A, B = rand_pd(3, seed=71), rand_pd(3, seed=72)
@@ -490,13 +503,7 @@ def _one_at_a_time(config: SuiteConfig) -> RunReport:
     and one comparison per call, in the per-trial order of the instance
     stream (the order its random draws are made in)."""
     pool = {}
-
-    def merge(report):
-        if report.check_name in pool:
-            pool[report.check_name].merge(report)
-        else:
-            pool[report.check_name] = report
-
+    merge = functools.partial(suite._merge_into, pool)
     tol = config.tol
     one, two = certified_pairs()
     merge(check_incomparability_float(one, two, tol))
