@@ -1,0 +1,52 @@
+#!/usr/bin/env bash
+# The console-script smoke run of both tier-1 CI jobs: the installed
+# `matmean` entry point, run with no PYTHONPATH from a scratch
+# directory, where it writes its files.  Reads RUNNER_TEMP and
+# GITHUB_WORKSPACE, which GitHub Actions sets.
+set -eo pipefail
+
+matmean certify --which all
+matmean suite --trials 8 --out /dev/null
+# X of an eps-level would miss the Riccati residual bound on these
+# runs; no check reads it, so it is never computed and both exit
+# 0.  The second also runs the n = 32 stage.
+matmean suite --seed 7 --trials 53 --out /dev/null
+matmean suite --trials 12 --dims 16,24,32 --out /dev/null
+# 11 of these trials reject their first noncommuting candidate:
+# the draw restores the rng and draws the rest of the trial again
+matmean suite --trials 24 --cond 1.2 --out /dev/null
+# the full suite's report and margin table, and the one script
+matmean suite --trials 8 --pretty --out "$RUNNER_TEMP/pretty.json"
+python "$GITHUB_WORKSPACE/scripts/sharpness_sweep.py" --instances 1 --dim 3 --out /dev/null
+# the README's compute -> check example, through the f(P) path
+echo '{"dim": 3, "re": [[2.0, 0.5, 0.0], [0.5, 1.5, 0.2], [0.0, 0.2, 1.0]]}' > A.json
+echo '{"dim": 3, "re": [[1.0, 0.3, 0.1], [0.3, 2.0, 0.0], [0.1, 0.0, 1.2]]}' > B.json
+matmean compute heron_kubo A.json B.json --out H.json
+matmean compute wasserstein A.json B.json --out W.json
+matmean check weak H.json W.json
+# the spectral endpoint is a true majorization (exit 0) and the
+# geometric one fails it on the trace (exit 1); the geometric mean
+# is log-majorized by the spectral mean (exit 0), not the other
+# way round (exit 1)
+matmean compute heron_spectral A.json B.json --out HS.json
+matmean check major HS.json W.json
+status=0
+matmean check major H.json W.json || status=$?
+test "$status" -eq 1
+matmean compute geo A.json B.json --out G.json
+matmean compute spectral A.json B.json --out N.json
+matmean check log G.json N.json
+status=0
+matmean check log N.json G.json || status=$?
+test "$status" -eq 1
+# entries whose norms would overflow the gate are rejected as
+# input (exit 2), not judged on an inf or nan residual
+echo '{"dim": 2, "re": [[1e300, 0.0], [0.0, 1e300]]}' > big.json
+status=0
+matmean check weak big.json big.json || status=$?
+test "$status" -eq 2
+# at cond 1e6 some records fail (exit 1) and serialize their
+# instances; an abort (exit 2-4) fails the step
+status=0
+matmean suite --trials 120 --cond 1e6 --out "$RUNNER_TEMP/illcond.json" || status=$?
+test "$status" -le 1

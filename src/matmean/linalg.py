@@ -10,7 +10,10 @@ that decomposition instead of computing a new one.
 All matrix functions (square root, inverse, the powers inside the means'
 kernels) are computed through one eigendecomposition path, never by
 iteration, so a single accuracy model covers everything: f(P) of a gated P is `derived`
-from its decomposition.  Every stacked check fails through `require`,
+from its decomposition.  `_eigh`, the one eigensolver call, returns
+LAPACK's increasing order; the gate (`gate_stack_parts`) alone makes the
+decreasing copies and checks them, and `HermitianMatrix.eig()` is that
+gate on one matrix.  Every stacked check fails through `require`,
 and every weight is checked by `require_weights`.  Values are immutable
 after construction and every operation is a pure function.
 """
@@ -209,18 +212,18 @@ def check_pd(vals: np.ndarray, where=True) -> None:
 
 
 def _eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK eigh with eigenvalues in decreasing order: the one call of
-    the eigensolver, whose non-convergence is a NumericalFailure."""
+    """LAPACK eigh, its arrays returned as they come, eigenvalues in
+    increasing order: the one call of the eigensolver, whose
+    non-convergence is a NumericalFailure."""
     try:
-        vals, vecs = np.linalg.eigh(mats)
+        return np.linalg.eigh(mats)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
-    return vals[..., ::-1].copy(), vecs[..., ::-1].copy()
 
 
 def gate_stack(mats, pd=True) -> tuple[np.ndarray, np.ndarray]:
-    """The checks of HermitianMatrix, eig_hermitian and PDMatrix over a
-    (..., n, n) stack, with one batched eigh.
+    """The checks of HermitianMatrix, HermitianMatrix.eig and PDMatrix
+    over a (..., n, n) stack, with one batched eigh.
 
     `pd` (a bool, or booleans over the stack) selects the matrices that
     must be positive definite.  Returns the decreasing eigenvalues and
@@ -232,12 +235,13 @@ def gate_stack(mats, pd=True) -> tuple[np.ndarray, np.ndarray]:
 
 def gate_stack_parts(mats, pd=True) -> tuple[np.ndarray, SpectralDecomposition]:
     """`gate_stack`, returning also the Hermitian parts that its Hermitian
-    check made and decomposed, for a caller that keeps the matrices."""
+    check made and decomposed, for a caller that keeps the matrices.  It
+    alone reverses `_eigh`'s increasing order, into the copies it checks."""
     mats = np.asarray(mats, dtype=np.complex128)
     if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2] or mats.shape[-1] == 0:
         raise MatrixFormatError(f"expected a stack of nonempty square matrices, got shape {mats.shape}")
     herm = hermitize(mats)
-    vals, vecs = _eigh(herm)
+    vals, vecs = (part[..., ::-1].copy() for part in _eigh(herm))
     _check_decomposition(vals, vecs, herm)
     check_pd(vals, pd)
     return herm, SpectralDecomposition(vals, vecs)
@@ -309,7 +313,8 @@ class HermitianMatrix:
 
     def eig(self) -> SpectralDecomposition:
         if self._eig is None:
-            self._eig = eig_hermitian(self)
+            self._eig = gate_stack_parts(self.mat, pd=False)[1]
+            _read_only(*self._eig)
         return self._eig
 
     def trace(self) -> float:
@@ -355,16 +360,6 @@ class PDMatrix(HermitianMatrix):
 
     def __repr__(self):
         return f"PDMatrix(dim={self.dim}, lambda_min={self.min_eigenvalue_witness:.3e})"
-
-
-def eig_hermitian(H: HermitianMatrix) -> SpectralDecomposition:
-    """Eigendecomposition with eigenvalues in decreasing order, by LAPACK
-    eigh, checked for unitarity and reconstruction."""
-    mat = (H if isinstance(H, HermitianMatrix) else HermitianMatrix(H)).mat
-    vals, vecs = _eigh(mat)
-    _check_decomposition(vals, vecs, mat)
-    _read_only(vals, vecs)
-    return SpectralDecomposition(vals, vecs)
 
 
 def principal_sqrt(P: PDMatrix) -> PDMatrix:

@@ -1,10 +1,10 @@
 """The three majorization relations, written once over stacks of spectra.
 
 Each function takes spectra as arrays of shape (..., n), sorted in
-decreasing order along the last axis, as `eig_hermitian` and `gate_stack`
-return them, and compares x (dominated) with y (dominating) slice by
-slice.  The Ky Fan margin at k is sum_{j<=k} y_j - sum_{j<=k} x_j; it is
-normalized by 1 + max|y|, so that one tolerance covers all scales.
+decreasing order along the last axis, as `HermitianMatrix.eig()` and
+`gate_stack` return them, and compares x (dominated) with y (dominating)
+slice by slice.  The Ky Fan margin at k is sum_{j<=k} y_j - sum_{j<=k}
+x_j, normalized by 1 + max|y| so that one tolerance covers all scales.
 
 - x prec_w y (weak): every Ky Fan margin is nonnegative (`weak_margin`).
 - x prec y: weak majorization and equal totals (`trace_margin`).

@@ -75,11 +75,11 @@ def _psd_pow_raw(mat: np.ndarray, t: float) -> np.ndarray:
     Conjugated intermediates like A^{-1/2} B A^{-1/2} can be far worse
     conditioned than either operand, so they bypass the strict PDMatrix
     gate; genuine indefiniteness is still rejected, and rounding-level
-    negative eigenvalues clamp to zero.  It reads the eigen-data of
-    `linalg._eigh` in increasing order, so U f(Lambda) U* sums its terms
-    in the order LAPACK returns them.
+    negative eigenvalues clamp to zero.  It reads `linalg._eigh` as
+    returned, in LAPACK's increasing order, so U f(Lambda) U* sums its
+    terms in that order.
     """
-    vals, vecs = (part[..., ::-1] for part in _eigh(mat))
+    vals, vecs = _eigh(mat)
     lam_min, lam_max = vals[..., 0], vals[..., -1]
     require((lam_min >= -1e-12 * lam_max) & (lam_max > 0.0), NotPositiveDefiniteError,
             lambda i: f"intermediate matrix is not PSD: lambda_min = {lam_min[i]:.3e}, "
@@ -273,6 +273,7 @@ class Pair:
     def wasserstein(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
         """W_{a,b}(A,B) of every pair and the Frobenius distance between
         its two formulas, one per pair (see `wassersteins`)."""
+        require_weights("wasserstein", a=a, b=b)
         m = len(self)
         W, residual = self.wassersteins(wasserstein_batch(np.arange(m), np.full(m, float(a)), np.full(m, float(b))))
         return W.reshape(self.A.shape), residual.reshape(self.A.shape[:-2])[()]

@@ -499,15 +499,11 @@ def _endpoints(a: float, b: float) -> _Check:
 
     def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
         sH, sW = built.vals[rows[0]]
-        scale = 1.0 + float(np.abs(sW).max())
-        margins = [
-            (float(sH[-1]) - float(sW[-1])) / scale,   # smallest eigenvalue
-            (float(sW[0]) - float(sH[0])) / scale,     # largest eigenvalue
-            (float(sW.sum()) - float(sH.sum())) / scale,
-        ]
-        if len(sH) > 1:
-            margins.append((float(sW[:-1].sum()) - float(sH[:-1].sum())) / scale)
-        return [_report("endpoints", tol, min(margins), context)]
+        top, scale = ky_fan_margins(sH, sW)
+        bottom = ky_fan_margins(-sH[::-1], -sW[::-1])[0]
+        # smallest and largest eigenvalue, trace and, for n > 1, (n-1)-sum
+        margins = [bottom[0], top[0], top[-1], *top[-2:-1]]
+        return [_report("endpoints", tol, min(margins) / scale, context)]
 
     return _Check((keys,), (), reports)
 

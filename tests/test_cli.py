@@ -102,6 +102,11 @@ class TestCompute:
             assert out == ""
             assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    def test_one_pair_weight_error_names_no_stack_index(self, readme_pair, capsys):
+        code, out, err = run_cli(capsys, "compute", "wasserstein", *readme_pair, "-a", "nan")
+        assert (code, out) == (4, "")
+        assert err == "error: wasserstein: weights must be finite and nonnegative, got a = nan, b = 1.0\n"
+
     def test_output_file(self, certified_pair, tmp_path, capsys):
         out_path = tmp_path / "result.json"
         code, _, _ = run_cli(capsys, "compute", "geo", *certified_pair, "--out", str(out_path))

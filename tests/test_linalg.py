@@ -12,12 +12,12 @@ from matmean.linalg import (
     assemble,
     derived,
     complex_gaussian,
-    eig_hermitian,
     gate_eig,
     gate_stack,
     haar_unitaries,
     inverse,
     principal_sqrt,
+    random_hermitian,
     random_pd,
 )
 
@@ -26,7 +26,7 @@ from conftest import rand_pd, rand_pd_pairs
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
 # The cyclic Jacobi solver below is a reference independent of LAPACK:
-# TestEig compares eig_hermitian against it.  Its rotation budget, per
+# TestEig compares HermitianMatrix.eig() against it.  Its rotation budget, per
 # dim**2:
 JACOBI_BUDGET_PER_DIM2 = 100
 
@@ -127,11 +127,11 @@ class TestHermitianConstruction:
 
 class TestEig:
     def test_identity(self):
-        dec = eig_hermitian(HermitianMatrix(np.eye(3)))
+        dec = HermitianMatrix(np.eye(3)).eig()
         np.testing.assert_allclose(dec.eigenvalues, [1.0, 1.0, 1.0])
 
     def test_diag_1_20_40_sorted_decreasing(self):
-        dec = eig_hermitian(HermitianMatrix(np.diag([1.0, 20.0, 40.0])))
+        dec = HermitianMatrix(np.diag([1.0, 20.0, 40.0])).eig()
         np.testing.assert_allclose(dec.eigenvalues, [40.0, 20.0, 1.0])
 
     @given(a=finite, d=finite, re=finite, im=finite)
@@ -141,7 +141,7 @@ class TestEig:
         tr = a + d
         disc = np.sqrt((a - d) ** 2 + 4 * (re * re + im * im))
         expected = np.array([(tr + disc) / 2, (tr - disc) / 2])
-        dec = eig_hermitian(H)
+        dec = H.eig()
         scale = 1.0 + float(np.abs(expected).max())
         np.testing.assert_allclose(dec.eigenvalues, expected, atol=1e-12 * scale)
 
@@ -152,22 +152,42 @@ class TestEig:
             H2 = HermitianMatrix(U.conj().T @ H.mat @ U)
             tol = 1e-9 * float(np.linalg.norm(H.mat))
             np.testing.assert_allclose(
-                eig_hermitian(H).eigenvalues, eig_hermitian(H2).eigenvalues, atol=tol
+                H.eig().eigenvalues, H2.eig().eigenvalues, atol=tol
             )
 
     def test_jacobi_matches_lapack(self):
         for dim in range(1, 9):
             H = rand_pd(dim, seed=100 + dim, cond=1e4)
-            lapack = eig_hermitian(H)
+            lapack = H.eig()
             vals, vecs = _jacobi_eigh(H.mat)
             order = np.argsort(vals)[::-1]
             vals, vecs = vals[order], vecs[:, order]
-            # the checks eig_hermitian runs on its own result
+            # the checks eig() runs on its own result
             linalg._check_decomposition(vals, vecs, H.mat)
             np.testing.assert_allclose(
                 vals, lapack.eigenvalues,
                 atol=1e-12 * (1.0 + float(np.abs(lapack.eigenvalues).max())),
             )
+
+    def test_eigh_returns_the_eigensolver_arrays_untouched(self, monkeypatch):
+        mats = np.stack([random_hermitian(4, seed=s).mat for s in range(3)])
+        expected = np.linalg.eigh(mats)
+        eigh, returned = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: returned.append(eigh(m)) or returned[-1])
+        vals, vecs = linalg._eigh(mats)
+        # increasing order, no copy
+        assert vals is returned[0][0] and vecs is returned[0][1]
+        np.testing.assert_array_equal(vals, expected[0])
+        np.testing.assert_array_equal(vecs, expected[1])
+
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_eig_is_the_stacked_gate_on_one_matrix(self, dim):
+        H = random_hermitian(dim, seed=40 + dim)
+        dec = H.eig()
+        vals, vecs = gate_stack(H.mat, pd=False)
+        np.testing.assert_array_equal(dec.eigenvalues, vals)
+        np.testing.assert_array_equal(dec.eigenvectors, vecs)
+        assert not dec.eigenvalues.flags.writeable and not dec.eigenvectors.flags.writeable
 
     def test_jacobi_budget_exhaustion_is_diagnosed(self, monkeypatch):
         monkeypatch.setitem(globals(), "JACOBI_BUDGET_PER_DIM2", 0)

@@ -3,7 +3,7 @@ import pytest
 
 from matmean import means
 from matmean.errors import InvalidWeightsError, MatrixFormatError, NotPositiveDefiniteError, NumericalFailure
-from matmean.linalg import PDMatrix, inverse
+from matmean.linalg import PDMatrix, assemble, inverse
 from matmean.means import (
     Pair,
     bw_geodesic,
@@ -73,6 +73,17 @@ class TestNaNFailsItsCheck:
         monkeypatch.setattr(means, "frobenius", lambda mats: np.full(np.shape(mats)[:-2], np.nan))
         with pytest.raises(NumericalFailure, match=message):
             compute(pair)
+
+
+class TestPsdPower:
+    @pytest.mark.parametrize("t", [0.5, 0.3])
+    def test_stack_is_assembled_from_eigh_in_its_order(self, t):
+        # a rank-one slice, whose zero eigenvalues go through the clamp to 0
+        v = np.array([1.0, 2.0j, -1.0])
+        mats = np.stack([rand_pd(3, seed=80).mat, np.outer(v, v.conj()), rand_pd(3, seed=81, cond=1e8).mat])
+        vals, vecs = np.linalg.eigh(mats)
+        expected = assemble(np.maximum(vals, 0.0) ** t, vecs)
+        np.testing.assert_array_equal(means._psd_pow_raw(mats, t), expected)
 
 
 class TestGeometricMean:

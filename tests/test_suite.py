@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +126,23 @@ class TestTrivialInstances:
         assert check_bly(Pair(A, A), 1.0, 1.0, TOL).ok
         r = check_bly(Pair(A, B), 1.0, 0.0, TOL)
         assert r.ok and abs(r.min_margin_seen) <= 1e-10
+
+
+class TestEndpointsMargin:
+    @pytest.mark.parametrize("dim", [1, 2, 8, 9, 32])
+    def test_margin_is_the_least_of_its_four_parts(self, dim):
+        A, B = rand_pd(dim, seed=2 * dim), rand_pd(dim, seed=2 * dim + 1)
+        a, b = 0.7, 1.3
+        check = suite._endpoints(a, b)
+        # the gated spectra of the geometric Heron sum and of W_{a,b}
+        sH, sW = suite._Built(suite._Plan([check]), Pair(A, B), None).vals
+        parts = [sH[-1] - sW[-1], sW[0] - sH[0], np.sum(sW) - np.sum(sH)]
+        if dim > 1:
+            parts.append(np.sum(sW[:-1]) - np.sum(sH[:-1]))
+        expected = min(parts) / (1.0 + np.abs(sW).max())
+        r = check_endpoints(Pair(A, B), a, b, TOL)
+        assert r.instances_run == 1
+        assert abs(r.min_margin_seen - expected) <= 1e-15
 
 
 class TestSharpnessScalar:
@@ -585,6 +603,19 @@ def _count_calls(monkeypatch, owner, name: str) -> list:
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def test_checker_names_match_the_benchmark_metrics():
+    # perfbench/tracing.py makes a suite.<name>.ms_per_item metric of every
+    # module-level check_* name of suite, imported ones included
+    declared = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())["per_layer"]
+    metrics = {m["name"][len("suite."):-len(".ms_per_item")] for m in declared
+               if m["name"].startswith("suite.check_") and m["name"].endswith(".ms_per_item")}
+    names = {name for name in vars(suite) if name.startswith("check_")}
+    assert names == metrics, (
+        "perfbench/tracing.py traces every check_* name bound in matmean.suite, so these names change "
+        f"the traced benchmark's metric set: only in suite {sorted(names - metrics)}, "
+        f"only in BENCHMARK.json {sorted(metrics - names)}")
 
 
 class TestWork:
