@@ -6,6 +6,9 @@
 set -eo pipefail
 
 matmean certify --which all
+# the float shadow of one certified instance alone
+matmean certify --which dir1
+matmean certify --which dir2
 matmean suite --trials 8 --out /dev/null
 # X of an eps-level would miss the Riccati residual bound on these
 # runs; no check reads it, so it is never computed and both exit

@@ -17,7 +17,8 @@ Both counterexamples are certified here in exact rational arithmetic:
 
 Rationals are stdlib fractions (always reduced, positive denominator).
 Each matrix is cleared to integers once (scaled by the lcm d of its
-denominators, `_cleared`), and the kernels work on those integers:
+denominators, `_cleared`, which reads each entry once as its integer
+ratio), and the kernels work on those integers:
 products are integer sums divided by dM * dN once per entry, and
 determinants use fraction-free Bareiss elimination.  All n leading
 principal minors come from one Bareiss pass without row swaps, whose k-th
@@ -26,16 +27,20 @@ are the later minors taken one by one with row swaps.  Sylvester's test
 stops at the first non-positive pivot.  `scalar_heron_gap` is the exact
 dimension-1 failure margin past c = 2ab, shared with the suite.
 
-`certified_pairs` is the one place where the certified instances become
-floats, and `certified_replay` is their one float replay: `float_shadow`
-checks the certificates against it, and the suite runs it too.  The float
+Each certificate builds its exact instance once and its report carries
+it (`CertificateReport.instances`); the Sylvester item on K reads the
+minors of K that the certificate already lists.  `certified_pair` is the
+one place where a certified instance becomes floats, and
+`certified_replay` is their one float replay: `float_shadow` replays the
+instances of the report it checks, and the suite replays both
+(`certified_pairs`).  The float
 section imports numpy, `linalg` and `means` inside its functions, so the
 exact kernels and the certificates load no numpy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, sqrt
 from operator import mul
@@ -140,9 +145,12 @@ def _same_dim(M: RationalMatrix, N: RationalMatrix):
 
 def _cleared(entries) -> tuple[int, list[list[int]]]:
     """(d, rows): d is the lcm of the denominators and rows = d * entries,
-    exact integers made without Fraction products."""
-    d = lcm(*(x.denominator for row in entries for x in row))
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in entries]
+    exact integers made without Fraction products; each entry is read
+    once, as its (numerator, denominator), and the lcm is taken over the
+    distinct denominators."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in entries]
+    d = lcm(*{q for row in ratios for _, q in row})
+    return d, [[p * (d // q) for p, q in row] for row in ratios]
 
 
 def _bareiss_det_int(rows: list[list[int]]) -> int:
@@ -256,8 +264,13 @@ class CertificateItem:
 
 @dataclass(frozen=True)
 class CertificateReport:
+    """The items of a certificate, and the exact instances it certified
+    by direction ("direction-one", "direction-two"), which the float
+    shadow replays."""
+
     name: str
     items: tuple[CertificateItem, ...]
+    instances: dict[str, dict[str, RationalMatrix]] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def verdict(self) -> bool:
@@ -319,10 +332,10 @@ _EXPECTED_MINORS_41_MNAT = (
 )
 
 
-def _minor_items(label: str, M: RationalMatrix, expected) -> list[CertificateItem]:
+def _minor_items(label: str, minors, expected) -> list[CertificateItem]:
     return [
         CertificateItem(f"leading principal minor {k + 1} of {label}", minor, exp)
-        for k, (minor, exp) in enumerate(zip(leading_principal_minors(M), expected))
+        for k, (minor, exp) in enumerate(zip(minors, expected))
     ]
 
 
@@ -343,14 +356,15 @@ def certify_direction_one() -> CertificateReport:
     A, R, X, B, G = data["A"], data["R"], data["X"], data["B"], data["G"]
     items = []
 
-    items += _minor_items("the square-root factor R", R, _EXPECTED_MINORS_R)
+    items += _minor_items("the square-root factor R", leading_principal_minors(R), _EXPECTED_MINORS_R)
     items += _entry_items("B = X A X", B, _EXPECTED_B)
 
     K = rat_sub(B, rat_matmul(rat_matmul(G, rat_inverse(A)), G))
-    items += _minor_items("the Schur complement K = B - G A^{-1} G", K, _EXPECTED_MINORS_K)
+    minors_K = leading_principal_minors(K)
+    items += _minor_items("the Schur complement K = B - G A^{-1} G", minors_K, _EXPECTED_MINORS_K)
     items.append(CertificateItem(
         "K positive definite by Sylvester's criterion (so G lies below the geometric mean)",
-        Fraction(int(sylvester_pd(K))),
+        Fraction(int(all(minor > 0 for minor in minors_K))),
         Fraction(1),
     ))
 
@@ -364,8 +378,8 @@ def certify_direction_one() -> CertificateReport:
 
     M_nat = rat_add(rat_add(A, B), rat_scale(2, rat_matmul(rat_matmul(R, A), R)))
     shifted_nat = rat_sub(rat_scale(41, RationalMatrix.identity(3)), M_nat)
-    items += _minor_items("41 I - (A + B + 2 R A R)", shifted_nat, _EXPECTED_MINORS_41_MNAT)
-    return CertificateReport("direction-one", tuple(items))
+    items += _minor_items("41 I - (A + B + 2 R A R)", leading_principal_minors(shifted_nat), _EXPECTED_MINORS_41_MNAT)
+    return CertificateReport("direction-one", tuple(items), {"direction-one": data})
 
 
 def direction_two_data() -> dict[str, RationalMatrix]:
@@ -419,51 +433,65 @@ def certify_direction_two() -> CertificateReport:
         Fraction(int((2 * q) ** 2 < 100 * 73)),
         Fraction(1),
     ))
-    return CertificateReport("direction-two", tuple(items))
+    return CertificateReport("direction-two", tuple(items), {"direction-two": data})
 
 
 def certify_all() -> CertificateReport:
     one = certify_direction_one()
     two = certify_direction_two()
-    return CertificateReport("incomparability", one.items + two.items)
+    return CertificateReport("incomparability", one.items + two.items, {**one.instances, **two.instances})
 
 
 # ---------------------------------------------------------------------------
 # floating shadow of the exact certificates
 # ---------------------------------------------------------------------------
 
-def certified_pairs() -> tuple["Pair", "Pair"]:
-    """Float Pairs of the two certified incomparability instances: the 3x3
-    pair of direction one and the 2x2 pair of direction two."""
+def certified_pair(data: dict[str, RationalMatrix]) -> "Pair":
+    """The float Pair (A, B) of one certified instance, as
+    `direction_one_data()` or `direction_two_data()` returns it."""
     from .means import Pair
 
-    return tuple(Pair.gated(data["A"].to_float(), data["B"].to_float())
-                 for data in (direction_one_data(), direction_two_data()))
+    return Pair.gated(data["A"].to_float(), data["B"].to_float())
 
 
-def certified_replay(one: "Pair", two: "Pair") -> dict[str, float]:
+def certified_pairs() -> tuple["Pair", "Pair"]:
+    """Float Pairs of the two certified incomparability instances, built
+    afresh for the suite: the 3x3 pair of direction one and the 2x2 pair
+    of direction two."""
+    return certified_pair(direction_one_data()), certified_pair(direction_two_data())
+
+
+def certified_replay(one: "Pair | None", two: "Pair | None") -> dict[str, float]:
     """The float replay of the certified incomparability instances
-    (`certified_pairs()`): lambda_1 of the sharp Heron sums A + B + 2(A # B)
-    and A + B + 2(A natural B) of the 3x3 pair, and the traces of A # B
-    and A natural B of the 2x2 pair.  One gate call per pair: the means
-    are gated as positive definite, the Heron sums as Hermitian."""
+    (`certified_pair`), of either or both: lambda_1 of the sharp Heron
+    sums A + B + 2(A # B) and A + B + 2(A natural B) of the 3x3 pair `one`,
+    built in one `Pair.herons` batch, and the traces of A # B and A
+    natural B of the 2x2 pair `two`.  Per pair, one `joint_means` pass
+    computes both means and one gate call checks them, as positive
+    definite, with the Heron sums, as Hermitian."""
     import numpy as np
 
     from .linalg import gate_stack
+    from .means import heron_batch, joint_means
 
-    tops = gate_stack(np.stack([one.geometric(), one.spectral(),
-                                one.heron("geometric", 1.0, 1.0, 2.0), one.heron("spectral", 1.0, 1.0, 2.0)]),
-                      [True, True, False, False])[0][2:, 0]
-    gate_stack(np.stack([two.geometric(), two.spectral()]))
-    return {"lambda1_sharp": float(tops[0]), "lambda1_natural": float(tops[1]),
-            "trace_sharp": float(np.trace(two.geometric()).real),
-            "trace_natural": float(np.trace(two.spectral()).real)}
+    replay = {}
+    if one is not None:
+        joint_means(one, one)
+        sharp = one.herons(heron_batch([0, 0], ["geometric", "spectral"], [1.0] * 2, [1.0] * 2, [2.0] * 2))
+        tops = gate_stack(np.stack([one.geometric(), one.spectral(), *sharp]), [True, True, False, False])[0][2:, 0]
+        replay.update(lambda1_sharp=float(tops[0]), lambda1_natural=float(tops[1]))
+    if two is not None:
+        joint_means(two, two)
+        gate_stack(np.stack([two.geometric(), two.spectral()]))
+        replay.update(trace_sharp=float(np.trace(two.geometric()).real),
+                      trace_natural=float(np.trace(two.spectral()).real))
+    return replay
 
 
 def float_shadow(report: CertificateReport) -> "CheckReport":
-    """Replay the certified counterexamples in floating point
-    (`certified_replay`, the replay the suite runs) and check that both
-    stacks agree.
+    """Replay in floating point the counterexamples that a verified report
+    certified, from the exact instances it carries (`certified_replay`,
+    the replay the suite runs), and check that both stacks agree.
 
     The margins recorded are the distances by which the floating replay
     clears the certified strict inequalities (top eigenvalues straddling
@@ -476,9 +504,10 @@ def float_shadow(report: CertificateReport) -> "CheckReport":
         raise NumericalFailure("float shadow requires a verified certificate")
 
     out = CheckReport(check_name=f"float_shadow:{report.name}", tol=0.0)
-    replay = certified_replay(*certified_pairs())
+    pairs = {name: certified_pair(data) for name, data in report.instances.items()}
+    replay = certified_replay(pairs.get("direction-one"), pairs.get("direction-two"))
 
-    if report.name in ("direction-one", "incomparability"):
+    if "direction-one" in report.instances:
         top_sharp, top_nat = replay["lambda1_sharp"], replay["lambda1_natural"]
         if not top_sharp > 41.0 > top_nat:
             raise NumericalFailure(
@@ -491,7 +520,7 @@ def float_shadow(report: CertificateReport) -> "CheckReport":
         out.diagnostics["lambda1_sharp"] = top_sharp
         out.diagnostics["lambda1_natural"] = top_nat
 
-    if report.name in ("direction-two", "incomparability"):
+    if "direction-two" in report.instances:
         tr_sharp, tr_nat = replay["trace_sharp"], replay["trace_natural"]
         expected = 40.0 / sqrt(73.0)
         if abs(tr_sharp - expected) > 1e-9 * expected:

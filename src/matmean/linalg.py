@@ -11,11 +11,13 @@ All matrix functions (square root, inverse, the powers inside the means'
 kernels) are computed through one eigendecomposition path, never by
 iteration, so a single accuracy model covers everything: f(P) of a gated P is `derived`
 from its decomposition.  `_eigh`, the one eigensolver call, returns
-LAPACK's increasing order; the gate (`gate_stack_parts`) alone makes the
-decreasing copies and checks them, and `HermitianMatrix.eig()` is that
-gate on one matrix.  Every stacked check fails through `require`,
-and every weight is checked by `require_weights`.  Values are immutable
-after construction and every operation is a pure function.
+LAPACK's increasing order; the gate (`gate_stack_parts`: `hermitize`,
+then `gate_hermitian`) alone makes the decreasing copies and checks
+them, and `HermitianMatrix.eig()` is `gate_hermitian` on its one matrix,
+which its constructor already made Hermitian.  Every stacked check
+fails through `require`, and every weight is checked by
+`require_weights`.  Values are immutable after construction and every
+operation is a pure function.
 """
 
 from __future__ import annotations
@@ -57,8 +59,11 @@ def _as_complex_square(entries) -> np.ndarray:
 
 def hermitian_part(mat: np.ndarray) -> np.ndarray:
     """(M + M*)/2 for raw arrays, or (..., n, n) stacks of them, whose
-    Hermitianity is guaranteed algebraically but not bitwise."""
-    return (mat + adjoint(mat)) / 2
+    Hermitianity is guaranteed algebraically but not bitwise.  The halving
+    is done in place, so a stack costs one temporary fewer."""
+    out = mat + adjoint(mat)
+    out /= 2
+    return out
 
 
 def adjoint(mats: np.ndarray) -> np.ndarray:
@@ -235,16 +240,24 @@ def gate_stack(mats, pd=True) -> tuple[np.ndarray, np.ndarray]:
 
 def gate_stack_parts(mats, pd=True) -> tuple[np.ndarray, SpectralDecomposition]:
     """`gate_stack`, returning also the Hermitian parts that its Hermitian
-    check made and decomposed, for a caller that keeps the matrices.  It
-    alone reverses `_eigh`'s increasing order, into the copies it checks."""
+    check made and decomposed, for a caller that keeps the matrices:
+    `hermitize`, then `gate_hermitian`, which alone reverses `_eigh`'s
+    increasing order, into the copies it checks."""
     mats = np.asarray(mats, dtype=np.complex128)
     if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2] or mats.shape[-1] == 0:
         raise MatrixFormatError(f"expected a stack of nonempty square matrices, got shape {mats.shape}")
     herm = hermitize(mats)
+    return herm, gate_hermitian(herm, pd)
+
+
+def gate_hermitian(herm: np.ndarray, pd=True) -> SpectralDecomposition:
+    """The gate from after its Hermitian check, for Hermitian parts that
+    `hermitize` already made: one `_eigh`, the decreasing copies, the
+    decomposition checks and, where `pd` says so, positive definiteness."""
     vals, vecs = (part[..., ::-1].copy() for part in _eigh(herm))
     _check_decomposition(vals, vecs, herm)
     check_pd(vals, pd)
-    return herm, SpectralDecomposition(vals, vecs)
+    return SpectralDecomposition(vals, vecs)
 
 
 class SpectralDecomposition(NamedTuple):
@@ -313,7 +326,7 @@ class HermitianMatrix:
 
     def eig(self) -> SpectralDecomposition:
         if self._eig is None:
-            self._eig = gate_stack_parts(self.mat, pd=False)[1]
+            self._eig = gate_hermitian(self.mat, pd=False)
             _read_only(*self._eig)
         return self._eig
 

@@ -15,12 +15,17 @@ Everything here is written once over (..., n, n) stacks.  A `Pair`
 holds one operand pair (batch shape ()) or a stack of same-dimension
 pairs, and computes each derived quantity at most once: X, A natural B,
 A # B and the square roots, each in one stacked call over every pair;
-`Pair.take` makes the Pair of some of them.  It keeps no Heron sum or
-W_{a,b}: those are built on request, and `Pair.herons` and
-`Pair.wassersteins` build many of them over many pairs of the stack in
-one batched pass (the suite's whole Heron/Wasserstein grid, say) from a
-batch of arrays (`heron_batch`, `wasserstein_batch`) that also says
-where in the Pairs holding the means to read them.
+`Pair.take` makes the Pair of some of them.  X = A^{-1} # B and A # B
+are one square-root kernel, the chain of `_geometric_raw`, on (A^{-1}, B)
+and (A, B) (see Iannazzo, arXiv:1201.0101): `joint_means` runs it once
+for both, over the stacked inputs of the Pair whose X is wanted and of
+the Pair whose A # B is wanted (one Pair, two Pairs taken from one
+stack, or one alone), so one eigendecomposition serves both middles.
+A Pair keeps no Heron sum or W_{a,b}: those are built on request, and
+`Pair.herons` and `Pair.wassersteins` build many of them over many pairs
+of the stack in one batched pass (the suite's whole Heron/Wasserstein
+grid, say) from a batch of arrays (`heron_batch`, `wasserstein_batch`)
+that also says where in the Pairs holding the means to read them.
 Its kernels return raw Hermitian arrays and take the operands'
 decompositions from where they were gated: PDMatrix operands
 (`Pair(A, B)`, `Pair.stack`) or one `linalg.gate_stack` call
@@ -69,17 +74,18 @@ RICCATI_RESIDUAL_RTOL = 1e-8
 WASSERSTEIN_FORM_RTOL = 1e-8
 
 
-def _psd_pow_raw(mat: np.ndarray, t: float) -> np.ndarray:
-    """mat**t for a raw PSD intermediate, or a stack of them.
+def _psd_pow_raw(middle: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
+    """mat**t for a raw PSD intermediate, or a stack of them, from its
+    `linalg._eigh` decomposition `middle`.
 
     Conjugated intermediates like A^{-1/2} B A^{-1/2} can be far worse
     conditioned than either operand, so they bypass the strict PDMatrix
     gate; genuine indefiniteness is still rejected, and rounding-level
-    negative eigenvalues clamp to zero.  It reads `linalg._eigh` as
-    returned, in LAPACK's increasing order, so U f(Lambda) U* sums its
-    terms in that order.
+    negative eigenvalues clamp to zero.  It reads the decomposition as
+    `_eigh` returns it, in LAPACK's increasing order, so U f(Lambda) U*
+    sums its terms in that order.
     """
-    vals, vecs = _eigh(mat)
+    vals, vecs = middle
     lam_min, lam_max = vals[..., 0], vals[..., -1]
     require((lam_min >= -1e-12 * lam_max) & (lam_max > 0.0), NotPositiveDefiniteError,
             lambda i: f"intermediate matrix is not PSD: lambda_min = {lam_min[i]:.3e}, "
@@ -97,13 +103,18 @@ def _check_t(t: float) -> None:
         raise InvalidWeightsError(f"t must lie in [0, 1], got {t}")
 
 
-def _geometric_raw(eig_A: SpectralDecomposition, B: np.ndarray, t: float) -> np.ndarray:
-    """A #_t B = A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2} as a raw array,
-    with A given by its decomposition."""
+def _middle(eig_A: SpectralDecomposition, B: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """A^{1/2} and the `_eigh` decomposition of the middle A^{-1/2} B
+    A^{-1/2} of A #_t B, with A given by its decomposition."""
     root = derived(eig_A, np.sqrt)
     Ah, Aih = assemble(*root), assemble(*derived(root, np.reciprocal, reverse=True))
-    mid = _psd_pow_raw(hermitian_part(Aih @ B @ Aih), t)
-    return hermitian_part(Ah @ mid @ Ah)
+    return Ah, _eigh(hermitian_part(Aih @ B @ Aih))
+
+
+def _geometric_raw(Ah: np.ndarray, middle: tuple, t: float) -> np.ndarray:
+    """A #_t B = A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2} as a raw array,
+    from A^{1/2} and the middle's decomposition (`_middle`)."""
+    return hermitian_part(Ah @ _psd_pow_raw(middle, t) @ Ah)
 
 
 def _spectral_raw(A: np.ndarray, eig_X: SpectralDecomposition, t: float) -> np.ndarray:
@@ -136,7 +147,10 @@ class Pair:
     stacked call, and lives as long as the Pair: callers create one per
     instance (or per stack of instances) and pass it to every computation
     on it.  A mean is computed on every pair of the stack; `take` makes
-    the Pair of fewer pairs to compute one on.  The batches of `herons`
+    the Pair of fewer pairs to compute one on.  X and A # B come from
+    `joint_means`: `riccati`, `spectral` and `geometric` run it for this
+    Pair alone, and a caller that wants both, on this Pair or on two
+    Pairs of one stack, runs it once for both first.  The batches of `herons`
     and `wassersteins` index pairs of the flattened stack, and read their
     means from Pairs they are given at the batch's positions, so one call
     builds many expressions over many pairs.
@@ -208,19 +222,9 @@ class Pair:
 
     def _riccati_gated(self) -> tuple[np.ndarray, SpectralDecomposition]:
         """X = A^{-1} # B, the unique positive definite solution of
-        X A X = B, gated because its eigenvectors build A natural B.
-
-        The defining residual is verified once; a violation means the
-        floating pipeline lost too much accuracy to be trusted.
-        """
+        X A X = B, with the decomposition of its gate (see `joint_means`)."""
         if self._riccati is None:
-            X = _geometric_raw(derived(self._eig_A, np.reciprocal, reverse=True), self.B, 0.5)
-            eig_X = gate_stack(X)
-            residual = frobenius(X @ self.A @ X - self.B)
-            limit = RICCATI_RESIDUAL_RTOL * frobenius(self.B)
-            require(residual <= limit, NumericalFailure,
-                    lambda i: f"Riccati residual ||XAX - B|| = {residual[i]:.3e} exceeds {limit[i]:.3e}")
-            self._riccati = X, eig_X
+            joint_means(self, None)
         return self._riccati
 
     def riccati(self) -> np.ndarray:
@@ -234,9 +238,9 @@ class Pair:
         return self._spectral
 
     def geometric(self) -> np.ndarray:
-        """A # B."""
+        """A # B (see `joint_means`)."""
         if self._geometric is None:
-            self._geometric = _geometric_raw(self._eig_A, self.B, 0.5)
+            joint_means(None, self)
         return self._geometric
 
     def wassersteins(self, batch, means: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -297,6 +301,50 @@ class Pair:
         return self.herons(heron_batch(np.arange(m), [cross] * m, [a] * m, [b] * m, [c] * m)).reshape(self.A.shape)
 
 
+def joint_means(riccati: Pair | None, geometric: Pair | None) -> None:
+    """X = A^{-1} # B of the Pair `riccati` and A # B of the Pair
+    `geometric`, each where that Pair has not computed it yet, in one pass
+    of the `_geometric_raw` chain over both Pairs' inputs stacked: X is
+    (A^{-1}) # B, so its input is A's eigen-data as reversed reciprocals,
+    and that of A # B is A's eigen-data as is.  One `_eigh` decomposes
+    every middle.  The two may be one Pair, two Pairs taken from one
+    stack, or one of them None.
+
+    X is gated, because its eigenvectors build A natural B, and its
+    defining residual is verified once; a violation means the floating
+    pipeline lost too much accuracy to be trusted.  The checks run in the
+    order of two separate passes, each naming its stack index within its
+    own Pair: X's middle, X's gate and residual, then the middle of A # B.
+    """
+    x = riccati if riccati is not None and riccati._riccati is None else None
+    g = geometric if geometric is not None and geometric._geometric is None else None
+    sides = [side for side in (x, g) if side is not None]
+    if not sides:
+        return
+    inputs = [derived(x._eig_A, np.reciprocal, reverse=True)] if x is not None else []
+    inputs += [g._eig_A] if g is not None else []
+    eig = SpectralDecomposition(*(np.concatenate(part) for part in zip(*map(_flat, inputs))))
+    Ah, (vals, vecs) = _middle(eig, np.concatenate([as_stack(side.B) for side in sides]))
+
+    def mean(side: Pair, rows: slice) -> np.ndarray:
+        shape = side.A.shape
+        middle = vals[rows].reshape(shape[:-1]), vecs[rows].reshape(shape)
+        return _geometric_raw(Ah[rows].reshape(shape), middle, 0.5)
+
+    k = 0
+    if x is not None:
+        k = len(x)
+        X = mean(x, slice(0, k))
+        eig_X = gate_stack(X)
+        residual = frobenius(X @ x.A @ X - x.B)
+        limit = RICCATI_RESIDUAL_RTOL * frobenius(x.B)
+        require(residual <= limit, NumericalFailure,
+                lambda i: f"Riccati residual ||XAX - B|| = {residual[i]:.3e} exceeds {limit[i]:.3e}")
+        x._riccati = X, eig_X
+    if g is not None:
+        g._geometric = mean(g, slice(k, None))
+
+
 def heron_batch(index, cross, a, b, c, at=None) -> tuple:
     """The arrays of `Pair.herons` for a_i^2 A + b_i^2 B + c_i M_i of
     pair index[i], to build on many Pairs: M_i is A natural B where
@@ -337,7 +385,7 @@ def geometric_mean_weighted(A: PDMatrix, B: PDMatrix, t: float) -> PDMatrix:
         return A
     if t == 1.0:
         return B
-    return PDMatrix(_geometric_raw(A.eig(), B.mat, t))
+    return PDMatrix(_geometric_raw(*_middle(A.eig(), B.mat), t))
 
 
 def riccati_mean(A: PDMatrix, B: PDMatrix) -> PDMatrix:

@@ -86,7 +86,7 @@ from .linalg import (
     require_weights,
 )
 from .majorization import ky_fan_margins, trace_margin, weak_margin
-from .means import Pair, _check_dims, heron_batch, wasserstein_batch
+from .means import Pair, _check_dims, heron_batch, joint_means, wasserstein_batch
 from .report import CheckReport
 from .schur import pinching_compressions
 
@@ -252,10 +252,11 @@ _MAKERS = {
 
 # The mean that a key of each kind may read on its pair p, by the Pair
 # method that computes it: "riccati" (X, with A natural B built from it),
-# "geometric" or "sqrt".  A Heron sum reads the mean of its cross term.
+# "geometric" or "sqrt", or None for none.  A Heron sum reads the mean of
+# its cross term unless c = 0, and W_{a,b} reads X unless a weight is 0.
 _READS = {
-    "heron": lambda p, cross, *_: ("riccati" if cross == "spectral" else "geometric", p),
-    "W": lambda p, *_: ("riccati", p),
+    "heron": lambda p, cross, a, b, c: ("riccati" if cross == "spectral" else "geometric", p) if c else None,
+    "W": lambda p, a, b: ("riccati", p) if a and b else None,
     "spectral": lambda p: ("riccati", p),
     "geometric": lambda p: ("geometric", p),
     "bly": lambda p, *_: ("sqrt", p),
@@ -277,9 +278,10 @@ class _Plan:
     first (so a failure names the same stack index whatever Hermitian
     ones a stage adds), the plain ones last; the pairs each mean is
     computed on (`where`, sorted, each once) and, by row, the position
-    in them of the pair a key reads (`at`); each kind's batch, those
-    that others read first; the rows each check reads.  It is only read
-    once made."""
+    in them of the pair a key reads (`at`; a key that reads no mean has
+    none, and its batch gets position 0, which it skips); each kind's
+    batch, those that others read first; the rows each check reads.  It
+    is only read once made."""
 
     def __init__(self, checks: list[_Check]):
         def flat(part: str) -> dict:
@@ -296,16 +298,17 @@ class _Plan:
         pairs: dict = {}
         for i, (kind, *args) in enumerate(keys):
             kinds.setdefault(kind, []).append(i)
-            if kind in _READS:
-                mean, p = reads[i] = _READS[kind](*args)
+            read = kind in _READS and _READS[kind](*args)
+            if read:
+                mean, p = reads[i] = read
                 pairs.setdefault(mean, set()).add(p)
         self.where = {mean: sorted(ps) for mean, ps in pairs.items()}
         self.at = {i: self.where[mean].index(p) for i, (mean, p) in reads.items()}
         self.batches = []
         for kind in sorted(kinds, key=lambda kind: kind not in _READS):
             prepare, make = _MAKERS[kind]
-            columns = zip(*([index.get(arg, arg) for arg in keys[i][1:]] + ([self.at[i]] if kind in _READS else [])
-                            for i in kinds[kind]))
+            columns = zip(*([index.get(arg, arg) for arg in keys[i][1:]]
+                            + ([self.at.get(i, 0)] if kind in _READS else []) for i in kinds[kind]))
             self.batches.append((_indices(kinds[kind]), make, prepare(*columns)))
         self.checks = [(check.reports, [_indices([index[key] for key in group]) for group in check.gated + check.plain])
                        for check in checks]
@@ -326,11 +329,13 @@ def _build(built: _Built, batches) -> None:
 class _Built:
     """The matrices that a plan builds on one Pair (and operands), the
     Pair of each mean's pairs that computes it (`means`, read at the
-    plan's `at`), and the spectra of those gated."""
+    plan's `at`; X and A # B are computed first, in one `joint_means`
+    pass), and the spectra of those gated."""
 
     def __init__(self, plan: _Plan, pair: Pair, operands: _Operands | None):
         self.pair, self.operands, self.at = pair, operands, plan.at
         self.means = {mean: pair.take(where) for mean, where in plan.where.items()}
+        joint_means(self.means.get("riccati"), self.means.get("geometric"))
         self.mats = np.empty((plan.size, pair.dim, pair.dim), dtype=np.complex128)
         _build(self, plan.batches)
         self.vals = gate_stack(self.mats[:len(plan.pd)], plan.pd)[0] if len(plan.pd) else None

@@ -1,6 +1,10 @@
+import importlib.util
 import itertools
 import json
+import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -107,6 +111,45 @@ class TestRationalOps:
     def test_rejects_non_square(self):
         with pytest.raises(MatrixFormatError):
             RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+
+
+def _benchmark_rational_rows(monkeypatch) -> list:
+    """The rational matrices of one exact-certify benchmark job, from the
+    benchmark's own generator."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    return [M.entries for M in workloads.WORKLOADS["exact-certify"].make_job(42)[0]]
+
+
+class TestCleared:
+    @staticmethod
+    def reference(entries):
+        """The lcm over every entry's denominator, and d * entries from
+        the numerator and denominator read one by one."""
+        d = math.lcm(*(x.denominator for row in entries for x in row))
+        return d, [[x.numerator * (d // x.denominator) for x in row] for row in entries]
+
+    @pytest.mark.parametrize("rows", [
+        [[Fraction(7, 3)]],
+        [[Fraction(0)]],
+        [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]],
+        [[Fraction(-5, 6), Fraction(0)], [Fraction(0), Fraction(-9, 4)]],
+        [[Fraction(-1, 2), Fraction(3, 10)], [Fraction(3, 10), Fraction(-7, 15)]],
+    ], ids=["1x1", "zero-1x1", "zero-2x2", "negative-diagonal", "negative"])
+    def test_matches_the_per_entry_formula(self, rows):
+        assert exact._cleared(tuple(map(tuple, rows))) == self.reference(rows)
+
+    def test_matches_the_per_entry_formula_on_benchmark_matrices(self, monkeypatch):
+        for entries in _benchmark_rational_rows(monkeypatch):
+            assert exact._cleared(entries) == self.reference(entries)
+
+    @given(st.lists(small_fractions, min_size=9, max_size=9))
+    def test_matches_the_per_entry_formula_on_random_matrices(self, values):
+        rows = [values[i:i + 3] for i in range(0, 9, 3)]
+        assert exact._cleared(rows) == self.reference(rows)
 
 
 class TestLeadingMinors:
@@ -351,6 +394,44 @@ class TestFloatShadow:
             d = shadow.diagnostics
             assert recorded[2][0] == (d["lambda1_sharp"] - d["lambda1_natural"]) - 1e-2
         assert recorded[-1][0] == 0.1  # exact Fraction(21, 10) - 2, not float(2.1) - 2
+
+    def test_certify_builds_each_instance_once(self, capsys, monkeypatch):
+        # the float shadow replays the certificate's own instances: 2
+        # operand gates, then per pair one joint middle, X's gate and the
+        # gate of the compared matrices (10 while the shadow built both
+        # instances again and each mean ran its own pass)
+        import numpy as np
+
+        from matmean.cli import main
+
+        built = {"direction_one_data": 0, "direction_two_data": 0}
+
+        def counting(name):
+            make = getattr(exact, name)
+
+            def counted():
+                built[name] += 1
+                return make()
+
+            return counted
+
+        for name in built:
+            monkeypatch.setattr(exact, name, counting(name))
+        eigh = np.linalg.eigh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda mats: calls.append(np.shape(mats)) or eigh(mats))
+        assert main(["certify", "--which", "all"]) == 0
+        assert json.loads(capsys.readouterr().out)["float_shadow"]["ok"] is True
+        assert built == {"direction_one_data": 1, "direction_two_data": 1}
+        assert len(calls) == 8
+
+    def test_sylvester_item_reads_the_minors_of_K(self, monkeypatch):
+        def no_pivots(rows):
+            raise AssertionError("K eliminated a second time")
+
+        report = certify_direction_one()
+        monkeypatch.setattr(exact, "sylvester_pd", no_pivots)
+        assert certify_direction_one() == report
 
     def test_suite_replays_the_same_numbers(self):
         d = float_shadow(certify_all()).diagnostics

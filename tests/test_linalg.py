@@ -318,6 +318,24 @@ class TestPDMatrix:
         A = rand_pd(4, seed=8)
         np.testing.assert_allclose(A.min_eigenvalue_witness, A.eig().eigenvalues[-1])
 
+    def test_constructor_makes_the_hermitian_part_once(self, monkeypatch):
+        # eig() starts the gate after its Hermitian check: the constructor
+        # already made the Hermitian part it decomposes
+        calls = []
+        hermitize = linalg.hermitize
+
+        def counted(mats):
+            calls.append(mats)
+            return hermitize(mats)
+
+        monkeypatch.setattr(linalg, "hermitize", counted)
+        M = rand_pd(8, seed=9).mat
+        P = PDMatrix(M)
+        assert len(calls) == 1
+        vals, vecs = gate_stack(M)
+        np.testing.assert_array_equal(P.eig().eigenvalues, vals)
+        np.testing.assert_array_equal(P.eig().eigenvectors, vecs)
+
 
 class TestStackedGate:
     """gate_stack raises, for a stack with one bad matrix, what the scalar

@@ -3,7 +3,7 @@ import pytest
 
 from matmean import means
 from matmean.errors import InvalidWeightsError, MatrixFormatError, NotPositiveDefiniteError, NumericalFailure
-from matmean.linalg import PDMatrix, assemble, inverse
+from matmean.linalg import PDMatrix, as_stack, assemble, derived, inverse
 from matmean.means import (
     Pair,
     bw_geodesic,
@@ -61,7 +61,7 @@ class TestNaNFailsItsCheck:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_psd_power_of_a_non_finite_intermediate(self, bad):
         with pytest.raises(NotPositiveDefiniteError):
-            means._psd_pow_raw(np.array([[bad, 0.0], [0.0, 1.0]]), 0.5)
+            means._psd_pow_raw(means._eigh(np.array([[bad, 0.0], [0.0, 1.0]])), 0.5)
 
     @pytest.mark.parametrize("warm, compute, message", [
         (lambda pair: None, lambda pair: pair.riccati(), "Riccati residual"),
@@ -83,7 +83,7 @@ class TestPsdPower:
         mats = np.stack([rand_pd(3, seed=80).mat, np.outer(v, v.conj()), rand_pd(3, seed=81, cond=1e8).mat])
         vals, vecs = np.linalg.eigh(mats)
         expected = assemble(np.maximum(vals, 0.0) ** t, vecs)
-        np.testing.assert_array_equal(means._psd_pow_raw(mats, t), expected)
+        np.testing.assert_array_equal(means._psd_pow_raw(means._eigh(mats), t), expected)
 
 
 class TestGeometricMean:
@@ -387,3 +387,72 @@ class TestStackedPair:
             Pair.gated(rand_pd(2, seed=1).mat, rand_pd(3, seed=2).mat)
         with pytest.raises(MatrixFormatError):
             Pair.stack([(rand_pd(2, seed=1), rand_pd(2, seed=2)), Pair.gated(rand_pd(3, seed=3).mat, rand_pd(3, seed=4).mat)])
+
+
+def _separate_passes(pair: Pair, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """X and A # B of slice i of a Pair, each by its own `_geometric_raw`
+    pass over that one matrix: X = (A^{-1}) # B, A^{-1} from A's
+    eigen-data as reversed reciprocals."""
+    eig_A = means._flat(pair._eig_A).at(i)
+    B = as_stack(pair.B)[i]
+    X = means._geometric_raw(*means._middle(derived(eig_A, np.reciprocal, reverse=True), B), 0.5)
+    return X, means._geometric_raw(*means._middle(eig_A, B), 0.5)
+
+
+class TestJointMeans:
+    """One `joint_means` pass gives X and A # B bit for bit as two
+    separate `_geometric_raw` passes, slice by slice, with one eigh for
+    both middles."""
+
+    def test_one_pair(self, monkeypatch):
+        pair = Pair(rand_pd(5, seed=90, cond=1e4), rand_pd(5, seed=91, cond=1e4))
+        X, G = _separate_passes(pair, 0)
+        middles = []
+        eigh = means._eigh
+        monkeypatch.setattr(means, "_eigh", lambda mats: middles.append(mats.shape) or eigh(mats))
+        means.joint_means(pair, pair)
+        assert middles == [(2, 5, 5)]
+        assert pair.riccati().shape == pair.geometric().shape == (5, 5)
+        np.testing.assert_array_equal(pair.riccati(), X)
+        np.testing.assert_array_equal(pair.geometric(), G)
+
+    @pytest.mark.parametrize("dim", [1, 4, 8])
+    def test_riccati_pairs_a_strict_subset_of_the_geometric_ones(self, dim):
+        pairs = [(rand_pd(dim, 200 + 2 * i, 1e6), rand_pd(dim, 201 + 2 * i, 1e6)) for i in range(5)]
+        stack = Pair.stack(pairs)
+        x, g = stack.take([1, 3]), stack.take(range(5))
+        means.joint_means(x, g)
+        assert g is stack and x._riccati is not None and g._riccati is None
+        for k, i in enumerate([1, 3]):
+            np.testing.assert_array_equal(x.riccati()[k], _separate_passes(stack, i)[0])
+        for i in range(5):
+            np.testing.assert_array_equal(g.geometric()[i], _separate_passes(stack, i)[1])
+        # a computed mean is not computed again
+        X, G = x.riccati(), g.geometric()
+        means.joint_means(x, g)
+        assert x.riccati() is X and g.geometric() is G
+
+    def test_checks_keep_the_order_of_two_passes(self, monkeypatch):
+        # X's middle, X's gate (and residual), then the middle of A # B
+        order = []
+        pow_raw, gate = means._psd_pow_raw, means.gate_stack
+        monkeypatch.setattr(means, "_psd_pow_raw", lambda middle, t: order.append(("middle", len(middle[0])))
+                            or pow_raw(middle, t))
+        monkeypatch.setattr(means, "gate_stack", lambda mats: order.append(("gate", len(mats))) or gate(mats))
+        stack = Pair.stack([(rand_pd(3, 300 + 2 * i), rand_pd(3, 301 + 2 * i)) for i in range(3)])
+        means.joint_means(stack.take([0]), stack)
+        assert order == [("middle", 1), ("gate", 1), ("middle", 3)]
+
+    def test_middle_failure_names_the_index_within_its_pair(self, monkeypatch):
+        stack = Pair.stack([(rand_pd(3, 310 + 2 * i), rand_pd(3, 311 + 2 * i)) for i in range(3)])
+        eigh = means._eigh
+
+        def negative_last(mats):
+            vals, vecs = eigh(mats)
+            vals = vals.copy()
+            vals[-1, 0] = -1.0  # the middle of A # B of pair 2
+            return vals, vecs
+
+        monkeypatch.setattr(means, "_eigh", negative_last)
+        with pytest.raises(NotPositiveDefiniteError, match=r"not PSD.*\(stack index \(2,\)\)$"):
+            means.joint_means(stack.take([0, 1]), stack)

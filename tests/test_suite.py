@@ -423,6 +423,16 @@ class TestHeronGrid:
                                                       r"got a = 1\.0, b = nan, c = 0\.0 \(stack index \(1,\)\)$"):
             heron_grid(pair, items, TOL)
 
+    @pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, 0.5)])
+    def test_no_mean_is_computed_for_sums_that_read_none(self, a, b):
+        # c = 0 leaves out the cross term and a zero weight the X of W,
+        # so the stage computes neither X nor A # B
+        pair = Pair(rand_pd(3, seed=73), rand_pd(3, seed=74))
+        items = [("spectral_heron", a, b, 0.0), ("kubo_heron", a, b, 0.0)]
+        assert all(report.ok for report in heron_grid(pair, items, TOL))
+        assert check_endpoints(pair, a, b, TOL).ok
+        assert pair._riccati is pair._geometric is None
+
     def test_rejects_inadmissible_coefficients(self):
         A, B = rand_pd(3, seed=71), rand_pd(3, seed=72)
         with pytest.raises(InvalidWeightsError):
@@ -622,10 +632,11 @@ class TestWork:
     def test_at_most_13_eigendecompositions_per_trial(self, monkeypatch):
         calls = _count_calls(monkeypatch, np.linalg, "eigh")
         run_suite(SuiteConfig(seed=42, trials=8))
-        # 5 per trial (the operand gate, X and its gate, A # B, the gate of
-        # the compared matrices) plus 11 for the certified instances; 83
-        # while a trial ran two stages, so a gate added to the stage fails it
-        assert len(calls) <= 51
+        # 4 per trial (the operand gate, the one middle of X and A # B, X's
+        # gate, the gate of the compared matrices) plus 9 for the certified
+        # instances; 83 while a trial ran two stages, and 51 while X and
+        # A # B each had a middle of their own
+        assert len(calls) <= 41
 
     def test_at_most_779_eigh_slices_in_8_trials(self, monkeypatch):
         calls = _count_calls(monkeypatch, np.linalg, "eigh")
@@ -639,14 +650,17 @@ class TestWork:
     def test_eigendecompositions_at_dims_16_to_32(self, monkeypatch):
         calls = _count_calls(monkeypatch, np.linalg, "eigh")
         run_suite(SuiteConfig(seed=42, trials=3, dims=(16, 24, 32)))
-        assert len(calls) <= 26
+        # 4 per trial plus 9; 26 while X and A # B had a middle each
+        assert len(calls) <= 21
 
     def test_at_most_2_psd_powers_per_trial(self, monkeypatch):
-        calls = _count_calls(monkeypatch, means, "_psd_pow_raw")
+        calls = _count_calls(monkeypatch, means, "_eigh")
         run_suite(SuiteConfig(seed=42, trials=8))
-        # one for X and one for A # B, each over every pair of the trial
-        # that reads it; 4 more for the certified instances' means
-        assert len(calls) <= 2 * 8 + 4
+        # one joint middle of X and A # B (`joint_means`) per trial, over
+        # every pair of the trial that reads either, and one per certified
+        # pair; 2 per trial and 4 for the certified pairs while each mean
+        # had a pass of its own
+        assert len(calls) <= 8 + 2
 
     def test_no_decomposition_outside_the_gates(self, monkeypatch):
         # the pinching order check once read eigvalsh(Phi - Phi1), a
