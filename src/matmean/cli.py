@@ -121,13 +121,14 @@ def _cmd_suite(args) -> int:
     from .suite import SuiteConfig, run_suite
 
     try:
-        dims = (1, 2, 3, 4, 5, 6, 7, 8) if args.dims is None else tuple(int(d) for d in args.dims.split(","))
+        dims = None if args.dims is None else tuple(int(d) for d in args.dims.split(","))
     except ValueError:
         print("error: --dims must be a comma-separated list of integers", file=sys.stderr)
         return EXIT_USAGE
+    # SuiteConfig alone holds the defaults: it gets only the values given
+    given = {"seed": args.seed, "trials": args.trials, "dims": dims, "cond_max": args.cond, "tol": args.tol}
     try:
-        config = SuiteConfig(seed=args.seed, trials=args.trials, dims=dims,
-                             cond_max=args.cond, tol=args.tol)
+        config = SuiteConfig(**{key: value for key, value in given.items() if value is not None})
     except InvalidWeightsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -195,11 +196,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=_cmd_check)
 
     p_suite = sub.add_parser("suite", help="run the randomized theorem suite")
-    p_suite.add_argument("--seed", type=int, default=None)
-    p_suite.add_argument("--trials", type=int, default=1000)
-    p_suite.add_argument("--dims", default=None, help="comma-separated dimensions, default 1..8")
-    p_suite.add_argument("--cond", type=float, default=1e4)
-    p_suite.add_argument("--tol", type=float, default=1e-8)
+    p_suite.add_argument("--seed", type=int)
+    p_suite.add_argument("--trials", type=int)
+    p_suite.add_argument("--dims", help="comma-separated dimensions, default 1..8")
+    p_suite.add_argument("--cond", type=float)
+    p_suite.add_argument("--tol", type=float)
     p_suite.add_argument("--out", default=None)
     p_suite.add_argument("--pretty", action="store_true")
     p_suite.set_defaults(func=_cmd_suite)
@@ -215,10 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "suite" and args.seed is None:
-        env_seed = os.environ.get("MATMEAN_SEED")
+    if args.command == "suite" and args.seed is None and "MATMEAN_SEED" in os.environ:
+        env_seed = os.environ["MATMEAN_SEED"]
         try:
-            args.seed = int(env_seed) if env_seed is not None else 42
+            args.seed = int(env_seed)
         except ValueError:
             print(f"error: MATMEAN_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
             return EXIT_USAGE

@@ -7,7 +7,7 @@ subclass whose gated eigenvalues passed the positive-definite check.  A
 value built from eigen-data a gate has already checked (`_gated`) keeps
 that decomposition instead of computing a new one.
 
-All matrix functions (square root, inverse, the powers inside the means'
+All matrix functions (the square root, the powers inside the means'
 kernels) are computed through one eigendecomposition path, never by
 iteration, so a single accuracy model covers everything: f(P) of a gated P is `derived`
 from its decomposition.  `_eigh`, the one eigensolver call, returns
@@ -121,11 +121,16 @@ def require_entry_limit(mats: np.ndarray, error: type[Exception]) -> np.ndarray:
     """n max|entry| of each matrix of a stack must stay below ENTRY_LIMIT,
     else `error` is raised: MatrixFormatError for a loaded matrix,
     NumericalFailure for a computed one, which the gate cannot check.  A
-    non-finite entry is left to the Hermitian gate.  Returns max|entry|."""
+    non-finite entry of a loaded matrix is left to the Hermitian gate; in
+    a computed one, whose operands were finite, it is an overflow (nan
+    where inf met 0) and fails, read as inf.  Returns max|entry|."""
     largest = np.abs(mats).max(axis=(-2, -1))
     bound = ENTRY_LIMIT / mats.shape[-1]
-    require(~np.isfinite(largest) | (largest < bound), error,
-            lambda i: f"matrix entries too large: max|entry| = {largest[i]:.3e} must stay below "
+    ok = largest < bound
+    if error is MatrixFormatError:
+        ok |= ~np.isfinite(largest)
+    require(ok, error,
+            lambda i: f"matrix entries too large: max|entry| = {np.fmin(largest[i], np.inf):.3e} must stay below "
                       f"sqrt(largest float) / dim = {bound:.3e}")
     return largest
 
@@ -366,23 +371,14 @@ class PDMatrix(HermitianMatrix):
         gate_eig(vals, vecs)
         return cls._gated(assemble(vals, vecs), vals, vecs)
 
-    def _derived(self, f: Callable, reverse: bool = False) -> "PDMatrix":
-        """f(P), through `derived`."""
-        dec = derived(self.eig(), f, reverse)
-        return PDMatrix._gated(assemble(*dec), *dec)
-
     def __repr__(self):
         return f"PDMatrix(dim={self.dim}, lambda_min={self.min_eigenvalue_witness:.3e})"
 
 
 def principal_sqrt(P: PDMatrix) -> PDMatrix:
-    """Unique positive definite square root."""
-    return P._derived(np.sqrt)
-
-
-def inverse(P: PDMatrix) -> PDMatrix:
-    """Inverse of a positive definite matrix."""
-    return P._derived(np.reciprocal, reverse=True)
+    """Unique positive definite square root, through `derived`."""
+    dec = derived(P.eig(), np.sqrt)
+    return PDMatrix._gated(assemble(*dec), *dec)
 
 
 def complex_gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -426,9 +422,3 @@ def random_pd(dim: int, cond_max: float, seed: int) -> PDMatrix:
     The same seed always yields the same matrix.
     """
     return random_pd_from_rng(dim, cond_max, np.random.default_rng(seed))
-
-
-def random_hermitian(dim: int, seed: int, scale: float = 1.0) -> HermitianMatrix:
-    """Deterministic random Hermitian matrix (Gaussian entries, symmetrized)."""
-    Z = complex_gaussian(dim, np.random.default_rng(seed))
-    return HermitianMatrix(scale * hermitian_part(Z))

@@ -53,9 +53,3 @@ def load_matrix(path) -> HermitianMatrix:
     if isinstance(data, dict) and "result" in data and "dim" not in data:
         data = data["result"]
     return HermitianMatrix(matrix_from_dict(data))
-
-
-def dump_matrix(M, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(matrix_to_dict(M), fh)
-        fh.write("\n")

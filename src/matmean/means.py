@@ -276,11 +276,19 @@ class Pair:
 
     def wasserstein(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
         """W_{a,b}(A,B) of every pair and the Frobenius distance between
-        its two formulas, one per pair (see `wassersteins`)."""
+        its two formulas, one per pair (see `wassersteins`).  Any finite
+        weights are taken: W is formed with overflow allowed, then checked
+        against the entry limit, which an overflow fails."""
         require_weights("wasserstein", a=a, b=b)
+        if a and b:
+            self.riccati()  # X first, outside the overflow allowance
         m = len(self)
-        W, residual = self.wassersteins(wasserstein_batch(np.arange(m), np.full(m, float(a)), np.full(m, float(b))))
-        return W.reshape(self.A.shape), residual.reshape(self.A.shape[:-2])[()]
+        with np.errstate(over="ignore", invalid="ignore"):
+            W, residual = self.wassersteins(
+                wasserstein_batch(np.arange(m), np.full(m, float(a)), np.full(m, float(b))))
+        W = W.reshape(self.A.shape)
+        require_entry_limit(W, NumericalFailure)
+        return W, residual.reshape(self.A.shape[:-2])[()]
 
     def herons(self, batch, means: dict | None = None) -> np.ndarray:
         """The Heron sums of a `heron_batch` in one broadcast, with the
@@ -296,9 +304,17 @@ class Pair:
 
     def heron(self, cross: str, a: float, b: float, c: float) -> np.ndarray:
         """a^2 A + b^2 B + c M of every pair, with the cross term M = A
-        natural B (cross="spectral") or A # B (cross="geometric")."""
+        natural B (cross="spectral") or A # B (cross="geometric").  Any
+        finite weights are taken: the sum is formed with overflow allowed,
+        then checked against the entry limit, which an overflow fails."""
+        if c:
+            getattr(self, cross)()  # M first, outside the overflow allowance
         m = len(self)
-        return self.herons(heron_batch(np.arange(m), [cross] * m, [a] * m, [b] * m, [c] * m)).reshape(self.A.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            H = self.herons(heron_batch(np.arange(m), [cross] * m, [a] * m, [b] * m, [c] * m))
+        H = H.reshape(self.A.shape)
+        require_entry_limit(H, NumericalFailure)
+        return H
 
 
 def joint_means(riccati: Pair | None, geometric: Pair | None) -> None:

@@ -33,19 +33,19 @@ one per shape for the process (`_trial_plan`).
 
 The public checkers run one checker through a plan of its own (the
 quadratic lift alone is one gate call between its two parts).  run_suite
-makes every random draw of a trial first (`_draw_trial`), in the rng
-order of the one-at-a-time instance stream, as one stacked segment of two
-parts: A, B, the commuting pair and the first noncommuting candidate;
-then the pinching operands C and R, the bump behind C1, the D0 behind D
-and the rank-deficient A0, B0.  The segment makes all of its rng draws,
-then one stacked QR for its Haar unitaries and one stacked U diag(lambda)
-U*; `gate_eig` checks the drawn (lambda, U) of the first part, the
-candidate is tested, and `gate_eig` checks the second part.  A rejected
-candidate restores the rng to its state after the first part and is
-redrawn one pair at a time, and the second part is drawn again.  The
-trial then runs one stage on one Pair (`Pair.stack`): the main pair, the
-two equality pairs, then the four compression pairs and the four
-eps-levels, whose raw operands are gated in one call of their own first.
+makes every random draw of a trial first (`_draw_trial`), as one stacked
+segment of two parts: A, B, the commuting pair and the first noncommuting
+candidate; then the pinching operands C and R, the bump behind C1, the D0
+behind D and the rank-deficient A0, B0.  The segment makes all of its rng
+draws, then one stacked QR for its Haar unitaries and one stacked
+U diag(lambda) U*; `gate_eig` checks the drawn (lambda, U) of the first
+part, the candidate is tested, and `gate_eig` checks the second part.  A
+rejected candidate restores the rng to its state after the first part and
+is redrawn one pair at a time, and the second part is drawn again, so the
+draws are those of drawing each instance in turn.  The trial then runs
+one stage on one Pair (`Pair.stack`): the main pair, the two equality
+pairs, then the four compression pairs and the four eps-levels, whose raw
+operands are gated in one call of their own first.
 So X, and with it A natural B and W_{a,b}, is computed on the first three
 pairs and the compression pair of C only, and one gate holds every
 compared matrix of the trial, those of pinching, its lift and the limit
@@ -162,12 +162,6 @@ class RunReport:
             status = "ok" if check.ok else f"{len(check.failures)} FAILURES"
             print(f"{check.check_name:28s} {check.instances_run:6d} instances  "
                   f"min margin {check.min_margin_seen: .3e}  {status}", file=file)
-
-    def by_name(self, name: str) -> CheckReport:
-        for report in self.checks:
-            if report.check_name == name:
-                return report
-        raise KeyError(name)
 
 
 # ---------------------------------------------------------------------------
@@ -657,13 +651,15 @@ def _lift_matrices(C: PDMatrix, Ds) -> np.ndarray:
     return hermitian_part(Ch @ np.stack(Ds) @ Ch)
 
 
-def _lift_report(C: PDMatrix, dominated: np.ndarray, lifted: np.ndarray, tol: float, context) -> CheckReport:
+def _lift_report(C: PDMatrix, dominated: np.ndarray, lifted: np.ndarray, tol: float, context,
+                 names) -> CheckReport:
     """lambda(C^{1/2} D C^{1/2}) prec_w lambda(C^2) = lambda(C)^2, one
     record per D, from the stacked spectra of the Ds and of their lifts;
-    each D must satisfy the hypothesis lambda(D) prec_w lambda(C)."""
+    each D must satisfy the hypothesis lambda(D) prec_w lambda(C), and a
+    violation names the D by its entry of `names`."""
     sC = C.eig().eigenvalues
     require(weak_margin(dominated, sC) >= -tol, InvalidWeightsError,
-            lambda _: "instance violates the hypothesis lambda(D) prec_w lambda(C)")
+            lambda i: f"instance violates the hypothesis lambda({names[i[0]]}) prec_w lambda(C)")
     return _report("quadratic_lifting", tol, weak_margin(lifted, sC ** 2), context)
 
 
@@ -675,7 +671,8 @@ def _lift(p: int = 0) -> _Check:
     Phi = _sharp_geometric(p)
 
     def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
-        return [_lift_report(built.operands.C, built.vals[rows[1]], built.vals[rows[0]], tol, context)]
+        return [_lift_report(built.operands.C, built.vals[rows[1]], built.vals[rows[0]], tol, context,
+                             ("Phi_R(C)", "D"))]
 
     return _Check(((("lift", Phi), ("lift", "D")), (Phi, ("D",))), (), reports)
 
@@ -688,7 +685,7 @@ def check_quadratic_lifting(C: PDMatrix, Ds: list[PDMatrix], tol: float,
     C, and the lifted matrices are gated in one stacked call."""
     require(len(Ds) > 0, InvalidWeightsError, lambda _: "Ds must be nonempty")
     lifted = gate_stack(_lift_matrices(C, [D.mat for D in Ds]))[0]
-    return _lift_report(C, np.stack([D.eig().eigenvalues for D in Ds]), lifted, tol, context)
+    return _lift_report(C, np.stack([D.eig().eigenvalues for D in Ds]), lifted, tol, context, ["D"] * len(Ds))
 
 
 def _levels(A0: HermitianMatrix, B0: HermitianMatrix, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -766,11 +763,11 @@ def check_incomparability_float(one: Pair, two: Pair, tol: float = 1e-8) -> Chec
 # ---------------------------------------------------------------------------
 #
 # Each kind of instance has a sampler that makes its rng draws (eigenvalues
-# and the complex Gaussian of a Haar unitary) and no linear algebra.  The
-# helpers below build one instance from one sample with the single-matrix
-# functions; they are the one-at-a-time reference of the instance stream.
-# A suite trial records its samples in a segment instead (`_Segment`) and
-# builds all of them at once.
+# and the complex Gaussian of a Haar unitary) and no linear algebra.  A
+# suite trial records its samples in a segment (`_Segment`) and builds all
+# of them at once.  The tests build the same instances one at a time from
+# the same samplers (`iter_instances` and its helpers in tests/conftest.py)
+# and compare the two draws bit for bit.
 
 # A candidate noncommuting pair must clear ||AB - BA|| >= floor ||A|| ||B||
 # within this many draws.
@@ -808,14 +805,6 @@ def _rank_deficient_sample(dim: int, rng: np.random.Generator):
     return vals, complex_gaussian(dim, rng)
 
 
-def _commuting_pair(dim: int, cond_max: float, rng: np.random.Generator) -> tuple[PDMatrix, PDMatrix]:
-    """A pair sharing a random eigenbasis commutes by construction."""
-    gaussian, spectra = _commuting_sample(dim, cond_max, rng)
-    U = haar_unitaries(gaussian)
-    A, B = (PDMatrix._from_eig(vals, U[:, order].copy()) for vals, order in spectra)
-    return A, B
-
-
 def _clearly_noncommuting(A: PDMatrix, B: PDMatrix) -> bool:
     comm = float(np.linalg.norm(A.mat @ B.mat - B.mat @ A.mat))
     return comm >= NONCOMMUTING_FLOOR * float(np.linalg.norm(A.mat)) * float(np.linalg.norm(B.mat))
@@ -839,28 +828,11 @@ def _noncommuting_pair(dim: int, cond_max: float, rng: np.random.Generator,
     )
 
 
-def _pinching_operands(dim: int, cond_max: float, rng: np.random.Generator) -> tuple[PDMatrix, PDMatrix]:
-    C = random_pd_from_rng(dim, cond_max, rng)
-    vals, gaussian = _pinching_weight_sample(dim, rng)
-    return C, PDMatrix._from_eig(vals, haar_unitaries(gaussian))
-
-
-def _rank_deficient_psd(dim: int, rng: np.random.Generator) -> HermitianMatrix:
-    vals, gaussian = _rank_deficient_sample(dim, rng)
-    U = haar_unitaries(gaussian)
-    return HermitianMatrix((U * vals) @ U.conj().T)
-
-
 def _scaled_under(C: PDMatrix, D0: PDMatrix) -> np.ndarray:
     """D0 scaled so that lambda(D) prec_w lambda(C); raw (Hermitian by
     construction)."""
     ratios = np.cumsum(C.eig().eigenvalues) / np.cumsum(D0.eig().eigenvalues)
     return (float(ratios.min()) * (1.0 - 1e-12)) * D0.mat
-
-
-def _shrunk_dominated(C: PDMatrix, rng: np.random.Generator) -> np.ndarray:
-    """Random D with lambda(D) prec_w lambda(C), enforced by scaling."""
-    return _scaled_under(C, random_pd_from_rng(C.dim, 100.0, rng))
 
 
 class _Segment:
@@ -938,15 +910,15 @@ def _second_part(segment: _Segment, dim: int, cond: float, rng: np.random.Genera
 
 
 def _draw_trial(config: SuiteConfig, offset: int) -> _Draw:
-    """The random instances of trial `offset`, with the draws of
-    `iter_instances` and the helpers above in the same rng order, made as
-    one segment of two parts: A, B, the commuting pair and the first
-    noncommuting candidate; then C, R, the bump behind C1, D0 and A0, B0.
-    The first part is gated, then the candidate tested, then the second
-    part gated, so a failure is raised where the one-at-a-time stream
-    raises it.  A rejected candidate restores the rng to its state after
-    the first part, is redrawn one pair at a time, and the second part is
-    drawn again, so the stream is unchanged."""
+    """The random instances of trial `offset`, made as one segment of two
+    parts: A, B, the commuting pair and the first noncommuting candidate;
+    then C, R, the bump behind C1, D0 and A0, B0.  The first part is
+    gated, then the candidate tested, then the second part gated, so a
+    failure is raised where drawing each instance in turn would raise it.
+    A rejected candidate restores the rng to its state after the first
+    part, is redrawn one pair at a time (`_noncommuting_pair`), and the
+    second part is drawn again, so the draws are those of drawing each
+    instance in turn."""
     rng, dim, (a, b) = _trial_start(config, offset)
     cond = config.cond_max
     segment = _Segment()
@@ -993,16 +965,6 @@ def trial_grid(a: float, b: float) -> list[tuple[str, float, float, float]]:
         for frac in C_FRACTIONS:
             items.append(("weighted_corollary", 1.0 - t, t, frac * 2.0 * t * (1.0 - t)))
     return items
-
-
-def iter_instances(config: SuiteConfig):
-    """The deterministic randomized instance stream of the suite, one draw
-    at a time: yields (offset, rng, dim, a, b, A, B)."""
-    for offset in range(config.trials):
-        rng, dim, (a, b) = _trial_start(config, offset)
-        A = random_pd_from_rng(dim, config.cond_max, rng)
-        B = random_pd_from_rng(dim, config.cond_max, rng)
-        yield offset, rng, dim, a, b, A, B
 
 
 @functools.cache

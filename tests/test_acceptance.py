@@ -26,14 +26,9 @@ from matmean.means import (
     spectral_mean,
     wasserstein_expression,
 )
-from matmean.suite import (
-    SuiteConfig,
-    _commuting_pair,
-    _noncommuting_pair,
-    check_sharpness_scalar,
-    iter_instances,
-    run_suite,
-)
+from matmean.suite import SuiteConfig, _noncommuting_pair, check_sharpness_scalar, run_suite
+
+from conftest import _commuting_pair, iter_instances
 
 
 def _report(number: int, text: str):
@@ -121,16 +116,17 @@ def test_criterion_4_theorem_suite_zero_failures():
     t0 = time.perf_counter()
     report = run_suite(ACCEPTANCE_CONFIG)
     elapsed = time.perf_counter() - t0
+    checks = {check.check_name: check for check in report.checks}
 
     for name in REQUIRED_CHECKS:
-        check = report.by_name(name)
+        check = checks[name]
         assert check.instances_run > 0
         assert not check.failures, (
             f"{name}: {len(check.failures)} failures, worst margin {check.min_margin_seen:.3e}"
         )
     assert report.ok
     assert elapsed < 120.0, f"suite took {elapsed:.1f}s"
-    worst = min(report.by_name(n).min_margin_seen for n in REQUIRED_CHECKS)
+    worst = min(checks[n].min_margin_seen for n in REQUIRED_CHECKS)
     _report(4, f"1000-trial suite clean in {elapsed:.1f}s; worst margin {worst:.2e}")
 
 

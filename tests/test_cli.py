@@ -11,9 +11,14 @@ import pytest
 from matmean import cli, matio
 from matmean.cli import main
 from matmean.linalg import PDMatrix
-from matmean.matio import dump_matrix, load_matrix
+from matmean.matio import load_matrix, matrix_to_dict
 
 from conftest import rand_pd
+
+
+def write_matrix(M, path):
+    with open(path, "w") as fh:
+        json.dump(matrix_to_dict(M), fh)
 
 
 @pytest.fixture
@@ -22,8 +27,8 @@ def certified_pair(tmp_path):
     X = np.array([[1.0, 0.5], [0.5, 1.0]])
     B = X @ A @ X
     pa, pb = tmp_path / "A.json", tmp_path / "B.json"
-    dump_matrix(A, pa)
-    dump_matrix(B, pb)
+    write_matrix(A, pa)
+    write_matrix(B, pb)
     return str(pa), str(pb)
 
 
@@ -46,7 +51,7 @@ class TestCompute:
     def test_geo_equal_operands_echoes(self, tmp_path, capsys):
         A = rand_pd(3, seed=91)
         p = tmp_path / "A.json"
-        dump_matrix(A, p)
+        write_matrix(A, p)
         code, out, _ = run_cli(capsys, "compute", "geo", str(p), str(p))
         assert code == 0
         payload = json.loads(out)
@@ -87,7 +92,7 @@ class TestCompute:
 
     def test_non_pd_input_exit_3(self, tmp_path, capsys, certified_pair):
         indefinite = tmp_path / "ind.json"
-        dump_matrix(np.diag([1.0, -1.0]), indefinite)
+        write_matrix(np.diag([1.0, -1.0]), indefinite)
         code, _, _ = run_cli(capsys, "compute", "geo", str(indefinite), certified_pair[1])
         assert code == 3
 
@@ -172,8 +177,8 @@ class TestCheck:
         M_sharp = A.mat + B.mat + 2.0 * geometric_mean(A, B).mat
         M_nat = A.mat + B.mat + 2.0 * spectral_mean(A, B).mat
         px, py = tmp_path / "x.json", tmp_path / "y.json"
-        dump_matrix(M_sharp, px)
-        dump_matrix(M_nat, py)
+        write_matrix(M_sharp, px)
+        write_matrix(M_nat, py)
         code, out, _ = run_cli(capsys, "check", "weak", str(px), str(py))
         assert code == 1
         payload = json.loads(out)
@@ -184,14 +189,14 @@ class TestCheck:
 
         P, Q = rand_pd(4, seed=92), rand_pd(4, seed=93)
         px, py = tmp_path / "g.json", tmp_path / "n.json"
-        dump_matrix(geometric_mean(P, Q), px)
-        dump_matrix(spectral_mean(P, Q), py)
+        write_matrix(geometric_mean(P, Q), px)
+        write_matrix(spectral_mean(P, Q), py)
         code, _, _ = run_cli(capsys, "check", "log", str(px), str(py))
         assert code == 0
 
     def test_shape_mismatch_exit_2(self, tmp_path, capsys, certified_pair):
         p3 = tmp_path / "three.json"
-        dump_matrix(np.eye(3), p3)
+        write_matrix(np.eye(3), p3)
         code, _, _ = run_cli(capsys, "check", "weak", certified_pair[0], str(p3))
         assert code == 2
 
@@ -206,7 +211,7 @@ class TestCheck:
     @pytest.mark.parametrize("relation, diagonal", [("weak", 1.0), ("major", 1.0), ("log", 10.0)])
     def test_overflowing_tol_exit_2(self, relation, diagonal, tmp_path, capsys):
         E = tmp_path / "E.json"
-        dump_matrix(diagonal * np.eye(2), E)
+        write_matrix(diagonal * np.eye(2), E)
         assert_usage_error(*run_cli(capsys, "check", relation, str(E), str(E), "--tol", "1e308"))
 
     # the spectral endpoint c = 2ab is a true majorization, and the
@@ -301,6 +306,19 @@ class TestMalformedInput:
             assert code == 1 and out == ""
             assert len(err.splitlines()) == 1 and err.startswith("numerical failure: matrix entries too large")
 
+    # a finite weight this large overflowed its products before any check:
+    # each printed RuntimeWarnings, then wasserstein at b = 1 exited 1 on a
+    # nan dual-form distance and the rest exited 2, as if the input held
+    # non-finite entries
+    @pytest.mark.parametrize("mean, weights", [
+        ("wasserstein", "-a 1e160 -b 1"), ("wasserstein", "-a 1e160 -b 0"),
+        ("heron_kubo", "-a 1e160 -b 0"), ("heron_kubo", "-c 1.7e308"),
+    ], ids=["wasserstein-a1e160-b1", "wasserstein-a1e160-b0", "heron_kubo-a1e160-b0", "heron_kubo-c1.7e308"])
+    def test_overflowing_weights_are_a_numerical_failure(self, mean, weights, readme_pair, capsys):
+        code, out, err = run_cli(capsys, "compute", mean, *readme_pair, *weights.split())
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("numerical failure: matrix entries too large")
+
     # int() used to turn each "dim" into the matrix's size, and both
     # commands then exited 0
     @pytest.mark.parametrize("dim, re", [("2.7", "[[2, 0], [0, 3]]"), ("true", "[[2]]"),
@@ -383,6 +401,26 @@ class TestSuiteCommand:
         code, out, err = run_cli(capsys, "suite", "--trials", "1")
         assert (code, out) == (2, "")
         assert err == "error: MATMEAN_SEED must be an integer, got 'abc'\n"
+
+    def test_lift_hypothesis_names_the_matrix_that_failed(self, capsys):
+        # at tol 1e-16 the hypothesis margin of the trial's Phi_R(C), at
+        # rounding level, fails; the message used to name D
+        code, out, err = run_cli(capsys, "suite", "--trials", "2", "--tol", "1e-16")
+        assert (code, out) == (4, "")
+        assert err == "error: instance violates the hypothesis lambda(Phi_R(C)) prec_w lambda(C) (stack index (0,))\n"
+
+    @pytest.mark.parametrize("env_seed, kwargs", [(None, {}), ("99", {"seed": 99})], ids=["bare", "env-seed"])
+    def test_defaults_come_from_suite_config(self, env_seed, kwargs, capsys, monkeypatch):
+        from matmean import suite
+
+        configs = []
+        monkeypatch.setattr(suite, "run_suite", lambda config: configs.append(config) or suite.RunReport(config))
+        if env_seed is None:
+            monkeypatch.delenv("MATMEAN_SEED", raising=False)
+        else:
+            monkeypatch.setenv("MATMEAN_SEED", env_seed)
+        assert run_cli(capsys, "suite")[0] == 0
+        assert configs == [suite.SuiteConfig(**kwargs)]
 
     def test_not_positive_definite_gate_aborts_exit_3(self, capsys):
         # at cond 1e7 the quadratic lift of one seed-42 trial, gated as

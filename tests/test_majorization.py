@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from matmean.errors import MatrixFormatError, NotPositiveDefiniteError
-from matmean.linalg import HermitianMatrix, complex_gaussian, haar_unitaries, random_hermitian
+from matmean.linalg import HermitianMatrix, complex_gaussian, haar_unitaries, hermitian_part
 from matmean.majorization import ky_fan_margins, ky_fan_threshold, trace_margin, verdict, weak_margin
 from matmean.means import geometric_mean, spectral_mean
 
@@ -27,7 +27,7 @@ class TestSpectrum:
         np.testing.assert_allclose(HermitianMatrix(np.eye(4)).eig().eigenvalues, np.ones(4))
 
     def test_conjugation_invariance(self, rng):
-        H = random_hermitian(5, seed=13)
+        H = HermitianMatrix(hermitian_part(complex_gaussian(5, np.random.default_rng(13))))
         U = haar_unitaries(complex_gaussian(5, rng))
         H2 = HermitianMatrix(U.conj().T @ H.mat @ U)
         tol = 1e-9 * np.linalg.norm(H.mat)

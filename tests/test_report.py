@@ -4,9 +4,9 @@ import math
 
 from matmean.matio import matrix_to_dict
 from matmean.report import CheckReport
-from matmean.suite import RunReport, SuiteConfig, iter_instances, run_suite
+from matmean.suite import RunReport, SuiteConfig, run_suite
 
-from conftest import rand_pd
+from conftest import iter_instances, rand_pd
 
 
 def _report(margin, **diagnostics):
@@ -49,7 +49,7 @@ class TestFailureSerialization:
         # entry serializes the matrices the context holds, byte for byte
         # as the entry written when contexts held serialized matrices
         config = SuiteConfig(seed=42, trials=21, cond_max=1e6)
-        entry = run_suite(config).by_name("pinching").failures[0]
+        entry = next(c for c in run_suite(config).checks if c.check_name == "pinching").failures[0]
         text = json.dumps(entry)
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "7f698a28d963e0a940991f9bc0a412e088a95e821f9783f901a5437024e53bab")

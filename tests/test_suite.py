@@ -31,18 +31,21 @@ from matmean.suite import (
     certified_pairs,
     heron_grid,
     run_suite,
-    iter_instances,
     trial_grid,
-    _commuting_pair,
     _dominated_by,
     _draw_trial,
     _noncommuting_pair,
+)
+
+from conftest import (
+    _commuting_pair,
     _pinching_operands,
     _rank_deficient_psd,
     _shrunk_dominated,
+    iter_instances,
+    rand_pd,
+    rand_pd_pairs,
 )
-
-from conftest import rand_pd, rand_pd_pairs
 
 TOL = 1e-8
 
@@ -473,7 +476,6 @@ class TestStackedCheckers:
         from matmean.linalg import hermitian_part, principal_sqrt
         from matmean.majorization import weak_margin
         from matmean.means import heron_kubo
-        from matmean.suite import _rank_deficient_psd
 
         for seed in range(16):
             rng = np.random.default_rng(seed)
@@ -495,7 +497,7 @@ class TestStackedCheckers:
         # margin is 1.8e-6 (80-digit mpmath); decomposing A0 + eps I by
         # shifting the eigenvalues of A0 computed it as -1.1e-5
         report = run_suite(SuiteConfig(seed=720838508, trials=4, cond_max=1e6))
-        assert report.by_name("semidefinite_limit").ok
+        assert next(c for c in report.checks if c.check_name == "semidefinite_limit").ok
 
     def test_equality_records_keep_their_contexts(self):
         rng = np.random.default_rng(5)
