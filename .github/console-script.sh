@@ -5,7 +5,16 @@
 # GITHUB_WORKSPACE, which GitHub Actions sets.
 set -eo pipefail
 
-matmean certify --which all
+# the certificate, less its float shadow, is the benchmark's stored
+# reference bit for bit
+matmean certify --which all --out cert.json
+python - "$GITHUB_WORKSPACE/perfbench/reference/certificate.json" <<'EOF'
+import json, sys
+cert = json.load(open("cert.json"))
+cert.pop("float_shadow")
+if cert != json.load(open(sys.argv[1])):
+    sys.exit("cert.json, less its float shadow, differs from the reference certificate")
+EOF
 # the float shadow of one certified instance alone
 matmean certify --which dir1
 matmean certify --which dir2

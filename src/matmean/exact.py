@@ -15,12 +15,16 @@ Both counterexamples are certified here in exact rational arithmetic:
   certified by comparing squares of rationals, so no quadratic-field
   arithmetic is needed.
 
-Rationals are stdlib fractions (always reduced, positive denominator).
-Each matrix is cleared to integers once (scaled by the lcm d of its
-denominators, `_cleared`, which reads each entry once as its integer
-ratio), and the kernels work on those integers:
-products are integer sums divided by dM * dN once per entry, and
-determinants use fraction-free Bareiss elimination.  All n leading
+A `RationalMatrix` holds its value as (d, rows), integer rows equal to d
+times the entries.  One made from its entries (stdlib fractions) is
+cleared once, on its first kernel use (`_cleared`: d is the lcm of the
+denominators, each entry read once as its integer ratio).  Every kernel
+reads and returns that form, so integers chain from input to report and a
+Fraction is made only for a value a certificate reports (a minor, a
+determinant, a trace, an entry) or for `.entries` when it is read.  Sums
+are taken over the lcm of the two d's, products are integer sums over
+dM * dN, the inverse is fraction-free Gauss-Jordan elimination and
+determinants fraction-free Bareiss elimination.  All n leading
 principal minors come from one Bareiss pass without row swaps, whose k-th
 pivot is d^k times the k-th minor (Bareiss 1968); only after a zero pivot
 are the later minors taken one by one with row swaps.  Sylvester's test
@@ -33,9 +37,9 @@ minors of K that the certificate already lists.  `certified_pair` is the
 one place where a certified instance becomes floats, and
 `certified_replay` is their one float replay: `float_shadow` replays the
 instances of the report it checks, and the suite replays both
-(`certified_pairs`).  The float
-section imports numpy, `linalg` and `means` inside its functions, so the
-exact kernels and the certificates load no numpy.
+(`certified_pairs`).  The float section imports numpy, `linalg` and
+`means` inside its functions, so the exact kernels and the certificates
+load no numpy.
 """
 
 from __future__ import annotations
@@ -52,95 +56,125 @@ from .errors import MatrixFormatError, NumericalFailure
 # rational matrices
 # ---------------------------------------------------------------------------
 
-def _to_rows(entries) -> tuple[tuple[Fraction, ...], ...]:
-    rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
-    n = len(rows)
-    if n == 0 or any(len(row) != n for row in rows):
-        raise MatrixFormatError("rational matrix must be square and nonempty")
-    return rows
-
-
-@dataclass(frozen=True)
 class RationalMatrix:
-    entries: tuple[tuple[Fraction, ...], ...]
+    """A square rational matrix held as (d, rows): d > 0, and rows, integer
+    lists that are never mutated, are d times the entries (see the module
+    docstring).  Equal by value."""
+
+    __slots__ = ("_entries", "_form")
+
+    def __init__(self, entries=None, *, form: tuple[int, list[list[int]]] | None = None):
+        self._entries, self._form = entries, form
 
     @classmethod
     def from_rows(cls, rows) -> "RationalMatrix":
-        return cls(_to_rows(rows))
+        entries = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        if not entries or any(len(row) != len(entries) for row in entries):
+            raise MatrixFormatError("rational matrix must be square and nonempty")
+        return cls(entries)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
+        return cls.diagonal([1] * n)
 
     @classmethod
     def diagonal(cls, values) -> "RationalMatrix":
-        vals = [Fraction(v) for v in values]
-        n = len(vals)
-        return cls(tuple(tuple(vals[i] if i == j else Fraction(0) for j in range(n)) for i in range(n)))
+        d, (vals,) = _cleared([[Fraction(v) for v in values]])
+        return cls(form=(d, [[x if i == j else 0 for j in range(len(vals))] for i, x in enumerate(vals)]))
+
+    def cleared(self) -> tuple[int, list[list[int]]]:
+        """(d, rows), cleared from the entries on the first call."""
+        if self._form is None:
+            self._form = _cleared(self._entries)
+        return self._form
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._entries is None:
+            d, rows = self._form
+            self._entries = tuple(tuple(Fraction(p, d) for p in row) for row in rows)
+        return self._entries
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self._entries if self._form is None else self._form[1])
 
     def to_float(self):
-        return [[float(x) for x in row] for row in self.entries]
+        """p / d, one correctly rounded division: float(Fraction) bit for bit."""
+        d, rows = self.cleared()
+        return [[p / d for p in row] for row in rows]
 
     def trace(self) -> Fraction:
-        return sum((self.entries[i][i] for i in range(self.dim)), Fraction(0))
+        d, rows = self.cleared()
+        return Fraction(sum(row[i] for i, row in enumerate(rows)), d)
+
+    def __eq__(self, other):
+        return isinstance(other, RationalMatrix) and self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return f"RationalMatrix({self.entries!r})"
 
 
 def rat_add(M: RationalMatrix, N: RationalMatrix) -> RationalMatrix:
-    _same_dim(M, N)
-    return RationalMatrix(tuple(
-        tuple(M.entries[i][j] + N.entries[i][j] for j in range(M.dim)) for i in range(M.dim)
-    ))
+    return _combine(M, N, 1)
 
 
 def rat_sub(M: RationalMatrix, N: RationalMatrix) -> RationalMatrix:
-    _same_dim(M, N)
-    return RationalMatrix(tuple(
-        tuple(M.entries[i][j] - N.entries[i][j] for j in range(M.dim)) for i in range(M.dim)
-    ))
+    return _combine(M, N, -1)
+
+
+def _combine(M: RationalMatrix, N: RationalMatrix, sign: int) -> RationalMatrix:
+    """M + sign N over the lcm of the two d's."""
+    (dM, left), (dN, right) = _forms(M, N)
+    d = lcm(dM, dN)
+    s, t = d // dM, sign * (d // dN)
+    return RationalMatrix(form=(d, [[s * x + t * y for x, y in zip(*rows)] for rows in zip(left, right)]))
 
 
 def rat_scale(s, M: RationalMatrix) -> RationalMatrix:
-    s = Fraction(s)
-    return RationalMatrix(tuple(tuple(s * x for x in row) for row in M.entries))
+    p, q = Fraction(s).as_integer_ratio()
+    d, rows = M.cleared()
+    return RationalMatrix(form=(d * q, [[p * x for x in row] for row in rows]))
 
 
 def rat_matmul(M: RationalMatrix, N: RationalMatrix) -> RationalMatrix:
-    """Exact product, summed over the integer-cleared factors."""
-    _same_dim(M, N)
-    dM, left = _cleared(M.entries)
-    dN, right = _cleared(N.entries)
-    d = dM * dN
+    """Exact product: integer sums over the cleared factors, over dM * dN."""
+    (dM, left), (dN, right) = _forms(M, N)
     cols = list(zip(*right))
-    return RationalMatrix(tuple(
-        tuple(Fraction(sum(map(mul, row, col)), d) for col in cols) for row in left
-    ))
+    return RationalMatrix(form=(dM * dN, [[sum(map(mul, row, col)) for col in cols] for row in left]))
 
 
 def rat_inverse(M: RationalMatrix) -> RationalMatrix:
-    """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
-    n = M.dim
-    work = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(M.entries)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot_row is None:
+    """Exact inverse by fraction-free Gauss-Jordan elimination of [dM | I]
+    (Bareiss 1968): each step divides exactly by the previous pivot, and
+    the left half ends as p I, p the last pivot, so M^{-1} = d R / p for
+    the right half R.  Raises on singular input."""
+    d, rows = M.cleared()
+    n = len(rows)
+    work = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        swap = next((r for r in range(k, n) if work[r][k]), None)
+        if swap is None:
             raise NumericalFailure("matrix is singular over the rationals")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col][col]
-        work[col] = [x / pivot for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return RationalMatrix(tuple(tuple(row[n:]) for row in work))
+        work[k], work[swap] = work[swap], work[k]
+        top, pivot = work[k], work[k][k]
+        work = [row if row is top else [(x * pivot - row[k] * y) // prev for x, y in zip(row, top)]
+                for row in work]
+        prev = pivot
+    sign = -1 if prev < 0 else 1
+    return RationalMatrix(form=(sign * prev, [[sign * d * x for x in row[n:]] for row in work]))
 
 
-def _same_dim(M: RationalMatrix, N: RationalMatrix):
-    if M.dim != N.dim:
-        raise MatrixFormatError(f"rational matrix dimension mismatch: {M.dim} vs {N.dim}")
+def _forms(M: RationalMatrix, N: RationalMatrix):
+    """The (d, rows) of two matrices of one dimension."""
+    forms = (_, left), (_, right) = M.cleared(), N.cleared()
+    if len(left) != len(right):
+        raise MatrixFormatError(f"rational matrix dimension mismatch: {len(left)} vs {len(right)}")
+    return forms
 
 
 def _cleared(entries) -> tuple[int, list[list[int]]]:
@@ -154,24 +188,19 @@ def _cleared(entries) -> tuple[int, list[list[int]]]:
 
 
 def _bareiss_det_int(rows: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of an integer matrix."""
-    n = len(rows)
-    M = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if swap is None:
-                return 0
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+    """Fraction-free Bareiss determinant of an integer matrix, with row
+    swaps: the last pivot, signed by the swaps."""
+    M, sign, prev = list(rows), 1, 1
+    for k in range(len(M)):
+        swap = next((i for i in range(k, len(M)) if M[i][k]), None)
+        if swap is None:
+            return 0
+        if swap != k:
+            M[k], M[swap], sign = M[swap], M[k], -sign
+        top, pivot = M[k], M[k][k]
+        M[k + 1:] = [[(x * pivot - row[k] * y) // prev for x, y in zip(row, top)] for row in M[k + 1:]]
+        prev = pivot
+    return sign * prev
 
 
 def _leading_pivots(rows: list[list[int]]):
@@ -197,7 +226,7 @@ def _leading_pivots(rows: list[list[int]]):
 def _symmetric_cleared(M: RationalMatrix) -> tuple[int, list[list[int]]]:
     """`_cleared` of a symmetric matrix; the integers are d times the
     entries, so they are symmetric exactly when the entries are."""
-    d, rows = _cleared(M.entries)
+    d, rows = M.cleared()
     if [list(col) for col in zip(*rows)] != rows:
         raise MatrixFormatError("leading principal minors are only taken of symmetric matrices")
     return d, rows
@@ -205,7 +234,7 @@ def _symmetric_cleared(M: RationalMatrix) -> tuple[int, list[list[int]]]:
 
 def det_rational(M: RationalMatrix) -> Fraction:
     """Exact determinant via Bareiss on the integer-cleared matrix."""
-    d, rows = _cleared(M.entries)
+    d, rows = M.cleared()
     return Fraction(_bareiss_det_int(rows), d ** M.dim)
 
 
@@ -287,66 +316,48 @@ class CertificateReport:
         }
 
 
-def _F(num, den=1) -> Fraction:
-    return Fraction(num, den)
-
-
 def direction_one_data() -> dict[str, RationalMatrix]:
     """Exact 3x3 instance for the k=1 Ky Fan failure.
 
     A is diagonal, R is the positive square-root factor with X = R^2,
-    B = X A X, and G is the rational witness lying below A # B.
+    B = X A X, and G is the rational witness lying below A # B; R and G
+    are given as (d, integer rows).
     """
     A = RationalMatrix.diagonal([1, 20, 40])
-    R = rat_scale(_F(1, 20), RationalMatrix.from_rows([
-        [42, -4, 2],
-        [-4, 6, 2],
-        [2, 2, 1],
-    ]))
+    R = RationalMatrix(form=(20, [[42, -4, 2], [-4, 6, 2], [2, 2, 1]]))
     X = rat_matmul(R, R)
     B = rat_matmul(rat_matmul(X, A), X)
-    G = rat_scale(_F(1, 10000), RationalMatrix.from_rows([
-        [50041, -6271, 1796],
-        [-6271, 19846, 7265],
-        [1796, 7265, 3009],
-    ]))
+    G = RationalMatrix(form=(10000, [[50041, -6271, 1796], [-6271, 19846, 7265], [1796, 7265, 3009]]))
     return {"A": A, "R": R, "X": X, "B": B, "G": G}
 
 
-_EXPECTED_MINORS_R = (_F(21, 10), _F(59, 100), _F(3, 2000))
+_EXPECTED_MINORS_R = (Fraction(21, 10), Fraction(59, 100), Fraction(3, 2000))
 _EXPECTED_B = (
-    (_F(129153, 5000), _F(-4119, 1250), _F(4521, 5000)),
-    (_F(-4119, 1250), _F(6219, 10000), _F(-723, 20000)),
-    (_F(4521, 5000), _F(-723, 20000), _F(2511, 40000)),
+    (Fraction(129153, 5000), Fraction(-4119, 1250), Fraction(4521, 5000)),
+    (Fraction(-4119, 1250), Fraction(6219, 10000), Fraction(-723, 20000)),
+    (Fraction(4521, 5000), Fraction(-723, 20000), Fraction(2511, 40000)),
 )
 _EXPECTED_MINORS_K = (
-    _F(1538228131, 2 * 10**9),
-    _F(36854830002529581, 8 * 10**18),
-    _F(249208941796751, 2 * 10**26),
+    Fraction(1538228131, 2 * 10**9),
+    Fraction(36854830002529581, 8 * 10**18),
+    Fraction(249208941796751, 2 * 10**26),
 )
-_EXPECTED_DET_41_MG = _F(-2296964316553, 10**12)
+_EXPECTED_DET_41_MG = Fraction(-2296964316553, 10**12)
 _EXPECTED_MINORS_41_MNAT = (
-    _F(14747, 5000),
-    _F(139973371, 10**7),
-    _F(3328064679, 2 * 10**10),
+    Fraction(14747, 5000),
+    Fraction(139973371, 10**7),
+    Fraction(3328064679, 2 * 10**10),
 )
 
 
 def _minor_items(label: str, minors, expected) -> list[CertificateItem]:
-    return [
-        CertificateItem(f"leading principal minor {k + 1} of {label}", minor, exp)
-        for k, (minor, exp) in enumerate(zip(minors, expected))
-    ]
+    return [CertificateItem(f"leading principal minor {k + 1} of {label}", minor, exp)
+            for k, (minor, exp) in enumerate(zip(minors, expected))]
 
 
 def _entry_items(label: str, M: RationalMatrix, expected) -> list[CertificateItem]:
-    items = []
-    for i in range(M.dim):
-        for j in range(i, M.dim):
-            items.append(CertificateItem(
-                f"entry ({i + 1},{j + 1}) of {label}", M.entries[i][j], expected[i][j],
-            ))
-    return items
+    return [CertificateItem(f"entry ({i + 1},{j + 1}) of {label}", M.entries[i][j], expected[i][j])
+            for i in range(M.dim) for j in range(i, M.dim)]
 
 
 def certify_direction_one() -> CertificateReport:
@@ -369,15 +380,11 @@ def certify_direction_one() -> CertificateReport:
     ))
 
     M_G = rat_add(rat_add(A, B), rat_scale(2, G))
-    shifted_G = rat_sub(rat_scale(41, RationalMatrix.identity(3)), M_G)
-    items.append(CertificateItem(
-        "det(41 I - (A + B + 2G))",
-        det_rational(shifted_G),
-        _EXPECTED_DET_41_MG,
-    ))
+    shifted_G = rat_sub(RationalMatrix.diagonal([41] * 3), M_G)
+    items.append(CertificateItem("det(41 I - (A + B + 2G))", det_rational(shifted_G), _EXPECTED_DET_41_MG))
 
     M_nat = rat_add(rat_add(A, B), rat_scale(2, rat_matmul(rat_matmul(R, A), R)))
-    shifted_nat = rat_sub(rat_scale(41, RationalMatrix.identity(3)), M_nat)
+    shifted_nat = rat_sub(RationalMatrix.diagonal([41] * 3), M_nat)
     items += _minor_items("41 I - (A + B + 2 R A R)", leading_principal_minors(shifted_nat), _EXPECTED_MINORS_41_MNAT)
     return CertificateReport("direction-one", tuple(items), {"direction-one": data})
 
@@ -385,7 +392,7 @@ def certify_direction_one() -> CertificateReport:
 def direction_two_data() -> dict[str, RationalMatrix]:
     """Exact 2x2 instance for the reverse trace comparison."""
     A = RationalMatrix.diagonal([1, 4])
-    X = RationalMatrix.from_rows([[1, _F(1, 2)], [_F(1, 2), 1]])
+    X = RationalMatrix.from_rows([[1, Fraction(1, 2)], [Fraction(1, 2), 1]])
     B = rat_matmul(rat_matmul(X, A), X)
     return {"A": A, "X": X, "B": B}
 
@@ -401,38 +408,28 @@ def certify_direction_two() -> CertificateReport:
     A, X, B = data["A"], data["X"], data["B"]
     items = []
 
-    expected_B = ((_F(2), _F(5, 2)), (_F(5, 2), _F(17, 4)))
+    expected_B = ((Fraction(2), Fraction(5, 2)), (Fraction(5, 2), Fraction(17, 4)))
     items += _entry_items("B = X A X", B, expected_B)
     AX = rat_matmul(A, X)
-    items.append(CertificateItem(
-        "Tr(A X), the trace of the spectral-mean cross term", AX.trace(), _F(5),
-    ))
+    items.append(CertificateItem("Tr(A X), the trace of the spectral-mean cross term", AX.trace(), Fraction(5)))
 
     # D = A^{-1/2} B A^{-1/2} stays rational because A is diag(1, 4).
-    A_inv_half = RationalMatrix.diagonal([1, _F(1, 2)])
+    A_inv_half = RationalMatrix.diagonal([1, Fraction(1, 2)])
     D = rat_matmul(rat_matmul(A_inv_half, B), A_inv_half)
-    items.append(CertificateItem("Tr D", D.trace(), _F(49, 16)))
-    items.append(CertificateItem("det D", det_rational(D), _F(9, 16)))
+    det_D = det_rational(D)
+    items.append(CertificateItem("Tr D", D.trace(), Fraction(49, 16)))
+    items.append(CertificateItem("det D", det_D, Fraction(9, 16)))
     items.append(CertificateItem(
-        "square of 3/4 reproduces det D, so sqrt(det D) is exactly rational",
-        _F(3, 4) * _F(3, 4),
-        det_rational(D),
-    ))
+        "square of 3/4 reproduces det D, so sqrt(det D) is exactly rational", Fraction(3, 4) * Fraction(3, 4), det_D))
 
     AD = rat_matmul(A, D)
     q = 4 * AD.trace() + 3 * A.trace()
-    items.append(CertificateItem("q = 4 Tr(A D) + 3 Tr(A)", q, _F(40)))
-    items.append(CertificateItem("q^2", q * q, _F(1600)))
-    items.append(CertificateItem(
-        "strict comparison q^2 < 25 * 73 = 1825 (squared form of the trace gap)",
-        Fraction(int(q * q < 25 * 73)),
-        Fraction(1),
-    ))
-    items.append(CertificateItem(
-        "squared Heron trace comparison: (2q)^2 < 100 * 73",
-        Fraction(int((2 * q) ** 2 < 100 * 73)),
-        Fraction(1),
-    ))
+    items.append(CertificateItem("q = 4 Tr(A D) + 3 Tr(A)", q, Fraction(40)))
+    items.append(CertificateItem("q^2", q * q, Fraction(1600)))
+    items.append(CertificateItem("strict comparison q^2 < 25 * 73 = 1825 (squared form of the trace gap)",
+                                 Fraction(int(q * q < 25 * 73)), Fraction(1)))
+    items.append(CertificateItem("squared Heron trace comparison: (2q)^2 < 100 * 73",
+                                 Fraction(int((2 * q) ** 2 < 100 * 73)), Fraction(1)))
     return CertificateReport("direction-two", tuple(items), {"direction-two": data})
 
 

@@ -243,7 +243,8 @@ class Pair:
             joint_means(None, self)
         return self._geometric
 
-    def wassersteins(self, batch, means: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def wassersteins(self, batch, means: dict | None = None,
+                     shape: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
         """W_{a_i,b_i} of pair index[i] of the flattened stack (a
         `wasserstein_batch`), and the Frobenius distance between its two
         formulas, in one batched pass; X is read from the Pair
@@ -252,25 +253,29 @@ class Pair:
         W is computed through the congruence form (aI + bX) A (aI + bX)
         and cross-validated against the definitional form
         a^2 A + b^2 B + ab((AB)^{1/2} + (BA)^{1/2}); with a zero weight it
-        is exactly a^2 A or b^2 B.
+        is exactly a^2 A or b^2 B.  A failed check names its position in
+        the batch, or its index in `shape`, the stack shape of a batch
+        whose weights are all nonzero (() for one pair, named by no index).
         """
         index, a, b, both, at = batch
         A, B = as_stack(self.A)[index], as_stack(self.B)[index]
         W = np.where(b == 0.0, a * a * A, b * b * B)
         residual = np.zeros(len(index))
         if len(both):
+            shape = (len(both),) if shape is None else shape
             X = as_stack((self if means is None else means["riccati"]).riccati())[at]
             a, b, A, B = a[both], b[both], A[both], B[both]
             T = a * np.eye(self.dim) + b * X
             by_congruence = hermitian_part(T @ A @ T)
-            require_entry_limit(by_congruence, NumericalFailure)  # so that its norms below stay finite
+            # so that its norms below stay finite
+            require_entry_limit(by_congruence.reshape(shape + T.shape[-2:]), NumericalFailure)
             AX = A @ X
             by_definition = a * a * A + b * b * B + a * b * (AX + adjoint(AX))
             scale = frobenius(by_congruence)
             distance = frobenius(by_definition - by_congruence)
-            require(distance <= WASSERSTEIN_FORM_RTOL * scale, NumericalFailure,
-                    lambda i: f"Wasserstein dual formulas disagree: ||diff|| = {distance[i]:.3e} "
-                              f"vs scale {scale[i]:.3e}")
+            require((distance <= WASSERSTEIN_FORM_RTOL * scale).reshape(shape), NumericalFailure,
+                    lambda i: f"Wasserstein dual formulas disagree: ||diff|| = {distance.reshape(shape)[i]:.3e} "
+                              f"vs scale {scale.reshape(shape)[i]:.3e}")
             W[both], residual[both] = by_congruence, distance
         return W, residual
 
@@ -285,7 +290,8 @@ class Pair:
         m = len(self)
         with np.errstate(over="ignore", invalid="ignore"):
             W, residual = self.wassersteins(
-                wasserstein_batch(np.arange(m), np.full(m, float(a)), np.full(m, float(b))))
+                wasserstein_batch(np.arange(m), np.full(m, float(a)), np.full(m, float(b))),
+                shape=self.A.shape[:-2])
         W = W.reshape(self.A.shape)
         require_entry_limit(W, NumericalFailure)
         return W, residual.reshape(self.A.shape[:-2])[()]

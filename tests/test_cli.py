@@ -319,6 +319,28 @@ class TestMalformedInput:
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and err.startswith("numerical failure: matrix entries too large")
 
+    # one pair ran as a stack of one, so with both weights nonzero its
+    # errors ended "(stack index (0,))", and with a zero weight they did not
+    @pytest.mark.parametrize("mean, weights", [
+        ("wasserstein", "-a 1e100 -b 1"), ("wasserstein", "-a 1e160 -b 1"), ("wasserstein", "-a 1 -b 1e100"),
+        ("wasserstein", "-a 1e100 -b 0"), ("heron_kubo", "-a 1e160 -b 1"), ("heron_spectral", "-a 1e160 -b 1"),
+    ], ids=["wasserstein-a1e100-b1", "wasserstein-a1e160-b1", "wasserstein-a1-b1e100", "wasserstein-a1e100-b0",
+            "heron_kubo-a1e160-b1", "heron_spectral-a1e160-b1"])
+    def test_one_pair_entry_limit_error_names_no_stack_index(self, mean, weights, readme_pair, capsys):
+        code, out, err = run_cli(capsys, "compute", mean, *readme_pair, *weights.split())
+        assert (code, out) == (1, "")
+        assert err.startswith("numerical failure: matrix entries too large: max|entry| = ")
+        assert err.endswith(" must stay below sqrt(largest float) / dim = 4.469e+153\n")
+
+    def test_one_pair_dual_form_error_names_no_stack_index(self, readme_pair, capsys, monkeypatch):
+        from matmean import means
+
+        monkeypatch.setattr(means, "WASSERSTEIN_FORM_RTOL", -1.0)  # every distance fails
+        code, out, err = run_cli(capsys, "compute", "wasserstein", *readme_pair)
+        assert (code, out) == (1, "")
+        assert err.startswith("numerical failure: Wasserstein dual formulas disagree: ||diff|| = ")
+        assert "stack index" not in err and len(err.splitlines()) == 1
+
     # int() used to turn each "dim" into the matrix's size, and both
     # commands then exited 0
     @pytest.mark.parametrize("dim, re", [("2.7", "[[2, 0], [0, 3]]"), ("true", "[[2]]"),

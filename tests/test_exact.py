@@ -64,6 +64,31 @@ def cofactor_minors(rows):
     return tuple(cofactor_det([row[:k] for row in rows[:k]]) for k in range(1, len(rows) + 1))
 
 
+def fraction_inverse(rows):
+    """Gauss-Jordan elimination over Fractions; None for a singular matrix."""
+    n = len(rows)
+    work = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot_row is None:
+            return None
+        work[col], work[pivot_row] = work[pivot_row], work[col]
+        work[col] = [x / work[col][col] for x in work[col]]
+        for r in range(n):
+            if r != col:
+                work[r] = [x - work[r][col] * y for x, y in zip(work[r], work[col])]
+    return tuple(tuple(row[n:]) for row in work)
+
+
+def square_pairs(square):
+    return st.integers(1, 4).flatmap(lambda n: st.tuples(square(n), square(n)))
+
+
+def small_squares(n):
+    """Lattice matrices, singular often enough to reach that branch."""
+    return st.lists(st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
 H = Fraction(1, 2)
 T = Fraction(1, 3)
 # matrices on which the swap-free pass meets a zero pivot
@@ -107,6 +132,65 @@ class TestRationalOps:
         N = rat_scale(Fraction(1, 2), M)
         assert rat_add(N, N).entries == M.entries
         assert rat_sub(M, M).entries == RationalMatrix.diagonal([0, 0]).entries
+
+    @given(square_pairs(square_rationals))
+    def test_add_and_sub_equal_fraction_sums(self, pair):
+        M, N = (RationalMatrix.from_rows(rows) for rows in pair)
+        zipped = [list(zip(*rows)) for rows in zip(*pair)]
+        assert rat_add(M, N).entries == tuple(tuple(x + y for x, y in row) for row in zipped)
+        assert rat_sub(M, N).entries == tuple(tuple(x - y for x, y in row) for row in zipped)
+
+    @given(st.integers(1, 4).flatmap(square_rationals), st.fractions(min_value=-50, max_value=50, max_denominator=30)
+           | st.integers(-50, 50))
+    def test_scale_equals_fraction_products(self, rows, s):
+        M = RationalMatrix.from_rows(rows)
+        assert rat_scale(s, M).entries == tuple(tuple(s * x for x in row) for row in M.entries)
+
+    @given(st.integers(1, 4).flatmap(lambda n: square_rationals(n) | small_squares(n)))
+    def test_inverse_equals_gauss_jordan_over_fractions(self, rows):
+        M = RationalMatrix.from_rows(rows)
+        expected = fraction_inverse(M.entries)
+        if expected is None:
+            with pytest.raises(NumericalFailure):
+                rat_inverse(M)
+        else:
+            inverse = rat_inverse(M)
+            assert inverse.entries == expected
+            assert inverse.cleared()[0] > 0  # so the signs of its pivots are its minors' signs
+
+    def test_inverse_of_negative_definite_is_not_positive_definite(self):
+        inverse = rat_inverse(RationalMatrix.diagonal([-1, -2, -3]))
+        assert inverse == RationalMatrix.diagonal([-1, Fraction(-1, 2), Fraction(-1, 3)])
+        assert not sylvester_pd(inverse)
+
+    @given(square_pairs(small_squares))
+    def test_chained_kernels_equal_fraction_arithmetic(self, pair):
+        # each kernel reads the (d, rows) of another's result, whose d is
+        # rarely the least one
+        M, N = (RationalMatrix.from_rows(rows) for rows in pair)
+        chained = rat_sub(rat_matmul(rat_scale(Fraction(-3, 7), M), rat_add(M, N)), N)
+        expected = tuple(tuple(x - y for x, y in zip(*rows)) for rows in zip(
+            naive_matmul(tuple(tuple(Fraction(-3, 7) * x for x in row) for row in M.entries),
+                         tuple(tuple(x + y for x, y in zip(*rows)) for rows in zip(M.entries, N.entries))),
+            N.entries))
+        assert chained.entries == expected
+        assert chained.to_float() == [[float(x) for x in row] for row in expected]
+        assert det_rational(chained) == cofactor_det(expected)
+
+    def test_to_float_is_the_float_of_each_fraction(self):
+        # p / d rounds once; float(p) / float(d) rounds this entry wrongly
+        x = Fraction(976392221356167603791252507, 589781032928403263559981)
+        M = rat_scale(Fraction(1, 3), rat_scale(3, RationalMatrix.from_rows([[x, 1], [1, x]])))
+        assert M.cleared()[0] == 3 * x.denominator
+        assert M.to_float() == [[float(x), 1.0], [1.0, float(x)]]
+
+    def test_equal_by_value_whatever_the_denominator(self):
+        M = RationalMatrix.from_rows([[1, Fraction(1, 2)], [Fraction(1, 2), 2]])
+        half = rat_scale(Fraction(1, 2), M)
+        doubled = rat_add(half, half)
+        assert doubled.cleared()[0] == 2 * M.cleared()[0]
+        assert doubled == M and hash(doubled) == hash(M)
+        assert doubled != half and doubled != M.entries
 
     def test_rejects_non_square(self):
         with pytest.raises(MatrixFormatError):
@@ -276,6 +360,53 @@ class TestWork:
         leading_principal_minors(RationalMatrix.from_rows(rows))
         assert counted["det"] == restarts
 
+    @pytest.fixture
+    def clearings(self, monkeypatch):
+        """The entries that `_cleared` cleared, in call order."""
+        seen = []
+        cleared = exact._cleared
+
+        def counting(entries):
+            seen.append(entries)
+            return cleared(entries)
+
+        monkeypatch.setattr(exact, "_cleared", counting)
+        return seen
+
+    def test_matrix_from_entries_is_cleared_on_first_kernel_use(self, clearings):
+        entries = ((Fraction(2), H), (H, T))
+        M = RationalMatrix(entries)
+        assert (M.dim, M.entries) == (2, entries)
+        assert clearings == []
+        assert sylvester_pd(M)
+        assert leading_principal_minors(M) == (2, Fraction(5, 12))
+        seven_sixths = float(Fraction(7, 6))
+        assert rat_matmul(M, M).to_float() == [[4.25, seven_sixths], [seven_sixths, float(Fraction(13, 36))]]
+        assert len(clearings) == 1 and clearings[0] is entries
+
+    def test_certificate_clears_each_matrix_at_most_once(self, clearings):
+        certify_all()
+        assert clearings  # the diagonal operands, and X of direction two
+        assert len({id(entries) for entries in clearings}) == len(clearings)
+
+    def test_certify_all_makes_few_fractions(self):
+        # 348 when each kernel returned its n^2 reduced Fractions; now only
+        # the reported and expected values and the entries of direction
+        # two's X and of each B are made
+        code = Fraction.__new__.__code__
+        made = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                made.append(1)
+
+        sys.setprofile(profile)
+        try:
+            certify_all()
+        finally:
+            sys.setprofile(None)
+        assert 0 < len(made) <= 100
+
 
 class TestDirectionOne:
     def test_full_certificate(self):
@@ -343,6 +474,11 @@ class TestReports:
         report = certify_all()
         assert report.verdict
         assert len(report.items) == len(certify_direction_one().items) + len(certify_direction_two().items)
+
+    def test_certificate_equals_the_stored_reference(self):
+        # the benchmark's reference, read only: every reported rational bit for bit
+        path = Path(__file__).parents[1] / "perfbench" / "reference" / "certificate.json"
+        assert certify_all().to_dict() == json.loads(path.read_text())
 
 
 class TestFloatShadow:
