@@ -5,6 +5,17 @@
 # GITHUB_WORKSPACE, which GitHub Actions sets.
 set -eo pipefail
 
+# expect_error CODE PREFIX ARGS...: `matmean ARGS...` exits CODE with one
+# stderr line that starts with PREFIX
+expect_error() {
+  local code=$1 prefix=$2 status=0
+  shift 2
+  matmean "$@" 2> error.txt || status=$?
+  test "$status" -eq "$code"
+  test "$(wc -l < error.txt)" -eq 1
+  grep -q "^$prefix" error.txt
+}
+
 # the certificate, less its float shadow, is the benchmark's stored
 # reference bit for bit
 matmean certify --which all --out cert.json
@@ -54,9 +65,14 @@ test "$status" -eq 1
 # entries whose norms would overflow the gate are rejected as
 # input (exit 2), not judged on an inf or nan residual
 echo '{"dim": 2, "re": [[1e300, 0.0], [0.0, 1e300]]}' > big.json
-status=0
-matmean check weak big.json big.json || status=$?
-test "$status" -eq 2
+expect_error 2 "error: " check weak big.json big.json
+# the rest of cli.EXIT_CODES: an indefinite operand (exit 3), a weight
+# outside its domain (exit 4), and a weight whose products overflow, a
+# numerical failure (exit 1)
+echo '{"dim": 3, "re": [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]}' > indefinite.json
+expect_error 3 "error: " compute geo indefinite.json B.json
+expect_error 4 "error: " compute wasserstein A.json B.json -a nan
+expect_error 1 "numerical failure: " compute wasserstein A.json B.json -a 1e160 -b 1
 # at cond 1e6 some records fail (exit 1) and serialize their
 # instances; an abort (exit 2-4) fails the step
 status=0

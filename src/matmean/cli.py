@@ -4,13 +4,15 @@ run the theorem suite, and emit the exact certificates.
 Matrices travel only through JSON files (never inline flags).  Exit codes:
 0 success / relation holds, 1 relation fails or certificate mismatch,
 2 usage or parse error, 3 non-positive-definite input, 4 invalid weights.
+A command returns 0 or 1 and raises for everything else; `EXIT_CODES` is
+the one place an exception becomes an exit code, and `main` alone prints
+its one stderr line.
 
 Each command imports only the modules it runs, inside its handler:
 `certify` loads `exact` (and, for the float shadow, numpy, `linalg`,
 `means` and `report`), `compute` loads `linalg`, `means` and `matio`,
 `check` loads `linalg`, `majorization` and `matio`, and `suite` loads
-everything.  Only `errors` is imported up front, for the handlers in
-`main`.
+everything.  Only `errors` is imported up front, for `EXIT_CODES`.
 """
 
 from __future__ import annotations
@@ -22,19 +24,25 @@ import math
 import os
 import sys
 
-from .errors import (
-    InstanceDrawError,
-    InvalidWeightsError,
-    MatrixFormatError,
-    NotPositiveDefiniteError,
-    NumericalFailure,
-)
+from .errors import ConfigError, InvalidWeightsError, MatrixFormatError, NotPositiveDefiniteError, NumericalFailure
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
 EXIT_USAGE = 2
 EXIT_NOT_PD = 3
 EXIT_BAD_WEIGHTS = 4
+
+# exception class -> exit code; the first match wins, so ConfigError comes
+# before its base InvalidWeightsError
+EXIT_CODES = {
+    ConfigError: EXIT_USAGE,
+    MatrixFormatError: EXIT_USAGE,
+    OSError: EXIT_USAGE,
+    NotPositiveDefiniteError: EXIT_NOT_PD,
+    InvalidWeightsError: EXIT_BAD_WEIGHTS,
+    NumericalFailure: EXIT_FAILED_CHECK,
+}
+_HANDLED = tuple(EXIT_CODES)
 
 MEAN_NAMES = (
     "geo", "geo_t", "spectral", "spectral_t", "wasserstein",
@@ -91,8 +99,6 @@ def _cmd_compute(args) -> int:
         }
         _write_output(payload, args.out, args.pretty)
         return EXIT_OK
-    else:  # pragma: no cover - argparse already restricts choices
-        raise InvalidWeightsError(f"unknown mean {name!r}")
     meta["trace"] = result.trace()
     _write_output({"result": matrix_to_dict(result), "meta": meta}, args.out, args.pretty)
     return EXIT_OK
@@ -103,14 +109,12 @@ def _cmd_check(args) -> int:
     from .matio import load_matrix
 
     if not (math.isfinite(args.tol) and args.tol >= 0):
-        print(f"error: --tol must be finite and non-negative, got {args.tol}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"--tol must be finite and non-negative, got {args.tol}")
     X = load_matrix(args.X)
     Y = load_matrix(args.Y)
     result = verdict(args.relation, X.eig().eigenvalues, Y.eig().eigenvalues, args.tol)
     if not math.isfinite(result.tolerance_used):
-        print(f"error: --tol {args.tol} times the scale of Y overflows", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"--tol {args.tol} times the scale of Y overflows")
     payload = result.to_dict()
     payload["relation"] = args.relation
     _write_output(payload, args.out, args.pretty)
@@ -120,23 +124,20 @@ def _cmd_check(args) -> int:
 def _cmd_suite(args) -> int:
     from .suite import SuiteConfig, run_suite
 
+    seed = args.seed
+    if seed is None and "MATMEAN_SEED" in os.environ:
+        env_seed = os.environ["MATMEAN_SEED"]
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"MATMEAN_SEED must be an integer, got {env_seed!r}") from None
     try:
         dims = None if args.dims is None else tuple(int(d) for d in args.dims.split(","))
     except ValueError:
-        print("error: --dims must be a comma-separated list of integers", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--dims must be a comma-separated list of integers") from None
     # SuiteConfig alone holds the defaults: it gets only the values given
-    given = {"seed": args.seed, "trials": args.trials, "dims": dims, "cond_max": args.cond, "tol": args.tol}
-    try:
-        config = SuiteConfig(**{key: value for key, value in given.items() if value is not None})
-    except InvalidWeightsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        report = run_suite(config)
-    except InstanceDrawError as exc:  # a cond_max too close to 1 for a dimension
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    given = {"seed": seed, "trials": args.trials, "dims": dims, "cond_max": args.cond, "tol": args.tol}
+    report = run_suite(SuiteConfig(**{key: value for key, value in given.items() if value is not None}))
     _write_output(report.to_dict(), args.out, args.pretty)
     if args.pretty:
         report.print_summary(file=sys.stderr)
@@ -214,29 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "suite" and args.seed is None and "MATMEAN_SEED" in os.environ:
-        env_seed = os.environ["MATMEAN_SEED"]
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            print(f"error: MATMEAN_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
-            return EXIT_USAGE
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MatrixFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NotPositiveDefiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_PD
-    except InvalidWeightsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_WEIGHTS
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_FAILED_CHECK
+    except _HANDLED as exc:
+        label = "numerical failure" if isinstance(exc, NumericalFailure) else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -17,14 +17,14 @@ Both counterexamples are certified here in exact rational arithmetic:
 
 A `RationalMatrix` holds its value as (d, rows), integer rows equal to d
 times the entries.  One made from its entries (stdlib fractions) is
-cleared once, on its first kernel use (`_cleared`: d is the lcm of the
-denominators, each entry read once as its integer ratio).  Every kernel
-reads and returns that form, so integers chain from input to report and a
-Fraction is made only for a value a certificate reports (a minor, a
-determinant, a trace, an entry) or for `.entries` when it is read.  Sums
-are taken over the lcm of the two d's, products are integer sums over
-dM * dN, the inverse is fraction-free Gauss-Jordan elimination and
-determinants fraction-free Bareiss elimination.  All n leading
+checked square and cleared once, on its first kernel use (`_cleared`: d
+is the lcm of the denominators, each entry read once as its integer
+ratio).  Every kernel reads and returns that form, so integers chain from
+input to report and a Fraction is made only for a value a certificate
+reports (a minor, a determinant, a trace, an entry) or for `.entries`
+when it is read.  Sums are taken over the lcm of the two d's, products
+are integer sums over dM * dN, the inverse is fraction-free Gauss-Jordan
+elimination and determinants fraction-free Bareiss elimination.  All n leading
 principal minors come from one Bareiss pass without row swaps, whose k-th
 pivot is d^k times the k-th minor (Bareiss 1968); only after a zero pivot
 are the later minors taken one by one with row swaps.  Sylvester's test
@@ -68,10 +68,7 @@ class RationalMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "RationalMatrix":
-        entries = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if not entries or any(len(row) != len(entries) for row in entries):
-            raise MatrixFormatError("rational matrix must be square and nonempty")
-        return cls(entries)
+        return cls(_square(tuple(tuple(Fraction(x) for x in row) for row in rows)))
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -83,9 +80,9 @@ class RationalMatrix:
         return cls(form=(d, [[x if i == j else 0 for j in range(len(vals))] for i, x in enumerate(vals)]))
 
     def cleared(self) -> tuple[int, list[list[int]]]:
-        """(d, rows), cleared from the entries on the first call."""
+        """(d, rows), cleared from the entries, checked square, on the first call."""
         if self._form is None:
-            self._form = _cleared(self._entries)
+            self._form = _cleared(_square(self._entries))
         return self._form
 
     @property
@@ -175,6 +172,13 @@ def _forms(M: RationalMatrix, N: RationalMatrix):
     if len(left) != len(right):
         raise MatrixFormatError(f"rational matrix dimension mismatch: {len(left)} vs {len(right)}")
     return forms
+
+
+def _square(entries):
+    """The entries; raises unless they are square and nonempty."""
+    if set(map(len, entries)) != {len(entries)}:  # O(n): one len per row
+        raise MatrixFormatError("rational matrix must be square and nonempty")
+    return entries
 
 
 def _cleared(entries) -> tuple[int, list[list[int]]]:

@@ -65,7 +65,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InstanceDrawError, InvalidWeightsError, MatrixFormatError
+from .errors import ConfigError, InstanceDrawError, InvalidWeightsError, MatrixFormatError
 from .exact import certified_pairs, certified_replay, scalar_heron_gap
 from .linalg import (
     HermitianMatrix,
@@ -115,17 +115,17 @@ class SuiteConfig:
     def __post_init__(self):
         # comparisons are written so that NaN fails them
         if type(self.seed) is not int or self.seed < 0:  # bool is a subclass of int
-            raise InvalidWeightsError(f"seed must be a non-negative integer, got {self.seed!r}")
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if type(self.trials) is not int or self.trials < 1:
-            raise InvalidWeightsError(f"trials must be an integer >= 1, got {self.trials!r}")
+            raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not self.dims:
-            raise InvalidWeightsError("dims must be nonempty")
+            raise ConfigError("dims must be nonempty")
         if any(type(d) is not int or d < 1 for d in self.dims):
-            raise InvalidWeightsError(f"every dimension must be an integer >= 1, got {self.dims!r}")
+            raise ConfigError(f"every dimension must be an integer >= 1, got {self.dims!r}")
         if not (_finite(self.cond_max) and self.cond_max >= 1.0):
-            raise InvalidWeightsError(f"cond_max must be finite and >= 1, got {self.cond_max}")
+            raise ConfigError(f"cond_max must be finite and >= 1, got {self.cond_max}")
         if not (_finite(self.tol) and self.tol > 0):
-            raise InvalidWeightsError(f"tol must be finite and positive, got {self.tol}")
+            raise ConfigError(f"tol must be finite and positive, got {self.tol}")
 
     def to_dict(self) -> dict:
         return {

@@ -8,7 +8,7 @@ import matmean
 import numpy as np
 import pytest
 
-from matmean import cli, matio
+from matmean import cli, errors, matio
 from matmean.cli import main
 from matmean.linalg import PDMatrix
 from matmean.matio import load_matrix, matrix_to_dict
@@ -472,6 +472,56 @@ class TestSuiteCommand:
         code, _, _ = run_cli(capsys, "suite", "--trials", "1", "--dims", "2", "--seed", "5", "--out", str(out))
         assert code == 0
         assert json.loads(out.read_text())["config"]["seed"] == 5
+
+
+class TestExitCodes:
+    # EXIT_CODES is read first match first, so a subclass row must come
+    # before its base's
+    def test_table_rows_are_ordered_subclass_first(self):
+        rows = list(cli.EXIT_CODES)
+        for i, early in enumerate(rows):
+            assert not any(issubclass(late, early) for late in rows[i + 1:]), early
+
+    def test_every_error_class_has_a_row(self):
+        classes = [cls for cls in vars(errors).values()
+                   if isinstance(cls, type) and issubclass(cls, Exception) and cls.__module__ == errors.__name__]
+        assert len(classes) == 6
+        for cls in classes:
+            assert any(issubclass(cls, row) for row in cli.EXIT_CODES), cls
+
+    # main prints one line for any error class a command raises and returns
+    # its code, the first row's that matches
+    @pytest.mark.parametrize("cls, code, label", [
+        (errors.MatrixFormatError, 2, "error"), (errors.ConfigError, 2, "error"),
+        (errors.InstanceDrawError, 2, "error"), (errors.NotPositiveDefiniteError, 3, "error"),
+        (errors.InvalidWeightsError, 4, "error"), (errors.NumericalFailure, 1, "numerical failure"),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+    def test_main_prints_one_line_and_returns_the_code(self, cls, code, label, capsys, monkeypatch):
+        from matmean import exact
+
+        def raises():
+            raise cls("boom")
+
+        monkeypatch.setattr(exact, "certify_all", raises)
+        assert run_cli(capsys, "certify") == (code, "", f"{label}: boom\n")
+
+    def test_bad_settings_are_config_errors(self, monkeypatch):
+        from matmean.suite import SuiteConfig
+
+        assert issubclass(errors.ConfigError, errors.InvalidWeightsError)
+        assert issubclass(errors.InstanceDrawError, errors.ConfigError)
+        with pytest.raises(errors.ConfigError):
+            SuiteConfig(cond_max=0.5)
+        parser = cli.build_parser()
+        for argv, env_seed in [("--dims x", None), ("--trials 0", None), ("", "abc"), ("", "-3"),
+                               ("--dims 2 --cond 1.0001", None)]:
+            if env_seed is None:
+                monkeypatch.delenv("MATMEAN_SEED", raising=False)
+            else:
+                monkeypatch.setenv("MATMEAN_SEED", env_seed)
+            args = parser.parse_args(["suite", "--trials", "2", *argv.split()])
+            with pytest.raises(errors.ConfigError):
+                args.func(args)
 
 
 class TestCertifyCommand:

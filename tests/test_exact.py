@@ -196,6 +196,18 @@ class TestRationalOps:
         with pytest.raises(MatrixFormatError):
             RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
 
+    # made from its entries, a non-square "matrix" used to get answers: the
+    # 1x2 one had dim 1, determinant 1 and a 1x2 product with itself
+    @pytest.mark.parametrize("entries", [((Fraction(1), Fraction(2)),), ((Fraction(1), Fraction(2)), (Fraction(3),))],
+                             ids=["1x2", "ragged"])
+    @pytest.mark.parametrize("kernel", [det_rational, lambda M: rat_matmul(M, M), lambda M: rat_add(M, M),
+                                        leading_principal_minors, sylvester_pd],
+                             ids=["det_rational", "rat_matmul", "rat_add", "leading_principal_minors", "sylvester_pd"])
+    def test_kernels_reject_non_square_entries(self, kernel, entries):
+        M = RationalMatrix(entries)  # construction checks nothing
+        with pytest.raises(MatrixFormatError, match="rational matrix must be square and nonempty"):
+            kernel(M)
+
 
 def _benchmark_rational_rows(monkeypatch) -> list:
     """The rational matrices of one exact-certify benchmark job, from the
