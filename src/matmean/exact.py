@@ -25,10 +25,10 @@ reports (a minor, a determinant, a trace, an entry) or for `.entries`
 when it is read.  Sums are taken over the lcm of the two d's, products
 are integer sums over dM * dN, the inverse is fraction-free Gauss-Jordan
 elimination and determinants fraction-free Bareiss elimination.  All n leading
-principal minors come from one Bareiss pass without row swaps, whose k-th
-pivot is d^k times the k-th minor (Bareiss 1968); only after a zero pivot
-are the later minors taken one by one with row swaps.  Sylvester's test
-stops at the first non-positive pivot.  `scalar_heron_gap` is the exact
+principal minors come from one Bareiss pass without row swaps over the upper
+triangle, whose k-th pivot is d^k times the k-th minor (Bareiss 1968); only
+after a zero pivot are the later minors taken one by one with row swaps.
+Sylvester's test stops at the first non-positive pivot.  `scalar_heron_gap` is the exact
 dimension-1 failure margin past c = 2ab, shared with the suite.
 
 Each certificate builds its exact instance once and its report carries
@@ -208,22 +208,22 @@ def _bareiss_det_int(rows: list[list[int]]) -> int:
 
 
 def _leading_pivots(rows: list[list[int]]):
-    """Yield the pivots of Bareiss elimination without row swaps on an
-    integer matrix: pivot k is its k-th leading principal minor.  Lazy, so
-    a caller that stops early saves the rest of the pass; it ends after a
-    zero pivot, the point where a swap would be needed."""
-    M = [row[:] for row in rows]
-    n = len(M)
+    """Yield the pivots of Bareiss elimination without row swaps on a
+    symmetric integer matrix: pivot k is its k-th leading principal minor.
+    Each Schur complement stays symmetric, so only its upper triangle is
+    updated (row i from column i on; entry (i, k) is entry (k, i)).  Lazy,
+    so a caller that stops early saves the rest of the pass; it ends after
+    a zero pivot, the point where a swap would be needed."""
+    upper = [row[i:] for i, row in enumerate(rows)]
     prev = 1
-    for k in range(n):
-        pivot = M[k][k]
+    for k, top in enumerate(upper):
+        pivot = top[0]
         yield pivot
         if pivot == 0:
             return
-        tail = M[k][k + 1:]
-        for row in M[k + 1:]:
-            factor = row[k]
-            row[k + 1:] = [(x * pivot - factor * y) // prev for x, y in zip(row[k + 1:], tail)]
+        for i in range(k + 1, len(upper)):
+            factor = top[i - k]
+            upper[i] = [(x * pivot - factor * y) // prev for x, y in zip(upper[i], top[i - k:])]
         prev = pivot
 
 
@@ -231,7 +231,7 @@ def _symmetric_cleared(M: RationalMatrix) -> tuple[int, list[list[int]]]:
     """`_cleared` of a symmetric matrix; the integers are d times the
     entries, so they are symmetric exactly when the entries are."""
     d, rows = M.cleared()
-    if [list(col) for col in zip(*rows)] != rows:
+    if any(row[j] != rows[j][i] for i, row in enumerate(rows) for j in range(i)):
         raise MatrixFormatError("leading principal minors are only taken of symmetric matrices")
     return d, rows
 

@@ -3,53 +3,21 @@
 Each checker evaluates one instance, or a stack of same-dimension
 instances with one record each, and returns a CheckReport whose worst
 normalized margin decides failure (margin < -tol).  Margins are normalized
-by 1 + max|dominating side| so one tolerance knob covers all scales; the
-majorization margins are those of the `majorization` kernel.
+by 1 + max|dominating side| so one tolerance knob covers all scales.
 
-Every checker is written in two parts, the matrices to gate and the
-margin from their spectra, so that a stage can gate the matrices of
-several checkers in one stacked call while each margin formula exists
-once.  A stage is a `_Plan` of checkers run on one `Pair` stack.  The
-checkers name the matrices they use by key; the plan lays out each kind
-as one batch of arrays (the Heron sums one broadcast over (a^2, b^2, c),
-the W_{a,b} one pass over the weights), and a key named twice is built
-and gated once: the sharp Heron sums and W_{a,b} of spreading, endpoints and
-BLY are entries of the Heron grid, and a Heron sum at c = 0, which has no
-cross term, has one key whatever its checker's cross term.  A key that
-is made from others (a difference, a quadratic lift of Phi_R(C)) reads
-them as built.  Each mean (X with A natural B, A # B, the square roots)
-is computed once, over the pairs whose keys read it: the plan lists
-them (`where`) and gives each such key its position in the list, and
-the stage takes the Pair of those pairs (`Pair.take`).  Pinching and
-the semidefinite limit first make operand pairs: the compression pairs
-(R X R, S X S) at X = C, I, 2C and C1, and the eps-levels
-(A0 + eps I, B0 + eps I).  On those pairs the maps
-Phi_R(X) and the Heron side of the limit are the same keyed sum,
-A + B + 2 (A # B); the quadratic lift's keys read C and D from the
-trial.  A checker's records go to one report per stage, in item order.
-Weights are checked when a checker is made, so once per plan: a plan
-depends only on the trial's weights and pair count, and run_suite keeps
-one per shape for the process (`_trial_plan`).
-
-The public checkers run one checker through a plan of its own (the
-quadratic lift alone is one gate call between its two parts).  run_suite
-makes every random draw of a trial first (`_draw_trial`), as one stacked
-segment of two parts: A, B, the commuting pair and the first noncommuting
-candidate; then the pinching operands C and R, the bump behind C1, the D0
-behind D and the rank-deficient A0, B0.  The segment makes all of its rng
-draws, then one stacked QR for its Haar unitaries and one stacked
-U diag(lambda) U*; `gate_eig` checks the drawn (lambda, U) of the first
-part, the candidate is tested, and `gate_eig` checks the second part.  A
-rejected candidate restores the rng to its state after the first part and
-is redrawn one pair at a time, and the second part is drawn again, so the
-draws are those of drawing each instance in turn.  The trial then runs
-one stage on one Pair (`Pair.stack`): the main pair, the two equality
-pairs, then the four compression pairs and the four eps-levels, whose raw
-operands are gated in one call of their own first.
-So X, and with it A natural B and W_{a,b}, is computed on the first three
-pairs and the compression pair of C only, and one gate holds every
-compared matrix of the trial, those of pinching, its lift and the limit
-first.
+A record's margin is the least of its named parts (PARTS, one table for
+every checker), each a relation of a dominated to a dominating side: of
+their spectra (`_SPECTRAL`) or, for a few identities, of the matrices.
+The sides are matrices named by key.  A stage is a `_Plan` of checkers
+run on one `Pair` stack: it builds and gates each key once, each kind in
+one batch, computes each mean once over the pairs whose keys read it
+(`where`, `Pair.take`), and evaluates each relation in one call over all
+of its parts.  Pinching and the semidefinite limit first make operand
+pairs, the compressions (R X R, S X S) and the eps-levels, on which
+Phi_R(X) and the limit's Heron side are the one keyed sum
+A + B + 2 (A # B).  Weights are checked when a checker is made; run_suite
+keeps one plan per trial shape (`_trial_plan`) and runs one stage per
+trial, and a public checker runs a plan of its own.
 
 The certified instances and their float replay come from `exact`
 (`certified_pairs`, `certified_replay`); the dependency runs one way, so
@@ -70,6 +38,7 @@ from .exact import certified_pairs, certified_replay, scalar_heron_gap
 from .linalg import (
     HermitianMatrix,
     PDMatrix,
+    adjoint,
     as_stack,
     assemble,
     complex_gaussian,
@@ -165,7 +134,7 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
-# margin helpers
+# the parts of a margin: each relation written once, over a stage's parts
 # ---------------------------------------------------------------------------
 
 def _eq_margin(gap, scale):
@@ -173,15 +142,142 @@ def _eq_margin(gap, scale):
     return -np.abs(gap) / scale
 
 
-def _report(name: str, tol: float, margins, context) -> CheckReport:
-    """A report with one record per margin (one per pair of a stack);
-    `context` is one dict for every record or a list with one per record."""
-    report = CheckReport(name, tol)
-    margins = np.atleast_1d(margins)
-    contexts = context if isinstance(context, list) else [context] * len(margins)
-    for margin, ctx in zip(margins, contexts):
-        report.record(margin, ctx)
-    return report
+def _ky_fan_entry(x, y, k):
+    """The normalized Ky Fan margin at entry k, counted from the end where
+    k < 0 (entry -2 is the trace's at n = 1)."""
+    margins, scale = ky_fan_margins(x, y)
+    return margins[np.arange(len(k)), np.maximum(k.astype(np.intp), -x.shape[-1])] / scale
+
+
+def _log_ky_fan(x, y, total: bool):
+    """The least log Ky Fan margin below k = n (0 at n = 1), or the equal
+    totals, sum log x = sum log y."""
+    margins, scale = ky_fan_margins(np.log(x), np.log(y))
+    if total:
+        return _eq_margin(margins[:, -1], scale)
+    return margins[:, :-1].min(-1) / scale if x.shape[-1] > 1 else np.zeros(len(x))
+
+
+def _schatten(x, y, p):
+    """||x||_p <= ||y||_p, normalized by 1 + ||y||_p, for the Schatten
+    norms p = 1, 2 and inf of positive decreasing spectra."""
+    nx, ny = (np.where(p == 1.0, s.sum(-1), np.where(p == 2.0, np.sqrt((s ** 2).sum(-1)), s[:, 0])) for s in (x, y))
+    return (ny - nx) / (1.0 + ny)
+
+
+# The relations between spectra, f(x, y, arg) over a stage's parts, one row
+# each: x, y the decreasing spectra of the sides, arg a Ky Fan k or a p.
+_SPECTRAL = {
+    "weak": lambda x, y, _: weak_margin(x, y),
+    # the Ky Fan sums of -x reversed are minus the bottom-k sums of x
+    "bottom": lambda x, y, _: weak_margin(-x[:, ::-1], -y[:, ::-1]),
+    "ky_fan": _ky_fan_entry,
+    "bottom_ky_fan": lambda x, y, k: _ky_fan_entry(-x[:, ::-1], -y[:, ::-1], k),
+    "trace": lambda x, y, _: trace_margin(x, y),
+    # det x <= det y in the log domain, normalized by the dominated side
+    "log_det": lambda x, y, _: (np.log(y).sum(-1) - np.log(x).sum(-1)) / (1.0 + np.abs(np.log(x).sum(-1))),
+    "log_prefix": lambda x, y, _: _log_ky_fan(x, y, False),
+    "log_total": lambda x, y, _: _log_ky_fan(x, y, True),
+    "schatten": _schatten,
+    # x <= y in the Loewner order, read from the gated spectrum of y - x
+    "loewner": lambda _, gap, __: gap[:, -1] / (1.0 + np.abs(gap).max(-1)),
+}
+
+
+# The relations between matrices, f(built, x, y, keys, tol) over a stage's
+# parts: x, y the rows in built.mats of the sides (None: an operand), keys y's.
+
+def _norms(mats) -> np.ndarray:
+    """np.linalg.norm of each matrix of a stack, with its own summation."""
+    return np.array([np.linalg.norm(M) for M in mats])
+
+
+def _expansion(built: _Built, _, y, keys, __) -> np.ndarray:
+    """(a A^{1/2} + b B^{1/2})^2 = a^2 A + b^2 B + ab (A^{1/2} B^{1/2} + B^{1/2} A^{1/2})."""
+    roots = built.means["sqrt"]
+    A, B, Ah, Bh = (as_stack(M)[[built.at[row] for row in y]] for M in (roots.A, roots.B, *roots.sqrt()))
+    a, b = (np.array(w)[:, None, None] for w in zip(*(key[2:] for key in keys)))
+    cross, rhs = Ah @ Bh, built.mats[y]
+    return _eq_margin(_norms(a * a * A + b * b * B + a * b * (cross + adjoint(cross)) - rhs), 1.0 + _norms(rhs))
+
+
+def _unitality(built: _Built, x, *_) -> np.ndarray:
+    """Phi_R(I) = I."""
+    n = built.mats.shape[-1]
+    return _eq_margin(_norms(built.mats[x] - np.eye(n)), 1.0 + math.sqrt(n))
+
+
+def _homogeneity(built: _Built, x, y, *_) -> np.ndarray:
+    """Phi_R(2C) = 2 Phi_R(C)."""
+    return _eq_margin(_norms(built.mats[x] - 2.0 * built.mats[y]), 1.0 + 2.0 * _norms(built.mats[y]))
+
+
+def _trace_subpreservation(built: _Built, x, *_) -> np.ndarray:
+    """tr Phi_R(C) <= tr C."""
+    trace = built.operands.C.trace()
+    return (trace - np.trace(built.mats[x], axis1=-2, axis2=-1).real) / (1.0 + trace)
+
+
+def _trace_identity(built: _Built, x, *_) -> np.ndarray:
+    """tr(A natural B) = tr(R S C) on the compression pair (R C R, S C S)."""
+    C, R, S = built.operands[:3]
+    rhs = float(np.trace(R.mat @ S @ C.mat).real)
+    return _eq_margin(np.trace(built.mats[x], axis1=-2, axis2=-1).real - rhs, 1.0 + abs(rhs))
+
+
+def _commuting(built: _Built, x, y, keys, tol: float) -> np.ndarray:
+    """A sharp Heron sum equals W exactly when A and B commute, else stays
+    apart; a gray zone between the two has nothing sharp to assert (0)."""
+    A, B = (as_stack(M)[[key[1] for key in keys]] for M in (built.pair.A, built.pair.B))
+    comm, comm_scale = frobenius(A @ B - B @ A), frobenius(A) * frobenius(B)
+    w_norm, diff = frobenius(built.mats[y]), frobenius(built.mats[x] - built.mats[y])
+    return np.where(comm <= tol * comm_scale, _eq_margin(diff, w_norm),
+                    np.where(comm >= NONCOMMUTING_FLOOR * comm_scale, (diff - 1e-6 * w_norm) / w_norm, 0.0))
+
+
+class _Part(NamedTuple):
+    """A named part of a record's margin: its relation (in `_SPECTRAL`, or a
+    function of matrices) of the dominated to the dominating side."""
+
+    name: str
+    relation: str | Callable
+    dominated: object
+    dominating: object
+    arg: float = 0.0
+
+
+# The parts of each checker that runs in a stage, in the order its record
+# takes their min.  The Heron grid checks the trace only at c = 2ab.
+PARTS = {
+    "spectral_heron": (_Part("weak", "weak", "H", "W"), _Part("trace", "trace", "H", "W")),
+    "kubo_heron": (_Part("weak", "weak", "H", "W"),),
+    "weighted_corollary": (_Part("weak", "weak", "H", "W"), _Part("trace", "trace", "H", "W")),
+    "spreading": (_Part("weak", "weak", "H_natural", "W"), _Part("bottom", "bottom", "H_natural", "W"),
+                  _Part("trace", "trace", "H_natural", "W"), _Part("log_det", "log_det", "W", "H_natural")),
+    "endpoints": (_Part("lambda_min", "bottom_ky_fan", "H_kubo", "W", 0),
+                  _Part("lambda_max", "ky_fan", "H_kubo", "W", 0), _Part("trace", "ky_fan", "H_kubo", "W", -1),
+                  _Part("top_n_minus_1", "ky_fan", "H_kubo", "W", -2)),
+    "log_majorization_means": (_Part("log_prefix", "log_prefix", "G", "N"),
+                               _Part("log_det_equality", "log_total", "G", "N"),
+                               _Part("trace", "schatten", "G", "N", 1)),
+    "bly": (_Part("weak", "weak", "H_kubo", "R"), _Part("expansion", _expansion, None, "R"),
+            *(_Part(f"schatten_{p:g}", "schatten", "H_kubo", "R", p) for p in (1, 2, math.inf))),
+    "pinching": (_Part("weak", "weak", "Phi", "C"), _Part("unitality", _unitality, "Phi(I)", None),
+                 _Part("homogeneity", _homogeneity, "Phi(2C)", "Phi"),
+                 _Part("trace_subpreservation", _trace_subpreservation, "Phi", "C"),
+                 _Part("order", "loewner", "Phi(C1)", "Phi"), _Part("trace_identity", _trace_identity, "N", None)),
+    "quadratic_lifting": (_Part("lift", "weak", "lift", "C^2"),),
+    "semidefinite_limit": tuple(_Part(f"eps={eps:g}", "weak", ("H_kubo", i), ("R", i))
+                                for i, eps in enumerate(EPS_SEQUENCE)),
+    "equality_iff_commuting": (_Part("natural", _commuting, "H_natural", "W"),
+                               _Part("kubo", _commuting, "H_kubo", "W")),
+}
+
+
+def _bind(parts, keys: dict) -> tuple:
+    """The parts with their roles replaced by the keys of one record."""
+    return tuple(part._replace(dominated=keys.get(part.dominated), dominating=keys.get(part.dominating))
+                 for part in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +292,22 @@ def _report(name: str, tol: float, margins, context) -> CheckReport:
 #   ("spectral", p), ("geometric", p)   A natural B, A # B
 #   ("bly", p, a, b)                 (a A^{1/2} + b B^{1/2})^2
 #   ("difference", key1, key2)       the matrix of key1 minus that of key2
-#   ("lift", key), ("lift", "D")     C^{1/2} M C^{1/2}, M that of key or D
-#   ("D",)                           D, with C the trial's `_Operands`
+#   ("lift", key)                    C^{1/2} M C^{1/2}, M that of key
+#   ("D", i)                         D_i, with C the stage's `_Operands`
+#   ("C", k)                         never built: lambda(C)^k, from C's decomposition
 HERMITIAN_KINDS = ("W", "difference")
+MADE_FROM_KEYS = ("difference", "lift")
+
+
+def _keys(p: int, a: float, b: float) -> dict:
+    """The key of each role of a checker of pair p, Heron sums at c = 2ab."""
+    c = 2.0 * a * b
+    return {"H_natural": ("heron", p, "spectral", a, b, c), "H_kubo": ("heron", p, "geometric", a, b, c),
+            "W": ("W", p, a, b), "R": ("bly", p, a, b), "G": ("geometric", p), "N": ("spectral", p)}
 
 
 class _Operands(NamedTuple):
-    """What pinching and the lift read beyond the Pair: C, R, S = I - R
-    and the raw D."""
+    """What pinching and the lift read beyond the Pair: C, R, S = I - R, Ds."""
 
     C: PDMatrix
     R: PDMatrix | None = None
@@ -218,9 +322,9 @@ def _bly_rhs(built: _Built, batch) -> np.ndarray:
     return hermitian_part(T @ T)
 
 
-def _lifts(built: _Built, sources) -> np.ndarray:
-    C, _, _, D = built.operands
-    return _lift_matrices(C, [D if row == "D" else built.mats[row] for row in sources])
+def _lifts(built: _Built, rows) -> np.ndarray:
+    Ch = principal_sqrt(built.operands.C).mat
+    return hermitian_part(Ch @ built.mats[rows] @ Ch)
 
 
 def _indices(p) -> np.ndarray:
@@ -240,8 +344,8 @@ _MAKERS = {
             _bly_rhs),
     "difference": (lambda *keys: [_indices(rows) for rows in keys],
                    lambda built, rows: built.mats[rows[0]] - built.mats[rows[1]]),
-    "lift": (tuple, _lifts),
-    "D": (tuple, lambda built, _: built.operands.D),
+    "lift": (_indices, _lifts),
+    "D": (_indices, lambda built, i: built.operands.D[i]),
 }
 
 # The mean that a key of each kind may read on its pair p, by the Pair
@@ -258,38 +362,55 @@ _READS = {
 
 
 class _Check(NamedTuple):
-    """One checker's part of a stage: groups of the keys of the matrices
-    whose spectra it compares (gated) and of those it uses otherwise, and
-    its reports(built, rows, tol, context) from the rows of each group."""
+    """One checker's part of a stage: the report name and bound parts of
+    each record, in order; hypotheses, parts that raise where they fail;
+    and finish(report, parts), the diagnostics of a one-record check."""
 
-    gated: tuple
-    plain: tuple
-    reports: Callable[..., list[CheckReport]]
+    names: tuple
+    records: tuple
+    hypotheses: tuple = ()
+    finish: Callable | None = None
+
+
+def _compared(part: _Part) -> tuple:
+    """The keys a spectral part reads: its sides, or their difference twice."""
+    if part.relation == "loewner":
+        return (("difference", part.dominating, part.dominated),) * 2
+    return part.dominated, part.dominating
 
 
 class _Plan:
-    """A stage's layout: each key once, those gated as positive definite
-    first (so a failure names the same stack index whatever Hermitian
-    ones a stage adds), the plain ones last; the pairs each mean is
-    computed on (`where`, sorted, each once) and, by row, the position
+    """A stage's layout: each key once, those whose spectra a part compares
+    first and gated, positive definite first (so a failure names the same
+    stack index whatever Hermitian ones a stage adds); the pairs each mean
+    is computed on (`where`, sorted, each once) and, by row, the position
     in them of the pair a key reads (`at`; a key that reads no mean has
-    none, and its batch gets position 0, which it skips); each kind's
-    batch, those that others read first; the rows each check reads.  It
-    is only read once made."""
+    none, and its batch skips position 0); each kind's batch, those made
+    from other keys last; each relation's rows and (record, part) places."""
 
     def __init__(self, checks: list[_Check]):
-        def flat(part: str) -> dict:
-            return dict.fromkeys(key for check in checks for group in getattr(check, part) for key in group)
+        self.checks, records = [], []
+        for check in checks:
+            self.checks.append((check, len(records)))
+            records += check.records + tuple((h,) for h in check.hypotheses)
 
-        gated = sorted(flat("gated"), key=lambda key: key[0] in HERMITIAN_KINDS)
-        seen = set(gated)
-        keys = gated + [key for key in flat("plain") if key not in seen]
+        def sides(spectral: bool) -> list:
+            pairs = [[_compared(part) if spectral else part[2:4] for record in check.records + (check.hypotheses,)
+                      for part in record if isinstance(part.relation, str) == spectral] for check in checks]
+            return [pair[side] for check in pairs for side in (0, 1) for pair in check if pair[side] is not None]
+
+        compared = sides(True)
+        gated = sorted(dict.fromkeys(key for key in compared if key[0] != "C"),
+                       key=lambda key: key[0] in HERMITIAN_KINDS)
+        plain = [key for key in sides(False) if key[0] != "C"]
+        keys = list(dict.fromkeys(gated + plain + [arg for key in gated + plain if key[0] in MADE_FROM_KEYS
+                                                   for arg in key[1:]]))
         index = {key: i for i, key in enumerate(keys)}
         self.size = len(keys)
         self.pd = np.array([key[0] not in HERMITIAN_KINDS for key in gated])
-        kinds: dict = {}
-        reads: dict = {}
-        pairs: dict = {}
+        self.powers = list(dict.fromkeys(key[1] for key in compared if key[0] == "C"))
+        spectra = index | {("C", k): len(gated) + i for i, k in enumerate(self.powers)}
+        kinds, reads, pairs = {}, {}, {}
         for i, (kind, *args) in enumerate(keys):
             kinds.setdefault(kind, []).append(i)
             read = kind in _READS and _READS[kind](*args)
@@ -299,19 +420,55 @@ class _Plan:
         self.where = {mean: sorted(ps) for mean, ps in pairs.items()}
         self.at = {i: self.where[mean].index(p) for i, (mean, p) in reads.items()}
         self.batches = []
-        for kind in sorted(kinds, key=lambda kind: kind not in _READS):
+        for kind in sorted(kinds, key=lambda kind: kind in MADE_FROM_KEYS):
             prepare, make = _MAKERS[kind]
             columns = zip(*([index.get(arg, arg) for arg in keys[i][1:]]
                             + ([self.at.get(i, 0)] if kind in _READS else []) for i in kinds[kind]))
             self.batches.append((_indices(kinds[kind]), make, prepare(*columns)))
-        self.checks = [(check.reports, [_indices([index[key] for key in group]) for group in check.gated + check.plain])
-                       for check in checks]
+        relations: dict = {}
+        for slot, record in enumerate(records):
+            for j, part in enumerate(record):
+                spectral = isinstance(part.relation, str)
+                x, y = (spectra[key] for key in _compared(part)) if spectral else map(index.get, part[2:4])
+                arg = part.arg if spectral else part.dominating
+                relations.setdefault(part.relation, []).append((slot, j, x, y, arg))
+        self.shape = (len(records), max(map(len, records)))
+        self.relations = []
+        for relation, table in relations.items():
+            slots, js, x, y, args = zip(*table)
+            self.relations.append((relation, _indices(slots) * self.shape[1] + _indices(js), *(
+                (_indices(x), _indices(y), np.array(args, dtype=np.float64)) if isinstance(relation, str)
+                else (None if None in x else _indices(x), None if None in y else _indices(y), args))))
 
-    def run(self, pair: Pair, tol: float, contexts, operands: _Operands | None = None) -> list[CheckReport]:
-        """The checks' reports on one Pair stack, with one context each."""
+    def run(self, pair: Pair | None, tol: float, contexts, operands: _Operands | None = None) -> list[CheckReport]:
+        """The checks' reports on one Pair stack, with one context each (or a
+        list of one per record): each relation is evaluated in one call."""
         built = _Built(self, pair, operands)
-        return [report for (reports, rows), context in zip(self.checks, contexts)
-                for report in reports(built, rows, tol, context)]
+        parts = np.full(self.shape, np.inf)
+        flat = parts.reshape(-1)
+        for relation, at, x, y, args in self.relations:
+            if isinstance(relation, str):
+                flat[at] = _SPECTRAL[relation](built.vals[x], built.vals[y], args)
+            else:
+                flat[at] = relation(built, x, y, args, tol)
+        # the least part of each record as min() picks it (the first of
+        # equal parts, so -0.0 before 0.0), but NaN where any part is NaN
+        margins = parts[np.arange(len(parts)), parts.argmin(axis=1)]
+        reports = []
+        for (check, start), context in zip(self.checks, contexts):
+            stop = start + len(check.records)
+            if check.hypotheses:
+                require(margins[stop:stop + len(check.hypotheses)] >= -tol, InvalidWeightsError,
+                        lambda i: f"instance violates the hypothesis {check.hypotheses[i[0]].name}")
+            by_name: dict = {}
+            for name, margin, ctx in zip(check.names, margins[start:stop].tolist(),
+                                         context if isinstance(context, list) else [context] * (stop - start)):
+                report = by_name[name] = by_name.get(name) or CheckReport(name, tol)
+                report.record(margin, ctx)
+            if check.finish:
+                check.finish(report, parts[start, :len(check.records[0])])
+            reports += by_name.values()
+        return reports
 
 
 def _build(built: _Built, batches) -> None:
@@ -321,28 +478,40 @@ def _build(built: _Built, batches) -> None:
 
 
 class _Built:
-    """The matrices that a plan builds on one Pair (and operands), the
-    Pair of each mean's pairs that computes it (`means`, read at the
-    plan's `at`; X and A # B are computed first, in one `joint_means`
-    pass), and the spectra of those gated."""
+    """The matrices a plan builds on one Pair (None if it reads no mean) and
+    operands, the Pair of each mean's pairs (`means`, at the plan's `at`; X
+    and A # B in one `joint_means` pass), and the spectra its parts compare
+    (`vals`): those gated, then the plan's powers of C's."""
 
-    def __init__(self, plan: _Plan, pair: Pair, operands: _Operands | None):
+    def __init__(self, plan: _Plan, pair: Pair | None, operands: _Operands | None):
         self.pair, self.operands, self.at = pair, operands, plan.at
+        dim = (operands.C if pair is None else pair).dim
         self.means = {mean: pair.take(where) for mean, where in plan.where.items()}
         joint_means(self.means.get("riccati"), self.means.get("geometric"))
-        self.mats = np.empty((plan.size, pair.dim, pair.dim), dtype=np.complex128)
+        self.mats = np.empty((plan.size, dim, dim), dtype=np.complex128)
         _build(self, plan.batches)
-        self.vals = gate_stack(self.mats[:len(plan.pd)], plan.pd)[0] if len(plan.pd) else None
+        self.vals = gate_stack(self.mats[:len(plan.pd)], plan.pd)[0] if len(plan.pd) else np.empty((0, dim))
+        if plan.powers:
+            self.vals = np.concatenate([self.vals, [operands.C.eig().eigenvalues ** k for k in plan.powers]])
 
 
-def _stage(pair: Pair, check: _Check, tol: float, context, operands: _Operands | None = None) -> CheckReport:
+def _stage(pair: Pair | None, check: _Check, tol: float, context, operands: _Operands | None = None) -> CheckReport:
     """One checker's report on a Pair, through a plan of its own."""
     return _Plan([check]).run(pair, tol, [context], operands)[0]
+
+
+def _records(name: str, a: float = 1.0, b: float = 1.0, pairs=(0,)) -> _Check:
+    """A checker's records on `pairs`, one each, with its weights checked
+    (positive for those in POSITIVE_WEIGHTS)."""
+    require_weights(name, positive=name in POSITIVE_WEIGHTS, a=a, b=b)
+    return _Check((name,) * len(pairs), tuple(_bind(PARTS[name], _keys(p, a, b)) for p in pairs))
 
 
 # Checkers of the Heron grid, each with the cross term of its Heron
 # expression.  weighted_corollary is spectral_heron at (a, b) = (1-t, t).
 GRID_CROSS = {"spectral_heron": "spectral", "kubo_heron": "geometric", "weighted_corollary": "spectral"}
+# Checkers whose weights must be positive, not only nonnegative.
+POSITIVE_WEIGHTS = ("spreading", "equality_iff_commuting")
 
 
 def _grid(items) -> _Check:
@@ -353,9 +522,8 @@ def _grid(items) -> _Check:
     majorization, so trace equality is checked there too."""
     checks = [item[0] for item in items]
     a, b, c = (np.array(x, dtype=np.float64) for x in list(zip(*items))[1:])
-    names = list(dict.fromkeys(checks))
-    picks = [_indices([i for i, check in enumerate(checks) if check == name]) for name in names]
-    for name, pick in zip(names, picks):  # one array per checker, so an error names it
+    for name in dict.fromkeys(checks):  # one array per checker, so an error names it
+        pick = _indices([i for i, check in enumerate(checks) if check == name])
         require_weights(name, a=a[pick], b=b[pick], c=c[pick])
     two_ab = 2.0 * a * b
     ok = c <= two_ab * (1.0 + 1e-12)
@@ -365,20 +533,12 @@ def _grid(items) -> _Check:
         return f"{check}: need c <= 2ab = {2.0 * a * b}, got a = {a}, b = {b}, c = {c}"
 
     require(ok.all(), InvalidWeightsError, first_bad)
+    endpoint = (two_ab > 0.0) & (c >= two_ab * (1.0 - 1e-12))
     # at c = 0 the sum has no cross term, so every check shares one key
-    H = tuple(("heron", 0, GRID_CROSS[check] if c else "spectral", a, b, c) for check, a, b, c in items)
-    W = tuple(("W", 0, a, b) for _, a, b, _ in items)
-    endpoint = np.array([GRID_CROSS[check] == "spectral" for check in checks]) & (two_ab > 0.0) \
-        & (c >= two_ab * (1.0 - 1e-12))
-
-    def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
-        sH, sW = built.vals[rows[0]], built.vals[rows[1]]
-        margins = weak_margin(sH, sW)
-        trace_margins = trace_margin(sH, sW)
-        margins = np.where(endpoint & (trace_margins < margins), trace_margins, margins)
-        return [_report(name, tol, margins[pick], context) for name, pick in zip(names, picks)]
-
-    return _Check((H, W), (), reports)
+    return _Check(tuple(checks), tuple(
+        _bind(PARTS[check] if end else PARTS[check][:1],
+              {"H": ("heron", 0, GRID_CROSS[check] if c else "spectral", a, b, c), "W": ("W", 0, a, b)})
+        for (check, a, b, c), end in zip(items, endpoint)))
 
 
 def heron_grid(pair: Pair, items, tol: float, context: dict | None = None) -> list[CheckReport]:
@@ -429,58 +589,12 @@ def check_sharpness_scalar(a: float, b: float, c_over: float) -> CheckReport:
     return report
 
 
-def _spreading(a: float, b: float) -> _Check:
-    require_weights("spreading", positive=True, a=a, b=b)
-    keys = (("heron", 0, "spectral", a, b, 2.0 * a * b), ("W", 0, a, b))
-
-    def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
-        sH, sW = built.vals[rows[0]]
-        margins = [weak_margin(sH, sW)]
-        # bottom-k sums, Heron side dominating: -lambda(H) prec_w -lambda(W)
-        margins.append(weak_margin(-sH[::-1], -sW[::-1]))
-        margins.append(trace_margin(sH, sW))
-        # determinants compared in the log domain
-        logdet_H = float(np.log(sH).sum())
-        logdet_W = float(np.log(sW).sum())
-        margins.append((logdet_H - logdet_W) / (1.0 + abs(logdet_W)))
-        return [_report("spreading", tol, min(margins), context)]
-
-    return _Check((keys,), (), reports)
-
-
 def check_spreading(pair: Pair, a: float, b: float,
                     tol: float, context: dict | None = None) -> CheckReport:
     """At the endpoint coefficient the spectral Heron expression is
     spectrally less spread: top-k sums smaller, bottom-k sums larger,
     trace equal, determinant at least as large."""
-    return _stage(pair, _spreading(a, b), tol, context)
-
-
-def _equality(pairs, a: float, b: float) -> _Check:
-    require_weights("equality_iff_commuting", positive=True, a=a, b=b)
-    pairs = _indices(pairs)
-    keys = tuple(tuple((kind, p, *args) for p in pairs.tolist()) for kind, *args in (
-        ("heron", "spectral", a, b, 2.0 * a * b), ("heron", "geometric", a, b, 2.0 * a * b), ("W", a, b)))
-
-    def reports(built: _Built, rows, tol: float, contexts) -> list[CheckReport]:
-        H_nat, H_kubo, W = (built.mats[r] for r in rows)
-        A, B = (as_stack(M)[pairs] for M in (built.pair.A, built.pair.B))
-        comm = frobenius(A @ B - B @ A)
-        comm_scale = frobenius(A) * frobenius(B)
-        w_norm = frobenius(W)
-        diff_nat = frobenius(H_nat - W)
-        diff_kubo = frobenius(H_kubo - W)
-        # between clearly commuting and clearly noncommuting lies a gray
-        # zone with nothing sharp to assert (margin 0)
-        margins = np.where(
-            comm <= tol * comm_scale,
-            _eq_margin(np.maximum(diff_nat, diff_kubo), w_norm),
-            np.where(comm >= NONCOMMUTING_FLOOR * comm_scale,
-                     (np.minimum(diff_nat, diff_kubo) - 1e-6 * w_norm) / w_norm, 0.0),
-        )
-        return [_report("equality_iff_commuting", tol, margins, contexts)]
-
-    return _Check((), keys, reports)
+    return _stage(pair, _records("spreading", a, b), tol, context)
 
 
 def check_equality_iff_commuting(pair: Pair, a: float, b: float,
@@ -489,76 +603,21 @@ def check_equality_iff_commuting(pair: Pair, a: float, b: float,
     exactly when A and B commute; otherwise they stay separated by a
     data-dependent positive amount.  One record per pair of a stacked
     Pair."""
-    return _stage(pair, _equality(range(len(pair)), a, b), tol, context)
-
-
-def _endpoints(a: float, b: float) -> _Check:
-    require_weights("endpoints", a=a, b=b)
-    keys = (("heron", 0, "geometric", a, b, 2.0 * a * b), ("W", 0, a, b))
-
-    def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
-        sH, sW = built.vals[rows[0]]
-        top, scale = ky_fan_margins(sH, sW)
-        bottom = ky_fan_margins(-sH[::-1], -sW[::-1])[0]
-        # smallest and largest eigenvalue, trace and, for n > 1, (n-1)-sum
-        margins = [bottom[0], top[0], top[-1], *top[-2:-1]]
-        return [_report("endpoints", tol, min(margins) / scale, context)]
-
-    return _Check((keys,), (), reports)
+    return _stage(pair, _records("equality_iff_commuting", a, b, range(len(pair))), tol, context)
 
 
 def check_endpoints(pair: Pair, a: float, b: float,
                     tol: float, context: dict | None = None) -> CheckReport:
     """Order of the extreme eigenvalues, the trace, and the (n-1)-sum
     between the sharp geometric Heron and Wasserstein expressions."""
-    return _stage(pair, _endpoints(a, b), tol, context)
-
-
-def _log_majorization_means() -> _Check:
-    keys = (("geometric", 0), ("spectral", 0))
-
-    def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
-        sG, sN = built.vals[rows[0]]  # positive: both are gated as positive definite
-        margins, scale = ky_fan_margins(np.log(sG), np.log(sN))
-        prefix = margins[:-1].min() / scale if len(sG) > 1 else 0.0
-        total = _eq_margin(margins[-1], scale)
-        trace = (sN.sum() - sG.sum()) / (1.0 + sN.sum())
-        return [_report("log_majorization_means", tol, min(prefix, total, trace), context)]
-
-    return _Check((keys,), (), reports)
+    return _stage(pair, _records("endpoints", a, b), tol, context)
 
 
 def check_log_majorization_means(pair: Pair, tol: float,
                                  context: dict | None = None) -> CheckReport:
     """The geometric mean is log-majorized by the spectral mean; in
     particular its trace is no larger."""
-    return _stage(pair, _log_majorization_means(), tol, context)
-
-
-def _bly(a: float, b: float) -> _Check:
-    require_weights("bly", a=a, b=b)
-    keys = (("heron", 0, "geometric", a, b, 2.0 * a * b), ("bly", 0, a, b))
-
-    def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
-        sH, sR = built.vals[rows[0]]
-        rhs = built.mats[rows[0][1]]
-        roots, at = built.means["sqrt"], built.at[rows[0][1]]
-        A, B, Ah, Bh = (as_stack(M)[at] for M in (roots.A, roots.B, *roots.sqrt()))
-        margins = [weak_margin(sH, sR)]
-        # expansion of the square: a^2 A + b^2 B + ab(sqrtA sqrtB + sqrtB sqrtA)
-        cross = Ah @ Bh
-        expanded = a * a * A + b * b * B + a * b * (cross + cross.conj().T)
-        margins.append(_eq_margin(float(np.linalg.norm(expanded - rhs)), 1.0 + float(np.linalg.norm(rhs))))
-        # Schatten norms follow from the eigenvalue comparison for PSD matrices
-        for p_lhs, p_rhs in (
-            (float(sH.sum()), float(sR.sum())),
-            (float(np.sqrt((sH ** 2).sum())), float(np.sqrt((sR ** 2).sum()))),
-            (float(sH[0]), float(sR[0])),
-        ):
-            margins.append((p_rhs - p_lhs) / (1.0 + p_rhs))
-        return [_report("bly", tol, min(margins), context)]
-
-    return _Check((keys,), (), reports)
+    return _stage(pair, _records("log_majorization_means"), tol, context)
 
 
 def check_bly(pair: Pair, a: float, b: float,
@@ -566,22 +625,13 @@ def check_bly(pair: Pair, a: float, b: float,
     """Weak-majorization refinement of the two-variable Heron comparison
     against the squared sum of weighted square roots, plus the expansion
     identity and Schatten p = 1, 2, inf spot checks."""
-    return _stage(pair, _bly(a, b), tol, context)
+    return _stage(pair, _records("bly", a, b), tol, context)
 
 
 # ---------------------------------------------------------------------------
-# pinching, its quadratic lift and the semidefinite limit: their operand
-# pairs are made per trial (`_compressions`, `_levels`), and run_suite
-# joins them into one gated Pair; all three key the matrices they compare
-# like the checkers above
+# pinching, its quadratic lift and the semidefinite limit, on operand pairs
+# made per trial (`_compressions`, `_levels`) and joined into one gated Pair
 # ---------------------------------------------------------------------------
-
-def _sharp_geometric(p) -> tuple:
-    """Key of A + B + 2 (A # B) of pair p: Phi_R(C) when the pair is the
-    compression pair (R C R, S C S), and the Heron side of the
-    semidefinite limit."""
-    return ("heron", p, "geometric", 1.0, 1.0, 2.0)
-
 
 def _compressions(C: PDMatrix, R: PDMatrix, C1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """S = I - R and the raw pairs (R X R, S X S) at X = C, I, 2C and C1 <=
@@ -593,36 +643,11 @@ def _compressions(C: PDMatrix, R: PDMatrix, C1: np.ndarray) -> tuple[np.ndarray,
 
 def _pinching(p: int = 0) -> _Check:
     """The check of Phi = Phi_R(C) on the compression pairs as pairs p,
-    ..., p+3 of the stage's Pair.  Only Phi_R(C) and the order check's
-    Phi_R(C) - Phi_R(C1), gated as Hermitian, are gated: unitality and
-    homogeneity read Frobenius norms of Phi_R(I) and Phi_R(2C), and the
-    trace identity the spectral mean of pair p, all plain keys."""
-    keys = tuple(_sharp_geometric(p + i) for i in range(4))
-    gap = ("difference", keys[0], keys[3])
-
-    def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
-        C, R, S, _ = built.operands
-        n = C.dim
-        eye = np.eye(n)
-        (Phi,), (sPhi,), (gap_vals,) = built.mats[rows[0]], built.vals[rows[0]], built.vals[rows[1]]
-        Phi_eye, Phi2, _, natural = built.mats[rows[2]]
-        margins = [weak_margin(sPhi, C.eig().eigenvalues)]
-        # unitality
-        margins.append(_eq_margin(float(np.linalg.norm(Phi_eye - eye)), 1.0 + math.sqrt(n)))
-        # positive homogeneity at alpha = 2
-        margins.append(_eq_margin(float(np.linalg.norm(Phi2 - 2.0 * Phi)),
-                                  1.0 + 2.0 * float(np.linalg.norm(Phi))))
-        # trace-subpreservation
-        margins.append((C.trace() - float(np.trace(Phi).real)) / (1.0 + C.trace()))
-        # order preservation on the dominated pair C1 <= C
-        margins.append(float(gap_vals[-1]) / (1.0 + float(np.abs(gap_vals).max())))
-        # trace identity linking the spectral mean of the two compressions
-        lhs_tr = float(np.trace(natural).real)
-        rhs_tr = float(np.trace(R.mat @ S @ C.mat).real)
-        margins.append(_eq_margin(lhs_tr - rhs_tr, 1.0 + abs(rhs_tr)))
-        return [_report("pinching", tol, min(margins), context)]
-
-    return _Check(((keys[0],), (gap,)), (keys[1:] + (("spectral", p),),), reports)
+    ..., p+3 of the stage's Pair, where Phi_R(X) is their sharp geometric
+    Heron sum A + B + 2 (A # B).  Only Phi_R(C) and Phi_R(C) - Phi_R(C1)
+    are gated; the identities read Phi_R(I), Phi_R(2C) and A natural B."""
+    keys = {role: _keys(p + i, 1.0, 1.0)["H_kubo"] for i, role in enumerate(("Phi", "Phi(I)", "Phi(2C)", "Phi(C1)"))}
+    return _Check(("pinching",), (_bind(PARTS["pinching"], keys | {"C": ("C", 1), "N": ("spectral", p)}),))
 
 
 def _dominated_by(C: PDMatrix, bump: PDMatrix) -> np.ndarray:
@@ -645,36 +670,15 @@ def check_pinching(C: PDMatrix, R: PDMatrix, tol: float,
     return _stage(Pair.gated(*compressions), _pinching(), tol, context, _Operands(C, R, S))
 
 
-def _lift_matrices(C: PDMatrix, Ds) -> np.ndarray:
-    """C^{1/2} D C^{1/2} for each D, raw."""
-    Ch = principal_sqrt(C).mat
-    return hermitian_part(Ch @ np.stack(Ds) @ Ch)
-
-
-def _lift_report(C: PDMatrix, dominated: np.ndarray, lifted: np.ndarray, tol: float, context,
-                 names) -> CheckReport:
-    """lambda(C^{1/2} D C^{1/2}) prec_w lambda(C^2) = lambda(C)^2, one
-    record per D, from the stacked spectra of the Ds and of their lifts;
-    each D must satisfy the hypothesis lambda(D) prec_w lambda(C), and a
-    violation names the D by its entry of `names`."""
-    sC = C.eig().eigenvalues
-    require(weak_margin(dominated, sC) >= -tol, InvalidWeightsError,
-            lambda i: f"instance violates the hypothesis lambda({names[i[0]]}) prec_w lambda(C)")
-    return _report("quadratic_lifting", tol, weak_margin(lifted, sC ** 2), context)
-
-
-def _lift(p: int = 0) -> _Check:
-    """The quadratic lift of Phi_R(C), the sharp geometric Heron sum of
-    pair p (see `_pinching`), and of the raw D with lambda(D) prec_w
-    lambda(C), as the stage built Phi; D is gated with its lift, and
-    Phi's hypothesis is read from its gated spectrum."""
-    Phi = _sharp_geometric(p)
-
-    def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
-        return [_lift_report(built.operands.C, built.vals[rows[1]], built.vals[rows[0]], tol, context,
-                             ("Phi_R(C)", "D"))]
-
-    return _Check(((("lift", Phi), ("lift", "D")), (Phi, ("D",))), (), reports)
+def _lift(Ds: int, p: int | None = None) -> _Check:
+    """lambda(C^{1/2} M C^{1/2}) prec_w lambda(C)^2, one record per M: Phi_R(C)
+    of pair p if p is given, then each D of the operands, gated with its
+    lift; the hypothesis lambda(M) prec_w lambda(C) is read from the gate."""
+    sources = [("Phi_R(C)", _keys(p, 1.0, 1.0)["H_kubo"])] if p is not None else []
+    sources += [("D", ("D", i)) for i in range(Ds)]
+    records = tuple(_bind(PARTS["quadratic_lifting"], {"lift": ("lift", key), "C^2": ("C", 2)}) for _, key in sources)
+    hypotheses = tuple(_Part(f"lambda({name}) prec_w lambda(C)", "weak", key, ("C", 1)) for name, key in sources)
+    return _Check(("quadratic_lifting",) * len(records), records, hypotheses)
 
 
 def check_quadratic_lifting(C: PDMatrix, Ds: list[PDMatrix], tol: float,
@@ -682,10 +686,9 @@ def check_quadratic_lifting(C: PDMatrix, Ds: list[PDMatrix], tol: float,
     """If lambda(D) prec_w lambda(C), the congruence by C^{1/2} lifts the
     comparison to lambda(C^{1/2} D C^{1/2}) prec_w lambda(C^2).  One record
     per D; lambda(C^2) = lambda(C)^2 comes from the gated decomposition of
-    C, and the lifted matrices are gated in one stacked call."""
+    C, and the Ds and their lifts are gated in one stacked call."""
     require(len(Ds) > 0, InvalidWeightsError, lambda _: "Ds must be nonempty")
-    lifted = gate_stack(_lift_matrices(C, [D.mat for D in Ds]))[0]
-    return _lift_report(C, np.stack([D.eig().eigenvalues for D in Ds]), lifted, tol, context, ["D"] * len(Ds))
+    return _stage(None, _lift(len(Ds)), tol, context, _Operands(C, D=np.stack([D.mat for D in Ds])))
 
 
 def _levels(A0: HermitianMatrix, B0: HermitianMatrix, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -706,26 +709,20 @@ def _levels(A0: HermitianMatrix, B0: HermitianMatrix, tol: float) -> tuple[np.nd
     return A0.mat + shift, B0.mat + shift
 
 
+def _aitken(report: CheckReport, margins) -> None:
+    """The limit's diagnostics: its margins along EPS_SEQUENCE, and the
+    distance between the last and their Aitken-extrapolated limit."""
+    margins = [float(m) for m in margins]
+    m1, m2, m3 = margins[-3:]
+    denom = (m3 - m2) - (m2 - m1)
+    extrapolated = m3 if denom == 0.0 else m3 - (m3 - m2) ** 2 / denom
+    report.diagnostics.update(margins_along_sequence=margins, convergence_gap=abs(m3 - extrapolated))
+
+
 def _limit(p: int = 0) -> _Check:
     """`check_semidefinite_limit` on the levels as pairs p, p+1, ..."""
-    k = len(EPS_SEQUENCE)
-    heron = tuple(_sharp_geometric(p + i) for i in range(k))
-    bly = tuple(("bly", p + i, 1.0, 1.0) for i in range(k))
-
-    def reports(built: _Built, rows, tol: float, context) -> list[CheckReport]:
-        margins = [float(m) for m in weak_margin(built.vals[rows[0]], built.vals[rows[1]])]
-        gap = 0.0
-        if len(margins) >= 3:
-            m1, m2, m3 = margins[-3], margins[-2], margins[-1]
-            denom = (m3 - m2) - (m2 - m1)
-            extrapolated = m3 if denom == 0.0 else m3 - (m3 - m2) ** 2 / denom
-            gap = abs(m3 - extrapolated)
-        report = _report("semidefinite_limit", tol, min(margins), context)
-        report.diagnostics["margins_along_sequence"] = margins
-        report.diagnostics["convergence_gap"] = gap
-        return [report]
-
-    return _Check((heron, bly), (), reports)
+    keys = {(role, i): _keys(p + i, 1.0, 1.0)[role] for i in range(len(EPS_SEQUENCE)) for role in ("H_kubo", "R")}
+    return _Check(("semidefinite_limit",), (_bind(PARTS["semidefinite_limit"], keys),), finish=_aitken)
 
 
 def check_semidefinite_limit(A0: HermitianMatrix, B0: HermitianMatrix, tol: float = 1e-8,
@@ -949,10 +946,8 @@ def _draw_trial(config: SuiteConfig, offset: int) -> _Draw:
 # ---------------------------------------------------------------------------
 
 def _merge_into(pool: dict[str, CheckReport], report: CheckReport) -> None:
-    if report.check_name in pool:
+    if pool.setdefault(report.check_name, report) is not report:
         pool[report.check_name].merge(report)
-    else:
-        pool[report.check_name] = report
 
 
 def trial_grid(a: float, b: float) -> list[tuple[str, float, float, float]]:
@@ -970,8 +965,8 @@ def trial_grid(a: float, b: float) -> list[tuple[str, float, float, float]]:
 @functools.cache
 def _certified_plan() -> _Plan:
     """The stage of the certified 3x3 pair, made once per process."""
-    return _Plan([_spreading(1.0, 1.0), _grid([("kubo_heron", 1.0, 1.0, 2.0)]), _log_majorization_means(),
-                  _bly(1.0, 1.0)])
+    return _Plan([_records("spreading"), _grid([("kubo_heron", 1.0, 1.0, 2.0)]), _records("log_majorization_means"),
+                  _records("bly")])
 
 
 @functools.cache
@@ -981,8 +976,9 @@ def _trial_plan(a: float, b: float, k: int) -> _Plan:
     checks of the compression pairs and levels come first, so their
     matrices keep their stack indices in the gate; run_suite passes the
     contexts in this order."""
-    return _Plan([_pinching(k), _lift(k), _limit(k + 4), _grid(trial_grid(a, b)), _spreading(a, b),
-                  _endpoints(a, b), _log_majorization_means(), _bly(a, b), _equality(range(1, k), a, b)])
+    return _Plan([_pinching(k), _lift(1, k), _limit(k + 4), _grid(trial_grid(a, b)), _records("spreading", a, b),
+                  _records("endpoints", a, b), _records("log_majorization_means"), _records("bly", a, b),
+                  _records("equality_iff_commuting", a, b, range(1, k))])
 
 
 def run_suite(config: SuiteConfig) -> RunReport:
@@ -1030,7 +1026,7 @@ def run_suite(config: SuiteConfig) -> RunReport:
         del compressions, levels
         plan = _trial_plan(a, b, len(pairs))
         for report in plan.run(pair, tol, [ctx_p, ctx_p, ctx_s] + [context] * 5 + [contexts],
-                               _Operands(draw.C, draw.R, S, draw.D)):
+                               _Operands(draw.C, draw.R, S, draw.D[None])):
             _merge_into(pool, report)
 
     return RunReport(config=config, checks=list(pool.values()))

@@ -291,6 +291,18 @@ class TestLeadingMinors:
             count += 1
         assert count == len(values) ** 6
 
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_each_pivot_is_the_bareiss_determinant_of_its_leading_block(self, entries):
+        # the pass updates only the upper triangle of each Schur complement;
+        # small entries make zero pivots common, and the pass ends at one
+        n = len(entries)
+        rows = [[entries[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        pivots = list(exact._leading_pivots(rows))
+        assert len(pivots) == n or pivots[-1] == 0
+        for k, pivot in enumerate(pivots, start=1):
+            assert pivot == exact._bareiss_det_int([row[:k] for row in rows[:k]])
+
     def test_sylvester_identity_and_indefinite(self):
         assert sylvester_pd(RationalMatrix.identity(3))
         assert not sylvester_pd(RationalMatrix.diagonal([1, -1]))

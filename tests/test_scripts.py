@@ -28,3 +28,19 @@ def test_sharpness_sweep_one_instance(tmp_path, capsys):
     for frac, margin in scalar:
         assert margin == pytest.approx(2.0 * (frac - 1.0), rel=1e-9)
 
+
+
+def test_same_results_compares_trees(tmp_path, capsys):
+    # a tree against itself agrees on every command; a stub tree whose CLI
+    # prints nothing and exits 0 differs on every one
+    same_results = load_script("same_results")
+    root = str(SCRIPTS.parent)
+    assert same_results.main([root, root, "--quick"]) == 0
+    assert capsys.readouterr().out.endswith(f"0 of {len(same_results.QUICK)} commands differ\n")
+    stub = tmp_path / "src" / "matmean"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text("")
+    (stub / "cli.py").write_text("")
+    assert same_results.main([root, str(tmp_path), "--quick"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("DIFFERENT") == len(same_results.QUICK)

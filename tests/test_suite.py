@@ -136,7 +136,7 @@ class TestEndpointsMargin:
     def test_margin_is_the_least_of_its_four_parts(self, dim):
         A, B = rand_pd(dim, seed=2 * dim), rand_pd(dim, seed=2 * dim + 1)
         a, b = 0.7, 1.3
-        check = suite._endpoints(a, b)
+        check = suite._records("endpoints", a, b)
         # the gated spectra of the geometric Heron sum and of W_{a,b}
         sH, sW = suite._Built(suite._Plan([check]), Pair(A, B), None).vals
         parts = [sH[-1] - sW[-1], sW[0] - sH[0], np.sum(sW) - np.sum(sH)]
@@ -617,17 +617,77 @@ def _count_calls(monkeypatch, owner, name: str) -> list:
     return calls
 
 
+def _benchmark_checkers() -> set[str]:
+    """The check_* names of BENCHMARK.json's suite.<name>.ms_per_item metrics."""
+    declared = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())["per_layer"]
+    return {m["name"][len("suite."):-len(".ms_per_item")] for m in declared
+            if m["name"].startswith("suite.check_") and m["name"].endswith(".ms_per_item")}
+
+
 def test_checker_names_match_the_benchmark_metrics():
     # perfbench/tracing.py makes a suite.<name>.ms_per_item metric of every
     # module-level check_* name of suite, imported ones included
-    declared = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())["per_layer"]
-    metrics = {m["name"][len("suite."):-len(".ms_per_item")] for m in declared
-               if m["name"].startswith("suite.check_") and m["name"].endswith(".ms_per_item")}
+    metrics = _benchmark_checkers()
     names = {name for name in vars(suite) if name.startswith("check_")}
     assert names == metrics, (
         "perfbench/tracing.py traces every check_* name bound in matmean.suite, so these names change "
         f"the traced benchmark's metric set: only in suite {sorted(names - metrics)}, "
         f"only in BENCHMARK.json {sorted(metrics - names)}")
+
+
+def test_the_parts_table_names_the_benchmark_checkers():
+    # every checker that runs in a stage has a row of parts, and the two
+    # exact replays have none
+    names = {f"check_{name}" for name in [*suite.PARTS, "sharpness_scalar", "incomparability_float"]}
+    assert len(names) == 13
+    assert names == _benchmark_checkers()
+
+
+def test_part_names_are_unique_within_each_checker():
+    for checker, parts in suite.PARTS.items():
+        names = [part.name for part in parts]
+        assert len(set(names)) == len(names), checker
+        for part in parts:
+            assert part.relation in suite._SPECTRAL or callable(part.relation), (checker, part.name)
+
+
+class TestLeastPart:
+    """A record's margin is the least of its parts: NaN wherever a NaN
+    part sits, and the first of equal parts, as min() picks it."""
+
+    @staticmethod
+    def _constant(monkeypatch, relation: str, value: float) -> None:
+        monkeypatch.setitem(suite._SPECTRAL, relation, lambda x, y, _: np.full(len(x), value))
+
+    @pytest.mark.parametrize("relation, check", [
+        ("trace", lambda pair: check_spectral_heron(pair, 1.0, 1.0, 2.0, TOL)),
+        ("bottom", lambda pair: check_spreading(pair, 1.0, 1.0, TOL)),
+        ("log_total", lambda pair: check_log_majorization_means(pair, TOL)),
+        ("schatten", lambda pair: check_bly(pair, 1.0, 1.0, TOL)),
+    ], ids=["grid-trace", "spreading-bottom", "log-total", "bly-schatten"])
+    def test_a_nan_part_after_the_first_fails_its_record(self, relation, check, monkeypatch):
+        pair = Pair(rand_pd(3, seed=41), rand_pd(3, seed=42))
+        assert check(pair).ok
+        self._constant(monkeypatch, relation, math.nan)
+        report = check(pair)
+        assert not report.ok
+        assert math.isnan(report.failures[0]["worst_margin"])
+
+    def test_a_nan_level_fails_the_semidefinite_limit(self, monkeypatch):
+        weak = suite._SPECTRAL["weak"]
+        monkeypatch.setitem(suite._SPECTRAL, "weak", lambda x, y, arg: np.where(np.arange(len(x)) == 2, np.nan,
+                                                                                 weak(x, y, arg)))
+        report = check_semidefinite_limit(HermitianMatrix(np.eye(2)), HermitianMatrix(np.eye(2)), tol=TOL)
+        assert not report.ok
+        assert math.isnan(report.diagnostics["margins_along_sequence"][2])
+
+    @pytest.mark.parametrize("first, second", [(-0.0, 0.0), (0.0, -0.0)])
+    def test_the_first_of_equal_parts_wins(self, first, second, monkeypatch):
+        # the endpoint record of spectral_heron is (weak, trace)
+        self._constant(monkeypatch, "weak", first)
+        self._constant(monkeypatch, "trace", second)
+        margin = check_spectral_heron(Pair(rand_pd(2, seed=43), rand_pd(2, seed=44)), 1.0, 1.0, 2.0, TOL).min_margin_seen
+        assert margin == 0.0 and math.copysign(1.0, margin) == math.copysign(1.0, first)
 
 
 class TestWork:
@@ -663,6 +723,22 @@ class TestWork:
         # pair; 2 per trial and 4 for the certified pairs while each mean
         # had a pass of its own
         assert len(calls) <= 8 + 2
+
+    def test_each_spectral_relation_is_evaluated_once_per_stage(self, monkeypatch):
+        calls = {name: 0 for name in suite._SPECTRAL}
+
+        def counted(name, relation):
+            def evaluate(*args):
+                calls[name] += 1
+                return relation(*args)
+            return evaluate
+
+        for name, relation in list(suite._SPECTRAL.items()):
+            monkeypatch.setitem(suite._SPECTRAL, name, counted(name, relation))
+        run_suite(SuiteConfig(seed=42, trials=8))
+        # one stage per trial and one for the certified pair, which compares
+        # no Ky Fan entry (endpoints) and no Loewner order (pinching)
+        assert calls == {name: 8 + (name not in ("ky_fan", "bottom_ky_fan", "loewner")) for name in calls}
 
     def test_no_decomposition_outside_the_gates(self, monkeypatch):
         # the pinching order check once read eigvalsh(Phi - Phi1), a
