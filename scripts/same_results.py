@@ -6,11 +6,12 @@ every difference in exit code, stdout, stderr and `--out` bytes.
 PARENT and CHANGE are checkouts of this repository.  Each command runs as
 `python -m matmean.cli ...` in a subprocess whose PYTHONPATH is that
 tree's `src/`, in a fresh working directory holding the README's A.json
-and B.json.  The set covers suite reports at seeds 42 and 7 x cond 1e4
-and 1e6, at dims 16-32, at cond 1.2 and with --pretty; the cond 1e7, 1e10
-and 1e12 aborts; every certificate; `compute` of every mean; and `check`
-of every relation.  Exits 0 when the trees agree on every command, 1 when
-any differs.
+and B.json, an indefinite I.json and a malformed bad.json.  The set covers
+suite reports at seeds 42 and 7 x cond 1e4 and 1e6, at dims 16-32, at
+cond 1.2 and with --pretty; the cond 1e7, 1e10 and 1e12 aborts; every
+certificate; `compute` of every mean; `check` of every relation; an error
+path for each row of `cli.EXIT_CODES`; and every `--help`.  Exits 0 when
+the trees agree on every command, 1 when any differs.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-README_PAIR = {
+INPUTS = {
     "A.json": '{"dim": 3, "re": [[2.0, 0.5, 0.0], [0.5, 1.5, 0.2], [0.0, 0.2, 1.0]]}',
     "B.json": '{"dim": 3, "re": [[1.0, 0.3, 0.1], [0.3, 2.0, 0.0], [0.1, 0.0, 1.2]]}',
+    "I.json": '{"dim": 3, "re": [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}',
+    "bad.json": '{"dim": 2, "re": [[1.0, 0.0]]}',
 }
 MEANS = ("geo", "geo_t", "spectral", "spectral_t", "wasserstein", "geodesic", "heron_spectral", "heron_kubo",
          "riccati", "product_sqrt")
@@ -45,6 +48,18 @@ def commands() -> list[list[str]]:
         *(["certify", "--which", which, *out] for which in ("all", "dir1", "dir2")),
         *(["compute", mean, "A.json", "B.json"] for mean in MEANS),
         *(["check", relation, "A.json", "B.json"] for relation in ("weak", "major", "log")),
+        # the error paths: bad weights (4), an overflowing result (1), an
+        # operand that is not positive definite (3), bad settings, a
+        # malformed or missing file (2) and a hypothesis the tolerance fails (4)
+        ["compute", "wasserstein", "A.json", "B.json", "-a", "nan"],
+        ["compute", "wasserstein", "A.json", "B.json", "-a", "1e160", "-b", "1"],
+        ["compute", "heron_kubo", "A.json", "B.json", "-c", "1.7e308"],
+        ["compute", "geo", "I.json", "B.json"],
+        ["compute", "geo", "bad.json", "B.json"],
+        ["compute", "geo", "missing.json", "B.json"],
+        ["suite", "--dims", "x"],
+        ["suite", "--trials", "2", "--tol", "1e-16"],
+        *([*command, "--help"] for command in ([], ["suite"], ["certify"], ["compute"], ["check"])),
     ]
 
 
@@ -54,7 +69,7 @@ def run(tree: Path, argv: list[str]) -> dict:
     env = {key: value for key, value in os.environ.items() if key != "MATMEAN_SEED"}
     env.update(PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as work:
-        for name, text in README_PAIR.items():
+        for name, text in INPUTS.items():
             Path(work, name).write_text(text)
         proc = subprocess.run([sys.executable, "-m", "matmean.cli", *argv], cwd=work, env=env, capture_output=True)
         out = Path(work, argv[argv.index("--out") + 1]) if "--out" in argv else None

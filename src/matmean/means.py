@@ -311,8 +311,10 @@ class Pair:
     def heron(self, cross: str, a: float, b: float, c: float) -> np.ndarray:
         """a^2 A + b^2 B + c M of every pair, with the cross term M = A
         natural B (cross="spectral") or A # B (cross="geometric").  Any
-        finite weights are taken: the sum is formed with overflow allowed,
-        then checked against the entry limit, which an overflow fails."""
+        finite nonnegative weights are taken: the sum is formed with
+        overflow allowed, then checked against the entry limit, which an
+        overflow fails."""
+        require_weights("heron", a=a, b=b, c=c)
         if c:
             getattr(self, cross)()  # M first, outside the overflow allowance
         m = len(self)

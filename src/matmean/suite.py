@@ -227,10 +227,15 @@ def _trace_identity(built: _Built, x, *_) -> np.ndarray:
 
 def _commuting(built: _Built, x, y, keys, tol: float) -> np.ndarray:
     """A sharp Heron sum equals W exactly when A and B commute, else stays
-    apart; a gray zone between the two has nothing sharp to assert (0)."""
-    A, B = (as_stack(M)[[key[1] for key in keys]] for M in (built.pair.A, built.pair.B))
-    comm, comm_scale = frobenius(A @ B - B @ A), frobenius(A) * frobenius(B)
-    w_norm, diff = frobenius(built.mats[y]), frobenius(built.mats[x] - built.mats[y])
+    apart; a gray zone between the two has nothing sharp to assert (0).
+    The natural and the Kubo part of a pair share its W and commutator,
+    so each is formed once per W row and gathered back to the parts."""
+    pair_of = dict(zip(y.tolist(), [key[1] for key in keys]))  # each W row once, with its pair
+    rows = list(pair_of)
+    at = [*map(rows.index, y.tolist())]
+    A, B = (as_stack(M)[list(pair_of.values())] for M in (built.pair.A, built.pair.B))
+    comm, comm_scale = frobenius(A @ B - B @ A)[at], (frobenius(A) * frobenius(B))[at]
+    w_norm, diff = frobenius(built.mats[rows])[at], frobenius(built.mats[x] - built.mats[y])
     return np.where(comm <= tol * comm_scale, _eq_margin(diff, w_norm),
                     np.where(comm >= NONCOMMUTING_FLOOR * comm_scale, (diff - 1e-6 * w_norm) / w_norm, 0.0))
 

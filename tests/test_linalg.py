@@ -24,66 +24,6 @@ from conftest import rand_pd, rand_pd_pairs
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
-# The cyclic Jacobi solver below is a reference independent of LAPACK:
-# TestEig compares HermitianMatrix.eig() against it.  Its rotation budget, per
-# dim**2:
-JACOBI_BUDGET_PER_DIM2 = 100
-
-
-def _jacobi_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi for complex Hermitian matrices.
-
-    Each rotation zeroes one off-diagonal pair (p, q) with a unitary
-    2x2 rotation; sweeps repeat until the off-diagonal mass is at noise
-    level or the rotation budget runs out.
-    """
-    n = mat.shape[0]
-    A = mat.astype(np.complex128).copy()
-    V = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return A.real.diagonal().copy(), V
-    budget = JACOBI_BUDGET_PER_DIM2 * n * n
-    scale = max(float(np.linalg.norm(A)), 1.0)
-    tol = 1e-14 * scale
-    rotations = 0
-    while True:
-        off = float(np.linalg.norm(A - np.diag(np.diag(A))))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = A[p, q]
-                if abs(g) <= 1e-16 * scale:
-                    continue
-                if rotations >= budget:
-                    raise NumericalFailure(
-                        f"cyclic Jacobi did not converge within {budget} rotations"
-                    )
-                rotations += 1
-                # plane rotation U with U[p,p]=U[q,q]=c, U[p,q]=-s*w,
-                # U[q,p]=s*conj(w), where w is the phase of A[p,q]
-                w = g / abs(g)
-                app, aqq = A[p, p].real, A[q, q].real
-                tau = (aqq - app) / (2.0 * abs(g))
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = (-1.0 if tau > 0 else 1.0) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                col_p = c * A[:, p] + s * np.conj(w) * A[:, q]
-                col_q = -s * w * A[:, p] + c * A[:, q]
-                A[:, p], A[:, q] = col_p, col_q
-                row_p = c * A[p, :] + s * w * A[q, :]
-                row_q = -s * np.conj(w) * A[p, :] + c * A[q, :]
-                A[p, :], A[q, :] = row_p, row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vcol_p = c * V[:, p] + s * np.conj(w) * V[:, q]
-                vcol_q = -s * w * V[:, p] + c * V[:, q]
-                V[:, p], V[:, q] = vcol_p, vcol_q
-    return np.real(np.diag(A)).copy(), V
-
 
 class TestHermitianConstruction:
     def test_symmetrizes_tiny_asymmetry(self):
@@ -165,19 +105,20 @@ class TestEig:
                 H.eig().eigenvalues, H2.eig().eigenvalues, atol=tol
             )
 
-    def test_jacobi_matches_lapack(self):
+    def test_lapack_matches_mpmath(self):
+        # a 30-digit reference that shares no code with LAPACK, rounded once
+        # to float and put in eig()'s decreasing order; H is rebuilt from its
+        # entries, since rand_pd's matrix carries its drawn spectrum
+        from mpmath import mp
         for dim in range(1, 9):
-            H = rand_pd(dim, seed=100 + dim, cond=1e4)
-            lapack = H.eig()
-            vals, vecs = _jacobi_eigh(H.mat)
-            order = np.argsort(vals)[::-1]
-            vals, vecs = vals[order], vecs[:, order]
+            H = HermitianMatrix(rand_pd(dim, seed=100 + dim, cond=1e4).mat)
+            with mp.workdps(30):
+                E, Q = mp.eighe(mp.matrix(H.mat.tolist()))
+                vals, vecs = np.array([float(e) for e in E])[::-1], np.array(Q.tolist(), dtype=np.complex128)[:, ::-1]
             # the checks eig() runs on its own result
             linalg._check_decomposition(vals, vecs, H.mat)
-            np.testing.assert_allclose(
-                vals, lapack.eigenvalues,
-                atol=1e-12 * (1.0 + float(np.abs(lapack.eigenvalues).max())),
-            )
+            expected = H.eig().eigenvalues
+            np.testing.assert_allclose(vals, expected, rtol=0, atol=1e-12 * (1.0 + float(np.abs(expected).max())))
 
     def test_eigh_returns_the_eigensolver_arrays_untouched(self, monkeypatch):
         mats = np.stack([hermitian_part(complex_gaussian(4, np.random.default_rng(s))) for s in range(3)])
@@ -198,12 +139,6 @@ class TestEig:
         np.testing.assert_array_equal(dec.eigenvalues, vals)
         np.testing.assert_array_equal(dec.eigenvectors, vecs)
         assert not dec.eigenvalues.flags.writeable and not dec.eigenvectors.flags.writeable
-
-    def test_jacobi_budget_exhaustion_is_diagnosed(self, monkeypatch):
-        monkeypatch.setitem(globals(), "JACOBI_BUDGET_PER_DIM2", 0)
-        H = rand_pd(3, seed=55)
-        with pytest.raises(NumericalFailure):
-            _jacobi_eigh(H.mat)
 
 
 class TestPrincipalSqrt:

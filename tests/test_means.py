@@ -247,6 +247,15 @@ class TestHeron:
         with pytest.raises(InvalidWeightsError, match=f"^{heron.__name__}: weights must be finite"):
             heron(A, B, a, b, c)
 
+    @pytest.mark.parametrize("cross", ["spectral", "geometric"])
+    @pytest.mark.parametrize("a, b, c", [(-1.0, 1.0, 2.0), (1.0, 1.0, -3.0), (1.0, 1.0, np.nan), (1.0, np.inf, 2.0)])
+    def test_pair_heron_checks_its_weights(self, cross, a, b, c):
+        # as Pair.wasserstein does, naming no stack index for one pair
+        pair = Pair(rand_pd(3, seed=61, cond=10.0), rand_pd(3, seed=62, cond=10.0))
+        with pytest.raises(InvalidWeightsError) as error:
+            pair.heron(cross, a, b, c)
+        assert str(error.value) == f"heron: weights must be finite and nonnegative, got a = {a}, b = {b}, c = {c}"
+
 
 class TestProductSqrt:
     def test_identity_pair(self):
