@@ -73,6 +73,12 @@ echo '{"dim": 3, "re": [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]}' > 
 expect_error 3 "error: " compute geo indefinite.json B.json
 expect_error 4 "error: " compute wasserstein A.json B.json -a nan
 expect_error 1 "numerical failure: " compute wasserstein A.json B.json -a 1e160 -b 1
+# at cond 1e7 a gated matrix is not positive definite: the run aborts
+# with exit 3 and one error line.  The lift of Phi_R(C) fails the gate;
+# the keys of pinching, the lift and the limit lead the compared gate,
+# so its index holds
+expect_error 3 "error: " suite --trials 120 --cond 1e7 --out /dev/null
+grep -q '(stack index (1,))$' error.txt
 # at cond 1e6 some records fail (exit 1) and serialize their
 # instances; an abort (exit 2-4) fails the step
 status=0

@@ -54,6 +54,7 @@ def commands() -> list[list[str]]:
         ["compute", "wasserstein", "A.json", "B.json", "-a", "nan"],
         ["compute", "wasserstein", "A.json", "B.json", "-a", "1e160", "-b", "1"],
         ["compute", "heron_kubo", "A.json", "B.json", "-c", "1.7e308"],
+        ["compute", "heron_kubo", "A.json", "B.json", "-a", "1e200", "-b", "1e200"],
         ["compute", "geo", "I.json", "B.json"],
         ["compute", "geo", "bad.json", "B.json"],
         ["compute", "geo", "missing.json", "B.json"],

@@ -469,7 +469,8 @@ def certified_replay(one: "Pair | None", two: "Pair | None") -> dict[str, float]
     built in one `Pair.herons` batch, and the traces of A # B and A
     natural B of the 2x2 pair `two`.  Per pair, one `joint_means` pass
     computes both means and one gate call checks them, as positive
-    definite, with the Heron sums, as Hermitian."""
+    definite, with the Heron sums, as Hermitian.  Each gap comes with its
+    clearance past the certified failure, 1e-2 and 0.6."""
     import numpy as np
 
     from .linalg import gate_stack
@@ -478,14 +479,17 @@ def certified_replay(one: "Pair | None", two: "Pair | None") -> dict[str, float]
     replay = {}
     if one is not None:
         joint_means(one, one)
-        sharp = one.herons(heron_batch([0, 0], ["geometric", "spectral"], [1.0] * 2, [1.0] * 2, [2.0] * 2))
-        tops = gate_stack(np.stack([one.geometric(), one.spectral(), *sharp]), [True, True, False, False])[0][2:, 0]
-        replay.update(lambda1_sharp=float(tops[0]), lambda1_natural=float(tops[1]))
+        sums = one.herons(heron_batch([0, 0], ["geometric", "spectral"], [1.0] * 2, [1.0] * 2, [2.0] * 2))
+        sharp, natural = gate_stack(np.stack([one.geometric(), one.spectral(), *sums]),
+                                    [True, True, False, False])[0][2:, 0].tolist()
+        replay.update(lambda1_sharp=sharp, lambda1_natural=natural, k1_gap=sharp - natural,
+                      k1_clearance=sharp - natural - 1e-2)
     if two is not None:
         joint_means(two, two)
         gate_stack(np.stack([two.geometric(), two.spectral()]))
-        replay.update(trace_sharp=float(np.trace(two.geometric()).real),
-                      trace_natural=float(np.trace(two.spectral()).real))
+        sharp, natural = (float(np.trace(M).real) for M in (two.geometric(), two.spectral()))
+        gap = 2.0 * (natural - sharp)
+        replay.update(trace_sharp=sharp, trace_natural=natural, trace_gap=gap, trace_clearance=gap - 0.6)
     return replay
 
 
@@ -517,7 +521,7 @@ def float_shadow(report: CertificateReport) -> "CheckReport":
             )
         out.record(top_sharp - 41.0 - 1e-3, {"seed_offset": None, "item": "top eigenvalue above 41"})
         out.record(41.0 - top_nat - 1e-3, {"seed_offset": None, "item": "top eigenvalue below 41"})
-        out.record((top_sharp - top_nat) - 1e-2, {"seed_offset": None, "item": "k=1 Ky Fan failure margin"})
+        out.record(replay["k1_clearance"], {"seed_offset": None, "item": "k=1 Ky Fan failure margin"})
         out.diagnostics["lambda1_sharp"] = top_sharp
         out.diagnostics["lambda1_natural"] = top_nat
 
@@ -530,8 +534,7 @@ def float_shadow(report: CertificateReport) -> "CheckReport":
             )
         if not tr_sharp < tr_nat:
             raise NumericalFailure("floating traces disagree with the exact certificate")
-        gap = 2.0 * (tr_nat - tr_sharp)
-        out.record(gap - 0.6, {"seed_offset": None, "item": "Heron trace gap above 0.6"})
+        out.record(replay["trace_clearance"], {"seed_offset": None, "item": "Heron trace gap above 0.6"})
         out.diagnostics["trace_sharp"] = tr_sharp
         out.diagnostics["trace_natural"] = tr_nat
 

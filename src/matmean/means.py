@@ -457,9 +457,10 @@ def bw_geodesic(A: PDMatrix, B: PDMatrix, t: float) -> HermitianMatrix:
 
 
 def _heron(name: str, cross: str, A: PDMatrix, B: PDMatrix, a: float, b: float, c: float | None) -> PDMatrix:
+    require_weights(name, a=a, b=b, **({} if c is None else {"c": c}))
     if c is None:
         c = 2.0 * a * b
-    require_weights(name, a=a, b=b, c=c)
+        require(np.isfinite(c), NumericalFailure, lambda _: f"{name}: c = 2ab overflows at a = {a}, b = {b}")
     return PDMatrix(Pair(A, B).heron(cross, a, b, c))
 
 

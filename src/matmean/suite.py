@@ -6,9 +6,10 @@ normalized margin decides failure (margin < -tol).  Margins are normalized
 by 1 + max|dominating side| so one tolerance knob covers all scales.
 
 A record's margin is the least of its named parts (PARTS, one table for
-every checker), each a relation of a dominated to a dominating side: of
-their spectra (`_SPECTRAL`) or, for a few identities, of the matrices.
-The sides are matrices named by key.  A stage is a `_Plan` of checkers
+every checker), each a relation of a dominated to a dominating side, two
+keyed matrices: of their spectra (`_SPECTRAL`), of the matrices for the
+identities (`_MATRIX`: x = arg y, and tr x <= or = tr y), or `_commuting`
+for the equality case.  A stage is a `_Plan` of checkers
 run on one `Pair` stack: it builds and gates each key once, each kind in
 one batch, computes each mean once over the pairs whose keys read it
 (`where`, `Pair.take`), and evaluates each relation in one call over all
@@ -184,53 +185,32 @@ _SPECTRAL = {
 }
 
 
-# The relations between matrices, f(built, x, y, keys, tol) over a stage's
-# parts: x, y the rows in built.mats of the sides (None: an operand), keys y's.
-
 def _norms(mats) -> np.ndarray:
     """np.linalg.norm of each matrix of a stack, with its own summation."""
     return np.array([np.linalg.norm(M) for M in mats])
 
 
-def _expansion(built: _Built, _, y, keys, __) -> np.ndarray:
-    """(a A^{1/2} + b B^{1/2})^2 = a^2 A + b^2 B + ab (A^{1/2} B^{1/2} + B^{1/2} A^{1/2})."""
-    roots = built.means["sqrt"]
-    A, B, Ah, Bh = (as_stack(M)[[built.at[row] for row in y]] for M in (roots.A, roots.B, *roots.sqrt()))
-    a, b = (np.array(w)[:, None, None] for w in zip(*(key[2:] for key in keys)))
-    cross, rhs = Ah @ Bh, built.mats[y]
-    return _eq_margin(_norms(a * a * A + b * b * B + a * b * (cross + adjoint(cross)) - rhs), 1.0 + _norms(rhs))
+def _traces(x, y, equal):
+    """tr x <= tr y, or tr x = tr y where `equal` is 1, normalized by 1 + |tr y|."""
+    tx, ty = (np.trace(M, axis1=-2, axis2=-1).real for M in (x, y))
+    return np.where(equal == 1.0, -np.abs(tx - ty), ty - tx) / (1.0 + np.abs(ty))
 
 
-def _unitality(built: _Built, x, *_) -> np.ndarray:
-    """Phi_R(I) = I."""
-    n = built.mats.shape[-1]
-    return _eq_margin(_norms(built.mats[x] - np.eye(n)), 1.0 + math.sqrt(n))
+# The relations between matrices, f(x, y, arg) over a stage's parts, one row
+# each: x, y the sides' rows of built.mats, arg a scale of y or a flag.
+_MATRIX = {
+    # x = arg y, normalized by 1 + arg ||y||
+    "equal": lambda x, y, arg: _eq_margin(_norms(x - arg[:, None, None] * y), 1.0 + arg * _norms(y)),
+    "tr": _traces,
+}
 
 
-def _homogeneity(built: _Built, x, y, *_) -> np.ndarray:
-    """Phi_R(2C) = 2 Phi_R(C)."""
-    return _eq_margin(_norms(built.mats[x] - 2.0 * built.mats[y]), 1.0 + 2.0 * _norms(built.mats[y]))
-
-
-def _trace_subpreservation(built: _Built, x, *_) -> np.ndarray:
-    """tr Phi_R(C) <= tr C."""
-    trace = built.operands.C.trace()
-    return (trace - np.trace(built.mats[x], axis1=-2, axis2=-1).real) / (1.0 + trace)
-
-
-def _trace_identity(built: _Built, x, *_) -> np.ndarray:
-    """tr(A natural B) = tr(R S C) on the compression pair (R C R, S C S)."""
-    C, R, S = built.operands[:3]
-    rhs = float(np.trace(R.mat @ S @ C.mat).real)
-    return _eq_margin(np.trace(built.mats[x], axis1=-2, axis2=-1).real - rhs, 1.0 + abs(rhs))
-
-
-def _commuting(built: _Built, x, y, keys, tol: float) -> np.ndarray:
+def _commuting(built: _Built, x, y, tol: float) -> np.ndarray:
     """A sharp Heron sum equals W exactly when A and B commute, else stays
     apart; a gray zone between the two has nothing sharp to assert (0).
     The natural and the Kubo part of a pair share its W and commutator,
     so each is formed once per W row and gathered back to the parts."""
-    pair_of = dict(zip(y.tolist(), [key[1] for key in keys]))  # each W row once, with its pair
+    pair_of = {row: built.keys[row][1] for row in y.tolist()}  # each W row once, with its pair
     rows = list(pair_of)
     at = [*map(rows.index, y.tolist())]
     A, B = (as_stack(M)[list(pair_of.values())] for M in (built.pair.A, built.pair.B))
@@ -241,8 +221,9 @@ def _commuting(built: _Built, x, y, keys, tol: float) -> np.ndarray:
 
 
 class _Part(NamedTuple):
-    """A named part of a record's margin: its relation (in `_SPECTRAL`, or a
-    function of matrices) of the dominated to the dominating side."""
+    """A named part of a record's margin: its relation (in `_SPECTRAL` or
+    `_MATRIX`, or `_commuting`) of the dominated to the dominating side,
+    and the arg it passes the relation."""
 
     name: str
     relation: str | Callable
@@ -252,7 +233,8 @@ class _Part(NamedTuple):
 
 
 # The parts of each checker that runs in a stage, in the order its record
-# takes their min.  The Heron grid checks the trace only at c = 2ab.
+# takes their min.  The Heron grid checks the trace only at c = 2ab.  On the
+# compression pair (R C R, S C S), tr(A natural B) = tr(R S C).
 PARTS = {
     "spectral_heron": (_Part("weak", "weak", "H", "W"), _Part("trace", "trace", "H", "W")),
     "kubo_heron": (_Part("weak", "weak", "H", "W"),),
@@ -265,12 +247,12 @@ PARTS = {
     "log_majorization_means": (_Part("log_prefix", "log_prefix", "G", "N"),
                                _Part("log_det_equality", "log_total", "G", "N"),
                                _Part("trace", "schatten", "G", "N", 1)),
-    "bly": (_Part("weak", "weak", "H_kubo", "R"), _Part("expansion", _expansion, None, "R"),
+    "bly": (_Part("weak", "weak", "H_kubo", "R"), _Part("expansion", "equal", "R_expanded", "R", 1),
             *(_Part(f"schatten_{p:g}", "schatten", "H_kubo", "R", p) for p in (1, 2, math.inf))),
-    "pinching": (_Part("weak", "weak", "Phi", "C"), _Part("unitality", _unitality, "Phi(I)", None),
-                 _Part("homogeneity", _homogeneity, "Phi(2C)", "Phi"),
-                 _Part("trace_subpreservation", _trace_subpreservation, "Phi", "C"),
-                 _Part("order", "loewner", "Phi(C1)", "Phi"), _Part("trace_identity", _trace_identity, "N", None)),
+    "pinching": (_Part("weak", "weak", "Phi", "C"), _Part("unitality", "equal", "Phi(I)", "I", 1),
+                 _Part("homogeneity", "equal", "Phi(2C)", "Phi", 2),
+                 _Part("trace_subpreservation", "tr", "Phi", "C_matrix"),
+                 _Part("order", "loewner", "Phi(C1)", "Phi"), _Part("trace_identity", "tr", "N", "RSC", 1)),
     "quadratic_lifting": (_Part("lift", "weak", "lift", "C^2"),),
     "semidefinite_limit": tuple(_Part(f"eps={eps:g}", "weak", ("H_kubo", i), ("R", i))
                                 for i, eps in enumerate(EPS_SEQUENCE)),
@@ -296,9 +278,11 @@ def _bind(parts, keys: dict) -> tuple:
 #   ("W", p, a, b)                   W_{a,b}
 #   ("spectral", p), ("geometric", p)   A natural B, A # B
 #   ("bly", p, a, b)                 (a A^{1/2} + b B^{1/2})^2
+#   ("expansion", p, a, b)           a^2 A + b^2 B + ab (A^{1/2} B^{1/2} + B^{1/2} A^{1/2})
 #   ("difference", key1, key2)       the matrix of key1 minus that of key2
 #   ("lift", key)                    C^{1/2} M C^{1/2}, M that of key
-#   ("D", i)                         D_i, with C the stage's `_Operands`
+#   ("D", i)                         D_i, with C, R and S the stage's `_Operands`
+#   ("I",), ("C_matrix",), ("RSC",)  I, C and R S C
 #   ("C", k)                         never built: lambda(C)^k, from C's decomposition
 HERMITIAN_KINDS = ("W", "difference")
 MADE_FROM_KEYS = ("difference", "lift")
@@ -308,7 +292,8 @@ def _keys(p: int, a: float, b: float) -> dict:
     """The key of each role of a checker of pair p, Heron sums at c = 2ab."""
     c = 2.0 * a * b
     return {"H_natural": ("heron", p, "spectral", a, b, c), "H_kubo": ("heron", p, "geometric", a, b, c),
-            "W": ("W", p, a, b), "R": ("bly", p, a, b), "G": ("geometric", p), "N": ("spectral", p)}
+            "W": ("W", p, a, b), "R": ("bly", p, a, b), "R_expanded": ("expansion", p, a, b), "G": ("geometric", p),
+            "N": ("spectral", p)}
 
 
 class _Operands(NamedTuple):
@@ -325,6 +310,14 @@ def _bly_rhs(built: _Built, batch) -> np.ndarray:
     Ah, Bh = (as_stack(M)[at] for M in built.means["sqrt"].sqrt())
     T = a * Ah + b * Bh
     return hermitian_part(T @ T)
+
+
+def _expansion(built: _Built, batch) -> np.ndarray:
+    at, a, b = batch
+    roots = built.means["sqrt"]
+    A, B, Ah, Bh = (as_stack(M)[at] for M in (roots.A, roots.B, *roots.sqrt()))
+    cross = Ah @ Bh
+    return a * a * A + b * b * B + a * b * (cross + adjoint(cross))
 
 
 def _lifts(built: _Built, rows) -> np.ndarray:
@@ -351,7 +344,11 @@ _MAKERS = {
                    lambda built, rows: built.mats[rows[0]] - built.mats[rows[1]]),
     "lift": (_indices, _lifts),
     "D": (_indices, lambda built, i: built.operands.D[i]),
+    "I": (lambda: None, lambda built, _: np.eye(built.mats.shape[-1])),
+    "C_matrix": (lambda: None, lambda built, _: built.operands.C.mat),
+    "RSC": (lambda: None, lambda built, _: built.operands.R.mat @ built.operands.S @ built.operands.C.mat),
 }
+_MAKERS["expansion"] = (_MAKERS["bly"][0], _expansion)  # from the same batch of arrays as "bly"
 
 # The mean that a key of each kind may read on its pair p, by the Pair
 # method that computes it: "riccati" (X, with A natural B built from it),
@@ -364,6 +361,7 @@ _READS = {
     "geometric": lambda p: ("geometric", p),
     "bly": lambda p, *_: ("sqrt", p),
 }
+_READS["expansion"] = _READS["bly"]
 
 
 class _Check(NamedTuple):
@@ -378,20 +376,20 @@ class _Check(NamedTuple):
 
 
 def _compared(part: _Part) -> tuple:
-    """The keys a spectral part reads: its sides, or their difference twice."""
+    """The keys a part reads: its sides, or their difference twice."""
     if part.relation == "loewner":
         return (("difference", part.dominating, part.dominated),) * 2
     return part.dominated, part.dominating
 
 
 class _Plan:
-    """A stage's layout: each key once, those whose spectra a part compares
-    first and gated, positive definite first (so a failure names the same
-    stack index whatever Hermitian ones a stage adds); the pairs each mean
-    is computed on (`where`, sorted, each once) and, by row, the position
-    in them of the pair a key reads (`at`; a key that reads no mean has
-    none, and its batch skips position 0); each kind's batch, those made
-    from other keys last; each relation's rows and (record, part) places."""
+    """A stage's layout: each key once (`keys`), those whose spectra a part
+    compares first and gated, positive definite first (so a failure names
+    the same stack index whatever Hermitian ones a stage adds); the pairs
+    each mean is computed on (`where`, sorted, each once); each kind's
+    batch, those made from other keys last, with the position in `where`
+    of the pair a key reads (none if it reads no mean: its batch skips
+    position 0); each relation's rows, args and (record, part) places."""
 
     def __init__(self, checks: list[_Check]):
         self.checks, records = [], []
@@ -400,18 +398,16 @@ class _Plan:
             records += check.records + tuple((h,) for h in check.hypotheses)
 
         def sides(spectral: bool) -> list:
-            pairs = [[_compared(part) if spectral else part[2:4] for record in check.records + (check.hypotheses,)
-                      for part in record if isinstance(part.relation, str) == spectral] for check in checks]
-            return [pair[side] for check in pairs for side in (0, 1) for pair in check if pair[side] is not None]
+            pairs = [[_compared(part) for record in check.records + (check.hypotheses,)
+                      for part in record if (part.relation in _SPECTRAL) == spectral] for check in checks]
+            return [pair[side] for check in pairs for side in (0, 1) for pair in check]
 
-        compared = sides(True)
+        compared, plain = sides(True), sides(False)
         gated = sorted(dict.fromkeys(key for key in compared if key[0] != "C"),
                        key=lambda key: key[0] in HERMITIAN_KINDS)
-        plain = [key for key in sides(False) if key[0] != "C"]
-        keys = list(dict.fromkeys(gated + plain + [arg for key in gated + plain if key[0] in MADE_FROM_KEYS
-                                                   for arg in key[1:]]))
+        self.keys = keys = list(dict.fromkeys(gated + plain + [arg for key in gated + plain
+                                                               if key[0] in MADE_FROM_KEYS for arg in key[1:]]))
         index = {key: i for i, key in enumerate(keys)}
-        self.size = len(keys)
         self.pd = np.array([key[0] not in HERMITIAN_KINDS for key in gated])
         self.powers = list(dict.fromkeys(key[1] for key in compared if key[0] == "C"))
         spectra = index | {("C", k): len(gated) + i for i, k in enumerate(self.powers)}
@@ -423,27 +419,25 @@ class _Plan:
                 mean, p = reads[i] = read
                 pairs.setdefault(mean, set()).add(p)
         self.where = {mean: sorted(ps) for mean, ps in pairs.items()}
-        self.at = {i: self.where[mean].index(p) for i, (mean, p) in reads.items()}
+        at = {i: self.where[mean].index(p) for i, (mean, p) in reads.items()}
         self.batches = []
         for kind in sorted(kinds, key=lambda kind: kind in MADE_FROM_KEYS):
             prepare, make = _MAKERS[kind]
             columns = zip(*([index.get(arg, arg) for arg in keys[i][1:]]
-                            + ([self.at.get(i, 0)] if kind in _READS else []) for i in kinds[kind]))
+                            + ([at.get(i, 0)] if kind in _READS else []) for i in kinds[kind]))
             self.batches.append((_indices(kinds[kind]), make, prepare(*columns)))
         relations: dict = {}
         for slot, record in enumerate(records):
             for j, part in enumerate(record):
-                spectral = isinstance(part.relation, str)
-                x, y = (spectra[key] for key in _compared(part)) if spectral else map(index.get, part[2:4])
-                arg = part.arg if spectral else part.dominating
-                relations.setdefault(part.relation, []).append((slot, j, x, y, arg))
+                rows = spectra if part.relation in _SPECTRAL else index
+                relations.setdefault(part.relation, []).append((slot, j, *(rows[key] for key in _compared(part)),
+                                                                part.arg))
         self.shape = (len(records), max(map(len, records)))
         self.relations = []
         for relation, table in relations.items():
             slots, js, x, y, args = zip(*table)
-            self.relations.append((relation, _indices(slots) * self.shape[1] + _indices(js), *(
-                (_indices(x), _indices(y), np.array(args, dtype=np.float64)) if isinstance(relation, str)
-                else (None if None in x else _indices(x), None if None in y else _indices(y), args))))
+            self.relations.append((relation, _indices(slots) * self.shape[1] + _indices(js), _indices(x),
+                                   _indices(y), np.array(args, dtype=np.float64)))
 
     def run(self, pair: Pair | None, tol: float, contexts, operands: _Operands | None = None) -> list[CheckReport]:
         """The checks' reports on one Pair stack, with one context each (or a
@@ -452,10 +446,12 @@ class _Plan:
         parts = np.full(self.shape, np.inf)
         flat = parts.reshape(-1)
         for relation, at, x, y, args in self.relations:
-            if isinstance(relation, str):
+            if relation in _SPECTRAL:
                 flat[at] = _SPECTRAL[relation](built.vals[x], built.vals[y], args)
+            elif relation in _MATRIX:
+                flat[at] = _MATRIX[relation](built.mats[x], built.mats[y], args)
             else:
-                flat[at] = relation(built, x, y, args, tol)
+                flat[at] = relation(built, x, y, tol)
         # the least part of each record as min() picks it (the first of
         # equal parts, so -0.0 before 0.0), but NaN where any part is NaN
         margins = parts[np.arange(len(parts)), parts.argmin(axis=1)]
@@ -484,16 +480,16 @@ def _build(built: _Built, batches) -> None:
 
 class _Built:
     """The matrices a plan builds on one Pair (None if it reads no mean) and
-    operands, the Pair of each mean's pairs (`means`, at the plan's `at`; X
-    and A # B in one `joint_means` pass), and the spectra its parts compare
-    (`vals`): those gated, then the plan's powers of C's."""
+    operands, by row of the plan's `keys`; the Pair of each mean's pairs
+    (`means`; X and A # B in one `joint_means` pass); and the spectra its
+    parts compare (`vals`): those gated, then the plan's powers of C's."""
 
     def __init__(self, plan: _Plan, pair: Pair | None, operands: _Operands | None):
-        self.pair, self.operands, self.at = pair, operands, plan.at
+        self.pair, self.operands, self.keys = pair, operands, plan.keys
         dim = (operands.C if pair is None else pair).dim
         self.means = {mean: pair.take(where) for mean, where in plan.where.items()}
         joint_means(self.means.get("riccati"), self.means.get("geometric"))
-        self.mats = np.empty((plan.size, dim, dim), dtype=np.complex128)
+        self.mats = np.empty((len(plan.keys), dim, dim), dtype=np.complex128)
         _build(self, plan.batches)
         self.vals = gate_stack(self.mats[:len(plan.pd)], plan.pd)[0] if len(plan.pd) else np.empty((0, dim))
         if plan.powers:
@@ -650,9 +646,11 @@ def _pinching(p: int = 0) -> _Check:
     """The check of Phi = Phi_R(C) on the compression pairs as pairs p,
     ..., p+3 of the stage's Pair, where Phi_R(X) is their sharp geometric
     Heron sum A + B + 2 (A # B).  Only Phi_R(C) and Phi_R(C) - Phi_R(C1)
-    are gated; the identities read Phi_R(I), Phi_R(2C) and A natural B."""
+    are gated; the identities also read Phi_R(I), Phi_R(2C), A natural B,
+    I, C and R S C."""
     keys = {role: _keys(p + i, 1.0, 1.0)["H_kubo"] for i, role in enumerate(("Phi", "Phi(I)", "Phi(2C)", "Phi(C1)"))}
-    return _Check(("pinching",), (_bind(PARTS["pinching"], keys | {"C": ("C", 1), "N": ("spectral", p)}),))
+    keys |= {"C": ("C", 1), "N": ("spectral", p), "I": ("I",), "C_matrix": ("C_matrix",), "RSC": ("RSC",)}
+    return _Check(("pinching",), (_bind(PARTS["pinching"], keys),))
 
 
 def _dominated_by(C: PDMatrix, bump: PDMatrix) -> np.ndarray:
@@ -751,12 +749,9 @@ def check_incomparability_float(one: Pair, two: Pair, tol: float = 1e-8) -> Chec
     3x3 pair, and the trace comparison fails the other way on the 2x2 pair."""
     report = CheckReport("incomparability_float", tol)
     replay = certified_replay(one, two)
-    k1_gap = replay["lambda1_sharp"] - replay["lambda1_natural"]
-    report.record(k1_gap - 1e-2, {"seed_offset": None, "item": "k=1 failure of direction one"})
-    trace_gap = 2.0 * (replay["trace_natural"] - replay["trace_sharp"])
-    report.record(trace_gap - 0.6, {"seed_offset": None, "item": "trace failure of direction two"})
-    report.diagnostics["k1_gap"] = k1_gap
-    report.diagnostics["trace_gap"] = trace_gap
+    report.record(replay["k1_clearance"], {"seed_offset": None, "item": "k=1 failure of direction one"})
+    report.record(replay["trace_clearance"], {"seed_offset": None, "item": "trace failure of direction two"})
+    report.diagnostics.update(k1_gap=replay["k1_gap"], trace_gap=replay["trace_gap"])
     return report
 
 

@@ -56,7 +56,7 @@ class TestCompute:
         assert code == 0
         payload = json.loads(out)
         got = np.array(payload["result"]["re"])
-        np.testing.assert_allclose(got, A.mat.real, atol=1e-10)
+        np.testing.assert_allclose(got, A.mat.real, atol=1e-10, rtol=0)
 
     def test_spectral_trace_is_five(self, certified_pair, capsys):
         code, out, _ = run_cli(capsys, "compute", "spectral", *certified_pair)
@@ -76,7 +76,7 @@ class TestCompute:
         payload = json.loads(out)
         assert payload["meta"]["riccati_residual"] <= 1e-10
         got = np.array(payload["result"]["re"])
-        np.testing.assert_allclose(got, [[1.0, 0.5], [0.5, 1.0]], atol=1e-10)
+        np.testing.assert_allclose(got, [[1.0, 0.5], [0.5, 1.0]], atol=1e-10, rtol=0)
 
     def test_product_sqrt_emits_both_factors(self, certified_pair, capsys):
         code, out, _ = run_cli(capsys, "compute", "product_sqrt", *certified_pair)
@@ -318,6 +318,15 @@ class TestMalformedInput:
         code, out, err = run_cli(capsys, "compute", mean, *readme_pair, *weights.split())
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and err.startswith("numerical failure: matrix entries too large")
+
+    # the default c = 2ab of these finite weights overflows; it was checked
+    # as a weight, so the command exited 4 and blamed a c = inf never given
+    @pytest.mark.parametrize("mean", ["heron_kubo", "heron_spectral"])
+    @pytest.mark.parametrize("a, b", [("1e200", "1e200"), ("1e154", "1e154")])
+    def test_an_overflowing_default_c_is_a_numerical_failure(self, mean, a, b, readme_pair, capsys):
+        code, out, err = run_cli(capsys, "compute", mean, *readme_pair, "-a", a, "-b", b)
+        assert (code, out) == (1, "")
+        assert err == f"numerical failure: {mean}: c = 2ab overflows at a = {float(a)}, b = {float(b)}\n"
 
     # one pair ran as a stack of one, so with both weights nonzero its
     # errors ended "(stack index (0,))", and with a zero weight they did not

@@ -93,7 +93,7 @@ class TestEig:
         expected = np.array([(tr + disc) / 2, (tr - disc) / 2])
         dec = H.eig()
         scale = 1.0 + float(np.abs(expected).max())
-        np.testing.assert_allclose(dec.eigenvalues, expected, atol=1e-12 * scale)
+        np.testing.assert_allclose(dec.eigenvalues, expected, atol=1e-12 * scale, rtol=0)
 
     def test_spectrum_invariant_under_conjugation(self, rng):
         for dim in (2, 4, 7):
@@ -102,7 +102,7 @@ class TestEig:
             H2 = HermitianMatrix(U.conj().T @ H.mat @ U)
             tol = 1e-9 * float(np.linalg.norm(H.mat))
             np.testing.assert_allclose(
-                H.eig().eigenvalues, H2.eig().eigenvalues, atol=tol
+                H.eig().eigenvalues, H2.eig().eigenvalues, atol=tol, rtol=0
             )
 
     def test_lapack_matches_mpmath(self):
@@ -144,14 +144,14 @@ class TestEig:
 class TestPrincipalSqrt:
     def test_diagonal(self):
         S = principal_sqrt(PDMatrix(np.diag([4.0, 9.0])))
-        np.testing.assert_allclose(S.mat, np.diag([2.0, 3.0]), atol=1e-14)
+        np.testing.assert_allclose(S.mat, np.diag([2.0, 3.0]), atol=1e-14, rtol=0)
 
     def test_2x2_closed_form(self):
         # (D + sqrt(det D) I) / sqrt(tr D + 2 sqrt(det D)) for 2x2 PD D
         D = np.array([[2.0, 1.25], [1.25, 17.0 / 16.0]])
         expected = (D + 0.75 * np.eye(2)) / (np.sqrt(73.0) / 4.0)
         S = principal_sqrt(PDMatrix(D))
-        np.testing.assert_allclose(S.mat, expected, atol=1e-14)
+        np.testing.assert_allclose(S.mat, expected, atol=1e-14, rtol=0)
 
     def test_square_reproduces_input(self):
         for dim, A, _ in rand_pd_pairs(8, cond=1e4):

@@ -31,7 +31,7 @@ class TestSpectrum:
         U = haar_unitaries(complex_gaussian(5, rng))
         H2 = HermitianMatrix(U.conj().T @ H.mat @ U)
         tol = 1e-9 * np.linalg.norm(H.mat)
-        np.testing.assert_allclose(H.eig().eigenvalues, H2.eig().eigenvalues, atol=tol)
+        np.testing.assert_allclose(H.eig().eigenvalues, H2.eig().eigenvalues, atol=tol, rtol=0)
 
 
 class TestKyFanSums:
@@ -47,7 +47,7 @@ class TestKyFanSums:
     @given(vectors)
     def test_against_naive_partial_sums(self, values):
         naive = [sum(sorted(values, reverse=True)[: k + 1]) for k in range(len(values))]
-        np.testing.assert_allclose(ky_fan_margins(np.zeros(len(values)), decreasing(values))[0], naive, atol=1e-9)
+        np.testing.assert_allclose(ky_fan_margins(np.zeros(len(values)), decreasing(values))[0], naive, atol=1e-9, rtol=0)
 
     def test_stack_equals_one_row_at_a_time_bitwise(self, rng):
         # a (k, n) stack gives each row the margins of a one-row call

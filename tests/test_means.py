@@ -35,11 +35,11 @@ def commuting_diag_pair():
 class TestRiccati:
     def test_identity_pair(self):
         I = PDMatrix(np.eye(3))
-        np.testing.assert_allclose(riccati_mean(I, I).mat, np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(riccati_mean(I, I).mat, np.eye(3), atol=1e-14, rtol=0)
 
     def test_recovers_known_solution(self):
         A, X, B = certified_pair_2x2()
-        np.testing.assert_allclose(riccati_mean(A, B).mat, X, atol=1e-12)
+        np.testing.assert_allclose(riccati_mean(A, B).mat, X, atol=1e-12, rtol=0)
 
     def test_residual_on_random_pairs(self):
         for dim, A, B in rand_pd_pairs(10, cond=1e4):
@@ -51,7 +51,7 @@ class TestRiccati:
         for dim, A, B in rand_pd_pairs(6):
             X = riccati_mean(A, B)
             Y = geometric_mean(PDMatrix(np.linalg.inv(A.mat)), B)
-            np.testing.assert_allclose(X.mat, Y.mat, atol=1e-10 * np.linalg.norm(Y.mat))
+            np.testing.assert_allclose(X.mat, Y.mat, atol=1e-10 * np.linalg.norm(Y.mat), rtol=0)
 
 
 class TestNaNFailsItsCheck:
@@ -96,11 +96,11 @@ class TestGeometricMean:
         A, B = commuting_diag_pair()
         t = 0.3
         expected = np.diag(np.diag(A.mat).real ** (1 - t) * np.diag(B.mat).real ** t)
-        np.testing.assert_allclose(geometric_mean_weighted(A, B, t).mat, expected, atol=1e-13)
+        np.testing.assert_allclose(geometric_mean_weighted(A, B, t).mat, expected, atol=1e-13, rtol=0)
 
     def test_self_mean(self):
         A = rand_pd(4, seed=1)
-        np.testing.assert_allclose(geometric_mean(A, A).mat, A.mat, atol=1e-12)
+        np.testing.assert_allclose(geometric_mean(A, A).mat, A.mat, atol=1e-12, rtol=0)
 
     def test_certified_trace(self):
         A, _, B = certified_pair_2x2()
@@ -110,7 +110,7 @@ class TestGeometricMean:
         for dim, A, B in rand_pd_pairs(6):
             G1 = geometric_mean(A, B)
             G2 = geometric_mean(B, A)
-            np.testing.assert_allclose(G1.mat, G2.mat, atol=1e-9 * np.linalg.norm(G1.mat))
+            np.testing.assert_allclose(G1.mat, G2.mat, atol=1e-9 * np.linalg.norm(G1.mat), rtol=0)
 
     def test_congruence_invariance(self, rng):
         for dim, A, B in rand_pd_pairs(6, dims=(2, 3, 5)):
@@ -119,7 +119,7 @@ class TestGeometricMean:
             rhs = geometric_mean(
                 PDMatrix(T @ A.mat @ T.conj().T), PDMatrix(T @ B.mat @ T.conj().T)
             ).mat
-            np.testing.assert_allclose(lhs, rhs, atol=1e-8 * np.linalg.norm(rhs))
+            np.testing.assert_allclose(lhs, rhs, atol=1e-8 * np.linalg.norm(rhs), rtol=0)
 
     def test_rejects_bad_t(self):
         A, _, B = certified_pair_2x2()
@@ -135,7 +135,7 @@ class TestSpectralMean:
     def test_commuting_diagonal_midpoint(self):
         A, B = commuting_diag_pair()
         expected = np.diag(np.sqrt(np.diag(A.mat).real * np.diag(B.mat).real))
-        np.testing.assert_allclose(spectral_mean(A, B).mat, expected, atol=1e-13)
+        np.testing.assert_allclose(spectral_mean(A, B).mat, expected, atol=1e-13, rtol=0)
 
     def test_certified_trace_is_five(self):
         A, X, B = certified_pair_2x2()
@@ -150,18 +150,18 @@ class TestSpectralMean:
                 Xt = (vecs * vals ** t) @ vecs.conj().T
                 expected = Xt @ A.mat @ Xt
                 got = spectral_mean_weighted(A, B, t).mat
-                np.testing.assert_allclose(got, expected, atol=1e-10 * np.linalg.norm(expected))
+                np.testing.assert_allclose(got, expected, atol=1e-10 * np.linalg.norm(expected), rtol=0)
 
 
 class TestWasserstein:
     def test_identity_pair(self):
         I = PDMatrix(np.eye(2))
         W = wasserstein_expression(I, I, 1.5, 0.5)
-        np.testing.assert_allclose(W.mat, 4.0 * np.eye(2), atol=1e-13)
+        np.testing.assert_allclose(W.mat, 4.0 * np.eye(2), atol=1e-13, rtol=0)
 
     def test_b_zero_returns_scaled_a(self):
         A, _, B = certified_pair_2x2()
-        np.testing.assert_allclose(wasserstein_expression(A, B, 1.0, 0.0).mat, A.mat, atol=1e-14)
+        np.testing.assert_allclose(wasserstein_expression(A, B, 1.0, 0.0).mat, A.mat, atol=1e-14, rtol=0)
 
     def test_dual_formulas_agree(self):
         for dim, A, B in rand_pd_pairs(10, cond=1e4):
@@ -178,19 +178,19 @@ class TestWasserstein:
 class TestGeodesic:
     def test_endpoints(self):
         A, _, B = certified_pair_2x2()
-        np.testing.assert_allclose(bw_geodesic(A, B, 0.0).mat, A.mat, atol=1e-14)
-        np.testing.assert_allclose(bw_geodesic(A, B, 1.0).mat, B.mat, atol=1e-12)
+        np.testing.assert_allclose(bw_geodesic(A, B, 0.0).mat, A.mat, atol=1e-14, rtol=0)
+        np.testing.assert_allclose(bw_geodesic(A, B, 1.0).mat, B.mat, atol=1e-12, rtol=0)
 
     def test_midpoint_of_equal_operands(self):
         A = rand_pd(3, seed=2)
-        np.testing.assert_allclose(bw_geodesic(A, A, 0.5).mat, A.mat, atol=1e-12)
+        np.testing.assert_allclose(bw_geodesic(A, A, 0.5).mat, A.mat, atol=1e-12, rtol=0)
 
     def test_matches_wasserstein_weights(self):
         A, _, B = certified_pair_2x2()
         np.testing.assert_allclose(
             bw_geodesic(A, B, 0.3).mat,
             wasserstein_expression(A, B, 0.7, 0.3).mat,
-            atol=1e-14,
+            atol=1e-14, rtol=0,
         )
 
 
@@ -198,7 +198,7 @@ class TestHeron:
     def test_spectral_no_cross_term(self):
         A, _, B = certified_pair_2x2()
         H = heron_spectral(A, B, 2.0, 3.0, 0.0)
-        np.testing.assert_allclose(H.mat, 4.0 * A.mat + 9.0 * B.mat, atol=1e-13)
+        np.testing.assert_allclose(H.mat, 4.0 * A.mat + 9.0 * B.mat, atol=1e-13, rtol=0)
 
     def test_scalar_case(self):
         one = PDMatrix(np.array([[1.0]]))
@@ -210,16 +210,16 @@ class TestHeron:
         A, B = commuting_diag_pair()
         H = heron_spectral(A, B, 0.8, 1.1)
         W = wasserstein_expression(A, B, 0.8, 1.1)
-        np.testing.assert_allclose(H.mat, W.mat, atol=1e-12 * np.linalg.norm(W.mat))
+        np.testing.assert_allclose(H.mat, W.mat, atol=1e-12 * np.linalg.norm(W.mat), rtol=0)
 
     def test_kubo_no_cross_term(self):
         A, _, B = certified_pair_2x2()
         np.testing.assert_allclose(heron_kubo(A, B, 2.0, 3.0, 0.0).mat, 4.0 * A.mat + 9.0 * B.mat,
-                                   atol=1e-13)
+                                   atol=1e-13, rtol=0)
 
     def test_kubo_equal_operands(self):
         A = rand_pd(3, seed=9)
-        np.testing.assert_allclose(heron_kubo(A, A, 1.0, 1.0, 2.0).mat, 4.0 * A.mat, atol=1e-12)
+        np.testing.assert_allclose(heron_kubo(A, A, 1.0, 1.0, 2.0).mat, 4.0 * A.mat, atol=1e-12, rtol=0)
 
     def test_kubo_certified_trace(self):
         A, _, B = certified_pair_2x2()
@@ -261,15 +261,15 @@ class TestProductSqrt:
     def test_identity_pair(self):
         I = PDMatrix(np.eye(3))
         left, right = product_sqrt_pair(I, I)
-        np.testing.assert_allclose(left, np.eye(3), atol=1e-14)
-        np.testing.assert_allclose(right, np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(left, np.eye(3), atol=1e-14, rtol=0)
+        np.testing.assert_allclose(right, np.eye(3), atol=1e-14, rtol=0)
 
     def test_commuting_diagonal(self):
         A, B = commuting_diag_pair()
         left, right = product_sqrt_pair(A, B)
         expected = np.diag(np.sqrt(np.diag(A.mat).real * np.diag(B.mat).real))
-        np.testing.assert_allclose(left, expected, atol=1e-13)
-        np.testing.assert_allclose(right, expected, atol=1e-13)
+        np.testing.assert_allclose(left, expected, atol=1e-13, rtol=0)
+        np.testing.assert_allclose(right, expected, atol=1e-13, rtol=0)
 
     def test_squares_reproduce_products(self):
         for dim, A, B in rand_pd_pairs(8, cond=1e4):
@@ -294,8 +294,8 @@ class TestStructuralInvariants:
         cross_w = left + right
         cross_geo = 2.0 * geometric_mean(A, B).mat
         cross_spec = 2.0 * spectral_mean(A, B).mat
-        np.testing.assert_allclose(cross_geo, cross_w, atol=1e-12 * np.linalg.norm(cross_w))
-        np.testing.assert_allclose(cross_spec, cross_w, atol=1e-12 * np.linalg.norm(cross_w))
+        np.testing.assert_allclose(cross_geo, cross_w, atol=1e-12 * np.linalg.norm(cross_w), rtol=0)
+        np.testing.assert_allclose(cross_spec, cross_w, atol=1e-12 * np.linalg.norm(cross_w), rtol=0)
 
     def test_homogeneity(self):
         A, _, B = certified_pair_2x2()
@@ -310,7 +310,7 @@ class TestStructuralInvariants:
         ):
             ref = f(A, B).mat
             scaled = f(As, Bs).mat
-            np.testing.assert_allclose(scaled, alpha * ref, atol=1e-10 * np.linalg.norm(alpha * ref))
+            np.testing.assert_allclose(scaled, alpha * ref, atol=1e-10 * np.linalg.norm(alpha * ref), rtol=0)
 
 
 def _rel(x, y):

@@ -30,10 +30,10 @@ def gamma_multiplier(r, a, b, c) -> np.ndarray:
 class TestSchurProduct:
     def test_all_ones_is_identity_map(self):
         M = rand_pd(3, seed=21)
-        np.testing.assert_allclose(M.mat * np.ones((3, 3)), M.mat, atol=1e-15)
+        np.testing.assert_allclose(M.mat * np.ones((3, 3)), M.mat, atol=1e-15, rtol=0)
 
     def test_diagonal_times_diagonal(self):
-        np.testing.assert_allclose(np.diag([1.0, 2.0]) * np.diag([3.0, 4.0]), np.diag([3.0, 8.0]), atol=1e-15)
+        np.testing.assert_allclose(np.diag([1.0, 2.0]) * np.diag([3.0, 4.0]), np.diag([3.0, 8.0]), atol=1e-15, rtol=0)
 
     def test_psd_of_psd_pair(self):
         for dim, A, B in rand_pd_pairs(8):
@@ -43,15 +43,15 @@ class TestSchurProduct:
 
 class TestGammaMultiplier:
     def test_constant_r_collapses_to_all_ones(self):
-        np.testing.assert_allclose(gamma_multiplier(np.ones(4), 0.5, 0.5, 0.5), np.ones((4, 4)), atol=1e-14)
+        np.testing.assert_allclose(gamma_multiplier(np.ones(4), 0.5, 0.5, 0.5), np.ones((4, 4)), atol=1e-14, rtol=0)
 
     def test_dim_one_endpoint(self):
-        np.testing.assert_allclose(gamma_multiplier([3.7], 1.2, 0.4, 2 * 1.2 * 0.4), [[1.0]], atol=1e-14)
+        np.testing.assert_allclose(gamma_multiplier([3.7], 1.2, 0.4, 2 * 1.2 * 0.4), [[1.0]], atol=1e-14, rtol=0)
 
     @given(positive_vectors, weights, weights)
     def test_endpoint_invariants(self, r, a, b):
         g = gamma_multiplier(r, a, b, 2.0 * a * b)
-        np.testing.assert_allclose(np.diag(g), np.ones(len(r)), atol=1e-12)
+        np.testing.assert_allclose(np.diag(g), np.ones(len(r)), atol=1e-12, rtol=0)
         vals = HermitianMatrix(g).eig().eigenvalues
         assert vals[-1] >= -1e-10 * vals[0]
         if len(r) > 3:
@@ -74,17 +74,17 @@ class TestCorrelationDecomposition:
 
     def test_balanced_weights_constant_r(self):
         s, t = self.decomposition(np.ones(3), 1.0, 1.0)
-        np.testing.assert_allclose(s, np.zeros(3), atol=1e-15)
-        np.testing.assert_allclose(t, np.ones(3), atol=1e-15)
+        np.testing.assert_allclose(s, np.zeros(3), atol=1e-15, rtol=0)
+        np.testing.assert_allclose(t, np.ones(3), atol=1e-15, rtol=0)
 
     @given(positive_vectors, weights, weights)
     def test_unit_circle_and_reconstruction(self, r, a, b):
         r = np.asarray(r)
         s, t = self.decomposition(r, a, b)
-        np.testing.assert_allclose(s * s + t * t, np.ones(len(r)), atol=1e-12)
+        np.testing.assert_allclose(s * s + t * t, np.ones(len(r)), atol=1e-12, rtol=0)
         recon = 0.5 * (np.ones((len(r), len(r))) + np.outer(s, s) + np.outer(t, t))
         gamma = gamma_multiplier(r, a, b, 2.0 * a * b)
-        np.testing.assert_allclose(recon, gamma, atol=1e-12 * max(1.0, np.abs(gamma).max()))
+        np.testing.assert_allclose(recon, gamma, atol=1e-12 * max(1.0, np.abs(gamma).max()), rtol=0)
 
 
 def random_correlation(dim, rng):
@@ -147,7 +147,7 @@ class TestSpectralChangeOfVars:
     def test_equal_operands(self):
         A = rand_pd(3, seed=31)
         R, C = spectral_change_of_vars(A, A)
-        np.testing.assert_allclose(C, A.mat, atol=1e-10 * np.linalg.norm(A.mat))
+        np.testing.assert_allclose(C, A.mat, atol=1e-10 * np.linalg.norm(A.mat), rtol=0)
 
     def test_certified_instance_recovers_b(self):
         A = PDMatrix(np.diag([1.0, 20.0, 40.0]))
@@ -155,8 +155,8 @@ class TestSpectralChangeOfVars:
         X = R_fixed @ R_fixed
         B = PDMatrix(X @ np.diag([1.0, 20.0, 40.0]) @ X)
         R, C = spectral_change_of_vars(A, B)
-        np.testing.assert_allclose(R.real, R_fixed, atol=1e-8)
-        np.testing.assert_allclose(R @ C @ R, B.mat, atol=1e-8 * np.linalg.norm(B.mat))
+        np.testing.assert_allclose(R.real, R_fixed, atol=1e-8, rtol=0)
+        np.testing.assert_allclose(R @ C @ R, B.mat, atol=1e-8 * np.linalg.norm(B.mat), rtol=0)
 
     def test_residuals_and_spectral_mean_identity(self):
         for dim, A, B in rand_pd_pairs(6, cond=1e3):
@@ -173,12 +173,12 @@ class TestPinchingMap:
         R = rand_pd(3, seed=41)
         R = PDMatrix(0.2 * R.mat + 0.2 * np.eye(3))  # spectrum inside (0, 1)
         out = pinching_map(PDMatrix(np.eye(3)), R)
-        np.testing.assert_allclose(out.phi, np.eye(3), atol=1e-10)
+        np.testing.assert_allclose(out.phi, np.eye(3), atol=1e-10, rtol=0)
 
     def test_scalar_r_collapses(self):
         C = rand_pd(4, seed=42)
         out = pinching_map(C, PDMatrix(0.5 * np.eye(4)))
-        np.testing.assert_allclose(out.phi, C.mat, atol=1e-10 * np.linalg.norm(C.mat))
+        np.testing.assert_allclose(out.phi, C.mat, atol=1e-10 * np.linalg.norm(C.mat), rtol=0)
 
     def test_trace_identity_for_compressions(self):
         for dim, C, R0 in rand_pd_pairs(8, dims=(2, 3, 5, 7)):
@@ -244,14 +244,14 @@ class TestKuboChangeOfVars:
     def test_identity_balanced(self):
         I = PDMatrix(np.eye(3))
         R, C = kubo_change_of_vars(I, I, 0.5, 0.5)
-        np.testing.assert_allclose(R.mat, 0.5 * np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(C.mat, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(R.mat, 0.5 * np.eye(3), atol=1e-12, rtol=0)
+        np.testing.assert_allclose(C.mat, np.eye(3), atol=1e-12, rtol=0)
 
     def test_equal_operands(self):
         A = rand_pd(3, seed=51)
         R, C = kubo_change_of_vars(A, A, 1.0, 1.0)
-        np.testing.assert_allclose(R.mat, 0.5 * np.eye(3), atol=1e-10)
-        np.testing.assert_allclose(C.mat, 4.0 * A.mat, atol=1e-10 * np.linalg.norm(A.mat))
+        np.testing.assert_allclose(R.mat, 0.5 * np.eye(3), atol=1e-10, rtol=0)
+        np.testing.assert_allclose(C.mat, 4.0 * A.mat, atol=1e-10 * np.linalg.norm(A.mat), rtol=0)
 
     def test_reduction_identity(self):
         for dim, A, B in rand_pd_pairs(6, cond=1e3):

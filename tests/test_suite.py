@@ -648,7 +648,8 @@ def test_part_names_are_unique_within_each_checker():
         names = [part.name for part in parts]
         assert len(set(names)) == len(names), checker
         for part in parts:
-            assert part.relation in suite._SPECTRAL or callable(part.relation), (checker, part.name)
+            assert (part.relation in suite._SPECTRAL or part.relation in suite._MATRIX
+                    or part.relation is suite._commuting), (checker, part.name)
 
 
 class TestLeastPart:
@@ -688,6 +689,49 @@ class TestLeastPart:
         self._constant(monkeypatch, "trace", second)
         margin = check_spectral_heron(Pair(rand_pd(2, seed=43), rand_pd(2, seed=44)), 1.0, 1.0, 2.0, TOL).min_margin_seen
         assert margin == 0.0 and math.copysign(1.0, margin) == math.copysign(1.0, first)
+
+
+class TestMatrixParts:
+    """The identities are parts of the generic matrix relations: an error
+    of 1e-6 relative in one keyed side fails the part that reads it, and
+    no other part of its record."""
+
+    CHECKS = {
+        "bly": lambda: check_bly(Pair(rand_pd(3, seed=41), rand_pd(3, seed=42)), 1.0, 1.0, TOL),
+        "pinching": lambda: check_pinching(*_pinching_operands(3, 1e3, np.random.default_rng(5)), TOL),
+    }
+
+    @staticmethod
+    def _parts(monkeypatch, checker: str) -> dict:
+        """The parts of the record of each `_stage` call, by name, as the
+        stage computes them."""
+        parts, stage = {}, suite._stage
+        names = [part.name for part in suite.PARTS[checker]]
+
+        def staged(pair, check, *args):
+            return stage(pair, check._replace(finish=lambda _, values: parts.update(zip(names, values.tolist()))),
+                         *args)
+
+        monkeypatch.setattr(suite, "_stage", staged)
+        return parts
+
+    @pytest.mark.parametrize("checker, kind, part, factor", [
+        ("bly", "expansion", "expansion", lambda batch: 1.0 + 1e-6),
+        # pair 2 of the compression pairs is that of 2C, so the Heron sum
+        # of pair 2 is Phi_R(2C)
+        ("pinching", "heron", "homogeneity", lambda batch: np.where(batch[0] == 2, 1.0 + 1e-6, 1.0)[:, None, None]),
+        ("pinching", "RSC", "trace_identity", lambda batch: 1.0 + 1e-6),
+    ], ids=["equal-expansion", "equal-homogeneity", "tr-identity"])
+    def test_a_perturbed_side_fails_its_part(self, checker, kind, part, factor, monkeypatch):
+        parts = self._parts(monkeypatch, checker)
+        assert self.CHECKS[checker]().ok
+        assert min(parts.values()) >= -TOL
+        prepare, make = suite._MAKERS[kind]
+        monkeypatch.setitem(suite._MAKERS, kind, (prepare, lambda built, batch: make(built, batch) * factor(batch)))
+        report = self.CHECKS[checker]()
+        assert not report.ok
+        assert report.failures[0]["worst_margin"] == parts[part] < -10 * TOL
+        assert all(value >= -TOL for name, value in parts.items() if name != part), parts
 
 
 class TestWork:
