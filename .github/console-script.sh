@@ -79,6 +79,13 @@ expect_error 1 "numerical failure: " compute wasserstein A.json B.json -a 1e160 
 # so its index holds
 expect_error 3 "error: " suite --trials 120 --cond 1e7 --out /dev/null
 grep -q '(stack index (1,))$' error.txt
+# at tol 1e-16 rounding fails some theorem parts, among them pinching's
+# lambda(Phi_R(C)) prec_w lambda(C), the quadratic lift's hypothesis:
+# they fail their records (exit 1) and the report is written
+status=0
+matmean suite --trials 2 --tol 1e-16 --out tol.json || status=$?
+test "$status" -eq 1
+python -c 'import json, sys; sys.exit(json.load(open("tol.json"))["ok"] is not False)'
 # at cond 1e6 some records fail (exit 1) and serialize their
 # instances; an abort (exit 2-4) fails the step
 status=0

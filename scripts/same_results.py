@@ -50,7 +50,8 @@ def commands() -> list[list[str]]:
         *(["check", relation, "A.json", "B.json"] for relation in ("weak", "major", "log")),
         # the error paths: bad weights (4), an overflowing result (1), an
         # operand that is not positive definite (3), bad settings, a
-        # malformed or missing file (2) and a hypothesis the tolerance fails (4)
+        # malformed or missing file (2), and a tolerance below rounding that
+        # fails theorem parts (1, with the report written to stdout)
         ["compute", "wasserstein", "A.json", "B.json", "-a", "nan"],
         ["compute", "wasserstein", "A.json", "B.json", "-a", "1e160", "-b", "1"],
         ["compute", "heron_kubo", "A.json", "B.json", "-c", "1.7e308"],

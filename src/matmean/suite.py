@@ -69,6 +69,11 @@ T_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 EPS_SEQUENCE = (1e-2, 1e-4, 1e-6, 1e-8)
 
 
+def _design() -> dict:
+    """The test design as a report's config writes it."""
+    return {"weight_grid": [list(w) for w in WEIGHT_GRID], "c_fractions": list(C_FRACTIONS), "t_grid": list(T_GRID)}
+
+
 def _finite(x) -> bool:
     """x is a finite number and not a bool (bool is a subclass of int)."""
     return not isinstance(x, bool) and math.isfinite(x)
@@ -104,10 +109,19 @@ class SuiteConfig:
             "dims": list(self.dims),
             "cond_max": self.cond_max,
             "tol": self.tol,
-            "weight_grid": [list(w) for w in WEIGHT_GRID],
-            "c_fractions": list(C_FRACTIONS),
-            "t_grid": list(T_GRID),
+            **_design(),
         }
+
+    @classmethod
+    def from_dict(cls, config: dict) -> SuiteConfig:
+        """The config that `to_dict` wrote, as a report holds it, checked
+        as the constructor checks it.  A report of another test design is
+        refused, naming its first key that differs from this suite's."""
+        for key, value in _design().items():
+            if config.get(key) != value:
+                raise ConfigError(f"{key} must be this suite's {value}, got {config.get(key)}")
+        fields = {key: config.get(key) for key in ("seed", "trials", "cond_max", "tol")}
+        return cls(dims=tuple(config.get("dims") or ()), **fields)
 
 
 @dataclass
@@ -366,12 +380,11 @@ _READS["expansion"] = _READS["bly"]
 
 class _Check(NamedTuple):
     """One checker's part of a stage: the report name and bound parts of
-    each record, in order; hypotheses, parts that raise where they fail;
-    and finish(report, parts), the diagnostics of a one-record check."""
+    each record, in order, and finish(report, parts), the diagnostics of
+    a one-record check."""
 
     names: tuple
     records: tuple
-    hypotheses: tuple = ()
     finish: Callable | None = None
 
 
@@ -395,10 +408,10 @@ class _Plan:
         self.checks, records = [], []
         for check in checks:
             self.checks.append((check, len(records)))
-            records += check.records + tuple((h,) for h in check.hypotheses)
+            records += check.records
 
         def sides(spectral: bool) -> list:
-            pairs = [[_compared(part) for record in check.records + (check.hypotheses,)
+            pairs = [[_compared(part) for record in check.records
                       for part in record if (part.relation in _SPECTRAL) == spectral] for check in checks]
             return [pair[side] for check in pairs for side in (0, 1) for pair in check]
 
@@ -458,9 +471,6 @@ class _Plan:
         reports = []
         for (check, start), context in zip(self.checks, contexts):
             stop = start + len(check.records)
-            if check.hypotheses:
-                require(margins[stop:stop + len(check.hypotheses)] >= -tol, InvalidWeightsError,
-                        lambda i: f"instance violates the hypothesis {check.hypotheses[i[0]].name}")
             by_name: dict = {}
             for name, margin, ctx in zip(check.names, margins[start:stop].tolist(),
                                          context if isinstance(context, list) else [context] * (stop - start)):
@@ -675,13 +685,12 @@ def check_pinching(C: PDMatrix, R: PDMatrix, tol: float,
 
 def _lift(Ds: int, p: int | None = None) -> _Check:
     """lambda(C^{1/2} M C^{1/2}) prec_w lambda(C)^2, one record per M: Phi_R(C)
-    of pair p if p is given, then each D of the operands, gated with its
-    lift; the hypothesis lambda(M) prec_w lambda(C) is read from the gate."""
-    sources = [("Phi_R(C)", _keys(p, 1.0, 1.0)["H_kubo"])] if p is not None else []
-    sources += [("D", ("D", i)) for i in range(Ds)]
-    records = tuple(_bind(PARTS["quadratic_lifting"], {"lift": ("lift", key), "C^2": ("C", 2)}) for _, key in sources)
-    hypotheses = tuple(_Part(f"lambda({name}) prec_w lambda(C)", "weak", key, ("C", 1)) for name, key in sources)
-    return _Check(("quadratic_lifting",) * len(records), records, hypotheses)
+    of pair p if p is given, then each D of the operands.  Pinching's weak
+    part is the hypothesis lambda(M) prec_w lambda(C) for Phi_R(C)."""
+    sources = [_keys(p, 1.0, 1.0)["H_kubo"]] if p is not None else []
+    sources += [("D", i) for i in range(Ds)]
+    return _Check(("quadratic_lifting",) * len(sources),
+                  tuple(_bind(PARTS["quadratic_lifting"], {"lift": ("lift", key), "C^2": ("C", 2)}) for key in sources))
 
 
 def check_quadratic_lifting(C: PDMatrix, Ds: list[PDMatrix], tol: float,
@@ -689,8 +698,11 @@ def check_quadratic_lifting(C: PDMatrix, Ds: list[PDMatrix], tol: float,
     """If lambda(D) prec_w lambda(C), the congruence by C^{1/2} lifts the
     comparison to lambda(C^{1/2} D C^{1/2}) prec_w lambda(C^2).  One record
     per D; lambda(C^2) = lambda(C)^2 comes from the gated decomposition of
-    C, and the Ds and their lifts are gated in one stacked call."""
+    C, the lifts are gated in one stacked call, and the Ds are checked
+    against the hypothesis on their gated spectra."""
     require(len(Ds) > 0, InvalidWeightsError, lambda _: "Ds must be nonempty")
+    require(weak_margin(np.stack([D.eig().eigenvalues for D in Ds]), C.eig().eigenvalues) >= -tol,
+            InvalidWeightsError, lambda _: "instance violates the hypothesis lambda(D) prec_w lambda(C)")
     return _stage(None, _lift(len(Ds)), tol, context, _Operands(C, D=np.stack([D.mat for D in Ds])))
 
 

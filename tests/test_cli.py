@@ -433,12 +433,17 @@ class TestSuiteCommand:
         assert (code, out) == (2, "")
         assert err == "error: MATMEAN_SEED must be an integer, got 'abc'\n"
 
-    def test_lift_hypothesis_names_the_matrix_that_failed(self, capsys):
-        # at tol 1e-16 the hypothesis margin of the trial's Phi_R(C), at
-        # rounding level, fails; the message used to name D
-        code, out, err = run_cli(capsys, "suite", "--trials", "2", "--tol", "1e-16")
-        assert (code, out) == (4, "")
-        assert err == "error: instance violates the hypothesis lambda(Phi_R(C)) prec_w lambda(C) (stack index (0,))\n"
+    def test_lift_hypothesis_names_the_matrix_that_failed(self, tmp_path, capsys):
+        # at tol 1e-16 the margin of lambda(Phi_R(C)) prec_w lambda(C), the
+        # lift's hypothesis, fails at rounding level.  It is pinching's weak
+        # part, so the run records it and writes its report; it used to
+        # abort with exit 4 as a failed in-stage hypothesis
+        path = tmp_path / "report.json"
+        code, _, err = run_cli(capsys, "suite", "--trials", "2", "--tol", "1e-16", "--out", str(path))
+        assert (code, err) == (1, "")
+        report = json.loads(path.read_text())
+        assert report["ok"] is False
+        assert "pinching" in [check["name"] for check in report["checks"] if check["failures"]]
 
     @pytest.mark.parametrize("env_seed, kwargs", [(None, {}), ("99", {"seed": 99})], ids=["bare", "env-seed"])
     def test_defaults_come_from_suite_config(self, env_seed, kwargs, capsys, monkeypatch):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from matmean import means, suite
-from matmean.errors import InvalidWeightsError, MatrixFormatError, NotPositiveDefiniteError
-from matmean.linalg import HermitianMatrix, PDMatrix, random_pd_from_rng
+from matmean.errors import ConfigError, InvalidWeightsError, MatrixFormatError, NotPositiveDefiniteError
+from matmean.linalg import HermitianMatrix, PDMatrix, adjoint, complex_gaussian, haar_unitaries, random_pd_from_rng
+from matmean.majorization import verdict, weak_margin
 from matmean.means import Pair
 from matmean.report import CheckReport
 from matmean.schur import pinching_map
@@ -165,6 +166,30 @@ class TestSharpnessScalar:
     def test_rejects_admissible_c(self):
         with pytest.raises(InvalidWeightsError):
             check_sharpness_scalar(1.0, 1.0, 1.9)
+
+
+class TestSharpCoefficient:
+    """The matrix form of sharpness_scalar, and a positive control: above
+    c = 2ab the spectral Heron sum fails weak majorization by W_{a,b} in
+    every dimension, by its trace gap 2ab delta tr(A natural B) at
+    c = 2ab (1 + delta).  (The Heron grid refuses c > 2ab, so this goes
+    through the means, not check_spectral_heron.)"""
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-3, 0.1])
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_above_2ab_the_comparison_fails_by_the_trace_gap(self, dim, delta):
+        pair = Pair(rand_pd(dim, seed=300 + 2 * dim), rand_pd(dim, seed=301 + 2 * dim))
+        trace_n = np.trace(pair.spectral()).real
+        for a, b in suite.WEIGHT_GRID:
+            H, W = (HermitianMatrix(M).eig().eigenvalues
+                    for M in (pair.heron("spectral", a, b, 2 * a * b * (1 + delta)), pair.wasserstein(a, b)[0]))
+            result = verdict("weak", H, W, TOL)
+            assert not result.holds
+            # the last Ky Fan margin is tr W - tr H, a difference of two
+            # traces 1/delta times larger than it, each rounded to about
+            # 3e-14 of tr W: 1e-12 of tr W bounds it at every delta, where
+            # 1e-12 of the gap would not hold below delta = 0.1
+            assert abs(result.per_k_margins[-1] + 2 * a * b * delta * trace_n) <= 1e-12 * W.sum()
 
 
 class TestNonFiniteWeights:
@@ -342,6 +367,20 @@ class TestConfigAndDriver:
             "c_fractions": [0.0, 0.5, 1.0],
             "t_grid": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
         }
+
+    @pytest.mark.parametrize("config", [SuiteConfig(seed=42, trials=2),
+                                        SuiteConfig(seed=42, trials=3, dims=(16, 24, 32), cond_max=1e6)],
+                             ids=["seed42", "dims16-32-cond1e6"])
+    def test_a_reports_config_reads_back(self, config):
+        written = json.loads(json.dumps(run_suite(config).to_dict()))["config"]
+        assert SuiteConfig.from_dict(written) == config
+
+    @pytest.mark.parametrize("key, value", [("t_grid", [0.25, 0.5, 0.75]), ("c_fractions", [0.0, 1.0]),
+                                            ("weight_grid", [[1.0, 1.0]])])
+    def test_a_config_of_another_test_design_is_refused(self, key, value):
+        # its trials would draw other instances than this suite's
+        with pytest.raises(ConfigError, match=f"^{key} must be this suite's "):
+            SuiteConfig.from_dict(SuiteConfig().to_dict() | {key: value})
 
     def test_deterministic_reports(self):
         cfg = SuiteConfig(seed=7, trials=6, dims=(1, 2, 3))
@@ -526,6 +565,57 @@ class TestStackedCheckers:
         Ds = [PDMatrix(0.5 * C.mat)] * good + [PDMatrix(2.0 * C.mat)]
         with pytest.raises(InvalidWeightsError, match=rf"prec_w lambda\(C\) \(stack index \({good},\)\)$"):
             check_quadratic_lifting(C, Ds, TOL)
+
+
+class TestLiftHypothesis:
+    @pytest.mark.parametrize("cond", [1e4, 1e6])
+    def test_the_suites_d_satisfies_it_on_its_gated_spectrum(self, cond):
+        # the lift's stage no longer checks lambda(D) prec_w lambda(C): the
+        # draw makes it hold, D0 scaled by 1 - 1e-12 of the least Ky Fan
+        # ratio (`_scaled_under`); 40 trials are 5 at each dim 1..8
+        config = SuiteConfig(seed=42, trials=40, cond_max=cond)
+        for offset in range(config.trials):
+            draw = _draw_trial(config, offset)
+            assert weak_margin(PDMatrix(draw.D).eig().eigenvalues, draw.C.eig().eigenvalues) >= 0.0, offset
+
+
+# The public checkers of one pair as functions of (pair, a, b): the Heron
+# checkers at c = 2ab (spectral_heron at ab too), weighted_corollary at
+# t = b / (a + b), so that the swap (a, b) -> (b, a) is t -> 1 - t.
+TWIN_CHECKS = {
+    "spectral_heron": lambda pair, a, b: check_spectral_heron(pair, a, b, 2 * a * b, TOL),
+    "spectral_heron_at_ab": lambda pair, a, b: check_spectral_heron(pair, a, b, a * b, TOL),
+    "kubo_heron": lambda pair, a, b: check_kubo_heron(pair, a, b, 2 * a * b, TOL),
+    "weighted_corollary": lambda pair, a, b: check_weighted_corollary(pair, b / (a + b), 2 * a * b / (a + b) ** 2,
+                                                                      TOL),
+    "spreading": lambda pair, a, b: check_spreading(pair, a, b, TOL),
+    "endpoints": lambda pair, a, b: check_endpoints(pair, a, b, TOL),
+    "log_majorization_means": lambda pair, a, b: check_log_majorization_means(pair, TOL),
+    "bly": lambda pair, a, b: check_bly(pair, a, b, TOL),
+    "equality_iff_commuting": lambda pair, a, b: check_equality_iff_commuting(pair, a, b, TOL),
+}
+
+
+class TestTwins:
+    """Every compared side is symmetric under the swap (A, B, a, b) ->
+    (B, A, b, a), and its spectrum is invariant under a unitary rotation
+    (A, B) -> (U A U*, U B U*).  A twin takes another float path (X from
+    B's decomposition, LAPACK on other entries), so a margin that agrees
+    with its twins' checks the kernels with no second implementation.  A
+    complex rotation tells an adjoint from a plain transpose, which
+    TestReferenceOracle cannot: both of its sides run the same kernels.
+    At cond 1e4 the twins agreed within 3e-11 over 200 seed-42 trials."""
+
+    @pytest.mark.parametrize("name", list(TWIN_CHECKS))
+    def test_each_margin_agrees_with_its_twins(self, name):
+        check = TWIN_CHECKS[name]
+        for offset, rng, dim, a, b, A, B in iter_instances(SuiteConfig(seed=42, trials=40)):
+            U = haar_unitaries(complex_gaussian(dim, rng))
+            margin = check(Pair(A, B), a, b).min_margin_seen
+            twins = {"swap": check(Pair(B, A), b, a),
+                     "rotation": check(Pair(*(PDMatrix(U @ M.mat @ adjoint(U)) for M in (A, B))), a, b)}
+            for twin, report in twins.items():
+                assert abs(report.min_margin_seen - margin) <= 1e-10, (offset, twin)
 
 
 def _one_at_a_time(config: SuiteConfig) -> RunReport:
@@ -749,15 +839,18 @@ class TestWork:
         run_suite(SuiteConfig(seed=42, trials=8))
         # each matrix of a stacked call counts; 787 while the c = 0 Heron
         # sums of spectral_heron and kubo_heron, one matrix, had two keys,
-        # and 779 while pinching gated Phi_R(I), Phi_R(2C) and Phi_R(C1),
-        # whose spectra no check reads
-        assert sum(int(np.prod(np.shape(mats)[:-2])) for mats, *_ in calls) <= 755
+        # 779 while pinching gated Phi_R(I), Phi_R(2C) and Phi_R(C1),
+        # whose spectra no check reads, and 755 while the lift gated D to
+        # check its hypothesis, which `_scaled_under` makes hold
+        assert sum(int(np.prod(np.shape(mats)[:-2])) for mats, *_ in calls) <= 747
 
     def test_eigendecompositions_at_dims_16_to_32(self, monkeypatch):
         calls = _count_calls(monkeypatch, np.linalg, "eigh")
         run_suite(SuiteConfig(seed=42, trials=3, dims=(16, 24, 32)))
         # 4 per trial plus 9; 26 while X and A # B had a middle each
         assert len(calls) <= 21
+        # 297 slices while the lift gated D
+        assert sum(int(np.prod(np.shape(mats)[:-2])) for mats, *_ in calls) <= 294
 
     def test_at_most_2_psd_powers_per_trial(self, monkeypatch):
         calls = _count_calls(monkeypatch, means, "_eigh")
