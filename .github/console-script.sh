@@ -87,7 +87,17 @@ matmean suite --trials 2 --tol 1e-16 --out tol.json || status=$?
 test "$status" -eq 1
 python -c 'import json, sys; sys.exit(json.load(open("tol.json"))["ok"] is not False)'
 # at cond 1e6 some records fail (exit 1) and serialize their
-# instances; an abort (exit 2-4) fails the step
+# instances; an abort (exit 2-4) fails the step, and so does a failing
+# checker with no identity part (tagged `equality` in suite.PARTS):
+# only an identity's rounding may fail here, never a theorem
 status=0
 matmean suite --trials 120 --cond 1e6 --out "$RUNNER_TEMP/illcond.json" || status=$?
 test "$status" -le 1
+python - "$RUNNER_TEMP/illcond.json" <<'EOF'
+import json, sys
+from matmean.suite import PARTS
+failing = [check["name"] for check in json.load(open(sys.argv[1]))["checks"] if check["failures"]]
+bare = [name for name in failing if not any(part.equality for part in PARTS.get(name, ()))]
+if bare:
+    sys.exit(f"checkers failing at cond 1e6 with no identity part: {bare}")
+EOF

@@ -7,11 +7,12 @@ by 1 + max|dominating side| so one tolerance knob covers all scales.
 
 A record's margin is the least of its named parts (PARTS, one table for
 every checker), each a relation of a dominated to a dominating side, two
-keyed matrices: of their spectra (`_SPECTRAL`), of the matrices for the
-identities (`_MATRIX`: x = arg y, and tr x <= or = tr y), or `_commuting`
-for the equality case.  A stage is a `_Plan` of checkers
-run on one `Pair` stack: it builds and gates each key once, each kind in
-one batch, computes each mean once over the pairs whose keys read it
+keyed matrices: of their spectra (`_SPECTRAL`), of the matrices (`_MATRIX`:
+||x - arg y|| and tr x <= tr y), or `_commuting` for the equality case.
+An identity's parts are tagged `equality`, and the stage takes their
+margins as -|gap| in one pass.  A stage is a `_Plan` of checkers run on
+one `Pair` stack: it builds and gates each key once, each kind in one
+batch, computes each mean once over the pairs whose keys read it
 (`where`, `Pair.take`), and evaluates each relation in one call over all
 of its parts.  Pinching and the semidefinite limit first make operand
 pairs, the compressions (R X R, S X S) and the eps-levels, on which
@@ -152,11 +153,6 @@ class RunReport:
 # the parts of a margin: each relation written once, over a stage's parts
 # ---------------------------------------------------------------------------
 
-def _eq_margin(gap, scale):
-    """Margin form of an equality constraint |gap| <= tol * scale."""
-    return -np.abs(gap) / scale
-
-
 def _ky_fan_entry(x, y, k):
     """The normalized Ky Fan margin at entry k, counted from the end where
     k < 0 (entry -2 is the trace's at n = 1)."""
@@ -165,11 +161,11 @@ def _ky_fan_entry(x, y, k):
 
 
 def _log_ky_fan(x, y, total: bool):
-    """The least log Ky Fan margin below k = n (0 at n = 1), or the equal
-    totals, sum log x = sum log y."""
+    """The least log Ky Fan margin below k = n (0 at n = 1), or the gap
+    between the totals, sum log y - sum log x."""
     margins, scale = ky_fan_margins(np.log(x), np.log(y))
     if total:
-        return _eq_margin(margins[:, -1], scale)
+        return margins[:, -1] / scale
     return margins[:, :-1].min(-1) / scale if x.shape[-1] > 1 else np.zeros(len(x))
 
 
@@ -204,17 +200,17 @@ def _norms(mats) -> np.ndarray:
     return np.array([np.linalg.norm(M) for M in mats])
 
 
-def _traces(x, y, equal):
-    """tr x <= tr y, or tr x = tr y where `equal` is 1, normalized by 1 + |tr y|."""
+def _traces(x, y, _):
+    """tr x <= tr y, normalized by 1 + |tr y|."""
     tx, ty = (np.trace(M, axis1=-2, axis2=-1).real for M in (x, y))
-    return np.where(equal == 1.0, -np.abs(tx - ty), ty - tx) / (1.0 + np.abs(ty))
+    return (ty - tx) / (1.0 + np.abs(ty))
 
 
 # The relations between matrices, f(x, y, arg) over a stage's parts, one row
-# each: x, y the sides' rows of built.mats, arg a scale of y or a flag.
+# each: x, y the sides' rows of built.mats, arg a scale of y.
 _MATRIX = {
-    # x = arg y, normalized by 1 + arg ||y||
-    "equal": lambda x, y, arg: _eq_margin(_norms(x - arg[:, None, None] * y), 1.0 + arg * _norms(y)),
+    # ||x - arg y||, normalized by 1 + arg ||y||, of an identity x = arg y
+    "equal": lambda x, y, arg: _norms(x - arg[:, None, None] * y) / (1.0 + arg * _norms(y)),
     "tr": _traces,
 }
 
@@ -230,43 +226,44 @@ def _commuting(built: _Built, x, y, tol: float) -> np.ndarray:
     A, B = (as_stack(M)[list(pair_of.values())] for M in (built.pair.A, built.pair.B))
     comm, comm_scale = frobenius(A @ B - B @ A)[at], (frobenius(A) * frobenius(B))[at]
     w_norm, diff = frobenius(built.mats[rows])[at], frobenius(built.mats[x] - built.mats[y])
-    return np.where(comm <= tol * comm_scale, _eq_margin(diff, w_norm),
+    return np.where(comm <= tol * comm_scale, -diff / w_norm,
                     np.where(comm >= NONCOMMUTING_FLOOR * comm_scale, (diff - 1e-6 * w_norm) / w_norm, 0.0))
 
 
 class _Part(NamedTuple):
     """A named part of a record's margin: its relation (in `_SPECTRAL` or
     `_MATRIX`, or `_commuting`) of the dominated to the dominating side,
-    and the arg it passes the relation."""
+    its arg, and whether it is an identity (`equality`, margin -|gap|)."""
 
     name: str
     relation: str | Callable
     dominated: object
     dominating: object
     arg: float = 0.0
+    equality: bool = False
 
 
 # The parts of each checker that runs in a stage, in the order its record
-# takes their min.  The Heron grid checks the trace only at c = 2ab.  On the
-# compression pair (R C R, S C S), tr(A natural B) = tr(R S C).
+# takes their min, the identities tagged.  The Heron grid checks those only
+# at c = 2ab.  On the compression pair (R C R, S C S), tr(A natural B) = tr(R S C).
 PARTS = {
-    "spectral_heron": (_Part("weak", "weak", "H", "W"), _Part("trace", "trace", "H", "W")),
+    "spectral_heron": (_Part("weak", "weak", "H", "W"), _Part("trace", "trace", "H", "W", 0, True)),
     "kubo_heron": (_Part("weak", "weak", "H", "W"),),
-    "weighted_corollary": (_Part("weak", "weak", "H", "W"), _Part("trace", "trace", "H", "W")),
+    "weighted_corollary": (_Part("weak", "weak", "H", "W"), _Part("trace", "trace", "H", "W", 0, True)),
     "spreading": (_Part("weak", "weak", "H_natural", "W"), _Part("bottom", "bottom", "H_natural", "W"),
-                  _Part("trace", "trace", "H_natural", "W"), _Part("log_det", "log_det", "W", "H_natural")),
+                  _Part("trace", "trace", "H_natural", "W", 0, True), _Part("log_det", "log_det", "W", "H_natural")),
     "endpoints": (_Part("lambda_min", "bottom_ky_fan", "H_kubo", "W", 0),
                   _Part("lambda_max", "ky_fan", "H_kubo", "W", 0), _Part("trace", "ky_fan", "H_kubo", "W", -1),
                   _Part("top_n_minus_1", "ky_fan", "H_kubo", "W", -2)),
     "log_majorization_means": (_Part("log_prefix", "log_prefix", "G", "N"),
-                               _Part("log_det_equality", "log_total", "G", "N"),
+                               _Part("log_det_equality", "log_total", "G", "N", 0, True),
                                _Part("trace", "schatten", "G", "N", 1)),
-    "bly": (_Part("weak", "weak", "H_kubo", "R"), _Part("expansion", "equal", "R_expanded", "R", 1),
+    "bly": (_Part("weak", "weak", "H_kubo", "R"), _Part("expansion", "equal", "R_expanded", "R", 1, True),
             *(_Part(f"schatten_{p:g}", "schatten", "H_kubo", "R", p) for p in (1, 2, math.inf))),
-    "pinching": (_Part("weak", "weak", "Phi", "C"), _Part("unitality", "equal", "Phi(I)", "I", 1),
-                 _Part("homogeneity", "equal", "Phi(2C)", "Phi", 2),
+    "pinching": (_Part("weak", "weak", "Phi", "C"), _Part("unitality", "equal", "Phi(I)", "I", 1, True),
+                 _Part("homogeneity", "equal", "Phi(2C)", "Phi", 2, True),
                  _Part("trace_subpreservation", "tr", "Phi", "C_matrix"),
-                 _Part("order", "loewner", "Phi(C1)", "Phi"), _Part("trace_identity", "tr", "N", "RSC", 1)),
+                 _Part("order", "loewner", "Phi(C1)", "Phi"), _Part("trace_identity", "tr", "N", "RSC", 0, True)),
     "quadratic_lifting": (_Part("lift", "weak", "lift", "C^2"),),
     "semidefinite_limit": tuple(_Part(f"eps={eps:g}", "weak", ("H_kubo", i), ("R", i))
                                 for i, eps in enumerate(EPS_SEQUENCE)),
@@ -402,7 +399,7 @@ class _Plan:
     each mean is computed on (`where`, sorted, each once); each kind's
     batch, those made from other keys last, with the position in `where`
     of the pair a key reads (none if it reads no mean: its batch skips
-    position 0); each relation's rows, args and (record, part) places."""
+    position 0); each relation's rows, args and places; the identities'."""
 
     def __init__(self, checks: list[_Check]):
         self.checks, records = [], []
@@ -451,6 +448,8 @@ class _Plan:
             slots, js, x, y, args = zip(*table)
             self.relations.append((relation, _indices(slots) * self.shape[1] + _indices(js), _indices(x),
                                    _indices(y), np.array(args, dtype=np.float64)))
+        self.equalities = _indices([slot * self.shape[1] + j for slot, record in enumerate(records)
+                                    for j, part in enumerate(record) if part.equality])
 
     def run(self, pair: Pair | None, tol: float, contexts, operands: _Operands | None = None) -> list[CheckReport]:
         """The checks' reports on one Pair stack, with one context each (or a
@@ -465,6 +464,7 @@ class _Plan:
                 flat[at] = _MATRIX[relation](built.mats[x], built.mats[y], args)
             else:
                 flat[at] = relation(built, x, y, tol)
+        flat[self.equalities] = -np.abs(flat[self.equalities])
         # the least part of each record as min() picks it (the first of
         # equal parts, so -0.0 before 0.0), but NaN where any part is NaN
         margins = parts[np.arange(len(parts)), parts.argmin(axis=1)]
@@ -530,7 +530,7 @@ def _grid(items) -> _Check:
     a, b, c) item of it, in item order: lambda(a^2 A + b^2 B + c M) prec_w
     lambda(W_{a,b}) for 0 <= c <= 2ab, with the cross term M of the check.
     With the spectral cross term the endpoint c = 2ab is a true
-    majorization, so trace equality is checked there too."""
+    majorization, so its identity, trace equality, is checked there too."""
     checks = [item[0] for item in items]
     a, b, c = (np.array(x, dtype=np.float64) for x in list(zip(*items))[1:])
     for name in dict.fromkeys(checks):  # one array per checker, so an error names it
@@ -547,7 +547,7 @@ def _grid(items) -> _Check:
     endpoint = (two_ab > 0.0) & (c >= two_ab * (1.0 - 1e-12))
     # at c = 0 the sum has no cross term, so every check shares one key
     return _Check(tuple(checks), tuple(
-        _bind(PARTS[check] if end else PARTS[check][:1],
+        _bind(tuple(part for part in PARTS[check] if end or not part.equality),
               {"H": ("heron", 0, GRID_CROSS[check] if c else "spectral", a, b, c), "W": ("W", 0, a, b)})
         for (check, a, b, c), end in zip(items, endpoint)))
 
@@ -676,6 +676,7 @@ def check_pinching(C: PDMatrix, R: PDMatrix, tol: float,
     unital, trace-subpreserving) are spot-checked on the same instance,
     with Phi_R evaluated at C, I, 2C and a random C1 <= C drawn from
     `rng`."""
+    _check_dims(C, R)
     if rng is None:
         rng = np.random.default_rng(0)
     C1 = _dominated_by(C, random_pd_from_rng(C.dim, 10.0, rng))
@@ -701,6 +702,8 @@ def check_quadratic_lifting(C: PDMatrix, Ds: list[PDMatrix], tol: float,
     C, the lifts are gated in one stacked call, and the Ds are checked
     against the hypothesis on their gated spectra."""
     require(len(Ds) > 0, InvalidWeightsError, lambda _: "Ds must be nonempty")
+    for D in Ds:
+        _check_dims(C, D)
     require(weak_margin(np.stack([D.eig().eigenvalues for D in Ds]), C.eig().eigenvalues) >= -tol,
             InvalidWeightsError, lambda _: "instance violates the hypothesis lambda(D) prec_w lambda(C)")
     return _stage(None, _lift(len(Ds)), tol, context, _Operands(C, D=np.stack([D.mat for D in Ds])))

@@ -1,4 +1,6 @@
+import collections
 import functools
+import itertools
 import json
 import math
 from pathlib import Path
@@ -92,6 +94,17 @@ class TestTrivialInstances:
         C, R = rand_pd(3, seed=80), PDMatrix(np.diag([0.3, 0.6]))
         with pytest.raises(MatrixFormatError, match="dimension mismatch"):
             check_pinching(C, R, TOL)
+
+    def test_pinching_mismatch_names_the_two_dimensions(self):
+        C, R = rand_pd(4, seed=80), PDMatrix(np.diag([0.3, 0.6]))
+        with pytest.raises(MatrixFormatError, match=r"^dimension mismatch: 4 vs 2$"):
+            check_pinching(C, R, TOL)
+
+    @pytest.mark.parametrize("good", [0, 1], ids=["one-d", "second-of-two"])
+    def test_quadratic_lifting_rejects_a_d_of_another_dimension(self, good):
+        C = rand_pd(3, seed=81)
+        with pytest.raises(MatrixFormatError, match=r"^dimension mismatch: 3 vs 2$"):
+            check_quadratic_lifting(C, [PDMatrix(0.5 * C.mat)] * good + [rand_pd(2, seed=82)], TOL)
 
     def test_kubo_equal_operands(self):
         A = rand_pd(2, seed=68)
@@ -604,18 +617,24 @@ class TestTwins:
     with its twins' checks the kernels with no second implementation.  A
     complex rotation tells an adjoint from a plain transpose, which
     TestReferenceOracle cannot: both of its sides run the same kernels.
-    At cond 1e4 the twins agreed within 3e-11 over 200 seed-42 trials."""
+    Every part is compared, so every record margin, the least of them."""
 
     @pytest.mark.parametrize("name", list(TWIN_CHECKS))
-    def test_each_margin_agrees_with_its_twins(self, name):
+    def test_each_margin_agrees_with_its_twins(self, name, monkeypatch):
         check = TWIN_CHECKS[name]
+
+        def parts(pair, a, b) -> dict:
+            return {part.name: value for *_, part, value in _stage_parts(monkeypatch, lambda: check(pair, a, b))}
+
         for offset, rng, dim, a, b, A, B in iter_instances(SuiteConfig(seed=42, trials=40)):
             U = haar_unitaries(complex_gaussian(dim, rng))
-            margin = check(Pair(A, B), a, b).min_margin_seen
-            twins = {"swap": check(Pair(B, A), b, a),
-                     "rotation": check(Pair(*(PDMatrix(U @ M.mat @ adjoint(U)) for M in (A, B))), a, b)}
-            for twin, report in twins.items():
-                assert abs(report.min_margin_seen - margin) <= 1e-10, (offset, twin)
+            original = parts(Pair(A, B), a, b)
+            twins = {"swap": parts(Pair(B, A), b, a),
+                     "rotation": parts(Pair(*(PDMatrix(U @ M.mat @ adjoint(U)) for M in (A, B))), a, b)}
+            for twin, values in twins.items():
+                assert values.keys() == original.keys()
+                for part, value in values.items():
+                    assert abs(value - original[part]) <= 1e-10, (offset, twin, part)
 
 
 def _one_at_a_time(config: SuiteConfig) -> RunReport:
@@ -694,6 +713,45 @@ def _recorded(monkeypatch, run) -> tuple[object, dict[str, list[float]]]:
         return run(), margins
 
 
+def _stage_parts(monkeypatch, run) -> list[tuple[int, int, str, suite._Part, float]]:
+    """(stage, record, checker, part, value) of every part of every stage
+    that `run()` runs, in the order its relations are evaluated: the value
+    each relation returns, before the stage takes -|gap| of the parts
+    tagged `equality`.  Each relation of a plan is wrapped for its run and
+    its values mapped to parts through `plan.relations` and `plan.shape`."""
+    parts, plan_run, stages = [], suite._Plan.run, itertools.count()
+
+    def run_recording(plan, *args, **kwargs):
+        stage = next(stages)
+        records = [(name, record) for check, _ in plan.checks for name, record in zip(check.names, check.records)]
+
+        def recording(relation, at):
+            def evaluate(*args):
+                values = relation(*args)
+                for i, value in zip(at.tolist(), values.tolist()):
+                    name, record = records[i // plan.shape[1]]
+                    parts.append((stage, i // plan.shape[1], name, record[i % plan.shape[1]], value))
+                return values
+            return evaluate
+
+        with monkeypatch.context() as patch:
+            relations = []
+            for relation, at, *rest in plan.relations:
+                table = next((table for table in (suite._SPECTRAL, suite._MATRIX) if relation in table), None)
+                if table is None:  # _commuting, called from the plan's own row
+                    relation = recording(relation, at)
+                else:
+                    patch.setitem(table, relation, recording(table[relation], at))
+                relations.append((relation, at, *rest))
+            patch.setattr(plan, "relations", relations)
+            return plan_run(plan, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(suite._Plan, "run", run_recording)
+        run()
+    return parts
+
+
 def _count_calls(monkeypatch, owner, name: str) -> list:
     """The positional arguments of each call of owner.name."""
     calls = []
@@ -740,6 +798,46 @@ def test_part_names_are_unique_within_each_checker():
         for part in parts:
             assert (part.relation in suite._SPECTRAL or part.relation in suite._MATRIX
                     or part.relation is suite._commuting), (checker, part.name)
+            # `equal` returns a norm, >= 0: untagged, it could never fail
+            assert part.equality or part.relation != "equal", (checker, part.name)
+
+
+class TestEqualityTags:
+    """The parts tagged `equality` are the identities, which hold exactly:
+    their relations return a gap and the stage takes -|gap| as the margin.
+    Every other part is an inequality, the content of a theorem."""
+
+    def test_the_stage_takes_minus_the_absolute_gap(self, monkeypatch):
+        pair = Pair(rand_pd(3, seed=41), rand_pd(3, seed=42))
+        for gap in (1e-3, -1e-3):
+            monkeypatch.setitem(suite._SPECTRAL, "log_total", lambda x, y, _: np.full(len(x), gap))
+            assert check_log_majorization_means(pair, TOL).min_margin_seen == -1e-3
+
+    def test_every_identity_gap_is_near_zero(self, monkeypatch):
+        # seed 42, 40 trials at cond 1e4: the largest identity gap measured
+        # 3.2e-9 (log_det_equality), every other at most 8e-11, while the
+        # inequality parts reach 0.1-0.7
+        parts = _stage_parts(monkeypatch, lambda: run_suite(SuiteConfig(seed=42, trials=40)))
+        tagged = [(name, part.name, value) for *_, name, part, value in parts if part.equality]
+        assert ({(name, part) for name, part, _ in tagged}
+                == {(name, part.name) for name, row in suite.PARTS.items() for part in row if part.equality})
+        worst = max(tagged, key=lambda item: abs(item[2]))
+        assert abs(worst[2]) <= 1e-8, worst
+
+    def test_the_cond_1e6_failures_are_identities(self, monkeypatch):
+        # the float false failures of the measured baseline (7 records:
+        # log_det_equality 4, homogeneity 3) are rounding of identities;
+        # a failing inequality part would be a counterexample
+        config = SuiteConfig(seed=42, trials=120, cond_max=1e6)
+        reports = []
+        parts = _stage_parts(monkeypatch, lambda: reports.append(run_suite(config)))
+        failing = collections.defaultdict(list)
+        for stage, record, name, part, value in parts:
+            if not (-abs(value) if part.equality else value) >= -config.tol:
+                failing[stage, record, name].append(part)
+        assert [(record, part.name) for record, failed in failing.items() for part in failed
+                if not part.equality] == []
+        assert len(failing) == sum(len(report.failures) for report in reports[0].checks)
 
 
 class TestLeastPart:
