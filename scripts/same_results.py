@@ -6,12 +6,15 @@ every difference in exit code, stdout, stderr and `--out` bytes.
 PARENT and CHANGE are checkouts of this repository.  Each command runs as
 `python -m matmean.cli ...` in a subprocess whose PYTHONPATH is that
 tree's `src/`, in a fresh working directory holding the README's A.json
-and B.json, an indefinite I.json and a malformed bad.json.  The set covers
-suite reports at seeds 42 and 7 x cond 1e4 and 1e6, at dims 16-32, at
-cond 1.2 and with --pretty; the cond 1e7, 1e10 and 1e12 aborts; every
-certificate; `compute` of every mean; `check` of every relation; an error
-path for each row of `cli.EXIT_CODES`; and every `--help`.  Exits 0 when
-the trees agree on every command, 1 when any differs.
+and B.json, an indefinite I.json and a malformed bad.json.  The 43
+commands cover suite reports at seeds 42 and 7 x cond 1e4 and 1e6, at
+dims 16-32, at cond 1.2 and with --pretty; both outcomes of the
+noncommuting draw, a redraw in every trial (cond 1.1) and no pair
+clearing the floor (cond 1.05, exit 2); the cond 1e7, 1e10 and 1e12
+aborts; every certificate; `compute` of every mean; `check` of every
+relation; an error path for each row of `cli.EXIT_CODES`; and every
+`--help`.  Exits 0 when the trees agree on every command, 1 when any
+differs.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ def commands() -> list[list[str]]:
         ["suite", "--trials", "3"],
         ["suite", "--trials", "12", "--dims", "16,24,32", *out],
         ["suite", "--trials", "24", "--cond", "1.2", *out],
+        # both outcomes of the noncommuting draw: every trial redraws its
+        # first candidate; no candidate at dim 2 clears the floor (exit 2)
+        ["suite", "--trials", "24", "--cond", "1.1", "--dims", "2,3"],
+        ["suite", "--trials", "24", "--cond", "1.05"],
         ["suite", "--trials", "200", "--cond", "1e6", "--pretty", *out],
         *(["suite", "--trials", "120", "--cond", cond] for cond in ("1e7", "1e10", "1e12")),
         *(["certify", "--which", which, *out] for which in ("all", "dir1", "dir2")),

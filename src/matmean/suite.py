@@ -215,19 +215,22 @@ _MATRIX = {
 }
 
 
+def _commutator_ratio(A, B) -> np.ndarray:
+    """||AB - BA|| / (||A|| ||B||), Frobenius, over a stack of pairs: the
+    one test of commuting (<= tol) and of clearing NONCOMMUTING_FLOOR, for
+    the draw and for the equality case alike."""
+    return frobenius(A @ B - B @ A) / (frobenius(A) * frobenius(B))
+
+
 def _commuting(built: _Built, x, y, tol: float) -> np.ndarray:
     """A sharp Heron sum equals W exactly when A and B commute, else stays
     apart; a gray zone between the two has nothing sharp to assert (0).
-    The natural and the Kubo part of a pair share its W and commutator,
-    so each is formed once per W row and gathered back to the parts."""
-    pair_of = {row: built.keys[row][1] for row in y.tolist()}  # each W row once, with its pair
-    rows = list(pair_of)
-    at = [*map(rows.index, y.tolist())]
-    A, B = (as_stack(M)[list(pair_of.values())] for M in (built.pair.A, built.pair.B))
-    comm, comm_scale = frobenius(A @ B - B @ A)[at], (frobenius(A) * frobenius(B))[at]
-    w_norm, diff = frobenius(built.mats[rows])[at], frobenius(built.mats[x] - built.mats[y])
-    return np.where(comm <= tol * comm_scale, -diff / w_norm,
-                    np.where(comm >= NONCOMMUTING_FLOOR * comm_scale, (diff - 1e-6 * w_norm) / w_norm, 0.0))
+    Each part's pair is read from its W key."""
+    pairs = [built.keys[row][1] for row in y.tolist()]
+    ratio = _commutator_ratio(*(as_stack(M)[pairs] for M in (built.pair.A, built.pair.B)))
+    w_norm, diff = frobenius(built.mats[y]), frobenius(built.mats[x] - built.mats[y])
+    return np.where(ratio <= tol, -diff / w_norm,
+                    np.where(ratio >= NONCOMMUTING_FLOOR, (diff - 1e-6 * w_norm) / w_norm, 0.0))
 
 
 class _Part(NamedTuple):
@@ -781,8 +784,8 @@ def check_incomparability_float(one: Pair, two: Pair, tol: float = 1e-8) -> Chec
 # the same samplers (`iter_instances` and its helpers in tests/conftest.py)
 # and compare the two draws bit for bit.
 
-# A candidate noncommuting pair must clear ||AB - BA|| >= floor ||A|| ||B||
-# within this many draws.
+# A candidate noncommuting pair must clear the floor, by the
+# `_commutator_ratio` that `_commuting` judges it by, within this many draws.
 NONCOMMUTING_FLOOR = 1e-3
 NONCOMMUTING_TRIES = 200
 
@@ -817,11 +820,6 @@ def _rank_deficient_sample(dim: int, rng: np.random.Generator):
     return vals, complex_gaussian(dim, rng)
 
 
-def _clearly_noncommuting(A: PDMatrix, B: PDMatrix) -> bool:
-    comm = float(np.linalg.norm(A.mat @ B.mat - B.mat @ A.mat))
-    return comm >= NONCOMMUTING_FLOOR * float(np.linalg.norm(A.mat)) * float(np.linalg.norm(B.mat))
-
-
 def _noncommuting_pair(dim: int, cond_max: float, rng: np.random.Generator,
                        first: tuple[PDMatrix, PDMatrix] | None = None) -> tuple[PDMatrix, PDMatrix]:
     """Resample, one pair at a time, until the commutator clears the
@@ -832,7 +830,7 @@ def _noncommuting_pair(dim: int, cond_max: float, rng: np.random.Generator,
     for _ in range(NONCOMMUTING_TRIES):
         A, B = first or (random_pd_from_rng(dim, cond_max, rng), random_pd_from_rng(dim, cond_max, rng))
         first = None
-        if _clearly_noncommuting(A, B):
+        if _commutator_ratio(A.mat, B.mat) >= NONCOMMUTING_FLOOR:
             return A, B
     raise InstanceDrawError(
         f"cond_max = {cond_max!r} is too close to 1 at dim {dim}: none of {NONCOMMUTING_TRIES} candidate "
@@ -947,7 +945,7 @@ def _draw_trial(config: SuiteConfig, offset: int) -> _Draw:
     A, B, A_c, B_c, *candidate = segment.gated(first)
     pairs = [(A, B), (A_c, B_c)]
     if dim > 1:
-        if not _clearly_noncommuting(*candidate):
+        if _commutator_ratio(*(M.mat for M in candidate)) < NONCOMMUTING_FLOOR:
             rng.bit_generator.state = state
             candidate = _noncommuting_pair(dim, cond, rng, tuple(candidate))
             segment, rest = _second_part(_Segment(), dim, cond, rng).build(), slice(None)

@@ -8,8 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matmean import means, suite
-from matmean.errors import ConfigError, InvalidWeightsError, MatrixFormatError, NotPositiveDefiniteError
+from matmean import linalg, means, suite
+from matmean.errors import (
+    ConfigError,
+    InvalidWeightsError,
+    MatrixFormatError,
+    NotPositiveDefiniteError,
+    NumericalFailure,
+)
 from matmean.linalg import HermitianMatrix, PDMatrix, adjoint, complex_gaussian, haar_unitaries, random_pd_from_rng
 from matmean.majorization import verdict, weak_margin
 from matmean.means import Pair
@@ -249,6 +255,38 @@ class TestEqualityIffCommuting:
         r = check_equality_iff_commuting(Pair(A, B), 1.0, 1.0, TOL)
         assert r.ok and r.min_margin_seen > 0
 
+    @pytest.mark.parametrize("cond", [1e4, 1e6, 1.2])
+    def test_every_suite_pair_lands_in_its_zone(self, cond, monkeypatch):
+        # seed 42, 120 trials: the least noncommuting ratio measured 0.047,
+        # 0.064 and 1.0019e-3, 0.2 % above the floor at cond 1.2, where
+        # candidates are redrawn; the largest commuting one 6.8e-16.  The
+        # zones are read from the ratios, since a commuting record at
+        # dimension 1 can read -0.0, the gray zone's 0 but signed
+        config = SuiteConfig(seed=42, trials=120, cond_max=cond)
+        stages, commutator_ratio = [], suite._commutator_ratio
+
+        def recording(A, B):
+            ratio = commutator_ratio(A, B)
+            if np.ndim(ratio):  # a stage's rows, not a draw's test
+                stages.append(ratio.tolist())
+            return ratio
+
+        monkeypatch.setattr(suite, "_commutator_ratio", recording)
+        _, margins = _recorded(monkeypatch, lambda: run_suite(config))
+        margins = iter(margins["equality_iff_commuting"])
+        assert len(stages) == config.trials
+        for ratios in stages:
+            # the natural and the Kubo part of the commuting pair, then of
+            # the noncommuting one (none at dimension 1)
+            commuting, noncommuting = ratios[:2], ratios[2:]
+            assert max(commuting) <= config.tol
+            assert all(ratio >= suite.NONCOMMUTING_FLOOR for ratio in noncommuting)
+            record_margins = [next(margins) for _ in range(len(ratios) // 2)]
+            # judged apart by `_commuting`'s own floor, not in the gray
+            # zone (margin 0)
+            assert all(margin > 0 for margin in record_margins[1:]), record_margins
+        assert next(margins, None) is None
+
 
 class TestSemidefiniteLimit:
     def test_zero_pair(self):
@@ -437,6 +475,28 @@ class TestHeavyTailRegime:
             assert check_kubo_heron(Pair(A, B), 1.0, 1.0, 2.0, tol).ok
             assert check_endpoints(Pair(A, B), 1.0, 1.0, tol).ok
             assert check_bly(Pair(A, B), 1.0, 1.0, tol).ok
+
+
+class TestTrustedRange:
+    """The README's table of the suite's range, at seed 42 with 120 trials
+    (the cond-1e6 row, float false failures on identities, is
+    TestEqualityTags').  When a change moves a row, the table moves too."""
+
+    @pytest.mark.parametrize("cond, error, message", [
+        (1e4, None, None),
+        (1e5, None, None),
+        (1e7, NotPositiveDefiniteError, r"\(stack index \(1,\)\)$"),
+        (1e8, NotPositiveDefiniteError, r"\(stack index \(1,\)\)$"),
+        (1e10, NumericalFailure, "^Riccati residual"),
+        (1e12, NumericalFailure, "^Riccati residual"),
+    ])
+    def test_the_readme_row(self, cond, error, message):
+        config = SuiteConfig(seed=42, trials=120, cond_max=cond)
+        if error is None:
+            assert run_suite(config).ok
+        else:
+            with pytest.raises(error, match=message):
+                run_suite(config)
 
 
 class TestHeronGrid:
@@ -949,6 +1009,28 @@ class TestWork:
         assert len(calls) <= 21
         # 297 slices while the lift gated D
         assert sum(int(np.prod(np.shape(mats)[:-2])) for mats, *_ in calls) <= 294
+
+    @pytest.mark.parametrize("config, qr, gate_eig, gate_hermitian, check_pd", [
+        (SuiteConfig(seed=42, trials=8), (8, 86), (16, 94), (31, 625), 121),
+        (SuiteConfig(seed=42, trials=3, dims=(16, 24, 32)), (3, 33), (6, 36), (16, 245), 56),
+    ], ids=["dims1-8", "dims16-32"])
+    def test_draw_and_gate_work(self, config, qr, gate_eig, gate_hermitian, check_pd, monkeypatch):
+        # (calls, matrices) of the draw's stacked QR, the check of drawn
+        # eigen-data (`gate_eig`, the suite's and a PDMatrix's), the gate
+        # behind each eigh (`gate_hermitian`), and the calls of `check_pd`,
+        # which every gate and derived spectrum ends in
+        calls = {"qr": _count_calls(monkeypatch, np.linalg, "qr"),
+                 "gate_eig": _count_calls(monkeypatch, suite, "gate_eig"),
+                 "linalg.gate_eig": _count_calls(monkeypatch, linalg, "gate_eig"),
+                 "gate_hermitian": _count_calls(monkeypatch, linalg, "gate_hermitian"),
+                 "check_pd": _count_calls(monkeypatch, linalg, "check_pd")}
+        run_suite(config)
+        calls["gate_eig"] += calls.pop("linalg.gate_eig")
+        for name, matrix_ndim, (most_calls, most_matrices) in (("qr", 2, qr), ("gate_eig", 1, gate_eig),
+                                                                ("gate_hermitian", 2, gate_hermitian)):
+            matrices = sum(int(np.prod(np.shape(args[0])[:-matrix_ndim])) for args in calls[name])
+            assert len(calls[name]) <= most_calls and matrices <= most_matrices, (name, len(calls[name]), matrices)
+        assert len(calls["check_pd"]) <= check_pd
 
     def test_at_most_2_psd_powers_per_trial(self, monkeypatch):
         calls = _count_calls(monkeypatch, means, "_eigh")
