@@ -81,11 +81,21 @@ expect_error 3 "error: " suite --trials 120 --cond 1e7 --out /dev/null
 grep -q '(stack index (1,))$' error.txt
 # at tol 1e-16 rounding fails some theorem parts, among them pinching's
 # lambda(Phi_R(C)) prec_w lambda(C), the quadratic lift's hypothesis:
-# they fail their records (exit 1) and the report is written
+# they fail their records (exit 1) and the report is written.  Every
+# checker with an identity part (tagged `equality` in suite.PARTS) fails
+# on its rounding, the equality case's commuting records included
 status=0
 matmean suite --trials 2 --tol 1e-16 --out tol.json || status=$?
 test "$status" -eq 1
-python -c 'import json, sys; sys.exit(json.load(open("tol.json"))["ok"] is not False)'
+python - <<'EOF'
+import json, sys
+from matmean.suite import PARTS
+report = json.load(open("tol.json"))
+failing = {check["name"] for check in report["checks"] if check["failures"]}
+tagged = {name for name, parts in PARTS.items() if any(part.equality for part in parts)}
+if report["ok"] is not False or tagged - failing:
+    sys.exit(f"checkers with an identity part passing at tol 1e-16: {sorted(tagged - failing)}")
+EOF
 # at cond 1e6 some records fail (exit 1) and serialize their
 # instances; an abort (exit 2-4) fails the step, and so does a failing
 # checker with no identity part (tagged `equality` in suite.PARTS):

@@ -71,10 +71,6 @@ class RationalMatrix:
         return cls(_square(tuple(tuple(Fraction(x) for x in row) for row in rows)))
 
     @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls.diagonal([1] * n)
-
-    @classmethod
     def diagonal(cls, values) -> "RationalMatrix":
         d, (vals,) = _cleared([[Fraction(v) for v in values]])
         return cls(form=(d, [[x if i == j else 0 for j in range(len(vals))] for i, x in enumerate(vals)]))

@@ -7,16 +7,17 @@ by 1 + max|dominating side| so one tolerance knob covers all scales.
 
 A record's margin is the least of its named parts (PARTS, one table for
 every checker), each a relation of a dominated to a dominating side, two
-keyed matrices: of their spectra (`_SPECTRAL`), of the matrices (`_MATRIX`:
-||x - arg y|| and tr x <= tr y), or `_commuting` for the equality case.
-An identity's parts are tagged `equality`, and the stage takes their
-margins as -|gap| in one pass.  A stage is a `_Plan` of checkers run on
-one `Pair` stack: it builds and gates each key once, each kind in one
-batch, computes each mean once over the pairs whose keys read it
-(`where`, `Pair.take`), and evaluates each relation in one call over all
-of its parts.  Pinching and the semidefinite limit first make operand
-pairs, the compressions (R X R, S X S) and the eps-levels, on which
-Phi_R(X) and the limit's Heron side are the one keyed sum
+keyed matrices: of their spectra (`_SPECTRAL`) or of the matrices
+(`_MATRIX`: ||x - arg y||, tr x <= tr y, ||x - y|| >= arg ||y||).  An
+identity's parts are tagged `equality`, and the stage takes their
+margins as -|gap| in one pass.  A record keeps the parts of its case (the
+equality case those of its pair's commuting zone).  A stage is a `_Plan`
+of checkers run on one `Pair` stack: it builds and gates each key once,
+each kind in one batch, computes each mean once over the pairs whose
+keys read it (`where`, `Pair.take`), and evaluates each relation in one
+call over all of its parts.  Pinching and the semidefinite limit first
+make operand pairs, the compressions (R X R, S X S) and the eps-levels,
+on which Phi_R(X) and the limit's Heron side are the one keyed sum
 A + B + 2 (A # B).  Weights are checked when a checker is made; run_suite
 keeps one plan per trial shape (`_trial_plan`) and runs one stage per
 trial, and a public checker runs a plan of its own.
@@ -212,34 +213,18 @@ _MATRIX = {
     # ||x - arg y||, normalized by 1 + arg ||y||, of an identity x = arg y
     "equal": lambda x, y, arg: _norms(x - arg[:, None, None] * y) / (1.0 + arg * _norms(y)),
     "tr": _traces,
+    # ||x - y|| >= arg ||y||, normalized by ||y||; at arg 0 the gap of x = y
+    "apart": lambda x, y, arg: (frobenius(x - y) - arg * frobenius(y)) / frobenius(y),
 }
-
-
-def _commutator_ratio(A, B) -> np.ndarray:
-    """||AB - BA|| / (||A|| ||B||), Frobenius, over a stack of pairs: the
-    one test of commuting (<= tol) and of clearing NONCOMMUTING_FLOOR, for
-    the draw and for the equality case alike."""
-    return frobenius(A @ B - B @ A) / (frobenius(A) * frobenius(B))
-
-
-def _commuting(built: _Built, x, y, tol: float) -> np.ndarray:
-    """A sharp Heron sum equals W exactly when A and B commute, else stays
-    apart; a gray zone between the two has nothing sharp to assert (0).
-    Each part's pair is read from its W key."""
-    pairs = [built.keys[row][1] for row in y.tolist()]
-    ratio = _commutator_ratio(*(as_stack(M)[pairs] for M in (built.pair.A, built.pair.B)))
-    w_norm, diff = frobenius(built.mats[y]), frobenius(built.mats[x] - built.mats[y])
-    return np.where(ratio <= tol, -diff / w_norm,
-                    np.where(ratio >= NONCOMMUTING_FLOOR, (diff - 1e-6 * w_norm) / w_norm, 0.0))
 
 
 class _Part(NamedTuple):
     """A named part of a record's margin: its relation (in `_SPECTRAL` or
-    `_MATRIX`, or `_commuting`) of the dominated to the dominating side,
-    its arg, and whether it is an identity (`equality`, margin -|gap|)."""
+    `_MATRIX`) of the dominated to the dominating side, its arg, and
+    whether it is an identity (`equality`, margin -|gap|)."""
 
     name: str
-    relation: str | Callable
+    relation: str
     dominated: object
     dominating: object
     arg: float = 0.0
@@ -270,8 +255,10 @@ PARTS = {
     "quadratic_lifting": (_Part("lift", "weak", "lift", "C^2"),),
     "semidefinite_limit": tuple(_Part(f"eps={eps:g}", "weak", ("H_kubo", i), ("R", i))
                                 for i, eps in enumerate(EPS_SEQUENCE)),
-    "equality_iff_commuting": (_Part("natural", _commuting, "H_natural", "W"),
-                               _Part("kubo", _commuting, "H_kubo", "W")),
+    "equality_iff_commuting": (_Part("natural", "apart", "H_natural", "W", 0, True),
+                               _Part("kubo", "apart", "H_kubo", "W", 0, True),
+                               _Part("natural_apart", "apart", "H_natural", "W", 1e-6),
+                               _Part("kubo_apart", "apart", "H_kubo", "W", 1e-6)),
 }
 
 
@@ -445,7 +432,7 @@ class _Plan:
                 rows = spectra if part.relation in _SPECTRAL else index
                 relations.setdefault(part.relation, []).append((slot, j, *(rows[key] for key in _compared(part)),
                                                                 part.arg))
-        self.shape = (len(records), max(map(len, records)))
+        self.shape = (len(records), max(1, *map(len, records)))  # a record of no parts reads +inf
         self.relations = []
         for relation, table in relations.items():
             slots, js, x, y, args = zip(*table)
@@ -463,10 +450,8 @@ class _Plan:
         for relation, at, x, y, args in self.relations:
             if relation in _SPECTRAL:
                 flat[at] = _SPECTRAL[relation](built.vals[x], built.vals[y], args)
-            elif relation in _MATRIX:
-                flat[at] = _MATRIX[relation](built.mats[x], built.mats[y], args)
             else:
-                flat[at] = relation(built, x, y, tol)
+                flat[at] = _MATRIX[relation](built.mats[x], built.mats[y], args)
         flat[self.equalities] = -np.abs(flat[self.equalities])
         # the least part of each record as min() picks it (the first of
         # equal parts, so -0.0 before 0.0), but NaN where any part is NaN
@@ -498,7 +483,7 @@ class _Built:
     parts compare (`vals`): those gated, then the plan's powers of C's."""
 
     def __init__(self, plan: _Plan, pair: Pair | None, operands: _Operands | None):
-        self.pair, self.operands, self.keys = pair, operands, plan.keys
+        self.pair, self.operands = pair, operands
         dim = (operands.C if pair is None else pair).dim
         self.means = {mean: pair.take(where) for mean, where in plan.where.items()}
         joint_means(self.means.get("riccati"), self.means.get("geometric"))
@@ -611,13 +596,31 @@ def check_spreading(pair: Pair, a: float, b: float,
     return _stage(pair, _records("spreading", a, b), tol, context)
 
 
+def _commutator_ratio(A, B) -> np.ndarray:
+    """||AB - BA|| / (||A|| ||B||), Frobenius, over a stack of pairs: the
+    draw's test of NONCOMMUTING_FLOOR, and the zones of
+    `check_equality_iff_commuting`."""
+    return frobenius(A @ B - B @ A) / (frobenius(A) * frobenius(B))
+
+
+def _equality(a: float, b: float, pairs, commuting) -> _Check:
+    """The equality case's records on `pairs`, with the parts of each pair's
+    zone: the identities H = W where it commutes (True), the separations
+    where it is apart (False), none in the gray zone between (None)."""
+    check = _records("equality_iff_commuting", a, b, pairs)
+    return check._replace(records=tuple(tuple(part for part in record if part.equality == zone)
+                                        for record, zone in zip(check.records, commuting, strict=True)))
+
+
 def check_equality_iff_commuting(pair: Pair, a: float, b: float,
                                  tol: float, context: dict | list[dict] | None = None) -> CheckReport:
     """Both endpoint Heron expressions equal the Wasserstein expression
     exactly when A and B commute; otherwise they stay separated by a
     data-dependent positive amount.  One record per pair of a stacked
-    Pair."""
-    return _stage(pair, _records("equality_iff_commuting", a, b, range(len(pair))), tol, context)
+    Pair, in the zone of its `_commutator_ratio` (`_equality`)."""
+    ratio = _commutator_ratio(as_stack(pair.A), as_stack(pair.B)).tolist()
+    zones = [True if r <= COMMUTING_CEILING else False if r >= NONCOMMUTING_FLOOR else None for r in ratio]
+    return _stage(pair, _equality(a, b, range(len(pair)), zones), tol, context)
 
 
 def check_endpoints(pair: Pair, a: float, b: float,
@@ -784,8 +787,11 @@ def check_incomparability_float(one: Pair, two: Pair, tol: float = 1e-8) -> Chec
 # the same samplers (`iter_instances` and its helpers in tests/conftest.py)
 # and compare the two draws bit for bit.
 
-# A candidate noncommuting pair must clear the floor, by the
-# `_commutator_ratio` that `_commuting` judges it by, within this many draws.
+# The zones of `_commutator_ratio`, fixed, not `tol`: drawn commuting pairs
+# read <= 8.2e-16 (dims 1-64, cond 1e4-1e12), and the identity's gap is
+# second order in it (16-100 ratio^2 measured; 1.3e-13 at ratio 5.5e-8).
+# A noncommuting candidate must clear the floor within NONCOMMUTING_TRIES.
+COMMUTING_CEILING = 1e-8
 NONCOMMUTING_FLOOR = 1e-3
 NONCOMMUTING_TRIES = 200
 
@@ -820,16 +826,13 @@ def _rank_deficient_sample(dim: int, rng: np.random.Generator):
     return vals, complex_gaussian(dim, rng)
 
 
-def _noncommuting_pair(dim: int, cond_max: float, rng: np.random.Generator,
-                       first: tuple[PDMatrix, PDMatrix] | None = None) -> tuple[PDMatrix, PDMatrix]:
+def _noncommuting_pair(dim: int, cond_max: float, rng: np.random.Generator) -> tuple[PDMatrix, PDMatrix]:
     """Resample, one pair at a time, until the commutator clears the
-    noncommutativity floor.  `first`, a candidate already drawn from rng,
-    is the first of the NONCOMMUTING_TRIES candidates.  A cond_max close
-    to 1 leaves too little spectral spread for any candidate to clear the
-    floor; how close depends on dim."""
+    noncommutativity floor.  A cond_max close to 1 leaves too little
+    spectral spread for any candidate to clear the floor; how close
+    depends on dim."""
     for _ in range(NONCOMMUTING_TRIES):
-        A, B = first or (random_pd_from_rng(dim, cond_max, rng), random_pd_from_rng(dim, cond_max, rng))
-        first = None
+        A, B = random_pd_from_rng(dim, cond_max, rng), random_pd_from_rng(dim, cond_max, rng)
         if _commutator_ratio(A.mat, B.mat) >= NONCOMMUTING_FLOOR:
             return A, B
     raise InstanceDrawError(
@@ -947,7 +950,7 @@ def _draw_trial(config: SuiteConfig, offset: int) -> _Draw:
     if dim > 1:
         if _commutator_ratio(*(M.mat for M in candidate)) < NONCOMMUTING_FLOOR:
             rng.bit_generator.state = state
-            candidate = _noncommuting_pair(dim, cond, rng, tuple(candidate))
+            candidate = _noncommuting_pair(dim, cond, rng)
             segment, rest = _second_part(_Segment(), dim, cond, rng).build(), slice(None)
         pairs.append(tuple(candidate))
     C, R, bump, D0, A0, B0 = segment.gated(rest)
@@ -988,10 +991,10 @@ def _trial_plan(a: float, b: float, k: int) -> _Plan:
     four compression pairs and the levels, made once per process.  The
     checks of the compression pairs and levels come first, so their
     matrices keep their stack indices in the gate; run_suite passes the
-    contexts in this order."""
+    contexts in this order.  Drawn pair 1 commutes, and pair 2 is apart."""
     return _Plan([_pinching(k), _lift(1, k), _limit(k + 4), _grid(trial_grid(a, b)), _records("spreading", a, b),
                   _records("endpoints", a, b), _records("log_majorization_means"), _records("bly", a, b),
-                  _records("equality_iff_commuting", a, b, range(1, k))])
+                  _equality(a, b, range(1, k), (True, False)[:k - 1])])
 
 
 def run_suite(config: SuiteConfig) -> RunReport:

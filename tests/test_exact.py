@@ -102,7 +102,7 @@ ZERO_PIVOT = {
 class TestRationalOps:
     def test_identity_product(self):
         M = RationalMatrix.from_rows([[1, 2], [2, 5]])
-        np_eq = rat_matmul(RationalMatrix.identity(2), M)
+        np_eq = rat_matmul(RationalMatrix.diagonal([1] * 2), M)
         assert np_eq.entries == M.entries
 
     def test_diagonal_inverse(self):
@@ -120,7 +120,7 @@ class TestRationalOps:
             with pytest.raises(NumericalFailure):
                 rat_inverse(M)
         else:
-            assert rat_matmul(M, rat_inverse(M)).entries == RationalMatrix.identity(3).entries
+            assert rat_matmul(M, rat_inverse(M)).entries == RationalMatrix.diagonal([1] * 3).entries
 
     @given(st.integers(1, 4).flatmap(lambda n: st.tuples(square_rationals(n), square_rationals(n))))
     def test_matmul_equals_naive_fraction_sum(self, pair):
@@ -267,7 +267,7 @@ class TestLeadingMinors:
         )
 
     def test_identity(self):
-        assert leading_principal_minors(RationalMatrix.identity(4)) == (1, 1, 1, 1)
+        assert leading_principal_minors(RationalMatrix.diagonal([1] * 4)) == (1, 1, 1, 1)
 
     def test_requires_symmetry(self):
         with pytest.raises(MatrixFormatError):
@@ -304,7 +304,7 @@ class TestLeadingMinors:
             assert pivot == exact._bareiss_det_int([row[:k] for row in rows[:k]])
 
     def test_sylvester_identity_and_indefinite(self):
-        assert sylvester_pd(RationalMatrix.identity(3))
+        assert sylvester_pd(RationalMatrix.diagonal([1] * 3))
         assert not sylvester_pd(RationalMatrix.diagonal([1, -1]))
 
     def test_sylvester_agrees_with_floating_sign(self):

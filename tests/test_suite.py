@@ -243,49 +243,81 @@ class TestNonFiniteWeights:
 
 
 class TestEqualityIffCommuting:
-    def test_commuting_by_construction(self):
+    """The public checker judges each pair by its commutator ratio: by the
+    identities H = W (margin -|gap|) at most COMMUTING_CEILING, by the
+    separations at least NONCOMMUTING_FLOOR, and by no part between."""
+
+    @staticmethod
+    def _judged(monkeypatch, pairs, a, b) -> tuple[CheckReport, list[str], list[float]]:
+        """The report on the stack of `pairs`, and the name and raw value of
+        each part it evaluated."""
+        reports = []
+        parts = _stage_parts(monkeypatch, lambda: reports.append(
+            check_equality_iff_commuting(Pair.stack(pairs), a, b, TOL)))
+        return reports[0], [part.name for *_, part, _ in parts], [value for *_, value in parts]
+
+    def test_commuting_by_construction(self, monkeypatch):
         rng = np.random.default_rng(5)
         A, B = _commuting_pair(4, 1e3, rng)
-        r = check_equality_iff_commuting(Pair(A, B), 1.0, 0.5, TOL)
+        r, names, values = self._judged(monkeypatch, [(A, B)], 1.0, 0.5)
         assert r.ok
+        assert suite._commutator_ratio(A.mat, B.mat) <= 8.2e-16
+        assert names == ["natural", "kubo"]
+        assert r.min_margin_seen == min(-abs(value) for value in values)
 
-    def test_noncommuting_separation(self):
+    def test_noncommuting_separation(self, monkeypatch):
         rng = np.random.default_rng(6)
         A, B = _noncommuting_pair(4, 1e3, rng)
-        r = check_equality_iff_commuting(Pair(A, B), 1.0, 1.0, TOL)
+        r, names, values = self._judged(monkeypatch, [(A, B)], 1.0, 1.0)
         assert r.ok and r.min_margin_seen > 0
+        assert suite._commutator_ratio(A.mat, B.mat) >= suite.NONCOMMUTING_FLOOR
+        assert names == ["natural_apart", "kubo_apart"]
+        assert r.min_margin_seen == min(values)
+
+    @pytest.mark.parametrize("seeds", [[(41, 42)], [(41, 42), (77, 78)]], ids=["one", "stack"])
+    def test_a_gray_pair_has_no_part(self, seeds, monkeypatch):
+        # (A, A + 1e-5 B0): commutator ratio 3.3e-6 at seeds (41, 42) and
+        # 6.2e-6 at (77, 78).  Each record counts and reads +inf, where it
+        # read 0.0 while `tol` set the commuting zone
+        pairs = []
+        for seed_a, seed_b in seeds:
+            A, B0 = rand_pd(4, seed=seed_a), rand_pd(4, seed=seed_b)
+            B = PDMatrix(A.mat + 1e-5 * B0.mat)
+            assert suite.COMMUTING_CEILING < suite._commutator_ratio(A.mat, B.mat) < suite.NONCOMMUTING_FLOOR
+            pairs.append((A, B))
+        r, names, _ = self._judged(monkeypatch, pairs, 1.0, 0.5)
+        assert r.ok and r.instances_run == len(pairs)
+        assert names == []
+        assert r.min_margin_seen == math.inf and r.to_dict()["min_margin"] is None
+
+    def test_every_commuting_suite_record_is_an_identity_at_any_tol(self):
+        # at tol 1e-16 the rounding of each commuting record's identity
+        # fails it, and no separation fails; while `tol` set the commuting
+        # zone, 26 of these 40 records were gray (margin 0) and 14 failed
+        report = run_suite(SuiteConfig(seed=42, trials=40, tol=1e-16))
+        check = next(c for c in report.checks if c.check_name == "equality_iff_commuting")
+        assert [failure["instance"]["variant"] for failure in check.failures] == ["commuting"] * 40
 
     @pytest.mark.parametrize("cond", [1e4, 1e6, 1.2])
     def test_every_suite_pair_lands_in_its_zone(self, cond, monkeypatch):
-        # seed 42, 120 trials: the least noncommuting ratio measured 0.047,
-        # 0.064 and 1.0019e-3, 0.2 % above the floor at cond 1.2, where
-        # candidates are redrawn; the largest commuting one 6.8e-16.  The
-        # zones are read from the ratios, since a commuting record at
-        # dimension 1 can read -0.0, the gray zone's 0 but signed
+        # seed 42, 120 trials: `_trial_plan` binds the commuting pair to the
+        # identities and the noncommuting one to the separations, so each
+        # must lie in that zone.  The least noncommuting ratio measured
+        # 0.047, 0.064 and 1.0019e-3, 0.2 % above the floor at cond 1.2,
+        # where candidates are redrawn; the largest commuting one 6.8e-16
         config = SuiteConfig(seed=42, trials=120, cond_max=cond)
-        stages, commutator_ratio = [], suite._commutator_ratio
-
-        def recording(A, B):
-            ratio = commutator_ratio(A, B)
-            if np.ndim(ratio):  # a stage's rows, not a draw's test
-                stages.append(ratio.tolist())
-            return ratio
-
-        monkeypatch.setattr(suite, "_commutator_ratio", recording)
-        _, margins = _recorded(monkeypatch, lambda: run_suite(config))
-        margins = iter(margins["equality_iff_commuting"])
-        assert len(stages) == config.trials
-        for ratios in stages:
-            # the natural and the Kubo part of the commuting pair, then of
-            # the noncommuting one (none at dimension 1)
-            commuting, noncommuting = ratios[:2], ratios[2:]
-            assert max(commuting) <= config.tol
-            assert all(ratio >= suite.NONCOMMUTING_FLOOR for ratio in noncommuting)
-            record_margins = [next(margins) for _ in range(len(ratios) // 2)]
-            # judged apart by `_commuting`'s own floor, not in the gray
-            # zone (margin 0)
-            assert all(margin > 0 for margin in record_margins[1:]), record_margins
-        assert next(margins, None) is None
+        noncommuting = 0
+        for offset in range(config.trials):
+            _, commuting, *apart = _draw_trial(config, offset).pairs
+            assert suite._commutator_ratio(*(M.mat for M in commuting)) <= suite.COMMUTING_CEILING, offset
+            assert all(suite._commutator_ratio(A.mat, B.mat) >= suite.NONCOMMUTING_FLOOR for A, B in apart), offset
+            noncommuting += len(apart)
+        parts = _stage_parts(monkeypatch, lambda: run_suite(config))
+        separations = [value for *_, name, part, value in parts
+                       if name == "equality_iff_commuting" and not part.equality]
+        # both separations of each noncommuting pair, and only of those
+        assert len(separations) == 2 * noncommuting
+        assert min(separations) > 0
 
 
 class TestSemidefiniteLimit:
@@ -795,15 +827,9 @@ def _stage_parts(monkeypatch, run) -> list[tuple[int, int, str, suite._Part, flo
             return evaluate
 
         with monkeypatch.context() as patch:
-            relations = []
-            for relation, at, *rest in plan.relations:
-                table = next((table for table in (suite._SPECTRAL, suite._MATRIX) if relation in table), None)
-                if table is None:  # _commuting, called from the plan's own row
-                    relation = recording(relation, at)
-                else:
-                    patch.setitem(table, relation, recording(table[relation], at))
-                relations.append((relation, at, *rest))
-            patch.setattr(plan, "relations", relations)
+            for relation, at, *_ in plan.relations:
+                table = suite._SPECTRAL if relation in suite._SPECTRAL else suite._MATRIX
+                patch.setitem(table, relation, recording(table[relation], at))
             return plan_run(plan, *args, **kwargs)
 
     with monkeypatch.context() as patch:
@@ -856,8 +882,7 @@ def test_part_names_are_unique_within_each_checker():
         names = [part.name for part in parts]
         assert len(set(names)) == len(names), checker
         for part in parts:
-            assert (part.relation in suite._SPECTRAL or part.relation in suite._MATRIX
-                    or part.relation is suite._commuting), (checker, part.name)
+            assert part.relation in suite._SPECTRAL or part.relation in suite._MATRIX, (checker, part.name)
             # `equal` returns a norm, >= 0: untagged, it could never fail
             assert part.equality or part.relation != "equal", (checker, part.name)
 
