@@ -83,7 +83,11 @@ grep -q '(stack index (1,))$' error.txt
 # lambda(Phi_R(C)) prec_w lambda(C), the quadratic lift's hypothesis:
 # they fail their records (exit 1) and the report is written.  Every
 # checker with an identity part (tagged `equality` in suite.PARTS) fails
-# on its rounding, the equality case's commuting records included
+# on its rounding, the equality case's commuting records included.  Each
+# failure serializes the context of its own pair of the stage: the
+# certified pair's, or the drawn pair's with C and R on the compression
+# pairs (pinching and the lift) and a variant on the equality pairs and
+# the eps-levels (the limit's A0 and B0)
 status=0
 matmean suite --trials 2 --tol 1e-16 --out tol.json || status=$?
 test "$status" -eq 1
@@ -95,6 +99,20 @@ failing = {check["name"] for check in report["checks"] if check["failures"]}
 tagged = {name for name, parts in PARTS.items() if any(part.equality for part in parts)}
 if report["ok"] is not False or tagged - failing:
     sys.exit(f"checkers with an identity part passing at tol 1e-16: {sorted(tagged - failing)}")
+stream = {"seed_offset", "dim", "a", "b", "A", "B"}
+extra = {"pinching": {"C", "R"}, "quadratic_lifting": {"C", "R"},
+         "equality_iff_commuting": {"variant"}, "semidefinite_limit": {"variant"}}
+for check in report["checks"]:
+    for failure in check["failures"]:
+        instance = failure["instance"]
+        if failure["seed_offset"] is None:
+            expected = {"seed_offset", "instance", "a", "b"}
+            if instance.get("instance") != "certified-3x3":
+                sys.exit(f"{check['name']}: a fixed-instance failure of {instance.get('instance')!r}")
+        else:
+            expected = stream | extra.get(check["name"], set())
+        if set(instance) != expected:
+            sys.exit(f"{check['name']} failure at {failure['seed_offset']}: instance keys {sorted(instance)}")
 EOF
 # at cond 1e6 some records fail (exit 1) and serialize their
 # instances; an abort (exit 2-4) fails the step, and so does a failing

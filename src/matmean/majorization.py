@@ -7,7 +7,7 @@ slice by slice.  The Ky Fan margin at k is sum_{j<=k} y_j - sum_{j<=k}
 x_j, normalized by 1 + max|y| so that one tolerance covers all scales.
 
 - x prec_w y (weak): every Ky Fan margin is nonnegative (`weak_margin`).
-- x prec y: weak majorization and equal totals (`trace_margin`).
+- x prec y: weak majorization and equal totals (`verdict("major")`).
 - x prec_log y: the Ky Fan margins of log x and log y, the last one an
   equality.
 
@@ -51,12 +51,6 @@ def weak_margin(x: np.ndarray, y: np.ndarray):
     """Worst normalized Ky Fan margin of x prec_w y."""
     margins, scale = ky_fan_margins(x, y)
     return margins.min(axis=-1) / scale
-
-
-def trace_margin(x: np.ndarray, y: np.ndarray):
-    """Margin form of the trace equality |sum y - sum x| <= tol (1 + |sum y|)."""
-    total = y.sum(axis=-1)
-    return -np.abs(total - x.sum(axis=-1)) / (1.0 + np.abs(total))
 
 
 def verdict(relation: str, x: np.ndarray, y: np.ndarray, tol: float) -> MajorizationVerdict:

@@ -12,15 +12,17 @@ keyed matrices: of their spectra (`_SPECTRAL`) or of the matrices
 identity's parts are tagged `equality`, and the stage takes their
 margins as -|gap| in one pass.  A record keeps the parts of its case (the
 equality case those of its pair's commuting zone).  A stage is a `_Plan`
-of checkers run on one `Pair` stack: it builds and gates each key once,
-each kind in one batch, computes each mean once over the pairs whose
-keys read it (`where`, `Pair.take`), and evaluates each relation in one
-call over all of its parts.  Pinching and the semidefinite limit first
-make operand pairs, the compressions (R X R, S X S) and the eps-levels,
-on which Phi_R(X) and the limit's Heron side are the one keyed sum
-A + B + 2 (A # B).  Weights are checked when a checker is made; run_suite
-keeps one plan per trial shape (`_trial_plan`) and runs one stage per
-trial, and a public checker runs a plan of its own.
+of records run on one `Pair` stack, each naming its checker and its pair:
+it builds and gates each key once, each kind in one batch, computes each
+mean once over the pairs whose keys read it (`where`, `Pair.take`),
+evaluates each relation in one call over all of its parts, and records
+each margin in one report per checker with its pair's context.  Pinching
+and the semidefinite limit first make operand pairs, the compressions
+(R X R, S X S) and the eps-levels, on which Phi_R(X) and the limit's
+Heron side are the one keyed sum A + B + 2 (A # B).  Weights are checked
+when a checker is made; run_suite keeps one plan per trial shape
+(`_trial_plan`) and runs one stage per trial, and a public checker runs
+a plan of its own.
 
 The certified instances and their float replay come from `exact`
 (`certified_pairs`, `certified_replay`); the dependency runs one way, so
@@ -32,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,7 +59,7 @@ from .linalg import (
     require,
     require_weights,
 )
-from .majorization import ky_fan_margins, trace_margin, weak_margin
+from .majorization import ky_fan_margins, weak_margin
 from .means import Pair, _check_dims, heron_batch, joint_means, wasserstein_batch
 from .report import CheckReport
 from .schur import pinching_compressions
@@ -171,10 +173,11 @@ def _log_ky_fan(x, y, total: bool):
 
 
 def _schatten(x, y, p):
-    """||x||_p <= ||y||_p, normalized by 1 + ||y||_p, for the Schatten
-    norms p = 1, 2 and inf of positive decreasing spectra."""
+    """||x||_p <= ||y||_p over 1 + ||y||_p, for the Schatten norms p = 1, 2
+    and inf of decreasing spectra; tagged as an identity at p = 1 it is the
+    trace equality, -|sum y - sum x| / (1 + |sum y|), hence the abs."""
     nx, ny = (np.where(p == 1.0, s.sum(-1), np.where(p == 2.0, np.sqrt((s ** 2).sum(-1)), s[:, 0])) for s in (x, y))
-    return (ny - nx) / (1.0 + ny)
+    return (ny - nx) / (1.0 + np.abs(ny))
 
 
 # The relations between spectra, f(x, y, arg) over a stage's parts, one row
@@ -185,7 +188,6 @@ _SPECTRAL = {
     "bottom": lambda x, y, _: weak_margin(-x[:, ::-1], -y[:, ::-1]),
     "ky_fan": _ky_fan_entry,
     "bottom_ky_fan": lambda x, y, k: _ky_fan_entry(-x[:, ::-1], -y[:, ::-1], k),
-    "trace": lambda x, y, _: trace_margin(x, y),
     # det x <= det y in the log domain, normalized by the dominated side
     "log_det": lambda x, y, _: (np.log(y).sum(-1) - np.log(x).sum(-1)) / (1.0 + np.abs(np.log(x).sum(-1))),
     "log_prefix": lambda x, y, _: _log_ky_fan(x, y, False),
@@ -235,11 +237,11 @@ class _Part(NamedTuple):
 # takes their min, the identities tagged.  The Heron grid checks those only
 # at c = 2ab.  On the compression pair (R C R, S C S), tr(A natural B) = tr(R S C).
 PARTS = {
-    "spectral_heron": (_Part("weak", "weak", "H", "W"), _Part("trace", "trace", "H", "W", 0, True)),
+    "spectral_heron": (_Part("weak", "weak", "H", "W"), _Part("trace", "schatten", "H", "W", 1, True)),
     "kubo_heron": (_Part("weak", "weak", "H", "W"),),
-    "weighted_corollary": (_Part("weak", "weak", "H", "W"), _Part("trace", "trace", "H", "W", 0, True)),
+    "weighted_corollary": (_Part("weak", "weak", "H", "W"), _Part("trace", "schatten", "H", "W", 1, True)),
     "spreading": (_Part("weak", "weak", "H_natural", "W"), _Part("bottom", "bottom", "H_natural", "W"),
-                  _Part("trace", "trace", "H_natural", "W", 0, True), _Part("log_det", "log_det", "W", "H_natural")),
+                  _Part("trace", "schatten", "H_natural", "W", 1, True), _Part("log_det", "log_det", "W", "H_natural")),
     "endpoints": (_Part("lambda_min", "bottom_ky_fan", "H_kubo", "W", 0),
                   _Part("lambda_max", "ky_fan", "H_kubo", "W", 0), _Part("trace", "ky_fan", "H_kubo", "W", -1),
                   _Part("top_n_minus_1", "ky_fan", "H_kubo", "W", -2)),
@@ -365,14 +367,13 @@ _READS = {
 _READS["expansion"] = _READS["bly"]
 
 
-class _Check(NamedTuple):
-    """One checker's part of a stage: the report name and bound parts of
-    each record, in order, and finish(report, parts), the diagnostics of
-    a one-record check."""
+class _Record(NamedTuple):
+    """One record of a stage: its checker's report name, the pair of the
+    stage's Pair whose context it records with, and its bound parts."""
 
-    names: tuple
-    records: tuple
-    finish: Callable | None = None
+    name: str
+    pair: int
+    parts: tuple
 
 
 def _compared(part: _Part) -> tuple:
@@ -389,18 +390,17 @@ class _Plan:
     each mean is computed on (`where`, sorted, each once); each kind's
     batch, those made from other keys last, with the position in `where`
     of the pair a key reads (none if it reads no mean: its batch skips
-    position 0); each relation's rows, args and places; the identities'."""
+    position 0); each relation's rows, args and places; the identities';
+    and the first record of each checker (`first`)."""
 
-    def __init__(self, checks: list[_Check]):
-        self.checks, records = [], []
-        for check in checks:
-            self.checks.append((check, len(records)))
-            records += check.records
+    def __init__(self, records: list[_Record]):
+        self.records, self.first = records, {}
+        for slot, record in enumerate(records):
+            self.first.setdefault(record.name, slot)
 
         def sides(spectral: bool) -> list:
-            pairs = [[_compared(part) for record in check.records
-                      for part in record if (part.relation in _SPECTRAL) == spectral] for check in checks]
-            return [pair[side] for check in pairs for side in (0, 1) for pair in check]
+            return [_compared(part)[side] for record in records for side in (0, 1)
+                    for part in record.parts if (part.relation in _SPECTRAL) == spectral]
 
         compared, plain = sides(True), sides(False)
         gated = sorted(dict.fromkeys(key for key in compared if key[0] != "C"),
@@ -428,22 +428,23 @@ class _Plan:
             self.batches.append((_indices(kinds[kind]), make, prepare(*columns)))
         relations: dict = {}
         for slot, record in enumerate(records):
-            for j, part in enumerate(record):
+            for j, part in enumerate(record.parts):
                 rows = spectra if part.relation in _SPECTRAL else index
                 relations.setdefault(part.relation, []).append((slot, j, *(rows[key] for key in _compared(part)),
                                                                 part.arg))
-        self.shape = (len(records), max(1, *map(len, records)))  # a record of no parts reads +inf
+        self.shape = (len(records), max(1, *(len(r.parts) for r in records)))  # a record of no parts reads +inf
         self.relations = []
         for relation, table in relations.items():
             slots, js, x, y, args = zip(*table)
             self.relations.append((relation, _indices(slots) * self.shape[1] + _indices(js), _indices(x),
                                    _indices(y), np.array(args, dtype=np.float64)))
         self.equalities = _indices([slot * self.shape[1] + j for slot, record in enumerate(records)
-                                    for j, part in enumerate(record) if part.equality])
+                                    for j, part in enumerate(record.parts) if part.equality])
 
     def run(self, pair: Pair | None, tol: float, contexts, operands: _Operands | None = None) -> list[CheckReport]:
-        """The checks' reports on one Pair stack, with one context each (or a
-        list of one per record): each relation is evaluated in one call."""
+        """One report per checker on one Pair stack, each record with the
+        context of its pair (one per pair, one if there is no Pair), in the
+        order of their first records: each relation is evaluated in one call."""
         built = _Built(self, pair, operands)
         parts = np.full(self.shape, np.inf)
         flat = parts.reshape(-1)
@@ -456,18 +457,13 @@ class _Plan:
         # the least part of each record as min() picks it (the first of
         # equal parts, so -0.0 before 0.0), but NaN where any part is NaN
         margins = parts[np.arange(len(parts)), parts.argmin(axis=1)]
-        reports = []
-        for (check, start), context in zip(self.checks, contexts):
-            stop = start + len(check.records)
-            by_name: dict = {}
-            for name, margin, ctx in zip(check.names, margins[start:stop].tolist(),
-                                         context if isinstance(context, list) else [context] * (stop - start)):
-                report = by_name[name] = by_name.get(name) or CheckReport(name, tol)
-                report.record(margin, ctx)
-            if check.finish:
-                check.finish(report, parts[start, :len(check.records[0])])
-            reports += by_name.values()
-        return reports
+        reports = {name: CheckReport(name, tol) for name in self.first}
+        for record, margin in zip(self.records, margins.tolist()):
+            reports[record.name].record(margin, contexts[record.pair])
+        for name, slot in self.first.items():
+            if name in _DIAGNOSTICS:
+                _DIAGNOSTICS[name](reports[name], parts[slot, :len(self.records[slot].parts)])
+        return list(reports.values())
 
 
 def _build(built: _Built, batches) -> None:
@@ -494,16 +490,21 @@ class _Built:
             self.vals = np.concatenate([self.vals, [operands.C.eig().eigenvalues ** k for k in plan.powers]])
 
 
-def _stage(pair: Pair | None, check: _Check, tol: float, context, operands: _Operands | None = None) -> CheckReport:
-    """One checker's report on a Pair, through a plan of its own."""
-    return _Plan([check]).run(pair, tol, [context], operands)[0]
+def _stage(pair: Pair | None, records: list, tol: float, context, operands: _Operands | None = None) -> CheckReport:
+    """One checker's report on a Pair, through a plan of its own, with one
+    context for every pair or a list of one per pair."""
+    size = 1 if pair is None else len(pair)
+    contexts = context if isinstance(context, list) else [context] * size
+    if len(contexts) != size:
+        raise MatrixFormatError(f"{len(contexts)} contexts for a stack of {size} pairs")
+    return _Plan(records).run(pair, tol, contexts, operands)[0]
 
 
-def _records(name: str, a: float = 1.0, b: float = 1.0, pairs=(0,)) -> _Check:
+def _records(name: str, a: float = 1.0, b: float = 1.0, pairs=(0,)) -> list[_Record]:
     """A checker's records on `pairs`, one each, with its weights checked
     (positive for those in POSITIVE_WEIGHTS)."""
     require_weights(name, positive=name in POSITIVE_WEIGHTS, a=a, b=b)
-    return _Check((name,) * len(pairs), tuple(_bind(PARTS[name], _keys(p, a, b)) for p in pairs))
+    return [_Record(name, p, _bind(PARTS[name], _keys(p, a, b))) for p in pairs]
 
 
 # Checkers of the Heron grid, each with the cross term of its Heron
@@ -513,7 +514,7 @@ GRID_CROSS = {"spectral_heron": "spectral", "kubo_heron": "geometric", "weighted
 POSITIVE_WEIGHTS = ("spreading", "equality_iff_commuting")
 
 
-def _grid(items) -> _Check:
+def _grid(items) -> list[_Record]:
     """One report per checker in GRID_CROSS, with one record per (check,
     a, b, c) item of it, in item order: lambda(a^2 A + b^2 B + c M) prec_w
     lambda(W_{a,b}) for 0 <= c <= 2ab, with the cross term M of the check.
@@ -534,10 +535,10 @@ def _grid(items) -> _Check:
     require(ok.all(), InvalidWeightsError, first_bad)
     endpoint = (two_ab > 0.0) & (c >= two_ab * (1.0 - 1e-12))
     # at c = 0 the sum has no cross term, so every check shares one key
-    return _Check(tuple(checks), tuple(
-        _bind(tuple(part for part in PARTS[check] if end or not part.equality),
-              {"H": ("heron", 0, GRID_CROSS[check] if c else "spectral", a, b, c), "W": ("W", 0, a, b)})
-        for (check, a, b, c), end in zip(items, endpoint)))
+    return [_Record(check, 0, _bind(tuple(part for part in PARTS[check] if end or not part.equality),
+                                    {"H": ("heron", 0, GRID_CROSS[check] if c else "spectral", a, b, c),
+                                     "W": ("W", 0, a, b)}))
+            for (check, a, b, c), end in zip(items, endpoint)]
 
 
 def heron_grid(pair: Pair, items, tol: float, context: dict | None = None) -> list[CheckReport]:
@@ -545,7 +546,7 @@ def heron_grid(pair: Pair, items, tol: float, context: dict | None = None) -> li
     the Heron sums (gated as positive definite) and the distinct W_{a,b}
     (gated as Hermitian) are decomposed in one stacked call."""
     require(len(items) > 0, InvalidWeightsError, lambda _: "items must be nonempty")
-    return _Plan([_grid(items)]).run(pair, tol, [context])
+    return _Plan(_grid(items)).run(pair, tol, [context])
 
 
 def check_spectral_heron(pair: Pair, a: float, b: float, c: float,
@@ -603,13 +604,12 @@ def _commutator_ratio(A, B) -> np.ndarray:
     return frobenius(A @ B - B @ A) / (frobenius(A) * frobenius(B))
 
 
-def _equality(a: float, b: float, pairs, commuting) -> _Check:
+def _equality(a: float, b: float, pairs, commuting) -> list[_Record]:
     """The equality case's records on `pairs`, with the parts of each pair's
     zone: the identities H = W where it commutes (True), the separations
     where it is apart (False), none in the gray zone between (None)."""
-    check = _records("equality_iff_commuting", a, b, pairs)
-    return check._replace(records=tuple(tuple(part for part in record if part.equality == zone)
-                                        for record, zone in zip(check.records, commuting, strict=True)))
+    return [record._replace(parts=tuple(part for part in record.parts if part.equality == zone))
+            for record, zone in zip(_records("equality_iff_commuting", a, b, pairs), commuting, strict=True)]
 
 
 def check_equality_iff_commuting(pair: Pair, a: float, b: float,
@@ -617,7 +617,8 @@ def check_equality_iff_commuting(pair: Pair, a: float, b: float,
     """Both endpoint Heron expressions equal the Wasserstein expression
     exactly when A and B commute; otherwise they stay separated by a
     data-dependent positive amount.  One record per pair of a stacked
-    Pair, in the zone of its `_commutator_ratio` (`_equality`)."""
+    Pair, in the zone of its `_commutator_ratio` (`_equality`), with the
+    one context or that of its pair in a list of one per pair."""
     ratio = _commutator_ratio(as_stack(pair.A), as_stack(pair.B)).tolist()
     zones = [True if r <= COMMUTING_CEILING else False if r >= NONCOMMUTING_FLOOR else None for r in ratio]
     return _stage(pair, _equality(a, b, range(len(pair)), zones), tol, context)
@@ -658,7 +659,7 @@ def _compressions(C: PDMatrix, R: PDMatrix, C1: np.ndarray) -> tuple[np.ndarray,
     return pinching_compressions(np.stack([C.mat, np.eye(C.dim), 2.0 * C.mat, C1]), R)
 
 
-def _pinching(p: int = 0) -> _Check:
+def _pinching(p: int = 0) -> list[_Record]:
     """The check of Phi = Phi_R(C) on the compression pairs as pairs p,
     ..., p+3 of the stage's Pair, where Phi_R(X) is their sharp geometric
     Heron sum A + B + 2 (A # B).  Only Phi_R(C) and Phi_R(C) - Phi_R(C1)
@@ -666,7 +667,7 @@ def _pinching(p: int = 0) -> _Check:
     I, C and R S C."""
     keys = {role: _keys(p + i, 1.0, 1.0)["H_kubo"] for i, role in enumerate(("Phi", "Phi(I)", "Phi(2C)", "Phi(C1)"))}
     keys |= {"C": ("C", 1), "N": ("spectral", p), "I": ("I",), "C_matrix": ("C_matrix",), "RSC": ("RSC",)}
-    return _Check(("pinching",), (_bind(PARTS["pinching"], keys),))
+    return [_Record("pinching", p, _bind(PARTS["pinching"], keys))]
 
 
 def _dominated_by(C: PDMatrix, bump: PDMatrix) -> np.ndarray:
@@ -690,14 +691,14 @@ def check_pinching(C: PDMatrix, R: PDMatrix, tol: float,
     return _stage(Pair.gated(*compressions), _pinching(), tol, context, _Operands(C, R, S))
 
 
-def _lift(Ds: int, p: int | None = None) -> _Check:
-    """lambda(C^{1/2} M C^{1/2}) prec_w lambda(C)^2, one record per M: Phi_R(C)
-    of pair p if p is given, then each D of the operands.  Pinching's weak
-    part is the hypothesis lambda(M) prec_w lambda(C) for Phi_R(C)."""
+def _lift(Ds: int, p: int | None = None) -> list[_Record]:
+    """lambda(C^{1/2} M C^{1/2}) prec_w lambda(C)^2, one record per M on pair
+    p (or 0): Phi_R(C) of pair p if p is given, then each D of the operands.
+    Pinching's weak part is the hypothesis lambda(M) prec_w lambda(C) for Phi_R(C)."""
     sources = [_keys(p, 1.0, 1.0)["H_kubo"]] if p is not None else []
     sources += [("D", i) for i in range(Ds)]
-    return _Check(("quadratic_lifting",) * len(sources),
-                  tuple(_bind(PARTS["quadratic_lifting"], {"lift": ("lift", key), "C^2": ("C", 2)}) for key in sources))
+    return [_Record("quadratic_lifting", p or 0,
+                    _bind(PARTS["quadratic_lifting"], {"lift": ("lift", key), "C^2": ("C", 2)})) for key in sources]
 
 
 def check_quadratic_lifting(C: PDMatrix, Ds: list[PDMatrix], tol: float,
@@ -743,10 +744,14 @@ def _aitken(report: CheckReport, margins) -> None:
     report.diagnostics.update(margins_along_sequence=margins, convergence_gap=abs(m3 - extrapolated))
 
 
-def _limit(p: int = 0) -> _Check:
+# The diagnostics of a one-record checker, f(report, parts of its record).
+_DIAGNOSTICS = {"semidefinite_limit": _aitken}
+
+
+def _limit(p: int = 0) -> list[_Record]:
     """`check_semidefinite_limit` on the levels as pairs p, p+1, ..."""
     keys = {(role, i): _keys(p + i, 1.0, 1.0)[role] for i in range(len(EPS_SEQUENCE)) for role in ("H_kubo", "R")}
-    return _Check(("semidefinite_limit",), (_bind(PARTS["semidefinite_limit"], keys),), finish=_aitken)
+    return [_Record("semidefinite_limit", p, _bind(PARTS["semidefinite_limit"], keys))]
 
 
 def check_semidefinite_limit(A0: HermitianMatrix, B0: HermitianMatrix, tol: float = 1e-8,
@@ -981,20 +986,20 @@ def trial_grid(a: float, b: float) -> list[tuple[str, float, float, float]]:
 @functools.cache
 def _certified_plan() -> _Plan:
     """The stage of the certified 3x3 pair, made once per process."""
-    return _Plan([_records("spreading"), _grid([("kubo_heron", 1.0, 1.0, 2.0)]), _records("log_majorization_means"),
-                  _records("bly")])
+    return _Plan(_records("spreading") + _grid([("kubo_heron", 1.0, 1.0, 2.0)]) + _records("log_majorization_means")
+                 + _records("bly"))
 
 
 @functools.cache
 def _trial_plan(a: float, b: float, k: int) -> _Plan:
     """The stage of a trial with weights (a, b) and k drawn pairs, then the
     four compression pairs and the levels, made once per process.  The
-    checks of the compression pairs and levels come first, so their
-    matrices keep their stack indices in the gate; run_suite passes the
-    contexts in this order.  Drawn pair 1 commutes, and pair 2 is apart."""
-    return _Plan([_pinching(k), _lift(1, k), _limit(k + 4), _grid(trial_grid(a, b)), _records("spreading", a, b),
-                  _records("endpoints", a, b), _records("log_majorization_means"), _records("bly", a, b),
-                  _equality(a, b, range(1, k), (True, False)[:k - 1])])
+    records of the compression pairs and levels come first, so their
+    matrices keep their stack indices in the gate.  Drawn pair 1 commutes,
+    and pair 2 is apart."""
+    return _Plan(_pinching(k) + _lift(1, k) + _limit(k + 4) + _grid(trial_grid(a, b)) + _records("spreading", a, b)
+                 + _records("endpoints", a, b) + _records("log_majorization_means") + _records("bly", a, b)
+                 + _equality(a, b, range(1, k), (True, False)[:k - 1]))
 
 
 def run_suite(config: SuiteConfig) -> RunReport:
@@ -1002,10 +1007,11 @@ def run_suite(config: SuiteConfig) -> RunReport:
     fixed certified instances; identical configs yield identical reports.
 
     Each trial draws all of its random instances first (`_draw_trial`),
-    then runs one stage (see the module docstring) on one Pair: the main
-    pair and the equality pairs, then the compression pairs of pinching
-    (with its quadratic lift) and the eps-levels of the semidefinite
-    limit, which are gated as operands first.  Only the stage plans are
+    then runs one stage (see the module docstring) on one Pair, with one
+    context per pair: the main pair and the equality pairs, then the
+    compression pairs of pinching (with its quadratic lift) and the
+    eps-levels of the semidefinite limit, which are gated as operands
+    first.  Only the stage plans are
     kept for the process (`_trial_plan`, `_certified_plan`); the fixed
     instances and every trial are computed afresh on each call."""
     pool: dict[str, CheckReport] = {}
@@ -1015,7 +1021,7 @@ def run_suite(config: SuiteConfig) -> RunReport:
     one, two = certified_pairs()
     _merge_into(pool, check_incomparability_float(one, two, tol))
     ctx = {"seed_offset": None, "instance": "certified-3x3", "a": 1.0, "b": 1.0}
-    for report in _certified_plan().run(one, tol, [ctx] * 4):
+    for report in _certified_plan().run(one, tol, [ctx]):
         _merge_into(pool, report)
     for c_over in (2.001, 2.01, 2.1, 3.0):
         _merge_into(pool, check_sharpness_scalar(1.0, 1.0, c_over))
@@ -1027,22 +1033,21 @@ def run_suite(config: SuiteConfig) -> RunReport:
         dim, a, b, pairs = draw.dim, draw.a, draw.b, draw.pairs
         (A, B), *equality_pairs = pairs
         context = {"seed_offset": offset, "dim": dim, "a": a, "b": b, "A": A, "B": B}
-        contexts = [dict(context, A=A_e, B=B_e, variant=variant)
-                    for (A_e, B_e), variant in zip(equality_pairs, ("commuting", "noncommuting"))]
-        ctx_p = dict(context, C=draw.C, R=draw.R)
-        ctx_s = dict(context, A=draw.A0, B=draw.B0, variant="rank-deficient")
-
         # the main pair (index 0) and the equality pairs, then the
         # compression pairs and the eps-levels after them, whose raw
         # operands are gated in one call of their own; neither they nor
-        # the Pair joined here are kept through the stage's gate
+        # the Pair joined here are kept through the stage's gate.  One
+        # context per pair, in this order
+        contexts = ([context] + [dict(context, A=A_e, B=B_e, variant=variant)
+                                 for (A_e, B_e), variant in zip(equality_pairs, ("commuting", "noncommuting"))]
+                    + [dict(context, C=draw.C, R=draw.R)] * 4
+                    + [dict(context, A=draw.A0, B=draw.B0, variant="rank-deficient")] * len(EPS_SEQUENCE))
         S, *compressions = _compressions(draw.C, draw.R, draw.C1)
         levels = _levels(draw.A0, draw.B0, tol)
         pair = Pair.stack([*pairs, Pair.gated(*map(np.concatenate, zip(compressions, levels)))])
         del compressions, levels
         plan = _trial_plan(a, b, len(pairs))
-        for report in plan.run(pair, tol, [ctx_p, ctx_p, ctx_s] + [context] * 5 + [contexts],
-                               _Operands(draw.C, draw.R, S, draw.D[None])):
+        for report in plan.run(pair, tol, contexts, _Operands(draw.C, draw.R, S, draw.D[None])):
             _merge_into(pool, report)
 
     return RunReport(config=config, checks=list(pool.values()))

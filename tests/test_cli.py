@@ -569,6 +569,28 @@ class TestCertifyCommand:
         assert payload["verdict"] is False and "float_shadow" not in payload
         assert err == "certificate mismatch at: det(41 I - (A + B + 2G))\n"
 
+    @pytest.mark.parametrize("which, change, message", [
+        ("dir1", lambda replay: {"lambda1_natural": replay["lambda1_sharp"]}, "do not straddle 41"),
+        ("dir2", lambda replay: {"trace_sharp": replay["trace_sharp"] * (1.0 + 1e-6)},
+         "deviates from the certified 40/sqrt(73)"),
+        ("dir2", lambda replay: {"trace_natural": replay["trace_sharp"]}, "floating traces disagree"),
+    ], ids=["lambda1-straddle", "trace-value", "trace-order"])
+    def test_a_float_replay_that_disagrees_is_a_numerical_failure(self, which, change, message, capsys, monkeypatch):
+        # the only way `certify` fails on its float shadow: the exact
+        # certificate holds and the float replay of its instances disagrees
+        from matmean import exact
+
+        certified_replay = exact.certified_replay
+
+        def replay(one, two):
+            values = certified_replay(one, two)
+            return {**values, **change(values)}
+
+        monkeypatch.setattr(exact, "certified_replay", replay)
+        code, out, err = run_cli(capsys, "certify", "--which", which)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("numerical failure: ") and message in err
+
 
 class TestSuiteNoAbort:
     # Both seeds used to exit 3: the regularized semidefinite pair made

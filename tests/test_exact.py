@@ -196,6 +196,12 @@ class TestRationalOps:
         with pytest.raises(MatrixFormatError):
             RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
 
+    @pytest.mark.parametrize("kernel", [rat_add, rat_sub, rat_matmul], ids=["rat_add", "rat_sub", "rat_matmul"])
+    def test_kernels_reject_two_dimensions(self, kernel):
+        M, N = RationalMatrix.from_rows([[1, 0], [0, 1]]), RationalMatrix.diagonal([1, 2, 3])
+        with pytest.raises(MatrixFormatError, match="^rational matrix dimension mismatch: 2 vs 3$"):
+            kernel(M, N)
+
     # made from its entries, a non-square "matrix" used to get answers: the
     # 1x2 one had dim 1, determinant 1 and a 1x2 product with itself
     @pytest.mark.parametrize("entries", [((Fraction(1), Fraction(2)),), ((Fraction(1), Fraction(2)), (Fraction(3),))],
@@ -525,6 +531,12 @@ class TestFloatShadow:
         )
         with pytest.raises(NumericalFailure):
             float_shadow(bad)
+
+    def test_a_scalar_gap_that_holds_is_a_numerical_failure(self, monkeypatch):
+        report = certify_direction_two()
+        monkeypatch.setattr(exact, "scalar_heron_gap", lambda a, b, c: Fraction(0))
+        with pytest.raises(NumericalFailure, match="^scalar sharpness comparison unexpectedly holds$"):
+            float_shadow(report)
 
     DIR_ONE = ["top eigenvalue above 41", "top eigenvalue below 41", "k=1 Ky Fan failure margin"]
     DIR_TWO = ["Heron trace gap above 0.6"]

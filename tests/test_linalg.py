@@ -43,6 +43,11 @@ class TestHermitianConstruction:
         with pytest.raises(MatrixFormatError):
             HermitianMatrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("data", [{"re": [[1.0]]}, {"dim": 1}, [[1.0]]], ids=["no-dim", "no-re", "list"])
+    def test_matrix_json_needs_dim_and_re(self, data):
+        with pytest.raises(MatrixFormatError, match='^matrix JSON must contain "dim" and "re"$'):
+            matio.matrix_from_dict(data)
+
     def test_entries_stop_below_the_norm_overflow(self):
         # n max|entry| must stay below sqrt(largest float): just below, the
         # gate's norms are finite; at the limit the gate cannot check the
@@ -187,6 +192,14 @@ class TestRandomPD:
         with pytest.raises(MatrixFormatError):
             random_pd(0, 10.0, seed=0)
 
+    def test_rejects_cond_below_one(self):
+        with pytest.raises(InvalidWeightsError, match="^cond_max must be >= 1, got 0.5$"):
+            random_pd(3, 0.5, seed=0)
+
+    def test_eigen_data_of_mismatched_shapes_is_rejected(self):
+        with pytest.raises(MatrixFormatError, match="^eigenvector matrix shape does not match eigenvalue count$"):
+            gate_eig(np.array([[1.0, 0.5, 0.25]]), np.eye(2, dtype=np.complex128)[None])
+
     @pytest.mark.parametrize("vals, vecs, error", [
         ([1.0, 0.5], [[1.0, 0.0], [0.0, np.nan]], NumericalFailure),
         ([1.0, 0.5], [[2.0, 0.0], [0.0, 2.0]], NumericalFailure),
@@ -286,6 +299,11 @@ class TestStackedGate:
             PDMatrix(bad)
         with pytest.raises(error, match=r"stack index \(1,\)"):
             gate_stack(self._stack_with(bad))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3), (1, 0, 0)], ids=["vector", "2x3", "stack-2x3", "0x0"])
+    def test_rejects_what_is_not_a_stack_of_square_matrices(self, shape):
+        with pytest.raises(MatrixFormatError, match=r"^expected a stack of nonempty square matrices, got shape "):
+            gate_stack(np.ones(shape))
 
     def test_checks_over_several_slices_name_the_bad_matrix(self, monkeypatch):
         # at n = 32 the decomposition checks run over slices of 16

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from matmean.errors import MatrixFormatError, NotPositiveDefiniteError
 from matmean.linalg import HermitianMatrix, complex_gaussian, haar_unitaries, hermitian_part
-from matmean.majorization import ky_fan_margins, ky_fan_threshold, trace_margin, verdict, weak_margin
+from matmean.majorization import ky_fan_margins, ky_fan_threshold, verdict, weak_margin
 from matmean.means import geometric_mean, spectral_mean
 
 from conftest import rand_pd_pairs
@@ -55,12 +55,11 @@ class TestKyFanSums:
             x = -np.sort(-rng.standard_normal((6, n)), axis=-1)
             y = -np.sort(-rng.standard_normal((6, n)), axis=-1)
             margins, scale = ky_fan_margins(x, y)
-            weak, trace = weak_margin(x, y), trace_margin(x, y)
+            weak = weak_margin(x, y)
             for i in range(6):
                 one_margins, one_scale = ky_fan_margins(x[i], y[i])
                 assert np.array_equal(margins[i], one_margins) and scale[i] == one_scale
                 assert weak[i] == weak_margin(x[i], y[i])
-                assert trace[i] == trace_margin(x[i], y[i])
             # a single y against a stack of x broadcasts
             assert np.array_equal(weak_margin(x, y[0]), [weak_margin(row, y[0]) for row in x])
 
@@ -104,7 +103,6 @@ class TestMajorization:
     def test_reflexive(self):
         x = np.array([3.0, 1.0])
         assert verdict("major", x, x, 1e-12).holds
-        assert trace_margin(x, x) == 0.0
 
     def test_trace_equality_required(self):
         holds = verdict("major", np.array([1.0, 1.0]), np.array([2.0, 0.0]), 1e-12)
@@ -112,9 +110,8 @@ class TestMajorization:
         x, y = np.array([1.0, 0.0]), np.array([2.0, 0.0])
         fails = verdict("major", x, y, 1e-12)
         assert not fails.holds
-        # weak majorization alone holds; the trace margin is -1 / (1 + 2)
+        # weak majorization alone holds
         assert verdict("weak", x, y, 1e-12).holds
-        assert trace_margin(x, y) == pytest.approx(-1.0 / 3.0)
 
 
 class TestLogMajorization:

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 
+import pytest
+
 from matmean.matio import matrix_to_dict
 from matmean.report import CheckReport
 from matmean.suite import RunReport, SuiteConfig, run_suite
@@ -30,6 +32,10 @@ class TestMerge:
         pooled = _report(0.5, exact_margin="1/2")
         pooled.merge(_report(0.5, exact_margin="other"))
         assert pooled.diagnostics["exact_margin"] == "1/2"
+
+    def test_reports_of_two_checks_are_not_merged(self):
+        with pytest.raises(ValueError, match="^cannot merge 'bly' into 'semidefinite_limit'$"):
+            _report(0.0).merge(CheckReport("bly", 1e-8))
 
     def test_new_keys_are_added(self):
         pooled = _report(-1.0)

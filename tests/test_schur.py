@@ -230,6 +230,11 @@ class TestPinchingMap:
         with pytest.raises(NotPositiveDefiniteError):
             pinching_map(C, PDMatrix(np.diag([0.5, 1.5])))
 
+    @pytest.mark.parametrize("C", [rand_pd(3, seed=45), np.stack([np.eye(3)] * 2)], ids=["3x3", "stack-3x3"])
+    def test_rejects_a_c_of_another_shape_than_r(self, C):
+        with pytest.raises(MatrixFormatError, match=r"^dimension mismatch: C \("):
+            pinching_map(C, PDMatrix(np.diag([0.3, 0.6])))
+
 
 def kubo_change_of_vars(A: PDMatrix, B: PDMatrix, a: float, b: float) -> tuple[PDMatrix, PDMatrix]:
     """(R, W) with T = aI + bX, R = a T^{-1} and W = W_{a,b}(A, B) = T A T."""

@@ -18,6 +18,7 @@ from matmean.errors import (
 )
 from matmean.linalg import HermitianMatrix, PDMatrix, adjoint, complex_gaussian, haar_unitaries, random_pd_from_rng
 from matmean.majorization import verdict, weak_margin
+from matmean.matio import matrix_to_dict
 from matmean.means import Pair
 from matmean.report import CheckReport
 from matmean.schur import pinching_map
@@ -158,7 +159,7 @@ class TestEndpointsMargin:
         a, b = 0.7, 1.3
         check = suite._records("endpoints", a, b)
         # the gated spectra of the geometric Heron sum and of W_{a,b}
-        sH, sW = suite._Built(suite._Plan([check]), Pair(A, B), None).vals
+        sH, sW = suite._Built(suite._Plan(check), Pair(A, B), None).vals
         parts = [sH[-1] - sW[-1], sW[0] - sH[0], np.sum(sW) - np.sum(sH)]
         if dim > 1:
             parts.append(np.sum(sW[:-1]) - np.sum(sH[:-1]))
@@ -654,6 +655,15 @@ class TestStackedCheckers:
         # tol = -1 turns every record into a failure, exposing its context
         assert [f["instance"]["variant"] for f in stacked.failures] == ["commuting", "noncommuting"]
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_a_context_list_of_another_length_is_refused(self, count):
+        # three stacked pairs: a list of 2 once recorded 2 of the 3 pairs,
+        # and the third pair's verdict was lost
+        rng = np.random.default_rng(5)
+        pair = Pair.stack([_commuting_pair(3, 1e3, rng) for _ in range(3)])
+        with pytest.raises(MatrixFormatError, match=rf"^{count} contexts for a stack of 3 pairs$"):
+            check_equality_iff_commuting(pair, 1.0, 0.5, TOL, [{"variant": "commuting"}] * count)
+
     def test_quadratic_lifting_records_one_margin_per_d(self):
         C = rand_pd(4, seed=76)
         halves = [PDMatrix(0.5 * C.mat), PDMatrix(0.25 * C.mat)]
@@ -790,6 +800,51 @@ class TestReferenceOracle:
         assert staged == reference
 
 
+class TestFailureContexts:
+    """Each failing record serializes the context of its own pair of the
+    stage's Pair: every relation reads NaN, so every stage record fails."""
+
+    def test_every_failing_record_serializes_its_pairs_context(self, monkeypatch):
+        for table in (suite._SPECTRAL, suite._MATRIX):
+            for relation in list(table):
+                monkeypatch.setitem(table, relation, lambda x, y, _: np.full(len(x), np.nan))
+        # dims 1 and 2: trial 1 alone draws a noncommuting pair
+        config = SuiteConfig(seed=42, trials=2)
+        report = run_suite(config)
+        found = collections.defaultdict(list)
+        for check in report.checks:
+            if check.check_name in suite.PARTS:
+                assert len(check.failures) == check.instances_run, check.check_name
+            for failure in check.failures:
+                found[check.check_name, failure["seed_offset"]].append(failure["instance"])
+        assert {name for name, _ in found} == set(suite.PARTS)
+
+        def serialized(context: dict) -> dict:
+            return {key: matrix_to_dict(value) if isinstance(value, HermitianMatrix) else value
+                    for key, value in context.items()}
+
+        certified = {"seed_offset": None, "instance": "certified-3x3", "a": 1.0, "b": 1.0}
+        for (name, offset), instances in found.items():
+            if offset is None:
+                assert name in ("spreading", "kubo_heron", "log_majorization_means", "bly"), name
+                assert instances == [certified] * len(instances), name
+                continue
+            draw = _draw_trial(config, offset)
+            (A, B), *equality_pairs = draw.pairs
+            context = {"seed_offset": offset, "dim": draw.dim, "a": draw.a, "b": draw.b, "A": A, "B": B}
+            if name == "equality_iff_commuting":
+                expected = [dict(context, A=A_e, B=B_e, variant=variant)
+                            for (A_e, B_e), variant in zip(equality_pairs, ("commuting", "noncommuting"))]
+            elif name in ("pinching", "quadratic_lifting"):
+                expected = [dict(context, C=draw.C, R=draw.R)] * len(instances)
+            elif name == "semidefinite_limit":
+                expected = [dict(context, A=draw.A0, B=draw.B0, variant="rank-deficient")] * len(instances)
+            else:
+                expected = [context] * len(instances)
+            assert instances == [serialized(ctx) for ctx in expected], (name, offset)
+        assert len(found["equality_iff_commuting", 1]) == 2
+
+
 def _recorded(monkeypatch, run) -> tuple[object, dict[str, list[float]]]:
     """What `run()` returns and the margin of every `CheckReport.record`
     call it made, in order, per checker."""
@@ -815,14 +870,13 @@ def _stage_parts(monkeypatch, run) -> list[tuple[int, int, str, suite._Part, flo
 
     def run_recording(plan, *args, **kwargs):
         stage = next(stages)
-        records = [(name, record) for check, _ in plan.checks for name, record in zip(check.names, check.records)]
 
         def recording(relation, at):
             def evaluate(*args):
                 values = relation(*args)
                 for i, value in zip(at.tolist(), values.tolist()):
-                    name, record = records[i // plan.shape[1]]
-                    parts.append((stage, i // plan.shape[1], name, record[i % plan.shape[1]], value))
+                    record = plan.records[i // plan.shape[1]]
+                    parts.append((stage, i // plan.shape[1], record.name, record.parts[i % plan.shape[1]], value))
                 return values
             return evaluate
 
@@ -925,6 +979,39 @@ class TestEqualityTags:
         assert len(failing) == sum(len(report.failures) for report in reports[0].checks)
 
 
+class TestTraceIdentity:
+    """The endpoint trace identities are Schatten-1 parts tagged as
+    identities: -|sum lambda(W) - sum lambda(H)| / (1 + |sum lambda(W)|)."""
+
+    # each checker's records at its endpoint, and its public checker there
+    CASES = {
+        "spectral_heron": (lambda a, b: suite._grid([("spectral_heron", a, b, 2 * a * b)]),
+                           lambda pair, a, b: check_spectral_heron(pair, a, b, 2 * a * b, TOL)),
+        # at t = b, whose 1 - t need not be a
+        "weighted_corollary": (lambda a, b: suite._grid([("weighted_corollary", 1.0 - b, b, 2 * (1.0 - b) * b)]),
+                               lambda pair, a, b: check_weighted_corollary(pair, b, 2 * (1.0 - b) * b, TOL)),
+        "spreading": (lambda a, b: suite._records("spreading", a, b),
+                      lambda pair, a, b: check_spreading(pair, a, b, TOL)),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    @pytest.mark.parametrize("dim", [1, 2, 8, 9, 32])
+    def test_each_endpoint_trace_part_is_the_trace_gap(self, name, dim, monkeypatch):
+        records, check = self.CASES[name]
+        a, b = 0.3, 0.7
+        pair = Pair(rand_pd(dim, seed=4 * dim), rand_pd(dim, seed=4 * dim + 1))
+        parts = {}
+        names = [part.name for part in suite.PARTS[name]]
+        monkeypatch.setitem(suite._DIAGNOSTICS, name, lambda _, values: parts.update(zip(names, values.tolist())))
+        check(pair, a, b)
+        plan = suite._Plan(records(a, b))
+        (trace,) = (part for part in plan.records[0].parts if part.name == "trace")
+        assert (trace.relation, trace.arg, trace.equality) == ("schatten", 1, True)
+        vals = suite._Built(plan, pair, None).vals
+        sH, sW = (vals[plan.keys.index(key)].sum() for key in (trace.dominated, trace.dominating))
+        assert parts["trace"] == -abs(sW - sH) / (1.0 + abs(sW))
+
+
 class TestLeastPart:
     """A record's margin is the least of its parts: NaN wherever a NaN
     part sits, and the first of equal parts, as min() picks it."""
@@ -934,7 +1021,7 @@ class TestLeastPart:
         monkeypatch.setitem(suite._SPECTRAL, relation, lambda x, y, _: np.full(len(x), value))
 
     @pytest.mark.parametrize("relation, check", [
-        ("trace", lambda pair: check_spectral_heron(pair, 1.0, 1.0, 2.0, TOL)),
+        ("schatten", lambda pair: check_spectral_heron(pair, 1.0, 1.0, 2.0, TOL)),
         ("bottom", lambda pair: check_spreading(pair, 1.0, 1.0, TOL)),
         ("log_total", lambda pair: check_log_majorization_means(pair, TOL)),
         ("schatten", lambda pair: check_bly(pair, 1.0, 1.0, TOL)),
@@ -959,7 +1046,7 @@ class TestLeastPart:
     def test_the_first_of_equal_parts_wins(self, first, second, monkeypatch):
         # the endpoint record of spectral_heron is (weak, trace)
         self._constant(monkeypatch, "weak", first)
-        self._constant(monkeypatch, "trace", second)
+        self._constant(monkeypatch, "schatten", second)
         margin = check_spectral_heron(Pair(rand_pd(2, seed=43), rand_pd(2, seed=44)), 1.0, 1.0, 2.0, TOL).min_margin_seen
         assert margin == 0.0 and math.copysign(1.0, margin) == math.copysign(1.0, first)
 
@@ -976,16 +1063,11 @@ class TestMatrixParts:
 
     @staticmethod
     def _parts(monkeypatch, checker: str) -> dict:
-        """The parts of the record of each `_stage` call, by name, as the
+        """The parts of the checker's record in each stage, by name, as the
         stage computes them."""
-        parts, stage = {}, suite._stage
+        parts = {}
         names = [part.name for part in suite.PARTS[checker]]
-
-        def staged(pair, check, *args):
-            return stage(pair, check._replace(finish=lambda _, values: parts.update(zip(names, values.tolist()))),
-                         *args)
-
-        monkeypatch.setattr(suite, "_stage", staged)
+        monkeypatch.setitem(suite._DIAGNOSTICS, checker, lambda _, values: parts.update(zip(names, values.tolist())))
         return parts
 
     @pytest.mark.parametrize("checker, kind, part, factor", [
